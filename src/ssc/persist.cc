@@ -287,18 +287,31 @@ void PersistenceManager::CorruptLogTailForTesting(size_t count) {
   }
 }
 
-void PersistenceManager::CorruptCheckpointForTesting(size_t segment) {
-  std::vector<CheckpointSegment>& cur = regions_[current_region_];
-  if (segment < cur.size()) {
-    cur[segment].crc ^= 0x5A5A5A5Au;
+namespace {
+
+// Payload rot with the stored CRC left stale, so only a checksum recomputed
+// over the entries can notice. An empty segment has no payload to rot; its
+// stored CRC is flipped instead.
+void RotSegment(std::vector<CheckpointSegment>* region, size_t segment) {
+  if (segment >= region->size()) {
+    return;
+  }
+  CheckpointSegment& seg = (*region)[segment];
+  if (seg.entries.empty()) {
+    seg.crc ^= 0x5A5A5A5Au;
+  } else {
+    seg.entries.front().ppn ^= 0xDEADBEEFull;
   }
 }
 
+}  // namespace
+
+void PersistenceManager::CorruptCheckpointForTesting(size_t segment) {
+  RotSegment(&regions_[current_region_], segment);
+}
+
 void PersistenceManager::CorruptPrevCheckpointForTesting(size_t segment) {
-  std::vector<CheckpointSegment>& prev = regions_[1 - current_region_];
-  if (segment < prev.size()) {
-    prev[segment].crc ^= 0x5A5A5A5Au;
-  }
+  RotSegment(&regions_[1 - current_region_], segment);
 }
 
 }  // namespace flashtier

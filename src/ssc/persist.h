@@ -412,15 +412,17 @@ class PersistenceManager {
   // mangle); Recover() must skip exactly those and keep the rest.
   void CorruptLogTailForTesting(size_t count);
 
-  // Rots one segment of the current checkpoint so its CRC no longer
-  // validates; Recover() must fall back to the same-index segment of the
-  // previous generation plus the retained log history, losing only that
-  // slice. The default keeps the historical single-segment behavior.
+  // Rots one segment of the current checkpoint: an entry's payload changes
+  // and the stored CRC is left stale (an empty segment's CRC is flipped), so
+  // only a CRC recomputed over the entries catches it. Recover() must fall
+  // back to the same-index segment of the previous generation plus the
+  // retained log history, losing only that slice. The default keeps the
+  // historical single-segment behavior.
   void CorruptCheckpointForTesting(size_t segment = 0);
 
-  // Rots one segment of the *previous* (fallback) checkpoint, so tests can
-  // exercise the double-failure path: both generations of a segment bad
-  // degrades that slice to empty + full log replay.
+  // Rots one segment of the *previous* (fallback) checkpoint the same way,
+  // so tests can exercise the double-failure path: both generations of a
+  // segment bad degrades that slice to empty + full log replay.
   void CorruptPrevCheckpointForTesting(size_t segment = 0);
 
  private:

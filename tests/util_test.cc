@@ -44,6 +44,37 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
   }
 }
 
+// The dispatched kernel must match the bytewise reference bit for bit on
+// every length and alignment, so a checksum never depends on the host CPU.
+// Lengths cover 40-byte checkpoint entries, 48-byte log records and 4 KiB
+// pages; offsets exercise unaligned word loads; seeds and splits exercise
+// chained calls as SegmentCrc makes them.
+TEST(Crc32cTest, MatchesBytewiseReference) {
+  constexpr size_t kMaxLen = 4104;
+  constexpr size_t kOffsets = 8;
+  std::vector<uint8_t> buf(kMaxLen + kOffsets);
+  Rng rng(31);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const uint32_t seeds[] = {0u, 1u, 0xffffffffu, 0x8a9136aau, 0x12345678u};
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    for (size_t off = 0; off < kOffsets; ++off) {
+      const uint8_t* p = buf.data() + off;
+      const uint32_t seed = seeds[(len + off) % std::size(seeds)];
+      ASSERT_EQ(Crc32c(seed, p, len), Crc32cBytewise(seed, p, len))
+          << "len " << len << " offset " << off << " seed " << seed;
+    }
+  }
+  for (const size_t len : {size_t{40}, size_t{48}, size_t{4096}}) {
+    for (size_t split = 0; split <= len; split += len / 8 + 1) {
+      const uint8_t* p = buf.data() + 3;
+      const uint32_t inc = Crc32c(Crc32c(0, p, split), p + split, len - split);
+      EXPECT_EQ(inc, Crc32cBytewise(0, p, len)) << "len " << len << " split " << split;
+    }
+  }
+}
+
 TEST(Crc32cTest, DetectsSingleBitFlips) {
   uint8_t buf[64] = {1, 2, 3, 4, 5};
   const uint32_t base = Crc32c(buf, sizeof(buf));
