@@ -4,10 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <unordered_set>
-
-#include "src/check/invariant_checker.h"
-#include "src/util/bitmap.h"
 
 namespace flashtier {
 
@@ -66,13 +62,7 @@ std::string AgingReport::ToString() const {
                 first_epoch_miss_rate, last_epoch_miss_rate, max_retired_pct, serving_retired_pct,
                 write_exhausted ? ", write-exhausted" : "");
   std::string out(buffer);
-  for (const std::string& s : samples) {
-    out += "\n  ";
-    out += s;
-  }
-  if (violation_count > samples.size()) {
-    out += "\n  ...";
-  }
+  AppendSamples(&out);
   return out;
 }
 
@@ -107,164 +97,33 @@ AgingHarness::AgingHarness(const AgingOptions& options) : options_(options) {}
 
 AgingReport AgingHarness::Run() {
   AgingReport report;
-  SimClock clock;
-  const uint32_t shard_count = std::max<uint32_t>(1, options_.shards);
-  const ShardRouter router{shard_count, /*grain_pages=*/64};
-
-  // The long-lived device set: wear accumulates across the whole run, so it
-  // is built exactly once. Each shard gets an independent fault stream via
-  // the same golden-ratio seed stride the system facade uses.
-  std::vector<std::unique_ptr<SscDevice>> sscs;
-  sscs.reserve(shard_count);
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    SscConfig config;
-    config.capacity_pages = options_.capacity_pages / shard_count +
-                            (i < options_.capacity_pages % shard_count ? 1 : 0);
-    config.policy = options_.policy;
-    config.mode = options_.mode;
-    config.fault_plan = options_.faults;
-    if (options_.faults.enabled) {
-      config.fault_plan.seed = options_.faults.seed + 0x9e3779b97f4a7c15ull * i;
-    }
-    config.wear_level_interval_writes = options_.wear_level_interval_writes;
-    config.wear_level_max_diff = options_.wear_level_max_diff;
-    config.patrol_interval_writes = options_.patrol_interval_writes;
-    config.patrol_blocks_per_pass = options_.patrol_blocks_per_pass;
-    sscs.push_back(std::make_unique<SscDevice>(config, &clock));
-  }
-  const auto dev = [&](Lbn lbn) -> SscDevice& { return *sscs[router.ShardOf(lbn)]; };
-  std::vector<std::unique_ptr<AdmissionPolicy>> policies;
-  policies.reserve(shard_count);
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    policies.push_back(
-        MakeAdmissionPolicy(ShardPolicyConfig(options_.admission, shard_count, i), &clock));
-  }
-  const auto pol = [&](Lbn lbn) -> AdmissionPolicy& { return *policies[router.ShardOf(lbn)]; };
-  std::vector<const SscDevice*> shard_views;
-  shard_views.reserve(sscs.size());
-  for (auto& ssc : sscs) {
-    shard_views.push_back(ssc.get());
-  }
-
-  std::vector<ShadowEntry> shadow(options_.address_blocks);
-  std::unordered_set<Lbn> lost;
-  for (auto& ssc : sscs) {
-    ssc->set_data_loss_hook([&lost](Lbn lbn) { lost.insert(lbn); });
-  }
-  const bool faults_on = options_.faults.enabled;
-  uint64_t next_token = 1;
-  uint64_t round = 0;
-
-  const auto merged_ftl = [&sscs]() {
+  // The long-lived device set: wear accumulates across the whole run.
+  BlockTarget target(options_.device, options_.address_blocks);
+  const CrashSchedule& schedule = options_.schedule;
+  const auto merged_ftl = [&target]() {
     FtlStats out;
-    for (const auto& ssc : sscs) {
+    for (const auto& ssc : target.sscs()) {
       out.Merge(ssc->ftl_stats());
     }
     return out;
   };
 
+  uint64_t round = 0;
   for (uint32_t epoch = 0; epoch < options_.aging_multiple; ++epoch) {
     const FtlStats at_start = merged_ftl();
+    const uint64_t ok_writes_at_start = target.ok_writes();
     std::vector<std::string> violations;
     uint32_t stalled_rounds = 0;
     bool quota_met = false;
-    uint64_t epoch_ok_writes = 0;
 
-    // Replay scripted rounds until one more full capacity of host writes has
-    // landed. A device whose allocator retirement has exhausted every write
-    // path makes no progress; after a few write-free rounds the run ends —
-    // gracefully, which is the point.
+    // Replay scripted rounds until the host has attempted one more full
+    // capacity of writes. A device whose allocator retirement has exhausted
+    // every write path makes no progress; after a few write-free rounds the
+    // run ends — gracefully, which is the point.
     while (!quota_met) {
       const uint64_t writes_before = merged_ftl().host_writes;
-      const std::vector<WorkloadOp> script =
-          BuildWorkloadScript(options_.seed * 1000003 + round, options_.ops_per_round,
-                              options_.address_blocks, &next_token);
+      target.RunOps(schedule.seed * 1000003 + round, schedule.ops, &violations);
       ++round;
-      for (const WorkloadOp& op : script) {
-        ShadowEntry& entry = op.kind == WorkloadOpKind::kCollect ? shadow[0] : shadow[op.lbn];
-
-        WorkloadOpKind effective = op.kind;
-        bool rejected = false;
-        if (op.kind == WorkloadOpKind::kWriteDirty || op.kind == WorkloadOpKind::kWriteClean) {
-          AdmissionPolicy& p = pol(op.lbn);
-          p.OnAccess(op.lbn, /*is_write=*/true);
-          AdmissionContext ctx;
-          ctx.resident = entry.state == ShadowState::kDirty;
-          const AdmissionOp aop = op.kind == WorkloadOpKind::kWriteDirty
-                                      ? AdmissionOp::kWriteDirty
-                                      : AdmissionOp::kWriteClean;
-          if (!p.ShouldAdmit(op.lbn, aop, ctx)) {
-            effective = WorkloadOpKind::kEvict;
-            rejected = true;
-          }
-        } else if (op.kind == WorkloadOpKind::kRead) {
-          pol(op.lbn).OnAccess(op.lbn, /*is_write=*/false);
-        }
-
-        Status s = Status::kOk;
-        uint64_t read_token = 0;
-        switch (effective) {
-          case WorkloadOpKind::kWriteDirty:
-            s = dev(op.lbn).WriteDirty(op.lbn, op.token);
-            if (s == Status::kBackpressure) {
-              dev(op.lbn).DrainLog();
-              s = dev(op.lbn).WriteDirty(op.lbn, op.token);
-            }
-            break;
-          case WorkloadOpKind::kWriteClean:
-            s = dev(op.lbn).WriteClean(op.lbn, op.token);
-            if (s == Status::kBackpressure) {
-              dev(op.lbn).DrainLog();
-              s = dev(op.lbn).WriteClean(op.lbn, op.token);
-            }
-            break;
-          case WorkloadOpKind::kRead:
-            s = dev(op.lbn).Read(op.lbn, &read_token);
-            break;
-          case WorkloadOpKind::kClean:
-            s = dev(op.lbn).Clean(op.lbn);
-            break;
-          case WorkloadOpKind::kEvict:
-            s = dev(op.lbn).Evict(op.lbn);
-            break;
-          case WorkloadOpKind::kCollect:
-            for (auto& ssc : sscs) {
-              ssc->BackgroundCollect(/*budget_us=*/20'000);
-            }
-            break;
-        }
-        ++report.ops_executed;
-        if ((effective == WorkloadOpKind::kWriteDirty ||
-             effective == WorkloadOpKind::kWriteClean) &&
-            IsOk(s)) {
-          ++report.ok_writes;
-          ++epoch_ok_writes;
-        }
-
-        // The acceptance bar: a successful read must return a token the
-        // shadow acknowledged. Faults the device *detects* (kCorrupt,
-        // kIoError, a lost page reading not-present) are ordinary wear;
-        // a wrong token behind kOk is silent corruption.
-        if (effective == WorkloadOpKind::kRead && s == Status::kOk &&
-            (entry.state == ShadowState::kNone || entry.state == ShadowState::kEvicted ||
-             read_token != entry.token)) {
-          ++report.undetected_corruptions;
-        }
-
-        if (rejected) {
-          pol(op.lbn).OnReject(op.lbn);
-        } else if ((op.kind == WorkloadOpKind::kWriteDirty ||
-                    op.kind == WorkloadOpKind::kWriteClean) &&
-                   IsOk(s)) {
-          pol(op.lbn).OnAdmit(op.lbn);
-        } else if (op.kind == WorkloadOpKind::kEvict) {
-          pol(op.lbn).OnEvict(op.lbn);
-        }
-
-        ApplyAcknowledged(effective, op.lbn, op.token, s, read_token, faults_on, lost, entry,
-                          &violations);
-      }
-
       const uint64_t writes_after = merged_ftl().host_writes;
       if (writes_after == writes_before) {
         if (++stalled_rounds >= 8) {
@@ -274,29 +133,18 @@ AgingReport AgingHarness::Run() {
       } else {
         stalled_rounds = 0;
       }
-      quota_met = writes_after - at_start.host_writes >= options_.capacity_pages;
+      quota_met = writes_after - at_start.host_writes >= options_.device.capacity_pages;
     }
 
     // Epoch audit: structural invariants (including the endurance audits),
     // policy audits, then the full shadow sweep. Fault draws are paused so
     // observing the device cannot age it; sticky fault state stays in force.
-    for (auto& ssc : sscs) {
-      ssc->device_for_testing()->set_fault_injection_paused(true);
+    target.PauseFaults(true);
+    if (schedule.run_invariant_checker) {
+      target.Audit("", &violations);
     }
-    const CheckReport structural = InvariantChecker::CheckSharded(shard_views, router);
-    for (const InvariantViolation& v : structural.violations) {
-      violations.push_back("invariant [" + v.invariant + "] " + v.detail);
-    }
-    for (uint32_t i = 0; i < shard_count; ++i) {
-      const CheckReport pr = InvariantChecker::CheckPolicy(*policies[i], sscs[i].get());
-      for (const InvariantViolation& v : pr.violations) {
-        violations.push_back("policy [" + v.invariant + "] " + v.detail);
-      }
-    }
-    VerifyAgainstShadow(shadow, dev, lost, ShadowPendingOp{}, &violations);
-    for (auto& ssc : sscs) {
-      ssc->device_for_testing()->set_fault_injection_paused(false);
-    }
+    target.Sweep(&violations);
+    target.PauseFaults(false);
 
     // Lifetime curves.
     const FtlStats now = merged_ftl();
@@ -309,32 +157,23 @@ AgingReport AgingHarness::Run() {
       report.first_epoch_miss_rate = miss_rate;
     }
     report.last_epoch_miss_rate = miss_rate;
-    const double retired_pct = RetiredPct(sscs);
+    const double retired_pct = RetiredPct(target.sscs());
     report.max_retired_pct = std::max(report.max_retired_pct, retired_pct);
     if (quota_met) {
       ++report.epochs_run;
-      if (epoch_ok_writes > 0) {
+      if (target.ok_writes() > ok_writes_at_start) {
         report.serving_retired_pct = retired_pct;
       }
     }
 
-    report.violation_count += violations.size();
-    for (std::string& v : violations) {
-      if (options_.verbose) {
-        std::fprintf(stderr, "flashcheck: aging epoch %u: %s\n", epoch, v.c_str());
-      }
-      if (report.samples.size() < AgingReport::kMaxSamples) {
-        char prefix[32];
-        std::snprintf(prefix, sizeof(prefix), "[epoch %u] ", epoch);
-        report.samples.push_back(prefix + std::move(v));
-      }
-    }
-    if (options_.verbose) {
+    report.Record(Fmt("epoch %u", epoch), std::move(violations), schedule.verbose);
+    if (schedule.verbose) {
       std::fprintf(stderr,
                    "flashcheck: aging epoch %u: %llu writes, miss %.3f, retired %.1f%%, "
                    "erase CV %.3f%s\n",
                    epoch, (unsigned long long)(now.host_writes - at_start.host_writes), miss_rate,
-                   retired_pct, EraseCountCv(sscs), report.write_exhausted ? " (exhausted)" : "");
+                   retired_pct, EraseCountCv(target.sscs()),
+                   report.write_exhausted ? " (exhausted)" : "");
     }
     if (report.write_exhausted) {
       break;
@@ -342,13 +181,16 @@ AgingReport AgingHarness::Run() {
   }
 
   FlashStats flash;
-  for (auto& ssc : sscs) {
+  for (const auto& ssc : target.sscs()) {
     report.ftl.Merge(ssc->ftl_stats());
     report.faults.Merge(ssc->device().fault_stats());
     flash.Merge(ssc->flash_stats());
   }
+  report.ops_executed = target.ops_executed();
+  report.ok_writes = target.ok_writes();
+  report.undetected_corruptions = target.undetected_corruptions();
   report.host_pages_written = report.ftl.host_writes;
-  report.erase_cv = EraseCountCv(sscs);
+  report.erase_cv = EraseCountCv(target.sscs());
   report.write_amp = report.ftl.ExtraWritesPerBlock(flash.page_writes, flash.gc_copies);
   return report;
 }

@@ -8,7 +8,11 @@
 // scrubbing, graceful capacity degradation) running on their normal
 // host-write cadence.
 //
-// An epoch ends each time one more full capacity of host data has landed.
+// An epoch ends each time the host has attempted one more full capacity of
+// writes: the quota counts the SSC's host_writes counter, which also counts
+// writes the device then refuses (kNoSpace from a device full of dirty
+// data), so late in life far less data lands than the quota suggests —
+// ok_writes reports what did.
 // At every epoch boundary the harness pauses fault draws and audits the
 // device: the full structural invariant sweep (which now includes the
 // endurance audits — retired blocks out of every allocator pool, exact
@@ -32,51 +36,27 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "src/check/shadow_model.h"
-#include "src/policy/policy_factory.h"
-#include "src/ssc/shard.h"
-#include "src/ssc/ssc_device.h"
+#include "src/check/engine.h"
 
 namespace flashtier {
 
 struct AgingOptions {
   // Stop after this many device capacities of host writes (the "N x" axis).
   uint32_t aging_multiple = 10;
-  uint64_t seed = 1234;
-
-  // Device shape (mirrors the soak harness).
-  uint64_t capacity_pages = 512;
-  uint32_t shards = 1;
-  EvictionPolicy policy = EvictionPolicy::kSeUtil;
-  ConsistencyMode mode = ConsistencyMode::kFull;
-
-  // Workload shape: scripts of this many ops are replayed until each epoch's
-  // write quota is met.
-  uint32_t ops_per_round = 512;
+  // Endurance defenses on; `--faults` adds wear-out, disturb and retention.
+  DeviceShape device = AgingShape();
+  // Scripts of `schedule.ops` operations are replayed until each epoch's
+  // write quota is met; no crashes are scheduled.
+  CrashSchedule schedule;
   uint64_t address_blocks = 1536;
-
-  // Endurance defenses, forwarded to every shard's SscConfig. Defaults keep
-  // both on at an aggressive cadence suited to the small default device;
-  // 0 disables (bench_aging's WL-off arm).
-  uint32_t wear_level_interval_writes = 32;
-  uint32_t wear_level_max_diff = 8;
-  uint32_t patrol_interval_writes = 64;
-  uint32_t patrol_blocks_per_pass = 4;
-
-  FaultPlan faults;        // --faults composition (wear-out, disturb, retention)
-  PolicyConfig admission;  // --admission composition
-
-  bool verbose = false;
 };
 
-struct AgingReport {
+struct AgingReport : Findings {
   uint32_t epochs_run = 0;          // epochs whose full write quota landed
   uint64_t ops_executed = 0;
   uint64_t host_pages_written = 0;  // across all shards (attempts; see ok_writes)
   uint64_t ok_writes = 0;           // write ops that returned kOk
-  uint64_t violation_count = 0;
   // kOk reads whose token the shadow never acknowledged. Counted separately
   // from (and in addition to) the shadow violations because this is the
   // acceptance bar: wear may destroy data, but never silently.
@@ -98,9 +78,6 @@ struct AgingReport {
 
   FtlStats ftl;       // merged across shards, after the last epoch
   FaultStats faults;  // merged across shards, after the last epoch
-  std::vector<std::string> samples;
-
-  static constexpr size_t kMaxSamples = 32;
 
   bool ok() const { return violation_count == 0 && undetected_corruptions == 0; }
   std::string ToString() const;

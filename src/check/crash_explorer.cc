@@ -1,462 +1,31 @@
 #include "src/check/crash_explorer.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <unordered_set>
-
-#include "src/check/invariant_checker.h"
-#include "src/util/rng.h"
 
 namespace flashtier {
 
-namespace {
-
-// Thrown by the commit-point and recovery-point hooks to simulate power
-// failure at that exact instant. Unwinding abandons only device-RAM state,
-// which SimulateCrash wipes anyway; the medium and the durable
-// log/checkpoint regions keep whatever had been committed before the throw.
-struct CrashInjected {};
-
-}  // namespace
-
 std::string CrashExplorerReport::ToString() const {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "explored %llu of %llu commit points + %llu recovery trials over %llu recovery "
-                "points: %llu violations in %llu trials",
-                (unsigned long long)points_explored, (unsigned long long)total_commit_points,
-                (unsigned long long)recovery_trials, (unsigned long long)total_recovery_points,
-                (unsigned long long)violation_count, (unsigned long long)trials_with_violations);
-  std::string out(buffer);
+  std::string out = ExploreSummary();
   if (baseline_faults.program_failures != 0 || baseline_faults.erase_failures != 0 ||
       baseline_faults.read_corruptions != 0) {
-    std::snprintf(buffer, sizeof(buffer),
-                  "\n  faults injected per trial: %llu program, %llu erase, %llu read",
-                  (unsigned long long)baseline_faults.program_failures,
-                  (unsigned long long)baseline_faults.erase_failures,
-                  (unsigned long long)baseline_faults.read_corruptions);
-    out += buffer;
+    out += Fmt("\n  faults injected per trial: %llu program, %llu erase, %llu read",
+               (unsigned long long)baseline_faults.program_failures,
+               (unsigned long long)baseline_faults.erase_failures,
+               (unsigned long long)baseline_faults.read_corruptions);
   }
-  for (const std::string& s : samples) {
-    out += "\n  ";
-    out += s;
-  }
-  if (violation_count > samples.size() && !samples.empty()) {
-    out += "\n  ...";
-  }
+  AppendSamples(&out);
   return out;
 }
 
 CrashExplorer::CrashExplorer(const CrashExplorerOptions& options) : options_(options) {}
 
-SscConfig CrashExplorer::DeviceConfig() const {
-  SscConfig config;
-  config.capacity_pages = options_.capacity_pages;
-  config.policy = options_.policy;
-  config.mode = options_.mode;
-  config.group_commit_ops = options_.group_commit_ops;
-  config.checkpoint_interval_writes = options_.checkpoint_interval_writes;
-  config.log_region_pages = options_.log_region_pages;
-  config.checkpoint_segment_entries = options_.checkpoint_segment_entries;
-  config.fault_plan = options_.faults;
-  config.break_retirement_for_testing = options_.break_retirement;
-  return config;
-}
-
-std::vector<CrashExplorer::ScriptedOp> CrashExplorer::BuildScript() const {
-  uint64_t next_token = 1;
-  return BuildWorkloadScript(options_.seed, options_.ops, options_.address_blocks, &next_token);
-}
-
-std::vector<std::string> CrashExplorer::RunTrial(
-    const std::vector<ScriptedOp>& script, uint64_t crash_point,
-    const std::vector<uint64_t>& recovery_crash_points, TrialProbe* probe) {
-  SimClock clock;
-  // One device per shard (one device total in the default configuration),
-  // all sharing the virtual clock. The scripted workload runs sequentially,
-  // so sharded exploration stays fully deterministic: commit points are
-  // counted globally in execution order across every shard's persistence
-  // manager.
-  const uint32_t shard_count = std::max<uint32_t>(1, options_.shards);
-  const ShardRouter router{shard_count, /*grain_pages=*/64};
-  std::vector<std::unique_ptr<SscDevice>> sscs;
-  sscs.reserve(shard_count);
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    SscConfig config = DeviceConfig();
-    config.capacity_pages = options_.capacity_pages / shard_count +
-                            (i < options_.capacity_pages % shard_count ? 1 : 0);
-    sscs.push_back(std::make_unique<SscDevice>(config, &clock));
-  }
-  const auto dev = [&](Lbn lbn) -> SscDevice& { return *sscs[router.ShardOf(lbn)]; };
-  // One admission policy per shard, exactly as FlashTierSystem wires them.
-  // Every trial rebuilds the policies from the same seeded config, so the
-  // decision sequence is identical across crash points.
-  std::vector<std::unique_ptr<AdmissionPolicy>> policies;
-  policies.reserve(shard_count);
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    policies.push_back(
-        MakeAdmissionPolicy(ShardPolicyConfig(options_.admission, shard_count, i), &clock));
-  }
-  const auto pol = [&](Lbn lbn) -> AdmissionPolicy& { return *policies[router.ShardOf(lbn)]; };
-  std::vector<ShadowEntry> shadow(options_.address_blocks);
-  std::vector<std::string> violations;
-
-  // Dirty data destroyed by an injected medium fault. The hook fires at the
-  // instant the SSC drops a dirty page it cannot read or relocate; those
-  // lbns may legitimately be missing (or error) afterwards, but must still
-  // never surface stale tokens.
-  std::unordered_set<Lbn> lost;
-  const bool faults_on = options_.faults.enabled;
-
-  uint64_t points = 0;
-  const bool trace = options_.verbose && probe != nullptr;
-  for (auto& ssc : sscs) {
-    ssc->set_data_loss_hook([&lost](Lbn lbn) { lost.insert(lbn); });
-    ssc->persist_for_testing()->set_commit_point_hook_for_testing(
-        [&points, crash_point, trace, probe](CommitPoint p) {
-          if (trace) {
-            std::fprintf(stderr, "flashcheck: point %llu = %s\n", (unsigned long long)points,
-                         CommitPointName(p));
-          }
-          if (probe != nullptr) {
-            probe->kinds.push_back(p);
-          }
-          if (points++ == crash_point) {
-            throw CrashInjected{};
-          }
-        });
-  }
-
-  bool crashed = false;
-  size_t in_flight = script.size();
-  // Effective kind of the op in flight at the crash: a rejected write runs
-  // (and may crash inside) the bypass eviction, not the write.
-  OpKind in_flight_kind = OpKind::kCollect;
-  for (size_t i = 0; i < script.size() && !crashed; ++i) {
-    const ScriptedOp& op = script[i];
-    ShadowEntry& entry = op.kind == OpKind::kCollect ? shadow[0] : shadow[op.lbn];
-
-    // Admission: writes consult the shard's policy first, exactly like the
-    // cache managers. A reject demotes the insertion to an eviction of any
-    // cached copy — the data itself would go to the backing disk, which this
-    // harness does not model, so the block must afterwards read not-present.
-    OpKind effective = op.kind;
-    bool rejected = false;
-    if (op.kind == OpKind::kWriteDirty || op.kind == OpKind::kWriteClean) {
-      AdmissionPolicy& p = pol(op.lbn);
-      p.OnAccess(op.lbn, /*is_write=*/true);
-      AdmissionContext ctx;
-      ctx.resident = entry.state == ShadowState::kDirty;
-      const AdmissionOp aop = op.kind == OpKind::kWriteDirty ? AdmissionOp::kWriteDirty
-                                                             : AdmissionOp::kWriteClean;
-      if (!p.ShouldAdmit(op.lbn, aop, ctx)) {
-        effective = OpKind::kEvict;
-        rejected = true;
-      }
-    } else if (op.kind == OpKind::kRead) {
-      pol(op.lbn).OnAccess(op.lbn, /*is_write=*/false);
-    }
-
-    Status s = Status::kOk;
-    uint64_t read_token = 0;
-    try {
-      switch (effective) {
-        case OpKind::kWriteDirty:
-          s = dev(op.lbn).WriteDirty(op.lbn, op.token);
-          if (s == Status::kBackpressure) {
-            // Bounded stall, as the write-back manager would do: drain the
-            // log (forcing a checkpoint) and retry once. The drain crosses
-            // commit points of its own, so crashes *inside* the stall are
-            // explored like any others.
-            dev(op.lbn).DrainLog();
-            s = dev(op.lbn).WriteDirty(op.lbn, op.token);
-          }
-          break;
-        case OpKind::kWriteClean:
-          s = dev(op.lbn).WriteClean(op.lbn, op.token);
-          if (s == Status::kBackpressure) {
-            dev(op.lbn).DrainLog();
-            s = dev(op.lbn).WriteClean(op.lbn, op.token);
-          }
-          break;
-        case OpKind::kRead:
-          s = dev(op.lbn).Read(op.lbn, &read_token);
-          break;
-        case OpKind::kClean:
-          s = dev(op.lbn).Clean(op.lbn);
-          break;
-        case OpKind::kEvict:
-          s = dev(op.lbn).Evict(op.lbn);
-          break;
-        case OpKind::kCollect:
-          for (auto& ssc : sscs) {
-            ssc->BackgroundCollect(/*budget_us=*/20'000);
-          }
-          break;
-      }
-    } catch (const CrashInjected&) {
-      crashed = true;
-      in_flight = i;
-      in_flight_kind = effective;
-      // An admitted write interrupted by the crash may still have landed
-      // durably (that is the point of exploring the commit point inside it),
-      // while the OnAdmit that would have cleared any old reject record
-      // never ran. A real host rebuilds policy state from scratch after a
-      // crash; clear the record here so the post-recovery rejected-block-
-      // absent audit never indicts a legitimately admitted block.
-      if (!rejected &&
-          (op.kind == OpKind::kWriteDirty || op.kind == OpKind::kWriteClean)) {
-        pol(op.lbn).OnAdmit(op.lbn);
-      }
-      break;
-    }
-
-    // Policy bookkeeping, mirroring the managers: exactly one of
-    // OnAdmit/OnReject fires once the insertion (or its bypass) completed;
-    // explicit evictions are reported through OnEvict.
-    if (rejected) {
-      pol(op.lbn).OnReject(op.lbn);
-    } else if ((op.kind == OpKind::kWriteDirty || op.kind == OpKind::kWriteClean) && IsOk(s)) {
-      pol(op.lbn).OnAdmit(op.lbn);
-    } else if (op.kind == OpKind::kEvict) {
-      pol(op.lbn).OnEvict(op.lbn);
-    }
-
-    // The operation completed: it is acknowledged, so the guarantees attach.
-    // A rejected write took the eviction branch: its acknowledged state is
-    // "not cached" (the data lives on the unmodeled backing disk).
-    ApplyAcknowledged(effective, op.lbn, op.token, s, read_token, faults_on, lost, entry,
-                      &violations);
-  }
-
-  for (auto& ssc : sscs) {
-    ssc->persist_for_testing()->set_commit_point_hook_for_testing(nullptr);
-  }
-  if (probe != nullptr) {
-    probe->commit_points = points;
-  }
-
-  // The workload is over: everything from here on (invariant audits, crash,
-  // recovery, the shadow-model sweep) is the checker observing the device.
-  // Suspend new fault draws so the act of checking cannot itself destroy
-  // state — e.g. a verification read must not corrupt the page it verifies.
-  // Sticky fault state (bad blocks, pages already corrupted by the workload)
-  // remains in force and recovery must still handle it correctly.
-  std::vector<const SscDevice*> shard_views;
-  shard_views.reserve(sscs.size());
-  for (auto& ssc : sscs) {
-    ssc->device_for_testing()->set_fault_injection_paused(true);
-    shard_views.push_back(ssc.get());
-  }
-
-  // When the script ran to completion the live (pre-crash) state must also
-  // be structurally sound — this is what catches fault-handling bugs that a
-  // crash would mask, e.g. a failed erase whose block went back to the free
-  // list (the --break-retry self-test). Sharded runs additionally audit
-  // partition disjointness across the shards.
-  if (options_.run_invariant_checker && !crashed) {
-    const CheckReport live = InvariantChecker::CheckSharded(shard_views, router);
-    for (const InvariantViolation& v : live.violations) {
-      violations.push_back("live-state invariant [" + v.invariant + "] " + v.detail);
-    }
-    for (uint32_t i = 0; i < shard_count; ++i) {
-      const CheckReport pr = InvariantChecker::CheckPolicy(*policies[i], sscs[i].get());
-      for (const InvariantViolation& v : pr.violations) {
-        violations.push_back("live-state policy [" + v.invariant + "] " + v.detail);
-      }
-    }
-  }
-
-  // Power failure (also applied when the script ran to completion: a crash
-  // at quiescence must preserve every acknowledged operation), then recover.
-  // Power loss is global: every shard crashes at the same instant and every
-  // shard recovers before the shadow sweep.
-  uint64_t recovery_points = 0;
-  {
-    size_t next_crash = 0;  // index into recovery_crash_points (ascending)
-    for (auto& ssc : sscs) {
-      if (options_.break_recovery) {
-        ssc->persist_for_testing()->set_skip_log_tail_replay_for_testing(true);
-      }
-      ssc->persist_for_testing()->set_recovery_point_hook_for_testing(
-          [&recovery_points, &next_crash, &recovery_crash_points, trace](RecoveryPoint p) {
-            if (trace) {
-              std::fprintf(stderr, "flashcheck: recovery point %llu = %s\n",
-                           (unsigned long long)recovery_points, RecoveryPointName(p));
-            }
-            const uint64_t ordinal = recovery_points++;
-            if (next_crash < recovery_crash_points.size() &&
-                ordinal == recovery_crash_points[next_crash]) {
-              ++next_crash;
-              throw CrashInjected{};
-            }
-          });
-      ssc->SimulateCrash();
-    }
-    // Recovery itself may crash, at any RecoveryPoint boundary. The second
-    // power failure wipes every shard's RAM again; the controller then just
-    // restarts recovery from the top — every phase only reads durable
-    // state, so re-entry must converge. The ordinal counter keeps running
-    // across attempts, which is how two ascending crash ordinals produce a
-    // double crash (a crash inside the recovery from the recovery crash).
-    // Bounded retries so a livelocked recovery fails the trial, not the run.
-    bool recovered = false;
-    for (int attempt = 0; attempt < 4 && !recovered; ++attempt) {
-      try {
-        bool all_ok = true;
-        for (auto& ssc : sscs) {
-          // A non-OK Recover is not a crash to retry — the device refused to
-          // come back up; surface it instead of silently looping.
-          if (!IsOk(ssc->Recover())) {
-            all_ok = false;
-          }
-        }
-        if (!all_ok) {
-          violations.emplace_back("recovery: device Recover returned an error");
-          break;
-        }
-        recovered = true;
-      } catch (const CrashInjected&) {
-        for (auto& ssc : sscs) {
-          ssc->SimulateCrash();
-        }
-      }
-    }
-    if (!recovered) {
-      violations.emplace_back("recovery: did not complete within the retry bound");
-    }
-    for (auto& ssc : sscs) {
-      ssc->persist_for_testing()->set_recovery_point_hook_for_testing(nullptr);
-    }
-  }
-  if (probe != nullptr) {
-    probe->recovery_points = recovery_points;
-  }
-
-  if (options_.run_invariant_checker) {
-    const CheckReport structural = InvariantChecker::CheckSharded(shard_views, router);
-    for (const InvariantViolation& v : structural.violations) {
-      violations.push_back("post-recovery invariant [" + v.invariant + "] " + v.detail);
-    }
-    // Rejected-block-absent must survive the crash: every acknowledged
-    // reject evicted durably (G3), so no recently rejected LBN may resurface
-    // from recovery. Also re-audits the policies' memory bounds.
-    for (uint32_t i = 0; i < shard_count; ++i) {
-      const CheckReport pr = InvariantChecker::CheckPolicy(*policies[i], sscs[i].get());
-      for (const InvariantViolation& v : pr.violations) {
-        violations.push_back("post-recovery policy [" + v.invariant + "] " + v.detail);
-      }
-    }
-  }
-
-  // Verify every block of the address space against the shadow model. The
-  // sweep dispatches on the *effective* in-flight kind (see above).
-  ShadowPendingOp pending;
-  if (crashed && in_flight < script.size()) {
-    const ScriptedOp& op = script[in_flight];
-    pending.lbn = op.lbn;
-    pending.token = op.token;
-    switch (in_flight_kind) {
-      case OpKind::kWriteDirty:
-      case OpKind::kWriteClean:
-        pending.kind = ShadowPendingOp::Kind::kWrite;
-        break;
-      case OpKind::kEvict:
-        pending.kind = ShadowPendingOp::Kind::kEvict;
-        break;
-      case OpKind::kClean:
-        pending.kind = ShadowPendingOp::Kind::kClean;
-        break;
-      case OpKind::kRead:
-      case OpKind::kCollect:
-        break;  // no recovery-visible effect to excuse
-    }
-  }
-  VerifyAgainstShadow(shadow, dev, lost, pending, &violations);
-
-  if (probe != nullptr) {
-    probe->faults = FaultStats{};
-    for (const auto& ssc : sscs) {
-      probe->faults.Merge(ssc->device().fault_stats());
-    }
-  }
-  return violations;
-}
-
 CrashExplorerReport CrashExplorer::Explore() {
   CrashExplorerReport report;
-  const std::vector<ScriptedOp> script = BuildScript();
-
-  // Crash-free pass: count the commit points and recovery points this
-  // workload crosses (the script is deterministic, so every trial sees the
-  // same sequence). The trial still ends with a quiescent crash + recovery,
-  // which must be clean.
-  TrialProbe probe;
-  std::vector<std::string> baseline = RunTrial(script, /*crash_point=*/~uint64_t{0}, {}, &probe);
-  report.total_commit_points = probe.commit_points;
-  report.total_recovery_points = probe.recovery_points;
-  report.baseline_faults = probe.faults;
-
-  const auto record = [&](const char* tag, std::vector<std::string> found) {
-    if (found.empty()) {
-      return;
-    }
-    ++report.trials_with_violations;
-    report.violation_count += found.size();
-    for (std::string& v : found) {
-      if (options_.verbose) {
-        std::fprintf(stderr, "flashcheck: %s: %s\n", tag, v.c_str());
-      }
-      if (report.samples.size() < CrashExplorerReport::kMaxSamples) {
-        report.samples.push_back(std::string("[") + tag + "] " + std::move(v));
-      }
-    }
-  };
-  record("crash-free", std::move(baseline));
-
-  const uint32_t stride = std::max<uint32_t>(1, options_.stride);
-  char tag[80];
-  for (uint64_t point = 0; point < report.total_commit_points; point += stride) {
-    if (options_.max_points != 0 && report.points_explored >= options_.max_points) {
-      break;
-    }
-    std::snprintf(tag, sizeof(tag), "point %llu", (unsigned long long)point);
-    record(tag, RunTrial(script, point, {}, nullptr));
-    ++report.points_explored;
-  }
-
-  if (options_.explore_recovery_points) {
-    // Prefer mid-checkpoint commit points for the workload crash: a torn
-    // segment generation is the hardest durable state a crashed recovery can
-    // be asked to re-enter.
-    std::vector<uint64_t> ckpt_points;
-    for (size_t i = 0; i < probe.kinds.size(); ++i) {
-      const CommitPoint k = probe.kinds[i];
-      if (k == CommitPoint::kCheckpointStart || k == CommitPoint::kCheckpointSegment ||
-          k == CommitPoint::kCheckpointDone) {
-        ckpt_points.push_back(i);
-      }
-    }
-    for (uint64_t r = 0; r < report.total_recovery_points; ++r) {
-      const uint64_t c1 = !ckpt_points.empty()  ? ckpt_points[r % ckpt_points.size()]
-                          : report.total_commit_points != 0
-                              ? (r * 13) % report.total_commit_points
-                              : ~uint64_t{0};
-      std::snprintf(tag, sizeof(tag), "crash %llu, recovery crash %llu",
-                    (unsigned long long)c1, (unsigned long long)r);
-      record(tag, RunTrial(script, c1, {r}, nullptr));
-      // Double crash: the restarted recovery crashes again a few points in
-      // (the ordinal counter keeps running across attempts).
-      const uint64_t r2 = r + 1 + (r * 7919) % 3;
-      std::snprintf(tag, sizeof(tag), "crash %llu, double recovery crash %llu+%llu",
-                    (unsigned long long)c1, (unsigned long long)r, (unsigned long long)r2);
-      record(tag, RunTrial(script, c1, {r, r2}, nullptr));
-      // Quiescent crash, then a crash inside its recovery.
-      std::snprintf(tag, sizeof(tag), "quiescent, recovery crash %llu", (unsigned long long)r);
-      record(tag, RunTrial(script, ~uint64_t{0}, {r}, nullptr));
-      report.recovery_trials += 3;
-    }
+  const std::unique_ptr<CrashTarget> baseline = ExploreCrashPoints(
+      [this] { return std::make_unique<BlockTarget>(options_.device, options_.address_blocks); },
+      options_.schedule, &report);
+  for (const auto& ssc : static_cast<BlockTarget&>(*baseline).sscs()) {
+    report.baseline_faults.Merge(ssc->device().fault_stats());
   }
   return report;
 }

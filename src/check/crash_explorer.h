@@ -24,103 +24,29 @@
 // mid-recovery power failure must converge to the same result; the explorer
 // verifies G1-G3 and the structural invariants hold at every such point.
 //
-// Crashes are injected by PersistenceManager hooks that throw through the
-// device code; everything the throw abandons is device RAM, which the
-// simulated power failure wipes anyway, and the flash medium plus durable
-// log/checkpoint regions keep whatever had been committed.
+// The explorer is the engine's exhaustive driver (src/check/engine.h) over
+// the block target.
 
 #ifndef FLASHTIER_CHECK_CRASH_EXPLORER_H_
 #define FLASHTIER_CHECK_CRASH_EXPLORER_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "src/check/shadow_model.h"
-#include "src/policy/policy_factory.h"
-#include "src/ssc/shard.h"
-#include "src/ssc/ssc_device.h"
+#include "src/check/engine.h"
 
 namespace flashtier {
 
 struct CrashExplorerOptions {
-  // Device under test. Small capacity forces frequent GC/merge activity.
-  uint64_t capacity_pages = 512;
-  // Number of LBN-hash-partitioned SSC shards (capacity_pages is split
-  // across them). 1 — the default — explores the classic monolithic device;
-  // higher values compose every crash point with cross-shard state: a power
-  // failure hits all shards at once, recovery runs on each, and the
-  // partition-disjointness invariant is audited alongside G1–G3.
-  uint32_t shards = 1;
-  EvictionPolicy policy = EvictionPolicy::kSeUtil;
-  ConsistencyMode mode = ConsistencyMode::kFull;
-  uint32_t group_commit_ops = 16;             // small batches: many flush points
-  uint64_t checkpoint_interval_writes = 250;  // force checkpoints mid-workload
-  // Finite log region (per shard), small enough that the high-water forced
-  // checkpoint and backpressure paths are composed with every crash point.
-  uint64_t log_region_pages = 4;
-  // Small segments so every checkpoint spans several kCheckpointSegment
-  // commit points (crash-during-checkpoint-write leaves a torn generation).
-  uint64_t checkpoint_segment_entries = 16;
-
-  // Scripted workload shape.
-  uint32_t ops = 600;
+  DeviceShape device;
+  CrashSchedule schedule;
   uint64_t address_blocks = 1536;  // lbn space; ~3x capacity forces eviction
-  uint64_t seed = 42;
-
-  // Exploration bounds. 0 max_points means every commit point.
-  uint32_t max_points = 0;
-  uint32_t stride = 1;
-  // Crash-during-recovery exploration (3 trials per recovery point: single
-  // mid-workload crash + recovery crash, the double-crash diagonal, and a
-  // quiescent crash + recovery crash). Cheap — recovery crosses only a
-  // handful of points per shard — but can be disabled for focused runs.
-  bool explore_recovery_points = true;
-
-  // Medium fault injection (--faults): the plan is installed in the SSC's
-  // flash device, so every trial composes the same deterministic fault
-  // schedule with a different crash point. Dirty data destroyed by a fault
-  // is reported through the SSC's data-loss hook and excused from the
-  // post-recovery shadow check; everything else must still hold G1–G3.
-  FaultPlan faults;
-
-  // Admission control (--admission): each shard gets an independent
-  // deterministic policy instance consulted before every scripted
-  // write-dirty/write-clean. A rejected write models the manager's bypass
-  // path — the cached copy is evicted instead of overwritten (the data
-  // itself goes to the backing disk, which this harness does not model) —
-  // so every crash point is composed with reject-path evictions, and the
-  // rejected-block-absent audit runs on the live and the recovered device.
-  PolicyConfig admission;
-
-  // Test hook: make Recover() drop the log tail, which must surface as G1/G2
-  // violations (proves the checker detects a broken recovery path).
-  bool break_recovery = false;
-
-  // Test hook (--break-retry): disable bad-block retirement so erase-failed
-  // blocks go back to the free list non-erased — the invariant checker must
-  // flag them (proves injected faults are actually detected).
-  bool break_retirement = false;
-
-  // Run InvariantChecker::Check on the recovered device after each trial.
-  bool run_invariant_checker = true;
-
-  bool verbose = false;  // print each violation as it is found
 };
 
-struct CrashExplorerReport {
-  uint64_t total_commit_points = 0;    // commit points in the crash-free run
-  uint64_t total_recovery_points = 0;  // recovery points in one clean recovery
-  uint64_t points_explored = 0;        // commit-point trials executed
-  uint64_t recovery_trials = 0;        // crash-during-recovery trials executed
-  uint64_t trials_with_violations = 0;
-  uint64_t violation_count = 0;
+struct CrashExplorerReport : CycleReport {
   // Faults the crash-free baseline run injected (proof the schedule fired;
   // every trial replays the same deterministic plan up to its crash point).
   FaultStats baseline_faults;
-  std::vector<std::string> samples;  // first few violation descriptions
-
-  static constexpr size_t kMaxSamples = 32;
 
   bool ok() const { return violation_count == 0; }
   std::string ToString() const;
@@ -135,31 +61,6 @@ class CrashExplorer {
   CrashExplorerReport Explore();
 
  private:
-  using OpKind = WorkloadOpKind;
-  using ScriptedOp = WorkloadOp;
-
-  // Counts and context the baseline (crash-free) pass reports back.
-  struct TrialProbe {
-    uint64_t commit_points = 0;
-    uint64_t recovery_points = 0;
-    std::vector<CommitPoint> kinds;  // commit-point kinds, in firing order
-    FaultStats faults;
-  };
-
-  std::vector<ScriptedOp> BuildScript() const;
-  SscConfig DeviceConfig() const;
-
-  // Runs the script with a crash injected at commit point `crash_point`
-  // (counting from 0; UINT64_MAX = run the whole script and crash at
-  // quiescence), then recovers and verifies. `recovery_crash_points` lists
-  // recovery-point ordinals at which the (re-started) recovery crashes
-  // again — the counter keeps running across recovery attempts, so two
-  // ascending ordinals produce a double crash. Returns violations found;
-  // fills `probe` when non-null (the baseline pass).
-  std::vector<std::string> RunTrial(const std::vector<ScriptedOp>& script, uint64_t crash_point,
-                                    const std::vector<uint64_t>& recovery_crash_points,
-                                    TrialProbe* probe);
-
   CrashExplorerOptions options_;
 };
 

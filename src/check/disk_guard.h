@@ -22,53 +22,37 @@
 // not condemned. Every recovered cycle also runs the structural
 // InvariantChecker (including the parked-writeback-queue audits) and the
 // admission-policy audit.
+//
+// The harness is the engine's soak driver (src/check/engine.h) over the host
+// target: the managers, the disk and the host shadow.
 
 #ifndef FLASHTIER_CHECK_DISK_GUARD_H_
 #define FLASHTIER_CHECK_DISK_GUARD_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/cache/cache_manager.h"
+#include "src/check/engine.h"
 #include "src/disk/disk_fault_plan.h"
 #include "src/disk/disk_model.h"
 #include "src/disk/retry_policy.h"
-#include "src/flash/fault_plan.h"
-#include "src/policy/policy_factory.h"
-#include "src/ssc/ssc_device.h"
 
 namespace flashtier {
 
 struct DiskGuardOptions {
-  uint32_t cycles = 8;
-  uint64_t seed = 42;
-
-  // Device shape (mirrors the soak harness's stress configuration).
-  uint64_t capacity_pages = 512;
-  uint32_t shards = 1;
-  EvictionPolicy policy = EvictionPolicy::kSeUtil;
-  ConsistencyMode mode = ConsistencyMode::kFull;
-  uint32_t group_commit_ops = 16;
-  uint64_t checkpoint_interval_writes = 250;
-  uint64_t log_region_pages = 4;
-  uint64_t checkpoint_segment_entries = 16;
+  DeviceShape device;  // device.faults is the --faults composition
+  // Each of `schedule.cycles` cycles runs `schedule.ops` host ops and ends
+  // in a crash at a seeded commit point (or at quiescence) followed by
+  // recovery and a manager rebuild; `schedule.crashes = false` runs the
+  // cycles crash-free (a pure disk-fault storm).
+  CrashSchedule schedule;
+  uint64_t address_blocks = 1536;
 
   // Manager under test: write-back (default) exercises the full park/
   // redrive/disk-degraded machinery; write-through exercises the honest-
   // refusal and rescue paths.
   bool write_through = false;
-
-  // Workload per cycle.
-  uint32_t ops_per_cycle = 400;
-  uint64_t address_blocks = 1536;
-
-  // Crash composition: every cycle ends in a crash at a seeded commit-point
-  // countdown (or at quiescence), followed by recovery — with recovery
-  // crashes on the soak harness's period — and a manager rebuild. false
-  // runs the cycles crash-free (pure disk-fault storm).
-  bool crashes = true;
-  uint32_t recovery_crash_period = 3;
 
   // Background scrubber: every `scrub_period` ops each shard's manager
   // repairs up to `scrub_budget` latent sectors from cached copies.
@@ -79,27 +63,17 @@ struct DiskGuardOptions {
   DiskParams disk;
   DiskFaultPlan disk_faults;  // the point of the harness
   RetryPolicy disk_retry;
-  FaultPlan flash_faults;     // --faults composition
-  PolicyConfig admission;     // --admission composition
-
-  bool verbose = false;
 };
 
-struct DiskGuardReport {
-  uint32_t cycles_run = 0;
+struct DiskGuardReport : CycleReport {
   uint64_t ops_executed = 0;
   uint64_t write_errors = 0;  // honest write refusals surfaced to the host
   uint64_t read_errors = 0;   // honest read refusals surfaced to the host
   uint64_t loss_notifications = 0;  // distinct blocks the stack reported lost
   uint64_t crashes = 0;
-  uint64_t recovery_crashes = 0;
   uint64_t scrub_passes = 0;
-  uint64_t violation_count = 0;
   DiskStats disk;         // final disk counters (shared across shards)
   ManagerStats manager;   // merged across the final per-shard managers
-  std::vector<std::string> samples;
-
-  static constexpr size_t kMaxSamples = 32;
 
   bool ok() const { return violation_count == 0; }
   std::string ToString() const;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/cache/write_back.h"
+#include "src/kv/kv_cache.h"
 #include "src/policy/admission_policy.h"
 #include "src/ssc/persist.h"
 #include "src/ssc/shard.h"
@@ -18,20 +19,20 @@
 
 namespace flashtier {
 
-namespace {
-
-// printf-style formatting into a std::string for violation details.
-std::string Fmt(const char* format, ...) __attribute__((format(printf, 1, 2)));
 std::string Fmt(const char* format, ...) {
-  char buffer[256];
   va_list args;
   va_start(args, format);
-  vsnprintf(buffer, sizeof(buffer), format, args);
+  va_list copy;
+  va_copy(copy, args);
+  const int needed = vsnprintf(nullptr, 0, format, copy);
+  va_end(copy);
+  std::string out(needed > 0 ? static_cast<size_t>(needed) : 0, '\0');
+  if (needed > 0) {
+    vsnprintf(out.data(), out.size() + 1, format, args);
+  }
   va_end(args);
-  return std::string(buffer);
+  return out;
 }
-
-}  // namespace
 
 void CheckReport::Add(std::string invariant, std::string detail) {
   ++violation_count;
@@ -588,6 +589,251 @@ CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const S
       if (SscHolds(*ssc, lbn)) {
         report.Add("policy.rejected-present",
                    Fmt("rejected lbn %llu is cached in the SSC", (unsigned long long)lbn));
+      }
+    });
+  }
+  return report;
+}
+
+// ---------------------------------------------------------------------------
+// InvariantChecker::CheckKv
+// ---------------------------------------------------------------------------
+
+void InvariantChecker::SscPageState(const SscDevice& ssc, uint64_t lbn, bool* present,
+                                    bool* dirty) {
+  *present = false;
+  *dirty = false;
+  if (const uint64_t* packed = ssc.page_map_.Find(lbn); packed != nullptr) {
+    *present = true;
+    *dirty = SscDevice::PackedDirty(*packed);
+    return;
+  }
+  const uint32_t ppb = ssc.device_->geometry().pages_per_block;
+  if (const SscDevice::BlockEntry* e = ssc.block_map_.Find(lbn / ppb); e != nullptr) {
+    const uint32_t off = static_cast<uint32_t>(lbn % ppb);
+    if ((e->present_bits >> off) & 1u) {
+      *present = true;
+      *dirty = ((e->dirty_bits >> off) & 1u) != 0;
+    }
+  }
+}
+
+CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible) {
+  CheckReport report;
+  const auto& slabs = shard.slabs();
+
+  // Exactly the advertised open slab may be unsealed, and sequence numbers
+  // never catch up with the allocator.
+  uint64_t unsealed = 0;
+  uint64_t live_total = 0;
+  for (const auto& [seq, slab] : slabs) {
+    ++report.checks_run;
+    if (!slab.sealed) {
+      ++unsealed;
+      if (!shard.has_open_slab() || shard.open_slab_seq() != seq) {
+        report.Add("kv.open-slab",
+                   Fmt("unsealed slab %llu is not the open slab", (unsigned long long)seq));
+      }
+    }
+    ++report.checks_run;
+    if (seq >= shard.next_slab_seq()) {
+      report.Add("kv.seq-monotonic", Fmt("slab %llu >= next seq %llu", (unsigned long long)seq,
+                                         (unsigned long long)shard.next_slab_seq()));
+    }
+  }
+  ++report.checks_run;
+  if (unsealed > 1) {
+    report.Add("kv.open-slab", Fmt("%llu unsealed slabs, at most 1 allowed",
+                                   (unsigned long long)unsealed));
+  }
+  ++report.checks_run;
+  if (shard.has_open_slab() && slabs.find(shard.open_slab_seq()) == slabs.end()) {
+    report.Add("kv.open-slab", Fmt("open slab %llu missing from the directory",
+                                   (unsigned long long)shard.open_slab_seq()));
+  }
+
+  for (const auto& [seq, slab] : slabs) {
+    // Recompute the occupancy bookkeeping from the slots themselves.
+    uint32_t used = 0;
+    uint32_t live_bytes = 0;
+    uint32_t live_count = 0;
+    uint32_t dirty_live = 0;
+    uint32_t prev_end = 0;
+    bool overlap = false;
+    std::vector<bool> page_holds_live_dirty(slab.sealed ? slab.pages_spanned : 0, false);
+    for (uint32_t i = 0; i < slab.slots.size(); ++i) {
+      const KvSlot& slot = slab.slots[i];
+      if (!slot.live) {
+        continue;  // dead slots may be placeholder entries after recovery
+      }
+      const uint32_t bytes = KvSlotBytes(slot.size);
+      if (slot.offset < prev_end) {
+        overlap = true;
+      }
+      prev_end = slot.offset + bytes;
+      used = std::max(used, prev_end);
+      ++live_total;
+      live_bytes += bytes;
+      ++live_count;
+      if (slot.dirty) {
+        ++dirty_live;
+        for (uint32_t page = slot.offset / kKvPageBytes;
+             page <= (prev_end - 1) / kKvPageBytes; ++page) {
+          if (page < page_holds_live_dirty.size()) {
+            page_holds_live_dirty[page] = true;
+          }
+        }
+      }
+      // Key-map agreement, slot side: every live slot is reachable under its
+      // own key at exactly this location.
+      ++report.checks_run;
+      const uint64_t* loc = shard.key_map().Find(slot.key);
+      if (loc == nullptr || KvShard::LocSeq(*loc) != seq || KvShard::LocSlot(*loc) != i) {
+        report.Add("kv.slot-unmapped",
+                   Fmt("live slot %u of slab %llu (key %llu) is not mapped back", i,
+                       (unsigned long long)seq, (unsigned long long)slot.key));
+      }
+    }
+    ++report.checks_run;
+    if (overlap) {
+      report.Add("kv.slot-overlap", Fmt("slab %llu has overlapping slots",
+                                        (unsigned long long)seq));
+    }
+    ++report.checks_run;
+    // used_bytes is the append frontier: it covers every live slot but may
+    // exceed the live maximum (dead slots keep their space until compaction).
+    if (used > slab.used_bytes || live_bytes != slab.live_bytes ||
+        live_count != slab.live_count || dirty_live != slab.dirty_live) {
+      report.Add("kv.slab-counters",
+                 Fmt("slab %llu counters used=%u/%u live=%u/%u count=%u/%u dirty=%u/%u",
+                     (unsigned long long)seq, slab.used_bytes, used, slab.live_bytes,
+                     live_bytes, slab.live_count, live_count, slab.dirty_live, dirty_live));
+    }
+    ++report.checks_run;
+    if (slab.used_bytes > shard.slab_capacity_bytes()) {
+      report.Add("kv.slab-overflow", Fmt("slab %llu uses %u of %u bytes",
+                                         (unsigned long long)seq, slab.used_bytes,
+                                         shard.slab_capacity_bytes()));
+    }
+    if (!slab.sealed) {
+      continue;  // open slab lives in device RAM; no medium to agree with
+    }
+    ++report.checks_run;
+    const uint32_t expect_pages =
+        std::max<uint32_t>(1, (slab.used_bytes + kKvPageBytes - 1) / kKvPageBytes);
+    if (slab.pages_spanned != expect_pages || slab.pages_spanned > shard.slab_pages()) {
+      report.Add("kv.slab-pages", Fmt("slab %llu spans %u pages, expected %u (max %u)",
+                                      (unsigned long long)seq, slab.pages_spanned,
+                                      expect_pages, shard.slab_pages()));
+    }
+    ++report.checks_run;
+    if (!faults_possible && slab.dirty_written && dirty_live == 0) {
+      // The last dirty object's death hands the slab to silent eviction via
+      // Clean; a quiescent dirty-written slab with no dirty slots missed it.
+      report.Add("kv.dirty-flag", Fmt("sealed slab %llu still dirty-written with no "
+                                      "live dirty slots",
+                                      (unsigned long long)seq));
+    }
+    // Medium agreement: pages holding live dirty objects must be present and
+    // dirty (silent eviction only drops clean data); pages of a clean slab
+    // may be gone, but must never show up dirty.
+    for (uint32_t page = 0; page < slab.pages_spanned; ++page) {
+      bool present = false;
+      bool dirty = false;
+      SscPageState(shard.ssc(), shard.SlabBaseLbn(seq) + page, &present, &dirty);
+      ++report.checks_run;
+      if (page < page_holds_live_dirty.size() && page_holds_live_dirty[page]) {
+        if (!present) {
+          if (!faults_possible) {
+            report.Add("kv.dirty-page-missing",
+                       Fmt("slab %llu page %u holds live dirty objects but is absent",
+                           (unsigned long long)seq, page));
+          }
+        } else if (!dirty) {
+          report.Add("kv.dirty-page-clean",
+                     Fmt("slab %llu page %u holds live dirty objects but is clean",
+                         (unsigned long long)seq, page));
+        }
+      } else if (present && dirty && !slab.dirty_written) {
+        report.Add("kv.clean-slab-dirty-page",
+                   Fmt("clean slab %llu page %u is dirty on the medium",
+                       (unsigned long long)seq, page));
+      }
+    }
+  }
+
+  // Key-map agreement, map side: every mapping points at a live slot that
+  // carries the same key, and the map holds exactly the live slots.
+  shard.key_map().ForEach([&](uint64_t key, uint64_t loc) {
+    ++report.checks_run;
+    const uint64_t seq = KvShard::LocSeq(loc);
+    const uint32_t idx = KvShard::LocSlot(loc);
+    const auto it = slabs.find(seq);
+    if (it == slabs.end() || idx >= it->second.slots.size()) {
+      report.Add("kv.keymap-dangling", Fmt("key %llu maps to missing slab %llu slot %u",
+                                           (unsigned long long)key, (unsigned long long)seq,
+                                           idx));
+      return;
+    }
+    const KvSlot& slot = it->second.slots[idx];
+    if (!slot.live || slot.key != key) {
+      report.Add("kv.keymap-mismatch",
+                 Fmt("key %llu maps to %s slot %u of slab %llu (slot key %llu)",
+                     (unsigned long long)key, slot.live ? "live" : "dead", idx,
+                     (unsigned long long)seq, (unsigned long long)slot.key));
+    }
+  });
+  ++report.checks_run;
+  if (shard.key_map().size() != live_total) {
+    report.Add("kv.keymap-count", Fmt("key map holds %llu keys, slabs hold %llu live slots",
+                                      (unsigned long long)shard.key_map().size(),
+                                      (unsigned long long)live_total));
+  }
+
+  // Admission policy: bounded memory, and no recently rejected key may be
+  // cached — the reject path either found nothing or evicted the stale copy.
+  const AdmissionPolicy& policy = shard.policy();
+  ++report.checks_run;
+  if (policy.MemoryUsage() > policy.MemoryBound()) {
+    report.Add("kv.policy.memory-bound",
+               Fmt("policy '%.*s' uses %zu bytes, bound %zu",
+                   static_cast<int>(policy.name().size()), policy.name().data(),
+                   policy.MemoryUsage(), policy.MemoryBound()));
+  }
+  policy.recent_rejects().ForEach([&](uint64_t key, uint32_t) {
+    ++report.checks_run;
+    if (shard.key_map().Contains(key)) {
+      report.Add("kv.policy.rejected-present",
+                 Fmt("rejected key %llu is cached", (unsigned long long)key));
+    }
+  });
+
+  // The device the slabs live on must itself be sound.
+  report.Merge(Check(shard.ssc()));
+  return report;
+}
+
+CheckReport InvariantChecker::CheckKv(const KvCache& cache, bool faults_possible) {
+  CheckReport report;
+  for (uint32_t i = 0; i < cache.shard_count(); ++i) {
+    CheckReport r = CheckKv(cache.shard(i), faults_possible);
+    report.checks_run += r.checks_run;
+    report.violation_count += r.violation_count;
+    for (InvariantViolation& v : r.violations) {
+      if (report.violations.size() >= CheckReport::kMaxRecorded) {
+        break;
+      }
+      report.violations.push_back(
+          {std::move(v.invariant), Fmt("shard %u: ", i) + v.detail});
+    }
+    // Cross-shard partition: a shard may only cache keys the router assigns
+    // to it, so no object can be cached (or go stale) in two shards at once.
+    cache.shard(i).key_map().ForEach([&](uint64_t key, uint64_t) {
+      ++report.checks_run;
+      if (cache.ShardOf(key) != i) {
+        report.Add("kv.shard-partition",
+                   Fmt("key %llu cached in shard %u but routed to %u",
+                       (unsigned long long)key, i, cache.ShardOf(key)));
       }
     });
   }

@@ -38,6 +38,10 @@ class SscDevice;
 class WriteBackManager;
 struct ShardRouter;
 
+// printf-style formatting into an exactly sized std::string, for violation
+// details and report lines.
+std::string Fmt(const char* format, ...) __attribute__((format(printf, 1, 2)));
+
 struct InvariantViolation {
   std::string invariant;  // stable identifier, e.g. "page-map.oob-lbn"
   std::string detail;     // human-readable specifics for this instance
@@ -100,7 +104,6 @@ class InvariantChecker {
   // them; `faults_possible` additionally excuses pages an injected medium
   // fault destroyed), the shard's admission-policy bounds and rejected-key
   // absence, and the underlying SscDevice's own structural invariants.
-  // Implemented in kv_check.cc.
   static CheckReport CheckKv(const KvShard& shard, bool faults_possible = false);
 
   // Audits every shard of a KvCache plus the cross-shard partition
@@ -111,7 +114,7 @@ class InvariantChecker {
   static CheckReport CheckSscOnly(const SscDevice& ssc);
   static bool SscHolds(const SscDevice& ssc, uint64_t lbn);
   // Medium view of one slab page for the KV audit: whether `lbn` is present
-  // in the SSC's maps and its dirty bit. Defined in kv_check.cc.
+  // in the SSC's maps and its dirty bit.
   static void SscPageState(const SscDevice& ssc, uint64_t lbn, bool* present, bool* dirty);
 };
 

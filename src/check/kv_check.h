@@ -14,10 +14,11 @@
 // bijection, slab occupancy, medium agreement) and crash-during-recovery
 // trials at every RecoveryPoint boundary.
 //
-// With `soak_cycles` > 0 the harness switches to a crash-storm soak: one
+// With soak cycles requested the harness switches to a crash-storm soak: one
 // long-lived KvCache survives N seeded crash → recover → verify → resume
 // cycles with the shadow model carried across cycles, so corruption that
-// survives one recovery is given every chance to compound.
+// survives one recovery is given every chance to compound. Both modes are
+// the engine's drivers (src/check/engine.h) over the KV target.
 //
 // Both modes compose with the rest of the flashcheck matrix: --faults
 // (deterministic medium faults; objects whose slab pages a fault destroyed
@@ -31,83 +32,35 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "src/flash/flash_device.h"
+#include "src/check/engine.h"
 #include "src/kv/kv_stats.h"
-#include "src/policy/policy_factory.h"
-#include "src/ssc/ssc_device.h"
 
 namespace flashtier {
 
 struct KvCheckOptions {
-  // Cache shape. `capacity_pages` is the total across shards, exactly like
+  // `device.capacity_pages` is the total across shards, exactly like
   // KvCacheConfig; small capacity forces seals, evictions and compaction.
-  uint64_t capacity_pages = 512;
-  uint32_t shards = 1;
+  DeviceShape device;
   bool packing = true;
   uint32_t slab_pages = 1;
-  ConsistencyMode mode = ConsistencyMode::kFull;
-  uint32_t group_commit_ops = 16;
-  uint64_t checkpoint_interval_writes = 250;
-  uint64_t log_region_pages = 4;
-  uint64_t checkpoint_segment_entries = 16;
-
-  // Scripted workload shape: `ops` operations over `keys` object keys, half
-  // the traffic on a hot eighth so overwrite/delete paths are exercised.
-  uint32_t ops = 400;
+  // The scripted workload runs `schedule.ops` operations over `keys` object
+  // keys, half the traffic on a hot eighth so overwrite/delete paths are
+  // exercised. `schedule.cycles` > 0 switches from per-point exploration to
+  // that many soak cycles on one long-lived cache.
+  CrashSchedule schedule;
   uint64_t keys = 512;
-  uint64_t seed = 42;
-
-  // Explorer bounds. 0 max_points means every commit point.
-  uint32_t max_points = 0;
-  uint32_t stride = 1;
-  bool explore_recovery_points = true;
-
-  // Soak mode: > 0 switches from per-point exploration to `soak_cycles`
-  // crash → recover → verify → resume cycles on one long-lived cache.
-  uint32_t soak_cycles = 0;
-  uint32_t soak_ops = 400;             // ops per soak cycle
-  uint32_t recovery_crash_period = 3;  // every Nth cycle crashes in recovery
-  // Virtual-time recovery budget per cycle (µs, max across shards);
-  // 0 disables. Default: the paper's 2.4 s consistent-cache recovery claim.
-  uint64_t recovery_budget_us = 2'400'000;
-
-  FaultPlan faults;        // --faults composition
-  PolicyConfig admission;  // --admission composition
-
-  bool run_invariant_checker = true;
-  bool verbose = false;
 };
 
-struct KvCheckReport {
+struct KvCheckReport : CycleReport {
   bool soak = false;  // which mode produced this report
-
-  // Explorer-mode counters.
-  uint64_t total_commit_points = 0;
-  uint64_t total_recovery_points = 0;
-  uint64_t points_explored = 0;
-  uint64_t recovery_trials = 0;
-
-  // Soak-mode counters.
-  uint32_t cycles_run = 0;
-  uint64_t mid_workload_crashes = 0;
-  uint64_t quiescent_crashes = 0;
-  uint64_t recovery_crashes = 0;
-  uint64_t budget_exceeded = 0;
-  uint64_t max_recovery_us = 0;
-
   uint64_t ops_executed = 0;
-  uint64_t trials_with_violations = 0;
-  uint64_t violation_count = 0;
 
-  // KV aggregate after the baseline trial (explorer) or the last cycle
-  // (soak), snapshotted before the verification sweep pollutes get counters.
+  // KV aggregate and faults merged across shards, after the baseline trial
+  // (explorer) or the last cycle (soak), snapshotted before the verification
+  // sweep pollutes the get and read-corruption counters.
   KvStats kv;
-  FaultStats faults;  // merged across shards
-
-  std::vector<std::string> samples;
-  static constexpr size_t kMaxSamples = 32;
+  FaultStats faults;
 
   bool ok() const { return violation_count == 0 && budget_exceeded == 0; }
   std::string ToString() const;
@@ -118,13 +71,10 @@ class KvCheckHarness {
  public:
   explicit KvCheckHarness(const KvCheckOptions& options);
 
-  // Dispatches on soak_cycles: 0 = commit-point exploration, else soak.
+  // Dispatches on schedule.cycles: 0 = commit-point exploration, else soak.
   KvCheckReport Run();
 
  private:
-  KvCheckReport Explore();
-  KvCheckReport Soak();
-
   KvCheckOptions options_;
 };
 

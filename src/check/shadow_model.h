@@ -1,5 +1,6 @@
-// Shadow model of acknowledged SSC operations, shared by FlashCheck's crash
-// explorer and the crash-storm soak harness.
+// Shadow model of acknowledged SSC operations: the block target of
+// FlashCheck's crash-cycle engine (src/check/engine.h), which the crash
+// explorer, the crash-storm soak and the aging harness drive.
 //
 // The shadow tracks, per LBN, the last *acknowledged* state a correct device
 // must honor across a crash — the paper's G1-G3 contract:
@@ -12,10 +13,11 @@
 // and after-states are legal, anything else is a violation (in particular
 // any stale token, which is how G2 breaks).
 //
-// This header also hosts the deterministic scripted workload both harnesses
-// drive (so the soak harness stresses the same op mix the explorer proves
-// crash-safe) and the acknowledged-state transition function itself, keeping
-// exactly one source of truth for what each guarantee permits.
+// This header also hosts the deterministic scripted workload the block
+// target runs (so the soak and aging harnesses stress the same op mix the
+// explorer proves crash-safe) and the acknowledged-state transition function
+// itself, keeping exactly one source of truth for what each guarantee
+// permits.
 
 #ifndef FLASHTIER_CHECK_SHADOW_MODEL_H_
 #define FLASHTIER_CHECK_SHADOW_MODEL_H_

@@ -15,68 +15,30 @@
 // budget (default: the paper's 2.4 s claim). State is never rebuilt between
 // cycles — corruption that survives one recovery is given every chance to
 // compound, which is exactly what a single-trial explorer cannot see.
+//
+// The harness is the engine's soak driver (src/check/engine.h) over the
+// block target.
 
 #ifndef FLASHTIER_CHECK_SOAK_H_
 #define FLASHTIER_CHECK_SOAK_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "src/check/shadow_model.h"
-#include "src/policy/policy_factory.h"
-#include "src/ssc/shard.h"
-#include "src/ssc/ssc_device.h"
+#include "src/check/engine.h"
 
 namespace flashtier {
 
 struct SoakOptions {
-  uint32_t cycles = 25;
-  uint64_t seed = 1234;
-
-  // Device shape (mirrors the crash explorer's stress configuration).
-  uint64_t capacity_pages = 512;
-  uint32_t shards = 1;
-  EvictionPolicy policy = EvictionPolicy::kSeUtil;
-  ConsistencyMode mode = ConsistencyMode::kFull;
-  uint32_t group_commit_ops = 16;
-  uint64_t checkpoint_interval_writes = 250;
-  uint64_t log_region_pages = 4;
-  uint64_t checkpoint_segment_entries = 16;
-
-  // Workload per cycle.
-  uint32_t ops_per_cycle = 400;
+  DeviceShape device;
+  CrashSchedule schedule;
   uint64_t address_blocks = 1536;
-
-  // Every 3rd cycle also crashes inside the recovery that follows the
-  // workload crash; every 6th makes it a double crash. 0 disables.
-  uint32_t recovery_crash_period = 3;
-
-  // Virtual-time recovery budget per cycle (µs); 0 disables the check. The
-  // default is the paper's 2.4 s consistent-cache recovery claim.
-  uint64_t recovery_budget_us = 2'400'000;
-
-  FaultPlan faults;        // --faults composition
-  PolicyConfig admission;  // --admission composition
-
-  bool verbose = false;
 };
 
-struct SoakReport {
-  uint32_t cycles_run = 0;
+struct SoakReport : CycleReport {
   uint64_t ops_executed = 0;
-  uint64_t mid_workload_crashes = 0;  // cycles whose crash hit inside an op
-  uint64_t quiescent_crashes = 0;     // cycles that crashed between ops
-  uint64_t recovery_crashes = 0;      // crashes injected inside recovery
-  uint64_t violation_count = 0;
-  uint64_t budget_exceeded = 0;   // cycles whose recovery blew the budget
-  uint64_t max_recovery_us = 0;   // slowest cycle (max across shards within)
-  uint64_t total_recovery_us = 0; // sum of per-cycle recovery times
-  PersistStats persist;           // merged across shards, after the last cycle
-  FaultStats faults;              // merged across shards, after the last cycle
-  std::vector<std::string> samples;
-
-  static constexpr size_t kMaxSamples = 32;
+  PersistStats persist;  // merged across shards, after the last cycle
+  FaultStats faults;     // merged across shards, after the last cycle
 
   bool ok() const { return violation_count == 0 && budget_exceeded == 0; }
   std::string ToString() const;

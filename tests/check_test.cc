@@ -1,7 +1,9 @@
 // Tests for the FlashCheck library: the InvariantChecker must pass healthy
 // devices, flag planted corruptions, and run from the SSC audit hook; the
 // CrashExplorer must clear a real workload at every commit point and must
-// detect a deliberately broken recovery path.
+// detect a deliberately broken recovery path. The soak, aging and KV
+// harnesses run on the same engine: each must run clean, reproduce its
+// report exactly, and catch a broken recovery in every mode.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +13,11 @@
 #include <vector>
 
 #include "src/cache/write_back.h"
+#include "src/check/aging.h"
 #include "src/check/crash_explorer.h"
 #include "src/check/invariant_checker.h"
+#include "src/check/kv_check.h"
+#include "src/check/soak.h"
 #include "src/disk/disk_model.h"
 #include "src/ssc/ssc_device.h"
 
@@ -195,7 +200,7 @@ TEST(InvariantCheckerTest, AuditHookFiresOnGcAndPasses) {
 
 TEST(CrashExplorerTest, RealRecoveryClearsEveryCommitPoint) {
   CrashExplorerOptions options;
-  options.ops = 400;
+  options.schedule.ops = 400;
   CrashExplorer explorer(options);
   const CrashExplorerReport report = explorer.Explore();
   EXPECT_TRUE(report.ok()) << report.ToString();
@@ -204,15 +209,126 @@ TEST(CrashExplorerTest, RealRecoveryClearsEveryCommitPoint) {
 
 TEST(CrashExplorerTest, DetectsRecoveryThatSkipsLogTail) {
   CrashExplorerOptions options;
-  options.ops = 300;
-  options.break_recovery = true;
+  options.schedule.ops = 300;
+  options.schedule.break_recovery = true;
   // Structural invariants still hold in the broken recovery (the state is
   // merely stale); the shadow model is what must catch it.
-  options.run_invariant_checker = false;
+  options.schedule.run_invariant_checker = false;
   CrashExplorer explorer(options);
   const CrashExplorerReport report = explorer.Explore();
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.violation_count, 0u);
+}
+
+TEST(DeviceShapeTest, ShardConfigSlicesCapacityAndStridesFaultSeeds) {
+  DeviceShape shape;
+  shape.capacity_pages = 513;
+  shape.shards = 2;
+  shape.faults.enabled = true;
+  shape.faults.seed = 7;
+  const SscConfig first = shape.ShardConfig(0);
+  const SscConfig second = shape.ShardConfig(1);
+  EXPECT_EQ(first.capacity_pages, 257u);
+  EXPECT_EQ(second.capacity_pages, 256u);
+  EXPECT_EQ(first.fault_plan.seed, 7u);
+  EXPECT_EQ(second.fault_plan.seed, 7u + 0x9e3779b97f4a7c15ull);
+  EXPECT_EQ(second.group_commit_ops, shape.group_commit_ops);
+  EXPECT_EQ(second.log_region_pages, shape.log_region_pages);
+}
+
+// Aging runs on the SSC's production persistence settings unless the
+// shared flags override them.
+TEST(DeviceShapeTest, AgingShapeKeepsPersistenceDefaults) {
+  const SscConfig defaults;
+  const SscConfig aging = AgingShape().ShardConfig(0);
+  EXPECT_EQ(aging.group_commit_ops, defaults.group_commit_ops);
+  EXPECT_EQ(aging.checkpoint_interval_writes, defaults.checkpoint_interval_writes);
+  EXPECT_EQ(aging.log_region_pages, defaults.log_region_pages);
+  EXPECT_EQ(aging.checkpoint_segment_entries, defaults.checkpoint_segment_entries);
+  EXPECT_GT(aging.wear_level_interval_writes, 0u);
+  EXPECT_GT(aging.patrol_interval_writes, 0u);
+}
+
+SoakOptions SmallSoak() {
+  SoakOptions options;
+  options.schedule.cycles = 6;
+  return options;
+}
+
+TEST(SoakHarnessTest, SixCyclesRunCleanThroughEveryCrashKind) {
+  const SoakReport report = SoakHarness(SmallSoak()).Run();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(report.cycles_run, 6u);
+  EXPECT_GT(report.mid_workload_crashes, 0u) << report.ToString();
+  EXPECT_GT(report.quiescent_crashes, 0u) << report.ToString();
+  EXPECT_GT(report.recovery_crashes, 0u) << report.ToString();
+}
+
+TEST(SoakHarnessTest, DetectsRecoveryThatSkipsLogTail) {
+  SoakOptions options = SmallSoak();
+  options.schedule.break_recovery = true;
+  const SoakReport report = SoakHarness(options).Run();
+  EXPECT_FALSE(report.ok());
+  EXPECT_GT(report.violation_count, 0u);
+}
+
+TEST(AgingHarnessTest, TwoEpochSmokeRunsClean) {
+  AgingOptions options;
+  options.aging_multiple = 2;
+  const AgingReport report = AgingHarness(options).Run();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(report.epochs_run, 2u);
+  EXPECT_GE(report.host_pages_written, 2 * options.device.capacity_pages);
+  EXPECT_GT(report.ok_writes, 0u);
+}
+
+KvCheckOptions SmallKvExplore() {
+  KvCheckOptions options;
+  options.schedule.ops = 120;
+  options.keys = 64;
+  options.schedule.max_points = 60;
+  return options;
+}
+
+TEST(KvCheckEngineTest, DetectsRecoveryThatSkipsLogTail) {
+  KvCheckOptions options = SmallKvExplore();
+  options.schedule.break_recovery = true;
+  const KvCheckReport report = KvCheckHarness(options).Run();
+  EXPECT_FALSE(report.ok());
+  EXPECT_GT(report.violation_count, 0u);
+}
+
+// Every harness is a deterministic function of its options: two runs must
+// produce byte-identical reports, violation samples included.
+TEST(HarnessDeterminismTest, ReportsAreIdenticalAcrossRuns) {
+  CrashExplorerOptions explore;
+  explore.schedule.ops = 200;
+  explore.schedule.max_points = 80;
+  EXPECT_EQ(CrashExplorer(explore).Explore().ToString(),
+            CrashExplorer(explore).Explore().ToString());
+
+  const SoakReport sa = SoakHarness(SmallSoak()).Run();
+  const SoakReport sb = SoakHarness(SmallSoak()).Run();
+  EXPECT_EQ(sa.ToString(), sb.ToString());
+  EXPECT_EQ(sa.ToJson(0), sb.ToJson(0));
+
+  AgingOptions aging;
+  aging.aging_multiple = 2;
+  aging.device.faults.enabled = true;
+  aging.device.faults.wear_out_erases = 6;
+  const AgingReport aa = AgingHarness(aging).Run();
+  const AgingReport ab = AgingHarness(aging).Run();
+  EXPECT_EQ(aa.ToString(), ab.ToString());
+  EXPECT_EQ(aa.ToJson(), ab.ToJson());
+
+  for (const uint32_t cycles : {0u, 4u}) {
+    KvCheckOptions kv = SmallKvExplore();
+    kv.schedule.cycles = cycles;
+    const KvCheckReport ka = KvCheckHarness(kv).Run();
+    const KvCheckReport kb = KvCheckHarness(kv).Run();
+    EXPECT_EQ(ka.ToString(), kb.ToString());
+    EXPECT_EQ(ka.ToJson(), kb.ToJson());
+  }
 }
 
 }  // namespace

@@ -292,9 +292,9 @@ TEST(DiskGuardTest, NativeFallsBackToCleanVictimWhenWritebackFails) {
 
 DiskGuardOptions SmallStorm() {
   DiskGuardOptions o;
-  o.cycles = 3;
-  o.ops_per_cycle = 250;
-  o.shards = 2;
+  o.schedule.cycles = 3;
+  o.schedule.ops = 250;
+  o.device.shards = 2;
   o.disk_faults.enabled = true;
   o.disk_faults.read_fail_prob = 0.05;
   o.disk_faults.write_fail_prob = 0.05;

@@ -454,10 +454,10 @@ TEST(KvCheckTest, AuditCatchesPageEvictedBehindTheDirectory) {
 
 TEST(KvCheckTest, ExplorerSmokeRunsClean) {
   KvCheckOptions options;
-  options.ops = 120;
+  options.schedule.ops = 120;
   options.keys = 64;
-  options.max_points = 120;
-  options.explore_recovery_points = false;
+  options.schedule.max_points = 120;
+  options.schedule.explore_recovery_points = false;
   KvCheckHarness harness(options);
   const KvCheckReport report = harness.Run();
   EXPECT_TRUE(report.ok()) << report.ToString();
@@ -468,10 +468,10 @@ TEST(KvCheckTest, ExplorerSmokeRunsClean) {
 
 TEST(KvCheckTest, SoakSmokeRunsClean) {
   KvCheckOptions options;
-  options.soak_cycles = 5;
-  options.soak_ops = 150;
+  options.schedule.cycles = 5;
+  options.schedule.ops = 150;
   options.keys = 64;
-  options.shards = 2;
+  options.device.shards = 2;
   KvCheckHarness harness(options);
   const KvCheckReport report = harness.Run();
   EXPECT_TRUE(report.ok()) << report.ToString();

@@ -15,9 +15,16 @@
 // crash → recover → verify → resume cycles against one long-lived device
 // set, with crash points drawn across commit and recovery points, a shadow-
 // model equivalence check after every cycle, and a recovery-time budget.
+// --aging=N replays the workload through N device capacities of host writes
+// with wear faults active, auditing at every epoch. --kv checks the
+// tiny-object KV layer (exploration, or soak with --soak=N), and
+// --disk-faults drives the cache managers over a faulty disk tier. Every
+// mode runs on the one crash-cycle engine in src/check/engine.h and reads
+// the same device-shape flags.
 //
-// Exit status is 0 iff no violation was found, so the tool can gate CI.
-// Unknown flags exit 2 with the usage text below.
+// Exit status is 0 iff no violation was found, so the tool can gate CI; with
+// a --break-* self-test flag it is 0 iff violations *were* found. Unknown
+// flags exit 2 with the usage text below.
 
 #include <cstdio>
 #include <string>
@@ -63,11 +70,11 @@ constexpr const char* kUsage =
     "                         cache-assisted repair and a host-level shadow;\n"
     "                         composes with crashes, --shards, --admission,\n"
     "                         --faults and --soak=N (cycle count)\n"
-    "  --break-recovery       self-test: recovery drops the log tail, the\n"
-    "                         checker MUST report violations\n"
-    "  --break-retry          self-test (requires --faults): bad-block\n"
-    "                         retirement is disabled, the invariant checker\n"
-    "                         MUST report violations\n"
+    "  --break-recovery       self-test (any mode): recovery drops the log\n"
+    "                         tail, the checker MUST report violations\n"
+    "  --break-retry          self-test (any mode, requires --faults): bad-\n"
+    "                         block retirement is disabled, the audits MUST\n"
+    "                         report violations\n"
     "\n"
     "workload / device options (shared by all modes):\n"
     "  --ops=600 --capacity-pages=512 --address-blocks=1536 --shards=1\n"
@@ -75,10 +82,13 @@ constexpr const char* kUsage =
     "  --admission=admit-all|ghost-lru|freq-sketch|write-limit\n"
     "  --group-commit-ops=16 --checkpoint-interval=250\n"
     "  --log-region-pages=4 --segment-entries=16 --seed=42\n"
+    "  (--aging defaults: --group-commit-ops=10000\n"
+    "  --checkpoint-interval=1000000 --log-region-pages=4096\n"
+    "  --segment-entries=1024)\n"
+    "  --no-invariants --verbose\n"
     "\n"
-    "exploration options:\n"
-    "  --stride=1 --max-points=0 --no-recovery-points --no-invariants\n"
-    "  --verbose\n"
+    "exploration options (default and --kv modes):\n"
+    "  --stride=1 --max-points=0 --no-recovery-points\n"
     "\n"
     "fault injection (composes with every mode):\n"
     "  --faults --fault-seed=1 --program-fail=0.01 --erase-fail=0.05\n"
@@ -92,7 +102,7 @@ constexpr const char* kUsage =
     "  --aging=N --soak-ops=512 --wl-interval=32 --wl-max-diff=8\n"
     "  --patrol-interval=64 --patrol-blocks=4 --stats-json=FILE\n"
     "\n"
-    "soak options:\n"
+    "soak options (--soak, --kv --soak and --disk-faults):\n"
     "  --soak=N --soak-ops=400 --recovery-crash-period=3\n"
     "  --recovery-budget-us=2400000 --stats-json=FILE\n"
     "\n"
@@ -165,61 +175,75 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
+  // Integer flags, converted to the type of their default.
+  const auto get = [&args](const char* name, auto def) {
+    return static_cast<decltype(def)>(args.GetInt(name, static_cast<int64_t>(def)));
+  };
+  const auto get_positive = [&args](const char* name, auto def) {
+    return static_cast<decltype(def)>(args.GetPositiveInt(name, static_cast<int64_t>(def)));
+  };
+  const auto bad_args = [&args]() {
+    if (!args.ok()) {
+      std::fprintf(stderr, "flashcheck: %s\n", args.error().c_str());
+    }
+    return !args.ok();
+  };
 
-  flashtier::CrashExplorerOptions options;
-  options.ops = static_cast<uint32_t>(args.GetInt("ops", options.ops));
-  options.capacity_pages = static_cast<uint64_t>(
-      args.GetInt("capacity-pages", static_cast<int64_t>(options.capacity_pages)));
-  options.address_blocks = static_cast<uint64_t>(
-      args.GetInt("address-blocks", static_cast<int64_t>(options.address_blocks)));
-  // --shards=N explores a sharded SSC: capacity is split across N LBN-hash
-  // partitioned devices, a crash hits them all at once, and the partition-
-  // disjointness invariant is audited next to G1-G3. Default 1 = classic
-  // monolithic exploration, byte-for-byte the previous behaviour.
-  options.shards = static_cast<uint32_t>(args.GetPositiveInt("shards", options.shards));
-  options.group_commit_ops =
-      static_cast<uint32_t>(args.GetInt("group-commit-ops", options.group_commit_ops));
-  options.checkpoint_interval_writes = static_cast<uint64_t>(
-      args.GetInt("checkpoint-interval", static_cast<int64_t>(options.checkpoint_interval_writes)));
-  options.log_region_pages = static_cast<uint64_t>(
-      args.GetInt("log-region-pages", static_cast<int64_t>(options.log_region_pages)));
-  options.checkpoint_segment_entries = static_cast<uint64_t>(args.GetPositiveInt(
-      "segment-entries", static_cast<int64_t>(options.checkpoint_segment_entries)));
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", static_cast<int64_t>(options.seed)));
-  options.stride = static_cast<uint32_t>(args.GetInt("stride", options.stride));
-  options.max_points = static_cast<uint32_t>(args.GetInt("max-points", options.max_points));
-  options.explore_recovery_points = !args.GetBool("no-recovery-points", false);
-  options.break_recovery = args.GetBool("break-recovery", false);
-  options.run_invariant_checker = !args.GetBool("no-invariants", false);
-  options.verbose = args.GetBool("verbose", false);
+  const int64_t soak_cycles = args.GetInt("soak", 0);
+  const int64_t aging_multiple = args.GetInt("aging", 0);
+  const bool aging = aging_multiple > 0;
+  const bool kv = args.GetBool("kv", false);
+  const bool disk_faults = args.GetBool("disk-faults", false);
 
-  options.faults.enabled = args.GetBool("faults", false);
-  options.faults.seed = static_cast<uint64_t>(args.GetInt("fault-seed", 1));
-  options.faults.program_fail_prob = args.GetDouble("program-fail", 0.01);
-  options.faults.erase_fail_prob = args.GetDouble("erase-fail", 0.05);
-  options.faults.read_corrupt_prob = args.GetDouble("read-corrupt", 0.005);
-  options.faults.wear_out_erases = static_cast<uint32_t>(args.GetInt("wear-limit", 0));
-  options.faults.read_disturb_limit =
-      static_cast<uint32_t>(args.GetInt("read-disturb-limit", 0));
-  options.faults.read_disturb_prob = args.GetDouble("read-disturb-prob", 0.0);
-  options.faults.retention_age_us =
-      static_cast<uint64_t>(args.GetInt("retention-age-us", 0));
-  options.faults.retention_fail_prob = args.GetDouble("retention-prob", 0.0);
-  options.break_retirement = args.GetBool("break-retry", false);
-  if (!args.ok()) {
-    std::fprintf(stderr, "flashcheck: %s\n", args.error().c_str());
+  // The device shape every mode runs on. Aging defaults to the production
+  // persistence settings and turns the endurance defenses on.
+  flashtier::DeviceShape device = aging ? flashtier::AgingShape() : flashtier::DeviceShape{};
+  device.capacity_pages = get("capacity-pages", device.capacity_pages);
+  device.shards = get_positive("shards", device.shards);
+  device.group_commit_ops = get("group-commit-ops", device.group_commit_ops);
+  device.checkpoint_interval_writes = get("checkpoint-interval", device.checkpoint_interval_writes);
+  device.log_region_pages = get("log-region-pages", device.log_region_pages);
+  device.checkpoint_segment_entries =
+      get_positive("segment-entries", device.checkpoint_segment_entries);
+  if (aging) {
+    device.wear_level_interval_writes = get("wl-interval", device.wear_level_interval_writes);
+    device.wear_level_max_diff = get("wl-max-diff", device.wear_level_max_diff);
+    device.patrol_interval_writes = get("patrol-interval", device.patrol_interval_writes);
+    device.patrol_blocks_per_pass = get_positive("patrol-blocks", device.patrol_blocks_per_pass);
+  }
+
+  flashtier::FaultPlan& faults = device.faults;
+  faults.enabled = args.GetBool("faults", false);
+  faults.seed = get("fault-seed", uint64_t{1});
+  faults.program_fail_prob = args.GetDouble("program-fail", 0.01);
+  faults.erase_fail_prob = args.GetDouble("erase-fail", 0.05);
+  faults.read_corrupt_prob = args.GetDouble("read-corrupt", 0.005);
+  // Aging is about wear: under --aging, --faults also turns on wear-out
+  // retirement and the disturb/retention decay mechanisms unless each knob
+  // is explicitly overridden (=0 keeps one off). The default device is tiny
+  // (10 blocks/shard), so blocks only see a handful of erases per capacity
+  // written; a single-digit wear limit is the scaled equivalent of real
+  // NAND's thousands of P/E cycles.
+  const bool wear = aging && faults.enabled;
+  faults.wear_out_erases = get("wear-limit", uint32_t{wear ? 6u : 0u});
+  faults.read_disturb_limit = get("read-disturb-limit", uint32_t{wear ? 64u : 0u});
+  faults.read_disturb_prob = args.GetDouble("read-disturb-prob", wear ? 0.05 : 0.0);
+  faults.retention_age_us = get("retention-age-us", uint64_t{wear ? 300'000u : 0u});
+  faults.retention_fail_prob = args.GetDouble("retention-prob", wear ? 0.05 : 0.0);
+  device.break_retirement = args.GetBool("break-retry", false);
+  if (bad_args()) {
     return 2;
   }
-  if (options.break_retirement && !options.faults.enabled) {
+  if (device.break_retirement && !faults.enabled) {
     std::fprintf(stderr, "flashcheck: --break-retry requires --faults\n");
     return 2;
   }
 
   const std::string policy = args.GetString("policy", "se-util");
   if (policy == "se-util") {
-    options.policy = flashtier::EvictionPolicy::kSeUtil;
+    device.policy = flashtier::EvictionPolicy::kSeUtil;
   } else if (policy == "se-merge") {
-    options.policy = flashtier::EvictionPolicy::kSeMerge;
+    device.policy = flashtier::EvictionPolicy::kSeMerge;
   } else {
     std::fprintf(stderr, "flashcheck: unknown --policy '%s' (se-util | se-merge)\n",
                  policy.c_str());
@@ -227,7 +251,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string admission = args.GetString("admission", "admit-all");
-  if (!flashtier::ParseAdmissionKind(admission, &options.admission.kind)) {
+  if (!flashtier::ParseAdmissionKind(admission, &device.admission.kind)) {
     std::fprintf(stderr, "flashcheck: unknown --admission '%s' (%s)\n", admission.c_str(),
                  flashtier::KnownAdmissionNames());
     return 2;
@@ -235,226 +259,126 @@ int main(int argc, char** argv) {
 
   const std::string mode = args.GetString("mode", "full");
   if (mode == "full") {
-    options.mode = flashtier::ConsistencyMode::kFull;
+    device.mode = flashtier::ConsistencyMode::kFull;
   } else if (mode == "relaxed") {
-    options.mode = flashtier::ConsistencyMode::kRelaxedClean;
+    device.mode = flashtier::ConsistencyMode::kRelaxedClean;
   } else {
     std::fprintf(stderr, "flashcheck: unknown --mode '%s' (full | relaxed)\n", mode.c_str());
     return 2;
   }
 
+  // The crash schedule, also shared: each mode reads the fields it uses.
+  // Soak, aging and DiskGuard workloads run in cycles or rounds of
+  // --soak-ops operations; the explorers run --ops per trial.
+  flashtier::CrashSchedule schedule;
+  schedule.seed = get("seed", schedule.seed);
+  schedule.ops = soak_cycles > 0 || aging || disk_faults
+                     ? get_positive("soak-ops", uint32_t{aging ? 512u : 400u})
+                     : get("ops", schedule.ops);
+  schedule.max_points = get("max-points", schedule.max_points);
+  schedule.stride = get("stride", schedule.stride);
+  schedule.explore_recovery_points = !args.GetBool("no-recovery-points", false);
+  schedule.cycles = static_cast<uint32_t>(soak_cycles > 0 ? soak_cycles : disk_faults ? 8 : 0);
+  schedule.recovery_crash_period = get("recovery-crash-period", schedule.recovery_crash_period);
+  schedule.recovery_budget_us = get("recovery-budget-us", schedule.recovery_budget_us);
+  schedule.break_recovery = args.GetBool("break-recovery", false);
+  schedule.run_invariant_checker = !args.GetBool("no-invariants", false);
+  schedule.verbose = args.GetBool("verbose", false);
+  const uint64_t address_blocks = get("address-blocks", uint64_t{1536});
   const std::string stats_json = args.GetString("stats-json", "");
-  const int64_t soak_cycles = args.GetInt("soak", 0);
-  const int64_t aging_multiple = args.GetInt("aging", 0);
-  if (aging_multiple > 0) {
-    flashtier::AgingOptions aopts;
-    aopts.aging_multiple = static_cast<uint32_t>(aging_multiple);
-    aopts.seed = options.seed;
-    aopts.capacity_pages = options.capacity_pages;
-    aopts.shards = options.shards;
-    aopts.policy = options.policy;
-    aopts.mode = options.mode;
-    aopts.ops_per_round = static_cast<uint32_t>(args.GetPositiveInt("soak-ops", 512));
-    aopts.address_blocks = options.address_blocks;
-    aopts.wear_level_interval_writes =
-        static_cast<uint32_t>(args.GetInt("wl-interval", 32));
-    aopts.wear_level_max_diff = static_cast<uint32_t>(args.GetInt("wl-max-diff", 8));
-    aopts.patrol_interval_writes =
-        static_cast<uint32_t>(args.GetInt("patrol-interval", 64));
-    aopts.patrol_blocks_per_pass =
-        static_cast<uint32_t>(args.GetPositiveInt("patrol-blocks", 4));
-    aopts.faults = options.faults;
-    if (aopts.faults.enabled) {
-      // Aging is about wear: under --aging, --faults also turns on wear-out
-      // retirement and the disturb/retention decay mechanisms unless each
-      // knob is explicitly overridden (=0 keeps one off).
-      // The default device is tiny (10 blocks/shard), so blocks only see a
-      // handful of erases per capacity written; a single-digit wear limit is
-      // the scaled equivalent of real NAND's thousands of P/E cycles.
-      aopts.faults.wear_out_erases = static_cast<uint32_t>(args.GetInt("wear-limit", 6));
-      aopts.faults.read_disturb_limit =
-          static_cast<uint32_t>(args.GetInt("read-disturb-limit", 64));
-      aopts.faults.read_disturb_prob = args.GetDouble("read-disturb-prob", 0.05);
-      aopts.faults.retention_age_us =
-          static_cast<uint64_t>(args.GetInt("retention-age-us", 300'000));
-      aopts.faults.retention_fail_prob = args.GetDouble("retention-prob", 0.05);
-    }
-    aopts.admission = options.admission;
-    aopts.verbose = options.verbose;
-    if (!args.ok()) {
-      std::fprintf(stderr, "flashcheck: %s\n", args.error().c_str());
-      return 2;
-    }
-
-    flashtier::AgingHarness harness(aopts);
-    const flashtier::AgingReport report = harness.Run();
-    std::printf("flashcheck: %s\n", report.ToString().c_str());
-    if (!stats_json.empty() && !WriteStatsJson(stats_json, report.ToJson())) {
-      std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n",
-                   stats_json.c_str());
-      return 2;
-    }
-    return report.ok() ? 0 : 1;
-  }
-  if (args.GetBool("kv", false)) {
-    flashtier::KvCheckOptions kopts;
-    kopts.capacity_pages = options.capacity_pages;
-    kopts.shards = options.shards;
-    kopts.packing = !args.GetBool("no-packing", false);
-    kopts.slab_pages = static_cast<uint32_t>(args.GetPositiveInt("slab-pages", 1));
-    kopts.mode = options.mode;
-    kopts.group_commit_ops = options.group_commit_ops;
-    kopts.checkpoint_interval_writes = options.checkpoint_interval_writes;
-    kopts.log_region_pages = options.log_region_pages;
-    kopts.checkpoint_segment_entries = options.checkpoint_segment_entries;
-    kopts.ops = options.ops;
-    kopts.keys = static_cast<uint64_t>(args.GetPositiveInt("kv-keys", 512));
-    kopts.seed = options.seed;
-    kopts.max_points = options.max_points;
-    kopts.stride = options.stride;
-    kopts.explore_recovery_points = options.explore_recovery_points;
-    if (soak_cycles > 0) {
-      kopts.soak_cycles = static_cast<uint32_t>(soak_cycles);
-    }
-    kopts.soak_ops = static_cast<uint32_t>(args.GetPositiveInt("soak-ops", 400));
-    kopts.recovery_crash_period =
-        static_cast<uint32_t>(args.GetInt("recovery-crash-period", 3));
-    kopts.recovery_budget_us =
-        static_cast<uint64_t>(args.GetInt("recovery-budget-us", 2'400'000));
-    kopts.faults = options.faults;
-    kopts.admission = options.admission;
-    kopts.run_invariant_checker = options.run_invariant_checker;
-    kopts.verbose = options.verbose;
-    if (!args.ok()) {
-      std::fprintf(stderr, "flashcheck: %s\n", args.error().c_str());
-      return 2;
-    }
-
-    flashtier::KvCheckHarness harness(kopts);
-    const flashtier::KvCheckReport report = harness.Run();
-    std::printf("flashcheck: %s\n", report.ToString().c_str());
-    if (!stats_json.empty() && !WriteStatsJson(stats_json, report.ToJson())) {
-      std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n",
-                   stats_json.c_str());
-      return 2;
-    }
-    return report.ok() ? 0 : 1;
-  }
-  if (args.GetBool("disk-faults", false)) {
-    flashtier::DiskGuardOptions dopts;
-    if (soak_cycles > 0) {
-      dopts.cycles = static_cast<uint32_t>(soak_cycles);
-    }
-    dopts.seed = options.seed;
-    dopts.capacity_pages = options.capacity_pages;
-    dopts.shards = options.shards;
-    dopts.policy = options.policy;
-    dopts.mode = options.mode;
-    dopts.group_commit_ops = options.group_commit_ops;
-    dopts.checkpoint_interval_writes = options.checkpoint_interval_writes;
-    dopts.log_region_pages = options.log_region_pages;
-    dopts.checkpoint_segment_entries = options.checkpoint_segment_entries;
-    dopts.ops_per_cycle = static_cast<uint32_t>(args.GetPositiveInt("soak-ops", 400));
-    dopts.address_blocks = options.address_blocks;
-    dopts.write_through = args.GetBool("write-through", false);
-    dopts.crashes = !args.GetBool("no-crashes", false);
-    dopts.recovery_crash_period =
-        static_cast<uint32_t>(args.GetInt("recovery-crash-period", 3));
-    dopts.scrub_period = static_cast<uint32_t>(args.GetInt("scrub-period", 64));
-    dopts.scrub_budget = static_cast<uint32_t>(args.GetInt("scrub-budget", 8));
-    dopts.disk_faults.enabled = true;
-    dopts.disk_faults.seed = static_cast<uint64_t>(args.GetInt("disk-seed", 1));
-    dopts.disk_faults.read_fail_prob = args.GetDouble("disk-read-fail", 0.01);
-    dopts.disk_faults.write_fail_prob = args.GetDouble("disk-write-fail", 0.02);
-    dopts.disk_faults.latent_prob = args.GetDouble("disk-latent", 0.002);
-    dopts.disk_faults.slow_io_prob = args.GetDouble("disk-slow", 0.01);
-    dopts.disk_retry.max_attempts =
-        static_cast<uint32_t>(args.GetPositiveInt("disk-retry-attempts", 4));
-    dopts.disk_retry.op_deadline_us =
-        static_cast<uint64_t>(args.GetInt("disk-deadline-us", 250'000));
-    dopts.flash_faults = options.faults;
-    dopts.admission = options.admission;
-    dopts.verbose = options.verbose;
-    if (!args.ok()) {
-      std::fprintf(stderr, "flashcheck: %s\n", args.error().c_str());
-      return 2;
-    }
-
-    flashtier::DiskGuardHarness harness(dopts);
-    const flashtier::DiskGuardReport report = harness.Run();
-    std::printf("flashcheck: %s\n", report.ToString().c_str());
-    if (!stats_json.empty() && !WriteStatsJson(stats_json, report.ToJson())) {
-      std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n",
-                   stats_json.c_str());
-      return 2;
-    }
-    return report.ok() ? 0 : 1;
-  }
-  if (soak_cycles > 0) {
-    flashtier::SoakOptions sopts;
-    sopts.cycles = static_cast<uint32_t>(soak_cycles);
-    sopts.seed = options.seed;
-    sopts.capacity_pages = options.capacity_pages;
-    sopts.shards = options.shards;
-    sopts.policy = options.policy;
-    sopts.mode = options.mode;
-    sopts.group_commit_ops = options.group_commit_ops;
-    sopts.checkpoint_interval_writes = options.checkpoint_interval_writes;
-    sopts.log_region_pages = options.log_region_pages;
-    sopts.checkpoint_segment_entries = options.checkpoint_segment_entries;
-    sopts.ops_per_cycle = static_cast<uint32_t>(args.GetPositiveInt("soak-ops", 400));
-    sopts.address_blocks = options.address_blocks;
-    sopts.recovery_crash_period =
-        static_cast<uint32_t>(args.GetInt("recovery-crash-period", 3));
-    sopts.recovery_budget_us =
-        static_cast<uint64_t>(args.GetInt("recovery-budget-us", 2'400'000));
-    sopts.faults = options.faults;
-    sopts.admission = options.admission;
-    sopts.verbose = options.verbose;
-    if (!args.ok()) {
-      std::fprintf(stderr, "flashcheck: %s\n", args.error().c_str());
-      return 2;
-    }
-
-    flashtier::SoakHarness harness(sopts);
-    const flashtier::SoakReport report = harness.Run();
-    std::printf("flashcheck: %s\n", report.ToString().c_str());
-    if (!stats_json.empty() &&
-        !WriteStatsJson(stats_json, report.ToJson(sopts.recovery_budget_us))) {
-      std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n",
-                   stats_json.c_str());
-      return 2;
-    }
-    return report.ok() ? 0 : 1;
-  }
-  if (!stats_json.empty()) {
-    std::fprintf(stderr,
-                 "flashcheck: --stats-json is only produced by --soak, --disk-faults and "
-                 "--aging runs\n");
+  if (bad_args()) {
     return 2;
   }
 
-  flashtier::CrashExplorer explorer(options);
-  const flashtier::CrashExplorerReport report = explorer.Explore();
-  std::printf("flashcheck: %s\n", report.ToString().c_str());
-  if (options.break_recovery) {
-    // Self-test mode: a broken recovery path MUST be caught.
-    if (report.ok()) {
-      std::printf("flashcheck: FAIL: broken recovery went undetected\n");
-      return 1;
+  // Every mode prints one report line (plus violation samples) and may
+  // write a JSON report.
+  std::string text;
+  std::string json;
+  bool clean = false;
+  if (aging) {
+    flashtier::AgingOptions o;
+    o.aging_multiple = static_cast<uint32_t>(aging_multiple);
+    o.device = device;
+    o.schedule = schedule;
+    o.address_blocks = address_blocks;
+    const flashtier::AgingReport report = flashtier::AgingHarness(o).Run();
+    text = report.ToString();
+    json = report.ToJson();
+    clean = report.ok();
+  } else if (kv) {
+    flashtier::KvCheckOptions o;
+    o.device = device;
+    o.packing = !args.GetBool("no-packing", false);
+    o.slab_pages = get_positive("slab-pages", uint32_t{1});
+    o.schedule = schedule;
+    o.keys = get_positive("kv-keys", uint64_t{512});
+    if (bad_args()) {
+      return 2;
     }
-    std::printf("flashcheck: OK: broken recovery detected as expected\n");
-    return 0;
-  }
-  if (options.break_retirement) {
-    // Self-test mode: with retirement disabled, injected erase failures put
-    // non-erased blocks back on the free list — the checker MUST notice.
-    if (report.ok()) {
-      std::printf("flashcheck: FAIL: broken bad-block retirement went undetected\n");
-      return 1;
+    const flashtier::KvCheckReport report = flashtier::KvCheckHarness(o).Run();
+    text = report.ToString();
+    json = report.ToJson();
+    clean = report.ok();
+  } else if (disk_faults) {
+    flashtier::DiskGuardOptions o;
+    o.device = device;
+    o.schedule = schedule;
+    o.schedule.crashes = !args.GetBool("no-crashes", false);
+    o.address_blocks = address_blocks;
+    o.write_through = args.GetBool("write-through", false);
+    o.scrub_period = get("scrub-period", o.scrub_period);
+    o.scrub_budget = get("scrub-budget", o.scrub_budget);
+    o.disk_faults.enabled = true;
+    o.disk_faults.seed = get("disk-seed", uint64_t{1});
+    o.disk_faults.read_fail_prob = args.GetDouble("disk-read-fail", 0.01);
+    o.disk_faults.write_fail_prob = args.GetDouble("disk-write-fail", 0.02);
+    o.disk_faults.latent_prob = args.GetDouble("disk-latent", 0.002);
+    o.disk_faults.slow_io_prob = args.GetDouble("disk-slow", 0.01);
+    o.disk_retry.max_attempts = get_positive("disk-retry-attempts", uint32_t{4});
+    o.disk_retry.op_deadline_us = get("disk-deadline-us", uint64_t{250'000});
+    if (bad_args()) {
+      return 2;
     }
-    std::printf("flashcheck: OK: broken bad-block retirement detected as expected\n");
-    return 0;
+    const flashtier::DiskGuardReport report = flashtier::DiskGuardHarness(o).Run();
+    text = report.ToString();
+    json = report.ToJson();
+    clean = report.ok();
+  } else if (soak_cycles > 0) {
+    const flashtier::SoakReport report =
+        flashtier::SoakHarness({device, schedule, address_blocks}).Run();
+    text = report.ToString();
+    json = report.ToJson(schedule.recovery_budget_us);
+    clean = report.ok();
+  } else {
+    if (!stats_json.empty()) {
+      std::fprintf(stderr,
+                   "flashcheck: --stats-json is only produced by --soak, --disk-faults, --aging "
+                   "and --kv runs\n");
+      return 2;
+    }
+    const flashtier::CrashExplorerReport report =
+        flashtier::CrashExplorer({device, schedule, address_blocks}).Explore();
+    text = report.ToString();
+    clean = report.ok();
   }
-  return report.ok() ? 0 : 1;
+
+  std::printf("flashcheck: %s\n", text.c_str());
+  if (!stats_json.empty() && !WriteStatsJson(stats_json, json)) {
+    std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n", stats_json.c_str());
+    return 2;
+  }
+  // Self-test modes: the broken path MUST be caught. With recovery broken,
+  // the shadow sweep sees the dropped log tail; with bad-block retirement
+  // broken, injected erase failures put non-erased blocks back on the free
+  // list and the audits must notice.
+  if (!schedule.break_recovery && !device.break_retirement) {
+    return clean ? 0 : 1;
+  }
+  const char* broken = schedule.break_recovery ? "recovery" : "bad-block retirement";
+  if (clean) {
+    std::printf("flashcheck: FAIL: broken %s went undetected\n", broken);
+    return 1;
+  }
+  std::printf("flashcheck: OK: broken %s detected as expected\n", broken);
+  return 0;
 }
