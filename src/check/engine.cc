@@ -302,6 +302,13 @@ void SoakCrashCycles(CrashTarget& target, const CrashSchedule& schedule, CycleRe
     size_t recovery_crash_count = 0;
     if (schedule.crashes) {
       DisarmCommitPoints(target);
+      // A workload that completed must be sound live, as in a trial: the
+      // post-recovery audit sees only what recovery rebuilt.
+      if (schedule.run_invariant_checker && !crashed) {
+        target.PauseFaults(true);
+        target.Audit("live-state ", &violations);
+        target.PauseFaults(false);
+      }
       ++(crashed ? report->mid_workload_crashes : report->quiescent_crashes);
       if (!crashed) {
         observed_points = std::max<uint64_t>(points, 1);

@@ -102,8 +102,10 @@ class InvariantChecker {
   // at most one open (unsealed) slab, sealed-dirty slabs' pages present and
   // dirty on the medium (clean slabs are exempt — SE-GC may silently drop
   // them; `faults_possible` additionally excuses pages an injected medium
-  // fault destroyed), the shard's admission-policy bounds and rejected-key
-  // absence, and the underlying SscDevice's own structural invariants.
+  // fault destroyed), the compaction index (sealed-slab totals and victim)
+  // against a full directory walk, the shard's admission-policy bounds and
+  // rejected-key absence, and the underlying SscDevice's own structural
+  // invariants.
   static CheckReport CheckKv(const KvShard& shard, bool faults_possible = false);
 
   // Audits every shard of a KvCache plus the cross-shard partition

@@ -11,7 +11,9 @@
 // Collisions are resolved by linear probing across the whole table; erases
 // use backward-shift deletion so memory is reclaimed immediately (the paper:
 // "a remove operation ... results in reclaiming memory and the occupancy
-// bitmap is updated accordingly") and no tombstones accumulate. With the 0.75
+// bitmap is updated accordingly") and no tombstones accumulate. The shift
+// copies entries between occupied buckets, so an erase resizes exactly one
+// group's packed array, that of the last bucket it vacates. With the 0.75
 // maximum load factor, probe sequences stay in the paper's observed 4-5
 // probe range.
 //
@@ -120,26 +122,24 @@ class SparseHashMap {
     if (hole == kNotFound) {
       return false;
     }
-    RemoveAt(hole);
-    --size_;
     // Backward-shift deletion: walk the probe chain after the hole and move
-    // back any entry whose home bucket precedes (cyclically) the hole.
+    // back any entry whose home bucket precedes (cyclically) the hole. Every
+    // bucket a move fills was occupied, so moves copy between packed slots
+    // and only the last bucket vacated is removed (one array resize).
+    Entry* hole_entry = EntryAt(hole);
     size_t cur = (hole + 1) & mask_;
-    while (true) {
-      Entry* e = EntryAt(cur);
-      if (e == nullptr) {
-        break;
-      }
+    while (Entry* e = EntryAt(cur)) {
       const size_t home = Hash(e->key) & mask_;
       // Move e into the hole iff the hole lies cyclically in [home, cur).
-      const bool movable = ((cur - home) & mask_) >= ((cur - hole) & mask_);
-      if (movable) {
-        InsertAt(hole, e->key, e->value);
-        RemoveAt(cur);
+      if (((cur - home) & mask_) >= ((cur - hole) & mask_)) {
+        *hole_entry = *e;
+        hole_entry = e;
         hole = cur;
       }
       cur = (cur + 1) & mask_;
     }
+    RemoveAt(hole);
+    --size_;
     MaybeShrink();
     return true;
   }

@@ -191,6 +191,65 @@ TEST(KvCompactionTest, DeadSlotsAreCompactedAway) {
   }
 }
 
+// ---- The compaction index ----
+
+// Reaches every site that updates the compaction index — seals, overwrites
+// and deletes of sealed slots, fully dead slabs, capacity evictions, lazy
+// drops of silently evicted slabs, compaction moves and victim erases, crash
+// and recovery — and audits the index against a directory walk after every
+// operation.
+class KvCompactionIndexTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(KvCompactionIndexTest, MatchesDirectoryWalkAfterEveryOp) {
+  KvCacheConfig config = SmallConfig();
+  config.ssc.capacity_pages = 256;
+  config.slab_pages = GetParam();
+  config.compact_dead_ratio = 0.10;  // compact often
+  config.compact_min_sealed_slabs = 2;
+  KvCache cache(config);
+  Rng rng(GetParam());
+  // 3,000 keys of ~540 slot bytes are ~1.5x the 256-page device.
+  for (uint64_t i = 0; i < 8'000; ++i) {
+    const uint64_t key = rng.Below(3'000);
+    const uint64_t roll = rng.Below(100);
+    Status st = Status::kOk;
+    if (i % 1'000 == 999) {
+      cache.SimulateCrash();
+      st = cache.Recover();
+    } else if (roll < 50) {
+      // Clean-only first quarter, so whole erase blocks are clean.
+      const bool dirty = rng.Chance(0.2) && i >= 2'000;
+      st = cache.Set(key, i, static_cast<uint32_t>(64 + 8 * rng.Below(120)), dirty);
+    } else if (roll < 80) {
+      uint64_t token = 0;
+      st = cache.Get(key, &token);
+    } else if (roll < 92) {
+      st = cache.Delete(key);
+    } else if (roll < 94) {
+      // Idle-time GC silently evicts clean blocks; Gets then drop the slabs.
+      cache.shard(0).ssc().BackgroundCollect(/*budget_us=*/5'000);
+    } else {
+      st = cache.Flush();
+    }
+    // A full device of dirty slabs refuses honestly; nothing else may fail.
+    ASSERT_TRUE(st == Status::kOk || st == Status::kNotPresent || st == Status::kNoSpace)
+        << "op " << i << ": " << StatusName(st);
+    const CheckReport report = InvariantChecker::CheckKv(cache);
+    ASSERT_TRUE(report.ok()) << "after op " << i << ": " << report.ToString();
+  }
+  const KvStats s = cache.AggregateStats();
+  EXPECT_GT(s.overwrites, 0u);
+  EXPECT_GT(s.dead_slab_reclaims, 0u);
+  EXPECT_GT(s.slab_evictions, 0u);
+  EXPECT_GT(s.lazy_slab_drops, 0u);
+  EXPECT_GT(s.compactions, 0u);
+  EXPECT_GT(s.slots_moved, 0u);
+  EXPECT_GT(s.recoveries, 0u);
+  EXPECT_GT(s.restaged_dirty_slots, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SlabPages, KvCompactionIndexTest, ::testing::Values(1u, 2u, 4u));
+
 // ---- Capacity eviction and lazy drops ----
 
 TEST(KvEvictionTest, CleanSlabsEvictUnderPressureAndGetsMiss) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sparsemap/dense_map.h"
@@ -194,6 +196,122 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndDensities, SparseMapPropertyTest,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u),
                        ::testing::Values(50u, 2'000u, 1'000'000u)));
+
+// Reference table for the layout test: a flat bucket array with the sparse
+// map's hash, linear probing, backward-shift deletion, grow-before-probe at
+// load 0.75, shrink below 0.15, and rehash in old bucket order. Its bucket
+// order is therefore the order the sparse map's ForEach must visit.
+class FlatProbeTable {
+ public:
+  using Slot = std::optional<std::pair<uint64_t, uint64_t>>;
+
+  FlatProbeTable() : buckets_(kMinBuckets) {}
+
+  void Insert(uint64_t key, uint64_t value) {
+    if (static_cast<double>(size_ + 1) > 0.75 * static_cast<double>(buckets_.size())) {
+      Rehash(buckets_.size() * 2);
+    }
+    size_t b = Home(key);
+    while (buckets_[b] && buckets_[b]->first != key) {
+      b = (b + 1) & Mask();
+    }
+    size_ += buckets_[b] ? 0 : 1;
+    buckets_[b] = std::make_pair(key, value);
+  }
+
+  void Erase(uint64_t key) {
+    size_t hole = Home(key);
+    while (buckets_[hole] && buckets_[hole]->first != key) {
+      hole = (hole + 1) & Mask();
+    }
+    if (!buckets_[hole]) {
+      return;
+    }
+    buckets_[hole].reset();
+    --size_;
+    for (size_t cur = (hole + 1) & Mask(); buckets_[cur]; cur = (cur + 1) & Mask()) {
+      const size_t home = Home(buckets_[cur]->first);
+      if (((cur - home) & Mask()) >= ((cur - hole) & Mask())) {
+        std::swap(buckets_[hole], buckets_[cur]);
+        hole = cur;
+      }
+    }
+    if (buckets_.size() > kMinBuckets &&
+        static_cast<double>(size_) < 0.15 * static_cast<double>(buckets_.size())) {
+      Rehash(buckets_.size() / 2);
+    }
+  }
+
+  std::vector<std::pair<uint64_t, uint64_t>> InBucketOrder() const {
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    for (const Slot& slot : buckets_) {
+      if (slot) {
+        out.push_back(*slot);
+      }
+    }
+    return out;
+  }
+
+  size_t size() const { return size_; }
+  size_t bucket_count() const { return buckets_.size(); }
+
+ private:
+  static constexpr size_t kMinBuckets = 64;
+
+  size_t Mask() const { return buckets_.size() - 1; }
+  size_t Home(uint64_t key) const { return static_cast<size_t>(MixHash64(key)) & Mask(); }
+
+  void Rehash(size_t new_buckets) {
+    std::vector<Slot> old = std::move(buckets_);
+    buckets_.assign(new_buckets, std::nullopt);
+    for (const Slot& slot : old) {
+      if (slot) {
+        size_t b = Home(slot->first);
+        while (buckets_[b]) {
+          b = (b + 1) & Mask();
+        }
+        buckets_[b] = slot;
+      }
+    }
+  }
+
+  std::vector<Slot> buckets_;
+  size_t size_ = 0;
+};
+
+// Erase moves entries between packed slots instead of re-inserting them, so
+// the layout — ForEach order, table size and memory — must match the flat
+// reference after every step of a run that grows and then shrinks the table.
+TEST(SparseHashMapTest, LayoutMatchesFlatReferenceTable) {
+  using Map = SparseHashMap<uint64_t, uint64_t>;
+  const Map empty;
+  const size_t group_bytes = empty.MemoryUsage() / (empty.bucket_count() / Map::kGroupSize);
+  Map map;
+  FlatProbeTable ref;
+  Rng rng(11);
+  // Insert-heavy, erase-heavy, then even: the table grows from 64 to 2048
+  // buckets, shrinks twice to 512 and grows again.
+  for (const uint64_t insert_pct : {75u, 3u, 50u}) {
+    for (int step = 0; step < 4'000; ++step) {
+      const uint64_t key = rng.Below(1'500) * 7919;
+      if (rng.Below(100) < insert_pct) {
+        const uint64_t value = rng.Next();
+        map.Insert(key, value);
+        ref.Insert(key, value);
+      } else {
+        map.Erase(key);
+        ref.Erase(key);
+      }
+      std::vector<std::pair<uint64_t, uint64_t>> order;
+      map.ForEach([&order](uint64_t k, uint64_t v) { order.emplace_back(k, v); });
+      ASSERT_EQ(order, ref.InBucketOrder()) << "step " << step;
+      ASSERT_EQ(map.bucket_count(), ref.bucket_count()) << "step " << step;
+      const size_t groups = ref.bucket_count() / Map::kGroupSize;
+      const size_t memory = ref.size() * sizeof(Map::Entry) + groups * group_bytes;
+      ASSERT_EQ(map.MemoryUsage(), memory) << "step " << step;
+    }
+  }
+}
 
 // ---- DenseMap ----
 
