@@ -3,18 +3,21 @@
 // CrashExplorer must clear a real workload at every commit point and must
 // detect a deliberately broken recovery path. The soak, aging and KV
 // harnesses run on the same engine: each must run clean, reproduce its
-// report exactly, and catch a broken recovery in every mode.
+// report exactly, and catch a broken recovery in every mode; the soak driver
+// must audit live state that recovery would rebuild.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/write_back.h"
 #include "src/check/aging.h"
 #include "src/check/crash_explorer.h"
+#include "src/check/engine.h"
 #include "src/check/invariant_checker.h"
 #include "src/check/kv_check.h"
 #include "src/check/soak.h"
@@ -270,6 +273,57 @@ TEST(SoakHarnessTest, DetectsRecoveryThatSkipsLogTail) {
   const SoakReport report = SoakHarness(options).Run();
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.violation_count, 0u);
+}
+
+// A target whose workload leaves damage only its live state shows: the power
+// failure wipes it and recovery comes back clean, as KvShard::Recover rebuilds
+// the compaction index. RunOps reports a mid-workload crash in the cycles
+// `crashed` marks.
+class LiveOnlyDamageTarget : public CrashTarget {
+ public:
+  explicit LiveOnlyDamageTarget(std::vector<bool> crashed) : crashed_(std::move(crashed)) {}
+
+  std::vector<SscDevice*> Sscs() override { return {}; }
+  bool RunOps(uint64_t, uint32_t, std::vector<std::string>*) override {
+    damaged_ = true;
+    return crashed_.at(cycle_++);
+  }
+  void PowerFail() override { damaged_ = false; }
+  bool Recover() override { return true; }
+  void PauseFaults(bool paused) override { paused_ = paused; }
+  void Audit(const std::string& prefix, std::vector<std::string>* violations) override {
+    if (!paused_) {
+      violations->push_back(prefix + "audited with faults live");
+    }
+    if (damaged_) {
+      violations->push_back(prefix + "damage");
+    }
+  }
+  void Sweep(std::vector<std::string>*) override {}
+
+ private:
+  std::vector<bool> crashed_;
+  size_t cycle_ = 0;
+  bool damaged_ = false;
+  bool paused_ = false;
+};
+
+// The post-recovery audit sees only what recovery rebuilt, so each cycle
+// whose workload completed must also be audited live, before the crash. A
+// cycle cut short mid-op is not: its state is mid-operation.
+TEST(SoakCrashCyclesTest, AuditsCompletedWorkloadLiveBeforeCrash) {
+  LiveOnlyDamageTarget target({false, true, false, false});
+  CrashSchedule schedule;
+  schedule.cycles = 4;
+  schedule.recovery_crash_period = 0;  // no SSC to crash inside recovery
+  CycleReport report;
+  SoakCrashCycles(target, schedule, &report);
+  EXPECT_EQ(report.cycles_run, 4u);
+  EXPECT_EQ(report.mid_workload_crashes, 1u);
+  EXPECT_EQ(report.quiescent_crashes, 3u);
+  EXPECT_EQ(report.samples,
+            (std::vector<std::string>{"[cycle 0] live-state damage", "[cycle 2] live-state damage",
+                                      "[cycle 3] live-state damage"}));
 }
 
 TEST(AgingHarnessTest, TwoEpochSmokeRunsClean) {
