@@ -16,6 +16,7 @@
 #include "src/ssc/persist.h"
 #include "src/ssc/shard.h"
 #include "src/ssc/ssc_device.h"
+#include "src/ssd/ssd_ftl.h"
 
 namespace flashtier {
 
@@ -134,6 +135,149 @@ CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
   return report;
 }
 
+namespace {
+// Every erase block of a hybrid-FTL device is in exactly one of these.
+enum : uint8_t { kUnknown = 0, kFree, kLog, kData, kDead, kRetired };
+const char* const kClassName[] = {"unclassified", "free", "log", "data", "dead", "retired"};
+}  // namespace
+
+template <class Device>
+std::vector<uint8_t> InvariantChecker::CheckFtlBlocks(const HybridFtl<Device>& ftl,
+                                                      const std::vector<PhysBlock>& data,
+                                                      const std::vector<PhysBlock>& dead,
+                                                      CheckReport* report) {
+  const FlashDevice& device = *ftl.device_;
+  const uint64_t total_blocks = device.geometry().TotalBlocks();
+
+  // Block classification: every erase block must be in exactly one of
+  // {allocator-free, log, data, dead, retired}. Build the sets up front.
+  std::vector<uint8_t> cls(total_blocks, kUnknown);
+  auto classify = [&](PhysBlock b, uint8_t c) {
+    ++report->checks_run;
+    if (b >= total_blocks) {
+      report->Add("block.range", Fmt("%s block %llu out of range", kClassName[c],
+                                     (unsigned long long)b));
+      return;
+    }
+    if (cls[b] != kUnknown) {
+      report->Add("block.partition", Fmt("block %llu is both %s and %s", (unsigned long long)b,
+                                         kClassName[cls[b]], kClassName[c]));
+      return;
+    }
+    cls[b] = c;
+  };
+  ftl.allocator_->ForEachFree([&](PhysBlock b) { classify(b, kFree); });
+  ftl.allocator_->ForEachRetired([&](PhysBlock b) { classify(b, kRetired); });
+  for (PhysBlock b : ftl.log_blocks_) {
+    classify(b, kLog);
+  }
+  for (PhysBlock b : data) {
+    classify(b, kData);
+  }
+  for (PhysBlock b : dead) {
+    classify(b, kDead);
+  }
+  for (PhysBlock b = 0; b < total_blocks; ++b) {
+    ++report->checks_run;
+    if (cls[b] == kUnknown) {
+      report->Add("block.partition", Fmt("block %llu belongs to no category (free/log/data/dead)",
+                                         (unsigned long long)b));
+    }
+    // A free block must be fully erased or the next ProgramPage on it fails.
+    if (cls[b] == kFree) {
+      ++report->checks_run;
+      if (!device.BlockErased(b)) {
+        report->Add("allocator.free-erased",
+                    Fmt("free block %llu has write pointer %u", (unsigned long long)b,
+                        device.write_pointer(b)));
+      }
+      // Erase resets the read-disturb counter and free pages refuse reads, so
+      // a free block carrying disturb exposure means an erase skipped the
+      // reset (the block would enter service pre-aged).
+      ++report->checks_run;
+      if (device.ReadsSinceErase(b) != 0) {
+        report->Add("endurance.disturb-reset",
+                    Fmt("free block %llu carries %llu reads since erase", (unsigned long long)b,
+                        (unsigned long long)device.ReadsSinceErase(b)));
+      }
+    }
+    // A bad block must be retired: handing it back out would lose every
+    // write sent to it. (flashcheck --break-retry deliberately violates this
+    // to prove the audit notices.)
+    ++report->checks_run;
+    if (device.BlockBad(b) && cls[b] != kRetired) {
+      report->Add("endurance.bad-not-retired",
+                  Fmt("bad block %llu is classified %s, not retired", (unsigned long long)b,
+                      kClassName[cls[b]]));
+    }
+    // Retirement is for failed media only: a healthy block parked in the
+    // retired set would silently shrink the cache.
+    if (cls[b] == kRetired) {
+      ++report->checks_run;
+      if (!device.BlockBad(b)) {
+        report->Add("allocator.retired-bad",
+                    Fmt("retired block %llu is not marked bad by the device",
+                        (unsigned long long)b));
+      }
+    }
+  }
+  return cls;
+}
+
+template <class Device>
+void InvariantChecker::CheckFtlLog(const HybridFtl<Device>& ftl, const std::vector<uint8_t>& cls,
+                                   const std::unordered_map<PhysBlock, uint64_t>& log_refs,
+                                   CheckReport* report) {
+  // Log blocks: the per-block contents list mirrors the write pointer, and
+  // every valid page in a log block is referenced by the page map (an
+  // unreferenced valid page would resurrect stale data in recovery).
+  const FlashDevice& device = *ftl.device_;
+  const FlashGeometry& g = device.geometry();
+  for (PhysBlock b = 0; b < cls.size(); ++b) {
+    const std::vector<uint64_t>& lpns = ftl.log_contents_[b];
+    if (cls[b] != kLog) {
+      ++report->checks_run;
+      if (!lpns.empty()) {
+        report->Add("log.contents-stale", Fmt("log_contents has non-log block %llu",
+                                              (unsigned long long)b));
+      }
+      continue;
+    }
+    ++report->checks_run;
+    if (lpns.size() != device.write_pointer(b)) {
+      report->Add("log.contents-length",
+                  Fmt("log block %llu: %zu recorded pages, write pointer %u",
+                      (unsigned long long)b, lpns.size(), device.write_pointer(b)));
+    }
+    const auto it = log_refs.find(b);
+    const uint64_t refs = it != log_refs.end() ? it->second : 0;
+    for (uint32_t off = 0; off < device.write_pointer(b); ++off) {
+      const bool valid = device.page_state(g.FirstPpnOf(b) + off) == PageState::kValid;
+      const bool referenced = ((refs >> off) & 1u) != 0;
+      ++report->checks_run;
+      if (valid && !referenced) {
+        report->Add("log.unreferenced-valid",
+                    Fmt("log block %llu offset %u is valid but not page-mapped",
+                        (unsigned long long)b, off));
+      }
+    }
+  }
+}
+
+CheckReport InvariantChecker::Check(const SsdFtl& ssd) {
+  CheckReport report;
+  std::vector<PhysBlock> data;
+  ssd.block_map_.ForEach([&](size_t, PhysBlock b) { data.push_back(b); });
+  const std::vector<uint8_t> cls = CheckFtlBlocks(ssd, data, {}, &report);
+  const FlashGeometry& g = ssd.device_->geometry();
+  std::unordered_map<PhysBlock, uint64_t> log_refs;  // block -> referenced offsets
+  for (const auto& [lpn, ppn] : ssd.log_map_) {
+    log_refs[g.BlockOf(ppn)] |= uint64_t{1} << g.PageOf(ppn);
+  }
+  CheckFtlLog(ssd, cls, log_refs, &report);
+  return report;
+}
+
 CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
   CheckReport report;
   const FlashDevice& device = *ssc.device_;
@@ -141,84 +285,10 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
   const uint32_t ppb = g.pages_per_block;
   const uint64_t total_blocks = g.TotalBlocks();
 
-  // Block classification: every erase block must be in exactly one of
-  // {allocator-free, log, data, dead, retired}. Build the sets up front.
-  enum : uint8_t { kUnknown = 0, kFree, kLog, kData, kDead, kRetired };
-  static const char* const kClassName[] = {"unclassified", "free",    "log",
-                                           "data",         "dead",    "retired"};
-  std::vector<uint8_t> cls(total_blocks, kUnknown);
-  auto classify = [&](PhysBlock b, uint8_t c) {
-    ++report.checks_run;
-    if (b >= total_blocks) {
-      report.Add("block.range", Fmt("%s block %llu out of range", kClassName[c],
-                                    (unsigned long long)b));
-      return;
-    }
-    if (cls[b] != kUnknown) {
-      report.Add("block.partition", Fmt("block %llu is both %s and %s", (unsigned long long)b,
-                                        kClassName[cls[b]], kClassName[c]));
-      return;
-    }
-    cls[b] = c;
-  };
-  uint64_t retired_count = 0;
-  ssc.allocator_->ForEachFree([&](PhysBlock b) { classify(b, kFree); });
-  ssc.allocator_->ForEachRetired([&](PhysBlock b) {
-    ++retired_count;
-    classify(b, kRetired);
-  });
-  for (PhysBlock b : ssc.log_blocks_) {
-    classify(b, kLog);
-  }
-  ssc.block_map_.ForEach(
-      [&](uint64_t, const SscDevice::BlockEntry& e) { classify(e.phys, kData); });
-  for (PhysBlock b : ssc.dead_blocks_) {
-    classify(b, kDead);
-  }
-  for (PhysBlock b = 0; b < total_blocks; ++b) {
-    ++report.checks_run;
-    if (cls[b] == kUnknown) {
-      report.Add("block.partition", Fmt("block %llu belongs to no category (free/log/data/dead)",
-                                        (unsigned long long)b));
-    }
-    // A free block must be fully erased or the next ProgramPage on it fails.
-    if (cls[b] == kFree) {
-      ++report.checks_run;
-      if (!device.BlockErased(b)) {
-        report.Add("allocator.free-erased",
-                   Fmt("free block %llu has write pointer %u", (unsigned long long)b,
-                       device.write_pointer(b)));
-      }
-      // Erase resets the read-disturb counter and free pages refuse reads, so
-      // a free block carrying disturb exposure means an erase skipped the
-      // reset (the block would enter service pre-aged).
-      ++report.checks_run;
-      if (device.ReadsSinceErase(b) != 0) {
-        report.Add("endurance.disturb-reset",
-                   Fmt("free block %llu carries %llu reads since erase", (unsigned long long)b,
-                       (unsigned long long)device.ReadsSinceErase(b)));
-      }
-    }
-    // A bad block must be retired: handing it back out would lose every
-    // write sent to it. (flashcheck --break-retry deliberately violates this
-    // to prove the audit notices.)
-    ++report.checks_run;
-    if (device.BlockBad(b) && cls[b] != kRetired) {
-      report.Add("endurance.bad-not-retired",
-                 Fmt("bad block %llu is classified %s, not retired", (unsigned long long)b,
-                     kClassName[cls[b]]));
-    }
-    // Retirement is for failed media only: a healthy block parked in the
-    // retired set would silently shrink the cache.
-    if (cls[b] == kRetired) {
-      ++report.checks_run;
-      if (!device.BlockBad(b)) {
-        report.Add("allocator.retired-bad",
-                   Fmt("retired block %llu is not marked bad by the device",
-                       (unsigned long long)b));
-      }
-    }
-  }
+  std::vector<PhysBlock> data;
+  ssc.block_map_.ForEach([&](uint64_t, const SscDevice::BlockEntry& e) { data.push_back(e.phys); });
+  const std::vector<PhysBlock> dead(ssc.dead_blocks_.begin(), ssc.dead_blocks_.end());
+  const std::vector<uint8_t> cls = CheckFtlBlocks(ssc, data, dead, &report);
 
   // Page-level forward map vs medium, OOB reverse map, and log contents.
   std::unordered_map<PhysBlock, uint64_t> log_refs;  // block -> referenced offsets
@@ -260,10 +330,10 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
                  Fmt("lbn %llu lives in %s block %llu (page-mapped data must stay in log blocks)",
                      (unsigned long long)lbn, kClassName[cls[b]], (unsigned long long)b));
     }
-    const auto it = ssc.log_contents_.find(b);
+    const std::vector<uint64_t>& lpns = ssc.log_contents_[b];
     const uint32_t off = g.PageOf(ppn);
     ++report.checks_run;
-    if (it == ssc.log_contents_.end() || off >= it->second.size() || it->second[off] != lbn) {
+    if (off >= lpns.size() || lpns[off] != lbn) {
       report.Add("page-map.log-contents",
                  Fmt("lbn %llu at ppn %llu disagrees with the log-contents reverse map",
                      (unsigned long long)lbn, (unsigned long long)ppn));
@@ -351,44 +421,7 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
     }
   }
 
-  // Log blocks: the per-block contents list mirrors the write pointer, and
-  // every valid page in a log block is referenced by the page map (an
-  // unreferenced valid page would resurrect stale data in recovery).
-  for (const auto& [b, lpns] : ssc.log_contents_) {
-    ++report.checks_run;
-    if (b >= total_blocks || cls[b] != kLog) {
-      report.Add("log.contents-stale", Fmt("log_contents has non-log block %llu",
-                                           (unsigned long long)b));
-      continue;
-    }
-    ++report.checks_run;
-    if (lpns.size() != device.write_pointer(b)) {
-      report.Add("log.contents-length",
-                 Fmt("log block %llu: %zu recorded pages, write pointer %u",
-                     (unsigned long long)b, lpns.size(), device.write_pointer(b)));
-    }
-    const uint64_t refs = [&] {
-      const auto it = log_refs.find(b);
-      return it != log_refs.end() ? it->second : uint64_t{0};
-    }();
-    for (uint32_t off = 0; off < device.write_pointer(b); ++off) {
-      const bool valid = device.page_state(g.FirstPpnOf(b) + off) == PageState::kValid;
-      const bool referenced = ((refs >> off) & 1u) != 0;
-      ++report.checks_run;
-      if (valid && !referenced) {
-        report.Add("log.unreferenced-valid",
-                   Fmt("log block %llu offset %u is valid but not page-mapped",
-                       (unsigned long long)b, off));
-      }
-    }
-  }
-  for (PhysBlock b : ssc.log_blocks_) {
-    ++report.checks_run;
-    if (b < total_blocks && ssc.log_contents_.find(b) == ssc.log_contents_.end()) {
-      report.Add("log.contents-missing", Fmt("log block %llu has no contents entry",
-                                             (unsigned long long)b));
-    }
-  }
+  CheckFtlLog(ssc, cls, log_refs, &report);
 
   // Cached/dirty page counters match the maps.
   ++report.checks_run;
@@ -408,6 +441,7 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
 
   // Capacity accounting is exact (clamped at zero): usable capacity is the
   // nominal capacity minus one full block of pages per retirement.
+  const uint64_t retired_count = ssc.allocator_->RetiredCount();
   const uint64_t retired_pages = retired_count * ppb;
   const uint64_t expect_usable = retired_pages >= ssc.config_.capacity_pages
                                      ? 0

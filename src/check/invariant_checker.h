@@ -11,7 +11,9 @@
 // Checked invariant families (see DESIGN.md "Consistency invariants"):
 //   * forward map <-> OOB reverse-map agreement (page- and block-level),
 //   * presence/dirty bitmaps <-> block allocator and medium state,
-//   * every erase block in exactly one of {free, log, data, dead},
+//   * every erase block in exactly one of {free, log, data, dead, retired},
+//     and log contents mirroring the medium — the half every hybrid-FTL
+//     device shares, audited for the SSD too,
 //   * cached/dirty page counters match the maps,
 //   * LSN monotonicity and checkpoint coverage in the PersistenceManager,
 //   * dirty-table <-> SSC dirty-bit agreement for the write-back manager.
@@ -25,16 +27,22 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
+
+#include "src/flash/types.h"
 
 namespace flashtier {
 
+template <class Device>
+class HybridFtl;
 class AdmissionPolicy;
 class CacheManager;
 class KvCache;
 class KvShard;
 class PersistenceManager;
 class SscDevice;
+class SsdFtl;
 class WriteBackManager;
 struct ShardRouter;
 
@@ -69,6 +77,11 @@ class InvariantChecker {
   // Audits the SSC's internal structures against each other and against the
   // flash medium, including its persistence manager.
   static CheckReport Check(const SscDevice& ssc);
+
+  // Audits the baseline SSD: the hybrid-FTL structures it shares with the
+  // SSC (block partition, free/bad-block state, log contents against the
+  // medium and its page map).
+  static CheckReport Check(const SsdFtl& ssd);
 
   // Audits the write-back manager's dirty table against the SSC's dirty
   // bits (both directions), then audits the SSC itself.
@@ -113,6 +126,23 @@ class InvariantChecker {
   static CheckReport CheckKv(const KvCache& cache, bool faults_possible = false);
 
  private:
+  // The engine-level audit (src/ftl/hybrid_ftl.h), in two halves that
+  // bracket a device's own map checks. CheckFtlBlocks classifies every erase
+  // block as free, retired, log, one of the device's `data` blocks or one of
+  // its `dead` (unreferenced, not yet erased) blocks, checks the partition
+  // and the free/bad-block medium state, and returns the classes.
+  // CheckFtlLog checks each log block's contents against its write pointer
+  // and that every valid log page is one of the device's `log_refs` (block
+  // -> offsets its page map references).
+  template <class Device>
+  static std::vector<uint8_t> CheckFtlBlocks(const HybridFtl<Device>& ftl,
+                                             const std::vector<PhysBlock>& data,
+                                             const std::vector<PhysBlock>& dead,
+                                             CheckReport* report);
+  template <class Device>
+  static void CheckFtlLog(const HybridFtl<Device>& ftl, const std::vector<uint8_t>& cls,
+                          const std::unordered_map<PhysBlock, uint64_t>& log_refs,
+                          CheckReport* report);
   static CheckReport CheckSscOnly(const SscDevice& ssc);
   static bool SscHolds(const SscDevice& ssc, uint64_t lbn);
   // Medium view of one slab page for the KV audit: whether `lbn` is present

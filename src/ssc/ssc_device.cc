@@ -1,7 +1,9 @@
 #include "src/ssc/ssc_device.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <unordered_map>
 
 namespace flashtier {
 
@@ -21,9 +23,9 @@ SscDevice::SscDevice(const SscConfig& config, SimClock* clock)
       (config.capacity_pages + probe.pages_per_block - 1) / probe.pages_per_block;
   FlashGeometry geometry = FlashGeometry::ForCapacity(
       (capacity_blocks + kSpareBlocks) * probe.EraseBlockBytes(), probe);
-  device_ = std::make_unique<FlashDevice>(geometry, config.timings, clock,
-                                          /*store_data=*/false, config.fault_plan);
-  allocator_ = std::make_unique<BlockAllocator>(*device_, /*reserved_blocks=*/0);
+  AttachFlash(std::make_unique<FlashDevice>(geometry, config.timings, clock,
+                                            /*store_data=*/false, config.fault_plan));
+  break_retirement_for_testing_ = config.break_retirement_for_testing;
   PersistenceManager::Options popts;
   popts.mode = config.mode;
   popts.group_commit_ops = config.group_commit_ops;
@@ -50,7 +52,7 @@ uint32_t SscDevice::LogBlockLimit() const {
   // until EnsureFreeBlocks dead-ends.
   const uint64_t capacity_blocks = (usable_capacity_pages() + ppb - 1) / ppb;
   const double fraction = config_.policy == EvictionPolicy::kSeUtil
-                              ? config_.log_fraction
+                              ? kLogReserveFraction
                               : config_.max_log_fraction;
   return std::max<uint32_t>(
       2, static_cast<uint32_t>(static_cast<double>(capacity_blocks) * fraction));
@@ -134,36 +136,15 @@ Status SscDevice::WriteInternal(Lbn lbn, uint64_t token, bool dirty) {
     return Status::kBackpressure;
   }
   ++ftl_stats_.host_writes;
-  if (Status s = EnsureFreeBlocks(kMinFreeBlocks); !IsOk(s)) {
-    return s;
-  }
-  if (Status s = EnsureActiveLogBlock(); !IsOk(s)) {
-    return s;
-  }
-
   // Program first, so a write the medium rejects fails with no mapping or
   // log-record side effects: the cache still holds exactly what it held
-  // before (failure atomicity). A program failure poisons the whole block,
-  // so each retry moves to a freshly opened log block; the aborted block
-  // stays in the log FIFO (its earlier pages are still live) until a merge
-  // reclaims it.
+  // before (failure atomicity).
   OobRecord oob;
   oob.lbn = lbn;
   oob.flags = dirty ? 1 : 0;
   Ppn ppn = kInvalidPpn;
-  PhysBlock active = log_blocks_.back();
-  Status ps = device_->ProgramPage(active, oob, token, nullptr, &ppn);
-  for (uint32_t retry = 0; ps == Status::kIoError && retry < config_.program_retry_limit;
-       ++retry) {
-    ++ftl_stats_.program_retries;
-    if (Status s = EnsureActiveLogBlock(); !IsOk(s)) {
-      return s;
-    }
-    active = log_blocks_.back();
-    ps = device_->ProgramPage(active, oob, token, nullptr, &ppn);
-  }
-  if (!IsOk(ps)) {
-    return ps;
+  if (Status s = AppendToLog(kMinFreeBlocks, oob, token, &ppn); !IsOk(s)) {
+    return s;
   }
 
   // An overwrite's remove and insert records must commit together: if a
@@ -172,7 +153,6 @@ Status SscDevice::WriteInternal(Lbn lbn, uint64_t token, bool dirty) {
   PersistenceManager::AtomicBatchScope batch(persist_.get());
   const bool had_old = InvalidateOldVersion(lbn);
   page_map_.Insert(lbn, Pack(ppn, dirty));
-  log_contents_[active].push_back(lbn);
   ++cached_pages_;  // InvalidateOldVersion decremented it if this is an overwrite
   if (dirty) {
     ++dirty_pages_;
@@ -259,15 +239,7 @@ bool SscDevice::InvalidateOldVersion(Lbn lbn) {
   rec.dirty_bits = uint64_t{1} << off;  // mask of bits cleared
   persist_->Append(rec, /*sync=*/false);
   if (e->present_bits == 0) {
-    const PhysBlock phys = e->phys;
-    block_map_.Erase(logical);
-    LogRecord rm;
-    rm.lsn = persist_->NextLsn();
-    rm.type = LogOpType::kRemoveBlock;
-    rm.key = logical;
-    persist_->Append(rm, /*sync=*/false);
-    phys_to_logical_[phys] = kInvalidLbn;
-    dead_blocks_.push_back(phys);
+    RemoveDataBlock(logical);
   }
   return true;
 }
@@ -378,13 +350,8 @@ uint32_t SscDevice::BackgroundCollect(uint64_t budget_us) {
   return reclaimed;
 }
 
-bool SscDevice::WearLevelOnce(uint32_t max_wear_diff) {
-  if (device_->MaxWearDiff() <= max_wear_diff) {
-    return false;
-  }
-  // Move the data block sitting on the least-worn flash (statistically the
-  // coldest) onto the most-worn free block, retiring the young block into
-  // the allocation pool where it will absorb future erases.
+bool SscDevice::ColdestDataBlock(PhysBlock* phys, LogicalBlock* logical) const {
+  // Section 3.3: the device "may relocate data to perform wear leveling".
   PhysBlock coldest = kInvalidBlock;
   uint32_t coldest_wear = ~0u;
   for (PhysBlock b = 0; b < device_->geometry().TotalBlocks(); ++b) {
@@ -396,18 +363,8 @@ bool SscDevice::WearLevelOnce(uint32_t max_wear_diff) {
   if (coldest == kInvalidBlock) {
     return false;
   }
-  const PhysBlock destination = allocator_->AllocateMostWorn();
-  if (destination == kInvalidBlock) {
-    return false;
-  }
-  if (device_->erase_count(destination) <= coldest_wear + max_wear_diff) {
-    allocator_->Free(destination);  // spread is not where we can fix it
-    return false;
-  }
-  if (!IsOk(RelocateDataBlock(coldest, phys_to_logical_[coldest], destination))) {
-    return false;
-  }
-  ++ftl_stats_.wl_migrations;
+  *phys = coldest;
+  *logical = phys_to_logical_[coldest];
   return true;
 }
 
@@ -441,78 +398,12 @@ uint32_t SscDevice::PatrolFlash(uint32_t max_blocks) {
     if (destination == kInvalidBlock) {
       break;  // no slack this pass; the cursor resumes here next time
     }
-    if (IsOk(RelocateDataBlock(b, logical, destination))) {
+    if (IsOk(RelocateDataBlock(logical, destination))) {
       ++refreshed;
       ++ftl_stats_.patrol_repairs;
     }
   }
   return refreshed;
-}
-
-Status SscDevice::RelocateDataBlock(PhysBlock phys, uint64_t logical, PhysBlock destination) {
-  BlockEntry* e = block_map_.Find(logical);
-  if (e == nullptr || e->phys != phys) {
-    allocator_->Free(destination);
-    return Status::kInvalidArgument;
-  }
-  const FlashGeometry& g = device_->geometry();
-  const uint32_t ppb = g.pages_per_block;
-  uint64_t present = 0;
-  uint64_t dirty = 0;
-  bool dst_failed = false;
-  for (uint32_t off = 0; off < ppb; ++off) {
-    if (((e->present_bits >> off) & 1u) == 0) {
-      if (!dst_failed) {
-        AssertOk(device_->SkipPage(destination));
-      }
-      continue;
-    }
-    const Lbn lbn = logical * ppb + off;
-    const Ppn src = g.FirstPpnOf(phys) + off;
-    const bool src_dirty = ((e->dirty_bits >> off) & 1u) != 0;
-    Status cs = dst_failed ? Status::kIoError : device_->CopyPage(src, destination, nullptr);
-    if (cs == Status::kCorrupt || cs == Status::kIoError) {
-      // Either the source is unreadable or the destination stopped taking
-      // programs; both ways this page cannot move, and the source block is
-      // being vacated — the page is lost.
-      dst_failed = dst_failed || cs == Status::kIoError;
-      AssertOk(device_->MarkInvalid(src));
-      --cached_pages_;
-      if (src_dirty) {
-        --dirty_pages_;
-      }
-      NoteLoss(lbn, src_dirty);
-      if (cs == Status::kCorrupt) {
-        AssertOk(device_->SkipPage(destination));
-      }
-      continue;
-    }
-    if (!IsOk(cs)) {
-      return cs;
-    }
-    present |= uint64_t{1} << off;
-    if (src_dirty) {
-      dirty |= uint64_t{1} << off;
-    }
-  }
-  if (present == 0) {
-    block_map_.Erase(logical);
-    LogRecord rm;
-    rm.lsn = persist_->NextLsn();
-    rm.type = LogOpType::kRemoveBlock;
-    rm.key = logical;
-    persist_->Append(rm, /*sync=*/false);
-    phys_to_logical_[phys] = kInvalidLbn;
-    dead_blocks_.push_back(phys);
-    if (device_->BlockErased(destination) && !device_->BlockProgramFailed(destination)) {
-      allocator_->Free(destination);
-    } else {
-      dead_blocks_.push_back(destination);
-    }
-    return Status::kIoError;
-  }
-  InstallDataBlock(logical, destination, present, dirty);
-  return Status::kOk;
 }
 
 void SscDevice::ChargeExistsScan() {
@@ -530,71 +421,11 @@ bool SscDevice::ReclaimDeadBlock() {
   if (dead_blocks_.empty()) {
     return false;
   }
-  // Blocks with no live data: erase lazily. Mapping removals that made them
-  // dead must be durable before the space is reused.
-  persist_->Flush();
+  // Blocks with no live data: erase lazily.
   const PhysBlock b = dead_blocks_.front();
   dead_blocks_.pop_front();
   EraseOrRetire(b);
   return true;
-}
-
-void SscDevice::EraseOrRetire(PhysBlock block) {
-  if (IsOk(device_->EraseBlock(block)) || config_.break_retirement_for_testing) {
-    allocator_->Free(block);
-  } else {
-    allocator_->Retire(block);
-    ++ftl_stats_.retired_blocks;
-  }
-  persist_->NotifyEraseBarrier();
-}
-
-Status SscDevice::EnsureFreeBlocks(uint32_t want) {
-  // Bound the loop: every iteration either frees a block or fails.
-  for (uint32_t attempt = 0; attempt < device_->geometry().TotalBlocks() + 4; ++attempt) {
-    if (allocator_->FreeCount() >= want) {
-      return Status::kOk;
-    }
-    if (ReclaimDeadBlock()) {
-      continue;
-    }
-    if (CollectFullestPlane()) {
-      continue;
-    }
-    if (log_blocks_.size() > 1) {
-      if (Status s = MergeOldestLogBlock(); !IsOk(s)) {
-        return s;
-      }
-      continue;
-    }
-    return Status::kNoSpace;
-  }
-  return Status::kNoSpace;
-}
-
-Status SscDevice::EnsureActiveLogBlock() {
-  if (!log_blocks_.empty() && !device_->BlockFull(log_blocks_.back()) &&
-      !device_->BlockProgramFailed(log_blocks_.back())) {
-    return Status::kOk;
-  }
-  if (log_blocks_.size() >= LogBlockLimit()) {
-    if (Status s = MergeOldestLogBlock(); !IsOk(s)) {
-      return s;
-    }
-  }
-  PhysBlock block = allocator_->Allocate();
-  if (block == kInvalidBlock) {
-    if (Status s = EnsureFreeBlocks(1); !IsOk(s)) {
-      return s;
-    }
-    block = allocator_->Allocate();
-    if (block == kInvalidBlock) {
-      return Status::kNoSpace;
-    }
-  }
-  log_blocks_.push_back(block);
-  log_contents_[block].clear();
-  return Status::kOk;
 }
 
 bool SscDevice::CollectFullestPlane() {
@@ -669,8 +500,6 @@ void SscDevice::SilentlyEvict(PhysBlock phys, uint64_t logical) {
   rec.key = logical;
   persist_->Append(rec, /*sync=*/false);
   phys_to_logical_[phys] = kInvalidLbn;
-  // The removal must be durable before the block's space can be reused.
-  persist_->Flush();
   EraseOrRetire(phys);
 }
 
@@ -726,256 +555,45 @@ void SscDevice::InstallDataBlock(uint64_t logical, PhysBlock phys, uint64_t pres
   phys_to_logical_[phys] = logical;
   block_birth_[phys] = ++birth_counter_;
   if (old_phys != kInvalidBlock) {
-    persist_->Flush();
     EraseOrRetire(old_phys);
   }
 }
 
-bool SscDevice::TrySwitchOrPartialMerge(PhysBlock victim) {
-  const FlashGeometry& g = device_->geometry();
-  const uint32_t ppb = g.pages_per_block;
-  const auto it = log_contents_.find(victim);
-  if (it == log_contents_.end() || it->second.empty()) {
-    return false;
+void SscDevice::DropLostPage(Lbn lbn, bool dirty) {
+  NoteLoss(lbn, dirty);
+  --cached_pages_;
+  if (dirty) {
+    --dirty_pages_;
   }
-  const std::vector<Lbn>& lpns = it->second;
-  if (lpns[0] % ppb != 0) {
-    return false;
-  }
-  // The merge's page-map removes and its block-map insert commit together
-  // (see InstallDataBlock); an intermediate group commit would tear them.
-  PersistenceManager::AtomicBatchScope merge_batch(persist_.get());
-  const uint64_t logical = lpns[0] / ppb;
-  const Ppn base = g.FirstPpnOf(victim);
-  for (size_t i = 0; i < lpns.size(); ++i) {
-    if (lpns[i] != logical * ppb + i || device_->page_state(base + i) != PageState::kValid) {
-      return false;
-    }
-  }
-
-  uint64_t present = 0;
-  uint64_t dirty = 0;
-  // The sequential prefix: page-mapped today, block-mapped after the switch.
-  for (size_t i = 0; i < lpns.size(); ++i) {
-    const uint64_t* packed = page_map_.Find(lpns[i]);
-    assert(packed != nullptr && PackedPpn(*packed) == base + i);
-    present |= uint64_t{1} << i;
-    if (PackedDirty(*packed)) {
-      dirty |= uint64_t{1} << i;
-    }
-    RetireLogPage(lpns[i]);
-  }
-
-  const bool full = lpns.size() == ppb;
-  if (!full) {
-    // Partial merge: complete the tail from wherever the newest version of
-    // each remaining offset lives (another log block or the old data block).
-    BlockEntry* old = block_map_.Find(logical);
-    bool dst_failed = false;
-    for (uint32_t off = static_cast<uint32_t>(lpns.size()); off < ppb; ++off) {
-      const Lbn lbn = logical * ppb + off;
-      Ppn src = kInvalidPpn;
-      bool src_dirty = false;
-      bool from_log = false;
-      if (const uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
-        src = PackedPpn(*packed);
-        src_dirty = PackedDirty(*packed);
-        from_log = true;
-      } else if (old != nullptr && ((old->present_bits >> off) & 1u) != 0) {
-        src = g.FirstPpnOf(old->phys) + off;
-        src_dirty = ((old->dirty_bits >> off) & 1u) != 0;
-      }
-      if (src == kInvalidPpn) {
-        if (!dst_failed) {
-          AssertOk(device_->SkipPage(victim));
-        }
-        continue;
-      }
-      if (dst_failed) {
-        // The victim aborted a program and can take no more. Log-resident
-        // pages simply stay page-mapped; pages whose only copy is the old
-        // data block go down with it.
-        if (!from_log) {
-          AssertOk(device_->MarkInvalid(src));
-          --cached_pages_;
-          if (src_dirty) {
-            --dirty_pages_;
-          }
-          NoteLoss(lbn, src_dirty);
-        }
-        continue;
-      }
-      const Status cs = device_->CopyPage(src, victim, nullptr);
-      if (cs == Status::kCorrupt) {
-        // Unreadable source: the cached copy is lost; drop its mapping and
-        // keep the offsets aligned with a skip. Report the loss before the
-        // remove record — its append can crash-commit the removal.
-        NoteLoss(lbn, src_dirty);
-        AssertOk(device_->MarkInvalid(src));
-        if (from_log) {
-          RetireLogPage(lbn);
-        }
-        --cached_pages_;
-        if (src_dirty) {
-          --dirty_pages_;
-        }
-        AssertOk(device_->SkipPage(victim));
-        continue;
-      }
-      if (cs == Status::kIoError) {
-        dst_failed = true;
-        if (!from_log) {
-          AssertOk(device_->MarkInvalid(src));
-          --cached_pages_;
-          if (src_dirty) {
-            --dirty_pages_;
-          }
-          NoteLoss(lbn, src_dirty);
-        }
-        continue;
-      }
-      if (!IsOk(cs)) {
-        AssertOk(device_->SkipPage(victim));
-        continue;
-      }
-      if (from_log) {
-        RetireLogPage(lbn);
-      }
-      present |= uint64_t{1} << off;
-      if (src_dirty) {
-        dirty |= uint64_t{1} << off;
-      }
-    }
-    ++ftl_stats_.partial_merges;
-  } else {
-    ++ftl_stats_.switch_merges;
-  }
-
-  log_contents_.erase(victim);
-  InstallDataBlock(logical, victim, present, dirty);
-  return true;
 }
 
-Status SscDevice::MergeLogicalBlock(uint64_t logical) {
-  const FlashGeometry& g = device_->geometry();
-  const uint32_t ppb = g.pages_per_block;
-  // As in TrySwitchOrPartialMerge: the RetireLogPage removes below and the
-  // final block-map insert must not be torn across a group-commit flush.
-  PersistenceManager::AtomicBatchScope merge_batch(persist_.get());
-  PhysBlock fresh = allocator_->Allocate();
-  while (fresh == kInvalidBlock) {
-    // Make room without copying if we can: erase dead blocks, then silently
-    // evict clean blocks. Fail (with no side effects) only when neither works.
-    if (!ReclaimDeadBlock() && !CollectFullestPlane()) {
-      return Status::kNoSpace;
-    }
-    fresh = allocator_->Allocate();
+void SscDevice::RemoveDataBlock(uint64_t logical) {
+  const BlockEntry* e = block_map_.Find(logical);
+  if (e == nullptr) {
+    return;
   }
+  const PhysBlock phys = e->phys;
+  block_map_.Erase(logical);
+  LogRecord rm;
+  rm.lsn = persist_->NextLsn();
+  rm.type = LogOpType::kRemoveBlock;
+  rm.key = logical;
+  persist_->Append(rm, /*sync=*/false);
+  phys_to_logical_[phys] = kInvalidLbn;
+  dead_blocks_.push_back(phys);
+}
 
-  BlockEntry* old = block_map_.Find(logical);
-  uint64_t present = 0;
-  uint64_t dirty = 0;
-  bool dst_failed = false;
-  for (uint32_t off = 0; off < ppb; ++off) {
-    const Lbn lbn = logical * ppb + off;
-    Ppn src = kInvalidPpn;
-    bool src_dirty = false;
-    bool from_log = false;
-    if (const uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
-      src = PackedPpn(*packed);
-      src_dirty = PackedDirty(*packed);
-      from_log = true;
-    } else if (old != nullptr && ((old->present_bits >> off) & 1u) != 0) {
-      src = g.FirstPpnOf(old->phys) + off;
-      src_dirty = ((old->dirty_bits >> off) & 1u) != 0;
-    }
-    if (src == kInvalidPpn) {
-      if (!dst_failed) {
-        AssertOk(device_->SkipPage(fresh));
-      }
-      continue;
-    }
-    if (dst_failed) {
-      // The destination aborted a program mid-merge. Log-resident pages stay
-      // page-mapped (still live where they are); pages whose only copy is
-      // the old data block are lost, because that block is being reclaimed.
-      if (!from_log) {
-        AssertOk(device_->MarkInvalid(src));
-        --cached_pages_;
-        if (src_dirty) {
-          --dirty_pages_;
-        }
-        NoteLoss(lbn, src_dirty);
-      }
-      continue;
-    }
-    const Status cs = device_->CopyPage(src, fresh, nullptr);
-    if (cs == Status::kCorrupt) {
-      // Unreadable source: drop the page rather than abort the merge — a
-      // clean page is a future miss, a dirty one is counted as data loss.
-      // Report before the remove record: its append can crash-commit the
-      // removal, and an unreported loss reads as a broken G1.
-      NoteLoss(lbn, src_dirty);
-      AssertOk(device_->MarkInvalid(src));
-      if (from_log) {
-        RetireLogPage(lbn);
-        old = block_map_.Find(logical);
-      }
-      --cached_pages_;
-      if (src_dirty) {
-        --dirty_pages_;
-      }
-      AssertOk(device_->SkipPage(fresh));
-      continue;
-    }
-    if (cs == Status::kIoError) {
-      dst_failed = true;
-      if (!from_log) {
-        AssertOk(device_->MarkInvalid(src));
-        --cached_pages_;
-        if (src_dirty) {
-          --dirty_pages_;
-        }
-        NoteLoss(lbn, src_dirty);
-      }
-      continue;
-    }
-    if (!IsOk(cs)) {
-      return cs;
-    }
-    if (from_log) {
-      RetireLogPage(lbn);
-      old = block_map_.Find(logical);  // map may rehash on erase
-    }
-    present |= uint64_t{1} << off;
-    if (src_dirty) {
-      dirty |= uint64_t{1} << off;
-    }
+std::optional<Status> SscDevice::TryForwardCopy(PhysBlock victim) {
+  // Forward-copying pays only when most of the victim is superseded; a
+  // mostly-live victim would just rotate through the log (copying its pages
+  // to the frontier over and over), so consolidate it into data blocks
+  // instead. The log may not outgrow the fraction its page-level mappings
+  // reserved memory for (Section 5: 0-20% for SSC-R).
+  if (config_.policy != EvictionPolicy::kSeMerge || log_blocks_.size() >= LogBlockLimit() ||
+      device_->valid_pages(victim) > device_->geometry().pages_per_block / 2) {
+    return std::nullopt;
   }
-  if (present == 0) {
-    // Nothing survived into the fresh block (every source was lost, or the
-    // destination failed immediately). Remove the now-empty old entry and
-    // send both blocks through the dead queue instead of installing.
-    if (old != nullptr) {
-      const PhysBlock old_phys = old->phys;
-      block_map_.Erase(logical);
-      LogRecord rm;
-      rm.lsn = persist_->NextLsn();
-      rm.type = LogOpType::kRemoveBlock;
-      rm.key = logical;
-      persist_->Append(rm, /*sync=*/false);
-      phys_to_logical_[old_phys] = kInvalidLbn;
-      dead_blocks_.push_back(old_phys);
-    }
-    if (device_->BlockErased(fresh) && !device_->BlockProgramFailed(fresh)) {
-      allocator_->Free(fresh);
-    } else {
-      dead_blocks_.push_back(fresh);
-    }
-    return Status::kOk;
-  }
-  InstallDataBlock(logical, fresh, present, dirty);
-  return Status::kOk;
+  return ForwardCopyLogBlock(victim);
 }
 
 Status SscDevice::ForwardCopyLogBlock(PhysBlock victim) {
@@ -983,61 +601,44 @@ Status SscDevice::ForwardCopyLogBlock(PhysBlock victim) {
   // pages are copied forward to the log frontier (still page-mapped), and
   // data blocks are only created by switch merges. Copy cost is one page per
   // *live* page — overwrite-heavy workloads leave log victims nearly empty.
-  const FlashGeometry& g = device_->geometry();
-  const Ppn base = g.FirstPpnOf(victim);
-  const auto contents_it = log_contents_.find(victim);
-  const std::vector<Lbn> lpns =
-      contents_it != log_contents_.end() ? contents_it->second : std::vector<Lbn>{};
+  const Ppn base = device_->geometry().FirstPpnOf(victim);
+  const std::vector<Lbn>& lpns = log_contents_[victim];
   for (size_t i = 0; i < lpns.size(); ++i) {
     if (device_->page_state(base + i) != PageState::kValid) {
       continue;
     }
     const Lbn lbn = lpns[i];
-    uint64_t* packed = page_map_.Find(lbn);
+    const uint64_t* packed = page_map_.Find(lbn);
     assert(packed != nullptr && PackedPpn(*packed) == base + i);
     const bool dirty = PackedDirty(*packed);
     // Destination: the active log block, growing the log as needed. A
     // program abort poisons the frontier block, so retry on a fresh one.
     Status cs = Status::kIoError;
     Ppn dst = kInvalidPpn;
-    for (uint32_t attempt = 0; cs == Status::kIoError && attempt <= config_.program_retry_limit;
+    for (uint32_t attempt = 0; cs == Status::kIoError && attempt <= kProgramRetryLimit;
          ++attempt) {
       if (attempt > 0) {
         ++ftl_stats_.program_retries;
       }
-      if (log_blocks_.empty() || device_->BlockFull(log_blocks_.back()) ||
-          device_->BlockProgramFailed(log_blocks_.back())) {
-        PhysBlock fresh = allocator_->Allocate();
-        while (fresh == kInvalidBlock) {
-          if (!ReclaimDeadBlock() && !CollectFullestPlane()) {
-            return Status::kNoSpace;
-          }
-          fresh = allocator_->Allocate();
+      if (!ActiveLogBlockWritable()) {
+        const PhysBlock fresh = AllocateWithoutCopying();
+        if (fresh == kInvalidBlock) {
+          return Status::kNoSpace;
         }
-        log_blocks_.push_back(fresh);
-        log_contents_[fresh].clear();
+        OpenLogBlock(fresh);
       }
       cs = device_->CopyPage(base + i, log_blocks_.back(), &dst);
     }
     if (cs == Status::kCorrupt) {
-      // Unreadable source: the page cannot move forward; drop it. Report the
-      // loss before the remove record — its append can crash-commit the
-      // removal.
-      NoteLoss(lbn, dirty);
-      AssertOk(device_->MarkInvalid(base + i));
-      RetireLogPage(lbn);
-      --cached_pages_;
-      if (dirty) {
-        --dirty_pages_;
-      }
+      // Unreadable source: the page cannot move forward; drop it.
+      DropPage(lbn, {base + i, dirty, /*from_log=*/true});
       continue;
     }
     if (!IsOk(cs)) {
       return cs;
     }
-    const PhysBlock active = log_blocks_.back();
     page_map_.Insert(lbn, Pack(dst, dirty));
-    log_contents_[active].push_back(lbn);
+    log_contents_[log_blocks_.back()].push_back(lbn);
     LogRecord rec;
     rec.lsn = persist_->NextLsn();
     rec.type = LogOpType::kInsertPage;
@@ -1046,80 +647,7 @@ Status SscDevice::ForwardCopyLogBlock(PhysBlock victim) {
     rec.dirty_bits = dirty ? 1 : 0;
     persist_->Append(rec, /*sync=*/false);
   }
-  log_contents_.erase(victim);
-  persist_->Flush();
-  EraseOrRetire(victim);
-  return Status::kOk;
-}
-
-Status SscDevice::MergeOldestLogBlock() {
-  if (log_blocks_.size() <= 1) {
-    return Status::kNoSpace;
-  }
-  ++ftl_stats_.gc_invocations;
-  const PhysBlock victim = log_blocks_.front();
-  log_blocks_.pop_front();
-
-  if (TrySwitchOrPartialMerge(victim)) {
-    return Status::kOk;
-  }
-
-  // Forward-copying pays only when most of the victim is superseded; a
-  // mostly-live victim would just rotate through the log (copying its pages
-  // to the frontier over and over), so consolidate it into data blocks
-  // instead. The log may not outgrow the fraction its page-level mappings
-  // reserved memory for (Section 5: 0-20% for SSC-R).
-  if (config_.policy == EvictionPolicy::kSeMerge &&
-      log_blocks_.size() < LogBlockLimit() &&
-      device_->valid_pages(victim) <= device_->geometry().pages_per_block / 2) {
-    const Status s = ForwardCopyLogBlock(victim);
-    if (!IsOk(s)) {
-      // Could not place the remaining live pages (no space, or the medium
-      // kept rejecting programs); the victim is still a consistent log block
-      // (uncopied pages stay page-mapped into it).
-      log_blocks_.push_front(victim);
-    }
-    return s;
-  }
-
-  const FlashGeometry& g = device_->geometry();
-  const Ppn base = g.FirstPpnOf(victim);
-  std::vector<uint64_t> logicals;
-  const auto contents_it = log_contents_.find(victim);
-  if (contents_it != log_contents_.end()) {
-    const std::vector<Lbn>& lpns = contents_it->second;
-    for (size_t i = 0; i < lpns.size(); ++i) {
-      if (device_->page_state(base + i) == PageState::kValid) {
-        const uint64_t l = lpns[i] / g.pages_per_block;
-        if (std::find(logicals.begin(), logicals.end(), l) == logicals.end()) {
-          logicals.push_back(l);
-        }
-      }
-    }
-  }
-  for (size_t i = 0; i < logicals.size(); ++i) {
-    if (Status s = MergeLogicalBlock(logicals[i]); !IsOk(s)) {
-      // MergeLogicalBlock fails only before copying anything (no destination
-      // block available), so the victim's remaining pages are still
-      // page-mapped and consistent: put it back and report the shortage
-      // instead of leaking it.
-      log_blocks_.push_front(victim);
-      return s;
-    }
-  }
-  if (!logicals.empty()) {
-    ++ftl_stats_.full_merges;
-  }
-
-  if (device_->valid_pages(victim) != 0) {
-    // A degraded merge (destination program failures) left some of the
-    // victim's pages page-mapped in place. The victim is still a consistent
-    // log block; put it back rather than orphaning live pages.
-    log_blocks_.push_front(victim);
-    return Status::kOk;
-  }
-  log_contents_.erase(victim);
-  persist_->Flush();
+  ReleaseLogContents(victim);
   EraseOrRetire(victim);
   return Status::kOk;
 }
@@ -1147,8 +675,7 @@ void SscDevice::SimulateCrash() {
 void SscDevice::ResetRamState() {
   block_map_.Clear();
   page_map_.Clear();
-  log_blocks_.clear();
-  log_contents_.clear();
+  ResetLog();
   dead_blocks_.clear();
   phys_to_logical_.assign(device_->geometry().TotalBlocks(), kInvalidLbn);
   block_birth_.assign(device_->geometry().TotalBlocks(), 0);
@@ -1357,10 +884,9 @@ Status SscDevice::Recover() {
   std::stable_partition(recovered_logs.begin(), recovered_logs.end(),
                         [&](const auto& p) { return device_->BlockFull(p.second); });
   for (const auto& [seq, b] : recovered_logs) {
-    log_blocks_.push_back(b);
-    std::vector<Lbn>& lpns = log_contents_[b];
+    OpenLogBlock(b);
     for (uint32_t off = 0; off < device_->write_pointer(b); ++off) {
-      lpns.push_back(device_->oob(g.FirstPpnOf(b) + off).lbn);
+      log_contents_[b].push_back(device_->oob(g.FirstPpnOf(b) + off).lbn);
     }
   }
 
@@ -1419,9 +945,7 @@ std::vector<CheckpointEntry> SscDevice::SnapshotForCheckpoint() const {
 
 size_t SscDevice::DeviceMemoryUsage() const {
   size_t bytes = block_map_.MemoryUsage() + page_map_.MemoryUsage();
-  for (const auto& [block, lpns] : log_contents_) {
-    bytes += sizeof(block) + lpns.capacity() * sizeof(Lbn);
-  }
+  bytes += LogContentsMemoryUsage();
   bytes += phys_to_logical_.capacity() * sizeof(Lbn);
   bytes += allocator_->MemoryUsage();
   bytes += persist_->MemoryUsage();
@@ -1431,15 +955,13 @@ size_t SscDevice::DeviceMemoryUsage() const {
 size_t SscDevice::ReservedDeviceMemoryUsage() const {
   // Page-level mappings must be reserved for the maximum log fraction
   // (Section 5): entry plus amortized group/bitmap overhead per bucket.
-  const double fraction = config_.policy == EvictionPolicy::kSeUtil ? config_.log_fraction
+  const double fraction = config_.policy == EvictionPolicy::kSeUtil ? kLogReserveFraction
                                                                     : config_.max_log_fraction;
   const auto reserved_entries =
       static_cast<uint64_t>(static_cast<double>(config_.capacity_pages) * fraction);
   const size_t per_entry = sizeof(SparseHashMap<Lbn, uint64_t>::Entry) + 2;
   size_t bytes = block_map_.MemoryUsage() + reserved_entries * per_entry;
-  for (const auto& [block, lpns] : log_contents_) {
-    bytes += sizeof(block) + lpns.capacity() * sizeof(Lbn);
-  }
+  bytes += LogContentsMemoryUsage();
   bytes += phys_to_logical_.capacity() * sizeof(Lbn);
   bytes += allocator_->MemoryUsage();
   bytes += persist_->MemoryUsage();

@@ -32,6 +32,14 @@
 // The SSC carries a few spare erase blocks for merge transients but no
 // over-provisioned capacity: when space runs out it evicts, which is the
 // point (Section 3.3).
+//
+// The log blocks, merges, wear leveling and fault handling are the hybrid-FTL
+// engine it shares with the baseline SSD (src/ftl/hybrid_ftl.h). This class
+// is the SSC's translation over that engine: the sparse unified maps with
+// their dirty bits, what a lost page means (G1 data loss or a miss), the
+// logged installation of data blocks, and reclamation without copying — the
+// dead-block queue and silent eviction — plus SE-Merge's forward copying,
+// patrol scrubbing, recovery and checkpoints.
 
 #ifndef FLASHTIER_SSC_SSC_DEVICE_H_
 #define FLASHTIER_SSC_SSC_DEVICE_H_
@@ -40,13 +48,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/flash/flash_device.h"
-#include "src/ftl/block_allocator.h"
-#include "src/ftl/ftl_stats.h"
+#include "src/ftl/hybrid_ftl.h"
 #include "src/sparsemap/sparse_hash_map.h"
 #include "src/ssc/persist.h"
 #include "src/util/bitmap.h"
@@ -65,8 +72,8 @@ struct SscConfig {
   uint64_t capacity_pages = 0;  // nominal cache capacity in 4 KB pages
   EvictionPolicy policy = EvictionPolicy::kSeUtil;
   ConsistencyMode mode = ConsistencyMode::kFull;
-  double log_fraction = 0.07;      // SE-Util: fixed; SE-Merge: initial
-  double max_log_fraction = 0.20;  // SE-Merge ceiling
+  // SE-Merge's log ceiling; SE-Util keeps the engine's fixed 7% reserve.
+  double max_log_fraction = 0.20;
   uint32_t group_commit_ops = 10'000;
   uint64_t checkpoint_interval_writes = 1'000'000;
   // Size of the dedicated log region in flash pages (0 = unbounded). The
@@ -83,9 +90,6 @@ struct SscConfig {
   // Fault injection (DESIGN.md §5d): forwarded to the FlashDevice. Disabled
   // by default, so ordinary configurations are unaffected.
   FaultPlan fault_plan;
-  // How many times a host write that hit a program failure is retried on a
-  // freshly allocated log block before reporting kIoError.
-  uint32_t program_retry_limit = 4;
   // Self-test knob (flashcheck --break-retry): return erase-failed blocks to
   // the free pool instead of retiring them, so the invariant checker's
   // partition audit provably detects the broken bad-block management.
@@ -105,7 +109,7 @@ struct SscConfig {
   uint32_t patrol_blocks_per_pass = 4;
 };
 
-class SscDevice {
+class SscDevice : public HybridFtl<SscDevice> {
  public:
   explicit SscDevice(const SscConfig& config, SimClock* clock);
 
@@ -151,12 +155,6 @@ class SscDevice {
   // during idle time, spending at most `budget_us` of device time. Returns
   // the number of blocks reclaimed.
   uint32_t BackgroundCollect(uint64_t budget_us);
-
-  // One wear-leveling pass (Section 3.3: the device "may relocate data to
-  // perform wear leveling"): if the wear spread exceeds `max_wear_diff`,
-  // relocates the data block sitting on the least-worn flash so the worn
-  // block re-enters the allocation pool. Returns true if it moved anything.
-  bool WearLevelOnce(uint32_t max_wear_diff);
 
   // One patrol-scrub pass (the flash-tier mirror of the disk tier's
   // ScrubDisk): walks data blocks from a persistent cursor and relocates
@@ -227,19 +225,11 @@ class SscDevice {
                             static_cast<double>(total);
   }
 
-  const FtlStats& ftl_stats() const { return ftl_stats_; }
-  const FlashStats& flash_stats() const { return device_->stats(); }
   const PersistStats& persist_stats() const { return persist_->stats(); }
-  const FlashDevice& device() const { return *device_; }
   // Mutable medium access for test harnesses (e.g. pausing fault injection
   // while a checker observes the device).
   FlashDevice* device_for_testing() { return device_.get(); }
   uint64_t last_recovery_us() const { return persist_->stats().last_recovery_us; }
-
-  double ExtraWritesPerBlock() const {
-    return ftl_stats_.ExtraWritesPerBlock(device_->stats().page_writes,
-                                          device_->stats().gc_copies);
-  }
 
   // Device-resident mapping memory actually in use (Table 4 "SSC" column).
   size_t DeviceMemoryUsage() const;
@@ -306,6 +296,7 @@ class SscDevice {
   }
 
  private:
+  friend class HybridFtl<SscDevice>;
   friend class InvariantChecker;
   friend class CheckTestPeer;  // injects corruption in invariant-checker tests
 
@@ -332,17 +323,11 @@ class SscDevice {
   // one existed. Appends the matching log records (not flushed).
   bool InvalidateOldVersion(Lbn lbn);
 
-  Status EnsureFreeBlocks(uint32_t want);
-  Status EnsureActiveLogBlock();
-  // Erases one block from the dead queue (flushing pending log records
-  // first) and returns it to the allocator. False if the queue is empty.
+  // Erases one block from the dead queue (EraseOrRetire flushes the pending
+  // log records first) and returns it to the allocator. False if the queue
+  // is empty.
   bool ReclaimDeadBlock();
-  uint32_t LogBlockLimit() const;
 
-  // Erases `block` and returns it to the free pool; on erase failure the
-  // block is retired as bad (never allocated again). Callers must have
-  // flushed the mapping removals that made the block reclaimable.
-  void EraseOrRetire(PhysBlock block);
   // Stats + data-loss hook for a page lost to a medium error. Does not touch
   // cached/dirty counters — callers adjust those through the path that
   // removed the mapping.
@@ -357,21 +342,61 @@ class SscDevice {
   // at least one block was reclaimed.
   bool CollectFullestPlane();
   void SilentlyEvict(PhysBlock phys, uint64_t logical);
-  // Moves a data block to `destination` (already allocated), preserving
-  // offsets; used by wear leveling.
-  Status RelocateDataBlock(PhysBlock phys, uint64_t logical, PhysBlock destination);
 
-  Status MergeOldestLogBlock();
-  Status MergeLogicalBlock(uint64_t logical);
   // SE-Merge log reclamation: copy live pages to the log frontier (no block
   // rebuild) and erase the victim.
   Status ForwardCopyLogBlock(PhysBlock victim);
-  bool TrySwitchOrPartialMerge(PhysBlock victim);
+
+  // ---- Translation for the hybrid-FTL engine (src/ftl/hybrid_ftl.h) ----
+
+  // SE-Util: the fixed reserve; SE-Merge: the ceiling.
+  uint32_t LogBlockLimit() const;
+  bool FreeWithoutCopying() { return ReclaimDeadBlock() || CollectFullestPlane(); }
+  // SE-Merge reclaims a mostly-superseded log victim by forward copying.
+  std::optional<Status> TryForwardCopy(PhysBlock victim);
+  // A merge's page-map removes and its block-map insert commit together; an
+  // intermediate group commit would tear them.
+  PersistenceManager::AtomicBatchScope MergeBatch() {
+    return PersistenceManager::AtomicBatchScope(persist_.get());
+  }
+  // Mapping removals that made a block reclaimable are durable before the
+  // block is erased, so a recovered mapping never references reused flash.
+  void BeforeErase() { persist_->Flush(); }
+  void AfterErase() { persist_->NotifyEraseBarrier(); }
+  void DisposeBlock(PhysBlock block) { dead_blocks_.push_back(block); }
+  auto PageSources(uint64_t logical, bool with_log) const {
+    const uint32_t ppb = device_->geometry().pages_per_block;
+    const BlockEntry* data = block_map_.Find(logical);
+    return [this, logical, with_log, ppb, data](uint32_t off) {
+      PageSource src;
+      if (with_log) {
+        if (const uint64_t* packed = page_map_.Find(logical * ppb + off); packed != nullptr) {
+          src.ppn = PackedPpn(*packed);
+          src.dirty = PackedDirty(*packed);
+          src.from_log = true;
+          return src;
+        }
+      }
+      if (data != nullptr && ((data->present_bits >> off) & 1u) != 0) {
+        src.ppn = device_->geometry().FirstPpnOf(data->phys) + off;
+        src.dirty = ((data->dirty_bits >> off) & 1u) != 0;
+      }
+      return src;
+    };
+  }
+  void RetireLogPage(Lbn lbn);
+  // A page a merge or relocation could not move: report the loss and drop
+  // it from the page counters.
+  void DropLostPage(Lbn lbn, bool dirty);
   // Installs `phys` as the data block for `logical` and retires the previous
   // data block, if any.
   void InstallDataBlock(uint64_t logical, PhysBlock phys, uint64_t present_bits,
                         uint64_t dirty_bits);
-  void RetireLogPage(Lbn lbn);
+  // Unmaps the data block of `logical`, if any, and queues it for erasure.
+  void RemoveDataBlock(uint64_t logical);
+  // The data block sitting on the least-worn flash (statistically the
+  // coldest), walking physical blocks.
+  bool ColdestDataBlock(PhysBlock* phys, LogicalBlock* logical) const;
 
   // Write-cadence driver for the endurance defenses: runs a wear-leveling
   // pass and/or a patrol pass when their intervals elapse. Called from the
@@ -387,15 +412,11 @@ class SscDevice {
 
   SscConfig config_;
   SimClock* clock_;
-  std::unique_ptr<FlashDevice> device_;
-  std::unique_ptr<BlockAllocator> allocator_;
   std::unique_ptr<PersistenceManager> persist_;
 
   SparseHashMap<uint64_t, BlockEntry> block_map_;  // logical erase block -> entry
   SparseHashMap<Lbn, uint64_t> page_map_;          // lbn -> packed (ppn, dirty)
 
-  std::deque<PhysBlock> log_blocks_;  // FIFO; back() is the active one
-  std::unordered_map<PhysBlock, std::vector<Lbn>> log_contents_;
   std::vector<Lbn> phys_to_logical_;       // data-block reverse map (device RAM)
   // Creation stamp per data block — the "usage statistics to guide ...
   // eviction policies" of Section 4.1. Freshly-merged blocks are sparse by
@@ -407,7 +428,6 @@ class SscDevice {
 
   uint64_t cached_pages_ = 0;
   uint64_t dirty_pages_ = 0;
-  FtlStats ftl_stats_;
 
   // Endurance-maintenance cadence state (device RAM; resets across a crash).
   uint32_t writes_since_wear_level_ = 0;

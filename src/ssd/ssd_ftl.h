@@ -5,20 +5,19 @@
 // after FlashSim + the FAST FTL the paper bases its implementation on
 // (Section 5: "We implemented our own FTL that is similar to the FAST FTL").
 //
+// The log blocks, merges, wear leveling and fault handling are the shared
+// hybrid-FTL engine (src/ftl/hybrid_ftl.h); this class is the SSD's
+// translation over it:
+//
 //   * Data blocks are block-mapped (256 KB translations) in a dense linear
-//     table; a logical page's home is `data_block_base + in-block offset`.
-//   * Writes never go to data blocks directly: they append to log blocks,
-//     which are page-mapped and fully associative (any page of any logical
-//     block can sit in any log block).
-//   * When the log-block budget (7% of capacity) is exhausted, the oldest log
-//     block is reclaimed by a merge: a switch merge if it holds one logical
-//     block written sequentially, a partial merge if it holds a sequential
-//     prefix, otherwise a full merge that rebuilds every logical block with
-//     pages in the victim by copying the newest version of each page into a
-//     fresh data block.
-//   * All copying is charged to the flash device, so write amplification,
-//     erases and wear (Table 5) emerge from the mechanism rather than from a
-//     model.
+//     table; a logical page's home is `data_block_base + in-block offset`,
+//     and a page is present there iff its flash page is still valid.
+//   * Log pages are mapped by a fully-associative page map (any page of any
+//     logical block can sit in any log block).
+//   * The log budget is 7% of capacity. Reclamation always copies: a data
+//     block whose pages are all superseded is erased at once, and a page a
+//     merge cannot move is counted in `dropped_clean_pages` — the SSD cannot
+//     know whether the host had a copy.
 //
 // The device is over-provisioned: physical capacity = logical capacity + log
 // budget + spare blocks, matching the paper's "7% over-provisioning for
@@ -28,23 +27,18 @@
 #define FLASHTIER_SSD_SSD_FTL_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "src/flash/flash_device.h"
-#include "src/ftl/block_allocator.h"
-#include "src/ftl/ftl_stats.h"
+#include "src/ftl/hybrid_ftl.h"
 #include "src/sparsemap/dense_map.h"
 #include "src/util/status.h"
 
 namespace flashtier {
 
-class SsdFtl {
+class SsdFtl : public HybridFtl<SsdFtl> {
  public:
   struct Options {
-    double log_fraction = 0.07;  // of logical capacity, as erase blocks
     FlashTimings timings;
     FlashGeometry geometry;  // plane layout template; plane size scales to fit
     FaultPlan fault_plan;    // medium fault injection; disabled by default
@@ -70,23 +64,6 @@ class SsdFtl {
   // Discards logical page `lpn` (SATA trim).
   Status Trim(uint64_t lpn);
 
-  // One static wear-leveling pass: if the wear spread exceeds `max_wear_diff`,
-  // moves the coldest data block (fewest erases on its flash) onto the
-  // most-worn free block so the young block re-enters the allocation pool.
-  // Returns true if it moved anything.
-  bool WearLevelOnce(uint32_t max_wear_diff);
-
-  const FtlStats& ftl_stats() const { return ftl_stats_; }
-  const FlashStats& flash_stats() const { return device_->stats(); }
-  const FlashDevice& device() const { return *device_; }
-
-  double ExtraWritesPerBlock() const {
-    // GC copies are programs the host did not issue; host-issued programs are
-    // page_writes (all host writes land via ProgramPage).
-    return ftl_stats_.ExtraWritesPerBlock(device_->stats().page_writes,
-                                          device_->stats().gc_copies);
-  }
-
   // Device-resident mapping memory: dense block map + log page map + log
   // block metadata (Table 4's "SSD" column).
   size_t DeviceMemoryUsage() const;
@@ -97,19 +74,43 @@ class SsdFtl {
   uint64_t RecoveryOobScanUs() const;
 
  private:
-  static constexpr uint32_t kSpareBlocks = 4;
-  static constexpr uint32_t kProgramRetryLimit = 4;
+  friend class HybridFtl<SsdFtl>;
+  friend class InvariantChecker;
 
-  Status EnsureFreeBlocks(uint32_t want);
-  Status EnsureActiveLogBlock();
-  // Erases `block` and frees it; a failed erase retires it as bad instead.
-  void EraseOrRetire(PhysBlock block);
+  static constexpr uint32_t kSpareBlocks = 4;
+
   // Removes the current newest version of lpn, wherever it lives.
   void InvalidateOldVersion(uint64_t lpn);
-  void ReclaimIfDead(PhysBlock data_block, LogicalBlock logical);
-  Status MergeOldestLogBlock();
-  Status FullMergeLogicalBlock(LogicalBlock logical);
-  bool TrySwitchOrPartialMerge(PhysBlock victim);
+
+  // ---- Translation for the hybrid-FTL engine (src/ftl/hybrid_ftl.h) ----
+
+  uint32_t LogBlockLimit() const { return max_log_blocks_; }
+  auto PageSources(LogicalBlock logical, bool with_log) const {
+    const PhysBlock* data = block_map_.Find(logical);
+    const Ppn data_base =
+        data != nullptr ? device_->geometry().FirstPpnOf(*data) : kInvalidPpn;
+    return [this, logical, with_log, data_base](uint32_t off) {
+      PageSource src;
+      const uint64_t lpn = logical * device_->geometry().pages_per_block + off;
+      if (with_log) {
+        if (const auto it = log_map_.find(lpn); it != log_map_.end()) {
+          src.ppn = it->second;
+          src.from_log = true;
+          return src;
+        }
+      }
+      if (data_base != kInvalidPpn && device_->page_state(data_base + off) == PageState::kValid) {
+        src.ppn = data_base + off;
+      }
+      return src;
+    };
+  }
+  void RetireLogPage(uint64_t lpn) { log_map_.erase(lpn); }
+  void DropLostPage(uint64_t, bool) { ++ftl_stats_.dropped_clean_pages; }
+  void InstallDataBlock(LogicalBlock logical, PhysBlock phys, uint64_t present_bits,
+                        uint64_t dirty_bits);
+  void RemoveDataBlock(LogicalBlock logical);
+  bool ColdestDataBlock(PhysBlock* phys, LogicalBlock* logical) const;
 
   uint64_t logical_pages_;
   uint64_t logical_blocks_;
@@ -117,18 +118,9 @@ class SsdFtl {
   uint32_t wear_level_interval_writes_;
   uint32_t wear_level_max_diff_;
   uint32_t writes_since_wear_level_ = 0;
-  SimClock* clock_;
-  std::unique_ptr<FlashDevice> device_;
-  std::unique_ptr<BlockAllocator> allocator_;
 
   DenseMap<PhysBlock> block_map_;  // logical erase block -> physical block
   std::unordered_map<uint64_t, Ppn> log_map_;  // lpn -> ppn in a log block
-  std::deque<PhysBlock> log_blocks_;           // FIFO; back() is the active one
-  // lpn programmed at each page index of each log block (device-RAM copy of
-  // the OOB reverse map).
-  std::unordered_map<PhysBlock, std::vector<uint64_t>> log_contents_;
-
-  FtlStats ftl_stats_;
 };
 
 }  // namespace flashtier

@@ -23,6 +23,7 @@
 #include "src/check/soak.h"
 #include "src/disk/disk_model.h"
 #include "src/ssc/ssc_device.h"
+#include "src/ssd/ssd_ftl.h"
 
 namespace flashtier {
 
@@ -185,6 +186,31 @@ TEST(InvariantCheckerTest, DetectsDirtyTableDisagreementBothWays) {
   report = InvariantChecker::Check(manager);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(HasInvariant(report, "dirty-table.untracked")) << report.ToString();
+}
+
+// Every erase fails, so each reclaimed block is retired and the SSD soon runs
+// out of free blocks. A full merge that finds no free destination must put
+// its victim back in the log: a victim left out of the FIFO still holds
+// log-mapped pages but belongs to no block category. Writes may fail with
+// kNoSpace; the structure must stay sound after every one.
+TEST(InvariantCheckerTest, SsdKeepsMergeVictimWhenFreeBlocksRunOut) {
+  SsdFtl::Options options;
+  options.geometry.planes = 4;
+  options.fault_plan.enabled = true;
+  options.fault_plan.seed = 3;
+  options.fault_plan.erase_fail_prob = 1.0;
+  SimClock clock;
+  constexpr uint64_t kPages = 4096;
+  SsdFtl ssd(kPages, &clock, options);
+  uint64_t no_space = 0;
+  for (uint64_t i = 0; i < 650; ++i) {
+    const Status s = ssd.Write((i * 2654435761u) % kPages, i + 1);
+    ASSERT_TRUE(s == Status::kOk || s == Status::kNoSpace) << StatusName(s);
+    no_space += s == Status::kNoSpace ? 1 : 0;
+    const CheckReport report = InvariantChecker::Check(ssd);
+    ASSERT_TRUE(report.ok()) << "after write " << i << ": " << report.ToString();
+  }
+  EXPECT_GT(no_space, 0u);
 }
 
 TEST(InvariantCheckerTest, AuditHookFiresOnGcAndPasses) {
