@@ -410,6 +410,11 @@ bool HybridFtl<Device>::TrySwitchOrPartialMerge(PhysBlock victim) {
     }
   }
   const auto prefix = static_cast<uint32_t>(lpns.size());
+  // A program failure closed the victim early: it cannot take the tail, so
+  // it goes to the full merge, which copies into a fresh block.
+  if (prefix < ppb && device_->BlockProgramFailed(victim)) {
+    return false;
+  }
 
   const auto source = self().PageSources(logical, /*with_log=*/true);
   Copied copied;

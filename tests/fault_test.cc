@@ -16,6 +16,7 @@
 #include "src/disk/disk_model.h"
 #include "src/flash/flash_device.h"
 #include "src/ssc/ssc_device.h"
+#include "src/ssd/ssd_ftl.h"
 #include "src/util/rng.h"
 
 namespace flashtier {
@@ -539,6 +540,105 @@ TEST(FtlFaultTest, StaticWearLevelingMigratesOnItsWriteCadence) {
   uint64_t token = 0;
   ASSERT_EQ(ssc.Read(99999, &token), Status::kOk);
   EXPECT_EQ(token, 4242u);
+}
+
+// A log block that a program failure closed early still holds an in-order
+// prefix of one logical block, so it looks like a partial-merge candidate.
+// It cannot take the tail, so it must go to the full merge: copying the tail
+// into it would fail page by page and drop every page whose only copy was
+// the old data block. One scenario, run on both hybrid-FTL devices:
+// logical blocks 0-8 written in order, offsets 0-10 of logical block 0
+// rewritten with the program of offset 10 failing, then logical blocks 20-27
+// filled so the log rolls over the closed block.
+class ClosedLogVictimTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kPages = 4096;
+  static constexpr uint64_t kPpb = 64;
+  static constexpr uint64_t kRewritten = 11;
+
+  static uint64_t Token(uint64_t lpn, bool rewritten) { return rewritten ? 1000 + lpn : lpn + 1; }
+
+  // Writes the scenario up to (not including) the rewrite of offset 10.
+  template <class Write>
+  static void WriteUntilFailingProgram(Write write) {
+    for (uint64_t lpn = 0; lpn < 9 * kPpb; ++lpn) {
+      ASSERT_EQ(write(lpn, Token(lpn, false)), Status::kOk);
+    }
+    for (uint64_t lpn = 0; lpn + 1 < kRewritten; ++lpn) {
+      ASSERT_EQ(write(lpn, Token(lpn, true)), Status::kOk);
+    }
+  }
+
+  template <class Write>
+  static void WriteRest(Write write) {
+    ASSERT_EQ(write(kRewritten - 1, Token(kRewritten - 1, true)), Status::kOk);
+    for (uint64_t lpn = 20 * kPpb; lpn < 28 * kPpb; ++lpn) {
+      ASSERT_EQ(write(lpn, Token(lpn, false)), Status::kOk);
+    }
+  }
+
+  // The failing program's ordinal: a fault-free twin counts the programs
+  // (host writes and merge copies) that precede it.
+  template <class Device>
+  static uint64_t FailingOrdinal(Device& twin) {
+    return twin.flash_stats().page_writes + twin.flash_stats().gc_copies + 1;
+  }
+
+  template <class Device>
+  static void ExpectLogicalBlockZeroIntact(Device& dev) {
+    for (uint64_t lpn = 0; lpn < kPpb; ++lpn) {
+      uint64_t token = 0;
+      ASSERT_EQ(dev.Read(lpn, &token), Status::kOk) << "lpn " << lpn;
+      EXPECT_EQ(token, Token(lpn, lpn < kRewritten)) << "lpn " << lpn;
+    }
+    EXPECT_EQ(dev.device().fault_stats().program_failures, 1u);
+    EXPECT_EQ(dev.ftl_stats().dropped_clean_pages, 0u);
+    EXPECT_EQ(dev.ftl_stats().lost_dirty_pages, 0u);
+  }
+
+  static SscConfig Ssc(const FaultPlan& plan) {
+    SscConfig c;
+    c.capacity_pages = kPages;
+    c.geometry.planes = 4;
+    c.fault_plan = plan;
+    return c;
+  }
+  static SsdFtl::Options Ssd(const FaultPlan& plan) {
+    SsdFtl::Options o;
+    o.geometry.planes = 4;
+    o.fault_plan = plan;
+    return o;
+  }
+};
+
+TEST_F(ClosedLogVictimTest, SscFullMergesInsteadOfDroppingTheTail) {
+  SimClock twin_clock;
+  SscDevice twin(Ssc(FaultPlan{}), &twin_clock);
+  WriteUntilFailingProgram([&](uint64_t lpn, uint64_t t) { return twin.WriteDirty(lpn, t); });
+  FaultPlan plan = EnabledPlan();
+  plan.program_fail_at = {FailingOrdinal(twin)};
+
+  SimClock clock;
+  SscDevice ssc(Ssc(plan), &clock);
+  const auto write = [&](uint64_t lpn, uint64_t t) { return ssc.WriteDirty(lpn, t); };
+  WriteUntilFailingProgram(write);
+  WriteRest(write);
+  ExpectLogicalBlockZeroIntact(ssc);
+}
+
+TEST_F(ClosedLogVictimTest, SsdFullMergesInsteadOfDroppingTheTail) {
+  SimClock twin_clock;
+  SsdFtl twin(kPages, &twin_clock, Ssd(FaultPlan{}));
+  WriteUntilFailingProgram([&](uint64_t lpn, uint64_t t) { return twin.Write(lpn, t); });
+  FaultPlan plan = EnabledPlan();
+  plan.program_fail_at = {FailingOrdinal(twin)};
+
+  SimClock clock;
+  SsdFtl ssd(kPages, &clock, Ssd(plan));
+  const auto write = [&](uint64_t lpn, uint64_t t) { return ssd.Write(lpn, t); };
+  WriteUntilFailingProgram(write);
+  WriteRest(write);
+  ExpectLogicalBlockZeroIntact(ssd);
 }
 
 TEST(ManagerFaultTest, CapacityFloorTripsPermanentPassThrough) {
