@@ -84,6 +84,16 @@ class HybridFtl {
   bool WearLevelOnce(uint32_t max_wear_diff);
 
  protected:
+  // The static wear-leveling cadence, called after each host write: one
+  // pass every `interval_writes` writes (0 = never). Counted in host writes,
+  // not time, so it is identical across thread counts.
+  void MaybeWearLevel(uint32_t interval_writes, uint32_t max_wear_diff) {
+    if (interval_writes > 0 && ++writes_since_wear_level_ >= interval_writes) {
+      writes_since_wear_level_ = 0;
+      WearLevelOnce(max_wear_diff);
+    }
+  }
+
   // Where the version of one logical page that a copy should move lives.
   struct PageSource {
     Ppn ppn = kInvalidPpn;  // kInvalidPpn: the page is absent
@@ -200,6 +210,7 @@ class HybridFtl {
   // block (device-RAM copy of the OOB reverse map); empty outside the log.
   std::vector<std::vector<uint64_t>> log_contents_;
   FtlStats ftl_stats_;
+  uint32_t writes_since_wear_level_ = 0;
   // Self-test knob (flashcheck --break-retry): return erase-failed blocks to
   // the free pool instead of retiring them.
   bool break_retirement_for_testing_ = false;

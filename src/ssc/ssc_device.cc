@@ -177,11 +177,7 @@ Status SscDevice::WriteInternal(Lbn lbn, uint64_t token, bool dirty) {
 }
 
 void SscDevice::MaybeEnduranceMaintenance() {
-  if (config_.wear_level_interval_writes > 0 &&
-      ++writes_since_wear_level_ >= config_.wear_level_interval_writes) {
-    writes_since_wear_level_ = 0;
-    WearLevelOnce(config_.wear_level_max_diff);
-  }
+  MaybeWearLevel(config_.wear_level_interval_writes, config_.wear_level_max_diff);
   if (config_.patrol_interval_writes > 0 &&
       ++writes_since_patrol_ >= config_.patrol_interval_writes) {
     writes_since_patrol_ = 0;

@@ -430,7 +430,6 @@ class SscDevice : public HybridFtl<SscDevice> {
   uint64_t dirty_pages_ = 0;
 
   // Endurance-maintenance cadence state (device RAM; resets across a crash).
-  uint32_t writes_since_wear_level_ = 0;
   uint32_t writes_since_patrol_ = 0;
   PhysBlock patrol_cursor_ = 0;
 

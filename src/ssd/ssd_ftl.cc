@@ -62,11 +62,7 @@ Status SsdFtl::Write(uint64_t lpn, uint64_t token) {
   }
   InvalidateOldVersion(lpn);
   log_map_[lpn] = ppn;
-  if (wear_level_interval_writes_ > 0 &&
-      ++writes_since_wear_level_ >= wear_level_interval_writes_) {
-    writes_since_wear_level_ = 0;
-    WearLevelOnce(wear_level_max_diff_);
-  }
+  MaybeWearLevel(wear_level_interval_writes_, wear_level_max_diff_);
   return Status::kOk;
 }
 

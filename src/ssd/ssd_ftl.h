@@ -117,7 +117,6 @@ class SsdFtl : public HybridFtl<SsdFtl> {
   uint32_t max_log_blocks_;
   uint32_t wear_level_interval_writes_;
   uint32_t wear_level_max_diff_;
-  uint32_t writes_since_wear_level_ = 0;
 
   DenseMap<PhysBlock> block_map_;  // logical erase block -> physical block
   std::unordered_map<uint64_t, Ppn> log_map_;  // lpn -> ppn in a log block
