@@ -111,7 +111,7 @@ class HybridFtl {
   void AttachFlash(std::unique_ptr<FlashDevice> device) {
     device_ = std::move(device);
     allocator_ = std::make_unique<BlockAllocator>(*device_, /*reserved_blocks=*/0);
-    log_contents_.assign(device_->geometry().TotalBlocks(), {});
+    ResetLog();
   }
 
   // Programs one host page at the log head, after making sure `min_free`
@@ -136,13 +136,14 @@ class HybridFtl {
     log_blocks_.push_back(block);
     log_contents_[block].clear();
   }
-  // Frees a log block's contents list when the block leaves the log, so the
-  // memory model (LogContentsMemoryUsage) counts only live log blocks.
+  // Frees a log block's contents list, storage included, when the block
+  // leaves the log: clear() would keep the capacity, and a block reopened
+  // later would carry it into the memory model (LogContentsMemoryUsage).
   void ReleaseLogContents(PhysBlock block) { log_contents_[block] = std::vector<uint64_t>(); }
-  // Forgets the whole log (device RAM lost in a crash).
+  // Forgets the whole log (device RAM lost in a crash), storage included.
   void ResetLog() {
     log_blocks_.clear();
-    log_contents_.assign(device_->geometry().TotalBlocks(), {});
+    log_contents_ = std::vector<std::vector<uint64_t>>(device_->geometry().TotalBlocks());
   }
   // Device RAM holding the log blocks' reverse maps (Table 4).
   size_t LogContentsMemoryUsage() const {
@@ -216,8 +217,11 @@ class HybridFtl {
   bool break_retirement_for_testing_ = false;
 
  private:
+  friend Device;
   friend class InvariantChecker;
 
+  // Only `Device` derives from HybridFtl<Device>.
+  HybridFtl() = default;
   Device& self() { return static_cast<Device&>(*this); }
 };
 
@@ -464,7 +468,7 @@ Status HybridFtl<Device>::MergeOldestLogBlock() {
   if (TrySwitchOrPartialMerge(victim)) {
     return Status::kOk;
   }
-  if (const std::optional<Status> s = self().TryForwardCopy(victim)) {
+  if (const std::optional<Status> s = self().TryForwardCopy(victim); s.has_value()) {
     if (!IsOk(*s)) {
       // The victim is still a consistent log block (uncopied pages stay
       // page-mapped into it).
