@@ -11,7 +11,9 @@
 // machinery once: the log FIFO and each log block's contents, the host-write
 // append with program retry, free-space management, erase-or-retire, the
 // merges and relocation, and the one per-offset copy loop with its handling
-// of unreadable sources and failed destinations.
+// of unreadable sources and failed destinations. All copying is charged to
+// the flash device, so write amplification, erases and wear (Table 5) emerge
+// from the mechanism rather than from a model.
 //
 // The two devices differ only in mapping and in reclamation. Each derives
 // from HybridFtl<itself> and supplies that difference as a translation the
