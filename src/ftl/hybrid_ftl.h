@@ -372,10 +372,9 @@ Status HybridFtl<Device>::MergeLogicalBlock(LogicalBlock logical) {
   if (fresh == kInvalidBlock) {
     return Status::kNoSpace;
   }
+  const auto source = self().PageSources(logical, /*with_log=*/true);
   Copied copied;
-  if (Status s = CopyPages(logical, 0, fresh, self().PageSources(logical, /*with_log=*/true),
-                           &copied);
-      !IsOk(s)) {
+  if (Status s = CopyPages(logical, 0, fresh, source, &copied); !IsOk(s)) {
     return s;
   }
   if (copied.present == 0) {
@@ -391,10 +390,9 @@ Status HybridFtl<Device>::MergeLogicalBlock(LogicalBlock logical) {
 
 template <class Device>
 Status HybridFtl<Device>::RelocateDataBlock(LogicalBlock logical, PhysBlock destination) {
+  const auto source = self().PageSources(logical, /*with_log=*/false);
   Copied copied;
-  if (Status s = CopyPages(logical, 0, destination,
-                           self().PageSources(logical, /*with_log=*/false), &copied);
-      !IsOk(s)) {
+  if (Status s = CopyPages(logical, 0, destination, source, &copied); !IsOk(s)) {
     return s;
   }
   if (copied.present == 0) {

@@ -611,8 +611,7 @@ Status SscDevice::ForwardCopyLogBlock(PhysBlock victim) {
     // program abort poisons the frontier block, so retry on a fresh one.
     Status cs = Status::kIoError;
     Ppn dst = kInvalidPpn;
-    for (uint32_t attempt = 0; cs == Status::kIoError && attempt <= kProgramRetryLimit;
-         ++attempt) {
+    for (uint32_t attempt = 0; cs == Status::kIoError && attempt <= kProgramRetryLimit; ++attempt) {
       if (attempt > 0) {
         ++ftl_stats_.program_retries;
       }

@@ -87,8 +87,7 @@ class SsdFtl : public HybridFtl<SsdFtl> {
   uint32_t LogBlockLimit() const { return max_log_blocks_; }
   auto PageSources(LogicalBlock logical, bool with_log) const {
     const PhysBlock* data = block_map_.Find(logical);
-    const Ppn data_base =
-        data != nullptr ? device_->geometry().FirstPpnOf(*data) : kInvalidPpn;
+    const Ppn data_base = data != nullptr ? device_->geometry().FirstPpnOf(*data) : kInvalidPpn;
     return [this, logical, with_log, data_base](uint32_t off) {
       PageSource src;
       const uint64_t lpn = logical * device_->geometry().pages_per_block + off;
