@@ -17,6 +17,7 @@
 #ifndef FLASHTIER_CORE_OPEN_LOOP_H_
 #define FLASHTIER_CORE_OPEN_LOOP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -77,6 +78,22 @@ class OpenLoopQueue {
   // Completion times of in-flight requests; min-heap so Begin pops the
   // earliest-freeing slot.
   std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<uint64_t>> inflight_;
+};
+
+// The measured span of one open-loop run: from its first request's submit to
+// its last completion, since overlapping per-request latencies must not be
+// summed.
+struct OpenLoopSpan {
+  uint64_t first_submit = ~uint64_t{0};
+  uint64_t last_done = 0;
+  bool any_measured = false;
+
+  void Add(uint64_t submit_us, uint64_t latency_us) {
+    any_measured = true;
+    first_submit = std::min(first_submit, submit_us);
+    last_done = std::max(last_done, submit_us + latency_us);
+  }
+  uint64_t ElapsedUs() const { return any_measured ? last_done - first_submit : 0; }
 };
 
 }  // namespace flashtier

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
-#include <thread>
+#include <vector>
 
 #include "src/core/open_loop.h"
+#include "src/core/shard_scheduler.h"
 
 namespace flashtier {
 
@@ -48,82 +48,79 @@ class ScopedLossHook {
   SscDevice* ssc_;
 };
 
-// Span bookkeeping for one open-loop run (queue depth > 1): the measured
-// phase lasts from its first request's submit to its last completion, since
-// overlapping per-request latencies must not be summed.
-struct OpenLoopSpan {
-  uint64_t first_submit = ~uint64_t{0};
-  uint64_t last_done = 0;
-  bool any_measured = false;
-
-  uint64_t ElapsedUs() const { return any_measured ? last_done - first_submit : 0; }
+// Per-shard replay state and partial metrics; merged in shard order.
+struct ShardRun {
+  ReplayMetrics metrics;
+  std::unordered_map<Lbn, uint64_t> oracle;
+  std::unordered_set<Lbn> lost_blocks;
 };
 
-// Issues one trace record against one shard's manager and accounts it in
-// that shard's metrics/oracle. Shared by the streaming single-shard path and
-// the per-shard workers so both have identical semantics. `loop`/`span` are
-// null at queue depth 1, which keeps the exact closed-loop accounting the
-// engine always had.
-void ProcessRecord(const TraceRecord& record, uint64_t seq, bool measured, bool verify,
-                   CacheManager& manager, const SimClock& clock, OpenLoopQueue* loop,
-                   OpenLoopSpan* span, ReplayMetrics* metrics,
-                   std::unordered_map<Lbn, uint64_t>* oracle,
-                   std::unordered_set<Lbn>* lost_blocks) {
-  const uint64_t start_us = loop != nullptr ? loop->Begin() : clock.now_us();
-  if (record.op == TraceOp::kWrite) {
-    const uint64_t token = (record.lbn << 20) ^ seq;
-    if (!IsOk(manager.Write(record.lbn, token))) {
-      ++metrics->failed_requests;
-    } else if (verify) {
-      (*oracle)[record.lbn] = token;
-      lost_blocks->erase(record.lbn);
-    }
-    if (measured) {
-      ++metrics->writes;
-    }
-  } else {
-    uint64_t token = 0;
-    const Status rs = manager.Read(record.lbn, &token);
-    if (!IsOk(rs)) {
-      // A medium error (lost dirty block) is reported, not hidden; count it
-      // apart from ordinary failures and stop oracle-checking the block —
-      // the disk copy it falls back to is some older version by definition.
-      ++metrics->failed_requests;
-      ++metrics->read_errors;
-      if (verify) {
-        oracle->erase(record.lbn);
-        lost_blocks->insert(record.lbn);
-      }
-    } else if (verify && lost_blocks->count(record.lbn) == 0 &&
-               token != LookupExpectedToken(*oracle, record.lbn)) {
-      ++metrics->stale_reads;
-    }
-    if (measured) {
-      ++metrics->reads;
-    }
-  }
-  if (loop != nullptr) {
-    const uint64_t latency_us = loop->End(start_us);
-    if (measured) {
-      ++metrics->requests;
-      metrics->response_us.Add(latency_us);
-      span->any_measured = true;
-      span->first_submit = std::min(span->first_submit, start_us);
-      span->last_done = std::max(span->last_done, start_us + latency_us);
-    } else {
-      ++metrics->warmup_requests;
-    }
-  } else if (measured) {
-    ++metrics->requests;
-    metrics->elapsed_us += clock.now_us() - start_us;
-    metrics->response_us.Add(clock.now_us() - start_us);
-  } else {
-    ++metrics->warmup_requests;
-  }
-}
+using BlockQueues = ShardQueues<TraceSource, TraceRecord>;
 
-uint64_t WarmupBoundary(const ReplayEngine::Options& options, uint64_t total) {
-  return static_cast<uint64_t>(static_cast<double>(total) * options.warmup_fraction);
+// Replays shard `i`'s requests on that shard's slice and accounts them in
+// `run`. Touches nothing else, so it is the same computation on any worker
+// thread. At queue depth 1 a request's response time is the virtual time
+// charged while serving it and the measured phase lasts their sum; deeper
+// queues measure submit to completion and the phase lasts their span.
+void ReplayShard(const ReplayEngine::Options& options, FlashTierSystem::Shard& shard,
+                 BlockQueues& queues, uint32_t i, uint64_t warmup, ShardRun* run) {
+  const bool open_loop = options.queue_depth > 1;
+  OpenLoopQueue loop(&shard.clock, options.queue_depth);
+  OpenLoopSpan span;
+  ScopedLossHook loss_hook(options.verify ? shard.ssc.get() : nullptr, &run->oracle,
+                           &run->lost_blocks);
+  ReplayMetrics& m = run->metrics;
+  queues.ForEach(i, [&](const TraceRecord& record, uint64_t seq) {
+    const bool measured = seq >= warmup;
+    const uint64_t start_us = open_loop ? loop.Begin() : shard.clock.now_us();
+    if (record.op == TraceOp::kWrite) {
+      const uint64_t token = (record.lbn << 20) ^ seq;
+      if (!IsOk(shard.manager->Write(record.lbn, token))) {
+        ++m.failed_requests;
+      } else if (options.verify) {
+        run->oracle[record.lbn] = token;
+        run->lost_blocks.erase(record.lbn);
+      }
+      if (measured) {
+        ++m.writes;
+      }
+    } else {
+      uint64_t token = 0;
+      if (!IsOk(shard.manager->Read(record.lbn, &token))) {
+        // A medium error (lost dirty block) is reported, not hidden; count it
+        // apart from ordinary failures and stop oracle-checking the block —
+        // the disk copy it falls back to is some older version by definition.
+        ++m.failed_requests;
+        ++m.read_errors;
+        if (options.verify) {
+          run->oracle.erase(record.lbn);
+          run->lost_blocks.insert(record.lbn);
+        }
+      } else if (options.verify && run->lost_blocks.count(record.lbn) == 0 &&
+                 token != LookupExpectedToken(run->oracle, record.lbn)) {
+        ++m.stale_reads;
+      }
+      if (measured) {
+        ++m.reads;
+      }
+    }
+    const uint64_t latency_us = open_loop ? loop.End(start_us) : shard.clock.now_us() - start_us;
+    if (!measured) {
+      ++m.warmup_requests;
+      return;
+    }
+    ++m.requests;
+    m.response_us.Add(latency_us);
+    if (open_loop) {
+      span.Add(start_us, latency_us);
+    } else {
+      m.elapsed_us += latency_us;
+    }
+  });
+  if (open_loop) {
+    loop.Drain();
+    m.elapsed_us = span.ElapsedUs();
+  }
 }
 
 uint64_t TotalRequests(const ReplayEngine::Options& options, const TraceSource& source) {
@@ -134,69 +131,22 @@ uint64_t TotalRequests(const ReplayEngine::Options& options, const TraceSource& 
 
 }  // namespace
 
-uint64_t ReplayEngine::ExpectedToken(Lbn lbn) const {
-  return LookupExpectedToken(oracle_, lbn);
-}
-
-void ReplayEngine::RunSingle(TraceSource& source) {
-  const uint64_t total = TotalRequests(options_, source);
-  const uint64_t warmup = WarmupBoundary(options_, total);
-  const bool open_loop = options_.queue_depth > 1;
-  OpenLoopQueue loop(&system_->clock(), options_.queue_depth);
-  OpenLoopSpan span;
-  ScopedLossHook loss_hook(options_.verify ? system_->shard(0).ssc.get() : nullptr, &oracle_,
-                           &lost_blocks_);
-  uint64_t seq = 0;
-  TraceRecord record;
-  while (seq < total && source.Next(&record)) {
-    ProcessRecord(record, seq, /*measured=*/seq >= warmup, options_.verify,
-                  system_->manager(), system_->clock(), open_loop ? &loop : nullptr,
-                  open_loop ? &span : nullptr, &metrics_, &oracle_, &lost_blocks_);
-    ++seq;
+ReplayMetrics ReplayEngine::Run(TraceSource& source) {
+  metrics_ = ReplayMetrics{};
+  if (options_.verify && options_.resume_verification != nullptr) {
+    oracle_ = options_.resume_verification->oracle;
+    lost_blocks_ = options_.resume_verification->lost_blocks;
   }
-  if (open_loop) {
-    loop.Drain();
-    metrics_.elapsed_us = span.ElapsedUs();
-  }
-}
-
-void ReplayEngine::ReplayShard(FlashTierSystem::Shard& shard,
-                               const std::vector<ShardRequest>& queue, uint64_t warmup,
-                               ShardRun* run) const {
-  const bool open_loop = options_.queue_depth > 1;
-  OpenLoopQueue loop(&shard.clock, options_.queue_depth);
-  OpenLoopSpan span;
-  ScopedLossHook loss_hook(options_.verify ? shard.ssc.get() : nullptr, &run->oracle,
-                           &run->lost_blocks);
-  for (const ShardRequest& req : queue) {
-    ProcessRecord(req.record, req.seq, /*measured=*/req.seq >= warmup, options_.verify,
-                  *shard.manager, shard.clock, open_loop ? &loop : nullptr,
-                  open_loop ? &span : nullptr, &run->metrics, &run->oracle,
-                  &run->lost_blocks);
-  }
-  if (open_loop) {
-    loop.Drain();
-    run->metrics.elapsed_us = span.ElapsedUs();
-  }
-}
-
-void ReplayEngine::RunSharded(TraceSource& source) {
-  const uint64_t total = TotalRequests(options_, source);
-  const uint64_t warmup = WarmupBoundary(options_, total);
+  // wall_clock_us is the one deliberately real-time metric: it measures the
+  // parallel engine itself, not the simulated system.
+  // flashlint: allow(wall-clock): host-side throughput measurement
+  const auto wall_start = std::chrono::steady_clock::now();
   const uint32_t shard_count = system_->shard_count();
+  const uint64_t total = TotalRequests(options_, source);
+  const auto warmup = static_cast<uint64_t>(static_cast<double>(total) * options_.warmup_fraction);
 
-  // Route the trace into per-shard subsequences. Each request carries its
-  // global sequence number so write tokens and the warmup boundary do not
-  // depend on the partitioning; per-LBN order is preserved because a given
-  // LBN always routes to the same shard queue.
-  std::vector<std::vector<ShardRequest>> queues(shard_count);
-  uint64_t seq = 0;
-  TraceRecord record;
-  while (seq < total && source.Next(&record)) {
-    queues[system_->ShardOf(record.lbn)].push_back(ShardRequest{record, seq});
-    ++seq;
-  }
-
+  BlockQueues queues(source, shard_count, total,
+                     [this](const TraceRecord& record) { return system_->ShardOf(record.lbn); });
   std::vector<ShardRun> runs(shard_count);
   if (options_.verify) {
     // Distribute a resumed oracle to the shards that own each LBN (routing
@@ -208,52 +158,15 @@ void ReplayEngine::RunSharded(TraceSource& source) {
       runs[system_->ShardOf(lbn)].lost_blocks.insert(lbn);
     }
   }
-  const uint32_t threads =
-      std::min<uint32_t>(std::max<uint32_t>(1, options_.threads), shard_count);
-  if (threads <= 1) {
-    for (uint32_t i = 0; i < shard_count; ++i) {
-      ReplayShard(system_->shard(i), queues[i], warmup, &runs[i]);
-    }
-  } else {
-    // Static shard→worker assignment: shard i is replayed whole by worker
-    // i % threads. Shards share no mutable state, so workers never touch the
-    // same slice; each shard's computation is identical to the sequential
-    // walk above.
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (uint32_t w = 0; w < threads; ++w) {
-      workers.emplace_back([this, &queues, &runs, warmup, shard_count, threads, w] {
-        // An exception escaping a std::thread body is std::terminate; park it
-        // in the engine's error channel and rethrow after join instead.
-        try {
-          for (uint32_t i = w; i < shard_count; i += threads) {
-            ReplayShard(system_->shard(i), queues[i], warmup, &runs[i]);
-          }
-        } catch (const std::exception& e) {
-          RecordWorkerError(e.what());
-        } catch (...) {
-          RecordWorkerError("unknown exception in replay worker");
-        }
-      });
-    }
-    for (std::thread& t : workers) {
-      t.join();
-    }
-    std::string error;
-    {
-      MutexLock lock(&worker_error_mu_);
-      error = worker_error_;
-    }
-    if (!error.empty()) {
-      throw std::runtime_error("replay worker failed: " + error);
-    }
-  }
+  ForEachShardOnWorkers(shard_count, options_.threads, [&](uint32_t i) {
+    ReplayShard(options_, system_->shard(i), queues, i, warmup, &runs[i]);
+  });
 
   // Deterministic merge, in shard-index order: counters and histograms sum;
   // the per-shard virtual clocks merge by max-epoch — the channels ran in
   // parallel, so the measured phase lasts as long as its slowest shard.
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    const ReplayMetrics& m = runs[i].metrics;
+  for (const ShardRun& run : runs) {
+    const ReplayMetrics& m = run.metrics;
     metrics_.requests += m.requests;
     metrics_.reads += m.reads;
     metrics_.writes += m.writes;
@@ -274,37 +187,12 @@ void ReplayEngine::RunSharded(TraceSource& source) {
       lost_blocks_.insert(run.lost_blocks.begin(), run.lost_blocks.end());
     }
   }
-}
-
-void ReplayEngine::RecordWorkerError(const std::string& what) {
-  MutexLock lock(&worker_error_mu_);
-  if (worker_error_.empty()) {
-    worker_error_ = what;
-  }
-}
-
-ReplayMetrics ReplayEngine::Run(TraceSource& source) {
-  metrics_ = ReplayMetrics{};
-  if (options_.verify && options_.resume_verification != nullptr) {
-    oracle_ = options_.resume_verification->oracle;
-    lost_blocks_ = options_.resume_verification->lost_blocks;
-  }
-  // wall_clock_us is the one deliberately real-time metric: it measures the
-  // parallel engine itself, not the simulated system.
-  // flashlint: allow(wall-clock): host-side throughput measurement
-  const auto wall_start = std::chrono::steady_clock::now();
-  if (system_->shard_count() <= 1) {
-    RunSingle(source);
-  } else {
-    RunSharded(source);
-  }
   // flashlint: allow(wall-clock): host-side throughput measurement
   const auto wall_end = std::chrono::steady_clock::now();
   metrics_.wall_clock_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(wall_end - wall_start).count());
-  metrics_.threads = std::min<uint32_t>(std::max<uint32_t>(1, options_.threads),
-                                        system_->shard_count());
-  metrics_.shards = system_->shard_count();
+  metrics_.threads = std::min<uint32_t>(std::max<uint32_t>(1, options_.threads), shard_count);
+  metrics_.shards = shard_count;
   metrics_.queue_depth = std::max<uint32_t>(1, options_.queue_depth);
   source.Rewind();
   return metrics_;

@@ -14,16 +14,19 @@
 // measured submit to the last measured completion.
 //
 // On a sharded system the engine routes each request to its LBN's shard and
-// replays the per-shard subsequences on worker threads (Options::threads).
-// Every shard is a complete, isolated vertical slice with its own virtual
-// clock, so a shard's replay is a deterministic sequential computation no
-// matter which thread runs it; per-LBN order is preserved because routing is
-// a pure function of the LBN. Virtual-time metrics are merged in shard
-// order — counter sums, bucket-wise histogram sums, and a max-epoch merge of
-// the per-shard clocks (channels run in parallel, so elapsed virtual time is
-// the slowest shard's epoch) — making the merged metrics bit-identical for
-// any thread count. Wall-clock throughput (wall_clock_us, ReplayOpsPerSec)
-// is the only thread-dependent output.
+// replays the per-shard subsequences on worker threads (Options::threads),
+// both steps in src/core/shard_scheduler.h; a single-shard system streams
+// its source instead of routing it. Every shard is a complete, isolated
+// vertical slice with its own virtual clock, so a shard's replay is a
+// deterministic sequential computation no matter which thread runs it;
+// per-LBN order is preserved because routing is a pure function of the LBN.
+// Virtual-time metrics are merged in shard order — counter sums, bucket-wise
+// histogram sums, and a max-epoch merge of the per-shard clocks (channels
+// run in parallel, so elapsed virtual time is the slowest shard's epoch) —
+// making the merged metrics bit-identical for any thread count. Wall-clock
+// throughput (wall_clock_us, ReplayOpsPerSec) is the only thread-dependent
+// output, and a failing shard's exception is rethrown the same way at any
+// thread count.
 //
 // The engine optionally verifies correctness as it replays: it tracks the
 // newest token written to each block and checks that every read returns it —
@@ -33,16 +36,12 @@
 #define FLASHTIER_CORE_REPLAY_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "src/core/flashtier.h"
 #include "src/trace/trace.h"
 #include "src/util/stats.h"
-#include "src/util/sync.h"
-#include "src/util/thread_annotations.h"
 
 namespace flashtier {
 
@@ -127,37 +126,9 @@ class ReplayEngine {
   VerificationState ExportVerificationState() const { return {oracle_, lost_blocks_}; }
 
  private:
-  struct ShardRequest {
-    TraceRecord record;
-    uint64_t seq = 0;  // global trace sequence: token derivation + warmup cut
-  };
-
-  // Per-shard replay state and partial metrics; merged in shard order.
-  struct ShardRun {
-    ReplayMetrics metrics;
-    std::unordered_map<Lbn, uint64_t> oracle;
-    std::unordered_set<Lbn> lost_blocks;
-  };
-
-  uint64_t ExpectedToken(Lbn lbn) const;
-  void RunSingle(TraceSource& source);
-  void RunSharded(TraceSource& source);
-  // Replays one shard's subsequence on that shard's slice. Pure function of
-  // (shard slice, queue): touches no engine state besides `run`.
-  void ReplayShard(FlashTierSystem::Shard& shard, const std::vector<ShardRequest>& queue,
-                   uint64_t warmup, ShardRun* run) const;
-  // Records the first worker failure; later calls are dropped so the message
-  // reported to the caller is deterministic under racing workers.
-  void RecordWorkerError(const std::string& what) EXCLUDES(worker_error_mu_);
-
   FlashTierSystem* system_;
   Options options_;
   ReplayMetrics metrics_;
-  // Cross-thread error channel for RunSharded: a worker that throws must not
-  // take down the process (std::terminate), so the first exception's message
-  // is parked here and rethrown on the coordinating thread after join.
-  Mutex worker_error_mu_;
-  std::string worker_error_ GUARDED_BY(worker_error_mu_);
   std::unordered_map<Lbn, uint64_t> oracle_;  // newest token per block
   // Blocks whose newest data was lost to a medium error: the oracle cannot
   // predict what the disk holds for them, so stale-checking is suspended

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
-#include <thread>
+#include <vector>
 
 #include "src/core/open_loop.h"
+#include "src/core/shard_scheduler.h"
 
 namespace flashtier {
 
@@ -21,59 +21,58 @@ bool IsFailure(Status st) {
   return !IsOk(st) && st != Status::kNotPresent;
 }
 
-}  // namespace
+struct ShardRun {
+  uint64_t requests = 0;
+  uint64_t failed_requests = 0;
+  uint64_t elapsed_us = 0;
+  LatencyHistogram response_us;
+};
 
-void KvReplayEngine::ReplayShard(KvShard& shard, const std::vector<ShardRequest>& queue,
-                                 ShardRun* run) const {
-  const bool open_loop = options_.queue_depth > 1;
-  OpenLoopQueue loop(&shard.clock(), options_.queue_depth);
+using KvQueues = ShardQueues<KvTraceSource, KvTraceRecord>;
+
+// Replays shard `i`'s requests on that shard. Touches nothing but the shard
+// and `run`, so it is the same computation on any worker thread.
+void ReplayShard(const KvReplayEngine::Options& options, KvShard& shard, KvQueues& queues,
+                 uint32_t i, ShardRun* run) {
+  const bool open_loop = options.queue_depth > 1;
+  OpenLoopQueue loop(&shard.clock(), options.queue_depth);
+  OpenLoopSpan span;
   const uint64_t epoch_start = shard.clock().now_us();
-  uint64_t first_submit = ~uint64_t{0};
-  uint64_t last_done = 0;
-  for (const ShardRequest& req : queue) {
+  queues.ForEach(i, [&](const KvTraceRecord& record, uint64_t seq) {
     const uint64_t start_us = open_loop ? loop.Begin() : shard.clock().now_us();
     Status st = Status::kOk;
-    switch (req.record.op) {
+    switch (record.op) {
       case KvOp::kGet: {
         uint64_t token = 0;
-        st = shard.Get(req.record.key, &token);
+        st = shard.Get(record.key, &token);
         break;
       }
       case KvOp::kSet:
-        st = shard.Set(req.record.key, SetToken(req.record.key, req.seq), req.record.size,
-                       options_.dirty_sets);
+        st = shard.Set(record.key, SetToken(record.key, seq), record.size, options.dirty_sets);
         break;
       case KvOp::kDelete:
-        st = shard.Delete(req.record.key);
+        st = shard.Delete(record.key);
         break;
     }
     if (IsFailure(st)) {
       ++run->failed_requests;
     }
     ++run->requests;
+    const uint64_t latency_us = open_loop ? loop.End(start_us) : shard.clock().now_us() - start_us;
+    run->response_us.Add(latency_us);
     if (open_loop) {
-      const uint64_t latency_us = loop.End(start_us);
-      run->response_us.Add(latency_us);
-      first_submit = std::min(first_submit, start_us);
-      last_done = std::max(last_done, start_us + latency_us);
-    } else {
-      run->response_us.Add(shard.clock().now_us() - start_us);
+      span.Add(start_us, latency_us);
     }
-  }
+  });
   if (open_loop) {
     loop.Drain();
-    run->elapsed_us = last_done >= first_submit ? last_done - first_submit : 0;
+    run->elapsed_us = span.ElapsedUs();
   } else {
     run->elapsed_us = shard.clock().now_us() - epoch_start;
   }
 }
 
-void KvReplayEngine::RecordWorkerError(const std::string& what) {
-  MutexLock lock(&worker_error_mu_);
-  if (worker_error_.empty()) {
-    worker_error_ = what;
-  }
-}
+}  // namespace
 
 KvReplayMetrics KvReplayEngine::Run(KvTraceSource& source) {
   KvReplayMetrics metrics;
@@ -81,66 +80,24 @@ KvReplayMetrics KvReplayEngine::Run(KvTraceSource& source) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   const uint32_t shard_count = cache_->shard_count();
-  std::vector<std::vector<ShardRequest>> queues(shard_count);
-  uint64_t seq = 0;
-  KvTraceRecord record;
-  while (source.Next(&record)) {
-    queues[cache_->ShardOf(record.key)].push_back(ShardRequest{record, seq});
-    ++seq;
-  }
-
+  KvQueues queues(source, shard_count, ~uint64_t{0},
+                  [this](const KvTraceRecord& record) { return cache_->ShardOf(record.key); });
   std::vector<ShardRun> runs(shard_count);
-  const uint32_t threads =
-      std::min<uint32_t>(std::max<uint32_t>(1, options_.threads), shard_count);
-  if (threads <= 1) {
-    for (uint32_t i = 0; i < shard_count; ++i) {
-      ReplayShard(cache_->shard(i), queues[i], &runs[i]);
-    }
-  } else {
-    // Static shard→worker assignment, exactly like the block engine: shard i
-    // is replayed whole by worker i % threads; shards share no mutable state.
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (uint32_t w = 0; w < threads; ++w) {
-      workers.emplace_back([this, &queues, &runs, shard_count, threads, w] {
-        try {
-          for (uint32_t i = w; i < shard_count; i += threads) {
-            ReplayShard(cache_->shard(i), queues[i], &runs[i]);
-          }
-        } catch (const std::exception& e) {
-          RecordWorkerError(e.what());
-        } catch (...) {
-          RecordWorkerError("unknown exception in kv replay worker");
-        }
-      });
-    }
-    for (std::thread& t : workers) {
-      t.join();
-    }
-    std::string error;
-    {
-      MutexLock lock(&worker_error_mu_);
-      error = worker_error_;
-    }
-    if (!error.empty()) {
-      throw std::runtime_error("kv replay worker failed: " + error);
-    }
-  }
+  ForEachShardOnWorkers(shard_count, options_.threads, [&](uint32_t i) {
+    ReplayShard(options_, cache_->shard(i), queues, i, &runs[i]);
+  });
 
-  if (options_.flush_at_end) {
-    const Status flushed = cache_->Flush();
-    if (IsFailure(flushed)) {
-      ++metrics.failed_requests;
-    }
+  if (IsFailure(cache_->Flush())) {
+    ++metrics.failed_requests;
   }
 
   // Deterministic merge in shard-index order; elapsed time is the slowest
   // shard's epoch (the channels ran in parallel).
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    metrics.requests += runs[i].requests;
-    metrics.failed_requests += runs[i].failed_requests;
-    metrics.elapsed_us = std::max(metrics.elapsed_us, runs[i].elapsed_us);
-    metrics.response_us.Merge(runs[i].response_us);
+  for (const ShardRun& run : runs) {
+    metrics.requests += run.requests;
+    metrics.failed_requests += run.failed_requests;
+    metrics.elapsed_us = std::max(metrics.elapsed_us, run.elapsed_us);
+    metrics.response_us.Merge(run.response_us);
   }
   metrics.kv = cache_->AggregateStats();
   metrics.policy = cache_->AggregatePolicyStats();
@@ -152,7 +109,7 @@ KvReplayMetrics KvReplayEngine::Run(KvTraceSource& source) {
   const auto wall_end = std::chrono::steady_clock::now();
   metrics.wall_clock_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(wall_end - wall_start).count());
-  metrics.threads = threads;
+  metrics.threads = std::min<uint32_t>(std::max<uint32_t>(1, options_.threads), shard_count);
   metrics.shards = shard_count;
   metrics.queue_depth = std::max<uint32_t>(1, options_.queue_depth);
   source.Rewind();

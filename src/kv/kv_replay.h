@@ -3,7 +3,8 @@
 //
 // Records route to shards by key hash (a pure function of the key), each
 // shard's subsequence replays as one sequential computation on whichever
-// worker thread owns it, and metrics merge in shard-index order — so every
+// worker thread owns it (both steps in src/core/shard_scheduler.h, shared
+// with the block engine), and metrics merge in shard-index order — so every
 // virtual-time metric, including the full KvStats block, is bit-identical
 // for any thread count and any queue depth assignment. replay_parallel
 // asserts exactly that. Queue depth N > 1 uses the same OpenLoopQueue
@@ -13,14 +14,10 @@
 #define FLASHTIER_KV_KV_REPLAY_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/kv/kv_cache.h"
 #include "src/trace/kv_trace.h"
 #include "src/util/stats.h"
-#include "src/util/sync.h"
-#include "src/util/thread_annotations.h"
 
 namespace flashtier {
 
@@ -63,37 +60,20 @@ class KvReplayEngine {
     uint32_t threads = 1;      // workers; clamped to the shard count
     uint32_t queue_depth = 1;  // host requests in flight per shard
     bool dirty_sets = false;   // replay Sets as write-back (dirty) objects
-    // Seal every open slab after the trace (outside the measured phase) so
-    // flash-write counts compare packed vs naive placement honestly.
-    bool flush_at_end = true;
   };
 
   KvReplayEngine(KvCache* cache, const Options& options) : cache_(cache), options_(options) {}
   explicit KvReplayEngine(KvCache* cache) : KvReplayEngine(cache, Options{}) {}
 
-  // Replays the source to completion; returns metrics for the whole run.
-  // Set tokens derive deterministically from (key, global sequence).
+  // Replays the source to completion, then seals every open slab (outside
+  // the measured phase) so flash-write counts compare packed and naive
+  // placement honestly; returns metrics for the whole run. Set tokens derive
+  // deterministically from (key, global sequence).
   KvReplayMetrics Run(KvTraceSource& source);
 
  private:
-  struct ShardRequest {
-    KvTraceRecord record;
-    uint64_t seq = 0;  // global trace sequence: token derivation
-  };
-  struct ShardRun {
-    uint64_t requests = 0;
-    uint64_t failed_requests = 0;
-    uint64_t elapsed_us = 0;
-    LatencyHistogram response_us;
-  };
-
-  void ReplayShard(KvShard& shard, const std::vector<ShardRequest>& queue, ShardRun* run) const;
-  void RecordWorkerError(const std::string& what) EXCLUDES(worker_error_mu_);
-
   KvCache* cache_;
   Options options_;
-  Mutex worker_error_mu_;
-  std::string worker_error_ GUARDED_BY(worker_error_mu_);
 };
 
 }  // namespace flashtier

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/check/invariant_checker.h"
@@ -327,31 +328,57 @@ TEST(ParallelReplayTest, ThreadsClampedToShardCount) {
   EXPECT_GT(run.metrics.ReplayOpsPerSec(), 0.0);
 }
 
-// An exception escaping a std::thread body is std::terminate, so a device
-// fault thrown inside a replay worker used to kill the whole process. The
-// engine must park the first failure and rethrow it on the coordinating
-// thread after all workers have joined.
-TEST(ParallelReplayTest, WorkerExceptionPropagatesToCaller) {
+// Shards whose commit-point hook throws, each with its own message.
+using ShardFaults = std::vector<std::pair<uint32_t, std::string>>;
+
+// Two failing shards of four: every thread count must report shard 1's error.
+ShardFaults Shards1And2() { return {{1, "fault on shard 1"}, {2, "fault on shard 2"}}; }
+
+void InjectFault(PersistenceManager* persist, const std::string& message) {
+  persist->set_commit_point_hook_for_testing(
+      [message](CommitPoint) { throw std::runtime_error(message); });
+}
+
+// Replays the test workload on a 4-shard write-back system with `faults`
+// injected; returns what Run() threw.
+std::string BlockReplayError(uint32_t threads, const ShardFaults& faults) {
   SystemConfig config;
   config.type = SystemType::kSscWriteBack;
   config.cache_pages = 8192;
   config.shards = 4;
   FlashTierSystem system(config);
-  for (uint32_t i = 0; i < system.shard_count(); ++i) {
-    system.shard(i).ssc->persist_for_testing()->set_commit_point_hook_for_testing(
-        [](CommitPoint) { throw std::runtime_error("injected device fault"); });
+  for (const auto& [shard, message] : faults) {
+    InjectFault(system.shard(shard).ssc->persist_for_testing(), message);
   }
   SyntheticWorkload workload(TestProfile());
   ReplayEngine::Options opts;
-  opts.threads = 4;
+  opts.threads = threads;
   ReplayEngine engine(&system, opts);
   try {
     (void)engine.Run(workload);
-    FAIL() << "worker exception was swallowed";
   } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("replay worker failed"), std::string::npos) << what;
-    EXPECT_NE(what.find("injected device fault"), std::string::npos) << what;
+    return e.what();
+  }
+  return "worker exception was swallowed";
+}
+
+// An exception escaping a std::thread body is std::terminate, so a device
+// fault thrown inside a replay worker used to kill the whole process. The
+// engine must rethrow it on the coordinating thread after all workers have
+// joined, and when several shards fail it must report the lowest-index one
+// at every thread count: the error a one-thread run meets first.
+TEST(ParallelReplayTest, WorkerExceptionPropagatesToCaller) {
+  ShardFaults every_shard;
+  for (uint32_t i = 0; i < 4; ++i) {
+    every_shard.emplace_back(i, "injected device fault");
+  }
+  const std::string what = BlockReplayError(4, every_shard);
+  EXPECT_NE(what.find("replay worker failed"), std::string::npos) << what;
+  EXPECT_NE(what.find("injected device fault"), std::string::npos) << what;
+
+  for (const uint32_t threads : {1u, 4u}) {
+    EXPECT_EQ(BlockReplayError(threads, Shards1And2()), "replay worker failed: fault on shard 1")
+        << threads << " threads";
   }
 }
 
@@ -563,6 +590,37 @@ TEST(KvParallelReplayTest, KvAdmissionDeterministicAndAuditClean) {
   const CheckReport report = InvariantChecker::CheckKv(cache);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_GT(report.checks_run, 0u);
+}
+
+// Replays the KV test workload on a 4-shard cache with `faults` injected;
+// returns what Run() threw.
+std::string KvReplayError(uint32_t threads, const ShardFaults& faults) {
+  KvCacheConfig config;
+  config.shards = 4;
+  config.ssc.capacity_pages = 2048;
+  KvCache cache(config);
+  for (const auto& [shard, message] : faults) {
+    InjectFault(cache.shard(shard).ssc().persist_for_testing(), message);
+  }
+  KvZipfWorkload workload(KvTestProfile());
+  KvReplayEngine::Options opts;
+  opts.threads = threads;
+  KvReplayEngine engine(&cache, opts);
+  try {
+    (void)engine.Run(workload);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "worker exception was swallowed";
+}
+
+// The KV engine runs on the same scheduler: the lowest-index failing shard's
+// error, wrapped once, at every thread count.
+TEST(KvParallelReplayTest, KvWorkerExceptionPropagatesToCaller) {
+  for (const uint32_t threads : {1u, 4u}) {
+    EXPECT_EQ(KvReplayError(threads, Shards1And2()), "replay worker failed: fault on shard 1")
+        << threads << " threads";
+  }
 }
 
 }  // namespace
