@@ -368,7 +368,7 @@ void SoakCrashCycles(CrashTarget& target, const CrashSchedule& schedule, CycleRe
 }
 
 SscShardTarget::SscShardTarget(const DeviceShape& shape)
-    : shape_(shape), router_{std::max<uint32_t>(1, shape.shards), /*grain_pages=*/64} {
+    : shape_(shape), router_{std::max<uint32_t>(1, shape.shards)} {
   sscs_.reserve(router_.shards);
   for (uint32_t i = 0; i < router_.shards; ++i) {
     sscs_.push_back(std::make_unique<SscDevice>(shape_.ShardConfig(i), &clock_));

@@ -63,7 +63,7 @@ using BlockQueues = ShardQueues<TraceSource, TraceRecord>;
 // charged while serving it and the measured phase lasts their sum; deeper
 // queues measure submit to completion and the phase lasts their span.
 void ReplayShard(const ReplayEngine::Options& options, FlashTierSystem::Shard& shard,
-                 BlockQueues& queues, uint32_t i, uint64_t warmup, ShardRun* run) {
+                 const BlockQueues& queues, uint32_t i, uint64_t warmup, ShardRun* run) {
   const bool open_loop = options.queue_depth > 1;
   OpenLoopQueue loop(&shard.clock, options.queue_depth);
   OpenLoopSpan span;
@@ -123,10 +123,11 @@ void ReplayShard(const ReplayEngine::Options& options, FlashTierSystem::Shard& s
   }
 }
 
+// The requests a run replays: the trace, cut at max_requests if that is
+// shorter. The warmup cut is a fraction of this.
 uint64_t TotalRequests(const ReplayEngine::Options& options, const TraceSource& source) {
-  return options.max_requests != 0
-             ? options.max_requests
-             : (source.size_hint() != 0 ? source.size_hint() : ~uint64_t{0});
+  const uint64_t trace = source.size_hint() != 0 ? source.size_hint() : ~uint64_t{0};
+  return options.max_requests != 0 ? std::min(options.max_requests, trace) : trace;
 }
 
 }  // namespace
@@ -145,8 +146,8 @@ ReplayMetrics ReplayEngine::Run(TraceSource& source) {
   const uint64_t total = TotalRequests(options_, source);
   const auto warmup = static_cast<uint64_t>(static_cast<double>(total) * options_.warmup_fraction);
 
-  BlockQueues queues(source, shard_count, total,
-                     [this](const TraceRecord& record) { return system_->ShardOf(record.lbn); });
+  const auto shard_of = [this](const TraceRecord& record) { return system_->ShardOf(record.lbn); };
+  const BlockQueues queues(source, shard_count, options_.threads, total, shard_of);
   std::vector<ShardRun> runs(shard_count);
   if (options_.verify) {
     // Distribute a resumed oracle to the shards that own each LBN (routing
@@ -158,7 +159,7 @@ ReplayMetrics ReplayEngine::Run(TraceSource& source) {
       runs[system_->ShardOf(lbn)].lost_blocks.insert(lbn);
     }
   }
-  ForEachShardOnWorkers(shard_count, options_.threads, [&](uint32_t i) {
+  ForEachShardOnWorkers(queues.Sizes(), options_.threads, [&](uint32_t i) {
     ReplayShard(options_, system_->shard(i), queues, i, warmup, &runs[i]);
   });
 
@@ -191,7 +192,7 @@ ReplayMetrics ReplayEngine::Run(TraceSource& source) {
   const auto wall_end = std::chrono::steady_clock::now();
   metrics_.wall_clock_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(wall_end - wall_start).count());
-  metrics_.threads = std::min<uint32_t>(std::max<uint32_t>(1, options_.threads), shard_count);
+  metrics_.threads = WorkerCount(shard_count, options_.threads);
   metrics_.shards = shard_count;
   metrics_.queue_depth = std::max<uint32_t>(1, options_.queue_depth);
   source.Rewind();

@@ -32,7 +32,7 @@ using KvQueues = ShardQueues<KvTraceSource, KvTraceRecord>;
 
 // Replays shard `i`'s requests on that shard. Touches nothing but the shard
 // and `run`, so it is the same computation on any worker thread.
-void ReplayShard(const KvReplayEngine::Options& options, KvShard& shard, KvQueues& queues,
+void ReplayShard(const KvReplayEngine::Options& options, KvShard& shard, const KvQueues& queues,
                  uint32_t i, ShardRun* run) {
   const bool open_loop = options.queue_depth > 1;
   OpenLoopQueue loop(&shard.clock(), options.queue_depth);
@@ -80,10 +80,10 @@ KvReplayMetrics KvReplayEngine::Run(KvTraceSource& source) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   const uint32_t shard_count = cache_->shard_count();
-  KvQueues queues(source, shard_count, ~uint64_t{0},
-                  [this](const KvTraceRecord& record) { return cache_->ShardOf(record.key); });
+  const auto shard_of = [this](const KvTraceRecord& record) { return cache_->ShardOf(record.key); };
+  const KvQueues queues(source, shard_count, options_.threads, ~uint64_t{0}, shard_of);
   std::vector<ShardRun> runs(shard_count);
-  ForEachShardOnWorkers(shard_count, options_.threads, [&](uint32_t i) {
+  ForEachShardOnWorkers(queues.Sizes(), options_.threads, [&](uint32_t i) {
     ReplayShard(options_, cache_->shard(i), queues, i, &runs[i]);
   });
 
@@ -109,7 +109,7 @@ KvReplayMetrics KvReplayEngine::Run(KvTraceSource& source) {
   const auto wall_end = std::chrono::steady_clock::now();
   metrics.wall_clock_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(wall_end - wall_start).count());
-  metrics.threads = std::min<uint32_t>(std::max<uint32_t>(1, options_.threads), shard_count);
+  metrics.threads = WorkerCount(shard_count, options_.threads);
   metrics.shards = shard_count;
   metrics.queue_depth = std::max<uint32_t>(1, options_.queue_depth);
   source.Rewind();

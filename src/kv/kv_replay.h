@@ -3,7 +3,7 @@
 //
 // Records route to shards by key hash (a pure function of the key), each
 // shard's subsequence replays as one sequential computation on whichever
-// worker thread owns it (both steps in src/core/shard_scheduler.h, shared
+// worker thread claims it (both steps in src/core/shard_scheduler.h, shared
 // with the block engine), and metrics merge in shard-index order — so every
 // virtual-time metric, including the full KvStats block, is bit-identical
 // for any thread count and any queue depth assignment. replay_parallel

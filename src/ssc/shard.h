@@ -27,16 +27,17 @@
 namespace flashtier {
 
 struct ShardRouter {
-  uint32_t shards = 1;
   // Pages per routing grain: one logical erase block, so a block-map entry
   // can never straddle shards.
-  uint32_t grain_pages = 64;
+  static constexpr uint32_t kGrainPages = 64;
+
+  uint32_t shards = 1;
 
   uint32_t ShardOf(Lbn lbn) const {
     if (shards <= 1) {
       return 0;
     }
-    return static_cast<uint32_t>(MixHash64(lbn / grain_pages) % shards);
+    return static_cast<uint32_t>(MixHash64(lbn / kGrainPages) % shards);
   }
 
   // Object-key routing for the KV layer (DESIGN.md §5k). Keys are opaque

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,6 +40,8 @@ class KvTraceSource {
   virtual bool Next(KvTraceRecord* record) = 0;
   virtual void Rewind() = 0;
   virtual uint64_t size_hint() const { return 0; }
+  // The whole trace if held in memory, else empty (TraceSource::InMemory).
+  virtual std::span<const KvTraceRecord> InMemory() const { return {}; }
 };
 
 // Trivial in-memory KV trace, mainly for tests.
@@ -59,6 +62,7 @@ class KvVectorTrace final : public KvTraceSource {
 
   void Rewind() override { pos_ = 0; }
   uint64_t size_hint() const override { return records_.size(); }
+  std::span<const KvTraceRecord> InMemory() const override { return records_; }
 
   const std::vector<KvTraceRecord>& records() const { return records_; }
 

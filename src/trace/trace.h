@@ -9,6 +9,7 @@
 #define FLASHTIER_TRACE_TRACE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,10 @@ class TraceSource {
 
   // Total records the stream will produce, if known (0 = unknown).
   virtual uint64_t size_hint() const { return 0; }
+
+  // The whole trace, if the source holds it in memory (empty otherwise): a
+  // sharded replay routes it in place instead of reading a copy.
+  virtual std::span<const TraceRecord> InMemory() const { return {}; }
 };
 
 // Trivial in-memory trace, mainly for tests.
@@ -59,6 +64,7 @@ class VectorTrace final : public TraceSource {
 
   void Rewind() override { pos_ = 0; }
   uint64_t size_hint() const override { return records_.size(); }
+  std::span<const TraceRecord> InMemory() const override { return records_; }
 
   const std::vector<TraceRecord>& records() const { return records_; }
 

@@ -77,21 +77,30 @@ TEST(ReplayEngineTest, CountsAndClock) {
   EXPECT_GT(m.MeanResponseUs(), 0.0);
 }
 
+// The warmup cut is a fraction of the requests replayed: a max_requests past
+// the end of the trace replays the whole trace and cuts the same warmup.
 TEST(ReplayEngineTest, WarmupExcludedFromMeasurement) {
-  SystemConfig config;
-  config.type = SystemType::kSscWriteThrough;
-  config.cache_pages = 2048;
-  FlashTierSystem system(config);
-  VectorTrace trace;
-  for (int i = 0; i < 1000; ++i) {
-    trace.Append(i, TraceOp::kWrite);
+  for (const uint64_t max_requests : {uint64_t{0}, uint64_t{2'000}}) {
+    for (const uint32_t shards : {1u, 4u}) {
+      SystemConfig config;
+      config.type = SystemType::kSscWriteThrough;
+      config.cache_pages = 2048;
+      config.shards = shards;
+      FlashTierSystem system(config);
+      VectorTrace trace;
+      for (int i = 0; i < 1000; ++i) {
+        trace.Append(i, TraceOp::kWrite);
+      }
+      ReplayEngine::Options opts;
+      opts.warmup_fraction = 0.30;
+      opts.max_requests = max_requests;
+      opts.threads = shards;
+      ReplayEngine engine(&system, opts);
+      const ReplayMetrics m = engine.Run(trace);
+      EXPECT_EQ(m.warmup_requests, 300u) << max_requests << " max, " << shards << " shards";
+      EXPECT_EQ(m.requests, 700u) << max_requests << " max, " << shards << " shards";
+    }
   }
-  ReplayEngine::Options opts;
-  opts.warmup_fraction = 0.30;
-  ReplayEngine engine(&system, opts);
-  const ReplayMetrics m = engine.Run(trace);
-  EXPECT_EQ(m.warmup_requests, 300u);
-  EXPECT_EQ(m.requests, 700u);
 }
 
 TEST(ReplayEngineTest, MaxRequestsTruncates) {

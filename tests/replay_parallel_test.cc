@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -14,6 +17,7 @@
 #include "src/check/invariant_checker.h"
 #include "src/core/flashtier.h"
 #include "src/core/replay.h"
+#include "src/core/shard_scheduler.h"
 #include "src/kv/kv_cache.h"
 #include "src/kv/kv_replay.h"
 #include "src/trace/workload.h"
@@ -33,6 +37,18 @@ WorkloadProfile TestProfile() {
   return p;
 }
 
+// Reads all of `source` into memory and rewinds it.
+template <typename Record, typename Source>
+std::vector<Record> ReadAll(Source& source) {
+  std::vector<Record> records;
+  Record record;
+  while (source.Next(&record)) {
+    records.push_back(record);
+  }
+  source.Rewind();
+  return records;
+}
+
 struct ShardedRun {
   ReplayMetrics metrics;
   ManagerStats manager;
@@ -45,10 +61,12 @@ struct ShardedRun {
 // `detach_policies` is set, every shard's manager has its admission policy
 // unwired after construction — that is exactly the pre-policy code path, so
 // comparing it against a default admit-all run proves the default is
-// bit-identical to the seed system.
+// bit-identical to the seed system. `source` replaces the test workload's
+// generator.
 ShardedRun RunWith(uint32_t shards, uint32_t threads, SystemType type,
                    const PolicyConfig& admission = PolicyConfig{},
-                   bool detach_policies = false, uint32_t queue_depth = 1) {
+                   bool detach_policies = false, uint32_t queue_depth = 1,
+                   TraceSource* source = nullptr) {
   SystemConfig config;
   config.type = type;
   config.cache_pages = 8192;
@@ -68,7 +86,7 @@ ShardedRun RunWith(uint32_t shards, uint32_t threads, SystemType type,
   opts.queue_depth = queue_depth;
   ReplayEngine engine(&system, opts);
   ShardedRun run;
-  run.metrics = engine.Run(workload);
+  run.metrics = engine.Run(source != nullptr ? *source : workload);
   run.manager = system.AggregateManagerStats();
   run.ftl = system.AggregateFtlStats();
   run.flash = system.AggregateFlashStats();
@@ -115,6 +133,23 @@ TEST(ParallelReplayTest, VirtualMetricsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t8.metrics.shards, 8u);
   ExpectVirtualTimeEqual(t1, t4);
   ExpectVirtualTimeEqual(t1, t8);
+}
+
+// flashbench replays traces it holds in memory, which the scheduler routes in
+// place; a generator is read into an owned copy first. Both must replay
+// identically at every thread count.
+TEST(ParallelReplayTest, InMemoryTraceReplaysLikeStreamedOne) {
+  SyntheticWorkload generator(TestProfile());
+  VectorTrace trace(ReadAll<TraceRecord>(generator));
+  for (const uint32_t threads : {1u, 4u, 8u}) {
+    const ShardedRun streamed = RunWith(8, threads, SystemType::kSscWriteBack);
+    const ShardedRun in_memory =
+        RunWith(8, threads, SystemType::kSscWriteBack, PolicyConfig{}, false, 1, &trace);
+    ASSERT_EQ(streamed.metrics.stale_reads, 0u);
+    ASSERT_GT(streamed.metrics.warmup_requests, 0u);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ExpectVirtualTimeEqual(streamed, in_memory);
+  }
 }
 
 // Open-loop queue-depth-8 replay: the virtual-time metrics — including the
@@ -472,10 +507,11 @@ KvWorkloadProfile KvTestProfile() {
 }
 
 // Fresh cache + fresh workload per run: only the host-side replay shape
-// (threads, queue depth) varies.
+// (threads, queue depth) varies. `source` replaces the test workload's
+// generator.
 KvReplayMetrics RunKv(uint32_t shards, uint32_t threads, uint32_t queue_depth,
-                      bool dirty_sets = false,
-                      const PolicyConfig& admission = PolicyConfig{}) {
+                      bool dirty_sets = false, const PolicyConfig& admission = PolicyConfig{},
+                      KvTraceSource* source = nullptr) {
   KvCacheConfig config;
   config.shards = shards;
   config.admission = admission;
@@ -487,7 +523,7 @@ KvReplayMetrics RunKv(uint32_t shards, uint32_t threads, uint32_t queue_depth,
   opts.queue_depth = queue_depth;
   opts.dirty_sets = dirty_sets;
   KvReplayEngine engine(&cache, opts);
-  return engine.Run(workload);
+  return engine.Run(source != nullptr ? *source : workload);
 }
 
 void ExpectKvVirtualTimeEqual(const KvReplayMetrics& a, const KvReplayMetrics& b) {
@@ -524,6 +560,20 @@ TEST(KvParallelReplayTest, KvStatsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t8.shards, 8u);
   ExpectKvVirtualTimeEqual(t1, t4);
   ExpectKvVirtualTimeEqual(t1, t8);
+}
+
+// The KV engine's in-memory path, as flashbench drives it, against the
+// generator it was read from.
+TEST(KvParallelReplayTest, KvInMemoryTraceReplaysLikeStreamedOne) {
+  KvZipfWorkload generator(KvTestProfile());
+  KvVectorTrace trace(ReadAll<KvTraceRecord>(generator));
+  for (const uint32_t threads : {1u, 4u, 8u}) {
+    const KvReplayMetrics streamed = RunKv(8, threads, 1);
+    const KvReplayMetrics in_memory = RunKv(8, threads, 1, false, PolicyConfig{}, &trace);
+    ASSERT_GT(streamed.kv.hits, 0u);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ExpectKvVirtualTimeEqual(streamed, in_memory);
+  }
 }
 
 TEST(KvParallelReplayTest, KvOpenLoopIdenticalAcrossThreadCounts) {
@@ -620,6 +670,99 @@ TEST(KvParallelReplayTest, KvWorkerExceptionPropagatesToCaller) {
   for (const uint32_t threads : {1u, 4u}) {
     EXPECT_EQ(KvReplayError(threads, Shards1And2()), "replay worker failed: fault on shard 1")
         << threads << " threads";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The shard scheduler itself (src/core/shard_scheduler.h), with the test
+// workload's trace and a stand-in per-shard body.
+// ---------------------------------------------------------------------------
+
+// Every request below the limit reaches exactly one shard, the one the router
+// names, and each shard sees its requests in increasing trace order, whether
+// the trace is routed in place or read from a generator first, and at thread
+// counts that do not divide the shard count.
+TEST(ShardSchedulerTest, RoutesEachRequestOnceInTraceOrder) {
+  SyntheticWorkload generator(TestProfile());
+  VectorTrace in_memory(ReadAll<TraceRecord>(generator));
+  const std::vector<TraceRecord>& trace = in_memory.records();
+  const uint64_t limit = trace.size() - 777;
+  for (TraceSource* source : std::vector<TraceSource*>{&in_memory, &generator}) {
+    for (const uint32_t shards : {2u, 3u, 8u}) {
+      for (const uint32_t threads : {1u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(std::string(source == &in_memory ? "in memory" : "streamed") + ", " +
+                     std::to_string(shards) + " shards, " + std::to_string(threads) + " threads");
+        ShardRouter router;
+        router.shards = shards;
+        const auto shard_of = [&](const TraceRecord& record) { return router.ShardOf(record.lbn); };
+        const ShardQueues<TraceSource, TraceRecord> queues(*source, shards, threads, limit,
+                                                           shard_of);
+        const std::vector<uint64_t> sizes = queues.Sizes();
+        ASSERT_EQ(sizes.size(), shards);
+        std::vector<uint32_t> seen(limit, 0);
+        for (uint32_t s = 0; s < shards; ++s) {
+          uint64_t count = 0;
+          uint64_t next_seq = 0;  // the lowest seq shard s may yield next
+          queues.ForEach(s, [&](const TraceRecord& record, uint64_t seq) {
+            ASSERT_LT(seq, limit);
+            EXPECT_GE(seq, next_seq);
+            EXPECT_EQ(record, trace[seq]);
+            EXPECT_EQ(shard_of(record), s);
+            next_seq = seq + 1;
+            ++seen[seq];
+            ++count;
+          });
+          EXPECT_GT(count, 0u) << "shard " << s;
+          EXPECT_EQ(count, sizes[s]) << "shard " << s;
+        }
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), 1u), static_cast<std::ptrdiff_t>(limit));
+        source->Rewind();
+      }
+    }
+  }
+}
+
+// Shards are claimed largest first, ties to the lower index, and every shard
+// runs exactly once at any thread count.
+TEST(ShardSchedulerTest, RunsEveryShardOnceLargestFirst) {
+  const std::vector<uint64_t> sizes = {5, 9, 2, 9, 0, 7};
+  std::vector<uint32_t> order;
+  ForEachShardOnWorkers(sizes, 1, [&](uint32_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<uint32_t>{1, 3, 5, 0, 2, 4}));
+  for (const uint32_t threads : {2u, 3u, 4u, 8u}) {
+    std::vector<std::atomic<int>> calls(sizes.size());
+    ForEachShardOnWorkers(sizes, threads, [&](uint32_t i) { ++calls[i]; });
+    for (size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].load(), 1) << "shard " << i << ", " << threads << " threads";
+    }
+  }
+}
+
+// With shards 1 and 2 failing, every shard still runs, and shard 1's error is
+// the one reported at every thread count, also when shard 2 is the largest and
+// so is claimed first.
+TEST(ShardSchedulerTest, ReportsLowestFailingShardAfterRunningAll) {
+  for (const std::vector<uint64_t>& sizes : {std::vector<uint64_t>{4, 4, 4, 4},
+                                             std::vector<uint64_t>{4, 4, 9, 4}}) {
+    for (const uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      std::vector<std::atomic<int>> calls(sizes.size());
+      std::string what = "no error";
+      try {
+        ForEachShardOnWorkers(sizes, threads, [&](uint32_t i) {
+          ++calls[i];
+          if (i == 1 || i == 2) {
+            throw std::runtime_error("fault on shard " + std::to_string(i));
+          }
+        });
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
+      EXPECT_EQ(what, "replay worker failed: fault on shard 1")
+          << threads << " threads, shard 2 size " << sizes[2];
+      for (size_t i = 0; i < calls.size(); ++i) {
+        EXPECT_EQ(calls[i].load(), 1) << "shard " << i << ", " << threads << " threads";
+      }
+    }
   }
 }
 
