@@ -49,47 +49,18 @@ void AppendKvStatsJson(const std::string& path, const KvWorkloadProfile& profile
   if (path.empty()) {
     return;
   }
-  FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot open %s for stats dump\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\"bench\":\"ablation_kv\",\"workload\":\"%s\",\"placement\":\"%s\","
-               "\"policy\":\"%s\","
-               "\"iops\":%.1f,\"mean_response_us\":%.2f,"
-               "\"p50_us\":%.2f,\"p95_us\":%.2f,\"p99_us\":%.2f,\"p999_us\":%.2f,"
-               "\"requests\":%llu,\"failed_requests\":%llu,"
-               "\"threads\":%u,\"shards\":%u,\"depth\":%u,\"wall_clock_us\":%llu,"
-               "\"replay_ops_per_sec\":%.1f",
-               profile.name.c_str(), placement, policy, m.Iops(), m.MeanResponseUs(),
-               m.response_us.PercentileUs(50), m.response_us.PercentileUs(95),
-               m.response_us.PercentileUs(99), m.response_us.PercentileUs(99.9),
-               (unsigned long long)m.requests, (unsigned long long)m.failed_requests,
-               m.threads, m.shards, m.queue_depth, (unsigned long long)m.wall_clock_us,
-               m.ReplayOpsPerSec());
-  std::fprintf(f,
-               ",\"policy_stats\":{\"admits\":%llu,\"rejects\":%llu,\"ghost_hits\":%llu,"
-               "\"rejected_then_remissed\":%llu,\"flash_writes_saved\":%llu}",
-               (unsigned long long)m.policy.admits, (unsigned long long)m.policy.rejects,
-               (unsigned long long)m.policy.ghost_hits,
-               (unsigned long long)m.policy.rejected_then_remissed,
-               (unsigned long long)m.policy.flash_writes_saved);
-  std::fprintf(f,
-               ",\"persist\":{\"records_logged\":%llu,\"checkpoints\":%llu,"
-               "\"backpressure_stalls\":%llu,\"log_full_events\":%llu}",
-               (unsigned long long)m.persist.records_logged,
-               (unsigned long long)m.persist.checkpoints,
-               (unsigned long long)m.persist.backpressure_stalls,
-               (unsigned long long)m.persist.log_full_events);
-  std::fprintf(f,
-               ",\"flash\":{\"page_reads\":%llu,\"page_writes\":%llu,\"erases\":%llu,"
-               "\"gc_copies\":%llu}",
-               (unsigned long long)m.flash.page_reads, (unsigned long long)m.flash.page_writes,
-               (unsigned long long)m.flash.erases, (unsigned long long)m.flash.gc_copies);
-  AppendKvJson(f, m.kv, m.flash_writes_per_set);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  JsonLine line;
+  line.String("bench", "ablation_kv")
+      .String("workload", profile.name)
+      .String("placement", placement)
+      .String("policy", policy);
+  ReplayJson(line, m).Uint("failed_requests", m.failed_requests);
+  HostJson(line, m)
+      .Block("policy_stats", m.policy)
+      .Block("persist", m.persist)
+      .Block("flash", m.flash);
+  KvJson(line, m.kv, m.flash_writes_per_set);
+  AppendStatsLine(path, line);
 }
 
 int Main(int argc, char** argv) {

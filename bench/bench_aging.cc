@@ -143,21 +143,24 @@ ArmResult RunArm(const WorkloadProfile& profile, const ParallelFlags& par,
                 out.wl_migrations, out.patrol_repairs);
 
     if (!stats_json.empty()) {
-      FILE* f = std::fopen(stats_json.c_str(), "a");
-      if (f != nullptr) {
-        std::fprintf(f,
-                     "{\"bench\":\"aging\",\"workload\":\"%s\",\"arm\":\"%s\",\"pass\":%u,"
-                     "\"aged_x\":%.3f,\"erase_cv\":%.4f,\"write_amp\":%.3f,"
-                     "\"miss_rate\":%.3f,\"retired_pct\":%.2f,\"wl_migrations\":%" PRIu64
-                     ",\"patrol_repairs\":%" PRIu64 ",\"retired_blocks\":%" PRIu64
-                     ",\"read_disturbs\":%" PRIu64 ",\"retention_failures\":%" PRIu64
-                     ",\"stale_reads\":%" PRIu64 "}\n",
-                     profile.name.c_str(), arm, pass, aged_x, out.erase_cv, out.write_amp,
-                     miss_rate, out.retired_pct, out.wl_migrations, out.patrol_repairs,
-                     ftl.retired_blocks, system.AggregateFaultStats().read_disturbs,
-                     system.AggregateFaultStats().retention_failures, out.undetected);
-        std::fclose(f);
-      }
+      const FaultStats faults = system.AggregateFaultStats();
+      JsonLine line;
+      line.String("bench", "aging")
+          .String("workload", profile.name)
+          .String("arm", arm)
+          .Uint("pass", pass)
+          .Double("aged_x", aged_x, 3)
+          .Double("erase_cv", out.erase_cv, 4)
+          .Double("write_amp", out.write_amp, 3)
+          .Double("miss_rate", miss_rate, 3)
+          .Double("retired_pct", out.retired_pct, 2)
+          .Uint("wl_migrations", out.wl_migrations)
+          .Uint("patrol_repairs", out.patrol_repairs)
+          .Uint("retired_blocks", ftl.retired_blocks)
+          .Uint("read_disturbs", faults.read_disturbs)
+          .Uint("retention_failures", faults.retention_failures)
+          .Uint("stale_reads", out.undetected);
+      AppendStatsLine(stats_json, line);
     }
   }
   return out;

@@ -28,6 +28,7 @@
 #include "src/trace/trace_stats.h"
 #include "src/trace/workload.h"
 #include "src/util/args.h"
+#include "src/util/json.h"
 
 namespace flashtier::bench {
 
@@ -201,170 +202,95 @@ inline RunResult ReplayWorkload(const WorkloadProfile& profile, const SystemConf
   return result;
 }
 
-// The tiny-object KV counters every stats line carries (DESIGN.md §5k).
-// Block benches have no KV layer and emit zeros; bench_ablation_kv passes
-// the real aggregate. Keeping the block in every line keeps the JSON schema
-// uniform for downstream tooling.
-inline void AppendKvJson(FILE* f, const KvStats& kv, double flash_writes_per_set) {
-  std::fprintf(f,
-               ",\"kv\":{\"gets\":%llu,\"hits\":%llu,\"misses\":%llu,\"sets\":%llu,"
-               "\"overwrites\":%llu,\"rejected_sets\":%llu,\"deletes\":%llu,"
-               "\"slab_fills\":%llu,\"slab_page_writes\":%llu,\"compactions\":%llu,"
-               "\"slots_moved\":%llu,\"slots_reclaimed\":%llu,\"slab_evictions\":%llu,"
-               "\"lazy_slab_drops\":%llu,\"dead_slab_reclaims\":%llu,"
-               "\"recoveries\":%llu,\"restaged_dirty_slots\":%llu,"
-               "\"dropped_clean_slots\":%llu,\"lost_objects\":%llu,"
-               "\"flash_writes_per_set\":%.4f}",
-               (unsigned long long)kv.gets, (unsigned long long)kv.hits,
-               (unsigned long long)kv.misses, (unsigned long long)kv.sets,
-               (unsigned long long)kv.overwrites, (unsigned long long)kv.rejected_sets,
-               (unsigned long long)kv.deletes, (unsigned long long)kv.slab_fills,
-               (unsigned long long)kv.slab_page_writes, (unsigned long long)kv.compactions,
-               (unsigned long long)kv.slots_moved, (unsigned long long)kv.slots_reclaimed,
-               (unsigned long long)kv.slab_evictions, (unsigned long long)kv.lazy_slab_drops,
-               (unsigned long long)kv.dead_slab_reclaims, (unsigned long long)kv.recoveries,
-               (unsigned long long)kv.restaged_dirty_slots,
-               (unsigned long long)kv.dropped_clean_slots,
-               (unsigned long long)kv.lost_objects, flash_writes_per_set);
+// Appends one JSON line to the --stats-json file at `path`. A file that
+// cannot be opened is fatal (exit 2), like a bad flag: a sweep must not lose
+// its rows silently.
+inline void AppendStatsLine(const std::string& path, JsonLine& line) {
+  if (!WriteLine(path, line.Finish())) {
+    std::fprintf(stderr, "cannot open %s for stats dump\n", path.c_str());
+    std::exit(2);
+  }
 }
 
-// Appends one JSON object (a line of JSON-lines) with this run's counters to
-// `path`: replay metrics, manager stats (including the §5d fault-handling
-// counters), and — when the system has an SSC — FTL, persistence, and raw
-// medium fault counters. Machine-readable companion to the printf tables.
+inline JsonLine& PercentilesJson(JsonLine& line, const LatencyHistogram& h) {
+  return line.Double("p50_us", h.PercentileUs(50), 2)
+      .Double("p95_us", h.PercentileUs(95), 2)
+      .Double("p99_us", h.PercentileUs(99), 2)
+      .Double("p999_us", h.PercentileUs(99.9), 2);
+}
+
+// The replay fields block and KV rows share: virtual-time throughput and
+// latency, then the request count.
+template <typename Metrics>
+JsonLine& ReplayJson(JsonLine& line, const Metrics& m) {
+  line.Double("iops", m.Iops(), 1).Double("mean_response_us", m.MeanResponseUs(), 2);
+  return PercentilesJson(line, m.response_us).Uint("requests", m.requests);
+}
+
+// The host side of a replay: its parallel shape and wall-clock throughput,
+// the only thread-dependent fields of a row.
+template <typename Metrics>
+JsonLine& HostJson(JsonLine& line, const Metrics& m) {
+  return line.Uint("threads", m.threads)
+      .Uint("shards", m.shards)
+      .Uint("depth", m.queue_depth)
+      .Uint("wall_clock_us", m.wall_clock_us)
+      .Double("replay_ops_per_sec", m.ReplayOpsPerSec(), 1);
+}
+
+// The tiny-object KV block every stats line carries (DESIGN.md §5k). Block
+// benches have no KV layer and write zeros; bench_ablation_kv passes the real
+// aggregate. Keeping the block in every line keeps the schema uniform for
+// downstream tooling.
+inline JsonLine& KvJson(JsonLine& line, const KvStats& kv, double flash_writes_per_set) {
+  return line.Object("kv")
+      .Counters(kv)
+      .Double("flash_writes_per_set", flash_writes_per_set, 4)
+      .End();
+}
+
+// Appends one JSON line with this run's counters to `path`: replay metrics,
+// then every counter block of the system, each the whole stats struct summed
+// across shards (so the line is shard-count agnostic). The shard/thread
+// configuration and wall-clock throughput ride along so a sweep can plot
+// scaling without re-parsing the command line. Machine-readable companion to
+// the printf tables.
 inline void AppendStatsJson(const std::string& path, const char* bench,
                             const WorkloadProfile& profile, const SystemConfig& config,
                             FlashTierSystem* system, const RunResult& result) {
   if (path.empty()) {
     return;
   }
-  FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot open %s for stats dump\n", path.c_str());
-    return;
-  }
-  // Counters are summed across shards so the JSON is shard-count agnostic;
-  // the shard/thread configuration and wall-clock throughput ride along so a
-  // sweep can plot scaling without re-parsing the command line.
-  const ManagerStats m = system->AggregateManagerStats();
-  std::fprintf(f,
-               "{\"bench\":\"%s\",\"workload\":\"%s\",\"system\":\"%s\","
-               "\"policy\":\"%s\","
-               "\"iops\":%.1f,\"mean_response_us\":%.2f,"
-               "\"p50_us\":%.2f,\"p95_us\":%.2f,\"p99_us\":%.2f,\"p999_us\":%.2f,"
-               "\"requests\":%llu,\"stale_reads\":%llu,\"failed_requests\":%llu,"
-               "\"read_errors\":%llu,"
-               "\"threads\":%u,\"shards\":%u,\"depth\":%u,\"wall_clock_us\":%llu,"
-               "\"replay_ops_per_sec\":%.1f,"
-               "\"manager\":{\"read_hits\":%llu,\"read_misses\":%llu,\"writebacks\":%llu,"
-               "\"evicts\":%llu,\"read_errors\":%llu,\"lost_dirty\":%llu,"
-               "\"degraded_entries\":%llu,\"pass_through_writes\":%llu,"
-               "\"rescued_reads\":%llu,\"disk_io_errors\":%llu,\"parked_writebacks\":%llu,"
-               "\"scrub_repairs\":%llu,\"disk_degraded_entries\":%llu}",
-               bench, profile.name.c_str(), SystemTypeName(config.type).c_str(),
-               system->admission_name(), result.iops,
-               result.mean_response_us, result.metrics.response_us.PercentileUs(50),
-               result.metrics.response_us.PercentileUs(95),
-               result.metrics.response_us.PercentileUs(99),
-               result.metrics.response_us.PercentileUs(99.9),
-               (unsigned long long)result.metrics.requests,
-               (unsigned long long)result.metrics.stale_reads,
-               (unsigned long long)result.metrics.failed_requests,
-               (unsigned long long)result.metrics.read_errors,
-               result.metrics.threads, result.metrics.shards, result.metrics.queue_depth,
-               (unsigned long long)result.metrics.wall_clock_us,
-               result.metrics.ReplayOpsPerSec(),
-               (unsigned long long)m.read_hits, (unsigned long long)m.read_misses,
-               (unsigned long long)m.writebacks, (unsigned long long)m.evicts,
-               (unsigned long long)m.read_errors, (unsigned long long)m.lost_dirty,
-               (unsigned long long)m.degraded_entries,
-               (unsigned long long)m.pass_through_writes,
-               (unsigned long long)m.rescued_reads, (unsigned long long)m.disk_io_errors,
-               (unsigned long long)m.parked_writebacks, (unsigned long long)m.scrub_repairs,
-               (unsigned long long)m.disk_degraded_entries);
-  // Disk-tier counters (DESIGN.md §5i): every system has a disk, so the
-  // block is always present; without a DiskFaultPlan the fault, retry and
-  // repair counters are simply zero.
-  const DiskStats d = system->AggregateDiskStats();
-  std::fprintf(f,
-               ",\"disk\":{\"reads\":%llu,\"writes\":%llu,\"busy_us\":%llu,"
-               "\"read_faults\":%llu,\"write_faults\":%llu,\"latent_errors\":%llu,"
-               "\"latent_sectors\":%llu,\"sector_repairs\":%llu,\"slow_ios\":%llu,"
-               "\"retries\":%llu,\"timeouts\":%llu}",
-               (unsigned long long)d.reads, (unsigned long long)d.writes,
-               (unsigned long long)d.busy_us, (unsigned long long)d.read_faults,
-               (unsigned long long)d.write_faults, (unsigned long long)d.latent_errors,
-               (unsigned long long)d.latent_sectors, (unsigned long long)d.sector_repairs,
-               (unsigned long long)d.slow_ios, (unsigned long long)d.retries,
-               (unsigned long long)d.timeouts);
-  // Admission-policy counters (summed across shards, like everything else).
-  // Present for every run — with the default admit-all, rejects and the
-  // regret counter are zero and admits equals the insertions performed.
-  const PolicyStats ps = system->AggregatePolicyStats();
-  std::fprintf(f,
-               ",\"policy_stats\":{\"admits\":%llu,\"rejects\":%llu,\"ghost_hits\":%llu,"
-               "\"rejected_then_remissed\":%llu,\"flash_writes_saved\":%llu}",
-               (unsigned long long)ps.admits, (unsigned long long)ps.rejects,
-               (unsigned long long)ps.ghost_hits,
-               (unsigned long long)ps.rejected_then_remissed,
-               (unsigned long long)ps.flash_writes_saved);
-  const bool has_device = system->ssc() != nullptr || system->ssd() != nullptr;
+  const ReplayMetrics& m = result.metrics;
+  JsonLine line;
+  line.String("bench", bench)
+      .String("workload", profile.name)
+      .String("system", SystemTypeName(config.type))
+      .String("policy", system->admission_name());
+  ReplayJson(line, m)
+      .Uint("stale_reads", m.stale_reads)
+      .Uint("failed_requests", m.failed_requests)
+      .Uint("read_errors", m.read_errors);
+  HostJson(line, m);
+  // Every system has a disk and an admission policy (admit-all by default),
+  // so those blocks are always present; without fault plans the fault
+  // counters are simply zero.
+  line.Block("manager", system->AggregateManagerStats())
+      .Block("disk", system->AggregateDiskStats())
+      .Block("policy_stats", system->AggregatePolicyStats());
   if (system->ssc() != nullptr) {
-    const PersistStats p = system->AggregatePersistStats();
-    std::fprintf(f,
-                 ",\"persist\":{\"records_logged\":%llu,\"checkpoints\":%llu,"
-                 "\"corrupt_records_skipped\":%llu,\"checkpoint_fallbacks\":%llu,"
-                 "\"segment_fallbacks\":%llu,\"forced_checkpoints\":%llu,"
-                 "\"backpressure_stalls\":%llu,\"log_full_events\":%llu,"
-                 "\"checkpoint_load_us\":%llu,\"log_replay_us\":%llu,"
-                 "\"rebuild_us\":%llu,\"last_recovery_us\":%llu}",
-                 (unsigned long long)p.records_logged, (unsigned long long)p.checkpoints,
-                 (unsigned long long)p.corrupt_records_skipped,
-                 (unsigned long long)p.checkpoint_fallbacks,
-                 (unsigned long long)p.segment_fallbacks,
-                 (unsigned long long)p.forced_checkpoints,
-                 (unsigned long long)p.backpressure_stalls,
-                 (unsigned long long)p.log_full_events,
-                 (unsigned long long)p.checkpoint_load_us, (unsigned long long)p.log_replay_us,
-                 (unsigned long long)p.rebuild_us, (unsigned long long)p.last_recovery_us);
+    line.Block("persist", system->AggregatePersistStats());
   }
-  if (has_device) {
-    // Raw medium counters: the flash-write economy an admission policy is
-    // judged on (writes and erases per request → wear, Table 5).
-    const FlashStats flash = system->AggregateFlashStats();
-    std::fprintf(f,
-                 ",\"flash\":{\"page_reads\":%llu,\"page_writes\":%llu,\"erases\":%llu,"
-                 "\"gc_copies\":%llu}",
-                 (unsigned long long)flash.page_reads, (unsigned long long)flash.page_writes,
-                 (unsigned long long)flash.erases, (unsigned long long)flash.gc_copies);
-    const FtlStats ftl = system->AggregateFtlStats();
-    const FaultStats faults = system->AggregateFaultStats();
-    std::fprintf(f,
-                 ",\"ftl\":{\"gc_invocations\":%llu,\"program_retries\":%llu,"
-                 "\"retired_blocks\":%llu,\"dropped_clean_pages\":%llu,"
-                 "\"lost_dirty_pages\":%llu,\"wl_migrations\":%llu,"
-                 "\"patrol_repairs\":%llu,\"retired_capacity_pct\":%.2f}",
-                 (unsigned long long)ftl.gc_invocations,
-                 (unsigned long long)ftl.program_retries,
-                 (unsigned long long)ftl.retired_blocks,
-                 (unsigned long long)ftl.dropped_clean_pages,
-                 (unsigned long long)ftl.lost_dirty_pages,
-                 (unsigned long long)ftl.wl_migrations,
-                 (unsigned long long)ftl.patrol_repairs, system->RetiredCapacityPct());
-    std::fprintf(f,
-                 ",\"faults\":{\"program_failures\":%llu,\"erase_failures\":%llu,"
-                 "\"read_corruptions\":%llu,\"crc_mismatches\":%llu,"
-                 "\"read_disturbs\":%llu,\"retention_failures\":%llu}",
-                 (unsigned long long)faults.program_failures,
-                 (unsigned long long)faults.erase_failures,
-                 (unsigned long long)faults.read_corruptions,
-                 (unsigned long long)faults.crc_mismatches,
-                 (unsigned long long)faults.read_disturbs,
-                 (unsigned long long)faults.retention_failures);
+  if (system->ssc() != nullptr || system->ssd() != nullptr) {
+    line.Block("flash", system->AggregateFlashStats())
+        .Object("ftl")
+        .Counters(system->AggregateFtlStats())
+        .Double("retired_capacity_pct", system->RetiredCapacityPct(), 2)
+        .End()
+        .Block("faults", system->AggregateFaultStats());
   }
-  AppendKvJson(f, KvStats{}, 0.0);  // block systems carry no KV layer
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  KvJson(line, KvStats{}, 0.0);
+  AppendStatsLine(path, line);
 }
 
 }  // namespace flashtier::bench

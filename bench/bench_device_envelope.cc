@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/core/open_loop.h"
 #include "src/ssc/ssc_device.h"
 #include "src/ssd/ssd_ftl.h"
@@ -204,20 +205,23 @@ bool SamePattern(const char* what, const char* kind, const PatternResult& open,
   return false;
 }
 
-void PrintPattern(FILE* json, const std::string& json_path, const char* kind, uint32_t depth,
+void PrintPattern(const std::string& json_path, const char* kind, uint32_t depth,
                   const char* pattern, const PatternResult& r, uint64_t ops, bool mbps) {
-  if (json == nullptr || json_path.empty()) {
+  if (json_path.empty()) {
     return;
   }
-  std::fprintf(json,
-               "{\"bench\":\"device_envelope\",\"device\":\"%s\",\"depth\":%u,"
-               "\"pattern\":\"%s\",\"ops\":%" PRIu64 ",\"elapsed_us\":%" PRIu64 ","
-               "\"iops\":%.1f,\"mbps\":%.1f,\"mean_us\":%.2f,"
-               "\"p50_us\":%.2f,\"p95_us\":%.2f,\"p99_us\":%.2f,\"p999_us\":%.2f,"
-               "\"max_us\":%" PRIu64 "}\n",
-               kind, depth, pattern, ops, r.elapsed_us, r.Iops(ops), mbps ? r.Mbps(ops) : 0.0,
-               r.latency.mean(), r.latency.PercentileUs(50), r.latency.PercentileUs(95),
-               r.latency.PercentileUs(99), r.latency.PercentileUs(99.9), r.latency.max());
+  JsonLine line;
+  line.String("bench", "device_envelope")
+      .String("device", kind)
+      .Uint("depth", depth)
+      .String("pattern", pattern)
+      .Uint("ops", ops)
+      .Uint("elapsed_us", r.elapsed_us)
+      .Double("iops", r.Iops(ops), 1)
+      .Double("mbps", mbps ? r.Mbps(ops) : 0.0, 1)
+      .Double("mean_us", r.latency.mean(), 2);
+  bench::PercentilesJson(line, r.latency).Uint("max_us", r.latency.max());
+  bench::AppendStatsLine(json_path, line);
 }
 
 std::vector<uint32_t> ParseDepths(const std::string& csv) {
@@ -266,11 +270,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 2;
   }
-  FILE* json = json_path.empty() ? nullptr : std::fopen(json_path.c_str(), "a");
-  if (!json_path.empty() && json == nullptr) {
-    std::fprintf(stderr, "cannot open %s for stats dump\n", json_path.c_str());
-    return 2;
-  }
 
   std::printf("Device envelope (virtual time): 4 KB ops on a %llu MB device, %" PRIu64
               " ops/pattern, open-loop\n",
@@ -297,14 +296,11 @@ int main(int argc, char** argv) {
                   row.rand_read.latency.PercentileUs(99),
                   row.rand_read.latency.PercentileUs(99.9), row.seq_write.Mbps(ops),
                   row.rand_write.Iops(ops));
-      PrintPattern(json, json_path, kind, depth, "seq_write", row.seq_write, ops, true);
-      PrintPattern(json, json_path, kind, depth, "seq_read", row.seq_read, ops, true);
-      PrintPattern(json, json_path, kind, depth, "rand_read", row.rand_read, ops, false);
-      PrintPattern(json, json_path, kind, depth, "rand_write", row.rand_write, ops, false);
+      PrintPattern(json_path, kind, depth, "seq_write", row.seq_write, ops, true);
+      PrintPattern(json_path, kind, depth, "seq_read", row.seq_read, ops, true);
+      PrintPattern(json_path, kind, depth, "rand_read", row.rand_read, ops, false);
+      PrintPattern(json_path, kind, depth, "rand_write", row.rand_write, ops, false);
     }
-  }
-  if (json != nullptr) {
-    std::fclose(json);
   }
   std::printf("\nPaper Table 2 (empty SSD): 585 MB/s seq read, 149,700 rand-read IOPS, "
               "124 MB/s seq write, 15,300 rand-write IOPS.\n");

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "src/flash/types.h"
+#include "src/util/counters.h"
 #include "src/util/status.h"
 
 namespace flashtier {
@@ -42,27 +43,30 @@ struct ManagerStats {
   uint64_t scrub_repairs = 0;         // latent sectors repaired from cached copies
   uint64_t disk_degraded_entries = 0; // times the manager entered disk-degraded mode
 
+  // Each field once, in declaration order (src/util/counters.h).
+  static constexpr CounterField<ManagerStats> kFields[] = {
+      {"reads", &ManagerStats::reads},
+      {"writes", &ManagerStats::writes},
+      {"read_hits", &ManagerStats::read_hits},
+      {"read_misses", &ManagerStats::read_misses},
+      {"writebacks", &ManagerStats::writebacks},
+      {"cleans", &ManagerStats::cleans},
+      {"evicts", &ManagerStats::evicts},
+      {"metadata_writes", &ManagerStats::metadata_writes},
+      {"read_errors", &ManagerStats::read_errors},
+      {"lost_dirty", &ManagerStats::lost_dirty},
+      {"degraded_entries", &ManagerStats::degraded_entries},
+      {"pass_through_writes", &ManagerStats::pass_through_writes},
+      {"rescued_reads", &ManagerStats::rescued_reads},
+      {"disk_io_errors", &ManagerStats::disk_io_errors},
+      {"parked_writebacks", &ManagerStats::parked_writebacks},
+      {"scrub_repairs", &ManagerStats::scrub_repairs},
+      {"disk_degraded_entries", &ManagerStats::disk_degraded_entries},
+  };
+
   // Accumulates another manager's counters (used to aggregate the per-shard
   // managers of a sharded system into one host-visible view).
-  void Merge(const ManagerStats& o) {
-    reads += o.reads;
-    writes += o.writes;
-    read_hits += o.read_hits;
-    read_misses += o.read_misses;
-    writebacks += o.writebacks;
-    cleans += o.cleans;
-    evicts += o.evicts;
-    metadata_writes += o.metadata_writes;
-    read_errors += o.read_errors;
-    lost_dirty += o.lost_dirty;
-    degraded_entries += o.degraded_entries;
-    pass_through_writes += o.pass_through_writes;
-    rescued_reads += o.rescued_reads;
-    disk_io_errors += o.disk_io_errors;
-    parked_writebacks += o.parked_writebacks;
-    scrub_repairs += o.scrub_repairs;
-    disk_degraded_entries += o.disk_degraded_entries;
-  }
+  void Merge(const ManagerStats& o) { MergeCounters(*this, o); }
 
   double HitRate() const {
     const uint64_t lookups = read_hits + read_misses;
@@ -73,7 +77,10 @@ struct ManagerStats {
     return lookups == 0 ? 0.0
                         : 100.0 * static_cast<double>(read_misses) / static_cast<double>(lookups);
   }
+
+  friend bool operator==(const ManagerStats&, const ManagerStats&) = default;
 };
+static_assert(AllCountersListed<ManagerStats>(), "list every ManagerStats field in kFields");
 
 class CacheManager {
  public:

@@ -271,7 +271,7 @@ Status NativeCacheManager::CleanSet(uint32_t set) {
     // Collect a contiguous run starting at i.
     size_t j = i + 1;
     while (j < dirty.size() && dirty[j].first == dirty[j - 1].first + 1 &&
-           j - i < options_.max_clean_run) {
+           j - i < kMaxCleanRun) {
       ++j;
     }
     std::vector<uint64_t> tokens;

@@ -43,7 +43,6 @@ class NativeCacheManager final : public CacheManager {
     bool persist_metadata = true;
     uint32_t associativity = 256;
     double dirty_threshold = 0.20;  // per set
-    uint32_t max_clean_run = 64;
     // Dirty-metadata state changes coalesced per metadata page write. The
     // paper's manager only batches *sequential* updates, so random dirty
     // traffic flushes nearly per-update.
@@ -98,6 +97,8 @@ class NativeCacheManager final : public CacheManager {
     SlotState state = SlotState::kFree;
   };
   static constexpr uint16_t kNilWay = 0xffff;
+  // Longest contiguous dirty run written back as one disk write.
+  static constexpr uint32_t kMaxCleanRun = 64;
 
   uint32_t SetOf(Lbn lbn) const;
   // Index within the set, or kNilWay.

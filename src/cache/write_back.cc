@@ -295,12 +295,12 @@ Status WriteBackManager::CleanRun(Lbn seed, uint32_t park_attempt) {
   // sequential disk write (Section 4.4: "prioritizes cleaning of contiguous
   // dirty blocks, which can be merged together").
   Lbn start = seed;
-  while (start > 0 && seed - (start - 1) < options_.max_clean_run &&
+  while (start > 0 && seed - (start - 1) < kMaxCleanRun &&
          dirty_table_.Contains(start - 1)) {
     --start;
   }
   Lbn end = seed;  // inclusive
-  while (end - start + 1 < options_.max_clean_run && dirty_table_.Contains(end + 1)) {
+  while (end - start + 1 < kMaxCleanRun && dirty_table_.Contains(end + 1)) {
     ++end;
   }
 

@@ -45,7 +45,6 @@ class WriteBackManager final : public CacheManager {
  public:
   struct Options {
     double dirty_threshold = 0.20;  // of SSC capacity
-    uint32_t max_clean_run = 64;    // longest contiguous run cleaned at once
     // Keep the paper's optional 8-byte per-dirty-block checksum and verify
     // cached data against it when writing back (Section 4.4's 14-22 byte
     // entry: the 22-byte variant).
@@ -132,6 +131,8 @@ class WriteBackManager final : public CacheManager {
   // request-level retries already failed when a run is parked.
   static constexpr uint64_t kParkBaseBackoffUs = 10'000;
   static constexpr uint64_t kParkMaxBackoffUs = 1'000'000;
+  // Longest contiguous dirty run cleaned as one sequential disk write.
+  static constexpr uint32_t kMaxCleanRun = 64;
 
   // A writeback run whose disk write failed after retries: its blocks stay
   // dirty (and in parked_lbns_) until a redrive succeeds or the blocks are

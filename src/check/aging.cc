@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <memory>
 
+#include "src/util/json.h"
+
 namespace flashtier {
 
 namespace {
@@ -67,30 +69,25 @@ std::string AgingReport::ToString() const {
 }
 
 std::string AgingReport::ToJson() const {
-  char buffer[1024];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"aging\":{\"epochs\":%u,\"ops\":%llu,\"pages_written\":%llu,\"ok_writes\":%llu,"
-      "\"violations\":%llu,\"undetected_corruptions\":%llu,\"erase_cv\":%.4f,"
-      "\"write_amp\":%.3f,\"first_epoch_miss_rate\":%.4f,\"last_epoch_miss_rate\":%.4f,"
-      "\"max_retired_pct\":%.2f,\"serving_retired_pct\":%.2f,\"write_exhausted\":%s},"
-      "\"ftl\":{\"wl_migrations\":%llu,\"patrol_repairs\":%llu,\"retired_blocks\":%llu,"
-      "\"program_retries\":%llu,\"dropped_clean_pages\":%llu,\"lost_dirty_pages\":%llu},"
-      "\"faults\":{\"program_failures\":%llu,\"erase_failures\":%llu,"
-      "\"read_corruptions\":%llu,\"read_disturbs\":%llu,\"retention_failures\":%llu,"
-      "\"crc_mismatches\":%llu}}",
-      epochs_run, (unsigned long long)ops_executed, (unsigned long long)host_pages_written,
-      (unsigned long long)ok_writes, (unsigned long long)violation_count,
-      (unsigned long long)undetected_corruptions, erase_cv,
-      write_amp, first_epoch_miss_rate, last_epoch_miss_rate, max_retired_pct, serving_retired_pct,
-      write_exhausted ? "true" : "false", (unsigned long long)ftl.wl_migrations,
-      (unsigned long long)ftl.patrol_repairs, (unsigned long long)ftl.retired_blocks,
-      (unsigned long long)ftl.program_retries, (unsigned long long)ftl.dropped_clean_pages,
-      (unsigned long long)ftl.lost_dirty_pages, (unsigned long long)faults.program_failures,
-      (unsigned long long)faults.erase_failures, (unsigned long long)faults.read_corruptions,
-      (unsigned long long)faults.read_disturbs, (unsigned long long)faults.retention_failures,
-      (unsigned long long)faults.crc_mismatches);
-  return std::string(buffer);
+  JsonLine line;
+  line.Object("aging")
+      .Uint("epochs", epochs_run)
+      .Uint("ops", ops_executed)
+      .Uint("pages_written", host_pages_written)
+      .Uint("ok_writes", ok_writes)
+      .Uint("violations", violation_count)
+      .Uint("undetected_corruptions", undetected_corruptions)
+      .Double("erase_cv", erase_cv, 4)
+      .Double("write_amp", write_amp, 3)
+      .Double("first_epoch_miss_rate", first_epoch_miss_rate, 4)
+      .Double("last_epoch_miss_rate", last_epoch_miss_rate, 4)
+      .Double("max_retired_pct", max_retired_pct, 2)
+      .Double("serving_retired_pct", serving_retired_pct, 2)
+      .Bool("write_exhausted", write_exhausted)
+      .End()
+      .Block("ftl", ftl)
+      .Block("faults", faults);
+  return line.Finish();
 }
 
 AgingHarness::AgingHarness(const AgingOptions& options) : options_(options) {}
@@ -101,11 +98,7 @@ AgingReport AgingHarness::Run() {
   BlockTarget target(options_.device, options_.address_blocks);
   const CrashSchedule& schedule = options_.schedule;
   const auto merged_ftl = [&target]() {
-    FtlStats out;
-    for (const auto& ssc : target.sscs()) {
-      out.Merge(ssc->ftl_stats());
-    }
-    return out;
+    return MergeShards<FtlStats>(target.sscs(), [](const SscDevice& s) { return &s.ftl_stats(); });
   };
 
   uint64_t round = 0;

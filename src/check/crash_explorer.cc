@@ -24,9 +24,9 @@ CrashExplorerReport CrashExplorer::Explore() {
   const std::unique_ptr<CrashTarget> baseline = ExploreCrashPoints(
       [this] { return std::make_unique<BlockTarget>(options_.device, options_.address_blocks); },
       options_.schedule, &report);
-  for (const auto& ssc : static_cast<BlockTarget&>(*baseline).sscs()) {
-    report.baseline_faults.Merge(ssc->device().fault_stats());
-  }
+  report.baseline_faults =
+      MergeShards<FaultStats>(static_cast<BlockTarget&>(*baseline).sscs(),
+                              [](const SscDevice& s) { return &s.device().fault_stats(); });
   return report;
 }
 

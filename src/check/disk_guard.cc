@@ -8,6 +8,7 @@
 #include "src/cache/write_back.h"
 #include "src/cache/write_through.h"
 #include "src/check/invariant_checker.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 
 namespace flashtier {
@@ -279,37 +280,21 @@ std::string DiskGuardReport::ToString() const {
 }
 
 std::string DiskGuardReport::ToJson() const {
-  char buffer[1280];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"disk_guard\":{\"cycles\":%u,\"ops\":%llu,\"write_errors\":%llu,"
-      "\"read_errors\":%llu,\"loss_notifications\":%llu,\"crashes\":%llu,"
-      "\"recovery_crashes\":%llu,\"scrub_passes\":%llu,\"violations\":%llu},"
-      "\"disk\":{\"reads\":%llu,\"writes\":%llu,\"busy_us\":%llu,"
-      "\"read_faults\":%llu,\"write_faults\":%llu,\"latent_errors\":%llu,"
-      "\"latent_sectors\":%llu,\"sector_repairs\":%llu,\"slow_ios\":%llu,"
-      "\"retries\":%llu,\"timeouts\":%llu},"
-      "\"manager\":{\"reads\":%llu,\"writes\":%llu,\"read_hits\":%llu,"
-      "\"read_misses\":%llu,\"writebacks\":%llu,\"lost_dirty\":%llu,"
-      "\"rescued_reads\":%llu,\"disk_io_errors\":%llu,\"parked_writebacks\":%llu,"
-      "\"scrub_repairs\":%llu,\"disk_degraded_entries\":%llu}}",
-      cycles_run, (unsigned long long)ops_executed, (unsigned long long)write_errors,
-      (unsigned long long)read_errors, (unsigned long long)loss_notifications,
-      (unsigned long long)crashes, (unsigned long long)recovery_crashes,
-      (unsigned long long)scrub_passes, (unsigned long long)violation_count,
-      (unsigned long long)disk.reads, (unsigned long long)disk.writes,
-      (unsigned long long)disk.busy_us, (unsigned long long)disk.read_faults,
-      (unsigned long long)disk.write_faults, (unsigned long long)disk.latent_errors,
-      (unsigned long long)disk.latent_sectors, (unsigned long long)disk.sector_repairs,
-      (unsigned long long)disk.slow_ios, (unsigned long long)disk.retries,
-      (unsigned long long)disk.timeouts, (unsigned long long)manager.reads,
-      (unsigned long long)manager.writes, (unsigned long long)manager.read_hits,
-      (unsigned long long)manager.read_misses, (unsigned long long)manager.writebacks,
-      (unsigned long long)manager.lost_dirty, (unsigned long long)manager.rescued_reads,
-      (unsigned long long)manager.disk_io_errors, (unsigned long long)manager.parked_writebacks,
-      (unsigned long long)manager.scrub_repairs,
-      (unsigned long long)manager.disk_degraded_entries);
-  return std::string(buffer);
+  JsonLine line;
+  line.Object("disk_guard")
+      .Uint("cycles", cycles_run)
+      .Uint("ops", ops_executed)
+      .Uint("write_errors", write_errors)
+      .Uint("read_errors", read_errors)
+      .Uint("loss_notifications", loss_notifications)
+      .Uint("crashes", crashes)
+      .Uint("recovery_crashes", recovery_crashes)
+      .Uint("scrub_passes", scrub_passes)
+      .Uint("violations", violation_count)
+      .End()
+      .Block("disk", disk)
+      .Block("manager", manager);
+  return line.Finish();
 }
 
 DiskGuardHarness::DiskGuardHarness(const DiskGuardOptions& options) : options_(options) {}

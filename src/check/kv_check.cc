@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/kv/kv_cache.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 
 namespace flashtier {
@@ -239,10 +240,8 @@ class KvTarget : public CrashTarget {
   // becomes what the cache actually recovered.
   void Sweep(std::vector<std::string>* violations) override {
     kv_at_sweep_ = cache_.AggregateStats();  // before the sweep pollutes get counters
-    faults_at_sweep_ = FaultStats{};
-    for (SscDevice* ssc : Sscs()) {
-      faults_at_sweep_.Merge(ssc->device().fault_stats());
-    }
+    faults_at_sweep_ = MergeShards<FaultStats>(
+        Sscs(), [](const SscDevice& s) { return &s.device().fault_stats(); });
     const bool faults_on = options_.device.faults.enabled;
     const bool mutating = pending_.active && pending_.kind != KvCheckOpKind::kGet &&
                           pending_.kind != KvCheckOpKind::kFlush;
@@ -330,41 +329,25 @@ std::string KvCheckReport::ToString() const {
 }
 
 std::string KvCheckReport::ToJson() const {
-  std::string out = Fmt(
-      "{\"kv_check\":{\"mode\":\"%s\",\"commit_points\":%llu,\"points_explored\":%llu,"
-      "\"recovery_points\":%llu,\"recovery_trials\":%llu,\"cycles\":%u,\"ops\":%llu,"
-      "\"mid_workload_crashes\":%llu,\"quiescent_crashes\":%llu,\"recovery_crashes\":%llu,"
-      "\"violations\":%llu,\"budget_exceeded\":%llu,\"max_recovery_us\":%llu}",
-      soak ? "soak" : "explore", (unsigned long long)total_commit_points,
-      (unsigned long long)points_explored, (unsigned long long)total_recovery_points,
-      (unsigned long long)recovery_trials, cycles_run, (unsigned long long)ops_executed,
-      (unsigned long long)mid_workload_crashes, (unsigned long long)quiescent_crashes,
-      (unsigned long long)recovery_crashes, (unsigned long long)violation_count,
-      (unsigned long long)budget_exceeded, (unsigned long long)max_recovery_us);
-  out += Fmt(
-      ",\"kv\":{\"sets\":%llu,\"gets\":%llu,\"hits\":%llu,\"misses\":%llu,\"deletes\":%llu,"
-      "\"overwrites\":%llu,\"rejected_sets\":%llu,\"sets_refused_full\":%llu,"
-      "\"slab_fills\":%llu,\"slab_page_writes\":%llu,\"compactions\":%llu,"
-      "\"slots_reclaimed\":%llu,\"slab_evictions\":%llu,\"lazy_slab_drops\":%llu",
-      (unsigned long long)kv.sets, (unsigned long long)kv.gets, (unsigned long long)kv.hits,
-      (unsigned long long)kv.misses, (unsigned long long)kv.deletes,
-      (unsigned long long)kv.overwrites, (unsigned long long)kv.rejected_sets,
-      (unsigned long long)kv.sets_refused_full, (unsigned long long)kv.slab_fills,
-      (unsigned long long)kv.slab_page_writes, (unsigned long long)kv.compactions,
-      (unsigned long long)kv.slots_reclaimed, (unsigned long long)kv.slab_evictions,
-      (unsigned long long)kv.lazy_slab_drops);
-  out += Fmt(
-      ",\"recoveries\":%llu,\"recovered_slots\":%llu,\"restaged_dirty_slots\":%llu,"
-      "\"dropped_clean_slots\":%llu,\"lost_objects\":%llu},"
-      "\"faults\":{\"program_failures\":%llu,\"erase_failures\":%llu,"
-      "\"read_corruptions\":%llu,\"read_disturbs\":%llu,"
-      "\"retention_failures\":%llu}}",
-      (unsigned long long)kv.recoveries, (unsigned long long)kv.recovered_slots,
-      (unsigned long long)kv.restaged_dirty_slots, (unsigned long long)kv.dropped_clean_slots,
-      (unsigned long long)kv.lost_objects, (unsigned long long)faults.program_failures,
-      (unsigned long long)faults.erase_failures, (unsigned long long)faults.read_corruptions,
-      (unsigned long long)faults.read_disturbs, (unsigned long long)faults.retention_failures);
-  return out;
+  JsonLine line;
+  line.Object("kv_check")
+      .String("mode", soak ? "soak" : "explore")
+      .Uint("commit_points", total_commit_points)
+      .Uint("points_explored", points_explored)
+      .Uint("recovery_points", total_recovery_points)
+      .Uint("recovery_trials", recovery_trials)
+      .Uint("cycles", cycles_run)
+      .Uint("ops", ops_executed)
+      .Uint("mid_workload_crashes", mid_workload_crashes)
+      .Uint("quiescent_crashes", quiescent_crashes)
+      .Uint("recovery_crashes", recovery_crashes)
+      .Uint("violations", violation_count)
+      .Uint("budget_exceeded", budget_exceeded)
+      .Uint("max_recovery_us", max_recovery_us)
+      .End()
+      .Block("kv", kv)
+      .Block("faults", faults);
+  return line.Finish();
 }
 
 KvCheckHarness::KvCheckHarness(const KvCheckOptions& options) : options_(options) {}

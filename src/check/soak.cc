@@ -1,6 +1,6 @@
 #include "src/check/soak.h"
 
-#include <cstdio>
+#include "src/util/json.h"
 
 namespace flashtier {
 
@@ -13,37 +13,22 @@ std::string SoakReport::ToString() const {
 std::string SoakReport::ToJson(uint64_t budget_us) const {
   const uint64_t mean_recovery =
       cycles_run != 0 ? total_recovery_us / cycles_run : 0;
-  char buffer[1024];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"soak\":{\"cycles\":%u,\"ops\":%llu,\"mid_workload_crashes\":%llu,"
-      "\"quiescent_crashes\":%llu,\"recovery_crashes\":%llu,\"violations\":%llu,"
-      "\"budget_us\":%llu,\"budget_exceeded\":%llu,\"max_recovery_us\":%llu,"
-      "\"mean_recovery_us\":%llu},"
-      "\"persist\":{\"records_logged\":%llu,\"checkpoints\":%llu,"
-      "\"corrupt_records_skipped\":%llu,\"checkpoint_fallbacks\":%llu,"
-      "\"segment_fallbacks\":%llu,\"forced_checkpoints\":%llu,"
-      "\"backpressure_stalls\":%llu,\"log_full_events\":%llu,"
-      "\"checkpoint_load_us\":%llu,\"log_replay_us\":%llu,\"rebuild_us\":%llu,"
-      "\"last_recovery_us\":%llu},"
-      "\"faults\":{\"program_failures\":%llu,\"erase_failures\":%llu,"
-      "\"read_corruptions\":%llu,\"read_disturbs\":%llu,\"retention_failures\":%llu}}",
-      cycles_run, (unsigned long long)ops_executed, (unsigned long long)mid_workload_crashes,
-      (unsigned long long)quiescent_crashes, (unsigned long long)recovery_crashes,
-      (unsigned long long)violation_count, (unsigned long long)budget_us,
-      (unsigned long long)budget_exceeded, (unsigned long long)max_recovery_us,
-      (unsigned long long)mean_recovery, (unsigned long long)persist.records_logged,
-      (unsigned long long)persist.checkpoints, (unsigned long long)persist.corrupt_records_skipped,
-      (unsigned long long)persist.checkpoint_fallbacks,
-      (unsigned long long)persist.segment_fallbacks,
-      (unsigned long long)persist.forced_checkpoints,
-      (unsigned long long)persist.backpressure_stalls, (unsigned long long)persist.log_full_events,
-      (unsigned long long)persist.checkpoint_load_us, (unsigned long long)persist.log_replay_us,
-      (unsigned long long)persist.rebuild_us, (unsigned long long)persist.last_recovery_us,
-      (unsigned long long)faults.program_failures, (unsigned long long)faults.erase_failures,
-      (unsigned long long)faults.read_corruptions, (unsigned long long)faults.read_disturbs,
-      (unsigned long long)faults.retention_failures);
-  return std::string(buffer);
+  JsonLine line;
+  line.Object("soak")
+      .Uint("cycles", cycles_run)
+      .Uint("ops", ops_executed)
+      .Uint("mid_workload_crashes", mid_workload_crashes)
+      .Uint("quiescent_crashes", quiescent_crashes)
+      .Uint("recovery_crashes", recovery_crashes)
+      .Uint("violations", violation_count)
+      .Uint("budget_us", budget_us)
+      .Uint("budget_exceeded", budget_exceeded)
+      .Uint("max_recovery_us", max_recovery_us)
+      .Uint("mean_recovery_us", mean_recovery)
+      .End()
+      .Block("persist", persist)
+      .Block("faults", faults);
+  return line.Finish();
 }
 
 SoakHarness::SoakHarness(const SoakOptions& options) : options_(options) {}

@@ -125,75 +125,44 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
 }
 
 ManagerStats FlashTierSystem::AggregateManagerStats() const {
-  ManagerStats out;
-  for (const auto& shard : shards_) {
-    out.Merge(shard->manager->stats());
-  }
-  return out;
+  return MergeShards<ManagerStats>(shards_, [](const Shard& s) { return &s.manager->stats(); });
 }
 
 DiskStats FlashTierSystem::AggregateDiskStats() const {
-  DiskStats out;
-  for (const auto& shard : shards_) {
-    out.Merge(shard->disk->stats());
-  }
-  return out;
+  return MergeShards<DiskStats>(shards_, [](const Shard& s) { return &s.disk->stats(); });
 }
 
 FtlStats FlashTierSystem::AggregateFtlStats() const {
-  FtlStats out;
-  for (const auto& shard : shards_) {
-    if (shard->ssc != nullptr) {
-      out.Merge(shard->ssc->ftl_stats());
-    } else if (shard->ssd != nullptr) {
-      out.Merge(shard->ssd->ftl_stats());
-    }
-  }
-  return out;
+  return MergeShards<FtlStats>(shards_, [](const Shard& s) {
+    return s.ssc != nullptr ? &s.ssc->ftl_stats()
+                            : (s.ssd != nullptr ? &s.ssd->ftl_stats() : nullptr);
+  });
 }
 
 FlashStats FlashTierSystem::AggregateFlashStats() const {
-  FlashStats out;
-  for (const auto& shard : shards_) {
-    if (shard->ssc != nullptr) {
-      out.Merge(shard->ssc->flash_stats());
-    } else if (shard->ssd != nullptr) {
-      out.Merge(shard->ssd->device().stats());
-    }
-  }
-  return out;
+  return MergeShards<FlashStats>(shards_, [](const Shard& s) {
+    return s.ssc != nullptr ? &s.ssc->flash_stats()
+                            : (s.ssd != nullptr ? &s.ssd->flash_stats() : nullptr);
+  });
 }
 
 FaultStats FlashTierSystem::AggregateFaultStats() const {
-  FaultStats out;
-  for (const auto& shard : shards_) {
-    if (shard->ssc != nullptr) {
-      out.Merge(shard->ssc->device().fault_stats());
-    } else if (shard->ssd != nullptr) {
-      out.Merge(shard->ssd->device().fault_stats());
-    }
-  }
-  return out;
+  return MergeShards<FaultStats>(shards_, [](const Shard& s) {
+    return s.ssc != nullptr ? &s.ssc->device().fault_stats()
+                            : (s.ssd != nullptr ? &s.ssd->device().fault_stats() : nullptr);
+  });
 }
 
 PolicyStats FlashTierSystem::AggregatePolicyStats() const {
-  PolicyStats out;
-  for (const auto& shard : shards_) {
-    if (shard->policy != nullptr) {
-      out.Merge(shard->policy->stats());
-    }
-  }
-  return out;
+  return MergeShards<PolicyStats>(shards_, [](const Shard& s) {
+    return s.policy != nullptr ? &s.policy->stats() : nullptr;
+  });
 }
 
 PersistStats FlashTierSystem::AggregatePersistStats() const {
-  PersistStats out;
-  for (const auto& shard : shards_) {
-    if (shard->ssc != nullptr) {
-      out.Merge(shard->ssc->persist_stats());
-    }
-  }
-  return out;
+  return MergeShards<PersistStats>(shards_, [](const Shard& s) {
+    return s.ssc != nullptr ? &s.ssc->persist_stats() : nullptr;
+  });
 }
 
 double FlashTierSystem::RetiredCapacityPct() const {

@@ -25,6 +25,7 @@
 #include "src/disk/retry_policy.h"
 #include "src/flash/timing.h"
 #include "src/flash/types.h"
+#include "src/util/counters.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -61,21 +62,27 @@ struct DiskStats {
   uint64_t retries = 0;         // Guarded* re-attempts after a failure
   uint64_t timeouts = 0;        // Guarded* ops that exhausted their deadline
 
+  // Each field once, in declaration order (src/util/counters.h).
+  static constexpr CounterField<DiskStats> kFields[] = {
+      {"reads", &DiskStats::reads},
+      {"writes", &DiskStats::writes},
+      {"busy_us", &DiskStats::busy_us},
+      {"read_faults", &DiskStats::read_faults},
+      {"write_faults", &DiskStats::write_faults},
+      {"latent_errors", &DiskStats::latent_errors},
+      {"latent_sectors", &DiskStats::latent_sectors},
+      {"sector_repairs", &DiskStats::sector_repairs},
+      {"slow_ios", &DiskStats::slow_ios},
+      {"retries", &DiskStats::retries},
+      {"timeouts", &DiskStats::timeouts},
+  };
+
   // Accumulates another disk's counters (per-shard aggregation).
-  void Merge(const DiskStats& o) {
-    reads += o.reads;
-    writes += o.writes;
-    busy_us += o.busy_us;
-    read_faults += o.read_faults;
-    write_faults += o.write_faults;
-    latent_errors += o.latent_errors;
-    latent_sectors += o.latent_sectors;
-    sector_repairs += o.sector_repairs;
-    slow_ios += o.slow_ios;
-    retries += o.retries;
-    timeouts += o.timeouts;
-  }
+  void Merge(const DiskStats& o) { MergeCounters(*this, o); }
+
+  friend bool operator==(const DiskStats&, const DiskStats&) = default;
 };
+static_assert(AllCountersListed<DiskStats>(), "list every DiskStats field in kFields");
 
 class DiskModel {
  public:

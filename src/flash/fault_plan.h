@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/counters.h"
+
 namespace flashtier {
 
 struct FaultPlan {
@@ -64,16 +66,22 @@ struct FaultStats {
   uint64_t read_disturbs = 0;      // corruption onsets caused by read disturb
   uint64_t retention_failures = 0; // corruption onsets caused by retention decay
 
+  // Each field once, in declaration order (src/util/counters.h).
+  static constexpr CounterField<FaultStats> kFields[] = {
+      {"program_failures", &FaultStats::program_failures},
+      {"erase_failures", &FaultStats::erase_failures},
+      {"read_corruptions", &FaultStats::read_corruptions},
+      {"crc_mismatches", &FaultStats::crc_mismatches},
+      {"read_disturbs", &FaultStats::read_disturbs},
+      {"retention_failures", &FaultStats::retention_failures},
+  };
+
   // Accumulates another device's counters (per-shard aggregation).
-  void Merge(const FaultStats& o) {
-    program_failures += o.program_failures;
-    erase_failures += o.erase_failures;
-    read_corruptions += o.read_corruptions;
-    crc_mismatches += o.crc_mismatches;
-    read_disturbs += o.read_disturbs;
-    retention_failures += o.retention_failures;
-  }
+  void Merge(const FaultStats& o) { MergeCounters(*this, o); }
+
+  friend bool operator==(const FaultStats&, const FaultStats&) = default;
 };
+static_assert(AllCountersListed<FaultStats>(), "list every FaultStats field in kFields");
 
 }  // namespace flashtier
 

@@ -25,6 +25,7 @@
 #include "src/flash/pipeline.h"
 #include "src/flash/timing.h"
 #include "src/flash/types.h"
+#include "src/util/counters.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -52,16 +53,22 @@ struct FlashStats {
   uint64_t gc_copies = 0;  // internal copy-back programs (subset of nothing; counted separately)
   uint64_t busy_us = 0;    // total device busy time charged to the clock
 
+  // Each field once, in declaration order (src/util/counters.h).
+  static constexpr CounterField<FlashStats> kFields[] = {
+      {"page_reads", &FlashStats::page_reads},
+      {"page_writes", &FlashStats::page_writes},
+      {"oob_reads", &FlashStats::oob_reads},
+      {"erases", &FlashStats::erases},
+      {"gc_copies", &FlashStats::gc_copies},
+      {"busy_us", &FlashStats::busy_us},
+  };
+
   // Accumulates another device's counters (per-shard aggregation).
-  void Merge(const FlashStats& o) {
-    page_reads += o.page_reads;
-    page_writes += o.page_writes;
-    oob_reads += o.oob_reads;
-    erases += o.erases;
-    gc_copies += o.gc_copies;
-    busy_us += o.busy_us;
-  }
+  void Merge(const FlashStats& o) { MergeCounters(*this, o); }
+
+  friend bool operator==(const FlashStats&, const FlashStats&) = default;
 };
+static_assert(AllCountersListed<FlashStats>(), "list every FlashStats field in kFields");
 
 class FlashDevice {
  public:

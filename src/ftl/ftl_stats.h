@@ -5,6 +5,8 @@
 
 #include <cstdint>
 
+#include "src/util/counters.h"
+
 namespace flashtier {
 
 struct FtlStats {
@@ -31,24 +33,27 @@ struct FtlStats {
   uint64_t wl_migrations = 0;    // static wear-leveling block relocations
   uint64_t patrol_repairs = 0;   // disturb/retention-risky blocks refreshed by patrol
 
+  // Each field once, in declaration order (src/util/counters.h).
+  static constexpr CounterField<FtlStats> kFields[] = {
+      {"host_reads", &FtlStats::host_reads},
+      {"host_writes", &FtlStats::host_writes},
+      {"host_read_misses", &FtlStats::host_read_misses},
+      {"gc_invocations", &FtlStats::gc_invocations},
+      {"full_merges", &FtlStats::full_merges},
+      {"partial_merges", &FtlStats::partial_merges},
+      {"switch_merges", &FtlStats::switch_merges},
+      {"silent_evictions", &FtlStats::silent_evictions},
+      {"silently_evicted_pages", &FtlStats::silently_evicted_pages},
+      {"program_retries", &FtlStats::program_retries},
+      {"retired_blocks", &FtlStats::retired_blocks},
+      {"dropped_clean_pages", &FtlStats::dropped_clean_pages},
+      {"lost_dirty_pages", &FtlStats::lost_dirty_pages},
+      {"wl_migrations", &FtlStats::wl_migrations},
+      {"patrol_repairs", &FtlStats::patrol_repairs},
+  };
+
   // Accumulates another FTL's counters (per-shard aggregation).
-  void Merge(const FtlStats& o) {
-    host_reads += o.host_reads;
-    host_writes += o.host_writes;
-    host_read_misses += o.host_read_misses;
-    gc_invocations += o.gc_invocations;
-    full_merges += o.full_merges;
-    partial_merges += o.partial_merges;
-    switch_merges += o.switch_merges;
-    silent_evictions += o.silent_evictions;
-    silently_evicted_pages += o.silently_evicted_pages;
-    program_retries += o.program_retries;
-    retired_blocks += o.retired_blocks;
-    dropped_clean_pages += o.dropped_clean_pages;
-    lost_dirty_pages += o.lost_dirty_pages;
-    wl_migrations += o.wl_migrations;
-    patrol_repairs += o.patrol_repairs;
-  }
+  void Merge(const FtlStats& o) { MergeCounters(*this, o); }
 
   // Write amplification = (all flash page programs, including GC copies and
   // metadata) / host page writes - 1 would be "extra writes per block"; the
@@ -62,7 +67,10 @@ struct FtlStats {
     const double amp = static_cast<double>(total) / static_cast<double>(host_writes);
     return amp > 1.0 ? amp - 1.0 : 0.0;
   }
+
+  friend bool operator==(const FtlStats&, const FtlStats&) = default;
 };
+static_assert(AllCountersListed<FtlStats>(), "list every FtlStats field in kFields");
 
 }  // namespace flashtier
 

@@ -859,35 +859,20 @@ Status KvCache::Recover() {
 }
 
 KvStats KvCache::AggregateStats() const {
-  KvStats out;
-  for (const auto& shard : shards_) {
-    out.Merge(shard->stats());
-  }
-  return out;
+  return MergeShards<KvStats>(shards_, [](const KvShard& s) { return &s.stats(); });
 }
 
 PolicyStats KvCache::AggregatePolicyStats() const {
-  PolicyStats out;
-  for (const auto& shard : shards_) {
-    out.Merge(shard->policy().stats());
-  }
-  return out;
+  return MergeShards<PolicyStats>(shards_, [](const KvShard& s) { return &s.policy().stats(); });
 }
 
 PersistStats KvCache::AggregatePersistStats() const {
-  PersistStats out;
-  for (const auto& shard : shards_) {
-    out.Merge(shard->ssc().persist_stats());
-  }
-  return out;
+  return MergeShards<PersistStats>(shards_,
+                                   [](const KvShard& s) { return &s.ssc().persist_stats(); });
 }
 
 FlashStats KvCache::AggregateFlashStats() const {
-  FlashStats out;
-  for (const auto& shard : shards_) {
-    out.Merge(shard->ssc().flash_stats());
-  }
-  return out;
+  return MergeShards<FlashStats>(shards_, [](const KvShard& s) { return &s.ssc().flash_stats(); });
 }
 
 double KvCache::FlashWritesPerSet() const {

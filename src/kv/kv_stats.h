@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "src/util/counters.h"
+
 namespace flashtier {
 
 struct KvStats {
@@ -51,39 +53,42 @@ struct KvStats {
   uint64_t restaged_dirty_slots = 0;  // dirty slots rebuilt from the log (G1)
   uint64_t dropped_clean_slots = 0;   // clean slots silently forgotten (G2)
 
+  // Each field once, in declaration order (src/util/counters.h).
+  static constexpr CounterField<KvStats> kFields[] = {
+      {"gets", &KvStats::gets},
+      {"hits", &KvStats::hits},
+      {"open_slab_hits", &KvStats::open_slab_hits},
+      {"misses", &KvStats::misses},
+      {"sets", &KvStats::sets},
+      {"set_bytes", &KvStats::set_bytes},
+      {"overwrites", &KvStats::overwrites},
+      {"rejected_sets", &KvStats::rejected_sets},
+      {"sets_refused_full", &KvStats::sets_refused_full},
+      {"deletes", &KvStats::deletes},
+      {"delete_misses", &KvStats::delete_misses},
+      {"slab_fills", &KvStats::slab_fills},
+      {"slab_page_writes", &KvStats::slab_page_writes},
+      {"compactions", &KvStats::compactions},
+      {"compaction_aborts", &KvStats::compaction_aborts},
+      {"slots_moved", &KvStats::slots_moved},
+      {"slots_reclaimed", &KvStats::slots_reclaimed},
+      {"slab_evictions", &KvStats::slab_evictions},
+      {"evicted_slots", &KvStats::evicted_slots},
+      {"dead_slab_reclaims", &KvStats::dead_slab_reclaims},
+      {"lazy_slab_drops", &KvStats::lazy_slab_drops},
+      {"dropped_slots", &KvStats::dropped_slots},
+      {"slab_cleans", &KvStats::slab_cleans},
+      {"backpressure_stalls", &KvStats::backpressure_stalls},
+      {"read_errors", &KvStats::read_errors},
+      {"lost_objects", &KvStats::lost_objects},
+      {"recoveries", &KvStats::recoveries},
+      {"recovered_slots", &KvStats::recovered_slots},
+      {"restaged_dirty_slots", &KvStats::restaged_dirty_slots},
+      {"dropped_clean_slots", &KvStats::dropped_clean_slots},
+  };
+
   // Accumulates another shard's counters; callers merge in shard order.
-  void Merge(const KvStats& o) {
-    gets += o.gets;
-    hits += o.hits;
-    open_slab_hits += o.open_slab_hits;
-    misses += o.misses;
-    sets += o.sets;
-    set_bytes += o.set_bytes;
-    overwrites += o.overwrites;
-    rejected_sets += o.rejected_sets;
-    sets_refused_full += o.sets_refused_full;
-    deletes += o.deletes;
-    delete_misses += o.delete_misses;
-    slab_fills += o.slab_fills;
-    slab_page_writes += o.slab_page_writes;
-    compactions += o.compactions;
-    compaction_aborts += o.compaction_aborts;
-    slots_moved += o.slots_moved;
-    slots_reclaimed += o.slots_reclaimed;
-    slab_evictions += o.slab_evictions;
-    evicted_slots += o.evicted_slots;
-    dead_slab_reclaims += o.dead_slab_reclaims;
-    lazy_slab_drops += o.lazy_slab_drops;
-    dropped_slots += o.dropped_slots;
-    slab_cleans += o.slab_cleans;
-    backpressure_stalls += o.backpressure_stalls;
-    read_errors += o.read_errors;
-    lost_objects += o.lost_objects;
-    recoveries += o.recoveries;
-    recovered_slots += o.recovered_slots;
-    restaged_dirty_slots += o.restaged_dirty_slots;
-    dropped_clean_slots += o.dropped_clean_slots;
-  }
+  void Merge(const KvStats& o) { MergeCounters(*this, o); }
 
   double HitRate() const {
     return gets == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(gets);
@@ -91,6 +96,7 @@ struct KvStats {
 
   friend bool operator==(const KvStats&, const KvStats&) = default;
 };
+static_assert(AllCountersListed<KvStats>(), "list every KvStats field in kFields");
 
 }  // namespace flashtier
 

@@ -28,6 +28,7 @@
 
 #include "src/flash/types.h"
 #include "src/policy/ghost_table.h"
+#include "src/util/counters.h"
 
 namespace flashtier {
 
@@ -56,14 +57,20 @@ struct PolicyStats {
   uint64_t rejected_then_remissed = 0;
   uint64_t flash_writes_saved = 0;  // page writes the rejects avoided
 
-  void Merge(const PolicyStats& o) {
-    admits += o.admits;
-    rejects += o.rejects;
-    ghost_hits += o.ghost_hits;
-    rejected_then_remissed += o.rejected_then_remissed;
-    flash_writes_saved += o.flash_writes_saved;
-  }
+  // Each field once, in declaration order (src/util/counters.h).
+  static constexpr CounterField<PolicyStats> kFields[] = {
+      {"admits", &PolicyStats::admits},
+      {"rejects", &PolicyStats::rejects},
+      {"ghost_hits", &PolicyStats::ghost_hits},
+      {"rejected_then_remissed", &PolicyStats::rejected_then_remissed},
+      {"flash_writes_saved", &PolicyStats::flash_writes_saved},
+  };
+
+  void Merge(const PolicyStats& o) { MergeCounters(*this, o); }
+
+  friend bool operator==(const PolicyStats&, const PolicyStats&) = default;
 };
+static_assert(AllCountersListed<PolicyStats>(), "list every PolicyStats field in kFields");
 
 class AdmissionPolicy {
  public:

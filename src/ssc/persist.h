@@ -34,7 +34,6 @@
 #ifndef FLASHTIER_SSC_PERSIST_H_
 #define FLASHTIER_SSC_PERSIST_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -44,6 +43,7 @@
 #include "src/flash/pipeline.h"
 #include "src/flash/timing.h"
 #include "src/flash/types.h"
+#include "src/util/counters.h"
 
 namespace flashtier {
 
@@ -190,31 +190,37 @@ struct PersistStats {
   uint64_t log_replay_us = 0;
   uint64_t rebuild_us = 0;
 
+  // Each field once, in declaration order (src/util/counters.h).
+  static constexpr CounterField<PersistStats> kFields[] = {
+      {"records_logged", &PersistStats::records_logged},
+      {"sync_commits", &PersistStats::sync_commits},
+      {"group_commits", &PersistStats::group_commits},
+      {"log_page_writes", &PersistStats::log_page_writes},
+      {"checkpoints", &PersistStats::checkpoints},
+      {"checkpoint_page_writes", &PersistStats::checkpoint_page_writes},
+      {"records_lost_in_crash", &PersistStats::records_lost_in_crash},
+      {"last_recovery_us", &PersistStats::last_recovery_us, CounterMerge::kMax},
+      {"recovered_checkpoint_entries", &PersistStats::recovered_checkpoint_entries},
+      {"replayed_log_records", &PersistStats::replayed_log_records},
+      {"corrupt_records_skipped", &PersistStats::corrupt_records_skipped},
+      {"checkpoint_fallbacks", &PersistStats::checkpoint_fallbacks},
+      {"segment_fallbacks", &PersistStats::segment_fallbacks},
+      {"forced_checkpoints", &PersistStats::forced_checkpoints},
+      {"backpressure_stalls", &PersistStats::backpressure_stalls},
+      {"log_full_events", &PersistStats::log_full_events},
+      {"checkpoint_load_us", &PersistStats::checkpoint_load_us, CounterMerge::kMax},
+      {"log_replay_us", &PersistStats::log_replay_us, CounterMerge::kMax},
+      {"rebuild_us", &PersistStats::rebuild_us, CounterMerge::kMax},
+  };
+
   // Accumulates another manager's counters (per-shard aggregation). Recovery
   // times keep the slowest shard: shards recover in parallel, so the system
   // is back when the last one is.
-  void Merge(const PersistStats& o) {
-    records_logged += o.records_logged;
-    sync_commits += o.sync_commits;
-    group_commits += o.group_commits;
-    log_page_writes += o.log_page_writes;
-    checkpoints += o.checkpoints;
-    checkpoint_page_writes += o.checkpoint_page_writes;
-    records_lost_in_crash += o.records_lost_in_crash;
-    last_recovery_us = std::max(last_recovery_us, o.last_recovery_us);
-    recovered_checkpoint_entries += o.recovered_checkpoint_entries;
-    replayed_log_records += o.replayed_log_records;
-    corrupt_records_skipped += o.corrupt_records_skipped;
-    checkpoint_fallbacks += o.checkpoint_fallbacks;
-    segment_fallbacks += o.segment_fallbacks;
-    forced_checkpoints += o.forced_checkpoints;
-    backpressure_stalls += o.backpressure_stalls;
-    log_full_events += o.log_full_events;
-    checkpoint_load_us = std::max(checkpoint_load_us, o.checkpoint_load_us);
-    log_replay_us = std::max(log_replay_us, o.log_replay_us);
-    rebuild_us = std::max(rebuild_us, o.rebuild_us);
-  }
+  void Merge(const PersistStats& o) { MergeCounters(*this, o); }
+
+  friend bool operator==(const PersistStats&, const PersistStats&) = default;
 };
+static_assert(AllCountersListed<PersistStats>(), "list every PersistStats field in kFields");
 
 class PersistenceManager {
  public:
@@ -228,9 +234,6 @@ class PersistenceManager {
     // seed behavior). Bounded operation needs a checkpoint source installed
     // so the region can be reclaimed under pressure.
     uint64_t log_region_pages = 0;
-    // Fraction of the region at which MaybeCheckpoint force-checkpoints even
-    // when the size-ratio and write-interval rules are quiet.
-    double log_high_water = 0.75;
     // Checkpoint entries per segment (the torn-write blast radius).
     uint64_t checkpoint_segment_entries = 1024;
   };
@@ -446,13 +449,16 @@ class PersistenceManager {
   // Headroom AdmitHostOp reserves for the internal records (invalidations,
   // block transitions) one host op can trigger beyond its own log record.
   static constexpr uint64_t kHostOpMarginRecords = 4;
+  // Fraction of the region at which MaybeCheckpoint force-checkpoints even
+  // when the size-ratio and write-interval rules are quiet.
+  static constexpr double kLogHighWater = 0.75;
 
   uint64_t PagesFor(uint64_t bytes) const {
     return (bytes + options_.page_size - 1) / options_.page_size;
   }
   uint64_t HighWaterPages() const {
     const auto hw = static_cast<uint64_t>(
-        options_.log_high_water * static_cast<double>(options_.log_region_pages));
+        kLogHighWater * static_cast<double>(options_.log_region_pages));
     return hw > 0 ? hw : 1;
   }
   static uint64_t SegmentBytes(const CheckpointSegment& seg) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -21,8 +22,16 @@
 #include "src/kv/kv_cache.h"
 #include "src/kv/kv_replay.h"
 #include "src/trace/workload.h"
+#include "src/util/json.h"
 
 namespace flashtier {
+
+// A failed whole-struct comparison prints each side as its JSON block.
+template <typename Stats, typename = decltype(Stats::kFields)>
+std::ostream& operator<<(std::ostream& os, const Stats& stats) {
+  return os << JsonLine().Counters(stats).Finish();
+}
+
 namespace {
 
 WorkloadProfile TestProfile() {
@@ -55,6 +64,9 @@ struct ShardedRun {
   FtlStats ftl;
   FlashStats flash;
   PolicyStats policy;
+  DiskStats disk;
+  PersistStats persist;
+  FaultStats faults;
 };
 
 // Fresh system + fresh workload per run: only `threads` varies. When
@@ -91,6 +103,9 @@ ShardedRun RunWith(uint32_t shards, uint32_t threads, SystemType type,
   run.ftl = system.AggregateFtlStats();
   run.flash = system.AggregateFlashStats();
   run.policy = system.AggregatePolicyStats();
+  run.disk = system.AggregateDiskStats();
+  run.persist = system.AggregatePersistStats();
+  run.faults = system.AggregateFaultStats();
   return run;
 }
 
@@ -106,19 +121,15 @@ void ExpectVirtualTimeEqual(const ShardedRun& a, const ShardedRun& b) {
   EXPECT_TRUE(a.metrics.response_us == b.metrics.response_us);
   EXPECT_EQ(a.metrics.Iops(), b.metrics.Iops());
   EXPECT_EQ(a.metrics.MeanResponseUs(), b.metrics.MeanResponseUs());
-  // Device-side work must match too, not just the request-level view.
-  EXPECT_EQ(a.manager.read_hits, b.manager.read_hits);
-  EXPECT_EQ(a.manager.read_misses, b.manager.read_misses);
-  EXPECT_EQ(a.manager.writebacks, b.manager.writebacks);
-  EXPECT_EQ(a.manager.evicts, b.manager.evicts);
-  EXPECT_EQ(a.ftl.gc_invocations, b.ftl.gc_invocations);
-  EXPECT_EQ(a.flash.page_writes, b.flash.page_writes);
-  EXPECT_EQ(a.flash.erases, b.flash.erases);
-  EXPECT_EQ(a.policy.admits, b.policy.admits);
-  EXPECT_EQ(a.policy.rejects, b.policy.rejects);
-  EXPECT_EQ(a.policy.ghost_hits, b.policy.ghost_hits);
-  EXPECT_EQ(a.policy.rejected_then_remissed, b.policy.rejected_then_remissed);
-  EXPECT_EQ(a.policy.flash_writes_saved, b.policy.flash_writes_saved);
+  // Device-side work must match too, not just the request-level view: every
+  // counter of every layer.
+  EXPECT_EQ(a.manager, b.manager);
+  EXPECT_EQ(a.ftl, b.ftl);
+  EXPECT_EQ(a.flash, b.flash);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.disk, b.disk);
+  EXPECT_EQ(a.persist, b.persist);
+  EXPECT_EQ(a.faults, b.faults);
 }
 
 TEST(ParallelReplayTest, VirtualMetricsIdenticalAcrossThreadCounts) {
@@ -245,26 +256,8 @@ TEST(ParallelReplayTest, DiskFaultCountersIdenticalAcrossThreadCounts) {
     EXPECT_EQ(std::get<0>(t1), std::get<0>(*other));
     EXPECT_EQ(std::get<1>(t1), std::get<1>(*other));
     EXPECT_EQ(std::get<2>(t1), std::get<2>(*other));
-    const DiskStats& d = std::get<3>(*other);
-    EXPECT_EQ(d1.reads, d.reads);
-    EXPECT_EQ(d1.writes, d.writes);
-    EXPECT_EQ(d1.busy_us, d.busy_us);
-    EXPECT_EQ(d1.read_faults, d.read_faults);
-    EXPECT_EQ(d1.write_faults, d.write_faults);
-    EXPECT_EQ(d1.latent_errors, d.latent_errors);
-    EXPECT_EQ(d1.latent_sectors, d.latent_sectors);
-    EXPECT_EQ(d1.sector_repairs, d.sector_repairs);
-    EXPECT_EQ(d1.slow_ios, d.slow_ios);
-    EXPECT_EQ(d1.retries, d.retries);
-    EXPECT_EQ(d1.timeouts, d.timeouts);
-    const ManagerStats& m1 = std::get<4>(t1);
-    const ManagerStats& m = std::get<4>(*other);
-    EXPECT_EQ(m1.rescued_reads, m.rescued_reads);
-    EXPECT_EQ(m1.disk_io_errors, m.disk_io_errors);
-    EXPECT_EQ(m1.parked_writebacks, m.parked_writebacks);
-    EXPECT_EQ(m1.scrub_repairs, m.scrub_repairs);
-    EXPECT_EQ(m1.disk_degraded_entries, m.disk_degraded_entries);
-    EXPECT_EQ(m1.lost_dirty, m.lost_dirty);
+    EXPECT_EQ(d1, std::get<3>(*other));
+    EXPECT_EQ(std::get<4>(t1), std::get<4>(*other));
   }
 }
 
@@ -531,17 +524,11 @@ void ExpectKvVirtualTimeEqual(const KvReplayMetrics& a, const KvReplayMetrics& b
   EXPECT_EQ(a.failed_requests, b.failed_requests);
   EXPECT_EQ(a.elapsed_us, b.elapsed_us);
   EXPECT_TRUE(a.response_us == b.response_us);
-  // The whole KvStats block at once: any drifting counter fails here.
-  EXPECT_TRUE(a.kv == b.kv);
-  EXPECT_EQ(a.kv.hits, b.kv.hits);  // and the headline fields readably
-  EXPECT_EQ(a.kv.slab_fills, b.kv.slab_fills);
-  EXPECT_EQ(a.kv.compactions, b.kv.compactions);
-  EXPECT_EQ(a.policy.admits, b.policy.admits);
-  EXPECT_EQ(a.policy.rejects, b.policy.rejects);
-  EXPECT_EQ(a.persist.records_logged, b.persist.records_logged);
-  EXPECT_EQ(a.persist.checkpoints, b.persist.checkpoints);
-  EXPECT_EQ(a.flash.page_writes, b.flash.page_writes);
-  EXPECT_EQ(a.flash.erases, b.flash.erases);
+  // Whole counter structs: any drifting counter fails here.
+  EXPECT_EQ(a.kv, b.kv);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.persist, b.persist);
+  EXPECT_EQ(a.flash, b.flash);
   EXPECT_EQ(a.flash_writes_per_set, b.flash_writes_per_set);
   EXPECT_EQ(a.Iops(), b.Iops());
   EXPECT_EQ(a.MeanResponseUs(), b.MeanResponseUs());

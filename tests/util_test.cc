@@ -1,15 +1,32 @@
-// Unit tests for src/util: CRC32-C, Bitmap, RNG/Zipf, statistics, args.
+// Unit tests for src/util: CRC32-C, Bitmap, RNG/Zipf, statistics, counter
+// lists, the JSON line writer, args.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "src/cache/cache_manager.h"
+#include "src/disk/disk_model.h"
+#include "src/flash/fault_plan.h"
+#include "src/flash/flash_device.h"
+#include "src/ftl/ftl_stats.h"
+#include "src/kv/kv_stats.h"
+#include "src/policy/admission_policy.h"
+#include "src/ssc/persist.h"
 #include "src/util/args.h"
 #include "src/util/bitmap.h"
+#include "src/util/counters.h"
 #include "src/util/crc32.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -355,6 +372,139 @@ TEST(LatencyHistogramTest, MergePreservesPercentiles) {
   for (const double p : {50.0, 99.0, 99.9}) {
     EXPECT_DOUBLE_EQ(a.PercentileUs(p), whole.PercentileUs(p));
   }
+}
+
+// ---- Counter lists ----
+
+template <typename Stats>
+class CounterListTest : public ::testing::Test {};
+using CounterStructs = ::testing::Types<FlashStats, FaultStats, FtlStats, PersistStats,
+                                        ManagerStats, DiskStats, PolicyStats, KvStats>;
+TYPED_TEST_SUITE(CounterListTest, CounterStructs);
+
+// The i-th listed field holds 1000 + i, written through the list.
+template <typename Stats>
+Stats DistinctCounters() {
+  Stats stats;
+  uint64_t value = 1000;
+  for (const CounterField<Stats>& f : Stats::kFields) {
+    stats.*f.member = value++;
+  }
+  return stats;
+}
+
+TYPED_TEST(CounterListTest, ListsEveryMemberOnceUnderAUniqueKey) {
+  using Stats = TypeParam;
+  std::set<std::string_view> keys;
+  for (size_t i = 0; i < std::size(Stats::kFields); ++i) {
+    EXPECT_TRUE(keys.insert(Stats::kFields[i].key).second) << Stats::kFields[i].key;
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_NE(Stats::kFields[i].member, Stats::kFields[j].member) << Stats::kFields[i].key;
+    }
+  }
+  EXPECT_EQ(keys.size() * sizeof(uint64_t), sizeof(Stats));
+}
+
+TYPED_TEST(CounterListTest, MergeSumsEveryFieldAndMaxesRecoveryTimes) {
+  using Stats = TypeParam;
+  const Stats stats = DistinctCounters<Stats>();
+  Stats merged = stats;
+  merged.Merge(stats);
+  // Shards recover in parallel, so recovery times keep the slowest shard.
+  const std::set<std::string_view> max_merged = {"last_recovery_us", "checkpoint_load_us",
+                                                 "log_replay_us", "rebuild_us"};
+  const bool is_persist = std::is_same_v<Stats, PersistStats>;
+  for (const CounterField<Stats>& f : Stats::kFields) {
+    const bool takes_max = is_persist && max_merged.count(f.key) != 0;
+    EXPECT_EQ(merged.*f.member, (takes_max ? 1 : 2) * stats.*f.member) << f.key;
+  }
+  EXPECT_FALSE(merged == stats);
+  Stats again = stats;
+  again.Merge(stats);
+  EXPECT_TRUE(merged == again);
+}
+
+TYPED_TEST(CounterListTest, JsonBlockCarriesEveryFieldOnceWithItsValue) {
+  using Stats = TypeParam;
+  const Stats stats = DistinctCounters<Stats>();
+  const std::string line = JsonLine().Block("block", stats).Finish();
+  const std::string head = "{\"block\":{";
+  ASSERT_EQ(line.compare(0, head.size(), head), 0) << line;
+  ASSERT_EQ(line.substr(line.size() - 2), "}}") << line;
+  std::map<std::string, uint64_t> values;
+  std::vector<std::string> order;
+  std::stringstream body(line.substr(head.size(), line.size() - head.size() - 2));
+  std::string pair;
+  while (std::getline(body, pair, ',')) {
+    const size_t colon = pair.find("\":");
+    ASSERT_TRUE(pair.front() == '"' && colon != std::string::npos) << pair;
+    const std::string key = pair.substr(1, colon - 1);
+    EXPECT_TRUE(values.emplace(key, std::stoull(pair.substr(colon + 2))).second) << key;
+    order.push_back(key);
+  }
+  ASSERT_EQ(order.size(), std::size(Stats::kFields));
+  for (size_t i = 0; i < order.size(); ++i) {
+    const CounterField<Stats>& f = Stats::kFields[i];
+    EXPECT_EQ(order[i], f.key);  // declaration order
+    EXPECT_EQ(values[order[i]], stats.*f.member) << f.key;
+  }
+}
+
+// ---- JSON line writer ----
+
+TEST(JsonLineTest, FormatsValuesAsPrintfDoes) {
+  JsonLine line;
+  line.String("name", "say \"hi\"\\")
+      .Uint("max", UINT64_MAX)
+      .Uint("zero", 0)
+      .Double("third", 1.0 / 3.0, 4)
+      .Double("big", 131283.46, 1)
+      .Double("none", 0.0, 2)
+      .Bool("yes", true)
+      .Object("inner")
+      .Bool("no", false)
+      .End()
+      .Object("empty")
+      .End();
+  EXPECT_EQ(line.Finish(),
+            "{\"name\":\"say \\\"hi\\\"\\\\\",\"max\":18446744073709551615,\"zero\":0,"
+            "\"third\":0.3333,\"big\":131283.5,\"none\":0.00,\"yes\":true,"
+            "\"inner\":{\"no\":false},\"empty\":{}}");
+}
+
+// Doubles are written exactly as "%.Nf" prints them, however long.
+TEST(JsonLineTest, DoublesMatchPrintf) {
+  for (const double value : {0.0, 0.5, 2.675, 1.0 / 3.0, 123456789.987654321, 1e300, -7.25}) {
+    for (const int decimals : {0, 1, 2, 3, 4}) {
+      char printed[512];
+      std::snprintf(printed, sizeof(printed), "%.*f", decimals, value);
+      EXPECT_EQ(JsonLine().Double("v", value, decimals).Finish(),
+                std::string("{\"v\":") + printed + "}");
+    }
+  }
+}
+
+TEST(JsonLineTest, FinishClosesOpenObjects) {
+  JsonLine line;
+  line.Object("a").Object("b").Uint("c", 1);
+  EXPECT_EQ(line.Finish(), "{\"a\":{\"b\":{\"c\":1}}}");
+  EXPECT_EQ(JsonLine().Finish(), "{}");
+}
+
+TEST(JsonLineTest, WriteLineAppendsOrReplaces) {
+  const std::string path = ::testing::TempDir() + "json_line_test.jsonl";
+  std::remove(path.c_str());
+  ASSERT_TRUE(WriteLine(path, "{\"a\":1}"));
+  ASSERT_TRUE(WriteLine(path, "{\"b\":2}"));
+  std::stringstream appended;
+  appended << std::ifstream(path).rdbuf();
+  EXPECT_EQ(appended.str(), "{\"a\":1}\n{\"b\":2}\n");
+  ASSERT_TRUE(WriteLine(path, "{\"c\":3}", /*append=*/false));
+  std::stringstream replaced;
+  replaced << std::ifstream(path).rdbuf();
+  EXPECT_EQ(replaced.str(), "{\"c\":3}\n");
+  std::remove(path.c_str());
+  EXPECT_FALSE(WriteLine(::testing::TempDir() + "no-such-dir/x.jsonl", "{}"));
 }
 
 // ---- Args ----

@@ -28,6 +28,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/check/aging.h"
 #include "src/check/crash_explorer.h"
@@ -36,6 +38,7 @@
 #include "src/check/soak.h"
 #include "src/policy/policy_factory.h"
 #include "src/util/args.h"
+#include "src/util/json.h"
 
 namespace {
 
@@ -70,6 +73,9 @@ constexpr const char* kUsage =
     "                         cache-assisted repair and a host-level shadow;\n"
     "                         composes with crashes, --shards, --admission,\n"
     "                         --faults and --soak=N (cycle count)\n"
+    "                         (--aging, --kv and --disk-faults exclude each\n"
+    "                         other; --soak=N composes with --kv and\n"
+    "                         --disk-faults, not with --aging: exit 2)\n"
     "  --break-recovery       self-test (any mode): recovery drops the log\n"
     "                         tail, the checker MUST report violations\n"
     "  --break-retry          self-test (any mode, requires --faults): bad-\n"
@@ -114,16 +120,6 @@ constexpr const char* kUsage =
     "  --disk-latent=0.002 --disk-slow=0.01\n"
     "  --disk-retry-attempts=4 --disk-deadline-us=250000\n"
     "  --scrub-period=64 --scrub-budget=8 --write-through --no-crashes\n";
-
-bool WriteStatsJson(const std::string& path, const std::string& json) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fprintf(f, "%s\n", json.c_str());
-  std::fclose(f);
-  return true;
-}
 
 }  // namespace
 
@@ -194,6 +190,20 @@ int main(int argc, char** argv) {
   const bool aging = aging_multiple > 0;
   const bool kv = args.GetBool("kv", false);
   const bool disk_faults = args.GetBool("disk-faults", false);
+  // One mode per run. --soak=N sets the cycle count of the KV and DiskGuard
+  // soaks, but the aging harness has no soak schedule.
+  std::vector<const char*> modes;
+  for (const auto& [given, flag] : {std::pair{aging, "--aging"}, std::pair{kv, "--kv"},
+                                    std::pair{disk_faults, "--disk-faults"},
+                                    std::pair{aging && soak_cycles > 0, "--soak"}}) {
+    if (given) {
+      modes.push_back(flag);
+    }
+  }
+  if (modes.size() > 1) {
+    std::fprintf(stderr, "flashcheck: %s and %s cannot be combined\n", modes[0], modes[1]);
+    return 2;
+  }
 
   // The device shape every mode runs on. Aging defaults to the production
   // persistence settings and turns the endurance defenses on.
@@ -363,7 +373,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("flashcheck: %s\n", text.c_str());
-  if (!stats_json.empty() && !WriteStatsJson(stats_json, json)) {
+  if (!stats_json.empty() && !flashtier::WriteLine(stats_json, json, /*append=*/false)) {
     std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n", stats_json.c_str());
     return 2;
   }
