@@ -13,12 +13,11 @@
 #include <cstdint>
 
 #include "src/flash/types.h"
+#include "src/policy/admission_policy.h"
 #include "src/util/counters.h"
 #include "src/util/status.h"
 
 namespace flashtier {
-
-class AdmissionPolicy;
 
 struct ManagerStats {
   uint64_t reads = 0;
@@ -96,12 +95,12 @@ class CacheManager {
   // "Host" column.
   virtual size_t HostMemoryUsage() const = 0;
 
-  virtual const ManagerStats& stats() const = 0;
+  const ManagerStats& stats() const { return stats_; }
 
   // Installs (or, with nullptr, removes) the admission policy consulted
   // before every cache insertion. With no policy the manager admits
   // unconditionally and makes zero policy calls — the pre-policy behaviour.
-  virtual void set_admission_policy(AdmissionPolicy* policy) { (void)policy; }
+  void set_admission_policy(AdmissionPolicy* policy) { policy_ = policy; }
 
   // Background scrub pass (DESIGN.md §5i): repairs up to `max_sectors` of
   // the disk's latent sectors from cached copies (a cached token — clean or
@@ -112,6 +111,40 @@ class CacheManager {
     (void)max_sectors;
     return 0;
   }
+
+ protected:
+  explicit CacheManager(AdmissionPolicy* policy = nullptr) : policy_(policy) {}
+
+  // The admission-policy calls (DESIGN.md §5f). Each is a no-op without a
+  // policy, and Admits() then admits: no policy, no policy call.
+  void PolicyAccess(Lbn lbn, bool is_write) {
+    if (policy_ != nullptr) {
+      policy_->OnAccess(lbn, is_write);
+    }
+  }
+  bool Admits(Lbn lbn, AdmissionOp op, const AdmissionContext& ctx = AdmissionContext{}) {
+    return policy_ == nullptr || policy_->ShouldAdmit(lbn, op, ctx);
+  }
+  void PolicyAdmit(Lbn lbn) {
+    if (policy_ != nullptr) {
+      policy_->OnAdmit(lbn);
+    }
+  }
+  void PolicyReject(Lbn lbn) {
+    if (policy_ != nullptr) {
+      policy_->OnReject(lbn);
+    }
+  }
+  void PolicyEvict(Lbn lbn) {
+    if (policy_ != nullptr) {
+      policy_->OnEvict(lbn);
+    }
+  }
+
+  ManagerStats stats_;
+
+ private:
+  AdmissionPolicy* policy_;
 };
 
 }  // namespace flashtier

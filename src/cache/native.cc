@@ -9,9 +9,9 @@ namespace flashtier {
 
 NativeCacheManager::NativeCacheManager(SsdFtl* ssd, DiskModel* disk, uint64_t cache_pages,
                                        const Options& options)
-    : ssd_(ssd),
+    : CacheManager(options.admission),
+      ssd_(ssd),
       disk_(disk),
-      policy_(options.admission),
       options_(options),
       cache_pages_(cache_pages) {
   sets_ = static_cast<uint32_t>(
@@ -156,9 +156,7 @@ Status NativeCacheManager::AllocateWay(uint32_t set, uint16_t* way) {
   s = Slot{};
   --occupied_;
   ++stats_.evicts;
-  if (policy_ != nullptr) {
-    policy_->OnEvict(victim_lbn);
-  }
+  PolicyEvict(victim_lbn);
   MetadataUpdate();
   *way = victim;
   return Status::kOk;
@@ -168,16 +166,15 @@ Status NativeCacheManager::InsertBlock(Lbn lbn, uint64_t token, bool dirty, Admi
   const uint32_t set = SetOf(lbn);
   uint16_t way = FindWay(set, lbn);
   const bool was_present = (way != kNilWay);
-  if (!was_present && policy_ != nullptr &&
-      !policy_->ShouldAdmit(lbn, op, AdmissionContext{})) {
+  if (!was_present && !Admits(lbn, op)) {
     // Rejected new insertion: nothing is cached (the table lookup missed),
     // so the block simply stays uncached; dirty data goes straight to disk.
     if (!dirty) {
-      policy_->OnReject(lbn);
+      PolicyReject(lbn);
       return Status::kOk;
     }
     if (Status ds = disk_->GuardedWrite(lbn, token); IsOk(ds)) {
-      policy_->OnReject(lbn);
+      PolicyReject(lbn);
       return Status::kOk;
     }
     // The write-around disk write failed past the retry bound. Durability
@@ -229,8 +226,8 @@ Status NativeCacheManager::InsertBlock(Lbn lbn, uint64_t token, bool dirty, Admi
     }
     return ws;
   }
-  if (!was_present && policy_ != nullptr) {
-    policy_->OnAdmit(lbn);
+  if (!was_present) {
+    PolicyAdmit(lbn);
   }
   if (dirty && s.state != SlotState::kDirty) {
     s.state = SlotState::kDirty;
@@ -323,9 +320,7 @@ Status NativeCacheManager::CleanSet(uint32_t set) {
 
 Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
   ++stats_.reads;
-  if (policy_ != nullptr) {
-    policy_->OnAccess(lbn, /*is_write=*/false);
-  }
+  PolicyAccess(lbn, /*is_write=*/false);
   const uint32_t set = SetOf(lbn);
   const uint16_t way = FindWay(set, lbn);
   if (way != kNilWay) {
@@ -356,9 +351,7 @@ Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
     LruUnlink(set, way);
     s = Slot{};
     --occupied_;
-    if (policy_ != nullptr) {
-      policy_->OnEvict(lbn);
-    }
+    PolicyEvict(lbn);
     if (was_dirty) {
       return Status::kIoError;
     }
@@ -381,9 +374,7 @@ Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
 
 Status NativeCacheManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  if (policy_ != nullptr) {
-    policy_->OnAccess(lbn, /*is_write=*/true);
-  }
+  PolicyAccess(lbn, /*is_write=*/true);
   if (options_.mode == Mode::kWriteThrough) {
     if (Status s = disk_->GuardedWrite(lbn, token); !IsOk(s)) {
       ++stats_.disk_io_errors;

@@ -27,7 +27,6 @@
 
 #include "src/cache/cache_manager.h"
 #include "src/disk/disk_model.h"
-#include "src/policy/admission_policy.h"
 #include "src/ssd/ssd_ftl.h"
 
 namespace flashtier {
@@ -62,10 +61,7 @@ class NativeCacheManager final : public CacheManager {
   Status Read(Lbn lbn, uint64_t* token) override;
   Status Write(Lbn lbn, uint64_t token) override;
 
-  void set_admission_policy(AdmissionPolicy* policy) override { policy_ = policy; }
-
   size_t HostMemoryUsage() const override;
-  const ManagerStats& stats() const override { return stats_; }
 
   uint64_t cached_blocks() const { return occupied_; }
   uint64_t dirty_blocks() const { return dirty_total_; }
@@ -121,7 +117,6 @@ class NativeCacheManager final : public CacheManager {
 
   SsdFtl* ssd_;
   DiskModel* disk_;
-  AdmissionPolicy* policy_;
   Options options_;
   uint64_t cache_pages_;
   uint32_t sets_;
@@ -133,7 +128,6 @@ class NativeCacheManager final : public CacheManager {
   uint64_t dirty_total_ = 0;
   uint32_t pending_metadata_ = 0;
   uint64_t metadata_cursor_ = 0;
-  ManagerStats stats_;
 };
 
 }  // namespace flashtier

@@ -12,9 +12,7 @@ uint64_t DirtyBudget(uint64_t capacity_pages, double dirty_threshold) {
 }  // namespace
 
 WriteBackManager::WriteBackManager(SscDevice* ssc, DiskModel* disk, const Options& options)
-    : ssc_(ssc),
-      disk_(disk),
-      policy_(options.admission),
+    : SscCacheManager(ssc, disk, options.admission),
       options_(options),
       // Table sized for the nominal budget; the live budget shrinks with the
       // device (ThresholdBlocks), which only ever needs less room.
@@ -30,12 +28,21 @@ bool WriteBackManager::BelowCapacityFloor() const {
          ssc_->capacity_pages() * options_.min_usable_capacity_pct;
 }
 
-void WriteBackManager::DropLostDirty(Lbn lbn) {
-  ++stats_.read_errors;
-  ++stats_.lost_dirty;
-  dirty_table_.Erase(lbn);
+bool WriteBackManager::ForgetDirty(Lbn lbn) {
   parked_lbns_.erase(lbn);
   checksums_.erase(lbn);
+  return dirty_table_.Erase(lbn);
+}
+
+void WriteBackManager::OnDirtyLoss(Lbn lbn) {
+  // The SSC reports the loss when it drops the page — from a host read, a
+  // scrub or a writeback (which all see kIoError), or from a GC or merge
+  // that could not relocate it. A path that meets the same loss again finds
+  // the block already forgotten, so each loss counts once.
+  if (ForgetDirty(lbn)) {
+    ++stats_.read_errors;
+    ++stats_.lost_dirty;
+  }
 }
 
 void WriteBackManager::NoteDiskWriteFailure() {
@@ -89,68 +96,9 @@ Status WriteBackManager::RedriveParked(bool force) {
   return CleanRun(seed, run.attempt);
 }
 
-Status WriteBackManager::Read(Lbn lbn, uint64_t* token) {
-  ++stats_.reads;
-  if (policy_ != nullptr) {
-    policy_->OnAccess(lbn, /*is_write=*/false);
-  }
-  Status s = ssc_->Read(lbn, token);
-  if (IsOk(s)) {
-    ++stats_.read_hits;
-    if (disk_->latent_count() != 0 && disk_->IsLatent(lbn)) {
-      // The disk sector under this block is latently unreadable: the cached
-      // copy is the only serviceable one. The hit just rescued the read.
-      ++stats_.rescued_reads;
-    }
-    return s;
-  }
-  if (s == Status::kIoError) {
-    // An uncorrectable dirty page: the only copy of the data is gone (the
-    // SSC already dropped its mapping). Surface the loss and forget the
-    // block so the slot can be rewritten.
-    DropLostDirty(lbn);
-    return s;
-  }
-  if (s != Status::kNotPresent) {
-    return s;
-  }
-  ++stats_.read_misses;
-  uint64_t fetched = 0;
-  if (Status ds = disk_->GuardedRead(lbn, &fetched); !IsOk(ds)) {
-    // Not cached and the disk could not produce it within the retry bound:
-    // an honest miss failure, never stale data.
-    ++stats_.disk_io_errors;
-    return ds;
-  }
-  // A medium failure while populating the cache does not fail the miss — the
-  // data is already in hand from disk, and no stale version existed (the
-  // read above said not-present). A rejected fill serves from disk uncached,
-  // saving the flash write; a backpressured fill is likewise skipped rather
-  // than stalled (it is an optimization, not an obligation).
-  if (policy_ == nullptr ||
-      policy_->ShouldAdmit(lbn, AdmissionOp::kReadFill, AdmissionContext{})) {
-    const Status cs = ssc_->WriteClean(lbn, fetched);
-    if (!IsOk(cs) && cs != Status::kNoSpace && cs != Status::kIoError &&
-        cs != Status::kBackpressure) {
-      return cs;
-    }
-    if (policy_ != nullptr && IsOk(cs)) {
-      policy_->OnAdmit(lbn);
-    }
-  } else {
-    policy_->OnReject(lbn);
-  }
-  if (token != nullptr) {
-    *token = fetched;
-  }
-  return Status::kOk;
-}
-
 Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  if (policy_ != nullptr) {
-    policy_->OnAccess(lbn, /*is_write=*/true);
-  }
+  PolicyAccess(lbn, /*is_write=*/true);
   // Opportunistic redrive: one parked writeback run whose backoff expired
   // gets another chance per host write, so the queue drains (or escalates)
   // without a dedicated thread.
@@ -161,41 +109,26 @@ Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   // floor the device has aged out. Checked every write (not probed): the
   // retirement that tripped it is permanent.
   if (BelowCapacityFloor()) {
-    if (!degraded_) {
-      degraded_ = true;
-      degraded_write_count_ = 0;
-      ++stats_.degraded_entries;
-    }
-    return PassThroughWrite(lbn, token);
+    EnterDegraded();
+    return WriteAround(lbn, token, &ManagerStats::pass_through_writes);
   }
-  if (degraded_ && (++degraded_write_count_ % kDegradedProbeInterval) != 0) {
-    return PassThroughWrite(lbn, token);
+  if (BypassCache()) {
+    return WriteAround(lbn, token, &ManagerStats::pass_through_writes);
   }
-  if (policy_ != nullptr) {
-    AdmissionContext ctx;
-    ctx.resident = dirty_table_.Contains(lbn);
-    if (!policy_->ShouldAdmit(lbn, AdmissionOp::kWriteDirty, ctx)) {
-      // Demoted to write-around: the newest data goes to disk, and any
-      // cached version (resident or stale) must go so it can never surface.
-      Status ds = disk_->GuardedWrite(lbn, token);
-      if (IsOk(ds)) {
-        NoteDiskWriteSuccess();
-        if (Status es = ssc_->Evict(lbn); !IsOk(es)) {
-          return es;
-        }
-        dirty_table_.Erase(lbn);
-        parked_lbns_.erase(lbn);
-        checksums_.erase(lbn);
-        ++stats_.evicts;
-        policy_->OnReject(lbn);
-        return Status::kOk;
+  if (!Admits(lbn, AdmissionOp::kWriteDirty, AdmissionContext{dirty_table_.Contains(lbn)})) {
+    // Demoted to write-around: the newest data goes to disk, and any cached
+    // version (resident or stale) must go so it can never surface. If the
+    // disk refuses, durability outranks admission policy: absorb the write
+    // into the cache as dirty instead of failing the host (fall through to
+    // the dirty-write path below, which calls OnAdmit on success so the
+    // policy's view stays consistent).
+    if (IsOk(WriteDisk(lbn, token))) {
+      if (Status es = Uncache(lbn); !IsOk(es)) {
+        return es;
       }
-      // The disk refused the write-around. Durability outranks admission
-      // policy: absorb the write into the cache as dirty instead of failing
-      // the host (fall through to the dirty-write path below, which calls
-      // OnAdmit on success so the policy's view stays consistent).
-      ++stats_.disk_io_errors;
-      NoteDiskWriteFailure();
+      ++stats_.evicts;
+      PolicyReject(lbn);
+      return Status::kOk;
     }
   }
   // Log-region backpressure surfaces as a *bounded stall*: each drain forces
@@ -233,50 +166,24 @@ Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   }
   if (s == Status::kBackpressure) {
     // The stalls above could not free the region; the write goes around the
-    // cache rather than blocking (the stale cached copy is evicted below).
-    return PassThroughWrite(lbn, token);
+    // cache rather than blocking (the stale cached copy is evicted).
+    return WriteAround(lbn, token, &ManagerStats::pass_through_writes);
   }
   if (s == Status::kNoSpace) {
-    // Write-around: the cache has no evictable space at all. Put the newest
-    // data on disk and make sure no stale copy can ever surface. With the
-    // disk also refusing, this is the honest end of the escalation ladder:
-    // the cache absorbed what it could, and the host write fails loudly.
-    if (Status ds = disk_->GuardedWrite(lbn, token); !IsOk(ds)) {
-      ++stats_.disk_io_errors;
-      NoteDiskWriteFailure();
-      return ds;
-    }
-    NoteDiskWriteSuccess();
-    if (Status es = ssc_->Evict(lbn); !IsOk(es)) {
-      return es;
-    }
-    dirty_table_.Erase(lbn);
-    parked_lbns_.erase(lbn);
-    ++stats_.evicts;
-    if (policy_ != nullptr) {
-      policy_->OnEvict(lbn);
-    }
-    return Status::kOk;
+    // The cache has no evictable space at all. With the disk also refusing,
+    // this is the honest end of the escalation ladder: the cache absorbed
+    // what it could, and the host write fails loudly.
+    return WriteAround(lbn, token, &ManagerStats::evicts);
   }
   if (s == Status::kIoError) {
-    // Flash failure that survived the SSC's own retries. The write itself is
-    // safe — it lands on disk — but repeated failures trip the manager into
-    // degraded pass-through so a dying device cannot stall the write path.
-    if (!degraded_ && ++consecutive_write_failures_ >= kDegradedTripLimit) {
-      degraded_ = true;
-      degraded_write_count_ = 0;
-      ++stats_.degraded_entries;
-    }
-    return PassThroughWrite(lbn, token);
+    NoteCacheWriteFailure();
+    return WriteAround(lbn, token, &ManagerStats::pass_through_writes);
   }
   if (!IsOk(s)) {
     return s;
   }
-  consecutive_write_failures_ = 0;
-  degraded_ = false;  // a successful probe re-engages the cache
-  if (policy_ != nullptr) {
-    policy_->OnAdmit(lbn);
-  }
+  NoteCacheWriteSuccess();
+  PolicyAdmit(lbn);
   dirty_table_.Touch(lbn);
   if (options_.verify_checksums) {
     checksums_[lbn] = token;
@@ -312,13 +219,12 @@ Status WriteBackManager::CleanRun(Lbn seed, uint32_t park_attempt) {
       if (s != Status::kIoError && s != Status::kNotPresent) {
         return s;  // structural failure, not a data fault
       }
-      // kIoError: the only copy of this dirty block is unreadable and the
-      // SSC just dropped it. kNotPresent: a flash-side GC or merge already
-      // dropped it as unreadable — the loss was notified then, and the
-      // manager learns of it only now. Either way, forget the block
-      // (progress is guaranteed even when it is the run's first page) and
-      // clean whatever was collected before it.
-      DropLostDirty(lbn);
+      // kIoError: the only copy of this dirty block is unreadable, and the
+      // SSC just dropped it and reported the loss (OnDirtyLoss). kNotPresent:
+      // the SSC reported the loss before this manager was listening. Either
+      // way, forget the block (progress is guaranteed even when it is the
+      // run's first page) and clean whatever was collected before it.
+      OnDirtyLoss(lbn);
       break;
     }
     if (options_.verify_checksums) {
@@ -351,44 +257,51 @@ Status WriteBackManager::CleanRun(Lbn seed, uint32_t park_attempt) {
         return s;
       }
       ++stats_.evicts;
-      if (policy_ != nullptr) {
-        policy_->OnEvict(lbn);
-      }
+      PolicyEvict(lbn);
     } else {
       if (Status s = ssc_->Clean(lbn); !IsOk(s)) {
         return s;
       }
       ++stats_.cleans;
     }
-    dirty_table_.Erase(lbn);
-    parked_lbns_.erase(lbn);
-    checksums_.erase(lbn);
+    ForgetDirty(lbn);
     ++stats_.writebacks;
   }
   return Status::kOk;
 }
 
-Status WriteBackManager::PassThroughWrite(Lbn lbn, uint64_t token) {
-  // The newest data goes to disk; any cached version (including the stale
-  // one a failed overwrite left behind) must go so it can never surface.
-  if (Status ds = disk_->GuardedWrite(lbn, token); !IsOk(ds)) {
-    // Both tiers refused (the cache path already failed or is bypassed, and
-    // now the disk): fail the host write honestly rather than lie.
+Status WriteBackManager::WriteDisk(Lbn lbn, uint64_t token) {
+  const Status ds = disk_->GuardedWrite(lbn, token);
+  if (IsOk(ds)) {
+    NoteDiskWriteSuccess();
+  } else {
     ++stats_.disk_io_errors;
     NoteDiskWriteFailure();
-    return ds;
   }
-  NoteDiskWriteSuccess();
+  return ds;
+}
+
+Status WriteBackManager::Uncache(Lbn lbn) {
   if (Status es = ssc_->Evict(lbn); !IsOk(es)) {
     return es;
   }
-  dirty_table_.Erase(lbn);
-  parked_lbns_.erase(lbn);
-  checksums_.erase(lbn);
-  ++stats_.pass_through_writes;
-  if (policy_ != nullptr) {
-    policy_->OnEvict(lbn);
+  ForgetDirty(lbn);
+  return Status::kOk;
+}
+
+Status WriteBackManager::WriteAround(Lbn lbn, uint64_t token, uint64_t ManagerStats::*counter) {
+  // The newest data goes to disk; any cached version (including the stale
+  // one a failed overwrite left behind) must go so it can never surface. If
+  // the disk refuses too (the cache path already failed or is bypassed),
+  // fail the host write honestly rather than lie.
+  if (Status ds = WriteDisk(lbn, token); !IsOk(ds)) {
+    return ds;
   }
+  if (Status es = Uncache(lbn); !IsOk(es)) {
+    return es;
+  }
+  ++(stats_.*counter);
+  PolicyEvict(lbn);
   return Status::kOk;
 }
 
@@ -412,39 +325,6 @@ Status WriteBackManager::CleanToThreshold() {
     }
   }
   return Status::kOk;
-}
-
-uint64_t WriteBackManager::ScrubDisk(uint32_t max_sectors) {
-  // Walk the latent-sector list in LBN order and rewrite each sector whose
-  // content the cache still holds — a cached token (clean or dirty) is
-  // acknowledged data, so the write both heals the sector and leaves every
-  // future read's answer unchanged. Uncached sectors have no repair source
-  // here; they heal when the host next writes them.
-  uint64_t repaired = 0;
-  for (Lbn lbn : disk_->LatentSectors()) {
-    if (repaired >= max_sectors) {
-      break;
-    }
-    uint64_t token = 0;
-    const Status s = ssc_->Read(lbn, &token);
-    if (s == Status::kIoError) {
-      // Same as the read path: the only copy of a dirty block is gone.
-      DropLostDirty(lbn);
-      continue;
-    }
-    if (!IsOk(s)) {
-      continue;  // not cached: nothing to repair from
-    }
-    if (IsOk(disk_->GuardedWrite(lbn, token))) {
-      NoteDiskWriteSuccess();
-      ++repaired;
-      ++stats_.scrub_repairs;
-    } else {
-      NoteDiskWriteFailure();
-      break;  // the disk is refusing writes; end the pass
-    }
-  }
-  return repaired;
 }
 
 Status WriteBackManager::FlushAll() {

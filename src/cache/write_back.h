@@ -21,27 +21,24 @@
 // space/backpressure bound — past it, writes are refused honestly with the
 // disk's error. Reads whose disk sector has gone latent-bad are served from
 // the cache (rescued_reads), and ScrubDisk repairs latent sectors from
-// cached copies in the background.
+// cached copies in the background. Reads, the scrub and the degraded ladder
+// live in SscCacheManager.
 
 #ifndef FLASHTIER_CACHE_WRITE_BACK_H_
 #define FLASHTIER_CACHE_WRITE_BACK_H_
 
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/cache/cache_manager.h"
 #include "src/cache/dirty_table.h"
-#include "src/disk/disk_model.h"
-#include "src/policy/admission_policy.h"
-#include "src/ssc/ssc_device.h"
+#include "src/cache/ssc_manager.h"
 
 namespace flashtier {
 
 class InvariantChecker;
 
-class WriteBackManager final : public CacheManager {
+class WriteBackManager final : public SscCacheManager {
  public:
   struct Options {
     double dirty_threshold = 0.20;  // of SSC capacity
@@ -70,27 +67,17 @@ class WriteBackManager final : public CacheManager {
   WriteBackManager(SscDevice* ssc, DiskModel* disk)
       : WriteBackManager(ssc, disk, Options{}) {}
 
-  Status Read(Lbn lbn, uint64_t* token) override;
   Status Write(Lbn lbn, uint64_t token) override;
-
-  void set_admission_policy(AdmissionPolicy* policy) override { policy_ = policy; }
 
   size_t HostMemoryUsage() const override {
     return dirty_table_.MemoryUsage() +
            checksums_.size() * (sizeof(Lbn) + sizeof(uint64_t) + 16);
   }
-  const ManagerStats& stats() const override { return stats_; }
 
   uint64_t dirty_blocks() const { return dirty_table_.size(); }
   // Checksum mismatches detected during write-back (must stay 0 on healthy
   // hardware; used by fault-injection tests).
   uint64_t checksum_failures() const { return checksum_failures_; }
-
-  // True while the manager is in degraded pass-through: after
-  // kDegradedTripLimit consecutive cache write failures it sends writes
-  // straight to disk, probing the cache every kDegradedProbeInterval writes
-  // and re-engaging when a probe succeeds.
-  bool degraded() const { return degraded_; }
 
   // True while the manager is in disk-degraded mode: after
   // kDiskDegradedTripLimit consecutive failed writebacks it stops cleaning
@@ -99,9 +86,6 @@ class WriteBackManager final : public CacheManager {
   bool disk_degraded() const { return disk_degraded_; }
   // Dirty blocks currently parked on the writeback retry queue.
   size_t parked_blocks() const { return parked_lbns_.size(); }
-
-  // Repairs up to `max_sectors` latent disk sectors from cached copies.
-  uint64_t ScrubDisk(uint32_t max_sectors) override;
 
   // Writes every dirty block back to disk and cleans it (orderly shutdown).
   // Force-redrives the parked queue (a shutdown does not wait out backoff);
@@ -117,8 +101,6 @@ class WriteBackManager final : public CacheManager {
   friend class InvariantChecker;
   friend class CheckTestPeer;  // injects corruption in invariant-checker tests
 
-  static constexpr uint32_t kDegradedTripLimit = 4;
-  static constexpr uint32_t kDegradedProbeInterval = 64;
   // Bounded backpressure stall: how many drain-and-retry rounds a write
   // spends before going around the cache.
   static constexpr uint32_t kBackpressureRetryLimit = 4;
@@ -155,33 +137,35 @@ class WriteBackManager final : public CacheManager {
   // Cleans the contiguous dirty run containing `seed` (one disk write). A
   // disk failure parks the run (attempt `park_attempt`+1) instead of failing.
   Status CleanRun(Lbn seed, uint32_t park_attempt = 0);
-  // Lands `token` on disk and scrubs every cached trace of `lbn`.
-  Status PassThroughWrite(Lbn lbn, uint64_t token);
   // Pops and re-cleans the front parked run if its backoff expired (or
   // unconditionally with `force`). At most one run per call.
   Status RedriveParked(bool force);
   void ParkRun(Lbn start, Lbn end, uint32_t attempt, Status error);
-  void NoteDiskWriteFailure();
-  void NoteDiskWriteSuccess();
-  // Forgets a block the SSC reported lost (shared loss bookkeeping).
-  void DropLostDirty(Lbn lbn);
+  void NoteDiskWriteFailure() override;
+  void NoteDiskWriteSuccess() override;
 
-  SscDevice* ssc_;
-  DiskModel* disk_;
-  AdmissionPolicy* policy_;
+  // A write the cache does not take: the disk step (a refusal counts as a
+  // disk failure), then the uncache step, which scrubs every cached trace of
+  // `lbn` so no stale version can surface. WriteAround runs both and counts
+  // the write in `counter`.
+  Status WriteDisk(Lbn lbn, uint64_t token);
+  Status Uncache(Lbn lbn);
+  Status WriteAround(Lbn lbn, uint64_t token, uint64_t ManagerStats::*counter);
+  // Drops `lbn` from the dirty table, the parked set and the checksums;
+  // false if the table did not hold it.
+  bool ForgetDirty(Lbn lbn);
+  // Forgets a block the SSC reported lost, counting each loss once.
+  void OnDirtyLoss(Lbn lbn) override;
+
   Options options_;
   DirtyTable dirty_table_;
   std::unordered_map<Lbn, uint64_t> checksums_;  // only if verify_checksums
   uint64_t checksum_failures_ = 0;
-  bool degraded_ = false;
-  uint32_t consecutive_write_failures_ = 0;
-  uint64_t degraded_write_count_ = 0;
   bool disk_degraded_ = false;
   uint32_t consecutive_disk_failures_ = 0;
   Status last_disk_error_ = Status::kIoError;
   std::deque<ParkedRun> parked_;
   std::unordered_set<Lbn> parked_lbns_;  // membership only, never iterated
-  ManagerStats stats_;
 };
 
 }  // namespace flashtier

@@ -2,66 +2,9 @@
 
 namespace flashtier {
 
-Status WriteThroughManager::Read(Lbn lbn, uint64_t* token) {
-  ++stats_.reads;
-  if (policy_ != nullptr) {
-    policy_->OnAccess(lbn, /*is_write=*/false);
-  }
-  Status s = ssc_->Read(lbn, token);
-  if (IsOk(s)) {
-    ++stats_.read_hits;
-    if (disk_->latent_count() != 0 && disk_->IsLatent(lbn)) {
-      // The disk sector under this block is latently unreadable: the cached
-      // copy is the only serviceable one. The hit just rescued the read.
-      ++stats_.rescued_reads;
-    }
-    return s;
-  }
-  if (s == Status::kIoError) {
-    // Every block a write-through cache holds is clean, so even an
-    // uncorrectable cache read can be served from disk; fall through to the
-    // miss path.
-    ++stats_.read_errors;
-  } else if (s != Status::kNotPresent) {
-    return s;
-  }
-  ++stats_.read_misses;
-  uint64_t fetched = 0;
-  if (Status ds = disk_->GuardedRead(lbn, &fetched); !IsOk(ds)) {
-    // Not cached and the disk could not produce it within the retry bound:
-    // an honest miss failure, never stale data.
-    ++stats_.disk_io_errors;
-    return ds;
-  }
-  // Populate the cache with the miss; if the SSC is out of space (or the
-  // flash write fails) the miss still succeeds from disk. The fill is also
-  // where admission control bites: a rejected fill serves from disk and
-  // costs no flash write (the SSC said not-present, so nothing stale is
-  // cached that would need evicting).
-  if (policy_ == nullptr ||
-      policy_->ShouldAdmit(lbn, AdmissionOp::kReadFill, AdmissionContext{})) {
-    const Status cs = ssc_->WriteClean(lbn, fetched);
-    if (!IsOk(cs) && cs != Status::kNoSpace && cs != Status::kIoError &&
-        cs != Status::kBackpressure) {
-      return cs;
-    }
-    if (policy_ != nullptr && IsOk(cs)) {
-      policy_->OnAdmit(lbn);
-    }
-  } else {
-    policy_->OnReject(lbn);
-  }
-  if (token != nullptr) {
-    *token = fetched;
-  }
-  return Status::kOk;
-}
-
 Status WriteThroughManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  if (policy_ != nullptr) {
-    policy_->OnAccess(lbn, /*is_write=*/true);
-  }
+  PolicyAccess(lbn, /*is_write=*/true);
   if (Status ds = disk_->GuardedWrite(lbn, token); !IsOk(ds)) {
     // Write-through's contract is "the disk has the data before the host is
     // acked"; with the disk refusing past the retry bound there is nothing
@@ -70,91 +13,53 @@ Status WriteThroughManager::Write(Lbn lbn, uint64_t token) {
     ++stats_.disk_io_errors;
     return ds;
   }
-  if (degraded_ && (++degraded_write_count_ % kDegradedProbeInterval) != 0) {
-    // Pass-through: the disk already has the new data; only make sure no
-    // stale cached copy can ever surface.
-    ++stats_.pass_through_writes;
-    ++stats_.evicts;
-    if (policy_ != nullptr) {
-      policy_->OnEvict(lbn);
-    }
-    return ssc_->Evict(lbn);
+  if (BypassCache()) {
+    return EvictAround(lbn, /*pass_through=*/true);
   }
-  if (policy_ != nullptr &&
-      !policy_->ShouldAdmit(lbn, AdmissionOp::kWriteClean, AdmissionContext{})) {
+  if (!Admits(lbn, AdmissionOp::kWriteClean)) {
     // Demoted to disk-only: same obligation as any other non-cached write —
     // the old version, if any, must go (Section 3.1).
     ++stats_.evicts;
     if (Status es = ssc_->Evict(lbn); !IsOk(es)) {
       return es;
     }
-    policy_->OnReject(lbn);
+    PolicyReject(lbn);
     return Status::kOk;
   }
-  Status cs = ssc_->WriteClean(lbn, token);
+  const Status cs = ssc_->WriteClean(lbn, token);
+  if (IsOk(cs)) {
+    NoteCacheWriteSuccess();
+    PolicyAdmit(lbn);
+    return cs;
+  }
   if (cs == Status::kNoSpace) {
     // Could not cache the new version: the old one, if any, must go (the
     // manager "must either evict the old data from the SSC or write the new
     // data to it", Section 3.1).
-    ++stats_.evicts;
-    if (policy_ != nullptr) {
-      policy_->OnEvict(lbn);
-    }
-    cs = ssc_->Evict(lbn);
-  } else if (cs == Status::kBackpressure) {
+    return EvictAround(lbn, /*pass_through=*/false);
+  }
+  if (cs == Status::kBackpressure) {
     // The SSC's log region is full. Write-through holds no dirty state, so
-    // there is nothing worth stalling for: the disk already has the data.
-    // Surface backpressure as a pass-through write — evict any stale copy
+    // there is nothing worth stalling for: the disk already has the data
     // (the evict's own log append drains through the forced checkpoint).
-    ++stats_.pass_through_writes;
-    ++stats_.evicts;
-    if (policy_ != nullptr) {
-      policy_->OnEvict(lbn);
-    }
-    return ssc_->Evict(lbn);
-  } else if (cs == Status::kIoError) {
-    // Flash failure that survived the SSC's retries. The host write already
-    // succeeded against the disk; evict any stale copy, and trip into
-    // degraded pass-through when failures persist.
-    if (!degraded_ && ++consecutive_write_failures_ >= kDegradedTripLimit) {
-      degraded_ = true;
-      degraded_write_count_ = 0;
-      ++stats_.degraded_entries;
-    }
-    ++stats_.pass_through_writes;
-    ++stats_.evicts;
-    if (policy_ != nullptr) {
-      policy_->OnEvict(lbn);
-    }
-    return ssc_->Evict(lbn);
-  } else if (IsOk(cs)) {
-    consecutive_write_failures_ = 0;
-    degraded_ = false;  // a successful probe re-engages the cache
-    if (policy_ != nullptr) {
-      policy_->OnAdmit(lbn);
-    }
+    return EvictAround(lbn, /*pass_through=*/true);
+  }
+  if (cs == Status::kIoError) {
+    // Flash failure that survived the SSC's retries; the host write already
+    // succeeded against the disk.
+    NoteCacheWriteFailure();
+    return EvictAround(lbn, /*pass_through=*/true);
   }
   return cs;
 }
 
-uint64_t WriteThroughManager::ScrubDisk(uint32_t max_sectors) {
-  uint64_t repaired = 0;
-  for (Lbn lbn : disk_->LatentSectors()) {
-    if (repaired >= max_sectors) {
-      break;
-    }
-    uint64_t token = 0;
-    if (!IsOk(ssc_->Read(lbn, &token))) {
-      continue;  // not cached (or unreadable): nothing to repair from
-    }
-    if (IsOk(disk_->GuardedWrite(lbn, token))) {
-      ++repaired;
-      ++stats_.scrub_repairs;
-    } else {
-      break;  // the disk is refusing writes; end the pass
-    }
+Status WriteThroughManager::EvictAround(Lbn lbn, bool pass_through) {
+  if (pass_through) {
+    ++stats_.pass_through_writes;
   }
-  return repaired;
+  ++stats_.evicts;
+  PolicyEvict(lbn);
+  return ssc_->Evict(lbn);
 }
 
 }  // namespace flashtier

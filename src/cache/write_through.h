@@ -5,52 +5,30 @@
 // every write to both the disk and the SSC with write-clean. Because all
 // cached data is clean, the SSC may silently evict anything, and after a
 // crash the manager can use the cache immediately with no recovery work.
+// Reads, the scrub and the degraded ladder live in SscCacheManager.
 
 #ifndef FLASHTIER_CACHE_WRITE_THROUGH_H_
 #define FLASHTIER_CACHE_WRITE_THROUGH_H_
 
-#include "src/cache/cache_manager.h"
-#include "src/disk/disk_model.h"
-#include "src/policy/admission_policy.h"
-#include "src/ssc/ssc_device.h"
+#include "src/cache/ssc_manager.h"
 
 namespace flashtier {
 
-class WriteThroughManager final : public CacheManager {
+class WriteThroughManager final : public SscCacheManager {
  public:
   WriteThroughManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy* admission = nullptr)
-      : ssc_(ssc), disk_(disk), policy_(admission) {}
+      : SscCacheManager(ssc, disk, admission) {}
 
-  Status Read(Lbn lbn, uint64_t* token) override;
   Status Write(Lbn lbn, uint64_t token) override;
-
-  void set_admission_policy(AdmissionPolicy* policy) override { policy_ = policy; }
 
   // "The manager stores no data about cached blocks" — Section 4.4.
   size_t HostMemoryUsage() const override { return 0; }
-  const ManagerStats& stats() const override { return stats_; }
-
-  // True while repeated cache write failures have tripped the manager into
-  // disk-only pass-through (writes still evict stale cached copies; a
-  // periodic probe re-engages the cache when it recovers).
-  bool degraded() const { return degraded_; }
-
-  // Repairs up to `max_sectors` latent disk sectors from cached copies.
-  // Everything a write-through cache holds is clean (identical to what the
-  // disk acknowledged), so any hit is a valid repair source.
-  uint64_t ScrubDisk(uint32_t max_sectors) override;
 
  private:
-  static constexpr uint32_t kDegradedTripLimit = 4;
-  static constexpr uint32_t kDegradedProbeInterval = 64;
-
-  SscDevice* ssc_;
-  DiskModel* disk_;
-  AdmissionPolicy* policy_;
-  bool degraded_ = false;
-  uint32_t consecutive_write_failures_ = 0;
-  uint64_t degraded_write_count_ = 0;
-  ManagerStats stats_;
+  // The disk already holds the newest data of `lbn`: evict any cached copy
+  // so it can never surface, counting a write the cache did not take as a
+  // pass-through write.
+  Status EvictAround(Lbn lbn, bool pass_through);
 };
 
 }  // namespace flashtier

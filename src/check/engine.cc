@@ -159,7 +159,7 @@ SscConfig DeviceShape::ShardConfig(uint32_t index) const {
   const uint32_t n = std::max<uint32_t>(1, shards);
   SscConfig config = DeviceConfig();
   config.capacity_pages = capacity_pages / n + (index < capacity_pages % n ? 1 : 0);
-  config.fault_plan.seed = faults.seed + 0x9e3779b97f4a7c15ull * index;
+  config.fault_plan.seed = ShardSeed(faults.seed, index);
   return config;
 }
 

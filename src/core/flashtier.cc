@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/rng.h"
+
 namespace flashtier {
 
 std::string SystemTypeName(SystemType type) {
@@ -48,7 +50,7 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
     shard->disk = std::make_unique<DiskModel>(config.disk, &shard->clock);
     if (config.disk_faults.enabled) {
       DiskFaultPlan plan = config.disk_faults;
-      plan.seed = config.disk_faults.seed + 0x9e3779b97f4a7c15ull * i;
+      plan.seed = ShardSeed(config.disk_faults.seed, i);
       shard->disk->set_fault_plan(plan);
     }
     shard->disk->set_retry_policy(config.disk_retry);
@@ -69,7 +71,7 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
       ssc_config.timings = config.timings;
       if (config.flash_faults.enabled) {
         ssc_config.fault_plan = config.flash_faults;
-        ssc_config.fault_plan.seed = config.flash_faults.seed + 0x9e3779b97f4a7c15ull * i;
+        ssc_config.fault_plan.seed = ShardSeed(config.flash_faults.seed, i);
       }
       ssc_config.wear_level_interval_writes = config.wear_level_interval_writes;
       ssc_config.wear_level_max_diff = config.wear_level_max_diff;
@@ -103,7 +105,7 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
       ssd_opts.timings = config.timings;
       if (config.flash_faults.enabled) {
         ssd_opts.fault_plan = config.flash_faults;
-        ssd_opts.fault_plan.seed = config.flash_faults.seed + 0x9e3779b97f4a7c15ull * i;
+        ssd_opts.fault_plan.seed = ShardSeed(config.flash_faults.seed, i);
       }
       ssd_opts.wear_level_interval_writes = config.wear_level_interval_writes;
       ssd_opts.wear_level_max_diff = config.wear_level_max_diff;

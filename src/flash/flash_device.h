@@ -80,6 +80,8 @@ class FlashDevice {
   const FlashStats& stats() const { return stats_; }
   const FaultStats& fault_stats() const { return fault_stats_; }
   const FaultPlan& fault_plan() const { return faults_; }
+  // Virtual time on the clock this device charges.
+  uint64_t now_us() const { return clock_->now_us(); }
 
   PageState page_state(Ppn ppn) const { return pages_[ppn].state; }
   const OobRecord& oob(Ppn ppn) const { return pages_[ppn].oob; }

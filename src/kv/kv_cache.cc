@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/util/rng.h"
+
 namespace flashtier {
 
 namespace {
@@ -35,6 +37,7 @@ KvCacheConfig ShardSlice(const KvCacheConfig& config, uint32_t shards, uint32_t 
   slice.slab_pages = SanitizeSlabPages(config.slab_pages);
   slice.ssc.capacity_pages =
       std::max<uint64_t>(kMinShardPages, config.ssc.capacity_pages / std::max<uint32_t>(1, shards));
+  slice.ssc.fault_plan.seed = ShardSeed(config.ssc.fault_plan.seed, index);
   slice.admission = ShardPolicyConfig(config.admission, std::max<uint32_t>(1, shards), index);
   return slice;
 }

@@ -6,6 +6,7 @@
 #include "src/policy/frequency_sketch.h"
 #include "src/policy/ghost_lru.h"
 #include "src/policy/write_rate_limiter.h"
+#include "src/util/rng.h"
 
 namespace flashtier {
 
@@ -83,7 +84,7 @@ PolicyConfig ShardPolicyConfig(const PolicyConfig& config, uint32_t shards,
   out.sketch_width = std::max<uint32_t>(1024, config.sketch_width / n);
   out.write_rate_pages_per_sec = config.write_rate_pages_per_sec / n;
   out.write_burst_pages = std::max(1.0, config.write_burst_pages / n);
-  out.seed = config.seed + 0x9e3779b97f4a7c15ull * shard_index;
+  out.seed = ShardSeed(config.seed, shard_index);
   return out;
 }
 

@@ -17,7 +17,7 @@ constexpr uint32_t kMinFreeBlocks = 2;
 }  // namespace
 
 SscDevice::SscDevice(const SscConfig& config, SimClock* clock)
-    : config_(config), clock_(clock) {
+    : config_(config) {
   const FlashGeometry& probe = config.geometry;
   const uint64_t capacity_blocks =
       (config.capacity_pages + probe.pages_per_block - 1) / probe.pages_per_block;
@@ -87,6 +87,9 @@ Status SscDevice::Read(Lbn lbn, uint64_t* token) {
 void SscDevice::NoteLoss(Lbn lbn, bool dirty) {
   if (dirty) {
     ++ftl_stats_.lost_dirty_pages;
+    if (loss_listener_ != nullptr) {
+      loss_listener_->OnDirtyLoss(lbn);
+    }
     if (data_loss_hook_) {
       data_loss_hook_(lbn);
     }
@@ -329,9 +332,9 @@ void SscDevice::ExistsDetail(Lbn start, uint64_t count, std::vector<BlockInfo>* 
 }
 
 uint32_t SscDevice::BackgroundCollect(uint64_t budget_us) {
-  const uint64_t deadline = clock_->now_us() + budget_us;
+  const uint64_t deadline = device_->now_us() + budget_us;
   uint32_t reclaimed = 0;
-  while (clock_->now_us() < deadline) {
+  while (device_->now_us() < deadline) {
     if (ReclaimDeadBlock()) {
       ++reclaimed;
       continue;
@@ -694,7 +697,7 @@ Status SscDevice::Recover() {
   std::vector<LogRecord> tail;
   persist_->Recover(&checkpoint, &tail);
 
-  const uint64_t rebuild_start_us = clock_->now_us();
+  const uint64_t rebuild_start_us = device_->now_us();
   const FlashGeometry& g = device_->geometry();
   const uint32_t ppb = g.pages_per_block;
 
@@ -898,7 +901,7 @@ Status SscDevice::Recover() {
   });
 
   device_->pipeline()->ExecuteLog(recovered_logs.size() * config_.timings.ReadCostUs());
-  persist_->RecordRebuildTime(clock_->now_us() - rebuild_start_us);
+  persist_->RecordRebuildTime(device_->now_us() - rebuild_start_us);
   persist_->NotifyRecoveryPoint(RecoveryPoint::kMapsRebuilt);
   persist_->NotifyRecoveryPoint(RecoveryPoint::kDone);
   return Status::kOk;

@@ -253,10 +253,27 @@ class SscDevice : public HybridFtl<SscDevice> {
   using AuditHook = std::function<void(const SscDevice&)>;
   void set_audit_hook(AuditHook hook) { audit_hook_ = std::move(hook); }
 
+  // The cache manager over this device. It is told of every *dirty* page
+  // the device loses, when the loss is reported and before the data-loss
+  // hook, so its dirty table never names a block the device has dropped
+  // (DESIGN.md §5i). One listener at a time: a manager installs itself when
+  // built and removes itself when destroyed, if still installed.
+  class LossListener {
+   public:
+    virtual void OnDirtyLoss(Lbn lbn) = 0;
+
+   protected:
+    ~LossListener() = default;
+  };
+  void set_loss_listener(LossListener* listener) { loss_listener_ = listener; }
+  const LossListener* loss_listener() const { return loss_listener_; }
+
   // Invoked with the LBN whenever a *dirty* cached page is lost to a medium
-  // error (uncorrectable read, or a merge that could not relocate it). The
-  // crash explorer uses this to distinguish accounted data loss from silent
-  // corruption; cache managers surface the same event in ManagerStats.
+  // error (uncorrectable read, or a merge that could not relocate it), after
+  // the loss listener. The crash explorer and the replay oracle use it to
+  // tell accounted data loss from silent corruption; a write-back manager
+  // listening has already forgotten the block and counted it in
+  // ManagerStats (lost_dirty).
   using DataLossHook = std::function<void(Lbn)>;
   void set_data_loss_hook(DataLossHook hook) { data_loss_hook_ = std::move(hook); }
 
@@ -328,9 +345,9 @@ class SscDevice : public HybridFtl<SscDevice> {
   // is empty.
   bool ReclaimDeadBlock();
 
-  // Stats + data-loss hook for a page lost to a medium error. Does not touch
-  // cached/dirty counters — callers adjust those through the path that
-  // removed the mapping.
+  // Stats, loss listener and data-loss hook for a page lost to a medium
+  // error. Does not touch cached/dirty counters — callers adjust those
+  // through the path that removed the mapping.
   void NoteLoss(Lbn lbn, bool dirty);
   // Host read hit an uncorrectable page: drop the mapping (the cached copy is
   // gone) and translate to the host-visible outcome — kNotPresent for clean
@@ -411,7 +428,6 @@ class SscDevice : public HybridFtl<SscDevice> {
   void MaybeAudit();
 
   SscConfig config_;
-  SimClock* clock_;
   std::unique_ptr<PersistenceManager> persist_;
 
   SparseHashMap<uint64_t, BlockEntry> block_map_;  // logical erase block -> entry
@@ -434,6 +450,7 @@ class SscDevice : public HybridFtl<SscDevice> {
   PhysBlock patrol_cursor_ = 0;
 
   AuditHook audit_hook_;
+  LossListener* loss_listener_ = nullptr;
   DataLossHook data_loss_hook_;
   KvSnapshotSource kv_snapshot_source_;
   RecoveredKv recovered_kv_;

@@ -54,6 +54,13 @@ class Rng {
   uint64_t s1_;
 };
 
+// The seed of shard `shard`'s own stream, derived from a configured seed by
+// a golden-ratio stride: shard 0 keeps the configured seed, and no two
+// shards draw the same stream.
+inline uint64_t ShardSeed(uint64_t seed, uint32_t shard) {
+  return seed + 0x9e3779b97f4a7c15ull * shard;
+}
+
 // Zipf(s) sampler over {0, ..., n-1} using rejection inversion
 // (W. Hörmann & G. Derflinger, "Rejection-inversion to generate variates from
 // monotone discrete distributions", 1996). O(1) per sample, no tables, which

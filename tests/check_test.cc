@@ -24,6 +24,7 @@
 #include "src/disk/disk_model.h"
 #include "src/ssc/ssc_device.h"
 #include "src/ssd/ssd_ftl.h"
+#include "src/util/rng.h"
 
 namespace flashtier {
 
@@ -186,6 +187,35 @@ TEST(InvariantCheckerTest, DetectsDirtyTableDisagreementBothWays) {
   report = InvariantChecker::Check(manager);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(HasInvariant(report, "dirty-table.untracked")) << report.ToString();
+}
+
+// GC and merges drop dirty pages they cannot read. The SSC reports each loss
+// as it happens, and the write-back manager must forget the block then: a
+// table that learns of the loss only at the block's next writeback names a
+// block the SSC no longer holds, which the live audit flags as stale.
+TEST(InvariantCheckerTest, WriteBackForgetsDirtyBlocksWhenTheSscReportsThemLost) {
+  SscConfig config;
+  config.capacity_pages = 2048;
+  config.geometry.planes = 4;
+  config.fault_plan.enabled = true;
+  config.fault_plan.seed = 1;
+  config.fault_plan.read_corrupt_prob = 0.01;
+  SimClock clock;
+  DiskModel disk(DiskParams{}, &clock);
+  SscDevice ssc(config, &clock);
+  WriteBackManager manager(&ssc, &disk);
+  uint64_t losses = 0;
+  ssc.set_data_loss_hook([&losses](Lbn) { ++losses; });
+  Rng rng(1);
+  for (uint64_t i = 1; i <= 6'000; ++i) {
+    ASSERT_EQ(manager.Write(rng.Below(4096), i), Status::kOk) << "write " << i;
+    const CheckReport report = InvariantChecker::Check(manager);
+    ASSERT_TRUE(report.ok()) << "after write " << i << " and " << losses
+                             << " notified losses:\n"
+                             << report.ToString();
+  }
+  EXPECT_GT(losses, 0u);
+  EXPECT_EQ(manager.stats().lost_dirty, ssc.ftl_stats().lost_dirty_pages);
 }
 
 // Every erase fails, so each reclaimed block is retired and the SSD soon runs

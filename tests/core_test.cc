@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/core/flashtier.h"
 #include "src/core/replay.h"
 #include "src/trace/workload.h"
@@ -135,12 +137,7 @@ TEST(ReplayEngineTest, OracleCatchesInjectedStaleData) {
     }
     Status Write(Lbn, uint64_t) override { return Status::kOk; }
     size_t HostMemoryUsage() const override { return 0; }
-    const ManagerStats& stats() const override { return stats_; }
-
-   private:
-    ManagerStats stats_;
   };
-  // Assemble by hand around the lossy manager.
   SystemConfig config;
   config.type = SystemType::kSscWriteThrough;
   config.cache_pages = 1024;
@@ -153,6 +150,13 @@ TEST(ReplayEngineTest, OracleCatchesInjectedStaleData) {
   opts.verify = true;
   ReplayEngine good(&system, opts);
   EXPECT_EQ(good.Run(trace).stale_reads, 0u);
+  // Then around the lossy manager: its read answers a token the write never
+  // produced, and it fails no request, so only the oracle can catch it.
+  system.shard(0).manager = std::make_unique<LossyManager>();
+  ReplayEngine bad(&system, opts);
+  const ReplayMetrics m = bad.Run(trace);
+  EXPECT_EQ(m.stale_reads, 1u);
+  EXPECT_EQ(m.failed_requests, 0u);
 }
 
 }  // namespace

@@ -165,6 +165,27 @@ TEST(WriteBackChecksumTest, HostMemoryGrowsWithChecksums) {
   EXPECT_GT(b.manager.HostMemoryUsage(), a.manager.HostMemoryUsage());
 }
 
+TEST(WriteBackChecksumTest, FlushLeavesNoChecksumBehind) {
+  // A write-around (policy reject, out of space or pass-through) drops the
+  // block's checksum with its dirty entry, so once FlushAll empties the
+  // table the checked manager holds exactly what the plain one does.
+  WriteBackManager::Options plain;
+  WbRig a(plain);
+  WriteBackManager::Options checked;
+  checked.verify_checksums = true;
+  WbRig b(checked);
+  Rng rng(5);
+  for (uint64_t i = 0; i < 20'000; ++i) {
+    const Lbn lbn = rng.Below(4096);
+    ASSERT_EQ(a.manager.Write(lbn, i), Status::kOk);
+    ASSERT_EQ(b.manager.Write(lbn, i), Status::kOk);
+  }
+  EXPECT_GT(b.manager.stats().evicts, 0u);  // the out-of-space write-around ran
+  ASSERT_EQ(a.manager.FlushAll(), Status::kOk);
+  ASSERT_EQ(b.manager.FlushAll(), Status::kOk);
+  EXPECT_EQ(b.manager.HostMemoryUsage(), a.manager.HostMemoryUsage());
+}
+
 TEST(ExplicitEvictionTest, WriteBackEvictsInsteadOfCleaning) {
   WriteBackManager::Options opts;
   opts.explicit_eviction = true;

@@ -83,13 +83,18 @@ run --soak=25 --shards=4 --stats-json=soak-shards.json
 run --disk-faults --stats-json=diskguard.json
 run --disk-faults --shards=4 --stats-json=diskguard.json
 run --disk-faults --write-through --stats-json=diskguard.json
+run --disk-faults --write-through --faults --fault-seed=1 --program-fail=1.0 \
+  --stats-json=diskguard.json
+run --disk-faults --write-through --admission=ghost-lru --stats-json=diskguard.json
 run --disk-faults --faults --fault-seed=1 --stats-json=diskguard.json
+run --disk-faults --faults --fault-seed=2 --stats-json=diskguard.json
 run --disk-faults --no-crashes --disk-write-fail=0.2 --stats-json=diskguard.json
 for p in $admission; do
   run --disk-faults --admission="$p" --stats-json=diskguard.json
 done
 run --disk-faults --soak=25 --stats-json=diskguard-soak.json
 run --disk-faults --soak=25 --shards=4 --stats-json=diskguard-soak.json
+run --disk-faults --write-through --soak=25 --stats-json=diskguard-soak.json
 run --disk-faults --soak=25 --disk-write-fail=0.5 --disk-latent=0.02 \
   --stats-json=diskguard-soak.json
 
@@ -110,6 +115,7 @@ run --kv --shards=4 --stats-json=kv-check.json
 run --kv --mode=relaxed --stats-json=kv-check.json
 run --kv --faults --fault-seed=1 --stats-json=kv-check.json
 run --kv --faults --fault-seed=2 --slab-pages=4 --stats-json=kv-check.json
+run --kv --faults --fault-seed=1 --shards=4 --stats-json=kv-check.json
 for p in $admission; do
   run --kv --admission="$p" --stats-json=kv-check.json
 done

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "src/check/invariant_checker.h"
@@ -451,6 +452,21 @@ TEST(KvShardingTest, KeysRouteToOwningShardAndStatsAggregate) {
   }
   EXPECT_EQ(nonempty, 4u);  // the key hash spreads work across all shards
   EXPECT_EQ(cache.AggregateStats().sets, 400u);
+}
+
+TEST(KvShardingTest, EveryShardDrawsItsOwnFaultStream) {
+  KvCacheConfig config = SmallConfig();
+  config.shards = 4;
+  config.ssc.capacity_pages = 4096;
+  config.ssc.fault_plan.enabled = true;
+  config.ssc.fault_plan.seed = 7;
+  KvCache cache(config);
+  std::set<uint64_t> seeds;
+  for (uint32_t i = 0; i < cache.shard_count(); ++i) {
+    seeds.insert(cache.shard(i).ssc().device().fault_plan().seed);
+  }
+  EXPECT_EQ(cache.shard(0).ssc().device().fault_plan().seed, 7u);
+  EXPECT_EQ(seeds.size(), 4u);  // one fault stream per shard, not four copies of one
 }
 
 // ---- The invariant audit and the flashcheck --kv harness ----
