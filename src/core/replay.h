@@ -1,36 +1,20 @@
-// Trace replay engine and end-to-end metrics.
+// Block trace replay engine and end-to-end metrics.
 //
 // At queue depth 1 replay is closed-loop over virtual time: each request is
 // issued when the previous one completes, and its response time is the
 // virtual time the system components charged while serving it. IOPS =
 // requests / elapsed virtual seconds, the paper's performance metric
-// (Figures 3, 4, 6).
+// (Figures 3, 4, 6). At queue depth N > 1 (Options::queue_depth) up to N
+// host requests are in flight per shard, and the response histogram — so
+// p95/p99/p999 — includes queueing delay.
 //
-// At queue depth N > 1 (Options::queue_depth) replay is open-loop: up to N
-// host requests are in flight per shard, each new request submitting the
-// moment a queue slot frees (see src/core/open_loop.h). Submit-to-complete
-// latency feeds the response histogram — so p95/p99/p999 include queueing
-// delay — and the measured phase's elapsed time is the span from the first
-// measured submit to the last measured completion.
-//
-// On a sharded system the engine routes each request to its LBN's shard and
-// replays the per-shard subsequences on worker threads (Options::threads),
-// both steps in src/core/shard_scheduler.h; a single-shard system streams
-// its source instead of routing it. Every shard is a complete, isolated
-// vertical slice with its own virtual clock, so a shard's replay is a
-// deterministic sequential computation no matter which thread runs it;
-// per-LBN order is preserved because routing is a pure function of the LBN.
-// Virtual-time metrics are merged in shard order — counter sums, bucket-wise
-// histogram sums, and a max-epoch merge of the per-shard clocks (channels
-// run in parallel, so elapsed virtual time is the slowest shard's epoch) —
-// making the merged metrics bit-identical for any thread count. Wall-clock
-// throughput (wall_clock_us, ReplayOpsPerSec) is the only thread-dependent
-// output, and a failing shard's exception is rethrown the same way at any
-// thread count.
-//
-// The engine optionally verifies correctness as it replays: it tracks the
-// newest token written to each block and checks that every read returns it —
-// a stale read anywhere in the cache hierarchy fails the run.
+// Routing, the per-shard request bracket, the shard-order merge and the
+// host-side fields are the loop both engines share (src/core/shard_replay.h),
+// which keeps every virtual-time metric bit-identical for any thread count.
+// This engine adds the manager calls and, optionally, a correctness oracle:
+// it tracks the newest token written to each block and checks that every
+// read returns it — a stale read anywhere in the cache hierarchy fails the
+// run.
 
 #ifndef FLASHTIER_CORE_REPLAY_H_
 #define FLASHTIER_CORE_REPLAY_H_
@@ -40,46 +24,26 @@
 #include <unordered_set>
 
 #include "src/core/flashtier.h"
+#include "src/core/shard_replay.h"
 #include "src/trace/trace.h"
-#include "src/util/stats.h"
 
 namespace flashtier {
 
-struct ReplayMetrics {
-  uint64_t requests = 0;
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t elapsed_us = 0;       // virtual time spent in the measured phase
-                                 // (sharded: max-epoch across shard clocks)
-  uint64_t warmup_requests = 0;  // replayed before measurement began
-  uint64_t stale_reads = 0;      // correctness violations (must be 0)
-  uint64_t failed_requests = 0;  // manager returned an error
+struct ReplayMetrics : RequestMetrics {
+  uint64_t reads = 0;        // measured
+  uint64_t writes = 0;       // measured
+  uint64_t stale_reads = 0;  // correctness violations (must be 0)
   // Reads that failed with a medium error (kIoError after fault injection
   // destroyed a dirty block). Distinct from stale_reads: an error is honest —
   // the system admits the loss — while a stale read silently lies.
   uint64_t read_errors = 0;
-  LatencyHistogram response_us;
 
-  // Host-side wall clock for the whole replay (warmup included) and the
-  // shape that produced it. Unlike every field above, wall_clock_us is real
-  // time: it varies run to run and across thread counts — it is the number
-  // the parallel engine exists to shrink.
-  uint64_t wall_clock_us = 0;
-  uint32_t threads = 1;
-  uint32_t shards = 1;
-  uint32_t queue_depth = 1;  // host requests in flight per shard
-
-  double Iops() const {
-    return elapsed_us == 0 ? 0.0
-                           : static_cast<double>(requests) * 1e6 /
-                                 static_cast<double>(elapsed_us);
-  }
-  double MeanResponseUs() const { return response_us.mean(); }
-  // Replayed requests (measured + warmup) per wall-clock second.
-  double ReplayOpsPerSec() const {
-    return wall_clock_us == 0 ? 0.0
-                              : static_cast<double>(requests + warmup_requests) * 1e6 /
-                                    static_cast<double>(wall_clock_us);
+  void Merge(const ReplayMetrics& shard) {
+    RequestMetrics::Merge(shard);
+    reads += shard.reads;
+    writes += shard.writes;
+    stale_reads += shard.stale_reads;
+    read_errors += shard.read_errors;
   }
 };
 

@@ -32,6 +32,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/trace/trace.h"
+
 namespace flashtier {
 
 // The workers a sharded replay runs on: `threads` clamped to [1, shards].
@@ -80,7 +82,7 @@ void RunOnWorkers(uint32_t workers, const Work& work) {
 // streams straight from the source, so a single-shard replay's memory does
 // not grow with the trace. Either way ForEach hands out each record with its
 // sequence number, once per shard; the source must outlive this.
-template <typename Source, typename Record>
+template <typename Record>
 class ShardQueues {
  public:
   // Routes the first `limit` records of `source` to shard `shard_of(record)`
@@ -89,7 +91,7 @@ class ShardQueues {
   // and each worker writes its chunk's positions where the sums say. The
   // position array is not zero-filled, so the workers touch its pages first.
   template <typename ShardOf>
-  ShardQueues(Source& source, uint32_t shards, uint32_t threads, uint64_t limit,
+  ShardQueues(RecordSource<Record>& source, uint32_t shards, uint32_t threads, uint64_t limit,
               const ShardOf& shard_of)
       : source_(&source), limit_(limit), begin_(shards + 1, 0) {
     if (shards <= 1) {
@@ -170,7 +172,7 @@ class ShardQueues {
     }
   }
 
-  Source* source_;  // not owned
+  RecordSource<Record>* source_;  // not owned
   uint64_t limit_;
   std::vector<Record> owned_;              // a streamed trace, read once
   std::span<const Record> trace_;          // the routed records

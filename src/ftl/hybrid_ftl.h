@@ -325,9 +325,10 @@ Status HybridFtl<Device>::CopyPages(LogicalBlock logical, uint32_t first, PhysBl
   for (uint32_t off = first; off < ppb; ++off) {
     const PageSource src = source(off);
     if (src.ppn == kInvalidPpn) {
-      if (!dst_failed) {
-        AssertOk(device_->SkipPage(dst));  // keeps the block-mapped offsets aligned
-      }
+      // Skipping keeps the block-mapped offsets aligned. A destination that
+      // refuses the skip (a full block a broken retirement freed) takes no
+      // more programs either.
+      dst_failed = dst_failed || !IsOk(device_->SkipPage(dst));
       continue;
     }
     const uint64_t lpn = logical * ppb + off;
@@ -336,7 +337,7 @@ Status HybridFtl<Device>::CopyPages(LogicalBlock logical, uint32_t first, PhysBl
       // The cached copy is unreadable: drop it (a clean page is a future
       // miss, a dirty one counted data loss) and skip its slot.
       DropPage(lpn, src);
-      AssertOk(device_->SkipPage(dst));
+      dst_failed = !IsOk(device_->SkipPage(dst));
       continue;
     }
     if (cs == Status::kIoError) {

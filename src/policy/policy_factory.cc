@@ -57,9 +57,7 @@ std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config,
     case AdmissionKind::kFrequencySketch: {
       FrequencySketchPolicy::Options opts;
       opts.width = config.sketch_width;
-      opts.rows = config.sketch_rows;
       opts.admit_threshold = config.sketch_threshold;
-      opts.halve_interval = config.sketch_halve_interval;
       opts.seed = config.seed;
       return std::make_unique<FrequencySketchPolicy>(opts, config.reject_ghost_entries);
     }

@@ -30,11 +30,10 @@ struct PolicyConfig {
   // GhostLru.
   uint32_t ghost_entries = 16384;
   uint32_t ghost_required_misses = 2;
-  // FrequencySketch.
+  // FrequencySketch; its row count and halving interval are the policy's
+  // own defaults (FrequencySketchPolicy::Options).
   uint32_t sketch_width = 16384;
-  uint32_t sketch_rows = 4;
   uint32_t sketch_threshold = 2;
-  uint64_t sketch_halve_interval = 0;  // 0 = 8x width
   // WriteRateLimiter.
   double write_rate_pages_per_sec = 2000.0;
   double write_burst_pages = 256.0;

@@ -94,7 +94,7 @@ void PersistenceManager::Flush() {
   // Small synchronous batches use a sub-page atomic write; large group
   // commits stream whole pages.
   const uint64_t bytes = buffer_.size() * kRecordBytes;
-  if (bytes <= options_.page_size) {
+  if (bytes <= kPageBytes) {
     ++stats_.log_page_writes;
     ChargeLogUs(timings_.atomic_write_us);
   } else {

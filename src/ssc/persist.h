@@ -229,7 +229,6 @@ class PersistenceManager {
     uint32_t group_commit_ops = 10'000;      // Section 6.4 configuration
     double checkpoint_log_ratio = 2.0 / 3.0; // checkpoint when log > ratio * ckpt
     uint64_t checkpoint_interval_writes = 1'000'000;
-    uint32_t page_size = 4096;
     // Size of the dedicated log region in flash pages; 0 = unbounded (the
     // seed behavior). Bounded operation needs a checkpoint source installed
     // so the region can be reclaimed under pressure.
@@ -453,9 +452,10 @@ class PersistenceManager {
   // when the size-ratio and write-interval rules are quiet.
   static constexpr double kLogHighWater = 0.75;
 
-  uint64_t PagesFor(uint64_t bytes) const {
-    return (bytes + options_.page_size - 1) / options_.page_size;
-  }
+  // The flash page the log and checkpoints are written in.
+  static constexpr uint64_t kPageBytes = 4096;
+
+  static uint64_t PagesFor(uint64_t bytes) { return (bytes + kPageBytes - 1) / kPageBytes; }
   uint64_t HighWaterPages() const {
     const auto hw = static_cast<uint64_t>(
         kLogHighWater * static_cast<double>(options_.log_region_pages));

@@ -30,7 +30,6 @@ SscDevice::SscDevice(const SscConfig& config, SimClock* clock)
   popts.mode = config.mode;
   popts.group_commit_ops = config.group_commit_ops;
   popts.checkpoint_interval_writes = config.checkpoint_interval_writes;
-  popts.page_size = geometry.page_size;
   popts.log_region_pages = config.log_region_pages;
   popts.checkpoint_segment_entries = config.checkpoint_segment_entries;
   persist_ = std::make_unique<PersistenceManager>(popts, config.timings, clock);

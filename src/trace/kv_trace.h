@@ -1,19 +1,16 @@
-// Tiny-object key-value trace records and sources (DESIGN.md §5k).
+// Tiny-object key-value trace records (DESIGN.md §5k).
 //
 // Where the block traces model a disk address space, KV traces model an
 // object namespace: a record is a 64-bit key, an operation (get/set/delete)
-// and — for sets — the object's size in bytes (64 B..4 KB). The KvCache
-// replays them through the same style of pull interface the block replay
-// engine uses.
+// and — for sets — the object's size in bytes (64 B..4 KB). They flow through
+// the same RecordSource interface as block records (src/trace/trace.h).
 
 #ifndef FLASHTIER_TRACE_KV_TRACE_H_
 #define FLASHTIER_TRACE_KV_TRACE_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <utility>
-#include <vector>
+
+#include "src/trace/trace.h"
 
 namespace flashtier {
 
@@ -32,44 +29,8 @@ struct KvTraceRecord {
   friend bool operator==(const KvTraceRecord&, const KvTraceRecord&) = default;
 };
 
-// Pull-based KV trace stream; deterministic like TraceSource.
-class KvTraceSource {
- public:
-  virtual ~KvTraceSource() = default;
-
-  virtual bool Next(KvTraceRecord* record) = 0;
-  virtual void Rewind() = 0;
-  virtual uint64_t size_hint() const { return 0; }
-  // The whole trace if held in memory, else empty (TraceSource::InMemory).
-  virtual std::span<const KvTraceRecord> InMemory() const { return {}; }
-};
-
-// Trivial in-memory KV trace, mainly for tests.
-class KvVectorTrace final : public KvTraceSource {
- public:
-  KvVectorTrace() = default;
-  explicit KvVectorTrace(std::vector<KvTraceRecord> records) : records_(std::move(records)) {}
-
-  void Append(uint64_t key, KvOp op, uint32_t size = 0) { records_.push_back({key, op, size}); }
-
-  bool Next(KvTraceRecord* record) override {
-    if (pos_ >= records_.size()) {
-      return false;
-    }
-    *record = records_[pos_++];
-    return true;
-  }
-
-  void Rewind() override { pos_ = 0; }
-  uint64_t size_hint() const override { return records_.size(); }
-  std::span<const KvTraceRecord> InMemory() const override { return records_; }
-
-  const std::vector<KvTraceRecord>& records() const { return records_; }
-
- private:
-  std::vector<KvTraceRecord> records_;
-  size_t pos_ = 0;
-};
+using KvTraceSource = RecordSource<KvTraceRecord>;
+using KvVectorTrace = RecordVector<KvTraceRecord>;
 
 }  // namespace flashtier
 

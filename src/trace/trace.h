@@ -1,16 +1,17 @@
-// Block-level I/O trace records and sources.
+// Trace records and sources.
 //
 // All four paper workloads (Table 3) are sector-aligned 4,096-byte requests,
-// so a record is just an LBN plus a read/write flag. Traces are consumed
-// through the TraceSource interface so the replay engine works identically
-// over synthetic generators, in-memory vectors, and binary trace files.
+// so a block record is just an LBN plus a read/write flag. The KV records of
+// src/trace/kv_trace.h are the other kind. Either kind is consumed through
+// one RecordSource interface, so both replay engines work identically over
+// synthetic generators, in-memory vectors, and binary trace files.
 
 #ifndef FLASHTIER_TRACE_TRACE_H_
 #define FLASHTIER_TRACE_TRACE_H_
 
 #include <cstdint>
 #include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/flash/types.h"
@@ -26,14 +27,16 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
-// Pull-based trace stream. Implementations must be deterministic: two
-// iterations of a freshly-constructed source yield identical streams.
-class TraceSource {
+// Pull-based stream of one record kind. Implementations must be
+// deterministic: two iterations of a freshly-constructed source yield
+// identical streams.
+template <typename Record>
+class RecordSource {
  public:
-  virtual ~TraceSource() = default;
+  virtual ~RecordSource() = default;
 
   // Fetches the next record; returns false at end of stream.
-  virtual bool Next(TraceRecord* record) = 0;
+  virtual bool Next(Record* record) = 0;
 
   // Restarts the stream from the beginning.
   virtual void Rewind() = 0;
@@ -43,18 +46,23 @@ class TraceSource {
 
   // The whole trace, if the source holds it in memory (empty otherwise): a
   // sharded replay routes it in place instead of reading a copy.
-  virtual std::span<const TraceRecord> InMemory() const { return {}; }
+  virtual std::span<const Record> InMemory() const { return {}; }
 };
 
 // Trivial in-memory trace, mainly for tests.
-class VectorTrace final : public TraceSource {
+template <typename Record>
+class RecordVector final : public RecordSource<Record> {
  public:
-  VectorTrace() = default;
-  explicit VectorTrace(std::vector<TraceRecord> records) : records_(std::move(records)) {}
+  RecordVector() = default;
+  explicit RecordVector(std::vector<Record> records) : records_(std::move(records)) {}
 
-  void Append(Lbn lbn, TraceOp op) { records_.push_back({lbn, op}); }
+  // Appends the record whose leading fields are `fields`.
+  template <typename... Fields>
+  void Append(Fields... fields) {
+    records_.emplace_back(fields...);
+  }
 
-  bool Next(TraceRecord* record) override {
+  bool Next(Record* record) override {
     if (pos_ >= records_.size()) {
       return false;
     }
@@ -64,14 +72,17 @@ class VectorTrace final : public TraceSource {
 
   void Rewind() override { pos_ = 0; }
   uint64_t size_hint() const override { return records_.size(); }
-  std::span<const TraceRecord> InMemory() const override { return records_; }
+  std::span<const Record> InMemory() const override { return records_; }
 
-  const std::vector<TraceRecord>& records() const { return records_; }
+  const std::vector<Record>& records() const { return records_; }
 
  private:
-  std::vector<TraceRecord> records_;
+  std::vector<Record> records_;
   size_t pos_ = 0;
 };
+
+using TraceSource = RecordSource<TraceRecord>;
+using VectorTrace = RecordVector<TraceRecord>;
 
 }  // namespace flashtier
 

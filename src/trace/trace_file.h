@@ -1,19 +1,21 @@
-// Binary trace file formats: 24-byte header + packed records.
+// Binary trace files: one format for both record kinds.
 //
-//   block trace: magic "FTTR", u32 version, u64 record count, u64 reserved
-//                record: u64 lbn, u8 op (9 bytes)
-//   kv trace:    magic "FTKV", same header shape
-//                record: u64 key, u8 op, u32 size (13 bytes)
+//   header: 4-byte magic, u32 version, u64 record count, u64 reserved
+//   records, packed:
+//     block ("FTTR"): u64 lbn, u8 op (9 bytes)
+//     kv    ("FTKV"): u64 key, u8 op, u32 size (13 bytes)
+//   footer: CRC32-C over all records
 //
-// Checksummed footer (CRC32-C over all records) so truncated files are
-// detected on open. TraceFileMagic() peeks a file's magic so tools can
-// dispatch on trace kind.
+// A record kind is its codec (magic, record size, pack, unpack), so one
+// reader and one writer serve both. Open reads the whole file once, so a
+// truncated or altered file, one of the other kind, or a record whose op
+// byte names no operation is refused there (kCorrupt) rather than replayed.
+// ClassifyTraceFile() peeks a file's magic so tools can dispatch on kind.
 
 #ifndef FLASHTIER_TRACE_TRACE_FILE_H_
 #define FLASHTIER_TRACE_TRACE_FILE_H_
 
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "src/trace/kv_trace.h"
@@ -28,16 +30,17 @@ enum class TraceFileKind : uint8_t { kUnknown = 0, kBlock, kKv };
 TraceFileKind ClassifyTraceFile(const std::string& path);
 
 // Streams records to a file; finalizes header+footer on Close().
-class TraceFileWriter {
+template <typename Record>
+class RecordFileWriter {
  public:
-  TraceFileWriter() = default;
-  ~TraceFileWriter();
+  RecordFileWriter() = default;
+  ~RecordFileWriter();
 
-  TraceFileWriter(const TraceFileWriter&) = delete;
-  TraceFileWriter& operator=(const TraceFileWriter&) = delete;
+  RecordFileWriter(const RecordFileWriter&) = delete;
+  RecordFileWriter& operator=(const RecordFileWriter&) = delete;
 
   Status Open(const std::string& path);
-  Status Append(const TraceRecord& record);
+  Status Append(const Record& record);
   Status Close();
 
   uint64_t written() const { return count_; }
@@ -48,18 +51,20 @@ class TraceFileWriter {
   uint32_t crc_ = 0;
 };
 
-// Reads a trace file as a TraceSource. Validates header and footer CRC.
-class TraceFileReader final : public TraceSource {
+// Reads a trace file as a RecordSource. Validates the header, every record
+// and the footer CRC.
+template <typename Record>
+class RecordFileReader final : public RecordSource<Record> {
  public:
-  TraceFileReader() = default;
-  ~TraceFileReader() override;
+  RecordFileReader() = default;
+  ~RecordFileReader() override;
 
-  TraceFileReader(const TraceFileReader&) = delete;
-  TraceFileReader& operator=(const TraceFileReader&) = delete;
+  RecordFileReader(const RecordFileReader&) = delete;
+  RecordFileReader& operator=(const RecordFileReader&) = delete;
 
   Status Open(const std::string& path);
 
-  bool Next(TraceRecord* record) override;
+  bool Next(Record* record) override;
   void Rewind() override;
   uint64_t size_hint() const override { return count_; }
 
@@ -69,47 +74,15 @@ class TraceFileReader final : public TraceSource {
   uint64_t pos_ = 0;
 };
 
-// Streams KV records to a file; finalizes header+footer on Close().
-class KvTraceFileWriter {
- public:
-  KvTraceFileWriter() = default;
-  ~KvTraceFileWriter();
+extern template class RecordFileWriter<TraceRecord>;
+extern template class RecordFileWriter<KvTraceRecord>;
+extern template class RecordFileReader<TraceRecord>;
+extern template class RecordFileReader<KvTraceRecord>;
 
-  KvTraceFileWriter(const KvTraceFileWriter&) = delete;
-  KvTraceFileWriter& operator=(const KvTraceFileWriter&) = delete;
-
-  Status Open(const std::string& path);
-  Status Append(const KvTraceRecord& record);
-  Status Close();
-
-  uint64_t written() const { return count_; }
-
- private:
-  FILE* file_ = nullptr;
-  uint64_t count_ = 0;
-  uint32_t crc_ = 0;
-};
-
-// Reads a KV trace file as a KvTraceSource. Validates header and footer CRC.
-class KvTraceFileReader final : public KvTraceSource {
- public:
-  KvTraceFileReader() = default;
-  ~KvTraceFileReader() override;
-
-  KvTraceFileReader(const KvTraceFileReader&) = delete;
-  KvTraceFileReader& operator=(const KvTraceFileReader&) = delete;
-
-  Status Open(const std::string& path);
-
-  bool Next(KvTraceRecord* record) override;
-  void Rewind() override;
-  uint64_t size_hint() const override { return count_; }
-
- private:
-  FILE* file_ = nullptr;
-  uint64_t count_ = 0;
-  uint64_t pos_ = 0;
-};
+using TraceFileWriter = RecordFileWriter<TraceRecord>;
+using TraceFileReader = RecordFileReader<TraceRecord>;
+using KvTraceFileWriter = RecordFileWriter<KvTraceRecord>;
+using KvTraceFileReader = RecordFileReader<KvTraceRecord>;
 
 }  // namespace flashtier
 

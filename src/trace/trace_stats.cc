@@ -1,34 +1,48 @@
 #include "src/trace/trace_stats.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/trace/workload.h"  // kRegionBlocks
 
 namespace flashtier {
 
-void TraceStats::Add(const TraceRecord& record) {
+void AddPow2(std::vector<uint64_t>* hist, uint64_t value) {
+  const size_t bucket = value == 0 ? 0 : std::bit_width(value) - 1;
+  if (hist->size() <= bucket) {
+    hist->resize(bucket + 1, 0);
+  }
+  ++(*hist)[bucket];
+}
+
+void ReuseStats::Touch(uint64_t key, bool write) {
   ++total_ops_;
-  BlockCount& c = counts_[record.lbn];
+  KeyCount& c = counts_[key];
   if (c.accesses != 0) {
-    // Interval since this block's previous access, in trace records
-    // (>= 1; consecutive accesses to the same block land in bucket 0).
-    const uint64_t interval = total_ops_ - c.last_seen;
-    size_t bucket = 0;
-    while ((interval >> (bucket + 1)) != 0) {
-      ++bucket;
-    }
-    if (reref_hist_.size() <= bucket) {
-      reref_hist_.resize(bucket + 1, 0);
-    }
-    ++reref_hist_[bucket];
+    // Interval since this key's previous access, in trace records (>= 1;
+    // consecutive accesses to the same key land in bucket 0).
+    AddPow2(&reref_hist_, total_ops_ - c.last_seen);
     ++reref_accesses_;
   }
   c.last_seen = total_ops_;
   ++c.accesses;
-  if (record.op == TraceOp::kWrite) {
-    ++writes_;
-    ++c.writes;
+  c.writes += write ? 1 : 0;
+}
+
+uint64_t ReuseStats::SingleAccessKeys() const {
+  uint64_t n = 0;
+  for (const auto& [key, c] : counts_) {
+    if (c.accesses == 1) {
+      ++n;
+    }
   }
+  return n;
+}
+
+void TraceStats::Add(const TraceRecord& record) {
+  const bool write = record.op == TraceOp::kWrite;
+  Touch(record.lbn, write);
+  writes_ += write ? 1 : 0;
   max_lbn_ = std::max(max_lbn_, record.lbn);
 }
 
@@ -62,8 +76,8 @@ uint64_t ThresholdFor(const std::vector<uint64_t>& sorted_desc, double top_fract
 
 double TraceStats::MeanAccessesPerBlock(double top_fraction) const {
   std::vector<uint64_t> acc;
-  acc.reserve(counts_.size());
-  for (const auto& [lbn, c] : counts_) {
+  acc.reserve(counts().size());
+  for (const auto& [lbn, c] : counts()) {
     acc.push_back(c.accesses);
   }
   std::sort(acc.begin(), acc.end(), std::greater<>());
@@ -80,8 +94,8 @@ double TraceStats::MeanWritesPerBlock(double top_fraction) const {
   // Rank blocks by total accesses (cache residency proxy), then average their
   // write counts — mirroring Section 2's "writes per block of the top 25%".
   std::vector<std::pair<uint64_t, uint64_t>> rows;  // (accesses, writes)
-  rows.reserve(counts_.size());
-  for (const auto& [lbn, c] : counts_) {
+  rows.reserve(counts().size());
+  for (const auto& [lbn, c] : counts()) {
     rows.emplace_back(c.accesses, c.writes);
   }
   std::sort(rows.begin(), rows.end(), std::greater<>());
@@ -96,8 +110,8 @@ double TraceStats::MeanWritesPerBlock(double top_fraction) const {
 
 std::vector<Lbn> TraceStats::TopBlocks(double top_fraction) const {
   std::vector<std::pair<uint64_t, Lbn>> rows;
-  rows.reserve(counts_.size());
-  for (const auto& [lbn, c] : counts_) {
+  rows.reserve(counts().size());
+  for (const auto& [lbn, c] : counts()) {
     rows.emplace_back(c.accesses, lbn);
   }
   std::sort(rows.begin(), rows.end(), std::greater<>());
@@ -113,15 +127,15 @@ std::vector<Lbn> TraceStats::TopBlocks(double top_fraction) const {
 
 std::vector<uint64_t> TraceStats::RegionDensities(double top_fraction) const {
   std::vector<uint64_t> acc;
-  acc.reserve(counts_.size());
-  for (const auto& [lbn, c] : counts_) {
+  acc.reserve(counts().size());
+  for (const auto& [lbn, c] : counts()) {
     acc.push_back(c.accesses);
   }
   std::sort(acc.begin(), acc.end(), std::greater<>());
   const uint64_t threshold = ThresholdFor(acc, top_fraction);
 
   std::unordered_map<uint64_t, uint64_t> per_region;
-  for (const auto& [lbn, c] : counts_) {
+  for (const auto& [lbn, c] : counts()) {
     if (c.accesses >= threshold) {
       ++per_region[lbn / kRegionBlocks];
     }
@@ -136,50 +150,17 @@ std::vector<uint64_t> TraceStats::RegionDensities(double top_fraction) const {
   return densities;
 }
 
-uint64_t TraceStats::SingleAccessBlocks() const {
-  uint64_t n = 0;
-  for (const auto& [lbn, c] : counts_) {
-    if (c.accesses == 1) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 void KvTraceStats::Add(const KvTraceRecord& record) {
-  ++total_ops_;
-  KeyCount& c = counts_[record.key];
-  if (c.accesses != 0) {
-    const uint64_t interval = total_ops_ - c.last_seen;
-    size_t bucket = 0;
-    while ((interval >> (bucket + 1)) != 0) {
-      ++bucket;
-    }
-    if (reref_hist_.size() <= bucket) {
-      reref_hist_.resize(bucket + 1, 0);
-    }
-    ++reref_hist_[bucket];
-    ++reref_accesses_;
-  }
-  c.last_seen = total_ops_;
-  ++c.accesses;
+  Touch(record.key, record.op == KvOp::kSet);
   switch (record.op) {
     case KvOp::kGet:
       ++gets_;
       break;
-    case KvOp::kSet: {
+    case KvOp::kSet:
       ++sets_;
       set_bytes_ += record.size;
-      size_t bucket = 0;
-      while ((static_cast<uint64_t>(record.size) >> (bucket + 1)) != 0) {
-        ++bucket;
-      }
-      if (size_hist_.size() <= bucket) {
-        size_hist_.resize(bucket + 1, 0);
-      }
-      ++size_hist_[bucket];
+      AddPow2(&size_hist_, record.size);
       break;
-    }
     case KvOp::kDelete:
       ++deletes_;
       break;
@@ -192,16 +173,6 @@ void KvTraceStats::Consume(KvTraceSource& source) {
     Add(r);
   }
   source.Rewind();
-}
-
-uint64_t KvTraceStats::SingleAccessKeys() const {
-  uint64_t n = 0;
-  for (const auto& [key, c] : counts_) {
-    if (c.accesses == 1) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 double TraceStats::FractionOfRegionsBelow(double top_fraction, double percent_of_region) const {

@@ -13,22 +13,62 @@
 
 namespace flashtier {
 
-class TraceStats {
+// Adds `value` to a power-of-two histogram: bucket i counts values in
+// [2^i, 2^(i+1)), and 0 lands in bucket 0.
+void AddPow2(std::vector<uint64_t>* hist, uint64_t value);
+
+// The reuse view both trace kinds share: per-key access counts and
+// re-reference intervals, the admission-control view of a trace. For every
+// access to a previously seen key (LBN or object key), the number of trace
+// records since that key's prior access is bucketed by power of two. A trace
+// whose mass sits in small buckets rewards second-hit admission (a short
+// ghost table recognizes the reuse); mass in the large buckets plus many
+// single-access keys is traffic a selective policy can keep out of flash at
+// little hit-rate cost.
+class ReuseStats {
+ public:
+  uint64_t total_ops() const { return total_ops_; }
+  uint64_t unique_keys() const { return counts_.size(); }
+  const std::vector<uint64_t>& RerefIntervalHistogram() const { return reref_hist_; }
+  // Accesses that had a prior reference (the histogram's total mass).
+  uint64_t reref_accesses() const { return reref_accesses_; }
+  // Keys referenced exactly once — cache fills that can never hit.
+  uint64_t SingleAccessKeys() const;
+
+ protected:
+  struct KeyCount {
+    uint64_t accesses = 0;
+    uint64_t writes = 0;
+    uint64_t last_seen = 0;  // 1-based index of this key's latest access
+  };
+
+  // Counts the next trace record: an access to `key`, a write if `write`.
+  void Touch(uint64_t key, bool write);
+  const std::unordered_map<uint64_t, KeyCount>& counts() const { return counts_; }
+
+ private:
+  std::unordered_map<uint64_t, KeyCount> counts_;
+  uint64_t total_ops_ = 0;
+  std::vector<uint64_t> reref_hist_;
+  uint64_t reref_accesses_ = 0;
+};
+
+class TraceStats : public ReuseStats {
  public:
   void Add(const TraceRecord& record);
 
   // Consumes an entire source (leaves it rewound).
   void Consume(TraceSource& source);
 
-  uint64_t total_ops() const { return total_ops_; }
   uint64_t writes() const { return writes_; }
   double write_fraction() const {
-    return total_ops_ == 0 ? 0.0 : static_cast<double>(writes_) / static_cast<double>(total_ops_);
+    return total_ops() == 0 ? 0.0
+                            : static_cast<double>(writes_) / static_cast<double>(total_ops());
   }
-  uint64_t unique_blocks() const { return counts_.size(); }
+  uint64_t unique_blocks() const { return unique_keys(); }
   // Address range spanned by the trace ("Range" in Table 3): highest
   // referenced byte address, i.e. the footprint of the containing disk.
-  uint64_t range_bytes() const { return total_ops_ == 0 ? 0 : (max_lbn_ + 1) * 4096; }
+  uint64_t range_bytes() const { return total_ops() == 0 ? 0 : (max_lbn_ + 1) * 4096; }
 
   // Mean accesses (and writes) per referenced block, optionally restricted to
   // the `top_fraction` most-accessed blocks. Section 2 observes writes/block
@@ -49,49 +89,27 @@ class TraceStats {
   // `percent_of_region` percent of the region size.
   double FractionOfRegionsBelow(double top_fraction, double percent_of_region) const;
 
-  // Re-reference intervals, the admission-control view of a trace: for every
-  // access to a previously seen block, the number of trace records since
-  // that block's prior access, bucketed by power of two — bucket i counts
-  // intervals in [2^i, 2^(i+1)). A trace whose mass sits in small buckets
-  // rewards second-hit admission (a short ghost table recognizes the reuse);
-  // mass in the large buckets plus many single-access blocks is traffic a
-  // selective policy can keep out of flash at little hit-rate cost.
-  const std::vector<uint64_t>& RerefIntervalHistogram() const { return reref_hist_; }
-  // Accesses that had a prior reference (the histogram's total mass).
-  uint64_t reref_accesses() const { return reref_accesses_; }
-  // Blocks referenced exactly once — cache fills that can never hit.
-  uint64_t SingleAccessBlocks() const;
+  // Blocks referenced exactly once (ReuseStats::SingleAccessKeys).
+  uint64_t SingleAccessBlocks() const { return SingleAccessKeys(); }
 
  private:
-  struct BlockCount {
-    uint64_t accesses = 0;
-    uint64_t writes = 0;
-    uint64_t last_seen = 0;  // 1-based index of this block's latest access
-  };
-
-  std::unordered_map<Lbn, BlockCount> counts_;
-  uint64_t total_ops_ = 0;
   uint64_t writes_ = 0;
   Lbn max_lbn_ = 0;
-  std::vector<uint64_t> reref_hist_;
-  uint64_t reref_accesses_ = 0;
 };
 
 // KV-trace statistics (DESIGN.md §5k): the object-level view a slab-packing
 // cache and its admission policy care about — how small the objects are
 // (packing benefit) and how soon keys are re-referenced (admission benefit).
-class KvTraceStats {
+class KvTraceStats : public ReuseStats {
  public:
   void Add(const KvTraceRecord& record);
 
   // Consumes an entire source (leaves it rewound).
   void Consume(KvTraceSource& source);
 
-  uint64_t total_ops() const { return total_ops_; }
   uint64_t gets() const { return gets_; }
   uint64_t sets() const { return sets_; }
   uint64_t deletes() const { return deletes_; }
-  uint64_t unique_keys() const { return counts_.size(); }
   uint64_t set_bytes() const { return set_bytes_; }
   double MeanObjectBytes() const {
     return sets_ == 0 ? 0.0 : static_cast<double>(set_bytes_) / static_cast<double>(sets_);
@@ -107,29 +125,12 @@ class KvTraceStats {
   // size in [2^i, 2^(i+1)).
   const std::vector<uint64_t>& SizeHistogram() const { return size_hist_; }
 
-  // Per-key re-reference intervals, mirroring TraceStats: for every access
-  // to a previously seen key, records since its prior access, bucketed by
-  // power of two.
-  const std::vector<uint64_t>& RerefIntervalHistogram() const { return reref_hist_; }
-  uint64_t reref_accesses() const { return reref_accesses_; }
-  // Keys referenced exactly once — fills that can never hit.
-  uint64_t SingleAccessKeys() const;
-
  private:
-  struct KeyCount {
-    uint64_t accesses = 0;
-    uint64_t last_seen = 0;  // 1-based index of this key's latest access
-  };
-
-  std::unordered_map<uint64_t, KeyCount> counts_;
-  uint64_t total_ops_ = 0;
   uint64_t gets_ = 0;
   uint64_t sets_ = 0;
   uint64_t deletes_ = 0;
   uint64_t set_bytes_ = 0;
   std::vector<uint64_t> size_hist_;
-  std::vector<uint64_t> reref_hist_;
-  uint64_t reref_accesses_ = 0;
 };
 
 }  // namespace flashtier

@@ -682,8 +682,7 @@ TEST(ShardSchedulerTest, RoutesEachRequestOnceInTraceOrder) {
         ShardRouter router;
         router.shards = shards;
         const auto shard_of = [&](const TraceRecord& record) { return router.ShardOf(record.lbn); };
-        const ShardQueues<TraceSource, TraceRecord> queues(*source, shards, threads, limit,
-                                                           shard_of);
+        const ShardQueues<TraceRecord> queues(*source, shards, threads, limit, shard_of);
         const std::vector<uint64_t> sizes = queues.Sizes();
         ASSERT_EQ(sizes.size(), shards);
         std::vector<uint32_t> seen(limit, 0);

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <unordered_set>
 
+#include "src/trace/kv_trace.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_file.h"
 #include "src/trace/trace_stats.h"
@@ -32,64 +34,128 @@ TEST(VectorTraceTest, IterationAndRewind) {
   EXPECT_EQ(trace.size_hint(), 2u);
 }
 
+// What TraceFileTest needs to know about each record kind.
+template <typename Record>
+struct FileKind;
+
+template <>
+struct FileKind<TraceRecord> {
+  using Other = KvTraceRecord;
+  static constexpr const char* kExtension = ".fttr";
+  static constexpr long kRecordBytes = 9;
+  static constexpr uint8_t kBadOp = 2;
+  static TraceRecord Make(uint64_t i, uint8_t op) { return {i * 17, static_cast<TraceOp>(op)}; }
+  static TraceRecord Make(uint64_t i) { return Make(i, i % 3 == 0 ? 1 : 0); }
+};
+
+template <>
+struct FileKind<KvTraceRecord> {
+  using Other = TraceRecord;
+  static constexpr const char* kExtension = ".ftkv";
+  static constexpr long kRecordBytes = 13;
+  static constexpr uint8_t kBadOp = 3;
+  static KvTraceRecord Make(uint64_t i, uint8_t op) {
+    return {i * 17, static_cast<KvOp>(op), op == 1 ? static_cast<uint32_t>(64 + i) : 0u};
+  }
+  static KvTraceRecord Make(uint64_t i) { return Make(i, static_cast<uint8_t>(i % 3)); }
+};
+
+template <typename Record>
 class TraceFileTest : public ::testing::Test {
  protected:
+  static constexpr long kHeaderBytes = 24;
+
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/flashtier_trace_test.fttr";
+    path_ = ::testing::TempDir() + "/flashtier_trace_test" + FileKind<Record>::kExtension;
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  // Writes `n` records of kind R to path_, every `bad_every`-th (if any)
+  // with an op byte that names no operation.
+  template <typename R = Record>
+  void Write(uint64_t n, uint64_t bad_every = 0) {
+    RecordFileWriter<R> writer;
+    ASSERT_EQ(writer.Open(path_), Status::kOk);
+    for (uint64_t i = 0; i < n; ++i) {
+      const bool bad = bad_every != 0 && i % bad_every == 0;
+      ASSERT_EQ(writer.Append(bad ? FileKind<R>::Make(i, FileKind<R>::kBadOp)
+                                  : FileKind<R>::Make(i)),
+                Status::kOk);
+    }
+    ASSERT_EQ(writer.Close(), Status::kOk);
+    ASSERT_EQ(writer.written(), n);
+  }
+
+  void FlipByte(long offset) {
+    FILE* f = std::fopen(path_.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, offset, SEEK_SET);
+    const int byte = std::fgetc(f);
+    std::fseek(f, offset, SEEK_SET);
+    std::fputc(byte ^ 0xff, f);
+    std::fclose(f);
+  }
+
+  Status Open() {
+    RecordFileReader<Record> reader;
+    return reader.Open(path_);
+  }
+
   std::string path_;
 };
 
-TEST_F(TraceFileTest, RoundTrip) {
-  TraceFileWriter writer;
-  ASSERT_EQ(writer.Open(path_), Status::kOk);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_EQ(writer.Append({i * 17, i % 3 == 0 ? TraceOp::kWrite : TraceOp::kRead}),
-              Status::kOk);
-  }
-  ASSERT_EQ(writer.Close(), Status::kOk);
+using RecordKinds = ::testing::Types<TraceRecord, KvTraceRecord>;
+TYPED_TEST_SUITE(TraceFileTest, RecordKinds);
 
-  TraceFileReader reader;
-  ASSERT_EQ(reader.Open(path_), Status::kOk);
+TYPED_TEST(TraceFileTest, RoundTripAndRewind) {
+  using Kind = FileKind<TypeParam>;
+  this->Write(1000);
+  RecordFileReader<TypeParam> reader;
+  ASSERT_EQ(reader.Open(this->path_), Status::kOk);
   EXPECT_EQ(reader.size_hint(), 1000u);
-  TraceRecord r;
+  TypeParam r;
   for (uint64_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE(reader.Next(&r));
-    EXPECT_EQ(r.lbn, i * 17);
-    EXPECT_EQ(r.op, i % 3 == 0 ? TraceOp::kWrite : TraceOp::kRead);
+    EXPECT_EQ(r, Kind::Make(i));
   }
   EXPECT_FALSE(reader.Next(&r));
   reader.Rewind();
   ASSERT_TRUE(reader.Next(&r));
-  EXPECT_EQ(r.lbn, 0u);
+  EXPECT_EQ(r, Kind::Make(0));
 }
 
-TEST_F(TraceFileTest, DetectsCorruption) {
-  TraceFileWriter writer;
-  ASSERT_EQ(writer.Open(path_), Status::kOk);
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_EQ(writer.Append({i, TraceOp::kWrite}), Status::kOk);
-  }
-  ASSERT_EQ(writer.Close(), Status::kOk);
-  // Flip one byte in the middle of the record area.
-  FILE* f = std::fopen(path_.c_str(), "r+b");
+TYPED_TEST(TraceFileTest, DetectsAFlippedRecordByte) {
+  this->Write(100);
+  ASSERT_EQ(this->Open(), Status::kOk);
+  // A key byte of record 50: only the CRC can tell.
+  this->FlipByte(this->kHeaderBytes + FileKind<TypeParam>::kRecordBytes * 50 + 3);
+  EXPECT_EQ(this->Open(), Status::kCorrupt);
+}
+
+TYPED_TEST(TraceFileTest, RejectsWrongMagic) {
+  FILE* f = std::fopen(this->path_.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 24 + 9 * 50 + 3, SEEK_SET);
-  const uint8_t evil = 0x5a;
-  std::fwrite(&evil, 1, 1, f);
-  std::fclose(f);
-
-  TraceFileReader reader;
-  EXPECT_EQ(reader.Open(path_), Status::kCorrupt);
-}
-
-TEST_F(TraceFileTest, RejectsWrongMagic) {
-  FILE* f = std::fopen(path_.c_str(), "wb");
   std::fwrite("NOTATRACEFILE____________", 1, 25, f);
   std::fclose(f);
-  TraceFileReader reader;
-  EXPECT_EQ(reader.Open(path_), Status::kCorrupt);
+  EXPECT_EQ(this->Open(), Status::kCorrupt);
+}
+
+TYPED_TEST(TraceFileTest, RejectsATruncatedFile) {
+  this->Write(100);
+  std::filesystem::resize_file(this->path_,
+                               this->kHeaderBytes + FileKind<TypeParam>::kRecordBytes * 60);
+  EXPECT_EQ(this->Open(), Status::kCorrupt);
+}
+
+TYPED_TEST(TraceFileTest, RejectsTheOtherKindsFile) {
+  this->template Write<typename FileKind<TypeParam>::Other>(100);
+  EXPECT_EQ(this->Open(), Status::kCorrupt);
+}
+
+TYPED_TEST(TraceFileTest, RejectsRecordsThatNameNoOperation) {
+  // CRC-valid: the writer packs whatever op byte it is given.
+  this->Write(1000, /*bad_every=*/10);
+  EXPECT_EQ(this->Open(), Status::kCorrupt);
 }
 
 WorkloadProfile TestProfile() {

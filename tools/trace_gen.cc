@@ -7,12 +7,14 @@
 //             --get-frac=0.6 --del-frac=0.05 --min-size=64 --max-size=1024
 //             --out=/tmp/kv.ftkv
 //
-// Block traces are replayable with trace_stat, the TraceFileReader API, or
-// any bench; kv-zipf writes a KV trace ("FTKV") for the KvCache layer.
+// Block traces ("FTTR") are replayable with trace_stat, the TraceFileReader
+// API, or any bench; kv-zipf writes a KV trace ("FTKV") for the KvCache
+// layer. Both kinds go through one writer (src/trace/trace_file.h).
 // Unknown flags or invalid values exit 2 with usage.
 
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
 #include "src/trace/trace_file.h"
 #include "src/trace/workload.h"
@@ -31,6 +33,28 @@ constexpr char kUsage[] =
 int UsageError(const char* detail) {
   std::fprintf(stderr, "error: %s\n%s", detail, kUsage);
   return 2;
+}
+
+// Writes every record of `source` to `out`; returns the exit code.
+template <typename Record>
+int WriteTrace(RecordSource<Record>& source, const std::string& out) {
+  RecordFileWriter<Record> writer;
+  if (!IsOk(writer.Open(out))) {
+    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
+    return 1;
+  }
+  Record r;
+  while (source.Next(&r)) {
+    if (!IsOk(writer.Append(r))) {
+      std::fprintf(stderr, "write failed\n");
+      return 1;
+    }
+  }
+  if (!IsOk(writer.Close())) {
+    std::fprintf(stderr, "close failed\n");
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -77,21 +101,8 @@ int main(int argc, char** argv) {
     }
 
     KvZipfWorkload workload(profile);
-    KvTraceFileWriter writer;
-    if (!IsOk(writer.Open(out))) {
-      std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
-      return 1;
-    }
-    KvTraceRecord r;
-    while (workload.Next(&r)) {
-      if (!IsOk(writer.Append(r))) {
-        std::fprintf(stderr, "write failed\n");
-        return 1;
-      }
-    }
-    if (!IsOk(writer.Close())) {
-      std::fprintf(stderr, "close failed\n");
-      return 1;
+    if (const int code = WriteTrace(workload, out); code != 0) {
+      return code;
     }
     std::printf("wrote %" PRIu64 " kv records (%" PRIu64 " keys, zipf %.2f, %u-%u B) to %s\n",
                 profile.total_ops, profile.unique_keys, profile.key_zipf_s, profile.min_size,
@@ -129,21 +140,8 @@ int main(int argc, char** argv) {
   }
 
   SyntheticWorkload workload(profile);
-  TraceFileWriter writer;
-  if (!IsOk(writer.Open(out))) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
-    return 1;
-  }
-  TraceRecord r;
-  while (workload.Next(&r)) {
-    if (!IsOk(writer.Append(r))) {
-      std::fprintf(stderr, "write failed\n");
-      return 1;
-    }
-  }
-  if (!IsOk(writer.Close())) {
-    std::fprintf(stderr, "close failed\n");
-    return 1;
+  if (const int code = WriteTrace(workload, out); code != 0) {
+    return code;
   }
   std::printf("wrote %" PRIu64 " records (%s, range %.1f GB, %.1f%% writes) to %s\n",
               profile.total_ops, profile.name.c_str(),

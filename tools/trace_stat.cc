@@ -31,15 +31,41 @@ void PrintPow2Histogram(const std::vector<uint64_t>& hist, uint64_t total) {
   }
 }
 
-int PrintKvTrace(const std::string& in) {
-  KvTraceFileReader reader;
+// Re-reference intervals: how quickly keys come back. This is the view an
+// admission policy acts on — mass in the small buckets is reuse a short
+// ghost window can recognize; single-access keys are cache fills that can
+// never pay back their flash write.
+void PrintReuse(const ReuseStats& stats, const char* title, const char* keys) {
+  std::printf("\n%s (%" PRIu64 " re-references, records since prior access):\n", title,
+              stats.reref_accesses());
+  PrintPow2Histogram(stats.RerefIntervalHistogram(), stats.reref_accesses());
+  const uint64_t single = stats.SingleAccessKeys();
+  const uint64_t unique = stats.unique_keys();
+  std::printf("never re-referenced: %" PRIu64 " of %" PRIu64 " %s (%.1f%%)\n", single, unique,
+              keys,
+              unique == 0 ? 0.0
+                          : 100.0 * static_cast<double>(single) / static_cast<double>(unique));
+}
+
+// Reads the whole trace file `in` into `stats`; false (reported) if the
+// reader refuses it.
+template <typename Record, typename Stats>
+bool ReadTrace(const std::string& in, Stats* stats) {
+  RecordFileReader<Record> reader;
   const Status open = reader.Open(in);
   if (!IsOk(open)) {
     std::fprintf(stderr, "cannot read %s: %s\n", in.c_str(), StatusName(open).data());
+    return false;
+  }
+  stats->Consume(reader);
+  return true;
+}
+
+int PrintKvTrace(const std::string& in) {
+  KvTraceStats stats;
+  if (!ReadTrace<KvTraceRecord>(in, &stats)) {
     return 1;
   }
-  KvTraceStats stats;
-  stats.Consume(reader);
 
   std::printf("kv trace       : %s\n", in.c_str());
   std::printf("records        : %" PRIu64 "  (%" PRIu64 " gets, %" PRIu64 " sets, %" PRIu64
@@ -52,16 +78,7 @@ int PrintKvTrace(const std::string& in) {
   std::printf("\nobject sizes (over %" PRIu64 " sets, bytes):\n", stats.sets());
   PrintPow2Histogram(stats.SizeHistogram(), stats.sets());
 
-  std::printf("\nper-key re-reference intervals (%" PRIu64
-              " re-references, records since prior access):\n",
-              stats.reref_accesses());
-  PrintPow2Histogram(stats.RerefIntervalHistogram(), stats.reref_accesses());
-  const uint64_t single = stats.SingleAccessKeys();
-  std::printf("never re-referenced: %" PRIu64 " of %" PRIu64 " keys (%.1f%%)\n", single,
-              stats.unique_keys(),
-              stats.unique_keys() == 0 ? 0.0
-                                       : 100.0 * static_cast<double>(single) /
-                                             static_cast<double>(stats.unique_keys()));
+  PrintReuse(stats, "per-key re-reference intervals", "keys");
   return 0;
 }
 
@@ -84,14 +101,10 @@ int main(int argc, char** argv) {
     return PrintKvTrace(in);
   }
 
-  TraceFileReader reader;
-  const Status open = reader.Open(in);
-  if (!IsOk(open)) {
-    std::fprintf(stderr, "cannot read %s: %s\n", in.c_str(), StatusName(open).data());
+  TraceStats stats;
+  if (!ReadTrace<TraceRecord>(in, &stats)) {
     return 1;
   }
-  TraceStats stats;
-  stats.Consume(reader);
 
   std::printf("trace          : %s\n", in.c_str());
   std::printf("records        : %" PRIu64 "  (%.1f%% writes)\n", stats.total_ops(),
@@ -120,31 +133,6 @@ int main(int argc, char** argv) {
                                         static_cast<double>(densities.size()));
   }
 
-  // Re-reference intervals: how quickly blocks come back. This is the view
-  // an admission policy acts on — mass in the small buckets is reuse a
-  // short ghost window can recognize; single-access blocks are cache fills
-  // that can never pay back their flash write.
-  const auto& hist = stats.RerefIntervalHistogram();
-  std::printf("\nre-reference intervals (%" PRIu64 " re-references, records since prior access):\n",
-              stats.reref_accesses());
-  uint64_t cumulative = 0;
-  for (size_t b = 0; b < hist.size(); ++b) {
-    if (hist[b] == 0) {
-      continue;
-    }
-    cumulative += hist[b];
-    std::printf("  [2^%-2zu, 2^%-2zu): %10" PRIu64 "  (%5.1f%%, cum %5.1f%%)\n", b, b + 1,
-                hist[b],
-                100.0 * static_cast<double>(hist[b]) / static_cast<double>(stats.reref_accesses()),
-                100.0 * static_cast<double>(cumulative) /
-                    static_cast<double>(stats.reref_accesses()));
-  }
-  const uint64_t single = stats.SingleAccessBlocks();
-  std::printf("never re-referenced: %" PRIu64 " of %" PRIu64 " blocks (%.1f%%)\n", single,
-              stats.unique_blocks(),
-              stats.unique_blocks() == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(single) /
-                        static_cast<double>(stats.unique_blocks()));
+  PrintReuse(stats, "re-reference intervals", "blocks");
   return 0;
 }
