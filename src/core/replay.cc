@@ -60,8 +60,7 @@ class BlockServer {
   uint32_t ShardOf(const TraceRecord& record) const { return system_->ShardOf(record.lbn); }
   SimClock& Clock(uint32_t i) { return system_->shard(i).clock; }
 
-  bool Serve(uint32_t i, const TraceRecord& record, uint64_t seq, bool measured,
-             ReplayMetrics& m) {
+  bool Serve(uint32_t i, const TraceRecord& record, uint64_t seq, bool measured, ReplayMetrics& m) {
     CacheManager& manager = *system_->shard(i).manager;
     ShardOracle& oracle = shards_[i];
     if (record.op == TraceOp::kWrite) {
@@ -144,8 +143,8 @@ ReplayMetrics ReplayEngine::Run(TraceSource& source) {
       options_.max_requests != 0 ? std::min(options_.max_requests, trace) : trace;
   const auto warmup = static_cast<uint64_t>(static_cast<double>(total) * options_.warmup_fraction);
   BlockServer server(system_, options_.verify, &oracle_, &lost_blocks_);
-  metrics_ = ReplayOnShards<ReplayMetrics>(source, server, options_.threads,
-                                           options_.queue_depth, total, warmup);
+  metrics_ = ReplayOnShards<ReplayMetrics>(source, server, options_.threads, options_.queue_depth,
+                                           total, warmup);
   return metrics_;
 }
 

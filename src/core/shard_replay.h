@@ -22,9 +22,11 @@
 //   SimClock& Clock(uint32_t shard);
 //   bool Serve(uint32_t shard, const Record&, uint64_t seq, bool measured,
 //              Metrics& shard_metrics);     false when the request failed
-//   void Finish(Metrics& merged);           after the merge, on the caller
-// Serve touches nothing but its shard and `shard_metrics`, so a shard's
-// replay is the same computation on any worker.
+//   void Finish(Metrics& merged);           after the merge, on the caller's
+//                                           thread, inside the wall clock
+// `seq` is the record's global trace position, so it does not depend on the
+// partitioning. Serve touches nothing but its shard and `shard_metrics`, so
+// a shard's replay is the same computation on any worker.
 
 #ifndef FLASHTIER_CORE_SHARD_REPLAY_H_
 #define FLASHTIER_CORE_SHARD_REPLAY_H_

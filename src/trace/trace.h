@@ -58,9 +58,7 @@ class RecordVector final : public RecordSource<Record> {
 
   // Appends the record whose leading fields are `fields`.
   template <typename... Fields>
-  void Append(Fields... fields) {
-    records_.emplace_back(fields...);
-  }
+  void Append(Fields... fields) { records_.emplace_back(fields...); }
 
   bool Next(Record* record) override {
     if (pos_ >= records_.size()) {

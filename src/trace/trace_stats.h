@@ -62,8 +62,7 @@ class TraceStats : public ReuseStats {
 
   uint64_t writes() const { return writes_; }
   double write_fraction() const {
-    return total_ops() == 0 ? 0.0
-                            : static_cast<double>(writes_) / static_cast<double>(total_ops());
+    return total_ops() == 0 ? 0.0 : static_cast<double>(writes_) / static_cast<double>(total_ops());
   }
   uint64_t unique_blocks() const { return unique_keys(); }
   // Address range spanned by the trace ("Range" in Table 3): highest

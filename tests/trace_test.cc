@@ -44,8 +44,8 @@ struct FileKind<TraceRecord> {
   static constexpr const char* kExtension = ".fttr";
   static constexpr long kRecordBytes = 9;
   static constexpr uint8_t kBadOp = 2;
+  static uint8_t Op(uint64_t i) { return i % 3 == 0 ? 1 : 0; }
   static TraceRecord Make(uint64_t i, uint8_t op) { return {i * 17, static_cast<TraceOp>(op)}; }
-  static TraceRecord Make(uint64_t i) { return Make(i, i % 3 == 0 ? 1 : 0); }
 };
 
 template <>
@@ -54,10 +54,10 @@ struct FileKind<KvTraceRecord> {
   static constexpr const char* kExtension = ".ftkv";
   static constexpr long kRecordBytes = 13;
   static constexpr uint8_t kBadOp = 3;
+  static uint8_t Op(uint64_t i) { return static_cast<uint8_t>(i % 3); }
   static KvTraceRecord Make(uint64_t i, uint8_t op) {
     return {i * 17, static_cast<KvOp>(op), op == 1 ? static_cast<uint32_t>(64 + i) : 0u};
   }
-  static KvTraceRecord Make(uint64_t i) { return Make(i, static_cast<uint8_t>(i % 3)); }
 };
 
 template <typename Record>
@@ -78,9 +78,8 @@ class TraceFileTest : public ::testing::Test {
     ASSERT_EQ(writer.Open(path_), Status::kOk);
     for (uint64_t i = 0; i < n; ++i) {
       const bool bad = bad_every != 0 && i % bad_every == 0;
-      ASSERT_EQ(writer.Append(bad ? FileKind<R>::Make(i, FileKind<R>::kBadOp)
-                                  : FileKind<R>::Make(i)),
-                Status::kOk);
+      const uint8_t op = bad ? FileKind<R>::kBadOp : FileKind<R>::Op(i);
+      ASSERT_EQ(writer.Append(FileKind<R>::Make(i, op)), Status::kOk);
     }
     ASSERT_EQ(writer.Close(), Status::kOk);
     ASSERT_EQ(writer.written(), n);
@@ -116,12 +115,12 @@ TYPED_TEST(TraceFileTest, RoundTripAndRewind) {
   TypeParam r;
   for (uint64_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE(reader.Next(&r));
-    EXPECT_EQ(r, Kind::Make(i));
+    EXPECT_EQ(r, Kind::Make(i, Kind::Op(i)));
   }
   EXPECT_FALSE(reader.Next(&r));
   reader.Rewind();
   ASSERT_TRUE(reader.Next(&r));
-  EXPECT_EQ(r, Kind::Make(0));
+  EXPECT_EQ(r, Kind::Make(0, Kind::Op(0)));
 }
 
 TYPED_TEST(TraceFileTest, DetectsAFlippedRecordByte) {
@@ -142,8 +141,8 @@ TYPED_TEST(TraceFileTest, RejectsWrongMagic) {
 
 TYPED_TEST(TraceFileTest, RejectsATruncatedFile) {
   this->Write(100);
-  std::filesystem::resize_file(this->path_,
-                               this->kHeaderBytes + FileKind<TypeParam>::kRecordBytes * 60);
+  const long sixty_records = this->kHeaderBytes + FileKind<TypeParam>::kRecordBytes * 60;
+  std::filesystem::resize_file(this->path_, sixty_records);
   EXPECT_EQ(this->Open(), Status::kCorrupt);
 }
 

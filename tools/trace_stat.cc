@@ -41,10 +41,10 @@ void PrintReuse(const ReuseStats& stats, const char* title, const char* keys) {
   PrintPow2Histogram(stats.RerefIntervalHistogram(), stats.reref_accesses());
   const uint64_t single = stats.SingleAccessKeys();
   const uint64_t unique = stats.unique_keys();
-  std::printf("never re-referenced: %" PRIu64 " of %" PRIu64 " %s (%.1f%%)\n", single, unique,
-              keys,
-              unique == 0 ? 0.0
-                          : 100.0 * static_cast<double>(single) / static_cast<double>(unique));
+  const double pct =
+      unique == 0 ? 0.0 : 100.0 * static_cast<double>(single) / static_cast<double>(unique);
+  std::printf("never re-referenced: %" PRIu64 " of %" PRIu64 " %s", single, unique, keys);
+  std::printf(" (%.1f%%)\n", pct);
 }
 
 // Reads the whole trace file `in` into `stats`; false (reported) if the
