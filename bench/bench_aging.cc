@@ -21,45 +21,11 @@
 //   --wl-interval=32 --patrol-interval=64   cadence of the defenses (ON arm)
 
 #include <cinttypes>
-#include <cmath>
 
 #include "bench/bench_common.h"
 
 namespace flashtier::bench {
 namespace {
-
-// Coefficient of variation of per-block erase counts across every block of
-// every shard (retired blocks included — their frozen wear is still wear).
-double EraseCountCv(const FlashTierSystem& system) {
-  uint64_t n = 0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (uint32_t i = 0; i < system.shard_count(); ++i) {
-    const FlashTierSystem::Shard& shard = system.shard(i);
-    const FlashDevice* dev = shard.ssc != nullptr ? &shard.ssc->device()
-                            : shard.ssd != nullptr ? &shard.ssd->device()
-                                                   : nullptr;
-    if (dev == nullptr) {
-      continue;
-    }
-    const uint32_t total = dev->geometry().TotalBlocks();
-    for (uint32_t b = 0; b < total; ++b) {
-      const double e = static_cast<double>(dev->erase_count(b));
-      sum += e;
-      sum_sq += e * e;
-      ++n;
-    }
-  }
-  if (n == 0) {
-    return 0.0;
-  }
-  const double mean = sum / static_cast<double>(n);
-  if (mean <= 0.0) {
-    return 0.0;
-  }
-  const double variance = sum_sq / static_cast<double>(n) - mean * mean;
-  return variance <= 0.0 ? 0.0 : std::sqrt(variance) / mean;
-}
 
 struct AgingKnobs {
   uint32_t aging = 5;
@@ -102,6 +68,10 @@ ArmResult RunArm(const WorkloadProfile& profile, const ParallelFlags& par,
     config.patrol_interval_writes = knobs.patrol_interval;
   }
   FlashTierSystem system(config);
+  std::vector<const FlashDevice*> media;
+  for (uint32_t i = 0; i < system.shard_count(); ++i) {
+    media.push_back(&system.shard(i).ssc->device());
+  }
 
   const uint64_t target_writes = knobs.aging * config.cache_pages;
   const char* arm = defenses_on ? "wl-on" : "wl-off";
@@ -132,7 +102,7 @@ ArmResult RunArm(const WorkloadProfile& profile, const ParallelFlags& par,
         pass_reads == 0 ? 0.0
                         : 100.0 * static_cast<double>(pass_misses) /
                               static_cast<double>(pass_reads);
-    out.erase_cv = EraseCountCv(system);
+    out.erase_cv = EraseCountCv(media);
     out.write_amp = ftl.ExtraWritesPerBlock(flash.page_writes, flash.gc_copies);
     out.final_miss_rate = miss_rate;
     out.retired_pct = system.RetiredCapacityPct();

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   config.type = SystemType::kSscWriteBack;
   config.cache_pages = 64'000;  // 250 MB cache
   config.consistency = ConsistencyMode::kFull;
-  config.dirty_threshold = 0.20;  // clean above 20% dirty (the paper's setting)
 
   std::printf("== mail server (write-back SSC, 20%% dirty threshold) ==\n\n");
   FlashTierSystem system(config);

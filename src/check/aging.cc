@@ -1,7 +1,6 @@
 #include "src/check/aging.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -10,34 +9,6 @@
 namespace flashtier {
 
 namespace {
-
-// Coefficient of variation of per-block erase counts across every block of
-// every shard (retired blocks included — their frozen counts are part of the
-// wear the device actually absorbed). 0 when nothing has been erased.
-double EraseCountCv(const std::vector<std::unique_ptr<SscDevice>>& sscs) {
-  uint64_t n = 0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (const auto& ssc : sscs) {
-    const FlashDevice& dev = ssc->device();
-    const uint32_t total = dev.geometry().TotalBlocks();
-    for (uint32_t b = 0; b < total; ++b) {
-      const double e = static_cast<double>(dev.erase_count(b));
-      sum += e;
-      sum_sq += e * e;
-      ++n;
-    }
-  }
-  if (n == 0) {
-    return 0.0;
-  }
-  const double mean = sum / static_cast<double>(n);
-  if (mean <= 0.0) {
-    return 0.0;
-  }
-  const double variance = std::max(0.0, sum_sq / static_cast<double>(n) - mean * mean);
-  return std::sqrt(variance) / mean;
-}
 
 double RetiredPct(const std::vector<std::unique_ptr<SscDevice>>& sscs) {
   uint64_t retired = 0;
@@ -96,6 +67,10 @@ AgingReport AgingHarness::Run() {
   AgingReport report;
   // The long-lived device set: wear accumulates across the whole run.
   BlockTarget target(options_.device, options_.address_blocks);
+  std::vector<const FlashDevice*> media;
+  for (const auto& ssc : target.sscs()) {
+    media.push_back(&ssc->device());
+  }
   const CrashSchedule& schedule = options_.schedule;
   const auto merged_ftl = [&target]() {
     return MergeShards<FtlStats>(target.sscs(), [](const SscDevice& s) { return &s.ftl_stats(); });
@@ -126,7 +101,7 @@ AgingReport AgingHarness::Run() {
       } else {
         stalled_rounds = 0;
       }
-      quota_met = writes_after - at_start.host_writes >= options_.device.capacity_pages;
+      quota_met = writes_after - at_start.host_writes >= options_.device.ssc.capacity_pages;
     }
 
     // Epoch audit: structural invariants (including the endurance audits),
@@ -165,7 +140,7 @@ AgingReport AgingHarness::Run() {
                    "flashcheck: aging epoch %u: %llu writes, miss %.3f, retired %.1f%%, "
                    "erase CV %.3f%s\n",
                    epoch, (unsigned long long)(now.host_writes - at_start.host_writes), miss_rate,
-                   retired_pct, EraseCountCv(target.sscs()),
+                   retired_pct, EraseCountCv(media),
                    report.write_exhausted ? " (exhausted)" : "");
     }
     if (report.write_exhausted) {
@@ -183,7 +158,7 @@ AgingReport AgingHarness::Run() {
   report.ok_writes = target.ok_writes();
   report.undetected_corruptions = target.undetected_corruptions();
   report.host_pages_written = report.ftl.host_writes;
-  report.erase_cv = EraseCountCv(target.sscs());
+  report.erase_cv = EraseCountCv(media);
   report.write_amp = report.ftl.ExtraWritesPerBlock(flash.page_writes, flash.gc_copies);
   return report;
 }

@@ -17,7 +17,7 @@ std::string CrashExplorerReport::ToString() const {
   return out;
 }
 
-CrashExplorer::CrashExplorer(const CrashExplorerOptions& options) : options_(options) {}
+CrashExplorer::CrashExplorer(const BlockHarnessOptions& options) : options_(options) {}
 
 CrashExplorerReport CrashExplorer::Explore() {
   CrashExplorerReport report;

@@ -37,12 +37,6 @@
 
 namespace flashtier {
 
-struct CrashExplorerOptions {
-  DeviceShape device;
-  CrashSchedule schedule;
-  uint64_t address_blocks = 1536;  // lbn space; ~3x capacity forces eviction
-};
-
 struct CrashExplorerReport : CycleReport {
   // Faults the crash-free baseline run injected (proof the schedule fired;
   // every trial replays the same deterministic plan up to its crash point).
@@ -54,14 +48,14 @@ struct CrashExplorerReport : CycleReport {
 
 class CrashExplorer {
  public:
-  explicit CrashExplorer(const CrashExplorerOptions& options);
+  explicit CrashExplorer(const BlockHarnessOptions& options);
 
   // Runs the full exploration: one crash-free counting pass, one trial per
   // (strided) commit point, then the crash-during-recovery trials.
   CrashExplorerReport Explore();
 
  private:
-  CrashExplorerOptions options_;
+  BlockHarnessOptions options_;
 };
 
 }  // namespace flashtier

@@ -41,7 +41,7 @@
 namespace flashtier {
 
 struct DiskGuardOptions {
-  DeviceShape device;  // device.faults is the --faults composition
+  DeviceShape device;  // device.ssc.fault_plan is the --faults composition
   // Each of `schedule.cycles` cycles runs `schedule.ops` host ops and ends
   // in a crash at a seeded commit point (or at quiescence) followed by
   // recovery and a manager rebuild; `schedule.crashes = false` runs the

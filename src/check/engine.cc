@@ -137,41 +137,12 @@ std::vector<std::string> Trial(CrashTarget& target, const CrashSchedule& schedul
 
 }  // namespace
 
-SscConfig DeviceShape::DeviceConfig() const {
-  SscConfig config;
-  config.capacity_pages = capacity_pages;
-  config.policy = policy;
-  config.mode = mode;
-  config.group_commit_ops = group_commit_ops;
-  config.checkpoint_interval_writes = checkpoint_interval_writes;
-  config.log_region_pages = log_region_pages;
-  config.checkpoint_segment_entries = checkpoint_segment_entries;
-  config.wear_level_interval_writes = wear_level_interval_writes;
-  config.wear_level_max_diff = wear_level_max_diff;
-  config.patrol_interval_writes = patrol_interval_writes;
-  config.patrol_blocks_per_pass = patrol_blocks_per_pass;
-  config.fault_plan = faults;
-  config.break_retirement_for_testing = break_retirement;
-  return config;
-}
-
-SscConfig DeviceShape::ShardConfig(uint32_t index) const {
-  const uint32_t n = std::max<uint32_t>(1, shards);
-  SscConfig config = DeviceConfig();
-  config.capacity_pages = capacity_pages / n + (index < capacity_pages % n ? 1 : 0);
-  config.fault_plan.seed = ShardSeed(faults.seed, index);
-  return config;
-}
-
 DeviceShape AgingShape() {
-  const SscConfig defaults;
   DeviceShape shape;
-  shape.group_commit_ops = defaults.group_commit_ops;
-  shape.checkpoint_interval_writes = defaults.checkpoint_interval_writes;
-  shape.log_region_pages = defaults.log_region_pages;
-  shape.checkpoint_segment_entries = defaults.checkpoint_segment_entries;
-  shape.wear_level_interval_writes = 32;
-  shape.patrol_interval_writes = 64;
+  // SscConfig's persistence settings in place of the stress ones.
+  static_cast<PersistenceManager::Options&>(shape.ssc) = SscConfig();
+  shape.ssc.wear_level_interval_writes = 32;
+  shape.ssc.patrol_interval_writes = 64;
   return shape;
 }
 
@@ -371,7 +342,8 @@ SscShardTarget::SscShardTarget(const DeviceShape& shape)
     : shape_(shape), router_{std::max<uint32_t>(1, shape.shards)} {
   sscs_.reserve(router_.shards);
   for (uint32_t i = 0; i < router_.shards; ++i) {
-    sscs_.push_back(std::make_unique<SscDevice>(shape_.ShardConfig(i), &clock_));
+    sscs_.push_back(
+        std::make_unique<SscDevice>(ShardSscConfig(shape_.ssc, router_.shards, i), &clock_));
   }
   policies_.reserve(router_.shards);
   for (uint32_t i = 0; i < router_.shards; ++i) {
@@ -526,8 +498,8 @@ bool BlockTarget::Step(const WorkloadOp& op, std::vector<std::string>* violation
   }
 
   // The operation completed: it is acknowledged, so the guarantees attach.
-  ApplyAcknowledged(effective, op.lbn, op.token, s, read_token, shape_.faults.enabled, lost_,
-                    entry, violations);
+  ApplyAcknowledged(effective, op.lbn, op.token, s, read_token, shape_.ssc.fault_plan.enabled,
+                    lost_, entry, violations);
   return true;
 }
 

@@ -46,49 +46,32 @@ namespace flashtier {
 // log/checkpoint regions keep whatever had been committed before the throw.
 struct CrashInjected {};
 
-// The device every harness checks: `capacity_pages` split across `shards`
-// LBN-hash partitioned SSCs (1 = the classic monolithic device). The
-// defaults are a stress configuration: a small device forces GC and merges,
-// small group commits and checkpoint intervals put many commit points in
-// every workload, a 4-page log region composes the forced-checkpoint and
-// backpressure paths with every crash, and small checkpoint segments make a
-// crash inside a checkpoint leave a torn generation.
+// The device every harness checks: `ssc` is the whole device, split across
+// `shards` LBN-hash partitioned SSCs (1 = the classic monolithic device) by
+// ShardSscConfig. Its defaults are a stress configuration: a small device
+// forces GC and merges, small group commits and checkpoint intervals put
+// many commit points in every workload, a 4-page log region per shard
+// composes the forced-checkpoint and backpressure paths with every crash,
+// and small checkpoint segments make a crash inside a checkpoint leave a
+// torn generation. Under --faults every trial composes the same
+// deterministic fault schedule (`ssc.fault_plan`) with a different crash
+// point; dirty data a fault destroys is reported through the SSC's
+// data-loss hook and excused from the shadow check, everything else must
+// still hold G1-G3.
 struct DeviceShape {
-  uint64_t capacity_pages = 512;
+  SscConfig ssc = [] {
+    SscConfig stress;
+    stress.capacity_pages = 512;
+    stress.group_commit_ops = 16;
+    stress.checkpoint_interval_writes = 250;
+    stress.log_region_pages = 4;
+    stress.checkpoint_segment_entries = 16;
+    return stress;
+  }();
   uint32_t shards = 1;
-  EvictionPolicy policy = EvictionPolicy::kSeUtil;
-  ConsistencyMode mode = ConsistencyMode::kFull;
-  uint32_t group_commit_ops = 16;
-  uint64_t checkpoint_interval_writes = 250;
-  uint64_t log_region_pages = 4;  // per shard
-  uint64_t checkpoint_segment_entries = 16;
-
-  // Endurance defenses (DESIGN.md §5l); 0 disables. Only the aging harness
-  // turns them on.
-  uint32_t wear_level_interval_writes = 0;
-  uint32_t wear_level_max_diff = 8;
-  uint32_t patrol_interval_writes = 0;
-  uint32_t patrol_blocks_per_pass = 4;
-
-  // Medium fault injection (--faults). Every trial composes the same
-  // deterministic schedule with a different crash point; dirty data a fault
-  // destroys is reported through the SSC's data-loss hook and excused from
-  // the shadow check, everything else must still hold G1-G3.
-  FaultPlan faults;
   // Admission control (--admission): one deterministic policy per shard,
   // consulted before every insertion.
   PolicyConfig admission;
-
-  // Self-test (--break-retry): erase-failed blocks return to the free list
-  // non-erased instead of being retired; the audits must notice.
-  bool break_retirement = false;
-
-  // Every SSC setting the shape carries, for the whole device.
-  SscConfig DeviceConfig() const;
-  // Shard `index`'s slice: an even share of the capacity (the remainder goes
-  // to the low shards) and its own fault stream, seeded with the same
-  // golden-ratio stride as the system facade.
-  SscConfig ShardConfig(uint32_t index) const;
 };
 
 // The aging harness's device: SscConfig's persistence defaults, with wear
@@ -125,6 +108,15 @@ struct CrashSchedule {
   bool break_recovery = false;
   bool run_invariant_checker = true;
   bool verbose = false;  // print each violation (and traces) to stderr
+};
+
+// What the block harnesses (the crash explorer and the soak) run on: the
+// device, the crash schedule and the LBN space the workload addresses
+// (~3x the default capacity, which forces eviction).
+struct BlockHarnessOptions {
+  DeviceShape device;
+  CrashSchedule schedule;
+  uint64_t address_blocks = 1536;
 };
 
 // Violations a run found: the total, plus the first kMaxSamples kept as

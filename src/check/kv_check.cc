@@ -81,7 +81,7 @@ KvCacheConfig CacheConfig(const KvCheckOptions& o) {
   config.packing = o.packing;
   config.slab_pages = o.slab_pages;
   config.admission = o.device.admission;
-  config.ssc = o.device.DeviceConfig();
+  config.ssc = o.device.ssc;
   return config;
 }
 
@@ -130,7 +130,7 @@ class KvTarget : public CrashTarget {
   }
 
   void Audit(const std::string& prefix, std::vector<std::string>* violations) override {
-    const CheckReport r = InvariantChecker::CheckKv(cache_, options_.device.faults.enabled);
+    const CheckReport r = InvariantChecker::CheckKv(cache_, options_.device.ssc.fault_plan.enabled);
     for (const InvariantViolation& v : r.violations) {
       violations->push_back(prefix + "invariant [" + v.invariant + "] " + v.detail);
     }
@@ -144,7 +144,7 @@ class KvTarget : public CrashTarget {
   // verified on the way.
   bool RunOps(uint64_t seed, uint32_t ops, std::vector<std::string>* violations) override {
     const std::vector<KvCheckOp> script = BuildKvScript(seed, ops, options_.keys, &next_token_);
-    const bool faults_on = options_.device.faults.enabled;
+    const bool faults_on = options_.device.ssc.fault_plan.enabled;
     for (const KvCheckOp& op : script) {
       KvShadowEntry& entry = shadow_[op.key];
       try {
@@ -242,7 +242,7 @@ class KvTarget : public CrashTarget {
     kv_at_sweep_ = cache_.AggregateStats();  // before the sweep pollutes get counters
     faults_at_sweep_ = MergeShards<FaultStats>(
         Sscs(), [](const SscDevice& s) { return &s.device().fault_stats(); });
-    const bool faults_on = options_.device.faults.enabled;
+    const bool faults_on = options_.device.ssc.fault_plan.enabled;
     const bool mutating = pending_.active && pending_.kind != KvCheckOpKind::kGet &&
                           pending_.kind != KvCheckOpKind::kFlush;
     for (uint64_t key = 0; key < options_.keys; ++key) {

@@ -31,7 +31,7 @@ std::string SoakReport::ToJson(uint64_t budget_us) const {
   return line.Finish();
 }
 
-SoakHarness::SoakHarness(const SoakOptions& options) : options_(options) {}
+SoakHarness::SoakHarness(const BlockHarnessOptions& options) : options_(options) {}
 
 SoakReport SoakHarness::Run() {
   SoakReport report;

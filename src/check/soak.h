@@ -29,12 +29,6 @@
 
 namespace flashtier {
 
-struct SoakOptions {
-  DeviceShape device;
-  CrashSchedule schedule;
-  uint64_t address_blocks = 1536;
-};
-
 struct SoakReport : CycleReport {
   uint64_t ops_executed = 0;
   PersistStats persist;  // merged across shards, after the last cycle
@@ -47,12 +41,12 @@ struct SoakReport : CycleReport {
 
 class SoakHarness {
  public:
-  explicit SoakHarness(const SoakOptions& options);
+  explicit SoakHarness(const BlockHarnessOptions& options);
 
   SoakReport Run();
 
  private:
-  SoakOptions options_;
+  BlockHarnessOptions options_;
 };
 
 }  // namespace flashtier

@@ -38,22 +38,31 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
   config_.shards = shard_count;
   router_.shards = shard_count;
 
-  // Split capacity evenly; the first `cache_pages % shards` shards absorb the
-  // remainder so no page of the configured capacity is dropped.
-  const uint64_t base_pages = config.cache_pages / shard_count;
-  const uint64_t extra = config.cache_pages % shard_count;
+  // The whole caching device; each shard gets its ShardSscConfig slice (an
+  // SSD takes the capacity and the engine settings).
+  SscConfig device;
+  device.capacity_pages = config.cache_pages;
+  device.policy = (config.type == SystemType::kSscRWriteThrough ||
+                   config.type == SystemType::kSscRWriteBack)
+                      ? EvictionPolicy::kSeMerge
+                      : EvictionPolicy::kSeUtil;
+  device.mode = config.consistency;
+  if (config.flash_faults.enabled) {
+    device.fault_plan = config.flash_faults;
+  }
+  device.wear_level_interval_writes = config.wear_level_interval_writes;
+  device.patrol_interval_writes = config.patrol_interval_writes;
 
   shards_.reserve(shard_count);
   for (uint32_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
-    const uint64_t pages = base_pages + (i < extra ? 1 : 0);
-    shard->disk = std::make_unique<DiskModel>(config.disk, &shard->clock);
+    const SscConfig slice = ShardSscConfig(device, shard_count, i);
+    shard->disk = std::make_unique<DiskModel>(DiskParams{}, &shard->clock);
     if (config.disk_faults.enabled) {
       DiskFaultPlan plan = config.disk_faults;
       plan.seed = ShardSeed(config.disk_faults.seed, i);
       shard->disk->set_fault_plan(plan);
     }
-    shard->disk->set_retry_policy(config.disk_retry);
     // Each shard owns an independent policy instance driven only from its
     // own sequential operation stream (and its own virtual clock), so
     // admission decisions stay bit-identical across replay thread counts.
@@ -61,37 +70,10 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
         ShardPolicyConfig(config.admission, shard_count, i), &shard->clock);
 
     if (SystemUsesSsc(config.type)) {
-      SscConfig ssc_config;
-      ssc_config.capacity_pages = pages;
-      ssc_config.policy = (config.type == SystemType::kSscRWriteThrough ||
-                           config.type == SystemType::kSscRWriteBack)
-                              ? EvictionPolicy::kSeMerge
-                              : EvictionPolicy::kSeUtil;
-      ssc_config.mode = config.consistency;
-      ssc_config.timings = config.timings;
-      if (config.flash_faults.enabled) {
-        ssc_config.fault_plan = config.flash_faults;
-        ssc_config.fault_plan.seed = ShardSeed(config.flash_faults.seed, i);
-      }
-      ssc_config.wear_level_interval_writes = config.wear_level_interval_writes;
-      ssc_config.wear_level_max_diff = config.wear_level_max_diff;
-      ssc_config.patrol_interval_writes = config.patrol_interval_writes;
-      if (config.log_region_pages > 0) {
-        // A total region budget, split like capacity; every shard gets at
-        // least one page so a tiny budget still leaves each log usable.
-        ssc_config.log_region_pages =
-            std::max<uint64_t>(1, config.log_region_pages / shard_count);
-      }
-      if (config.checkpoint_segment_entries > 0) {
-        ssc_config.checkpoint_segment_entries = config.checkpoint_segment_entries;
-      }
-      shard->ssc = std::make_unique<SscDevice>(ssc_config, &shard->clock);
-
+      shard->ssc = std::make_unique<SscDevice>(slice, &shard->clock);
       if (SystemIsWriteBack(config.type)) {
         WriteBackManager::Options opts;
-        opts.dirty_threshold = config.dirty_threshold;
         opts.admission = shard->policy.get();
-        opts.min_usable_capacity_pct = config.min_usable_capacity_pct;
         auto manager =
             std::make_unique<WriteBackManager>(shard->ssc.get(), shard->disk.get(), opts);
         shard->wb_manager = manager.get();
@@ -101,24 +83,15 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
             shard->ssc.get(), shard->disk.get(), shard->policy.get());
       }
     } else {
-      SsdFtl::Options ssd_opts;
-      ssd_opts.timings = config.timings;
-      if (config.flash_faults.enabled) {
-        ssd_opts.fault_plan = config.flash_faults;
-        ssd_opts.fault_plan.seed = ShardSeed(config.flash_faults.seed, i);
-      }
-      ssd_opts.wear_level_interval_writes = config.wear_level_interval_writes;
-      ssd_opts.wear_level_max_diff = config.wear_level_max_diff;
       shard->ssd = std::make_unique<SsdFtl>(
-          pages + NativeCacheManager::kMetadataRegionPages, &shard->clock, ssd_opts);
+          slice.capacity_pages + NativeCacheManager::kMetadataRegionPages, &shard->clock, slice);
       NativeCacheManager::Options opts;
       opts.mode = SystemIsWriteBack(config.type) ? NativeCacheManager::Mode::kWriteBack
                                                  : NativeCacheManager::Mode::kWriteThrough;
       opts.persist_metadata = config.native_persist_metadata;
-      opts.dirty_threshold = config.dirty_threshold;
       opts.admission = shard->policy.get();
       auto manager = std::make_unique<NativeCacheManager>(shard->ssd.get(), shard->disk.get(),
-                                                          pages, opts);
+                                                          slice.capacity_pages, opts);
       shard->native_manager = manager.get();
       shard->manager = std::move(manager);
     }

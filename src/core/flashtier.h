@@ -50,9 +50,6 @@ struct SystemConfig {
   SystemType type = SystemType::kSscWriteBack;
   uint64_t cache_pages = 0;  // 4 KB blocks of cache capacity (total, all shards)
   ConsistencyMode consistency = ConsistencyMode::kFull;
-  double dirty_threshold = 0.20;
-  DiskParams disk;
-  FlashTimings timings;
   // Native-D metadata persistence (write-back native only).
   bool native_persist_metadata = true;
   // Independent channel shards; 1 keeps the classic monolithic system.
@@ -62,32 +59,18 @@ struct SystemConfig {
   // policy instance. The default AdmitAll reproduces the pre-policy system
   // bit for bit.
   PolicyConfig admission;
-  // Log-region capacity and checkpoint segmentation (DESIGN.md §5g).
-  // log_region_pages is a total split evenly across shards; 0 keeps the
-  // SscConfig default per shard. checkpoint_segment_entries is per shard;
-  // 0 keeps the SscConfig default.
-  uint64_t log_region_pages = 0;
-  uint64_t checkpoint_segment_entries = 0;
-  // Disk-tier fault injection and retry discipline (DESIGN.md §5i). Each
-  // shard's disk gets an independent fault stream derived from
-  // disk_faults.seed by a golden-ratio stride (like the per-shard policy
-  // seeds), so fault draws depend only on a shard's own operation order and
-  // every counter stays bit-identical across replay thread counts.
+  // Fault injection on the disk tier (DESIGN.md §5i) and on the flash medium
+  // (§5d/§5l), both disabled by default. Each shard's disk and device draw
+  // an independent stream seeded by ShardSeed, so fault draws depend only on
+  // a shard's own operation order and every counter stays bit-identical
+  // across replay thread counts.
   DiskFaultPlan disk_faults;
-  RetryPolicy disk_retry;
-  // Flash-medium fault injection (DESIGN.md §5d/§5l). Like disk_faults, each
-  // shard's device gets an independent stream derived from flash_faults.seed
-  // by a golden-ratio stride, keeping every counter bit-identical across
-  // replay thread counts. Disabled by default.
   FaultPlan flash_faults;
   // Endurance defenses (DESIGN.md §5l), forwarded to every shard's device:
   // static wear leveling and patrol scrubbing on a deterministic host-write
-  // cadence (0 = off), and the usable-capacity floor (percent of nominal)
-  // below which write-back managers degrade to pass-through.
+  // cadence (0 = off).
   uint32_t wear_level_interval_writes = 0;
-  uint32_t wear_level_max_diff = 8;
   uint32_t patrol_interval_writes = 0;
-  uint32_t min_usable_capacity_pct = 10;
 };
 
 // Owns every component of one simulated storage system.

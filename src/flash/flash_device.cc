@@ -1,6 +1,7 @@
 #include "src/flash/flash_device.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "src/util/crc32.h"
@@ -360,6 +361,30 @@ void FlashDevice::CorruptStoredDataForTesting(Ppn ppn) {
   if (it != data_.end() && !it->second.empty()) {
     it->second[0] ^= 0xFF;
   }
+}
+
+double EraseCountCv(const std::vector<const FlashDevice*>& media) {
+  uint64_t n = 0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const FlashDevice* dev : media) {
+    const uint32_t total = dev->geometry().TotalBlocks();
+    for (uint32_t b = 0; b < total; ++b) {
+      const double e = static_cast<double>(dev->erase_count(b));
+      sum += e;
+      sum_sq += e * e;
+      ++n;
+    }
+  }
+  if (n == 0) {
+    return 0.0;
+  }
+  const double mean = sum / static_cast<double>(n);
+  if (mean <= 0.0) {
+    return 0.0;
+  }
+  const double variance = std::max(0.0, sum_sq / static_cast<double>(n) - mean * mean);
+  return std::sqrt(variance) / mean;
 }
 
 }  // namespace flashtier

@@ -225,6 +225,11 @@ class FlashDevice {
   uint64_t read_ops_ = 0;
 };
 
+// Coefficient of variation of per-block erase counts over every block of
+// every device in `media` (retired blocks included: their frozen counts are
+// wear the medium absorbed). 0 when nothing has been erased.
+double EraseCountCv(const std::vector<const FlashDevice*>& media);
+
 }  // namespace flashtier
 
 #endif  // FLASHTIER_FLASH_FLASH_DEVICE_H_

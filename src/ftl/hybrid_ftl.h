@@ -32,12 +32,14 @@
 //                         uint64_t dirty);  map a rebuilt block, reclaim the old
 //   void RemoveDataBlock(LogicalBlock);     unmap an emptied data block, if any
 //   bool ColdestDataBlock(PhysBlock*, LogicalBlock*) const;  wear-leveling source
+//   const FtlOptions& ftl_options() const;  the engine's settings, stored once
 //
 // and may hide the defaults below, which are the SSD's behaviour; the SSC
 // replaces each: FreeWithoutCopying (dead queue, then silent eviction),
 // TryForwardCopy (SE-Merge), MergeBatch (one atomic log batch per merge),
-// BeforeErase/AfterErase (flush the mapping log, mark the erase barrier) and
-// DisposeBlock (the dead queue instead of an eager erase). A device declares
+// BeforeErase/AfterErase (flush the mapping log, mark the erase barrier),
+// DisposeBlock (the dead queue instead of an eager erase) and
+// BreakRetirementForTesting (flashcheck --break-retry). A device declares
 // `friend class HybridFtl<Device>` so its hooks can stay private.
 
 #ifndef FLASHTIER_FTL_HYBRID_FTL_H_
@@ -60,6 +62,22 @@
 namespace flashtier {
 
 class InvariantChecker;
+
+// The engine's settings, the same for both devices: SsdFtl::Options names
+// this struct, and SscConfig derives from it.
+struct FtlOptions {
+  FlashTimings timings;
+  FlashGeometry geometry;  // plane layout template; plane size scales to fit
+  // Medium fault injection (DESIGN.md §5d); disabled by default, so ordinary
+  // configurations are unaffected.
+  FaultPlan fault_plan;
+  // Static wear leveling (DESIGN.md §5l): one pass every N host writes (0 =
+  // only on explicit WearLevelOnce calls), migrating when the wear spread
+  // exceeds the max-diff. Counted in host writes, not time, so it is
+  // identical across thread counts.
+  uint32_t wear_level_interval_writes = 0;
+  uint32_t wear_level_max_diff = 8;
+};
 
 template <class Device>
 class HybridFtl {
@@ -86,13 +104,13 @@ class HybridFtl {
   bool WearLevelOnce(uint32_t max_wear_diff);
 
  protected:
-  // The static wear-leveling cadence, called after each host write: one
-  // pass every `interval_writes` writes (0 = never). Counted in host writes,
-  // not time, so it is identical across thread counts.
-  void MaybeWearLevel(uint32_t interval_writes, uint32_t max_wear_diff) {
-    if (interval_writes > 0 && ++writes_since_wear_level_ >= interval_writes) {
+  // The static wear-leveling cadence, called after each host write.
+  void MaybeWearLevel() {
+    const FtlOptions& options = self().ftl_options();
+    if (options.wear_level_interval_writes > 0 &&
+        ++writes_since_wear_level_ >= options.wear_level_interval_writes) {
       writes_since_wear_level_ = 0;
-      WearLevelOnce(max_wear_diff);
+      WearLevelOnce(options.wear_level_max_diff);
     }
   }
 
@@ -205,6 +223,7 @@ class HybridFtl {
   void BeforeErase() {}
   void AfterErase() {}
   void DisposeBlock(PhysBlock block) { EraseOrRetire(block); }
+  bool BreakRetirementForTesting() const { return false; }
 
   std::unique_ptr<FlashDevice> device_;
   std::unique_ptr<BlockAllocator> allocator_;
@@ -214,9 +233,6 @@ class HybridFtl {
   std::vector<std::vector<uint64_t>> log_contents_;
   FtlStats ftl_stats_;
   uint32_t writes_since_wear_level_ = 0;
-  // Self-test knob (flashcheck --break-retry): return erase-failed blocks to
-  // the free pool instead of retiring them.
-  bool break_retirement_for_testing_ = false;
 
  private:
   friend Device;
@@ -307,7 +323,7 @@ PhysBlock HybridFtl<Device>::AllocateWithoutCopying() {
 template <class Device>
 void HybridFtl<Device>::EraseOrRetire(PhysBlock block) {
   self().BeforeErase();
-  if (IsOk(device_->EraseBlock(block)) || break_retirement_for_testing_) {
+  if (IsOk(device_->EraseBlock(block)) || self().BreakRetirementForTesting()) {
     allocator_->Free(block);
   } else {
     allocator_->Retire(block);

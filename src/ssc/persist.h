@@ -224,14 +224,15 @@ static_assert(AllCountersListed<PersistStats>(), "list every PersistStats field 
 
 class PersistenceManager {
  public:
+  // The persistence settings; SscConfig derives from this struct.
   struct Options {
     ConsistencyMode mode = ConsistencyMode::kFull;
-    uint32_t group_commit_ops = 10'000;      // Section 6.4 configuration
-    double checkpoint_log_ratio = 2.0 / 3.0; // checkpoint when log > ratio * ckpt
+    uint32_t group_commit_ops = 10'000;  // Section 6.4 configuration
     uint64_t checkpoint_interval_writes = 1'000'000;
-    // Size of the dedicated log region in flash pages; 0 = unbounded (the
-    // seed behavior). Bounded operation needs a checkpoint source installed
-    // so the region can be reclaimed under pressure.
+    // Size of the dedicated log region in flash pages; 0 = unbounded, the
+    // stand-alone default (an SSC bounds it, see SscConfig). Bounded
+    // operation needs a checkpoint source installed so the region can be
+    // reclaimed under pressure.
     uint64_t log_region_pages = 0;
     // Checkpoint entries per segment (the torn-write blast radius).
     uint64_t checkpoint_segment_entries = 1024;
@@ -299,7 +300,7 @@ class PersistenceManager {
     const bool log_too_long =
         ckpt_bytes > 0
             ? static_cast<double>(log_bytes) >
-                  options_.checkpoint_log_ratio * static_cast<double>(ckpt_bytes)
+                  kCheckpointLogRatio * static_cast<double>(ckpt_bytes)
             : log_bytes > kInitialCheckpointTriggerBytes;
     const bool interval_due = writes_since_checkpoint_ >= options_.checkpoint_interval_writes;
     const bool high_water =
@@ -443,7 +444,10 @@ class PersistenceManager {
   static constexpr uint64_t kCheckpointEntryBytes = 8 + 8 + 8 + 8 + 1;
   // Per-segment header: generation + base LSN + entry count + CRC32-C.
   static constexpr uint64_t kSegmentHeaderBytes = 8 + 8 + 8 + 4;
-  // Before the first checkpoint exists, checkpoint once the log reaches 4 MB.
+  // Checkpoint once the log outgrows this share of the checkpoint (Section
+  // 4.2.2: two thirds); before the first checkpoint exists, once the log
+  // reaches 4 MB.
+  static constexpr double kCheckpointLogRatio = 2.0 / 3.0;
   static constexpr uint64_t kInitialCheckpointTriggerBytes = 4ull << 20;
   // Headroom AdmitHostOp reserves for the internal records (invalidations,
   // block transitions) one host op can trigger beyond its own log record.

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <unordered_map>
 
+#include "src/util/rng.h"
+
 namespace flashtier {
 
 namespace {
@@ -16,6 +18,14 @@ constexpr uint32_t kSpareBlocks = 8;
 constexpr uint32_t kMinFreeBlocks = 2;
 }  // namespace
 
+SscConfig ShardSscConfig(const SscConfig& device, uint32_t shards, uint32_t index) {
+  const uint32_t n = std::max<uint32_t>(1, shards);
+  SscConfig slice = device;
+  slice.capacity_pages = device.capacity_pages / n + (index < device.capacity_pages % n ? 1 : 0);
+  slice.fault_plan.seed = ShardSeed(device.fault_plan.seed, index);
+  return slice;
+}
+
 SscDevice::SscDevice(const SscConfig& config, SimClock* clock)
     : config_(config) {
   const FlashGeometry& probe = config.geometry;
@@ -25,14 +35,7 @@ SscDevice::SscDevice(const SscConfig& config, SimClock* clock)
       (capacity_blocks + kSpareBlocks) * probe.EraseBlockBytes(), probe);
   AttachFlash(std::make_unique<FlashDevice>(geometry, config.timings, clock,
                                             /*store_data=*/false, config.fault_plan));
-  break_retirement_for_testing_ = config.break_retirement_for_testing;
-  PersistenceManager::Options popts;
-  popts.mode = config.mode;
-  popts.group_commit_ops = config.group_commit_ops;
-  popts.checkpoint_interval_writes = config.checkpoint_interval_writes;
-  popts.log_region_pages = config.log_region_pages;
-  popts.checkpoint_segment_entries = config.checkpoint_segment_entries;
-  persist_ = std::make_unique<PersistenceManager>(popts, config.timings, clock);
+  persist_ = std::make_unique<PersistenceManager>(config, config.timings, clock);
   // Log commits and checkpoint I/O go through the device's event engine so
   // they overlap foreground media work on other planes.
   persist_->set_pipeline(device_->pipeline());
@@ -179,7 +182,7 @@ Status SscDevice::WriteInternal(Lbn lbn, uint64_t token, bool dirty) {
 }
 
 void SscDevice::MaybeEnduranceMaintenance() {
-  MaybeWearLevel(config_.wear_level_interval_writes, config_.wear_level_max_diff);
+  MaybeWearLevel();
   if (config_.patrol_interval_writes > 0 &&
       ++writes_since_patrol_ >= config_.patrol_interval_writes) {
     writes_since_patrol_ = 0;

@@ -68,46 +68,36 @@ enum class EvictionPolicy : uint8_t {
   kSeMerge,  // "SSC-R": floating log fraction (up to 20%), switch-merge-first
 };
 
-struct SscConfig {
-  uint64_t capacity_pages = 0;  // nominal cache capacity in 4 KB pages
-  EvictionPolicy policy = EvictionPolicy::kSeUtil;
-  ConsistencyMode mode = ConsistencyMode::kFull;
-  // SE-Merge's log ceiling; SE-Util keeps the engine's fixed 7% reserve.
-  double max_log_fraction = 0.20;
-  uint32_t group_commit_ops = 10'000;
-  uint64_t checkpoint_interval_writes = 1'000'000;
-  // Size of the dedicated log region in flash pages (0 = unbounded). The
-  // default keeps the region far above what the ratio/interval checkpoint
+// An SSC's settings: its persistence (PersistenceManager::Options: mode,
+// group commit, checkpoint cadence, log region, segments), its hybrid-FTL
+// engine (FtlOptions: timings, geometry, faults, wear leveling) and what
+// only the SSC has.
+struct SscConfig : PersistenceManager::Options, FtlOptions {
+  // A bounded log region, far above what the ratio/interval checkpoint
   // policies let the log reach, so backpressure only engages when those are
   // configured off or the region is deliberately squeezed.
-  uint64_t log_region_pages = 4096;
-  // Checkpoint entries per segment (torn-write blast radius; 0 = one segment).
-  uint64_t checkpoint_segment_entries = 1024;
-  uint32_t gc_victims_per_cycle = 4;  // top-k victim blocks per collection
-  FlashTimings timings;
-  FlashGeometry geometry;  // plane layout template; plane size scales to fit
+  SscConfig() : PersistenceManager::Options{.log_region_pages = 4096} {}
 
-  // Fault injection (DESIGN.md §5d): forwarded to the FlashDevice. Disabled
-  // by default, so ordinary configurations are unaffected.
-  FaultPlan fault_plan;
+  uint64_t capacity_pages = 0;  // nominal cache capacity in 4 KB pages
+  EvictionPolicy policy = EvictionPolicy::kSeUtil;
+  // SE-Merge's log ceiling; SE-Util keeps the engine's fixed 7% reserve.
+  double max_log_fraction = 0.20;
+  uint32_t gc_victims_per_cycle = 4;  // top-k victim blocks per collection
+  // Patrol scrub (DESIGN.md §5l): one PatrolFlash pass every N host writes
+  // (0 = off), refreshing at most `patrol_blocks_per_pass` blocks.
+  uint32_t patrol_interval_writes = 0;
+  uint32_t patrol_blocks_per_pass = 4;
   // Self-test knob (flashcheck --break-retry): return erase-failed blocks to
   // the free pool instead of retiring them, so the invariant checker's
   // partition audit provably detects the broken bad-block management.
   bool break_retirement_for_testing = false;
-
-  // ---- Endurance defenses (DESIGN.md §5l) ----
-
-  // Run one static wear-leveling pass every N host writes (0 = only when a
-  // caller invokes WearLevelOnce explicitly). Deterministic: the cadence is
-  // counted in host writes, not time, so it is identical across thread counts.
-  uint32_t wear_level_interval_writes = 0;
-  // Wear spread that triggers a static wear-leveling migration.
-  uint32_t wear_level_max_diff = 8;
-  // Run one patrol-scrub pass (PatrolFlash) every N host writes (0 = off).
-  uint32_t patrol_interval_writes = 0;
-  // Blocks a single patrol pass may refresh before yielding.
-  uint32_t patrol_blocks_per_pass = 4;
 };
+
+// Shard `index` of `shards`' slice of a whole-device config: an even share
+// of the capacity (the remainder goes to the low shards) and its own fault
+// stream, seeded by ShardSeed so a shard's draws depend only on its own
+// operation order.
+SscConfig ShardSscConfig(const SscConfig& device, uint32_t shards, uint32_t index);
 
 class SscDevice : public HybridFtl<SscDevice> {
  public:
@@ -366,6 +356,7 @@ class SscDevice : public HybridFtl<SscDevice> {
 
   // ---- Translation for the hybrid-FTL engine (src/ftl/hybrid_ftl.h) ----
 
+  const FtlOptions& ftl_options() const { return config_; }
   // SE-Util: the fixed reserve; SE-Merge: the ceiling.
   uint32_t LogBlockLimit() const;
   bool FreeWithoutCopying() { return ReclaimDeadBlock() || CollectFullestPlane(); }
@@ -381,6 +372,7 @@ class SscDevice : public HybridFtl<SscDevice> {
   void BeforeErase() { persist_->Flush(); }
   void AfterErase() { persist_->NotifyEraseBarrier(); }
   void DisposeBlock(PhysBlock block) { dead_blocks_.push_back(block); }
+  bool BreakRetirementForTesting() const { return config_.break_retirement_for_testing; }
   auto PageSources(uint64_t logical, bool with_log) const {
     const uint32_t ppb = device_->geometry().pages_per_block;
     const BlockEntry* data = block_map_.Find(logical);

@@ -12,9 +12,7 @@ constexpr uint64_t kOobBytesPerPage = 64;
 }  // namespace
 
 SsdFtl::SsdFtl(uint64_t logical_pages, SimClock* clock, const Options& options)
-    : logical_pages_(logical_pages),
-      wear_level_interval_writes_(options.wear_level_interval_writes),
-      wear_level_max_diff_(options.wear_level_max_diff) {
+    : options_(options), logical_pages_(logical_pages) {
   const FlashGeometry& probe = options.geometry;
   logical_blocks_ = (logical_pages + probe.pages_per_block - 1) / probe.pages_per_block;
   max_log_blocks_ = std::max<uint32_t>(
@@ -62,7 +60,7 @@ Status SsdFtl::Write(uint64_t lpn, uint64_t token) {
   }
   InvalidateOldVersion(lpn);
   log_map_[lpn] = ppn;
-  MaybeWearLevel(wear_level_interval_writes_, wear_level_max_diff_);
+  MaybeWearLevel();
   return Status::kOk;
 }
 

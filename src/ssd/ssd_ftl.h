@@ -38,16 +38,8 @@ namespace flashtier {
 
 class SsdFtl : public HybridFtl<SsdFtl> {
  public:
-  struct Options {
-    FlashTimings timings;
-    FlashGeometry geometry;  // plane layout template; plane size scales to fit
-    FaultPlan fault_plan;    // medium fault injection; disabled by default
-    // Static wear leveling: run one pass every N host writes (0 = only on
-    // explicit WearLevelOnce calls); migrate when the wear spread exceeds
-    // the max-diff. Same write-counted, deterministic cadence as the SSC.
-    uint32_t wear_level_interval_writes = 0;
-    uint32_t wear_level_max_diff = 8;
-  };
+  // The engine's settings: timings, geometry, faults, wear leveling.
+  using Options = FtlOptions;
 
   SsdFtl(uint64_t logical_pages, SimClock* clock, const Options& options);
   SsdFtl(uint64_t logical_pages, SimClock* clock) : SsdFtl(logical_pages, clock, Options{}) {}
@@ -84,6 +76,7 @@ class SsdFtl : public HybridFtl<SsdFtl> {
 
   // ---- Translation for the hybrid-FTL engine (src/ftl/hybrid_ftl.h) ----
 
+  const Options& ftl_options() const { return options_; }
   uint32_t LogBlockLimit() const { return max_log_blocks_; }
   auto PageSources(LogicalBlock logical, bool with_log) const {
     const PhysBlock* data = block_map_.Find(logical);
@@ -111,11 +104,10 @@ class SsdFtl : public HybridFtl<SsdFtl> {
   void RemoveDataBlock(LogicalBlock logical);
   bool ColdestDataBlock(PhysBlock* phys, LogicalBlock* logical) const;
 
+  Options options_;
   uint64_t logical_pages_;
   uint64_t logical_blocks_;
   uint32_t max_log_blocks_;
-  uint32_t wear_level_interval_writes_;
-  uint32_t wear_level_max_diff_;
 
   DenseMap<PhysBlock> block_map_;  // logical erase block -> physical block
   std::unordered_map<uint64_t, Ppn> log_map_;  // lpn -> ppn in a log block

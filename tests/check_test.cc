@@ -258,7 +258,7 @@ TEST(InvariantCheckerTest, AuditHookFiresOnGcAndPasses) {
 }
 
 TEST(CrashExplorerTest, RealRecoveryClearsEveryCommitPoint) {
-  CrashExplorerOptions options;
+  BlockHarnessOptions options;
   options.schedule.ops = 400;
   CrashExplorer explorer(options);
   const CrashExplorerReport report = explorer.Explore();
@@ -267,7 +267,7 @@ TEST(CrashExplorerTest, RealRecoveryClearsEveryCommitPoint) {
 }
 
 TEST(CrashExplorerTest, DetectsRecoveryThatSkipsLogTail) {
-  CrashExplorerOptions options;
+  BlockHarnessOptions options;
   options.schedule.ops = 300;
   options.schedule.break_recovery = true;
   // Structural invariants still hold in the broken recovery (the state is
@@ -281,25 +281,25 @@ TEST(CrashExplorerTest, DetectsRecoveryThatSkipsLogTail) {
 
 TEST(DeviceShapeTest, ShardConfigSlicesCapacityAndStridesFaultSeeds) {
   DeviceShape shape;
-  shape.capacity_pages = 513;
+  shape.ssc.capacity_pages = 513;
   shape.shards = 2;
-  shape.faults.enabled = true;
-  shape.faults.seed = 7;
-  const SscConfig first = shape.ShardConfig(0);
-  const SscConfig second = shape.ShardConfig(1);
+  shape.ssc.fault_plan.enabled = true;
+  shape.ssc.fault_plan.seed = 7;
+  const SscConfig first = ShardSscConfig(shape.ssc, shape.shards, 0);
+  const SscConfig second = ShardSscConfig(shape.ssc, shape.shards, 1);
   EXPECT_EQ(first.capacity_pages, 257u);
   EXPECT_EQ(second.capacity_pages, 256u);
   EXPECT_EQ(first.fault_plan.seed, 7u);
   EXPECT_EQ(second.fault_plan.seed, 7u + 0x9e3779b97f4a7c15ull);
-  EXPECT_EQ(second.group_commit_ops, shape.group_commit_ops);
-  EXPECT_EQ(second.log_region_pages, shape.log_region_pages);
+  EXPECT_EQ(second.group_commit_ops, shape.ssc.group_commit_ops);
+  EXPECT_EQ(second.log_region_pages, shape.ssc.log_region_pages);
 }
 
 // Aging runs on the SSC's production persistence settings unless the
 // shared flags override them.
 TEST(DeviceShapeTest, AgingShapeKeepsPersistenceDefaults) {
   const SscConfig defaults;
-  const SscConfig aging = AgingShape().ShardConfig(0);
+  const SscConfig aging = AgingShape().ssc;
   EXPECT_EQ(aging.group_commit_ops, defaults.group_commit_ops);
   EXPECT_EQ(aging.checkpoint_interval_writes, defaults.checkpoint_interval_writes);
   EXPECT_EQ(aging.log_region_pages, defaults.log_region_pages);
@@ -308,8 +308,8 @@ TEST(DeviceShapeTest, AgingShapeKeepsPersistenceDefaults) {
   EXPECT_GT(aging.patrol_interval_writes, 0u);
 }
 
-SoakOptions SmallSoak() {
-  SoakOptions options;
+BlockHarnessOptions SmallSoak() {
+  BlockHarnessOptions options;
   options.schedule.cycles = 6;
   return options;
 }
@@ -324,7 +324,7 @@ TEST(SoakHarnessTest, SixCyclesRunCleanThroughEveryCrashKind) {
 }
 
 TEST(SoakHarnessTest, DetectsRecoveryThatSkipsLogTail) {
-  SoakOptions options = SmallSoak();
+  BlockHarnessOptions options = SmallSoak();
   options.schedule.break_recovery = true;
   const SoakReport report = SoakHarness(options).Run();
   EXPECT_FALSE(report.ok());
@@ -388,7 +388,7 @@ TEST(AgingHarnessTest, TwoEpochSmokeRunsClean) {
   const AgingReport report = AgingHarness(options).Run();
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_EQ(report.epochs_run, 2u);
-  EXPECT_GE(report.host_pages_written, 2 * options.device.capacity_pages);
+  EXPECT_GE(report.host_pages_written, 2 * options.device.ssc.capacity_pages);
   EXPECT_GT(report.ok_writes, 0u);
 }
 
@@ -411,7 +411,7 @@ TEST(KvCheckEngineTest, DetectsRecoveryThatSkipsLogTail) {
 // Every harness is a deterministic function of its options: two runs must
 // produce byte-identical reports, violation samples included.
 TEST(HarnessDeterminismTest, ReportsAreIdenticalAcrossRuns) {
-  CrashExplorerOptions explore;
+  BlockHarnessOptions explore;
   explore.schedule.ops = 200;
   explore.schedule.max_points = 80;
   EXPECT_EQ(CrashExplorer(explore).Explore().ToString(),
@@ -424,8 +424,8 @@ TEST(HarnessDeterminismTest, ReportsAreIdenticalAcrossRuns) {
 
   AgingOptions aging;
   aging.aging_multiple = 2;
-  aging.device.faults.enabled = true;
-  aging.device.faults.wear_out_erases = 6;
+  aging.device.ssc.fault_plan.enabled = true;
+  aging.device.ssc.fault_plan.wear_out_erases = 6;
   const AgingReport aa = AgingHarness(aging).Run();
   const AgingReport ab = AgingHarness(aging).Run();
   EXPECT_EQ(aa.ToString(), ab.ToString());

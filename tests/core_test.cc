@@ -7,6 +7,7 @@
 #include "src/core/flashtier.h"
 #include "src/core/replay.h"
 #include "src/trace/workload.h"
+#include "src/util/rng.h"
 
 namespace flashtier {
 namespace {
@@ -57,6 +58,39 @@ TEST(FlashTierSystemTest, SscRUsesSeMergePolicy) {
   }
   const uint64_t cap_blocks = 8192 / 64;
   EXPECT_GT(system.ssc()->current_log_blocks(), cap_blocks * 7 / 100);
+}
+
+// Each shard gets an even share of the capacity, the remainder on the low
+// shards, and its own flash and disk fault streams, in an SSC system and in
+// a native one.
+TEST(FlashTierSystemTest, ShardsSplitCapacityAndStrideFaultSeeds) {
+  SystemConfig config;
+  config.cache_pages = 4 * 2048 + 3;
+  config.shards = 4;
+  config.flash_faults.enabled = true;
+  config.flash_faults.seed = 11;
+  config.disk_faults.enabled = true;
+  config.disk_faults.seed = 23;
+  for (const SystemType type : {SystemType::kSscWriteBack, SystemType::kNativeWriteBack}) {
+    config.type = type;
+    FlashTierSystem system(config);
+    ASSERT_EQ(system.shard_count(), 4u);
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < 4; ++i) {
+      const FlashTierSystem::Shard& shard = system.shard(i);
+      ASSERT_EQ(shard.ssc != nullptr, SystemUsesSsc(type));
+      ASSERT_EQ(shard.ssd != nullptr, !SystemUsesSsc(type));
+      const uint64_t pages = shard.ssc != nullptr ? shard.ssc->capacity_pages()
+                                                  : shard.ssd->logical_pages() -
+                                                        NativeCacheManager::kMetadataRegionPages;
+      const FlashDevice& flash = shard.ssc != nullptr ? shard.ssc->device() : shard.ssd->device();
+      EXPECT_EQ(pages, i < 3 ? 2049u : 2048u) << SystemTypeName(type) << " shard " << i;
+      EXPECT_EQ(flash.fault_plan().seed, ShardSeed(11, i)) << SystemTypeName(type);
+      EXPECT_EQ(shard.disk->fault_plan().seed, ShardSeed(23, i)) << SystemTypeName(type);
+      total += pages;
+    }
+    EXPECT_EQ(total, config.cache_pages) << SystemTypeName(type);
+  }
 }
 
 TEST(ReplayEngineTest, CountsAndClock) {

@@ -211,26 +211,24 @@ TEST(PersistTest, RelaxedCleanCrashWithPartialGroupCommitBufferLosesOnlyBuffer) 
 }
 
 TEST(PersistTest, CheckpointRatioBoundaryIsStrict) {
-  // With a 0.5 ratio and a 30-entry checkpoint (30 * 33 B = 990 B), a log of
-  // 11 records (11 * 45 B = 495 B) sits *exactly* at ratio * ckpt bytes. The
-  // policy uses a strict comparison, so the boundary itself must not trigger;
-  // the 12th record must.
+  // With the two-thirds ratio and a 45-entry checkpoint (45 * 33 B =
+  // 1,485 B), a log of 22 records (22 * 45 B = 990 B) sits *exactly* at
+  // ratio * ckpt bytes. The policy uses a strict comparison, so the boundary
+  // itself must not trigger; the 23rd record must.
   SimClock clock;
-  PersistenceManager::Options opts = SmallOptions();
-  opts.checkpoint_log_ratio = 0.5;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
-  pm.WriteCheckpoint(std::vector<CheckpointEntry>(30));
+  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  pm.WriteCheckpoint(std::vector<CheckpointEntry>(45));
   int snapshots_taken = 0;
   const auto snapshot = [&snapshots_taken] {
     ++snapshots_taken;
-    return std::vector<CheckpointEntry>(30);
+    return std::vector<CheckpointEntry>(45);
   };
-  for (int i = 0; i < 11; ++i) {
+  for (int i = 0; i < 22; ++i) {
     pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/true);
     pm.MaybeCheckpoint(snapshot);
   }
   EXPECT_EQ(snapshots_taken, 0);  // exactly at the boundary: no checkpoint
-  pm.Append(MakeRecord(pm.NextLsn(), 11), /*sync=*/true);
+  pm.Append(MakeRecord(pm.NextLsn(), 22), /*sync=*/true);
   pm.MaybeCheckpoint(snapshot);
   EXPECT_EQ(snapshots_taken, 1);  // one byte past: checkpoint
 }

@@ -3,7 +3,8 @@
 # trace (homes at scale 0.001) and a KV trace (kv-zipf, 2,000 ops). Each
 # file must read back with exit 0 and a `records` line equal to the count
 # trace_gen reports writing, and trace_stat must refuse (exit 1) a copy with
-# one record byte flipped.
+# one record byte flipped. trace_stat must also refuse (exit 2) an unknown
+# flag and a --top outside (0, 1].
 #
 # usage: tests/trace_tools.sh TRACE_GEN TRACE_STAT
 set -u
@@ -63,4 +64,14 @@ check() {
 
 check homes.fttr --workload=homes --scale=0.001
 check kv.ftkv --workload=kv-zipf --ops=2000 --keys=500
+
+for flag in --topp=0.5 --top=2 --top=-1; do
+  "$stat" --in="$tmp/homes.fttr" "$flag" > /dev/null 2>&1
+  code=$?
+  if [ "$code" -ne 2 ]; then
+    fail "trace_stat $flag exited $code, want 2"
+  else
+    echo "trace_stat $flag refused"
+  fi
+done
 exit $status

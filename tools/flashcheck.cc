@@ -208,21 +208,21 @@ int main(int argc, char** argv) {
   // The device shape every mode runs on. Aging defaults to the production
   // persistence settings and turns the endurance defenses on.
   flashtier::DeviceShape device = aging ? flashtier::AgingShape() : flashtier::DeviceShape{};
-  device.capacity_pages = get("capacity-pages", device.capacity_pages);
+  flashtier::SscConfig& ssc = device.ssc;
+  ssc.capacity_pages = get("capacity-pages", ssc.capacity_pages);
   device.shards = get_positive("shards", device.shards);
-  device.group_commit_ops = get("group-commit-ops", device.group_commit_ops);
-  device.checkpoint_interval_writes = get("checkpoint-interval", device.checkpoint_interval_writes);
-  device.log_region_pages = get("log-region-pages", device.log_region_pages);
-  device.checkpoint_segment_entries =
-      get_positive("segment-entries", device.checkpoint_segment_entries);
+  ssc.group_commit_ops = get("group-commit-ops", ssc.group_commit_ops);
+  ssc.checkpoint_interval_writes = get("checkpoint-interval", ssc.checkpoint_interval_writes);
+  ssc.log_region_pages = get("log-region-pages", ssc.log_region_pages);
+  ssc.checkpoint_segment_entries = get_positive("segment-entries", ssc.checkpoint_segment_entries);
   if (aging) {
-    device.wear_level_interval_writes = get("wl-interval", device.wear_level_interval_writes);
-    device.wear_level_max_diff = get("wl-max-diff", device.wear_level_max_diff);
-    device.patrol_interval_writes = get("patrol-interval", device.patrol_interval_writes);
-    device.patrol_blocks_per_pass = get_positive("patrol-blocks", device.patrol_blocks_per_pass);
+    ssc.wear_level_interval_writes = get("wl-interval", ssc.wear_level_interval_writes);
+    ssc.wear_level_max_diff = get("wl-max-diff", ssc.wear_level_max_diff);
+    ssc.patrol_interval_writes = get("patrol-interval", ssc.patrol_interval_writes);
+    ssc.patrol_blocks_per_pass = get_positive("patrol-blocks", ssc.patrol_blocks_per_pass);
   }
 
-  flashtier::FaultPlan& faults = device.faults;
+  flashtier::FaultPlan& faults = ssc.fault_plan;
   faults.enabled = args.GetBool("faults", false);
   faults.seed = get("fault-seed", uint64_t{1});
   faults.program_fail_prob = args.GetDouble("program-fail", 0.01);
@@ -240,20 +240,20 @@ int main(int argc, char** argv) {
   faults.read_disturb_prob = args.GetDouble("read-disturb-prob", wear ? 0.05 : 0.0);
   faults.retention_age_us = get("retention-age-us", uint64_t{wear ? 300'000u : 0u});
   faults.retention_fail_prob = args.GetDouble("retention-prob", wear ? 0.05 : 0.0);
-  device.break_retirement = args.GetBool("break-retry", false);
+  ssc.break_retirement_for_testing = args.GetBool("break-retry", false);
   if (bad_args()) {
     return 2;
   }
-  if (device.break_retirement && !faults.enabled) {
+  if (ssc.break_retirement_for_testing && !faults.enabled) {
     std::fprintf(stderr, "flashcheck: --break-retry requires --faults\n");
     return 2;
   }
 
   const std::string policy = args.GetString("policy", "se-util");
   if (policy == "se-util") {
-    device.policy = flashtier::EvictionPolicy::kSeUtil;
+    ssc.policy = flashtier::EvictionPolicy::kSeUtil;
   } else if (policy == "se-merge") {
-    device.policy = flashtier::EvictionPolicy::kSeMerge;
+    ssc.policy = flashtier::EvictionPolicy::kSeMerge;
   } else {
     std::fprintf(stderr, "flashcheck: unknown --policy '%s' (se-util | se-merge)\n",
                  policy.c_str());
@@ -269,9 +269,9 @@ int main(int argc, char** argv) {
 
   const std::string mode = args.GetString("mode", "full");
   if (mode == "full") {
-    device.mode = flashtier::ConsistencyMode::kFull;
+    ssc.mode = flashtier::ConsistencyMode::kFull;
   } else if (mode == "relaxed") {
-    device.mode = flashtier::ConsistencyMode::kRelaxedClean;
+    ssc.mode = flashtier::ConsistencyMode::kRelaxedClean;
   } else {
     std::fprintf(stderr, "flashcheck: unknown --mode '%s' (full | relaxed)\n", mode.c_str());
     return 2;
@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
   // the shadow sweep sees the dropped log tail; with bad-block retirement
   // broken, injected erase failures put non-erased blocks back on the free
   // list and the audits must notice.
-  if (!schedule.break_recovery && !device.break_retirement) {
+  if (!schedule.break_recovery && !ssc.break_retirement_for_testing) {
     return clean ? 0 : 1;
   }
   const char* broken = schedule.break_recovery ? "recovery" : "bad-block retirement";

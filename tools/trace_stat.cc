@@ -5,6 +5,8 @@
 //
 //   trace_stat --in=/tmp/homes.fttr [--top=0.25]
 //   trace_stat --in=/tmp/kv.ftkv
+//
+// An unknown flag, or a --top outside (0, 1], exits 2 with usage.
 
 #include <cinttypes>
 #include <cstdio>
@@ -16,6 +18,13 @@
 using namespace flashtier;
 
 namespace {
+
+constexpr char kUsage[] = "usage: trace_stat --in=FILE [--top=0.25]\n";
+
+int UsageError(const char* detail) {
+  std::fprintf(stderr, "error: %s\n%s", detail, kUsage);
+  return 2;
+}
 
 // Prints a power-of-two histogram with per-bucket and cumulative shares.
 void PrintPow2Histogram(const std::vector<uint64_t>& hist, uint64_t total) {
@@ -90,12 +99,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
     return 1;
   }
+  const auto unknown = args.UnknownFlags({"in", "top"});
+  if (!unknown.empty()) {
+    const std::string detail = "unknown flag: --" + unknown.front();
+    return UsageError(detail.c_str());
+  }
   const std::string in = args.GetString("in", "");
   if (in.empty()) {
-    std::fprintf(stderr, "usage: trace_stat --in=FILE [--top=0.25]\n");
+    std::fprintf(stderr, "%s", kUsage);
     return 1;
   }
   const double top = args.GetDouble("top", 0.25);
+  if (!(top > 0.0 && top <= 1.0)) {
+    return UsageError("--top must be in (0, 1]");
+  }
 
   if (ClassifyTraceFile(in) == TraceFileKind::kKv) {
     return PrintKvTrace(in);
