@@ -64,9 +64,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
+  const double scale = args.GetDouble("scale", 0.5);
+  ExitOnBadFlags(args);
   PrintHeader("Ablation: group-commit size and checkpoint interval (write-back, mail)");
-  const WorkloadProfile profile =
-      MailProfile(DefaultScale("mail") * args.GetDouble("scale", 0.5));
+  const WorkloadProfile profile = MailProfile(DefaultScale("mail") * scale);
 
   std::printf("%-34s %10s %12s %12s %12s\n", "configuration", "IOPS", "log-pages",
               "checkpoints", "recovery-ms");

@@ -32,10 +32,6 @@ int Main(int argc, char** argv) {
   const ParallelFlags parallel = GetParallelFlags(args);
   const double write_fail = args.GetDouble("write-fail", 0.0);
   const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 2;
-  }
 
   PrintHeader("Ablation: disk-tier degradation (latent sector errors)");
   std::printf("system under test: SSC-WB; lse = latent failures per disk read\n\n");

@@ -76,9 +76,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
+  const double scale = args.GetDouble("scale", 0.5);
+  ExitOnBadFlags(args);
   PrintHeader("Ablation: silent-eviction policy knobs (write-through, mail workload)");
-  const WorkloadProfile profile =
-      MailProfile(DefaultScale("mail") * args.GetDouble("scale", 0.5));
+  const WorkloadProfile profile = MailProfile(DefaultScale("mail") * scale);
 
   std::printf("%-28s %10s %10s %10s %12s %8s\n", "configuration", "IOPS", "erases",
               "gc-copies", "evicted-pgs", "miss%");

@@ -85,10 +85,7 @@ int Main(int argc, char** argv) {
   const auto capacity_pages =
       static_cast<uint64_t>(args.GetPositiveInt("capacity-pages", 1024));
   const bool dirty_sets = args.GetBool("dirty", false);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 2;
-  }
+  ExitOnBadFlags(args);
 
   const Placement placements[] = {{"naive", false, 1},
                                   {"packed-1", true, 1},

@@ -57,8 +57,18 @@ inline double DefaultScale(const std::string& name) {
   std::exit(2);
 }
 
-inline std::vector<WorkloadProfile> BenchProfiles(const ArgParser& args) {
+// A flag the parser refused (malformed, or a number that does not parse
+// whole) is a usage error: print the parser's message and exit 2.
+inline void ExitOnBadFlags(const ArgParser& args) {
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    std::exit(2);
+  }
+}
+
+inline std::vector<WorkloadProfile> BenchProfiles(ArgParser& args) {
   const double factor = args.GetDouble("scale", 1.0);
+  ExitOnBadFlags(args);
   const std::string only = args.GetString("workload", "");
   if (!only.empty() && !KnownWorkload(only)) {
     std::fprintf(stderr, "unknown --workload '%s' (valid: homes, mail, usr, proj)\n",
@@ -126,10 +136,7 @@ inline ParallelFlags GetParallelFlags(ArgParser& args) {
   flags.shards = static_cast<uint32_t>(args.GetPositiveInt("shards", default_shards));
   flags.threads = static_cast<uint32_t>(args.GetPositiveInt("threads", 1));
   flags.depth = static_cast<uint32_t>(args.GetPositiveInt("depth", 1));
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    std::exit(2);
-  }
+  ExitOnBadFlags(args);
   return flags;
 }
 
@@ -156,10 +163,7 @@ inline PolicyConfig GetAdmissionConfig(ArgParser& args) {
       static_cast<uint32_t>(args.GetPositiveInt("sketch-threshold", config.sketch_threshold));
   config.write_rate_pages_per_sec = args.GetDouble("write-rate", config.write_rate_pages_per_sec);
   config.write_burst_pages = args.GetDouble("write-burst", config.write_burst_pages);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    std::exit(2);
-  }
+  ExitOnBadFlags(args);
   return config;
 }
 

@@ -25,7 +25,7 @@ struct Cell {
   double response_us = 0;
 };
 
-Cell Run(const ArgParser& args, const WorkloadProfile& profile, SystemType type,
+Cell Run(ArgParser& args, const WorkloadProfile& profile, SystemType type,
          ConsistencyMode mode, bool native_metadata) {
   SystemConfig config;
   config.type = type;

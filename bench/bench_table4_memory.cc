@@ -104,6 +104,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const double factor = args.GetDouble("scale", 0.1);
+  ExitOnBadFlags(args);
   PrintHeader("Table 4: device and host memory for cached-block mapping state");
   std::printf("(measured at scale %.3g; bytes/block is scale-invariant)\n\n", factor);
 

@@ -26,6 +26,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const uint64_t total_ops = args.GetInt("ops", 300'000);
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return 2;
+  }
 
   WorkloadProfile mail = MailProfile(0.02);
   mail.total_ops = total_ops;

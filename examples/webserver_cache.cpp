@@ -26,6 +26,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const uint64_t requests = args.GetInt("requests", 400'000);
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return 2;
+  }
 
   WorkloadProfile photos;
   photos.name = "photo-store";

@@ -72,8 +72,9 @@ std::string CheckReport::ToString() const {
 CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
   CheckReport report;
 
-  // LSN monotonicity: the durable log must be strictly increasing (records
-  // reach the log in NextLsn order and are never reordered by a flush).
+  // LSN monotonicity: the durable log must be strictly increasing (Append
+  // numbers records in the order they reach the log, and a flush never
+  // reorders them).
   uint64_t prev = 0;
   bool first = true;
   for (const LogRecord& r : pm.durable_log_) {

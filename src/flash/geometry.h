@@ -46,9 +46,6 @@ struct FlashGeometry {
     return static_cast<uint32_t>(ppn % pages_per_block);
   }
   constexpr uint32_t PlaneOf(PhysBlock block) const { return block / blocks_per_plane; }
-  constexpr uint32_t ChannelOfPlane(uint32_t plane) const {
-    return channels == 0 ? 0 : plane % channels;
-  }
   constexpr PhysBlock BlockAt(uint32_t plane, uint32_t index) const {
     return plane * blocks_per_plane + index;
   }

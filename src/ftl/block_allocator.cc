@@ -46,8 +46,6 @@ PhysBlock BlockAllocator::Allocate() {
   return PopLowestWear(best_plane);
 }
 
-PhysBlock BlockAllocator::AllocateFromPlane(uint32_t plane) { return PopLowestWear(plane); }
-
 PhysBlock BlockAllocator::AllocateMostWorn() {
   uint32_t best_plane = 0;
   size_t best_index = 0;

@@ -30,9 +30,6 @@ class BlockAllocator {
   // blocks. Returns kInvalidBlock if nothing is free.
   PhysBlock Allocate();
 
-  // Allocates from a specific plane; kInvalidBlock if that plane is empty.
-  PhysBlock AllocateFromPlane(uint32_t plane);
-
   // Allocates the *most*-worn free block (wear-leveling destination: cold
   // data parked on worn blocks stops their wear).
   PhysBlock AllocateMostWorn();
@@ -62,12 +59,8 @@ class BlockAllocator {
   }
 
   uint32_t FreeCount() const { return free_total_; }
-  uint32_t FreeInPlane(uint32_t plane) const {
-    return static_cast<uint32_t>(free_[plane].size());
-  }
   // Plane with the fewest free blocks (GC target selection).
   uint32_t FullestPlane() const;
-  uint32_t PlaneCount() const { return static_cast<uint32_t>(free_.size()); }
 
   size_t MemoryUsage() const;
 

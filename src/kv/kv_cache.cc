@@ -53,7 +53,7 @@ KvShard::KvShard(const KvCacheConfig& config, uint32_t shard_index)
   slab_capacity_bytes_ = config_.slab_pages * kKvPageBytes;
   ssc_ = std::make_unique<SscDevice>(config_.ssc, &clock_);
   policy_ = MakeAdmissionPolicy(config_.admission, &clock_);
-  ssc_->set_kv_snapshot_source([this] { return SnapshotSlots(); });
+  ssc_->set_kv_snapshot_source([this](std::vector<LogRecord>* out) { SnapshotSlots(out); });
 }
 
 Status KvShard::AdmitWithDrain() {
@@ -188,13 +188,7 @@ void KvShard::DropSlab(uint64_t seq, bool policy_evict, uint64_t* slot_counter) 
       if (policy_evict) {
         policy_->OnEvict(slot.key);
       }
-      LogRecord rec;
-      rec.lsn = ssc_->persist()->NextLsn();
-      rec.type = LogOpType::kKvDeleteSlot;
-      rec.key = slot.key;
-      rec.ppn = seq;
-      rec.present_bits = PackSlotMeta(i, slot.size, slot.offset, slot.dirty);
-      ssc_->persist()->Append(rec, /*sync=*/false);
+      ssc_->persist()->Append(SlotRecord(LogOpType::kKvDeleteSlot, seq, i, slot), /*sync=*/false);
       slot.live = false;
       ++*slot_counter;
     }
@@ -226,12 +220,6 @@ uint64_t KvShard::InvalidateKey(uint64_t key, bool sync) {
   const uint32_t slot_idx = LocSlot(*packed);
   KvSlab& slab = slabs_.at(seq);
   KvSlot& slot = slab.slots[slot_idx];
-  LogRecord rec;
-  rec.lsn = ssc_->persist()->NextLsn();
-  rec.type = LogOpType::kKvDeleteSlot;
-  rec.key = key;
-  rec.ppn = seq;
-  rec.present_bits = PackSlotMeta(slot_idx, slot.size, slot.offset, slot.dirty);
   slot.live = false;
   slab.live_bytes -= KvSlotBytes(slot.size);
   IndexDeadGrew(seq, slab, KvSlotBytes(slot.size));
@@ -240,7 +228,7 @@ uint64_t KvShard::InvalidateKey(uint64_t key, bool sync) {
     --slab.dirty_live;
   }
   key_map_.Erase(key);
-  ssc_->persist()->Append(rec, sync);
+  ssc_->persist()->Append(SlotRecord(LogOpType::kKvDeleteSlot, seq, slot_idx, slot), sync);
   return seq;
 }
 
@@ -340,7 +328,7 @@ Status KvShard::Set(uint64_t key, uint64_t token, uint32_t size, bool dirty) {
     // commit (kFull logs those synchronously too).
     const bool sync = dirty || old_seq != kNoSlab ||
                       ssc_->persist()->mode() == ConsistencyMode::kFull;
-    AppendInsertRecord(key, open_seq_, slot, slot_idx, sync);
+    ssc_->persist()->Append(SlotRecord(LogOpType::kKvInsertSlot, open_seq_, slot_idx, slot), sync);
   }
   stats_.set_bytes += size;
   policy_->OnAdmit(key);
@@ -358,16 +346,13 @@ Status KvShard::Set(uint64_t key, uint64_t token, uint32_t size, bool dirty) {
   return Status::kOk;
 }
 
-void KvShard::AppendInsertRecord(uint64_t key, uint64_t seq, const KvSlot& slot,
-                                 uint32_t slot_idx, bool sync) {
-  LogRecord rec;
-  rec.lsn = ssc_->persist()->NextLsn();
-  rec.type = LogOpType::kKvInsertSlot;
-  rec.key = key;
-  rec.ppn = seq;
-  rec.present_bits = PackSlotMeta(slot_idx, slot.size, slot.offset, slot.dirty);
-  rec.dirty_bits = slot.token;
-  ssc_->persist()->Append(rec, sync);
+LogRecord KvShard::SlotRecord(LogOpType type, uint64_t seq, uint32_t slot_idx,
+                              const KvSlot& slot) {
+  return {.type = type,
+          .key = slot.key,
+          .ppn = seq,
+          .present_bits = PackSlotMeta(slot_idx, slot.size, slot.offset, slot.dirty),
+          .dirty_bits = type == LogOpType::kKvInsertSlot ? slot.token : 0};
 }
 
 Status KvShard::Get(uint64_t key, uint64_t* token_out) {
@@ -496,13 +481,8 @@ Status KvShard::CompactSlab(uint64_t victim_seq) {
       // lost in a crash, the pre-move state (still on the victim's flash
       // pages until the post-loop flush) remains fully valid.
       PersistenceManager::AtomicBatchScope batch(ssc_->persist());
-      LogRecord del;
-      del.lsn = ssc_->persist()->NextLsn();
-      del.type = LogOpType::kKvDeleteSlot;
-      del.key = moved.key;
-      del.ppn = victim_seq;
-      del.present_bits = PackSlotMeta(i, moved.size, moved.offset, moved.dirty);
-      ssc_->persist()->Append(del, /*sync=*/false);
+      ssc_->persist()->Append(SlotRecord(LogOpType::kKvDeleteSlot, victim_seq, i, moved),
+                              /*sync=*/false);
       victim.slots[i].live = false;
       victim.live_bytes -= charge;
       IndexDeadGrew(victim_seq, victim, charge);
@@ -520,7 +500,8 @@ Status KvShard::CompactSlab(uint64_t victim_seq) {
         ++open.dirty_live;
       }
       key_map_.Insert(moved.key, PackLoc(open_seq_, slot_idx));
-      AppendInsertRecord(moved.key, open_seq_, moved, slot_idx, /*sync=*/false);
+      ssc_->persist()->Append(SlotRecord(LogOpType::kKvInsertSlot, open_seq_, slot_idx, moved),
+                              /*sync=*/false);
     }
     ++stats_.slots_moved;
   }
@@ -627,25 +608,15 @@ uint64_t KvShard::PeekCompactionVictim() const {
 // Checkpoint / crash / recovery
 // ---------------------------------------------------------------------------
 
-std::vector<CheckpointEntry> KvShard::SnapshotSlots() const {
-  std::vector<CheckpointEntry> out;
-  out.reserve(key_map_.size());
+void KvShard::SnapshotSlots(std::vector<LogRecord>* out) const {
+  out->reserve(out->size() + key_map_.size());
   for (const auto& [seq, slab] : slabs_) {
     for (uint32_t i = 0; i < slab.slots.size(); ++i) {
-      const KvSlot& slot = slab.slots[i];
-      if (!slot.live) {
-        continue;
+      if (slab.slots[i].live) {
+        out->push_back(SlotRecord(LogOpType::kKvInsertSlot, seq, i, slab.slots[i]));
       }
-      CheckpointEntry e;
-      e.kv = true;
-      e.key = slot.key;
-      e.ppn = seq;
-      e.present_bits = PackSlotMeta(i, slot.size, slot.offset, slot.dirty);
-      e.dirty_bits = slot.token;
-      out.push_back(e);
     }
   }
-  return out;
 }
 
 void KvShard::SimulateCrash() {
@@ -693,15 +664,11 @@ Status KvShard::Recover() {
   if (!IsOk(device)) {
     return device;
   }
-  SscDevice::RecoveredKv rkv = ssc_->TakeRecoveredKv();
   slabs_.clear();
   key_map_.Clear();
   open_seq_ = kNoSlab;
   next_slab_seq_ = 0;
-  for (const CheckpointEntry& e : rkv.checkpoint) {
-    ApplyRecoveredInsert(e.key, e.ppn, e.present_bits, e.dirty_bits);
-  }
-  for (const LogRecord& r : rkv.log) {
+  for (const LogRecord& r : ssc_->TakeRecoveredKv()) {
     if (r.type == LogOpType::kKvInsertSlot) {
       ApplyRecoveredInsert(r.key, r.ppn, r.present_bits, r.dirty_bits);
     } else {
@@ -813,7 +780,8 @@ Status KvShard::Recover() {
     ++open.live_count;
     ++open.dirty_live;
     key_map_.Insert(staged.key, PackLoc(open_seq_, slot_idx));
-    AppendInsertRecord(staged.key, open_seq_, staged, slot_idx, /*sync=*/true);
+    ssc_->persist()->Append(SlotRecord(LogOpType::kKvInsertSlot, open_seq_, slot_idx, staged),
+                            /*sync=*/true);
     ++stats_.restaged_dirty_slots;
   }
   return Status::kOk;

@@ -24,8 +24,9 @@
 //
 // Durability rides the shard's existing persistence log: every slot insert or
 // delete appends a kKvInsertSlot/kKvDeleteSlot record carrying the packed
-// slot metadata and the object's value token, and device checkpoints subsume
-// the slot directory via the kv snapshot source. The orderings mirror the
+// slot metadata (and, for an insert, the object's value token), and device
+// checkpoints hold the kKvInsertSlot record of every live slot, after the
+// SSC's own map records. The orderings mirror the
 // SSC's own (RAM update inside an atomic batch, then the log append; dirty
 // and overwrite records sync) so G1-G3 extend to objects:
 //   G1: an acknowledged dirty Set survives a crash — its record is durable
@@ -188,8 +189,8 @@ class KvShard {
   static uint64_t LocSeq(uint64_t packed) { return packed >> 16; }
   static uint32_t LocSlot(uint64_t packed) { return static_cast<uint32_t>(packed & 0xffff); }
 
-  // Slot metadata as carried by kKvInsertSlot records and kv checkpoint
-  // entries: slot index, object size, slab byte offset, dirty flag.
+  // Slot metadata as carried in the present_bits of KV slot records: slot
+  // index, object size, slab byte offset, dirty flag.
   static uint64_t PackSlotMeta(uint32_t slot, uint32_t size, uint32_t offset, bool dirty) {
     return static_cast<uint64_t>(slot) | (static_cast<uint64_t>(size) << 16) |
            (static_cast<uint64_t>(offset) << 32) | (dirty ? uint64_t{1} << 63 : 0);
@@ -251,11 +252,15 @@ class KvShard {
   // Pops stale heap tops and returns the victim (MaybeCompact only).
   uint64_t CompactionVictim();
 
-  void AppendInsertRecord(uint64_t key, uint64_t seq, const KvSlot& slot, uint32_t slot_idx,
-                          bool sync);
+  // The log record of slot `slot_idx` of slab `seq`: an insert carries the
+  // value token, a delete none. Every slot record, logged or checkpointed,
+  // is built here.
+  static LogRecord SlotRecord(LogOpType type, uint64_t seq, uint32_t slot_idx,
+                              const KvSlot& slot);
 
-  // Checkpoint snapshot of the live slot directory (installed on the SSC).
-  std::vector<CheckpointEntry> SnapshotSlots() const;
+  // Appends the live slot directory's insert records to a checkpoint
+  // (installed on the SSC).
+  void SnapshotSlots(std::vector<LogRecord>* out) const;
   void ApplyRecoveredInsert(uint64_t key, uint64_t seq, uint64_t meta, uint64_t token);
   void ApplyRecoveredDelete(uint64_t key);
 

@@ -8,24 +8,27 @@ PersistenceManager::PersistenceManager(const Options& options, const FlashTiming
                                        SimClock* clock)
     : options_(options), timings_(timings), clock_(clock) {}
 
+namespace {
+
+// Extends `crc` over a record's payload: type, key, ppn and both bitmaps.
+uint32_t PayloadCrc(uint32_t crc, const LogRecord& r) {
+  const uint64_t fields[] = {static_cast<uint64_t>(r.type), r.key, r.ppn, r.present_bits,
+                             r.dirty_bits};
+  return Crc32c(crc, fields, sizeof(fields));
+}
+
+}  // namespace
+
 uint32_t PersistenceManager::RecordCrc(const LogRecord& record) {
-  const uint64_t fields[] = {record.lsn,
-                             static_cast<uint64_t>(record.type),
-                             record.key,
-                             record.ppn,
-                             record.present_bits,
-                             record.dirty_bits};
-  return Crc32c(fields, sizeof(fields));
+  return PayloadCrc(Crc32c(&record.lsn, sizeof(record.lsn)), record);
 }
 
 uint32_t PersistenceManager::SegmentCrc(const CheckpointSegment& seg) {
   const uint64_t header[] = {seg.generation, seg.base_lsn,
-                             static_cast<uint64_t>(seg.entries.size())};
+                             static_cast<uint64_t>(seg.records.size())};
   uint32_t crc = Crc32c(header, sizeof(header));
-  for (const CheckpointEntry& e : seg.entries) {
-    const uint64_t fields[] = {static_cast<uint64_t>(e.block_level), e.key, e.ppn,
-                               e.present_bits, e.dirty_bits};
-    crc = Crc32c(crc, fields, sizeof(fields));
+  for (const LogRecord& r : seg.records) {
+    crc = PayloadCrc(crc, r);
   }
   return crc;
 }
@@ -52,15 +55,16 @@ void PersistenceManager::ChargeLogUs(uint64_t us) {
   clock_->Advance(us);
 }
 
-void PersistenceManager::Append(const LogRecord& record, bool sync) {
+void PersistenceManager::Append(LogRecord record, bool sync) {
+  record.lsn = next_lsn_++;
   if (options_.mode == ConsistencyMode::kNone) {
     return;
   }
   // A crash here loses the record entirely: the caller has not been
   // acknowledged yet, so no consistency guarantee attaches to it.
   AtCommitPoint(CommitPoint::kAppend);
+  record.crc = RecordCrc(record);
   buffer_.push_back(record);
-  buffer_.back().crc = RecordCrc(record);
   ++stats_.records_logged;
   if (sync) {
     ++stats_.sync_commits;
@@ -126,13 +130,13 @@ bool PersistenceManager::AdmitHostOp() {
   return false;
 }
 
-void PersistenceManager::WriteCheckpoint(std::vector<CheckpointEntry> entries) {
+void PersistenceManager::WriteCheckpoint(std::vector<LogRecord> records) {
   AtCommitPoint(CommitPoint::kCheckpointStart);
   const uint64_t generation = checkpoint_generation_ + 1;
   const uint64_t lsn = next_lsn_ - 1;
   const uint64_t per =
       options_.checkpoint_segment_entries > 0 ? options_.checkpoint_segment_entries : 1;
-  const uint64_t total = entries.size();
+  const uint64_t total = records.size();
   // An empty map still writes one (empty) segment so the region always has a
   // validatable header.
   const uint64_t seg_count = total == 0 ? 1 : (total + per - 1) / per;
@@ -147,8 +151,8 @@ void PersistenceManager::WriteCheckpoint(std::vector<CheckpointEntry> entries) {
     seg.base_lsn = lsn;
     const uint64_t lo = i * per;
     const uint64_t hi = std::min<uint64_t>(total, lo + per);
-    seg.entries.assign(entries.begin() + static_cast<std::ptrdiff_t>(lo),
-                       entries.begin() + static_cast<std::ptrdiff_t>(hi));
+    seg.records.assign(records.begin() + static_cast<std::ptrdiff_t>(lo),
+                       records.begin() + static_cast<std::ptrdiff_t>(hi));
     seg.crc = SegmentCrc(seg);
     const uint64_t pages = PagesFor(SegmentBytes(seg));
     ChargeWrites(pages);
@@ -185,7 +189,7 @@ void PersistenceManager::Crash() {
   buffer_.clear();
 }
 
-void PersistenceManager::Recover(std::vector<CheckpointEntry>* checkpoint,
+void PersistenceManager::Recover(std::vector<LogRecord>* checkpoint,
                                  std::vector<LogRecord>* log_tail) {
   NotifyRecoveryPoint(RecoveryPoint::kStart);
 
@@ -206,7 +210,7 @@ void PersistenceManager::Recover(std::vector<CheckpointEntry>* checkpoint,
   for (size_t i = 0; i < cur.size(); ++i) {
     ChargeReads(PagesFor(SegmentBytes(cur[i])), &load_us);
     if (SegmentCrc(cur[i]) == cur[i].crc && cur[i].generation == checkpoint_generation_) {
-      checkpoint->insert(checkpoint->end(), cur[i].entries.begin(), cur[i].entries.end());
+      checkpoint->insert(checkpoint->end(), cur[i].records.begin(), cur[i].records.end());
       continue;
     }
     ++stats_.segment_fallbacks;
@@ -216,8 +220,8 @@ void PersistenceManager::Recover(std::vector<CheckpointEntry>* checkpoint,
       ChargeReads(PagesFor(SegmentBytes(fallback[i])), &load_us);
       if (SegmentCrc(fallback[i]) == fallback[i].crc &&
           fallback[i].generation < checkpoint_generation_) {
-        checkpoint->insert(checkpoint->end(), fallback[i].entries.begin(),
-                           fallback[i].entries.end());
+        checkpoint->insert(checkpoint->end(), fallback[i].records.begin(),
+                           fallback[i].records.end());
         replay_from = std::min(replay_from, fallback[i].base_lsn);
         recovered = true;
       }
@@ -290,17 +294,17 @@ void PersistenceManager::CorruptLogTailForTesting(size_t count) {
 namespace {
 
 // Payload rot with the stored CRC left stale, so only a checksum recomputed
-// over the entries can notice. An empty segment has no payload to rot; its
+// over the records can notice. An empty segment has no payload to rot; its
 // stored CRC is flipped instead.
 void RotSegment(std::vector<CheckpointSegment>* region, size_t segment) {
   if (segment >= region->size()) {
     return;
   }
   CheckpointSegment& seg = (*region)[segment];
-  if (seg.entries.empty()) {
+  if (seg.records.empty()) {
     seg.crc ^= 0x5A5A5A5Au;
   } else {
-    seg.entries.front().ppn ^= 0xDEADBEEFull;
+    seg.records.front().ppn ^= 0xDEADBEEFull;
   }
 }
 

@@ -12,6 +12,12 @@
 //   * roll-forward recovery: load the latest checkpoint, then replay log
 //     records with LSNs after the checkpoint.
 //
+// Both carry one record shape, LogRecord. A checkpoint is the insert record
+// of every live mapping, the record the log carried when the mapping was
+// made, so recovery applies checkpoint and log through one switch. Append
+// numbers each log record with the next LSN and seals it with its own CRC; a
+// checkpoint record keeps neither (its segment's header and CRC cover it).
+//
 // The log and checkpoint regions bypass address translation, so their
 // contents are modeled here directly ("durable" staging buffers) while their
 // media costs — page programs on flush, page reads on recovery — are charged
@@ -64,44 +70,40 @@ enum class LogOpType : uint8_t {
   kSetCleanPage,     // page-level dirty flag cleared (buffered; may be lost)
   kSetCleanBlocks,   // block-level dirty bits cleared (buffered; may be lost)
   // KV layer (src/kv, DESIGN.md §5k): tiny-object slot directory records.
-  // They ride the same log/checkpoint machinery; the SSC skips them during
-  // its own map rebuild and hands them to the KV layer after recovery.
-  kKvInsertSlot,     // key -> (slab lbn, slot, size, dirty, value token)
+  // key is the object key, ppn the slab sequence number, present_bits the
+  // packed slot metadata and dirty_bits the value token (inserts only). They
+  // ride the same log/checkpoint machinery; the SSC skips them during its own
+  // map rebuild and hands them to the KV layer after recovery.
+  kKvInsertSlot,     // key -> (slab, slot, size, dirty, value token)
   kKvDeleteSlot,     // key's slot invalidated (delete, overwrite, eviction)
 };
 
+// The one durable mapping record. In the log, Append numbers it and seals it
+// with its CRC; in a checkpoint it is the insert record (kInsertPage,
+// kInsertBlock or kKvInsertSlot) of one live mapping, lsn and crc left 0.
 struct LogRecord {
-  uint64_t lsn = 0;
+  uint64_t lsn = 0;  // set by Append
   LogOpType type = LogOpType::kInsertPage;
-  Lbn key = 0;          // lbn (page-level) or logical erase block (block-level)
-  Ppn ppn = kInvalidPpn;
+  Lbn key = 0;                // lbn (page-level) or logical erase block (block-level)
+  Ppn ppn = kInvalidPpn;      // page-level: page; block-level: first ppn of block
   uint64_t present_bits = 0;  // block-level: which in-block offsets are cached
   uint64_t dirty_bits = 0;    // page: 0/1; block: 64-bit dirty bitmap or mask
   uint32_t crc = 0;           // CRC32-C over the fields above; set by Append
 };
+// MemoryUsage() charges the log buffer at this size (Table 4).
+static_assert(sizeof(LogRecord) == 56, "LogRecord is 56 bytes in host memory");
 
-// One serialized forward-map entry inside a checkpoint. KV slot entries
-// (kv = true) reuse the same wire shape — key is the object key, ppn the
-// slab LBN, present_bits the packed slot metadata and dirty_bits the value
-// token — and pack their flag into spare bits of the level byte, so the
-// serialized entry size is unchanged.
-struct CheckpointEntry {
-  bool block_level = false;
-  bool kv = false;
-  Lbn key = 0;
-  Ppn ppn = kInvalidPpn;        // page-level: page; block-level: first ppn of block
-  uint64_t present_bits = 0;
-  uint64_t dirty_bits = 0;
-};
-
-// One fixed-size slice of a checkpoint, independently validatable. The
-// generation header lets recovery tell a completed checkpoint's segments
-// from slices of an interrupted (newer) or superseded (older) write.
+// One fixed-size slice of a checkpoint, independently validatable: the
+// insert records of a run of live mappings. The generation header lets
+// recovery tell a completed checkpoint's segments from slices of an
+// interrupted (newer) or superseded (older) write.
 struct CheckpointSegment {
   uint64_t generation = 0;
-  uint64_t base_lsn = 0;  // highest LSN this segment's entries reflect
-  std::vector<CheckpointEntry> entries;
-  uint32_t crc = 0;       // CRC32-C over generation, base_lsn and entries
+  uint64_t base_lsn = 0;  // highest LSN this segment's records reflect
+  std::vector<LogRecord> records;
+  // CRC32-C over generation, base_lsn, the record count and each record's
+  // type, key, ppn and both bitmaps.
+  uint32_t crc = 0;
 };
 
 // Durability commit points, in the order FlashCheck's crash explorer visits
@@ -234,7 +236,7 @@ class PersistenceManager {
     // operation needs a checkpoint source installed so the region can be
     // reclaimed under pressure.
     uint64_t log_region_pages = 0;
-    // Checkpoint entries per segment (the torn-write blast radius).
+    // Checkpoint records per segment (the torn-write blast radius).
     uint64_t checkpoint_segment_entries = 1024;
   };
 
@@ -243,13 +245,12 @@ class PersistenceManager {
   ConsistencyMode mode() const { return options_.mode; }
   const PersistStats& stats() const { return stats_; }
 
-  uint64_t NextLsn() { return next_lsn_++; }
-
-  // Appends a record; `sync` forces an immediate atomic flush. In kNone mode
-  // records are dropped (nothing is persisted and nothing is charged).
-  // Append never refuses a record: internal activity (GC, merges, evicts)
-  // must always be loggable. Host-visible admission happens in AdmitHostOp.
-  void Append(const LogRecord& record, bool sync);
+  // Numbers `record` with the next LSN and appends it; `sync` forces an
+  // immediate atomic flush. In kNone mode records are numbered, then dropped
+  // (nothing is persisted and nothing is charged). Append never refuses a
+  // record: internal activity (GC, merges, evicts) must always be loggable.
+  // Host-visible admission happens in AdmitHostOp.
+  void Append(LogRecord record, bool sync);
 
   // Flushes all buffered records to the durable log region. If the flush
   // would overflow a bounded region, it converts into a forced checkpoint
@@ -286,11 +287,11 @@ class PersistenceManager {
   };
 
   // Called by the SSC after mutating writes; triggers a checkpoint when the
-  // log-size, write-count or log-region high-water policy says so. `entries`
-  // is only materialized when a checkpoint actually happens, via the
-  // callback.
-  template <typename EntriesFn>
-  void MaybeCheckpoint(EntriesFn&& entries_fn) {
+  // log-size, write-count or log-region high-water policy says so. The
+  // checkpoint's records are only materialized when a checkpoint actually
+  // happens, via the callback.
+  template <typename RecordsFn>
+  void MaybeCheckpoint(RecordsFn&& records_fn) {
     if (options_.mode == ConsistencyMode::kNone) {
       return;
     }
@@ -312,14 +313,16 @@ class PersistenceManager {
       // Only the finite region forced this one; the economy counters track it.
       ++stats_.forced_checkpoints;
     }
-    WriteCheckpoint(entries_fn());
+    WriteCheckpoint(records_fn());
   }
 
-  void WriteCheckpoint(std::vector<CheckpointEntry> entries);
+  // Writes `records`, the insert record of every live mapping, as the new
+  // checkpoint and truncates the log.
+  void WriteCheckpoint(std::vector<LogRecord> records);
 
   // Installed by the device: materializes a forward-map snapshot so the
   // persistence layer can checkpoint on its own when the log region fills.
-  using CheckpointSource = std::function<std::vector<CheckpointEntry>()>;
+  using CheckpointSource = std::function<std::vector<LogRecord>()>;
   void set_checkpoint_source(CheckpointSource source) {
     checkpoint_source_ = std::move(source);
   }
@@ -349,11 +352,12 @@ class PersistenceManager {
   void Crash();
 
   // Roll-forward recovery: reads the checkpoint and the log tail (charging
-  // media reads), then hands back the reconstructed stream. The returned log
-  // records all have LSN > the replay base and are in commit order. Recovery
-  // only reads durable state, so it is idempotent: crashing at any
-  // RecoveryPoint and re-running yields the same result.
-  void Recover(std::vector<CheckpointEntry>* checkpoint, std::vector<LogRecord>* log_tail);
+  // media reads), then hands back the reconstructed stream: the checkpoint's
+  // insert records in segment order, then the log records with LSN > the
+  // replay base in commit order. Recovery only reads durable state, so it is
+  // idempotent: crashing at any RecoveryPoint and re-running yields the same
+  // result.
+  void Recover(std::vector<LogRecord>* checkpoint, std::vector<LogRecord>* log_tail);
 
   // Reported by the device after it finishes rebuilding its forward maps, to
   // complete the recovery-time breakdown begun by Recover().
@@ -415,9 +419,9 @@ class PersistenceManager {
   // mangle); Recover() must skip exactly those and keep the rest.
   void CorruptLogTailForTesting(size_t count);
 
-  // Rots one segment of the current checkpoint: an entry's payload changes
+  // Rots one segment of the current checkpoint: a record's payload changes
   // and the stored CRC is left stale (an empty segment's CRC is flipped), so
-  // only a CRC recomputed over the entries catches it. Recover() must fall
+  // only a CRC recomputed over the records catches it. Recover() must fall
   // back to the same-index segment of the previous generation plus the
   // retained log history, losing only that slice. The default keeps the
   // historical single-segment behavior.
@@ -438,8 +442,9 @@ class PersistenceManager {
     }
   }
 
-  // On-flash record sizes (packed): lsn + key + ppn + present + dirty + type
-  // + CRC32-C.
+  // On-flash record sizes (packed). A log record: lsn + key + ppn + present +
+  // dirty + type + CRC32-C. A checkpoint record stores no LSN or CRC of its
+  // own (the segment header and CRC cover it).
   static constexpr uint64_t kRecordBytes = 8 + 8 + 8 + 8 + 8 + 1 + 4;
   static constexpr uint64_t kCheckpointEntryBytes = 8 + 8 + 8 + 8 + 1;
   // Per-segment header: generation + base LSN + entry count + CRC32-C.
@@ -466,7 +471,7 @@ class PersistenceManager {
     return hw > 0 ? hw : 1;
   }
   static uint64_t SegmentBytes(const CheckpointSegment& seg) {
-    return kSegmentHeaderBytes + seg.entries.size() * kCheckpointEntryBytes;
+    return kSegmentHeaderBytes + seg.records.size() * kCheckpointEntryBytes;
   }
   void ChargeWrites(uint64_t pages);
   void ChargeReads(uint64_t pages, uint64_t* recovery_us);

@@ -157,7 +157,8 @@ Status SscDevice::WriteInternal(Lbn lbn, uint64_t token, bool dirty) {
   // flush would recover with neither version of acknowledged data.
   PersistenceManager::AtomicBatchScope batch(persist_.get());
   const bool had_old = InvalidateOldVersion(lbn);
-  page_map_.Insert(lbn, Pack(ppn, dirty));
+  const uint64_t packed = Pack(ppn, dirty);
+  page_map_.Insert(lbn, packed);
   ++cached_pages_;  // InvalidateOldVersion decremented it if this is an overwrite
   if (dirty) {
     ++dirty_pages_;
@@ -167,14 +168,8 @@ Status SscDevice::WriteInternal(Lbn lbn, uint64_t token, bool dirty) {
   // buffered unless it replaces previous data at the same address, in which
   // case the mapping change must be durable before completion (G2). In kFull
   // mode clean inserts are also synchronous (the FlashTier-C/D config).
-  LogRecord rec;
-  rec.lsn = persist_->NextLsn();
-  rec.type = LogOpType::kInsertPage;
-  rec.key = lbn;
-  rec.ppn = ppn;
-  rec.dirty_bits = dirty ? 1 : 0;
   const bool sync = dirty || had_old || config_.mode == ConsistencyMode::kFull;
-  persist_->Append(rec, sync);
+  persist_->Append(PageInsertRecord(lbn, packed), sync);
   persist_->MaybeCheckpoint([this] { return SnapshotForCheckpoint(); });
   MaybeEnduranceMaintenance();
   MaybeAudit();
@@ -210,12 +205,7 @@ bool SscDevice::InvalidateOldVersion(Lbn lbn) {
       --dirty_pages_;
     }
     AssertOk(device_->MarkInvalid(old));
-    page_map_.Erase(lbn);
-    LogRecord rec;
-    rec.lsn = persist_->NextLsn();
-    rec.type = LogOpType::kRemovePage;
-    rec.key = lbn;
-    persist_->Append(rec, /*sync=*/false);
+    RetireLogPage(lbn);
     --cached_pages_;
     return true;
   }
@@ -233,12 +223,10 @@ bool SscDevice::InvalidateOldVersion(Lbn lbn) {
   e->present_bits &= ~(uint64_t{1} << off);
   e->dirty_bits &= ~(uint64_t{1} << off);
   --cached_pages_;
-  LogRecord rec;
-  rec.lsn = persist_->NextLsn();
-  rec.type = LogOpType::kClearBlockPages;
-  rec.key = logical;
-  rec.dirty_bits = uint64_t{1} << off;  // mask of bits cleared
-  persist_->Append(rec, /*sync=*/false);
+  // dirty_bits: the mask of bits cleared.
+  persist_->Append(
+      {.type = LogOpType::kClearBlockPages, .key = logical, .dirty_bits = uint64_t{1} << off},
+      /*sync=*/false);
   if (e->present_bits == 0) {
     RemoveDataBlock(logical);
   }
@@ -260,11 +248,7 @@ Status SscDevice::Clean(Lbn lbn) {
     if (PackedDirty(*packed)) {
       *packed = Pack(PackedPpn(*packed), false);
       --dirty_pages_;
-      LogRecord rec;
-      rec.lsn = persist_->NextLsn();
-      rec.type = LogOpType::kSetCleanPage;
-      rec.key = lbn;
-      persist_->Append(rec, /*sync=*/false);
+      persist_->Append({.type = LogOpType::kSetCleanPage, .key = lbn}, /*sync=*/false);
     }
     return Status::kOk;
   }
@@ -278,12 +262,10 @@ Status SscDevice::Clean(Lbn lbn) {
   if ((e->dirty_bits >> off) & 1u) {
     e->dirty_bits &= ~(uint64_t{1} << off);
     --dirty_pages_;
-    LogRecord rec;
-    rec.lsn = persist_->NextLsn();
-    rec.type = LogOpType::kSetCleanBlocks;
-    rec.key = logical;
-    rec.dirty_bits = uint64_t{1} << off;  // mask of bits cleared
-    persist_->Append(rec, /*sync=*/false);
+    // dirty_bits: the mask of bits cleared.
+    persist_->Append(
+        {.type = LogOpType::kSetCleanBlocks, .key = logical, .dirty_bits = uint64_t{1} << off},
+        /*sync=*/false);
   }
   return Status::kOk;
 }
@@ -495,12 +477,7 @@ void SscDevice::SilentlyEvict(PhysBlock phys, uint64_t logical) {
   ftl_stats_.silently_evicted_pages += dropped;
   ++ftl_stats_.silent_evictions;
   block_map_.Erase(logical);
-  LogRecord rec;
-  rec.lsn = persist_->NextLsn();
-  rec.type = LogOpType::kRemoveBlock;
-  rec.key = logical;
-  persist_->Append(rec, /*sync=*/false);
-  phys_to_logical_[phys] = kInvalidLbn;
+  UnmapDataBlock(logical, phys);
   EraseOrRetire(phys);
 }
 
@@ -510,22 +487,20 @@ void SscDevice::SilentlyEvict(PhysBlock phys, uint64_t logical) {
 
 void SscDevice::RetireLogPage(Lbn lbn) {
   page_map_.Erase(lbn);
-  LogRecord rec;
-  rec.lsn = persist_->NextLsn();
-  rec.type = LogOpType::kRemovePage;
-  rec.key = lbn;
-  persist_->Append(rec, /*sync=*/false);
+  persist_->Append({.type = LogOpType::kRemovePage, .key = lbn}, /*sync=*/false);
 }
 
-void SscDevice::LogInsertBlockEntry(uint64_t logical, const BlockEntry& e) {
-  LogRecord rec;
-  rec.lsn = persist_->NextLsn();
-  rec.type = LogOpType::kInsertBlock;
-  rec.key = logical;
-  rec.ppn = device_->geometry().FirstPpnOf(e.phys);
-  rec.present_bits = e.present_bits;
-  rec.dirty_bits = e.dirty_bits;
-  persist_->Append(rec, /*sync=*/false);
+void SscDevice::UnmapDataBlock(uint64_t logical, PhysBlock phys) {
+  persist_->Append({.type = LogOpType::kRemoveBlock, .key = logical}, /*sync=*/false);
+  phys_to_logical_[phys] = kInvalidLbn;
+}
+
+LogRecord SscDevice::BlockInsertRecord(uint64_t logical, const BlockEntry& e) const {
+  return {.type = LogOpType::kInsertBlock,
+          .key = logical,
+          .ppn = device_->geometry().FirstPpnOf(e.phys),
+          .present_bits = e.present_bits,
+          .dirty_bits = e.dirty_bits};
 }
 
 void SscDevice::InstallDataBlock(uint64_t logical, PhysBlock phys, uint64_t present_bits,
@@ -540,19 +515,14 @@ void SscDevice::InstallDataBlock(uint64_t logical, PhysBlock phys, uint64_t pres
   if (old != nullptr) {
     old_phys = old->phys;
     assert(device_->valid_pages(old_phys) == 0);
-    LogRecord rm;
-    rm.lsn = persist_->NextLsn();
-    rm.type = LogOpType::kRemoveBlock;
-    rm.key = logical;
-    persist_->Append(rm, /*sync=*/false);
-    phys_to_logical_[old_phys] = kInvalidLbn;
+    UnmapDataBlock(logical, old_phys);
   }
   BlockEntry fresh;
   fresh.phys = phys;
   fresh.present_bits = present_bits;
   fresh.dirty_bits = dirty_bits;
   block_map_.Insert(logical, fresh);
-  LogInsertBlockEntry(logical, fresh);
+  persist_->Append(BlockInsertRecord(logical, fresh), /*sync=*/false);
   phys_to_logical_[phys] = logical;
   block_birth_[phys] = ++birth_counter_;
   if (old_phys != kInvalidBlock) {
@@ -575,12 +545,7 @@ void SscDevice::RemoveDataBlock(uint64_t logical) {
   }
   const PhysBlock phys = e->phys;
   block_map_.Erase(logical);
-  LogRecord rm;
-  rm.lsn = persist_->NextLsn();
-  rm.type = LogOpType::kRemoveBlock;
-  rm.key = logical;
-  persist_->Append(rm, /*sync=*/false);
-  phys_to_logical_[phys] = kInvalidLbn;
+  UnmapDataBlock(logical, phys);
   dead_blocks_.push_back(phys);
 }
 
@@ -639,13 +604,7 @@ Status SscDevice::ForwardCopyLogBlock(PhysBlock victim) {
     }
     page_map_.Insert(lbn, Pack(dst, dirty));
     log_contents_[log_blocks_.back()].push_back(lbn);
-    LogRecord rec;
-    rec.lsn = persist_->NextLsn();
-    rec.type = LogOpType::kInsertPage;
-    rec.key = lbn;
-    rec.ppn = dst;
-    rec.dirty_bits = dirty ? 1 : 0;
-    persist_->Append(rec, /*sync=*/false);
+    persist_->Append(PageInsertRecord(lbn, Pack(dst, dirty)), /*sync=*/false);
   }
   ReleaseLogContents(victim);
   EraseOrRetire(victim);
@@ -693,9 +652,9 @@ Status SscDevice::Recover() {
   // previous aborted attempt had rebuilt (without this reset, a second
   // Recover would double-queue dead blocks and double-count pages).
   ResetRamState();
-  recovered_kv_ = RecoveredKv{};
+  recovered_kv_.clear();
 
-  std::vector<CheckpointEntry> checkpoint;
+  std::vector<LogRecord> checkpoint;
   std::vector<LogRecord> tail;
   persist_->Recover(&checkpoint, &tail);
 
@@ -708,73 +667,58 @@ Status SscDevice::Recover() {
   // allocation per map instead of a rehash cascade.
   size_t block_entries = 0;
   size_t page_entries = 0;
-  for (const CheckpointEntry& e : checkpoint) {
-    if (e.kv) {
-      continue;
-    }
-    (e.block_level ? block_entries : page_entries) += 1;
+  for (const LogRecord& r : checkpoint) {
+    block_entries += r.type == LogOpType::kInsertBlock ? 1 : 0;
+    page_entries += r.type == LogOpType::kInsertPage ? 1 : 0;
   }
   block_map_.Reserve(block_entries);
   page_map_.Reserve(page_entries);
-  for (const CheckpointEntry& e : checkpoint) {
-    if (e.kv) {
-      // KV slot-directory entries are opaque to the SSC's own maps; they are
-      // handed to the KV layer, which rebuilds after the device finishes.
-      recovered_kv_.checkpoint.push_back(e);
-      continue;
-    }
-    if (e.block_level) {
-      BlockEntry be;
-      be.phys = g.BlockOf(e.ppn);
-      be.present_bits = e.present_bits;
-      be.dirty_bits = e.dirty_bits;
-      block_map_.Insert(e.key, be);
-    } else {
-      page_map_.Insert(e.key, Pack(e.ppn, e.dirty_bits != 0));
-    }
-  }
-  for (const LogRecord& r : tail) {
-    switch (r.type) {
-      case LogOpType::kInsertPage:
-        page_map_.Insert(r.key, Pack(r.ppn, r.dirty_bits != 0));
-        break;
-      case LogOpType::kRemovePage:
-        page_map_.Erase(r.key);
-        break;
-      case LogOpType::kInsertBlock: {
-        BlockEntry be;
-        be.phys = g.BlockOf(r.ppn);
-        be.present_bits = r.present_bits;
-        be.dirty_bits = r.dirty_bits;
-        block_map_.Insert(r.key, be);
-        break;
-      }
-      case LogOpType::kRemoveBlock:
-        block_map_.Erase(r.key);
-        break;
-      case LogOpType::kClearBlockPages:
-        if (BlockEntry* e = block_map_.Find(r.key); e != nullptr) {
-          e->present_bits &= ~r.dirty_bits;
-          e->dirty_bits &= ~r.dirty_bits;
-          if (e->present_bits == 0) {
-            block_map_.Erase(r.key);
+  for (const std::vector<LogRecord>* records : {&checkpoint, &tail}) {
+    for (const LogRecord& r : *records) {
+      switch (r.type) {
+        case LogOpType::kInsertPage:
+          page_map_.Insert(r.key, Pack(r.ppn, r.dirty_bits != 0));
+          break;
+        case LogOpType::kRemovePage:
+          page_map_.Erase(r.key);
+          break;
+        case LogOpType::kInsertBlock: {
+          BlockEntry be;
+          be.phys = g.BlockOf(r.ppn);
+          be.present_bits = r.present_bits;
+          be.dirty_bits = r.dirty_bits;
+          block_map_.Insert(r.key, be);
+          break;
+        }
+        case LogOpType::kRemoveBlock:
+          block_map_.Erase(r.key);
+          break;
+        case LogOpType::kClearBlockPages:
+          if (BlockEntry* e = block_map_.Find(r.key); e != nullptr) {
+            e->present_bits &= ~r.dirty_bits;
+            e->dirty_bits &= ~r.dirty_bits;
+            if (e->present_bits == 0) {
+              block_map_.Erase(r.key);
+            }
           }
-        }
-        break;
-      case LogOpType::kSetCleanPage:
-        if (uint64_t* packed = page_map_.Find(r.key); packed != nullptr) {
-          *packed = Pack(PackedPpn(*packed), false);
-        }
-        break;
-      case LogOpType::kSetCleanBlocks:
-        if (BlockEntry* e = block_map_.Find(r.key); e != nullptr) {
-          e->dirty_bits &= ~r.dirty_bits;
-        }
-        break;
-      case LogOpType::kKvInsertSlot:
-      case LogOpType::kKvDeleteSlot:
-        recovered_kv_.log.push_back(r);
-        break;
+          break;
+        case LogOpType::kSetCleanPage:
+          if (uint64_t* packed = page_map_.Find(r.key); packed != nullptr) {
+            *packed = Pack(PackedPpn(*packed), false);
+          }
+          break;
+        case LogOpType::kSetCleanBlocks:
+          if (BlockEntry* e = block_map_.Find(r.key); e != nullptr) {
+            e->dirty_bits &= ~r.dirty_bits;
+          }
+          break;
+        case LogOpType::kKvInsertSlot:
+        case LogOpType::kKvDeleteSlot:
+          // KV slot-directory records are opaque to the SSC's own maps; they
+          // are handed to the KV layer, which rebuilds after the device.
+          recovered_kv_.push_back(r);
+          break;
+      }
     }
   }
 
@@ -909,34 +853,20 @@ Status SscDevice::Recover() {
   return Status::kOk;
 }
 
-std::vector<CheckpointEntry> SscDevice::SnapshotForCheckpoint() const {
+std::vector<LogRecord> SscDevice::SnapshotForCheckpoint() const {
   // Only forward mappings are checkpointed (Section 4.2.2); reverse maps and
   // block state live in OOB areas and are reconstructed at recovery.
-  std::vector<CheckpointEntry> entries;
-  entries.reserve(page_map_.size() + block_map_.size());
-  page_map_.ForEach([&entries](Lbn lbn, uint64_t packed) {
-    CheckpointEntry e;
-    e.block_level = false;
-    e.key = lbn;
-    e.ppn = PackedPpn(packed);
-    e.dirty_bits = PackedDirty(packed) ? 1 : 0;
-    entries.push_back(e);
-  });
-  const FlashGeometry& g = device_->geometry();
-  block_map_.ForEach([&entries, &g](uint64_t logical, const BlockEntry& be) {
-    CheckpointEntry e;
-    e.block_level = true;
-    e.key = logical;
-    e.ppn = g.FirstPpnOf(be.phys);
-    e.present_bits = be.present_bits;
-    e.dirty_bits = be.dirty_bits;
-    entries.push_back(e);
+  std::vector<LogRecord> records;
+  records.reserve(page_map_.size() + block_map_.size());
+  page_map_.ForEach(
+      [&records](Lbn lbn, uint64_t packed) { records.push_back(PageInsertRecord(lbn, packed)); });
+  block_map_.ForEach([this, &records](uint64_t logical, const BlockEntry& e) {
+    records.push_back(BlockInsertRecord(logical, e));
   });
   if (kv_snapshot_source_) {
-    std::vector<CheckpointEntry> kv_entries = kv_snapshot_source_();
-    entries.insert(entries.end(), kv_entries.begin(), kv_entries.end());
+    kv_snapshot_source_(&records);
   }
-  return entries;
+  return records;
 }
 
 // ---------------------------------------------------------------------------

@@ -277,22 +277,20 @@ class SscDevice : public HybridFtl<SscDevice> {
   // the same group-commit/checkpoint machinery, so G1–G3 extend to objects.
   PersistenceManager* persist() { return persist_.get(); }
 
-  // Installed by the KV layer: materializes kv-flagged checkpoint entries so
-  // device checkpoints subsume the KV slot directory too (a checkpoint that
-  // truncated the log without them would silently forget every slot).
-  using KvSnapshotSource = std::function<std::vector<CheckpointEntry>()>;
+  // Installed by the KV layer: appends the live slots' kKvInsertSlot records
+  // to a checkpoint after the device's own, so device checkpoints subsume the
+  // KV slot directory too (a checkpoint that truncated the log without them
+  // would silently forget every slot).
+  using KvSnapshotSource = std::function<void(std::vector<LogRecord>*)>;
   void set_kv_snapshot_source(KvSnapshotSource source) {
     kv_snapshot_source_ = std::move(source);
   }
 
-  // KV durable state reconstructed by the most recent Recover(): kv-flagged
-  // checkpoint entries followed by the KV log-tail records in commit order.
-  // The KV layer takes them once, immediately after the device recovers.
-  struct RecoveredKv {
-    std::vector<CheckpointEntry> checkpoint;
-    std::vector<LogRecord> log;
-  };
-  RecoveredKv TakeRecoveredKv() { return std::exchange(recovered_kv_, RecoveredKv{}); }
+  // The KV records the most recent Recover() read, in the order it read
+  // them: the checkpoint's kKvInsertSlot records, then the log tail's KV
+  // records in commit order. The KV layer takes them once, immediately after
+  // the device recovers.
+  std::vector<LogRecord> TakeRecoveredKv() { return std::exchange(recovered_kv_, {}); }
 
   // Runs the checkpoint policy after a KV mutation, snapshotting the device
   // map plus the installed KV directory — the same call the SSC makes after
@@ -403,6 +401,9 @@ class SscDevice : public HybridFtl<SscDevice> {
                         uint64_t dirty_bits);
   // Unmaps the data block of `logical`, if any, and queues it for erasure.
   void RemoveDataBlock(uint64_t logical);
+  // Logs the removal of `logical`'s block mapping and clears the reverse map
+  // of its block `phys`; the caller erases or replaces the block-map entry.
+  void UnmapDataBlock(uint64_t logical, PhysBlock phys);
   // The data block sitting on the least-worn flash (statistically the
   // coldest), walking physical blocks.
   bool ColdestDataBlock(PhysBlock* phys, LogicalBlock* logical) const;
@@ -413,8 +414,19 @@ class SscDevice : public HybridFtl<SscDevice> {
   void MaybeEnduranceMaintenance();
 
   void ChargeExistsScan();
-  std::vector<CheckpointEntry> SnapshotForCheckpoint() const;
-  void LogInsertBlockEntry(uint64_t logical, const BlockEntry& e);
+  // The insert record of a page-map entry (`packed` as the map stores it) and
+  // of a block-map entry: what the log carries when the mapping is made and
+  // what a checkpoint holds while it lives.
+  static LogRecord PageInsertRecord(Lbn lbn, uint64_t packed) {
+    return {.type = LogOpType::kInsertPage,
+            .key = lbn,
+            .ppn = PackedPpn(packed),
+            .dirty_bits = PackedDirty(packed) ? 1u : 0u};
+  }
+  LogRecord BlockInsertRecord(uint64_t logical, const BlockEntry& e) const;
+  // The checkpoint: page-map, then block-map insert records, then the KV
+  // slot directory's.
+  std::vector<LogRecord> SnapshotForCheckpoint() const;
   // Runs the audit hook if a GC pass or checkpoint happened since the last
   // audit. Call only from quiescent points (end of a host operation).
   void MaybeAudit();
@@ -445,7 +457,7 @@ class SscDevice : public HybridFtl<SscDevice> {
   LossListener* loss_listener_ = nullptr;
   DataLossHook data_loss_hook_;
   KvSnapshotSource kv_snapshot_source_;
-  RecoveredKv recovered_kv_;
+  std::vector<LogRecord> recovered_kv_;
   uint64_t last_audited_gc_ = 0;
   uint64_t last_audited_checkpoints_ = 0;
 };

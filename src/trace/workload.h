@@ -161,7 +161,6 @@ class KvZipfWorkload final : public KvTraceSource {
   uint64_t size_hint() const override { return profile_.total_ops; }
 
   const KvWorkloadProfile& profile() const { return profile_; }
-  uint32_t SizeOfKeyIndex(uint64_t index) const { return sizes_[index]; }
 
  private:
   KvWorkloadProfile profile_;

@@ -1,6 +1,7 @@
 #include "src/util/args.h"
 
 #include <cstdlib>
+#include <type_traits>
 
 namespace flashtier {
 
@@ -29,44 +30,44 @@ std::string ArgParser::GetString(const std::string& name, const std::string& def
   return it == values_.end() ? def : it->second;
 }
 
-int64_t ArgParser::GetInt(const std::string& name, int64_t def) const {
+template <typename T>
+T ArgParser::GetNumber(const std::string& name, T def, bool positive) {
   const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 0);
+  if (it == values_.end()) {
+    return def;
+  }
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  T v;
+  if constexpr (std::is_integral_v<T>) {
+    v = std::strtoll(text, &end, 0);
+  } else {
+    v = std::strtod(text, &end);
+  }
+  if (end == text || *end != '\0' || (positive && v <= 0)) {
+    const char* what = std::is_integral_v<T> ? (positive ? "a positive integer" : "an integer")
+                                             : (positive ? "a positive number" : "a number");
+    ok_ = false;
+    error_ = "--" + name + " must be " + what + ", got: " + it->second;
+    return def;
+  }
+  return v;
 }
 
-double ArgParser::GetDouble(const std::string& name, double def) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+int64_t ArgParser::GetInt(const std::string& name, int64_t def) {
+  return GetNumber(name, def, /*positive=*/false);
+}
+
+double ArgParser::GetDouble(const std::string& name, double def) {
+  return GetNumber(name, def, /*positive=*/false);
 }
 
 int64_t ArgParser::GetPositiveInt(const std::string& name, int64_t def) {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return def;
-  }
-  char* end = nullptr;
-  const int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-  if (end == it->second.c_str() || *end != '\0' || v <= 0) {
-    ok_ = false;
-    error_ = "--" + name + " must be a positive integer, got: " + it->second;
-    return def;
-  }
-  return v;
+  return GetNumber(name, def, /*positive=*/true);
 }
 
 double ArgParser::GetPositiveDouble(const std::string& name, double def) {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return def;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0' || v <= 0.0) {
-    ok_ = false;
-    error_ = "--" + name + " must be a positive number, got: " + it->second;
-    return def;
-  }
-  return v;
+  return GetNumber(name, def, /*positive=*/true);
 }
 
 std::vector<std::string> ArgParser::UnknownFlags(

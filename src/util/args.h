@@ -28,14 +28,17 @@ class ArgParser {
   bool Has(const std::string& name) const { return values_.count(name) != 0; }
 
   std::string GetString(const std::string& name, const std::string& def) const;
-  int64_t GetInt(const std::string& name, int64_t def) const;
-  double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
 
-  // Validated variants for sizes and counts: a supplied value that is zero,
-  // negative, or not a number marks the parser failed (ok() turns false and
-  // error() explains which flag; the moral equivalent of kInvalidArgument).
-  // An absent flag still returns `def` unchecked.
+  // Numeric flags. The whole value must parse (integers in base 0: decimal,
+  // 0x hex or 0 octal), so "12x", "abc" or an empty value is refused rather
+  // than read as a prefix or as 0: a refused value marks the parser failed
+  // (ok() turns false and error() names the flag; the moral equivalent of
+  // kInvalidArgument) and returns `def`. The positive variants, for sizes
+  // and counts, also refuse zero and negative values. An absent flag returns
+  // `def` unchecked. Callers check ok() after their last read.
+  int64_t GetInt(const std::string& name, int64_t def);
+  double GetDouble(const std::string& name, double def);
   int64_t GetPositiveInt(const std::string& name, int64_t def);
   double GetPositiveDouble(const std::string& name, double def);
 
@@ -45,6 +48,10 @@ class ArgParser {
   std::vector<std::string> UnknownFlags(std::initializer_list<std::string_view> known) const;
 
  private:
+  // The one strict numeric reader behind the four getters above.
+  template <typename T>
+  T GetNumber(const std::string& name, T def, bool positive);
+
   std::map<std::string, std::string> values_;
   bool ok_ = true;
   std::string error_;

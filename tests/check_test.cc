@@ -22,6 +22,7 @@
 #include "src/check/kv_check.h"
 #include "src/check/soak.h"
 #include "src/disk/disk_model.h"
+#include "src/kv/kv_cache.h"
 #include "src/ssc/ssc_device.h"
 #include "src/ssd/ssd_ftl.h"
 #include "src/util/rng.h"
@@ -54,6 +55,12 @@ class CheckTestPeer {
     }
     std::swap(pm.durable_log_.front().lsn, pm.durable_log_.back().lsn);
     return true;
+  }
+
+  // Rewrites the type of record `index` in the first segment of the current
+  // checkpoint, leaving the segment's stored CRC stale.
+  static void RotCheckpointRecordType(PersistenceManager& pm, size_t index, LogOpType type) {
+    pm.regions_[pm.current_region_].front().records[index].type = type;
   }
 
   static void InsertDirtyTableEntry(WriteBackManager& manager, Lbn lbn) {
@@ -153,7 +160,6 @@ TEST(InvariantCheckerTest, DetectsLsnOrderViolation) {
   PersistenceManager pm(opts, FlashTimings{}, &clock);
   for (int i = 0; i < 4; ++i) {
     LogRecord rec;
-    rec.lsn = pm.NextLsn();
     rec.type = LogOpType::kInsertPage;
     rec.key = static_cast<Lbn>(i);
     pm.Append(rec, /*sync=*/true);
@@ -163,6 +169,26 @@ TEST(InvariantCheckerTest, DetectsLsnOrderViolation) {
   const CheckReport report = InvariantChecker::CheckPersistence(pm);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(HasInvariant(report, "persist.lsn-monotone")) << report.ToString();
+}
+
+// The segment CRC covers each record's type: a KV slot record rotted into a
+// page-map insert fails its segment instead of loading as an SSC mapping.
+TEST(CheckpointCrcTest, RottedRecordTypeFailsItsSegment) {
+  SimClock clock;
+  PersistenceManager pm(PersistenceManager::Options{}, FlashTimings{}, &clock);
+  pm.WriteCheckpoint({{.type = LogOpType::kKvInsertSlot,
+                       .key = 42,
+                       .ppn = 7,
+                       .present_bits = KvShard::PackSlotMeta(0, 64, 0, false),
+                       .dirty_bits = 0xC0FFEE}});
+  CheckTestPeer::RotCheckpointRecordType(pm, 0, LogOpType::kInsertPage);
+  std::vector<LogRecord> checkpoint;
+  std::vector<LogRecord> tail;
+  pm.Recover(&checkpoint, &tail);
+  EXPECT_EQ(pm.stats().segment_fallbacks, 1u);
+  EXPECT_TRUE(std::none_of(checkpoint.begin(), checkpoint.end(), [](const LogRecord& r) {
+    return r.type == LogOpType::kInsertPage;
+  }));
 }
 
 TEST(InvariantCheckerTest, DetectsDirtyTableDisagreementBothWays) {

@@ -16,9 +16,8 @@ PersistenceManager::Options SmallOptions(ConsistencyMode mode = ConsistencyMode:
   return o;
 }
 
-LogRecord MakeRecord(uint64_t lsn, Lbn key) {
+LogRecord MakeRecord(Lbn key) {
   LogRecord r;
-  r.lsn = lsn;
   r.type = LogOpType::kInsertPage;
   r.key = key;
   r.ppn = key * 2;
@@ -29,7 +28,7 @@ LogRecord MakeRecord(uint64_t lsn, Lbn key) {
 TEST(PersistTest, SyncAppendIsImmediatelyDurable) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
-  pm.Append(MakeRecord(pm.NextLsn(), 1), /*sync=*/true);
+  pm.Append(MakeRecord(1), /*sync=*/true);
   EXPECT_EQ(pm.durable_log_records(), 1u);
   EXPECT_EQ(pm.buffered_records(), 0u);
   EXPECT_EQ(pm.stats().sync_commits, 1u);
@@ -39,11 +38,11 @@ TEST(PersistTest, AsyncAppendsBufferUntilGroupCommit) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
   for (int i = 0; i < 9; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+    pm.Append(MakeRecord(i), /*sync=*/false);
   }
   EXPECT_EQ(pm.buffered_records(), 9u);
   EXPECT_EQ(pm.durable_log_records(), 0u);
-  pm.Append(MakeRecord(pm.NextLsn(), 9), /*sync=*/false);  // 10th triggers commit
+  pm.Append(MakeRecord(9), /*sync=*/false);  // 10th triggers commit
   EXPECT_EQ(pm.buffered_records(), 0u);
   EXPECT_EQ(pm.durable_log_records(), 10u);
   EXPECT_EQ(pm.stats().group_commits, 1u);
@@ -52,8 +51,8 @@ TEST(PersistTest, AsyncAppendsBufferUntilGroupCommit) {
 TEST(PersistTest, SyncFlushCoversEarlierBufferedRecords) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
-  pm.Append(MakeRecord(pm.NextLsn(), 1), /*sync=*/false);
-  pm.Append(MakeRecord(pm.NextLsn(), 2), /*sync=*/true);
+  pm.Append(MakeRecord(1), /*sync=*/false);
+  pm.Append(MakeRecord(2), /*sync=*/true);
   EXPECT_EQ(pm.durable_log_records(), 2u);
 }
 
@@ -62,7 +61,7 @@ TEST(PersistTest, SmallSyncCommitUsesAtomicWriteLatency) {
   FlashTimings timings;
   PersistenceManager pm(SmallOptions(), timings, &clock);
   const uint64_t t0 = clock.now_us();
-  pm.Append(MakeRecord(pm.NextLsn(), 1), /*sync=*/true);
+  pm.Append(MakeRecord(1), /*sync=*/true);
   EXPECT_EQ(clock.now_us() - t0, timings.atomic_write_us);
 }
 
@@ -73,7 +72,7 @@ TEST(PersistTest, LargeGroupCommitPaysPageWrites) {
   opts.group_commit_ops = 1000;  // 1000 * 41 B > two pages
   PersistenceManager pm(opts, timings, &clock);
   for (int i = 0; i < 999; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+    pm.Append(MakeRecord(i), /*sync=*/false);
   }
   const uint64_t t0 = clock.now_us();
   pm.Flush();
@@ -84,7 +83,7 @@ TEST(PersistTest, LargeGroupCommitPaysPageWrites) {
 TEST(PersistTest, NoneModeDropsEverythingSilently) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(ConsistencyMode::kNone), FlashTimings{}, &clock);
-  pm.Append(MakeRecord(pm.NextLsn(), 1), /*sync=*/true);
+  pm.Append(MakeRecord(1), /*sync=*/true);
   EXPECT_EQ(pm.durable_log_records(), 0u);
   EXPECT_EQ(pm.stats().records_logged, 0u);
   EXPECT_EQ(clock.now_us(), 0u);  // no media cost either
@@ -93,11 +92,11 @@ TEST(PersistTest, NoneModeDropsEverythingSilently) {
 TEST(PersistTest, CrashDropsOnlyBufferedRecords) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
-  pm.Append(MakeRecord(pm.NextLsn(), 1), /*sync=*/true);
-  pm.Append(MakeRecord(pm.NextLsn(), 2), /*sync=*/false);
+  pm.Append(MakeRecord(1), /*sync=*/true);
+  pm.Append(MakeRecord(2), /*sync=*/false);
   pm.Crash();
   EXPECT_EQ(pm.stats().records_lost_in_crash, 1u);
-  std::vector<CheckpointEntry> ckpt;
+  std::vector<LogRecord> ckpt;
   std::vector<LogRecord> tail;
   pm.Recover(&ckpt, &tail);
   ASSERT_EQ(tail.size(), 1u);
@@ -108,9 +107,9 @@ TEST(PersistTest, CheckpointTruncatesLogAndSubsumesBuffer) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
   for (int i = 0; i < 25; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+    pm.Append(MakeRecord(i), /*sync=*/false);
   }
-  std::vector<CheckpointEntry> entries(3);
+  std::vector<LogRecord> entries(3);
   entries[0].key = 100;
   pm.WriteCheckpoint(entries);
   EXPECT_EQ(pm.durable_log_records(), 0u);
@@ -118,14 +117,15 @@ TEST(PersistTest, CheckpointTruncatesLogAndSubsumesBuffer) {
   EXPECT_EQ(pm.stats().checkpoints, 1u);
 
   // Records after the checkpoint replay; records before it do not.
-  pm.Append(MakeRecord(pm.NextLsn(), 777), /*sync=*/true);
-  std::vector<CheckpointEntry> ckpt;
+  pm.Append(MakeRecord(777), /*sync=*/true);
+  std::vector<LogRecord> ckpt;
   std::vector<LogRecord> tail;
   pm.Recover(&ckpt, &tail);
   EXPECT_EQ(ckpt.size(), 3u);
   EXPECT_EQ(ckpt[0].key, 100u);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].key, 777u);
+  EXPECT_EQ(tail[0].lsn, 26u);  // numbering runs on across the checkpoint
 }
 
 TEST(PersistTest, MaybeCheckpointHonorsWriteInterval) {
@@ -135,12 +135,12 @@ TEST(PersistTest, MaybeCheckpointHonorsWriteInterval) {
   PersistenceManager pm(opts, FlashTimings{}, &clock);
   int snapshots_taken = 0;
   for (int i = 0; i < 120; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+    pm.Append(MakeRecord(i), /*sync=*/false);
     // Large snapshots keep the log-size ratio rule quiet, isolating the
     // write-interval rule.
     pm.MaybeCheckpoint([&snapshots_taken] {
       ++snapshots_taken;
-      return std::vector<CheckpointEntry>(100'000);
+      return std::vector<LogRecord>(100'000);
     });
   }
   EXPECT_EQ(snapshots_taken, 2);  // at writes 50 and 100
@@ -155,13 +155,13 @@ TEST(PersistTest, MaybeCheckpointHonorsLogSizeRatio) {
   // First checkpoint establishes a small checkpoint size (10 entries = 330
   // bytes); then a log > 2/3 of that (just a handful of 41-byte records)
   // must trigger the next one.
-  pm.WriteCheckpoint(std::vector<CheckpointEntry>(10));
+  pm.WriteCheckpoint(std::vector<LogRecord>(10));
   int snapshots_taken = 0;
   for (int i = 0; i < 100 && snapshots_taken == 0; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+    pm.Append(MakeRecord(i), /*sync=*/false);
     pm.MaybeCheckpoint([&snapshots_taken] {
       ++snapshots_taken;
-      return std::vector<CheckpointEntry>(10);
+      return std::vector<LogRecord>(10);
     });
   }
   EXPECT_EQ(snapshots_taken, 1);
@@ -171,20 +171,20 @@ TEST(PersistTest, RecoveryChargesMediaReads) {
   SimClock clock;
   FlashTimings timings;
   PersistenceManager pm(SmallOptions(), timings, &clock);
-  pm.WriteCheckpoint(std::vector<CheckpointEntry>(1000));
+  pm.WriteCheckpoint(std::vector<LogRecord>(1000));
   for (int i = 0; i < 500; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+    pm.Append(MakeRecord(i), /*sync=*/false);
   }
   pm.Flush();
   pm.Crash();
-  std::vector<CheckpointEntry> ckpt;
+  std::vector<LogRecord> ckpt;
   std::vector<LogRecord> tail;
   pm.Recover(&ckpt, &tail);
   EXPECT_GT(pm.stats().last_recovery_us, 0u);
   // Bigger state must take longer to recover.
   SimClock clock2;
   PersistenceManager pm2(SmallOptions(), timings, &clock2);
-  pm2.WriteCheckpoint(std::vector<CheckpointEntry>(100'000));
+  pm2.WriteCheckpoint(std::vector<LogRecord>(100'000));
   pm2.Crash();
   pm2.Recover(&ckpt, &tail);
   EXPECT_GT(pm2.stats().last_recovery_us, pm.stats().last_recovery_us);
@@ -195,14 +195,14 @@ TEST(PersistTest, RelaxedCleanCrashWithPartialGroupCommitBufferLosesOnlyBuffer) 
   // group-commit buffer must lose exactly those records and nothing durable.
   SimClock clock;
   PersistenceManager pm(SmallOptions(ConsistencyMode::kRelaxedClean), FlashTimings{}, &clock);
-  pm.Append(MakeRecord(pm.NextLsn(), 1), /*sync=*/true);  // an overwrite: sync
+  pm.Append(MakeRecord(1), /*sync=*/true);  // an overwrite: sync
   for (int i = 0; i < 7; ++i) {  // seven buffered clean inserts (< 10)
-    pm.Append(MakeRecord(pm.NextLsn(), 100 + i), /*sync=*/false);
+    pm.Append(MakeRecord(100 + i), /*sync=*/false);
   }
   ASSERT_EQ(pm.buffered_records(), 7u);
   pm.Crash();
   EXPECT_EQ(pm.stats().records_lost_in_crash, 7u);
-  std::vector<CheckpointEntry> ckpt;
+  std::vector<LogRecord> ckpt;
   std::vector<LogRecord> tail;
   pm.Recover(&ckpt, &tail);
   EXPECT_TRUE(ckpt.empty());
@@ -217,18 +217,18 @@ TEST(PersistTest, CheckpointRatioBoundaryIsStrict) {
   // itself must not trigger; the 23rd record must.
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
-  pm.WriteCheckpoint(std::vector<CheckpointEntry>(45));
+  pm.WriteCheckpoint(std::vector<LogRecord>(45));
   int snapshots_taken = 0;
   const auto snapshot = [&snapshots_taken] {
     ++snapshots_taken;
-    return std::vector<CheckpointEntry>(45);
+    return std::vector<LogRecord>(45);
   };
   for (int i = 0; i < 22; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/true);
+    pm.Append(MakeRecord(i), /*sync=*/true);
     pm.MaybeCheckpoint(snapshot);
   }
   EXPECT_EQ(snapshots_taken, 0);  // exactly at the boundary: no checkpoint
-  pm.Append(MakeRecord(pm.NextLsn(), 22), /*sync=*/true);
+  pm.Append(MakeRecord(22), /*sync=*/true);
   pm.MaybeCheckpoint(snapshot);
   EXPECT_EQ(snapshots_taken, 1);  // one byte past: checkpoint
 }
@@ -239,10 +239,10 @@ TEST(PersistTest, RecoveryWithEmptyCheckpointRegionReplaysWholeLog) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
   for (int i = 0; i < 5; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/true);
+    pm.Append(MakeRecord(i), /*sync=*/true);
   }
   pm.Crash();
-  std::vector<CheckpointEntry> ckpt;
+  std::vector<LogRecord> ckpt;
   std::vector<LogRecord> tail;
   pm.Recover(&ckpt, &tail);
   EXPECT_TRUE(ckpt.empty());
@@ -262,12 +262,12 @@ TEST(PersistTest, AtomicBatchDefersGroupCommit) {
   {
     PersistenceManager::AtomicBatchScope batch(&pm);
     for (int i = 0; i < 15; ++i) {  // past the threshold of 10
-      pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+      pm.Append(MakeRecord(i), /*sync=*/false);
     }
     EXPECT_EQ(pm.buffered_records(), 15u);
     EXPECT_EQ(pm.durable_log_records(), 0u);
   }
-  pm.Append(MakeRecord(pm.NextLsn(), 99), /*sync=*/false);
+  pm.Append(MakeRecord(99), /*sync=*/false);
   EXPECT_EQ(pm.buffered_records(), 0u);
   EXPECT_EQ(pm.durable_log_records(), 16u);
 }
@@ -278,14 +278,14 @@ TEST(PersistTest, ExplicitFlushInsideAtomicBatchStillFlushes) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
   PersistenceManager::AtomicBatchScope batch(&pm);
-  pm.Append(MakeRecord(pm.NextLsn(), 1), /*sync=*/false);
+  pm.Append(MakeRecord(1), /*sync=*/false);
   pm.Flush();
   EXPECT_EQ(pm.durable_log_records(), 1u);
   EXPECT_EQ(pm.buffered_records(), 0u);
 }
 
-std::vector<CheckpointEntry> MakeEntries(Lbn base, size_t n) {
-  std::vector<CheckpointEntry> v(n);
+std::vector<LogRecord> MakeEntries(Lbn base, size_t n) {
+  std::vector<LogRecord> v(n);
   for (size_t i = 0; i < n; ++i) {
     v[i].key = base + i;
     v[i].ppn = (base + i) * 2;
@@ -302,9 +302,9 @@ TEST(PersistTest, LogRegionExactlyFullBatchStillFlushes) {
   opts.group_commit_ops = 1000;  // flush timing controlled by the test
   opts.log_region_pages = 1;
   PersistenceManager pm(opts, FlashTimings{}, &clock);
-  pm.set_checkpoint_source([] { return std::vector<CheckpointEntry>(3); });
+  pm.set_checkpoint_source([] { return std::vector<LogRecord>(3); });
   for (int i = 0; i < 91; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+    pm.Append(MakeRecord(i), /*sync=*/false);
   }
   pm.Flush();
   EXPECT_EQ(pm.durable_log_records(), 91u);
@@ -312,7 +312,7 @@ TEST(PersistTest, LogRegionExactlyFullBatchStillFlushes) {
   EXPECT_EQ(pm.stats().checkpoints, 0u);
   EXPECT_EQ(pm.stats().log_full_events, 0u);
 
-  pm.Append(MakeRecord(pm.NextLsn(), 91), /*sync=*/false);
+  pm.Append(MakeRecord(91), /*sync=*/false);
   pm.Flush();
   EXPECT_EQ(pm.stats().checkpoints, 1u);
   EXPECT_EQ(pm.stats().log_full_events, 1u);
@@ -330,13 +330,13 @@ TEST(PersistTest, AdmitHostOpThrottlesWhenFullAndReleasesAfterDrain) {
   opts.group_commit_ops = 1000;
   opts.log_region_pages = 1;
   PersistenceManager pm(opts, FlashTimings{}, &clock);
-  pm.set_checkpoint_source([] { return std::vector<CheckpointEntry>(3); });
+  pm.set_checkpoint_source([] { return std::vector<LogRecord>(3); });
   EXPECT_TRUE(pm.AdmitHostOp());
   // 88 durable records fit in the page, but not with AdmitHostOp's 4-record
   // margin for the internal records a host op can trigger: the op is refused
   // before it has any side effects to tear.
   for (int i = 0; i < 88; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/false);
+    pm.Append(MakeRecord(i), /*sync=*/false);
   }
   pm.Flush();
   EXPECT_EQ(pm.durable_log_records(), 88u);
@@ -356,14 +356,14 @@ TEST(PersistTest, HighWaterForcesCheckpointBeforeRegionFills) {
   PersistenceManager pm(opts, FlashTimings{}, &clock);
   // A huge first checkpoint keeps the size-ratio rule quiet and SmallOptions
   // disables the write-interval rule, isolating the region trigger.
-  pm.WriteCheckpoint(std::vector<CheckpointEntry>(100'000));
+  pm.WriteCheckpoint(std::vector<LogRecord>(100'000));
   int snapshots_taken = 0;
   int appends = 0;
   while (snapshots_taken == 0 && appends < 400) {
-    pm.Append(MakeRecord(pm.NextLsn(), appends++), /*sync=*/true);
+    pm.Append(MakeRecord(appends++), /*sync=*/true);
     pm.MaybeCheckpoint([&snapshots_taken] {
       ++snapshots_taken;
-      return std::vector<CheckpointEntry>(100'000);
+      return std::vector<LogRecord>(100'000);
     });
   }
   EXPECT_EQ(snapshots_taken, 1);
@@ -381,14 +381,14 @@ TEST(PersistTest, TornCheckpointSegmentFallsBackToPreviousGeneration) {
   PersistenceManager pm(opts, FlashTimings{}, &clock);
   pm.WriteCheckpoint(MakeEntries(100, 12));  // gen 1: 3 segments
   for (int i = 0; i < 4; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), 500 + i), /*sync=*/true);
+    pm.Append(MakeRecord(500 + i), /*sync=*/true);
   }
   pm.WriteCheckpoint(MakeEntries(200, 12));  // gen 2; retains gen-1 log interval
-  pm.Append(MakeRecord(pm.NextLsn(), 600), /*sync=*/true);
+  pm.Append(MakeRecord(600), /*sync=*/true);
 
   pm.CorruptCheckpointForTesting(/*segment=*/1);
   pm.Crash();
-  std::vector<CheckpointEntry> ckpt;
+  std::vector<LogRecord> ckpt;
   std::vector<LogRecord> tail;
   pm.Recover(&ckpt, &tail);
 
@@ -416,17 +416,17 @@ TEST(PersistTest, DoublyTornSegmentDegradesToEmptySliceAndFullReplay) {
   PersistenceManager pm(opts, FlashTimings{}, &clock);
   pm.WriteCheckpoint(MakeEntries(100, 12));
   for (int i = 0; i < 4; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), 500 + i), /*sync=*/true);
+    pm.Append(MakeRecord(500 + i), /*sync=*/true);
   }
   pm.WriteCheckpoint(MakeEntries(200, 12));
-  pm.Append(MakeRecord(pm.NextLsn(), 600), /*sync=*/true);
+  pm.Append(MakeRecord(600), /*sync=*/true);
 
   // Both generations of segment 1 are rotted: that slice is irrecoverable
   // and degrades to empty, with every retained record replayed.
   pm.CorruptCheckpointForTesting(/*segment=*/1);
   pm.CorruptPrevCheckpointForTesting(/*segment=*/1);
   pm.Crash();
-  std::vector<CheckpointEntry> ckpt;
+  std::vector<LogRecord> ckpt;
   std::vector<LogRecord> tail;
   pm.Recover(&ckpt, &tail);
 
@@ -441,11 +441,11 @@ TEST(PersistTest, CorruptLogTailSkipsExactlyThoseRecords) {
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
   for (int i = 0; i < 6; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), i), /*sync=*/true);
+    pm.Append(MakeRecord(i), /*sync=*/true);
   }
   pm.CorruptLogTailForTesting(2);  // the slice a torn flush would mangle
   pm.Crash();
-  std::vector<CheckpointEntry> ckpt;
+  std::vector<LogRecord> ckpt;
   std::vector<LogRecord> tail;
   pm.Recover(&ckpt, &tail);
   ASSERT_EQ(tail.size(), 4u);
@@ -463,13 +463,13 @@ TEST(PersistTest, RecoveryIsIdempotent) {
   PersistenceManager pm(opts, FlashTimings{}, &clock);
   pm.WriteCheckpoint(MakeEntries(100, 10));
   for (int i = 0; i < 6; ++i) {
-    pm.Append(MakeRecord(pm.NextLsn(), 300 + i), /*sync=*/true);
+    pm.Append(MakeRecord(300 + i), /*sync=*/true);
   }
   pm.CorruptDurableRecordForTesting(2);
   pm.Crash();
 
-  std::vector<CheckpointEntry> c1;
-  std::vector<CheckpointEntry> c2;
+  std::vector<LogRecord> c1;
+  std::vector<LogRecord> c2;
   std::vector<LogRecord> t1;
   std::vector<LogRecord> t2;
   pm.Recover(&c1, &t1);
@@ -503,13 +503,19 @@ TEST(PersistTest, RecoveryIsIdempotent) {
 }
 
 TEST(PersistTest, LsnsAreMonotone) {
+  // Append numbers each record with the next LSN, starting at 1.
   SimClock clock;
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
-  uint64_t prev = 0;
   for (int i = 0; i < 100; ++i) {
-    const uint64_t lsn = pm.NextLsn();
-    EXPECT_GT(lsn, prev);
-    prev = lsn;
+    pm.Append(MakeRecord(i), /*sync=*/false);
+  }
+  pm.Flush();
+  std::vector<LogRecord> ckpt;
+  std::vector<LogRecord> tail;
+  pm.Recover(&ckpt, &tail);
+  ASSERT_EQ(tail.size(), 100u);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].lsn, i + 1);
   }
 }
 

@@ -4,7 +4,7 @@
 # file must read back with exit 0 and a `records` line equal to the count
 # trace_gen reports writing, and trace_stat must refuse (exit 1) a copy with
 # one record byte flipped. trace_stat must also refuse (exit 2) an unknown
-# flag and a --top outside (0, 1].
+# flag, a --top outside (0, 1] and a --top that is not a number.
 #
 # usage: tests/trace_tools.sh TRACE_GEN TRACE_STAT
 set -u
@@ -65,7 +65,7 @@ check() {
 check homes.fttr --workload=homes --scale=0.001
 check kv.ftkv --workload=kv-zipf --ops=2000 --keys=500
 
-for flag in --topp=0.5 --top=2 --top=-1; do
+for flag in --topp=0.5 --top=2 --top=-1 --top=abc; do
   "$stat" --in="$tmp/homes.fttr" "$flag" > /dev/null 2>&1
   code=$?
   if [ "$code" -ne 2 ]; then

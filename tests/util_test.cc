@@ -534,5 +534,33 @@ TEST(ArgParserTest, DoubleParsing) {
   EXPECT_DOUBLE_EQ(args.GetDouble("scale", 1.0), 0.25);
 }
 
+// A numeric value must parse whole: a trailing letter, a word or an empty
+// value is refused, not read as its numeric prefix or as 0. The reader
+// returns the default and fails the parser, naming the flag.
+TEST(ArgParserTest, RefusesNumbersThatDoNotParseWhole) {
+  for (const char* bad : {"--n=12x", "--n=abc", "--n="}) {
+    const char* argv[] = {"prog", bad};
+    ArgParser ints(2, const_cast<char**>(argv));
+    EXPECT_EQ(ints.GetInt("n", 7), 7) << bad;
+    EXPECT_FALSE(ints.ok()) << bad;
+    EXPECT_NE(ints.error().find("--n"), std::string::npos) << bad;
+    ArgParser doubles(2, const_cast<char**>(argv));
+    EXPECT_DOUBLE_EQ(doubles.GetDouble("n", 0.5), 0.5) << bad;
+    EXPECT_FALSE(doubles.ok()) << bad;
+  }
+}
+
+TEST(ArgParserTest, AcceptsHexNegativeAndExponentValues) {
+  const char* argv[] = {"prog", "--hex=0x10", "--neg=-3", "--exp=2.5e-3"};
+  ArgParser args(4, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetInt("hex", 0), 16);
+  EXPECT_EQ(args.GetInt("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(args.GetDouble("exp", 0.0), 2.5e-3);
+  EXPECT_TRUE(args.ok());
+  // The positive readers parse the same way but refuse what is not above 0.
+  EXPECT_EQ(args.GetPositiveInt("neg", 1), 1);
+  EXPECT_FALSE(args.ok());
+}
+
 }  // namespace
 }  // namespace flashtier

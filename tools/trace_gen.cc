@@ -134,8 +134,9 @@ int main(int argc, char** argv) {
     return UsageError(detail.c_str());
   }
   if (!args.ok()) {
-    // A zero or negative size would make the generator spin forever or emit
-    // an empty trace; fail loudly instead (INVALID_ARGUMENT).
+    // A value that is not a number, or a zero or negative size (which would
+    // make the generator spin forever or emit an empty trace), fails loudly
+    // instead (INVALID_ARGUMENT).
     return UsageError(args.error().c_str());
   }
 

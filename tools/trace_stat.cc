@@ -110,6 +110,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double top = args.GetDouble("top", 0.25);
+  if (!args.ok()) {
+    return UsageError(args.error().c_str());
+  }
   if (!(top > 0.0 && top <= 1.0)) {
     return UsageError("--top must be in (0, 1]");
   }
