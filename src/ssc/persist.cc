@@ -8,19 +8,14 @@ PersistenceManager::PersistenceManager(const Options& options, const FlashTiming
                                        SimClock* clock)
     : options_(options), timings_(timings), clock_(clock) {}
 
-namespace {
-
-// Extends `crc` over a record's payload: type, key, ppn and both bitmaps.
-uint32_t PayloadCrc(uint32_t crc, const LogRecord& r) {
-  const uint64_t fields[] = {static_cast<uint64_t>(r.type), r.key, r.ppn, r.present_bits,
-                             r.dirty_bits};
-  return Crc32c(crc, fields, sizeof(fields));
-}
-
-}  // namespace
-
-uint32_t PersistenceManager::RecordCrc(const LogRecord& record) {
-  return PayloadCrc(Crc32c(&record.lsn, sizeof(record.lsn)), record);
+uint32_t PersistenceManager::RecordCrc(const LogRecord& record, uint32_t seed) {
+  const uint64_t fields[] = {record.lsn,
+                             static_cast<uint64_t>(record.type),
+                             record.key,
+                             record.ppn,
+                             record.present_bits,
+                             record.dirty_bits};
+  return Crc32c(seed, fields, sizeof(fields));
 }
 
 uint32_t PersistenceManager::SegmentCrc(const CheckpointSegment& seg) {
@@ -28,7 +23,7 @@ uint32_t PersistenceManager::SegmentCrc(const CheckpointSegment& seg) {
                              static_cast<uint64_t>(seg.records.size())};
   uint32_t crc = Crc32c(header, sizeof(header));
   for (const LogRecord& r : seg.records) {
-    crc = PayloadCrc(crc, r);
+    crc = RecordCrc(r, crc);
   }
   return crc;
 }

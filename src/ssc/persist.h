@@ -101,8 +101,8 @@ struct CheckpointSegment {
   uint64_t generation = 0;
   uint64_t base_lsn = 0;  // highest LSN this segment's records reflect
   std::vector<LogRecord> records;
-  // CRC32-C over generation, base_lsn, the record count and each record's
-  // type, key, ppn and both bitmaps.
+  // CRC32-C over generation, base_lsn, the record count and every field of
+  // each record (lsn, type, key, ppn, both bitmaps).
   uint32_t crc = 0;
 };
 
@@ -476,7 +476,8 @@ class PersistenceManager {
   void ChargeWrites(uint64_t pages);
   void ChargeReads(uint64_t pages, uint64_t* recovery_us);
   void ChargeLogUs(uint64_t us);
-  static uint32_t RecordCrc(const LogRecord& record);
+  // CRC32-C over every field of `record` but its own crc, extending `seed`.
+  static uint32_t RecordCrc(const LogRecord& record, uint32_t seed = 0);
   static uint32_t SegmentCrc(const CheckpointSegment& seg);
 
   Options options_;
