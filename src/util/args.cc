@@ -38,7 +38,7 @@ T ArgParser::GetNumber(const std::string& name, T def, bool positive) {
   }
   const char* text = it->second.c_str();
   char* end = nullptr;
-  T v;
+  T v{};
   if constexpr (std::is_integral_v<T>) {
     v = std::strtoll(text, &end, 0);
   } else {
