@@ -17,10 +17,12 @@
 //   bench_ablation_admission [--workload=<name>] [--scale=<f>]
 //       [--admission=<name>]     restrict the sweep to one policy
 //       [--system=ssc-wt|ssc-wb] cache manager under test (default ssc-wt)
-//       [--threads=<n>] [--shards=<n>] [--stats-json=FILE]
+//       [--threads=<n>] [--shards=<n>] [--depth=<n>] [--verify]
+//       [--stats-json=FILE]
 //       [--ghost-entries=<n>] [--ghost-misses=<k>]
-//       [--sketch-width=<n>] [--sketch-threshold=<k>]
+//       [--sketch-width=<n>] [--sketch-threshold=<k>] [--admission-seed=<n>]
 //       [--write-rate=<pages/s>] [--write-burst=<pages>]
+//   (each policy's knobs are read only when that policy runs)
 
 #include <cinttypes>
 
@@ -30,18 +32,20 @@ namespace flashtier::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
   const ParallelFlags parallel = GetParallelFlags(args);
   // Knob flags apply to every policy in the sweep; --admission (parsed by
   // the same helper, unknown names exit 2) narrows the sweep to one policy.
-  const PolicyConfig base = GetAdmissionConfig(args);
+  constexpr AdmissionKind kinds[] = {AdmissionKind::kAdmitAll, AdmissionKind::kGhostLru,
+                                     AdmissionKind::kFrequencySketch,
+                                     AdmissionKind::kWriteRateLimiter};
+  const PolicyConfig base = GetAdmissionConfig(args, kinds);
   const bool only_one = args.Has("admission");
-
+  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  const bool verify = args.GetBool("verify", false);
+  const std::string stats_json = args.GetString("stats-json", "");
   const std::string system_name = args.GetString("system", "ssc-wt");
+  args.ExitOnBadFlags();
   SystemType system_type = SystemType::kSscWriteThrough;
   if (system_name == "ssc-wb") {
     system_type = SystemType::kSscWriteBack;
@@ -50,16 +54,12 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
   PrintHeader("Ablation: admission policy vs. flash-write economy");
   std::printf("system under test: %s; flash writes/erases are per replayed request\n\n",
               SystemTypeName(system_type).c_str());
   std::printf("%-8s %-11s %7s %9s %10s %10s %10s %9s\n", "trace", "policy", "miss%",
               "fwrite/op", "erase/kop", "rejects", "regret", "IOPS");
 
-  const AdmissionKind kinds[] = {AdmissionKind::kAdmitAll, AdmissionKind::kGhostLru,
-                                 AdmissionKind::kFrequencySketch,
-                                 AdmissionKind::kWriteRateLimiter};
   for (const WorkloadProfile& profile : profiles) {
     for (AdmissionKind kind : kinds) {
       if (only_one && kind != base.kind) {
@@ -73,11 +73,9 @@ int Main(int argc, char** argv) {
       config.admission = base;
       config.admission.kind = kind;
       FlashTierSystem system(config);
-      const RunResult r = ReplayWorkload(profile, config, &system, 0.15,
-                                         args.GetBool("verify", false), parallel.threads,
-                                         parallel.depth);
-      AppendStatsJson(args.GetString("stats-json", ""), "ablation_admission", profile, config,
-                      &system, r);
+      const RunResult r =
+          ReplayWorkload(profile, config, &system, 0.15, verify, parallel.threads, parallel.depth);
+      AppendStatsJson(stats_json, "ablation_admission", profile, config, &system, r);
 
       const ManagerStats m = system.AggregateManagerStats();
       const FlashStats flash = system.AggregateFlashStats();

@@ -14,7 +14,8 @@
 // Usage:
 //   bench_ablation_diskguard [--workload=<name>] [--scale=<f>]
 //       [--write-fail=<p>]   add a transient write-failure rate to the sweep
-//       [--threads=<n>] [--shards=<n>] [--stats-json=FILE] [--verify]
+//       [--threads=<n>] [--shards=<n>] [--depth=<n>] [--stats-json=FILE]
+//       [--verify]
 
 #include <cinttypes>
 
@@ -24,14 +25,13 @@ namespace flashtier::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
   const ParallelFlags parallel = GetParallelFlags(args);
-  const double write_fail = args.GetDouble("write-fail", 0.0);
+  const double write_fail = args.Get("write-fail", 0.0);
   const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  const bool verify = args.GetBool("verify", false);
+  const std::string stats_json = args.GetString("stats-json", "");
+  args.ExitOnBadFlags();
 
   PrintHeader("Ablation: disk-tier degradation (latent sector errors)");
   std::printf("system under test: SSC-WB; lse = latent failures per disk read\n\n");
@@ -50,11 +50,9 @@ int Main(int argc, char** argv) {
       config.disk_faults.latent_prob = rate;
       config.disk_faults.write_fail_prob = write_fail;
       FlashTierSystem system(config);
-      const RunResult r = ReplayWorkload(profile, config, &system, 0.15,
-                                         args.GetBool("verify", false), parallel.threads,
-                                         parallel.depth);
-      AppendStatsJson(args.GetString("stats-json", ""), "ablation_diskguard", profile, config,
-                      &system, r);
+      const RunResult r =
+          ReplayWorkload(profile, config, &system, 0.15, verify, parallel.threads, parallel.depth);
+      AppendStatsJson(stats_json, "ablation_diskguard", profile, config, &system, r);
 
       const ManagerStats m = system.AggregateManagerStats();
       const DiskStats d = system.AggregateDiskStats();

@@ -5,7 +5,8 @@
 //   * victims reclaimed per GC cycle (top-k),
 //   * the SE-Merge log ceiling (max_log_fraction).
 // Reports IOPS, erases, copies and miss rate so the contribution of each
-// mechanism is visible in isolation.
+// mechanism is visible in isolation. Its one flag, --scale (default 0.5),
+// multiplies mail's default scale.
 
 #include <cinttypes>
 
@@ -71,13 +72,9 @@ Result Run(const WorkloadProfile& profile, EvictionPolicy policy, uint32_t top_k
 }
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
-  const double scale = args.GetDouble("scale", 0.5);
-  ExitOnBadFlags(args);
+  const ArgParser args(argc, argv);
+  const double scale = args.GetPositive("scale", 0.5);
+  args.ExitOnBadFlags();
   PrintHeader("Ablation: silent-eviction policy knobs (write-through, mail workload)");
   const WorkloadProfile profile = MailProfile(DefaultScale("mail") * scale);
 

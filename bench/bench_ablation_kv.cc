@@ -18,7 +18,8 @@
 //
 // Usage:
 //   bench_ablation_kv [--scale=<f>] [--ops=<n>] [--keys=<n>]
-//       [--admission=<name>]   restrict the sweep to one policy
+//       [--admission=<name>]   restrict the sweep to one policy (the
+//                              knobs of ghost-lru and freq-sketch apply)
 //       [--placement=<name>]   restrict to naive | packed-1 | packed-2 | packed-4
 //       [--capacity-pages=<n>] per-cache flash pages (default 1024)
 //       [--dirty]              replay Sets as write-back (dirty) objects
@@ -64,28 +65,27 @@ void AppendKvStatsJson(const std::string& path, const KvWorkloadProfile& profile
 }
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
   const ParallelFlags parallel = GetParallelFlags(args);
-  const PolicyConfig base = GetAdmissionConfig(args);
+  constexpr AdmissionKind kinds[] = {AdmissionKind::kAdmitAll, AdmissionKind::kGhostLru,
+                                     AdmissionKind::kFrequencySketch};
+  const PolicyConfig base = GetAdmissionConfig(args, kinds);
   const bool only_one_policy = args.Has("admission");
   const std::string only_placement = args.GetString("placement", "");
 
   // kv-zipf defaults scale together so --scale shrinks the run without
-  // changing the footprint-to-capacity shape; --ops / --keys override.
-  const double scale = args.GetDouble("scale", 1.0);
+  // changing the footprint-to-capacity shape; --ops / --keys override, so
+  // with both given --scale is not read.
+  const double scale = args.Has("ops") && args.Has("keys") ? 1.0 : args.GetPositive("scale", 1.0);
   KvWorkloadProfile profile;
-  profile.total_ops = static_cast<uint64_t>(args.GetPositiveInt(
-      "ops", static_cast<int64_t>(static_cast<double>(profile.total_ops) * scale)));
-  profile.unique_keys = static_cast<uint64_t>(args.GetPositiveInt(
-      "keys", static_cast<int64_t>(static_cast<double>(profile.unique_keys) * scale)));
-  const auto capacity_pages =
-      static_cast<uint64_t>(args.GetPositiveInt("capacity-pages", 1024));
+  profile.total_ops = args.GetPositive<uint64_t>(
+      "ops", static_cast<uint64_t>(static_cast<double>(profile.total_ops) * scale));
+  profile.unique_keys = args.GetPositive<uint64_t>(
+      "keys", static_cast<uint64_t>(static_cast<double>(profile.unique_keys) * scale));
+  const uint64_t capacity_pages = args.GetPositive<uint64_t>("capacity-pages", 1024);
   const bool dirty_sets = args.GetBool("dirty", false);
-  ExitOnBadFlags(args);
+  const std::string stats_json = args.GetString("stats-json", "");
+  args.ExitOnBadFlags();
 
   const Placement placements[] = {{"naive", false, 1},
                                   {"packed-1", true, 1},
@@ -112,8 +112,6 @@ int Main(int argc, char** argv) {
   std::printf("%-9s %-11s %7s %9s %8s %8s %9s %10s %9s\n", "placement", "policy", "hit%",
               "rejects", "fills", "compact", "reclaim", "fwrite/set", "vs-naive");
 
-  const AdmissionKind kinds[] = {AdmissionKind::kAdmitAll, AdmissionKind::kGhostLru,
-                                 AdmissionKind::kFrequencySketch};
   for (AdmissionKind kind : kinds) {
     if (only_one_policy && kind != base.kind) {
       continue;
@@ -139,8 +137,7 @@ int Main(int argc, char** argv) {
       opts.dirty_sets = dirty_sets;
       KvReplayEngine engine(&cache, opts);
       const KvReplayMetrics m = engine.Run(workload);
-      AppendKvStatsJson(args.GetString("stats-json", ""), profile, placement.name,
-                        AdmissionKindName(kind), m);
+      AppendKvStatsJson(stats_json, profile, placement.name, AdmissionKindName(kind), m);
 
       if (&placement == &placements[0]) {
         naive_writes_per_set = m.flash_writes_per_set;

@@ -13,12 +13,14 @@
 // share, and the wl_migrations / patrol_repairs counters. --stats-json
 // appends one compact JSON line per pass for CI regression tracking.
 //
-// Flags beyond the common set:
+// Flags beyond --scale, --workload, --threads, --shards, --depth and
+// --stats-json:
 //   --aging=5            capacities to write (the lifetime axis)
 //   --wear-limit=64      erases before a block may wear out (0 = immortal)
 //   --read-disturb-limit=512 --read-disturb-prob=0.02
 //   --retention-age-us=2000000 --retention-prob=0.02
 //   --wl-interval=32 --patrol-interval=64   cadence of the defenses (ON arm)
+//   --fault-seed=1       seed of the fault draws, the same for both arms
 
 #include <cinttypes>
 
@@ -137,26 +139,21 @@ ArmResult RunArm(const WorkloadProfile& profile, const ParallelFlags& par,
 }
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
   AgingKnobs knobs;
-  knobs.aging = static_cast<uint32_t>(args.GetPositiveInt("aging", knobs.aging));
-  knobs.wear_limit = static_cast<uint32_t>(args.GetInt("wear-limit", knobs.wear_limit));
-  knobs.disturb_limit =
-      static_cast<uint32_t>(args.GetInt("read-disturb-limit", knobs.disturb_limit));
-  knobs.disturb_prob = args.GetDouble("read-disturb-prob", knobs.disturb_prob);
-  knobs.retention_age_us = static_cast<uint64_t>(
-      args.GetInt("retention-age-us", static_cast<int64_t>(knobs.retention_age_us)));
-  knobs.retention_prob = args.GetDouble("retention-prob", knobs.retention_prob);
-  knobs.wl_interval = static_cast<uint32_t>(args.GetInt("wl-interval", knobs.wl_interval));
-  knobs.patrol_interval =
-      static_cast<uint32_t>(args.GetInt("patrol-interval", knobs.patrol_interval));
-  knobs.seed = static_cast<uint64_t>(args.GetInt("fault-seed", static_cast<int64_t>(knobs.seed)));
+  knobs.aging = args.GetPositive("aging", knobs.aging);
+  knobs.wear_limit = args.Get("wear-limit", knobs.wear_limit);
+  knobs.disturb_limit = args.Get("read-disturb-limit", knobs.disturb_limit);
+  knobs.disturb_prob = args.Get("read-disturb-prob", knobs.disturb_prob);
+  knobs.retention_age_us = args.Get("retention-age-us", knobs.retention_age_us);
+  knobs.retention_prob = args.Get("retention-prob", knobs.retention_prob);
+  knobs.wl_interval = args.Get("wl-interval", knobs.wl_interval);
+  knobs.patrol_interval = args.Get("patrol-interval", knobs.patrol_interval);
+  knobs.seed = args.Get("fault-seed", knobs.seed);
   const ParallelFlags par = GetParallelFlags(args);
   const std::string stats_json = args.GetString("stats-json", "");
+  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  args.ExitOnBadFlags();
 
   PrintHeader("Aging: lifetime wear, endurance faults, and the §5l defenses");
   std::printf("writing %ux capacity per arm; wear limit %u erases, disturb %u reads @ %.3f, "
@@ -165,7 +162,7 @@ int Main(int argc, char** argv) {
               knobs.retention_age_us, knobs.retention_prob);
 
   int rc = 0;
-  for (const WorkloadProfile& profile : BenchProfiles(args)) {
+  for (const WorkloadProfile& profile : profiles) {
     std::printf("%s (cache %" PRIu64 " pages):\n", profile.name.c_str(),
                 CachePagesFor(profile));
     const ArmResult off = RunArm(profile, par, knobs, /*defenses_on=*/false, stats_json);

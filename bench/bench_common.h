@@ -1,24 +1,28 @@
 // Shared scaffolding for the paper-reproduction benches: per-workload default
 // scales, system construction, replay helpers, and table formatting.
 //
-// Every bench accepts:
-//   --scale=<f>   multiply the default per-workload scale (default 1.0)
-//   --workload=<name>  run only one of homes/mail/usr/proj
-//   --verify      enable the stale-read oracle during replay (slower)
-//   --stats-json=FILE  append one JSON object per (workload, system) run with
-//                      the manager / FTL / persistence / fault counters
-//   --threads=<n>  replay worker threads (sharded systems only)
-//   --shards=<n>   independent channel shards; defaults to 8 when --threads
-//                  is given (so results are comparable across thread counts)
-//                  and 1 otherwise
-//   --depth=<n>    host queue depth per shard (1 = classic closed loop;
-//                  N > 1 replays open-loop on the plane/channel pipeline)
+// Every bench reads all of its flags, each only on the path that uses its
+// value, and then calls args.ExitOnBadFlags() before it replays anything: a
+// flag the bench does not read, or a value that does not parse into its
+// type, exits 2 naming the flag (src/util/args.h). The helpers below read the
+// flags several benches share:
+//   BenchProfiles      --scale=<f> (multiplies the default per-workload
+//                      scale) and --workload=<homes|mail|usr|proj>
+//   GetParallelFlags   --threads=<n>, --shards=<n> (8 when --threads is
+//                      given, else 1) and --depth=<n> (host queue depth per
+//                      shard; N > 1 replays open-loop on the pipeline)
+//   GetAdmissionConfig --admission=<name> and the knobs of each policy the
+//                      run replays
+// Each bench's header names the rest, such as --verify (the stale-read
+// oracle) and --stats-json=FILE (one JSON line per run).
 
 #ifndef FLASHTIER_BENCH_BENCH_COMMON_H_
 #define FLASHTIER_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,24 +61,21 @@ inline double DefaultScale(const std::string& name) {
   std::exit(2);
 }
 
-// A flag the parser refused (malformed, or a number that does not parse
-// whole) is a usage error: print the parser's message and exit 2.
-inline void ExitOnBadFlags(const ArgParser& args) {
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    std::exit(2);
-  }
-}
-
-inline std::vector<WorkloadProfile> BenchProfiles(ArgParser& args) {
-  const double factor = args.GetDouble("scale", 1.0);
-  ExitOnBadFlags(args);
+// --workload: one of homes/mail/usr/proj, or "" for all four. An unknown name
+// exits 2.
+inline std::string GetWorkload(const ArgParser& args) {
   const std::string only = args.GetString("workload", "");
   if (!only.empty() && !KnownWorkload(only)) {
     std::fprintf(stderr, "unknown --workload '%s' (valid: homes, mail, usr, proj)\n",
                  only.c_str());
     std::exit(2);
   }
+  return only;
+}
+
+inline std::vector<WorkloadProfile> BenchProfiles(const ArgParser& args) {
+  const double factor = args.GetPositive("scale", 1.0);
+  const std::string only = GetWorkload(args);
   std::vector<WorkloadProfile> out;
   for (const char* profile : {"homes", "mail", "usr", "proj"}) {
     const std::string name = profile;
@@ -130,20 +131,21 @@ struct ParallelFlags {
   uint32_t depth = 1;
 };
 
-inline ParallelFlags GetParallelFlags(ArgParser& args) {
+inline ParallelFlags GetParallelFlags(const ArgParser& args) {
   ParallelFlags flags;
-  const uint32_t default_shards = args.Has("threads") ? 8 : 1;
-  flags.shards = static_cast<uint32_t>(args.GetPositiveInt("shards", default_shards));
-  flags.threads = static_cast<uint32_t>(args.GetPositiveInt("threads", 1));
-  flags.depth = static_cast<uint32_t>(args.GetPositiveInt("depth", 1));
-  ExitOnBadFlags(args);
+  flags.shards = args.GetPositive<uint32_t>("shards", args.Has("threads") ? 8 : 1);
+  flags.threads = args.GetPositive<uint32_t>("threads", 1);
+  flags.depth = args.GetPositive<uint32_t>("depth", 1);
   return flags;
 }
 
-// --admission=<name> plus tuning knobs for the selective policies. Unknown
-// names are fatal (exit 2), like unknown workloads: a typo must not silently
-// run admit-all. The returned config rides in SystemConfig::admission.
-inline PolicyConfig GetAdmissionConfig(ArgParser& args) {
+// --admission=<name>, plus the tuning knobs of each policy the run replays:
+// the named one, or without --admission every kind in `sweep` (admit-all
+// alone when the bench sweeps none). Unknown names are fatal (exit 2), like
+// unknown workloads: a typo must not silently run admit-all. The returned
+// config rides in SystemConfig::admission.
+inline PolicyConfig GetAdmissionConfig(const ArgParser& args,
+                                       std::span<const AdmissionKind> sweep = {}) {
   PolicyConfig config;
   const std::string name = args.GetString("admission", "admit-all");
   if (!ParseAdmissionKind(name, &config.kind)) {
@@ -151,19 +153,23 @@ inline PolicyConfig GetAdmissionConfig(ArgParser& args) {
                  KnownAdmissionNames());
     std::exit(2);
   }
-  config.seed =
-      static_cast<uint64_t>(args.GetInt("admission-seed", static_cast<int64_t>(config.seed)));
-  config.ghost_entries =
-      static_cast<uint32_t>(args.GetPositiveInt("ghost-entries", config.ghost_entries));
-  config.ghost_required_misses =
-      static_cast<uint32_t>(args.GetPositiveInt("ghost-misses", config.ghost_required_misses));
-  config.sketch_width =
-      static_cast<uint32_t>(args.GetPositiveInt("sketch-width", config.sketch_width));
-  config.sketch_threshold =
-      static_cast<uint32_t>(args.GetPositiveInt("sketch-threshold", config.sketch_threshold));
-  config.write_rate_pages_per_sec = args.GetDouble("write-rate", config.write_rate_pages_per_sec);
-  config.write_burst_pages = args.GetDouble("write-burst", config.write_burst_pages);
-  ExitOnBadFlags(args);
+  const auto replays = [&](AdmissionKind kind) {
+    return kind == config.kind ||
+           (!args.Has("admission") && std::find(sweep.begin(), sweep.end(), kind) != sweep.end());
+  };
+  if (replays(AdmissionKind::kGhostLru)) {
+    config.ghost_entries = args.GetPositive("ghost-entries", config.ghost_entries);
+    config.ghost_required_misses = args.GetPositive("ghost-misses", config.ghost_required_misses);
+  }
+  if (replays(AdmissionKind::kFrequencySketch)) {
+    config.seed = args.Get("admission-seed", config.seed);
+    config.sketch_width = args.GetPositive("sketch-width", config.sketch_width);
+    config.sketch_threshold = args.GetPositive("sketch-threshold", config.sketch_threshold);
+  }
+  if (replays(AdmissionKind::kWriteRateLimiter)) {
+    config.write_rate_pages_per_sec = args.Get("write-rate", config.write_rate_pages_per_sec);
+    config.write_burst_pages = args.Get("write-burst", config.write_burst_pages);
+  }
   return config;
 }
 

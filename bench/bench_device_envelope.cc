@@ -21,11 +21,12 @@
 //   --ops=<n>          ops per pattern (default 40,000)
 //   --stats-json=FILE  append one JSON line per (device, depth, pattern)
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -224,27 +225,18 @@ void PrintPattern(const std::string& json_path, const char* kind, uint32_t depth
   bench::AppendStatsLine(json_path, line);
 }
 
+// --depth=<csv>: the queue depths, each a positive integer; empty when any
+// item is not.
 std::vector<uint32_t> ParseDepths(const std::string& csv) {
   std::vector<uint32_t> depths;
-  std::string token;
-  for (size_t i = 0; i <= csv.size(); ++i) {
-    if (i == csv.size() || csv[i] == ',') {
-      if (!token.empty()) {
-        const long v = std::strtol(token.c_str(), nullptr, 10);
-        if (v <= 0) {
-          std::fprintf(stderr, "invalid --depth entry '%s'\n", token.c_str());
-          std::exit(2);
-        }
-        depths.push_back(static_cast<uint32_t>(v));
-        token.clear();
-      }
-    } else {
-      token.push_back(csv[i]);
+  std::istringstream in(csv);
+  for (std::string item; std::getline(in, item, ',');) {
+    uint32_t depth = 0;
+    const auto [end, error] = std::from_chars(item.data(), item.data() + item.size(), depth);
+    if (error != std::errc() || end != item.data() + item.size() || depth == 0) {
+      return {};
     }
-  }
-  if (depths.empty()) {
-    std::fprintf(stderr, "--depth needs at least one positive integer\n");
-    std::exit(2);
+    depths.push_back(depth);
   }
   return depths;
 }
@@ -254,20 +246,15 @@ std::vector<uint32_t> ParseDepths(const std::string& csv) {
 
 int main(int argc, char** argv) {
   using namespace flashtier;
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 2;
-  }
-  for (const std::string& flag : args.UnknownFlags({"depth", "ops", "stats-json"})) {
-    std::fprintf(stderr, "unknown flag --%s (valid: depth, ops, stats-json)\n", flag.c_str());
-    return 2;
-  }
-  const std::vector<uint32_t> depths = ParseDepths(args.GetString("depth", "1,2,4,8,16,32"));
-  const auto ops = static_cast<uint64_t>(args.GetPositiveInt("ops", 40'000));
+  const ArgParser args(argc, argv);
+  const std::string depth_list = args.GetString("depth", "1,2,4,8,16,32");
+  const uint64_t ops = args.GetPositive<uint64_t>("ops", 40'000);
   const std::string json_path = args.GetString("stats-json", "");
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
+  args.ExitOnBadFlags();
+  const std::vector<uint32_t> depths = ParseDepths(depth_list);
+  if (depths.empty()) {
+    std::fprintf(stderr, "--depth must be a comma-separated list of positive integers, got: %s\n",
+                 depth_list.c_str());
     return 2;
   }
 

@@ -15,11 +15,9 @@ namespace flashtier::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
+  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  args.ExitOnBadFlags();
   PrintHeader("Figure 1: density of cached blocks across 100k-block regions");
   const std::vector<uint64_t> decades = {1, 10, 100, 1'000, 10'000, 100'000};
   std::printf("%-8s", "trace");
@@ -28,7 +26,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  for (const WorkloadProfile& profile : BenchProfiles(args)) {
+  for (const WorkloadProfile& profile : profiles) {
     SyntheticWorkload workload(profile);
     TraceStats stats;
     stats.Consume(workload);

@@ -7,6 +7,9 @@
 // Expected shape (paper): on write-intensive homes/mail, SSC-WB +59-128%,
 // SSC-R-WB +101-167%, write-through variants +38-102%; on read-intensive
 // usr/proj roughly parity with native.
+//
+// Flags: --scale, --workload, --threads, --shards, --depth, --admission and
+// its knobs (bench_common.h), --verify, --stats-json=FILE.
 
 #include <cinttypes>
 
@@ -16,14 +19,13 @@ namespace flashtier::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
   const ParallelFlags parallel = GetParallelFlags(args);
   const PolicyConfig admission = GetAdmissionConfig(args);
   const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  const bool verify = args.GetBool("verify", false);
+  const std::string stats_json = args.GetString("stats-json", "");
+  args.ExitOnBadFlags();
   PrintHeader("Figure 3: application performance, % of native write-back IOPS");
   if (parallel.shards > 1 || parallel.threads > 1) {
     std::printf("parallel replay: %u shards, %u threads\n", parallel.shards, parallel.threads);
@@ -53,10 +55,9 @@ int Main(int argc, char** argv) {
       config.shards = parallel.shards;
       config.admission = admission;
       FlashTierSystem system(config);
-      const RunResult r = ReplayWorkload(profile, config, &system, 0.15,
-                                         args.GetBool("verify", false), parallel.threads,
-                                         parallel.depth);
-      AppendStatsJson(args.GetString("stats-json", ""), "fig3", profile, config, &system, r);
+      const RunResult r =
+          ReplayWorkload(profile, config, &system, 0.15, verify, parallel.threads, parallel.depth);
+      AppendStatsJson(stats_json, "fig3", profile, config, &system, r);
       if (type == SystemType::kNativeWriteBack) {
         native_iops = r.iops;
         std::printf(" %12.0f", native_iops);

@@ -12,6 +12,8 @@
 // Expected shape: native pays 18-29% on write-heavy homes/mail, 2-5% on
 // read-heavy usr/proj; FlashTier pays 8-16% write-heavy, 0-7% read-heavy;
 // added response time < ~26 us for FlashTier.
+//
+// Flags: --scale, --workload (bench_common.h), --stats-json=FILE.
 
 #include <cinttypes>
 
@@ -25,7 +27,7 @@ struct Cell {
   double response_us = 0;
 };
 
-Cell Run(ArgParser& args, const WorkloadProfile& profile, SystemType type,
+Cell Run(const std::string& stats_json, const WorkloadProfile& profile, SystemType type,
          ConsistencyMode mode, bool native_metadata) {
   SystemConfig config;
   config.type = type;
@@ -34,30 +36,29 @@ Cell Run(ArgParser& args, const WorkloadProfile& profile, SystemType type,
   config.native_persist_metadata = native_metadata;
   FlashTierSystem system(config);
   const RunResult r = ReplayWorkload(profile, config, &system);
-  AppendStatsJson(args.GetString("stats-json", ""), "fig4", profile, config, &system, r);
+  AppendStatsJson(stats_json, "fig4", profile, config, &system, r);
   return {r.iops, r.mean_response_us};
 }
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
+  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  const std::string stats_json = args.GetString("stats-json", "");
+  args.ExitOnBadFlags();
   PrintHeader("Figure 4: cost of crash consistency (write-back), % of no-consistency IOPS");
   std::printf("%-8s %10s %10s %12s %14s | %22s\n", "trace", "Native-D", "FlashTier-D",
               "FlashTier-C/D", "(base IOPS)", "added response time (us)");
-  for (const WorkloadProfile& profile : BenchProfiles(args)) {
+  for (const WorkloadProfile& profile : profiles) {
     const Cell native_base =
-        Run(args, profile, SystemType::kNativeWriteBack, ConsistencyMode::kNone, false);
+        Run(stats_json, profile, SystemType::kNativeWriteBack, ConsistencyMode::kNone, false);
     const Cell native_d =
-        Run(args, profile, SystemType::kNativeWriteBack, ConsistencyMode::kNone, true);
+        Run(stats_json, profile, SystemType::kNativeWriteBack, ConsistencyMode::kNone, true);
     const Cell ft_base =
-        Run(args, profile, SystemType::kSscWriteBack, ConsistencyMode::kNone, false);
+        Run(stats_json, profile, SystemType::kSscWriteBack, ConsistencyMode::kNone, false);
     const Cell ft_d =
-        Run(args, profile, SystemType::kSscWriteBack, ConsistencyMode::kRelaxedClean, false);
+        Run(stats_json, profile, SystemType::kSscWriteBack, ConsistencyMode::kRelaxedClean, false);
     const Cell ft_cd =
-        Run(args, profile, SystemType::kSscWriteBack, ConsistencyMode::kFull, false);
+        Run(stats_json, profile, SystemType::kSscWriteBack, ConsistencyMode::kFull, false);
 
     std::printf("%-8s %9.1f%% %9.1f%% %11.1f%% %6.0f/%6.0f | N-D %+6.1f  FT-D %+6.1f  "
                 "FT-C/D %+6.1f\n",

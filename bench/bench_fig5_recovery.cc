@@ -13,6 +13,8 @@
 // Measured at the scaled cache size; the "@paper" columns extrapolate
 // linearly in cache size. Expected shape: FlashTier << Native-FC <<
 // Native-SSD (paper: 34 ms-2.4 s vs 133 ms-9.4 s vs 468 ms-30 s).
+//
+// Flags: --scale, --workload (bench_common.h), --stats-json=FILE.
 
 #include <cinttypes>
 
@@ -22,11 +24,10 @@ namespace flashtier::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
+  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  const std::string stats_json = args.GetString("stats-json", "");
+  args.ExitOnBadFlags();
   PrintHeader("Figure 5: crash recovery time (seconds)");
   std::printf("%-8s %12s %12s %12s | %12s %12s %12s\n", "trace", "FlashTier", "Native-FC",
               "Native-SSD", "FT@paper", "N-FC@paper", "N-SSD@paper");
@@ -43,7 +44,7 @@ int Main(int argc, char** argv) {
     }
     return 102;
   };
-  for (const WorkloadProfile& profile : BenchProfiles(args)) {
+  for (const WorkloadProfile& profile : profiles) {
     const uint64_t cache_pages = CachePagesFor(profile);
 
     // FlashTier: warm an SSC write-back system, crash, recover.
@@ -58,8 +59,7 @@ int Main(int argc, char** argv) {
     const double ft_s = static_cast<double>(ft.ssc()->last_recovery_us()) / 1e6;
     // Dumped after Recover() so the persist block carries the recovery-time
     // breakdown (checkpoint_load_us / log_replay_us / rebuild_us).
-    AppendStatsJson(args.GetString("stats-json", ""), "fig5", profile, ft_config, &ft,
-                    ft_result);
+    AppendStatsJson(stats_json, "fig5", profile, ft_config, &ft, ft_result);
 
     // Native: warm the FlashCache-style system; estimate table reload and
     // the SSD's OOB scan.

@@ -16,16 +16,14 @@ namespace flashtier::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
+  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  args.ExitOnBadFlags();
   PrintHeader("Figure 6: free-space management (write-through, no logging), % of SSD IOPS");
   const SystemType systems[] = {SystemType::kNativeWriteThrough, SystemType::kSscWriteThrough,
                                 SystemType::kSscRWriteThrough};
   std::printf("%-8s %12s %10s %10s %10s\n", "trace", "SSD-IOPS", "SSD", "SSC", "SSC-R");
-  for (const WorkloadProfile& profile : BenchProfiles(args)) {
+  for (const WorkloadProfile& profile : profiles) {
     double ssd_iops = 0.0;
     std::string row;
     for (SystemType type : systems) {

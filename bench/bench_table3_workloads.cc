@@ -14,15 +14,13 @@ namespace flashtier::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
+  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  args.ExitOnBadFlags();
   PrintHeader("Table 3: workload characteristics (generated vs targeted)");
   std::printf("%-8s %12s %14s %14s %9s %16s\n", "trace", "range(GB)", "unique-blocks",
               "total-ops", "%writes", "hot25x-writes/blk");
-  for (const WorkloadProfile& profile : BenchProfiles(args)) {
+  for (const WorkloadProfile& profile : profiles) {
     SyntheticWorkload workload(profile);
     TraceStats stats;
     stats.Consume(workload);

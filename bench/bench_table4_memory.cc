@@ -98,18 +98,14 @@ Row MeasureWorkload(const WorkloadProfile& profile, double cache_fraction,
 }
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
-  const double factor = args.GetDouble("scale", 0.1);
-  ExitOnBadFlags(args);
+  const ArgParser args(argc, argv);
+  const double factor = args.GetPositive("scale", 0.1);
+  const std::string only = GetWorkload(args);  // "proj" also selects proj-50
+  args.ExitOnBadFlags();
   PrintHeader("Table 4: device and host memory for cached-block mapping state");
   std::printf("(measured at scale %.3g; bytes/block is scale-invariant)\n\n", factor);
 
   std::vector<Row> rows;
-  const std::string only = args.GetString("workload", "");
   struct Spec {
     const char* name;
     WorkloadProfile (*profile)(double);

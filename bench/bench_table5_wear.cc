@@ -9,6 +9,9 @@
 // and copying; write amp SSD > SSC > SSC-R; miss rate rises <= 2.5 pts (SSC)
 // / 1.5 pts (SSC-R); wear diff shrinks. On read-heavy usr/proj, all three
 // are close.
+//
+// Flags: --scale, --workload, --admission and its knobs (bench_common.h),
+// --stats-json=FILE.
 
 #include <cinttypes>
 
@@ -49,14 +52,13 @@ DeviceRow Run(const WorkloadProfile& profile, SystemType type, const PolicyConfi
 }
 
 int Main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
+  const ArgParser args(argc, argv);
   // --admission lets the wear table be re-read under a selective policy:
   // the economy shows up directly in the erase and write-amp columns.
   const PolicyConfig admission = GetAdmissionConfig(args);
+  const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
+  const std::string stats_json = args.GetString("stats-json", "");
+  args.ExitOnBadFlags();
   PrintHeader("Table 5: erases, wear difference, write amplification, miss rate");
   if (admission.kind != AdmissionKind::kAdmitAll) {
     std::printf("admission policy: %s (SSC/SSC-R columns; the native SSD column stays "
@@ -67,8 +69,7 @@ int Main(int argc, char** argv) {
   std::printf("%-8s | %9s %9s %9s | %6s %6s %6s | %6s %6s %6s | %6s %6s %6s\n", "trace",
               "SSD", "SSC", "SSC-R", "SSD", "SSC", "SSC-R", "SSD", "SSC", "SSC-R", "SSD",
               "SSC", "SSC-R");
-  const std::string stats_json = args.GetString("stats-json", "");
-  for (const WorkloadProfile& profile : BenchProfiles(args)) {
+  for (const WorkloadProfile& profile : profiles) {
     const DeviceRow ssd =
         Run(profile, SystemType::kNativeWriteThrough, PolicyConfig{}, stats_json);
     const DeviceRow ssc = Run(profile, SystemType::kSscWriteThrough, admission, stats_json);

@@ -20,16 +20,9 @@
 using namespace flashtier;
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
-  const uint64_t total_ops = args.GetInt("ops", 300'000);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 2;
-  }
+  const ArgParser args(argc, argv);
+  const uint64_t total_ops = args.GetPositive<uint64_t>("ops", 300'000);
+  args.ExitOnBadFlags();
 
   WorkloadProfile mail = MailProfile(0.02);
   mail.total_ops = total_ops;

@@ -20,16 +20,9 @@
 using namespace flashtier;
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 1;
-  }
-  const uint64_t requests = args.GetInt("requests", 400'000);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.error().c_str());
-    return 2;
-  }
+  const ArgParser args(argc, argv);
+  const uint64_t requests = args.GetPositive<uint64_t>("requests", 400'000);
+  args.ExitOnBadFlags();
 
   WorkloadProfile photos;
   photos.name = "photo-store";

@@ -42,14 +42,14 @@ void CheckReport::Add(std::string invariant, std::string detail) {
   }
 }
 
-void CheckReport::Merge(CheckReport other) {
+void CheckReport::Merge(CheckReport other, std::string_view detail_prefix) {
   checks_run += other.checks_run;
   violation_count += other.violation_count;
   for (InvariantViolation& v : other.violations) {
     if (violations.size() >= kMaxRecorded) {
       break;
     }
-    violations.push_back(std::move(v));
+    violations.push_back({std::move(v.invariant), std::string(detail_prefix) + v.detail});
   }
 }
 
@@ -592,15 +592,6 @@ CheckReport InvariantChecker::CheckSharded(const std::vector<const SscDevice*>& 
   return report;
 }
 
-bool InvariantChecker::SscHolds(const SscDevice& ssc, uint64_t lbn) {
-  if (ssc.page_map_.Find(lbn) != nullptr) {
-    return true;
-  }
-  const uint32_t ppb = ssc.device_->geometry().pages_per_block;
-  const SscDevice::BlockEntry* e = ssc.block_map_.Find(lbn / ppb);
-  return e != nullptr && ((e->present_bits >> (lbn % ppb)) & 1u) != 0;
-}
-
 CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const SscDevice* ssc) {
   CheckReport report;
 
@@ -621,7 +612,8 @@ CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const S
   if (ssc != nullptr) {
     policy.recent_rejects().ForEach([&](Lbn lbn, uint32_t) {
       ++report.checks_run;
-      if (SscHolds(*ssc, lbn)) {
+      bool dirty = false;
+      if (SscPageState(*ssc, lbn, &dirty)) {
         report.Add("policy.rejected-present",
                    Fmt("rejected lbn %llu is cached in the SSC", (unsigned long long)lbn));
       }
@@ -634,23 +626,17 @@ CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const S
 // InvariantChecker::CheckKv
 // ---------------------------------------------------------------------------
 
-void InvariantChecker::SscPageState(const SscDevice& ssc, uint64_t lbn, bool* present,
-                                    bool* dirty) {
-  *present = false;
-  *dirty = false;
+bool InvariantChecker::SscPageState(const SscDevice& ssc, uint64_t lbn, bool* dirty) {
   if (const uint64_t* packed = ssc.page_map_.Find(lbn); packed != nullptr) {
-    *present = true;
     *dirty = SscDevice::PackedDirty(*packed);
-    return;
+    return true;
   }
   const uint32_t ppb = ssc.device_->geometry().pages_per_block;
-  if (const SscDevice::BlockEntry* e = ssc.block_map_.Find(lbn / ppb); e != nullptr) {
-    const uint32_t off = static_cast<uint32_t>(lbn % ppb);
-    if ((e->present_bits >> off) & 1u) {
-      *present = true;
-      *dirty = ((e->dirty_bits >> off) & 1u) != 0;
-    }
-  }
+  const SscDevice::BlockEntry* e = ssc.block_map_.Find(lbn / ppb);
+  const uint32_t off = static_cast<uint32_t>(lbn % ppb);
+  const bool present = e != nullptr && ((e->present_bits >> off) & 1u) != 0;
+  *dirty = present && ((e->dirty_bits >> off) & 1u) != 0;
+  return present;
 }
 
 CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible) {
@@ -773,9 +759,8 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
     // dirty (silent eviction only drops clean data); pages of a clean slab
     // may be gone, but must never show up dirty.
     for (uint32_t page = 0; page < slab.pages_spanned; ++page) {
-      bool present = false;
       bool dirty = false;
-      SscPageState(shard.ssc(), shard.SlabBaseLbn(seq) + page, &present, &dirty);
+      const bool present = SscPageState(shard.ssc(), shard.SlabBaseLbn(seq) + page, &dirty);
       ++report.checks_run;
       if (page < page_holds_live_dirty.size() && page_holds_live_dirty[page]) {
         if (!present) {
@@ -886,16 +871,7 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
 CheckReport InvariantChecker::CheckKv(const KvCache& cache, bool faults_possible) {
   CheckReport report;
   for (uint32_t i = 0; i < cache.shard_count(); ++i) {
-    CheckReport r = CheckKv(cache.shard(i), faults_possible);
-    report.checks_run += r.checks_run;
-    report.violation_count += r.violation_count;
-    for (InvariantViolation& v : r.violations) {
-      if (report.violations.size() >= CheckReport::kMaxRecorded) {
-        break;
-      }
-      report.violations.push_back(
-          {std::move(v.invariant), Fmt("shard %u: ", i) + v.detail});
-    }
+    report.Merge(CheckKv(cache.shard(i), faults_possible), Fmt("shard %u: ", i));
     // Cross-shard partition: a shard may only cache keys the router assigns
     // to it, so no object can be cached (or go stale) in two shards at once.
     cache.shard(i).key_map().ForEach([&](uint64_t key, uint64_t) {

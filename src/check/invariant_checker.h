@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -68,7 +69,9 @@ struct CheckReport {
 
   bool ok() const { return violation_count == 0; }
   void Add(std::string invariant, std::string detail);
-  void Merge(CheckReport other);
+  // Adds `other`'s counts and samples, each sample's detail prefixed with
+  // `detail_prefix`.
+  void Merge(CheckReport other, std::string_view detail_prefix = {});
   std::string ToString() const;
 };
 
@@ -144,10 +147,8 @@ class InvariantChecker {
                           const std::unordered_map<PhysBlock, uint64_t>& log_refs,
                           CheckReport* report);
   static CheckReport CheckSscOnly(const SscDevice& ssc);
-  static bool SscHolds(const SscDevice& ssc, uint64_t lbn);
-  // Medium view of one slab page for the KV audit: whether `lbn` is present
-  // in the SSC's maps and its dirty bit.
-  static void SscPageState(const SscDevice& ssc, uint64_t lbn, bool* present, bool* dirty);
+  // Whether `lbn` is present in the SSC's maps; *dirty is its dirty bit.
+  static bool SscPageState(const SscDevice& ssc, uint64_t lbn, bool* dirty);
 };
 
 }  // namespace flashtier

@@ -131,46 +131,31 @@ Status DiskModel::WriteRun(Lbn start, const std::vector<uint64_t>& tokens) {
   return Status::kOk;
 }
 
-Status DiskModel::GuardedRead(Lbn lbn, uint64_t* token) {
+template <typename Op>
+Status DiskModel::Guarded(Op op) {
   RetrySession session(retry_, clock_);
-  Status s = Read(lbn, token);
+  Status s = op();
   while (!IsOk(s) && session.BackoffBeforeRetry()) {
     ++stats_.retries;
-    s = Read(lbn, token);
+    s = op();
   }
   if (!IsOk(s) && session.deadline_exceeded()) {
     ++stats_.timeouts;
     return Status::kTimeout;
   }
   return s;
+}
+
+Status DiskModel::GuardedRead(Lbn lbn, uint64_t* token) {
+  return Guarded([&] { return Read(lbn, token); });
 }
 
 Status DiskModel::GuardedWrite(Lbn lbn, uint64_t token) {
-  RetrySession session(retry_, clock_);
-  Status s = Write(lbn, token);
-  while (!IsOk(s) && session.BackoffBeforeRetry()) {
-    ++stats_.retries;
-    s = Write(lbn, token);
-  }
-  if (!IsOk(s) && session.deadline_exceeded()) {
-    ++stats_.timeouts;
-    return Status::kTimeout;
-  }
-  return s;
+  return Guarded([&] { return Write(lbn, token); });
 }
 
 Status DiskModel::GuardedWriteRun(Lbn start, const std::vector<uint64_t>& tokens) {
-  RetrySession session(retry_, clock_);
-  Status s = WriteRun(start, tokens);
-  while (!IsOk(s) && session.BackoffBeforeRetry()) {
-    ++stats_.retries;
-    s = WriteRun(start, tokens);
-  }
-  if (!IsOk(s) && session.deadline_exceeded()) {
-    ++stats_.timeouts;
-    return Status::kTimeout;
-  }
-  return s;
+  return Guarded([&] { return WriteRun(start, tokens); });
 }
 
 }  // namespace flashtier

@@ -161,6 +161,10 @@ class DiskModel {
   void MaybeSlowIo(uint64_t op_ordinal);
   // Heals latent sectors covered by a successful write of [start, start+n).
   void RepairRange(Lbn start, uint32_t n);
+  // The one retry loop behind the Guarded* entry points: runs `op` under a
+  // RetrySession and counts retries and deadline kills.
+  template <typename Op>
+  Status Guarded(Op op);
 
   DiskParams params_;
   SimClock* clock_;  // not owned

@@ -342,7 +342,7 @@ Status KvShard::Set(uint64_t key, uint64_t token, uint32_t size, bool dirty) {
       return sealed;
     }
   }
-  ssc_->MaybeCheckpointForKv();
+  ssc_->persist()->MaybeCheckpoint();
   return Status::kOk;
 }
 

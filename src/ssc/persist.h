@@ -289,10 +289,9 @@ class PersistenceManager {
   // Called by the SSC after mutating writes; triggers a checkpoint when the
   // log-size, write-count or log-region high-water policy says so. The
   // checkpoint's records are only materialized when a checkpoint actually
-  // happens, via the callback.
-  template <typename RecordsFn>
-  void MaybeCheckpoint(RecordsFn&& records_fn) {
-    if (options_.mode == ConsistencyMode::kNone) {
+  // happens, through the installed checkpoint source.
+  void MaybeCheckpoint() {
+    if (options_.mode == ConsistencyMode::kNone || !checkpoint_source_) {
       return;
     }
     ++writes_since_checkpoint_;
@@ -313,15 +312,16 @@ class PersistenceManager {
       // Only the finite region forced this one; the economy counters track it.
       ++stats_.forced_checkpoints;
     }
-    WriteCheckpoint(records_fn());
+    WriteCheckpoint(checkpoint_source_());
   }
 
   // Writes `records`, the insert record of every live mapping, as the new
   // checkpoint and truncates the log.
   void WriteCheckpoint(std::vector<LogRecord> records);
 
-  // Installed by the device: materializes a forward-map snapshot so the
-  // persistence layer can checkpoint on its own when the log region fills.
+  // Installed by the device: materializes a forward-map snapshot, the
+  // records of every checkpoint (MaybeCheckpoint, ForceCheckpoint and a
+  // flush that would overflow the log region).
   using CheckpointSource = std::function<std::vector<LogRecord>()>;
   void set_checkpoint_source(CheckpointSource source) {
     checkpoint_source_ = std::move(source);

@@ -170,7 +170,7 @@ Status SscDevice::WriteInternal(Lbn lbn, uint64_t token, bool dirty) {
   // mode clean inserts are also synchronous (the FlashTier-C/D config).
   const bool sync = dirty || had_old || config_.mode == ConsistencyMode::kFull;
   persist_->Append(PageInsertRecord(lbn, packed), sync);
-  persist_->MaybeCheckpoint([this] { return SnapshotForCheckpoint(); });
+  persist_->MaybeCheckpoint();
   MaybeEnduranceMaintenance();
   MaybeAudit();
   return Status::kOk;

@@ -292,14 +292,6 @@ class SscDevice : public HybridFtl<SscDevice> {
   // the device recovers.
   std::vector<LogRecord> TakeRecoveredKv() { return std::exchange(recovered_kv_, {}); }
 
-  // Runs the checkpoint policy after a KV mutation, snapshotting the device
-  // map plus the installed KV directory — the same call the SSC makes after
-  // its own writes, exposed because KV slot records grow the log without
-  // passing through WriteInternal.
-  void MaybeCheckpointForKv() {
-    persist_->MaybeCheckpoint([this] { return SnapshotForCheckpoint(); });
-  }
-
  private:
   friend class HybridFtl<SscDevice>;
   friend class InvariantChecker;

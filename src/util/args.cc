@@ -1,15 +1,60 @@
 #include "src/util/args.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <type_traits>
+#include <utility>
 
 namespace flashtier {
+namespace {
+
+// Parses all of `text` into *out: false when any of it is left over, when a
+// boolean is not one of the six words, or when an integer does not fit T.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    *out = text == "true" || text == "1" || text == "yes";
+    return *out || text == "false" || text == "0" || text == "no";
+  } else {
+    char* end = nullptr;
+    bool fits = true;
+    errno = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      *out = std::strtod(text.c_str(), &end);
+    } else if (text.find('-') != std::string::npos) {  // strtoull negates "-1" to 2^64 - 1
+      const long long v = std::strtoll(text.c_str(), &end, 0);
+      fits = std::in_range<T>(v);
+      *out = static_cast<T>(v);
+    } else {
+      const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+      fits = std::in_range<T>(v);
+      *out = static_cast<T>(v);
+    }
+    return fits && errno != ERANGE && end != text.c_str() && *end == '\0';
+  }
+}
+
+// What a refused value must be, for the message.
+template <typename T>
+std::string Expected(bool positive) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return "true, false, 1, 0, yes or no";
+  } else if constexpr (std::is_integral_v<T>) {
+    return "an integer from " + std::to_string(positive ? T{1} : std::numeric_limits<T>::min()) +
+           " to " + std::to_string(std::numeric_limits<T>::max());
+  }
+  return positive ? "a positive number" : "a number";
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, char** argv) {
+  program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      ok_ = false;
       error_ = "expected --flag, got: " + arg;
       return;
     }
@@ -25,75 +70,60 @@ ArgParser::ArgParser(int argc, char** argv) {
   }
 }
 
-std::string ArgParser::GetString(const std::string& name, const std::string& def) const {
+const std::string* ArgParser::Find(const std::string& name) const {
+  read_.insert(name);
   const auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 template <typename T>
-T ArgParser::GetNumber(const std::string& name, T def, bool positive) {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return def;
+T ArgParser::Read(const std::string& name, T def, bool positive) const {
+  const std::string* text = Find(name);
+  T value{};
+  if (text == nullptr || (ParseWhole(*text, &value) && (!positive || value > T{}))) {
+    return text == nullptr ? def : value;
   }
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  T v{};
-  if constexpr (std::is_integral_v<T>) {
-    v = std::strtoll(text, &end, 0);
-  } else {
-    v = std::strtod(text, &end);
+  if (error_.empty()) {  // the first refusal is the one reported
+    error_ = "--" + name + " must be " + Expected<T>(positive) + ", got: " + *text;
   }
-  if (end == text || *end != '\0' || (positive && v <= 0)) {
-    const char* what = std::is_integral_v<T> ? (positive ? "a positive integer" : "an integer")
-                                             : (positive ? "a positive number" : "a number");
-    ok_ = false;
-    error_ = "--" + name + " must be " + what + ", got: " + it->second;
-    return def;
+  return def;
+}
+
+template bool ArgParser::Read(const std::string&, bool, bool) const;
+template uint32_t ArgParser::Read(const std::string&, uint32_t, bool) const;
+template uint64_t ArgParser::Read(const std::string&, uint64_t, bool) const;
+template int64_t ArgParser::Read(const std::string&, int64_t, bool) const;
+template double ArgParser::Read(const std::string&, double, bool) const;
+
+std::vector<std::string> ArgParser::Unread() const {
+  std::vector<std::string> unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) {
+      unread.push_back(name);
+    }
   }
-  return v;
-}
-
-int64_t ArgParser::GetInt(const std::string& name, int64_t def) {
-  return GetNumber(name, def, /*positive=*/false);
-}
-
-double ArgParser::GetDouble(const std::string& name, double def) {
-  return GetNumber(name, def, /*positive=*/false);
-}
-
-int64_t ArgParser::GetPositiveInt(const std::string& name, int64_t def) {
-  return GetNumber(name, def, /*positive=*/true);
-}
-
-double ArgParser::GetPositiveDouble(const std::string& name, double def) {
-  return GetNumber(name, def, /*positive=*/true);
+  return unread;  // values_ is an ordered map, so this is already sorted
 }
 
 std::vector<std::string> ArgParser::UnknownFlags(
     std::initializer_list<std::string_view> known) const {
-  std::vector<std::string> unknown;
-  for (const auto& kv : values_) {
-    bool found = false;
-    for (const std::string_view k : known) {
-      if (kv.first == k) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      unknown.push_back(kv.first);
-    }
-  }
-  return unknown;  // values_ is an ordered map, so this is already sorted
+  read_.insert(known.begin(), known.end());
+  return Unread();
 }
 
-bool ArgParser::GetBool(const std::string& name, bool def) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return def;
+std::string ArgParser::Refusal() const {
+  std::string unread;
+  for (const std::string& name : Unread()) {
+    unread += (unread.empty() ? "unknown flag --" : ", --") + name;
   }
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  return error_.empty() ? unread : error_;
+}
+
+void ArgParser::ExitOnBadFlags(const char* usage) const {
+  if (const std::string refusal = Refusal(); !refusal.empty()) {
+    std::fprintf(stderr, "%s: %s\n%s", program_.c_str(), refusal.c_str(), usage);
+    std::exit(2);
+  }
 }
 
 }  // namespace flashtier

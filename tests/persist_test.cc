@@ -134,14 +134,15 @@ TEST(PersistTest, MaybeCheckpointHonorsWriteInterval) {
   opts.checkpoint_interval_writes = 50;
   PersistenceManager pm(opts, FlashTimings{}, &clock);
   int snapshots_taken = 0;
+  // Large snapshots keep the log-size ratio rule quiet, isolating the
+  // write-interval rule.
+  pm.set_checkpoint_source([&snapshots_taken] {
+    ++snapshots_taken;
+    return std::vector<LogRecord>(100'000);
+  });
   for (int i = 0; i < 120; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/false);
-    // Large snapshots keep the log-size ratio rule quiet, isolating the
-    // write-interval rule.
-    pm.MaybeCheckpoint([&snapshots_taken] {
-      ++snapshots_taken;
-      return std::vector<LogRecord>(100'000);
-    });
+    pm.MaybeCheckpoint();
   }
   EXPECT_EQ(snapshots_taken, 2);  // at writes 50 and 100
   EXPECT_EQ(pm.stats().checkpoints, 2u);
@@ -157,12 +158,13 @@ TEST(PersistTest, MaybeCheckpointHonorsLogSizeRatio) {
   // must trigger the next one.
   pm.WriteCheckpoint(std::vector<LogRecord>(10));
   int snapshots_taken = 0;
+  pm.set_checkpoint_source([&snapshots_taken] {
+    ++snapshots_taken;
+    return std::vector<LogRecord>(10);
+  });
   for (int i = 0; i < 100 && snapshots_taken == 0; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/false);
-    pm.MaybeCheckpoint([&snapshots_taken] {
-      ++snapshots_taken;
-      return std::vector<LogRecord>(10);
-    });
+    pm.MaybeCheckpoint();
   }
   EXPECT_EQ(snapshots_taken, 1);
 }
@@ -219,17 +221,17 @@ TEST(PersistTest, CheckpointRatioBoundaryIsStrict) {
   PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
   pm.WriteCheckpoint(std::vector<LogRecord>(45));
   int snapshots_taken = 0;
-  const auto snapshot = [&snapshots_taken] {
+  pm.set_checkpoint_source([&snapshots_taken] {
     ++snapshots_taken;
     return std::vector<LogRecord>(45);
-  };
+  });
   for (int i = 0; i < 22; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/true);
-    pm.MaybeCheckpoint(snapshot);
+    pm.MaybeCheckpoint();
   }
   EXPECT_EQ(snapshots_taken, 0);  // exactly at the boundary: no checkpoint
   pm.Append(MakeRecord(22), /*sync=*/true);
-  pm.MaybeCheckpoint(snapshot);
+  pm.MaybeCheckpoint();
   EXPECT_EQ(snapshots_taken, 1);  // one byte past: checkpoint
 }
 
@@ -358,13 +360,14 @@ TEST(PersistTest, HighWaterForcesCheckpointBeforeRegionFills) {
   // disables the write-interval rule, isolating the region trigger.
   pm.WriteCheckpoint(std::vector<LogRecord>(100'000));
   int snapshots_taken = 0;
+  pm.set_checkpoint_source([&snapshots_taken] {
+    ++snapshots_taken;
+    return std::vector<LogRecord>(100'000);
+  });
   int appends = 0;
   while (snapshots_taken == 0 && appends < 400) {
     pm.Append(MakeRecord(appends++), /*sync=*/true);
-    pm.MaybeCheckpoint([&snapshots_taken] {
-      ++snapshots_taken;
-      return std::vector<LogRecord>(100'000);
-    });
+    pm.MaybeCheckpoint();
   }
   EXPECT_EQ(snapshots_taken, 1);
   EXPECT_EQ(pm.stats().forced_checkpoints, 1u);

@@ -4,7 +4,8 @@
 # file must read back with exit 0 and a `records` line equal to the count
 # trace_gen reports writing, and trace_stat must refuse (exit 1) a copy with
 # one record byte flipped. trace_stat must also refuse (exit 2) an unknown
-# flag, a --top outside (0, 1] and a --top that is not a number.
+# flag, a --top outside (0, 1] and a --top that is not a number, and
+# trace_gen (exit 2, no file written) a flag its workload does not read.
 #
 # usage: tests/trace_tools.sh TRACE_GEN TRACE_STAT
 set -u
@@ -72,6 +73,18 @@ for flag in --topp=0.5 --top=2 --top=-1 --top=abc; do
     fail "trace_stat $flag exited $code, want 2"
   else
     echo "trace_stat $flag refused"
+  fi
+done
+
+# --writes shapes only a custom trace, --scale only a paper workload.
+for flags in "--workload=homes --writes=0.5" "--workload=kv-zipf --scale=0.5"; do
+  # shellcheck disable=SC2086  # two flags, split on purpose
+  "$gen" --out="$tmp/refused" $flags > /dev/null 2>&1
+  code=$?
+  if [ "$code" -ne 2 ] || [ -e "$tmp/refused" ]; then
+    fail "trace_gen $flags exited $code, want 2 and no file"
+  else
+    echo "trace_gen $flags refused"
   fi
 done
 exit $status

@@ -562,5 +562,84 @@ TEST(ArgParserTest, AcceptsHexNegativeAndExponentValues) {
   EXPECT_FALSE(args.ok());
 }
 
+// The contract check: a supplied flag no getter (or Has) asked for is
+// refused by name, and reading it clears the refusal.
+TEST(ArgParserTest, RefusesFlagsNoGetterRead) {
+  const char* argv[] = {"prog", "--scale=0.5", "--scal=0.01", "--verify"};
+  ArgParser args(4, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(args.Get("scale", 1.0), 0.5);
+  EXPECT_TRUE(args.Has("verify"));
+  EXPECT_TRUE(args.ok());
+  EXPECT_EQ(args.Refusal(), "unknown flag --scal");
+  EXPECT_DOUBLE_EQ(args.Get("scal", 1.0), 0.01);
+  EXPECT_EQ(args.Refusal(), "");
+  args.ExitOnBadFlags();  // returns: nothing to refuse
+}
+
+TEST(ArgParserTest, ExitOnBadFlagsExitsTwoNamingTheFlag) {
+  const char* argv[] = {"dir/prog", "--ops=5", "--stride=2"};
+  const ArgParser args(3, const_cast<char**>(argv));
+  EXPECT_EQ(args.Get<uint32_t>("ops", 600), 5u);
+  EXPECT_EXIT(args.ExitOnBadFlags("usage: prog\n"), ::testing::ExitedWithCode(2),
+              "dir/prog: unknown flag --stride\nusage: prog");
+}
+
+// An integer must fit the type it is read into: --ops=4294967297 is not
+// --ops=1, and --ops=-1 is not 2^64 - 1.
+TEST(ArgParserTest, RefusesIntegersThatDoNotFitTheirType) {
+  const struct {
+    const char* arg;
+    bool as_uint32;
+  } refused[] = {{"--n=4294967297", true}, {"--n=-1", true}, {"--n=-1", false},
+                 {"--n=18446744073709551616", false}};
+  for (const auto& [arg, as_uint32] : refused) {
+    const char* argv[] = {"prog", arg};
+    const ArgParser args(2, const_cast<char**>(argv));
+    if (as_uint32) {
+      EXPECT_EQ(args.Get<uint32_t>("n", 7), 7u) << arg;
+    } else {
+      EXPECT_EQ(args.Get<uint64_t>("n", 7), 7u) << arg;
+    }
+    EXPECT_NE(args.Refusal().find("--n must be an integer from 0 to"), std::string::npos)
+        << arg << ": " << args.Refusal();
+  }
+  const char* argv[] = {"prog", "--a=4294967295", "--b=18446744073709551615", "--c=-1",
+                        "--d=0x10"};
+  const ArgParser args(5, const_cast<char**>(argv));
+  EXPECT_EQ(args.Get<uint32_t>("a", 0), 4294967295u);
+  EXPECT_EQ(args.Get<uint64_t>("b", 0), 18446744073709551615u);
+  EXPECT_EQ(args.Get<int64_t>("c", 0), -1);
+  EXPECT_EQ(args.GetPositive<uint32_t>("d", 1), 16u);
+  EXPECT_EQ(args.Refusal(), "");
+}
+
+TEST(ArgParserTest, BooleansAreOneOfSixWords) {
+  {
+    const char* argv[] = {"prog", "--x=ture"};
+    const ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_FALSE(args.GetBool("x", false));
+    EXPECT_NE(args.Refusal().find("--x must be true, false, 1, 0, yes or no, got: ture"),
+              std::string::npos)
+        << args.Refusal();
+  }
+  const char* argv[] = {"prog", "--a=true", "--b=1", "--c=yes", "--d", "--e=false", "--f=0",
+                        "--g=no"};
+  const ArgParser args(8, const_cast<char**>(argv));
+  for (const char* on : {"a", "b", "c", "d"}) {
+    EXPECT_TRUE(args.GetBool(on, false)) << on;
+  }
+  for (const char* off : {"e", "f", "g"}) {
+    EXPECT_FALSE(args.GetBool(off, true)) << off;
+  }
+  EXPECT_EQ(args.Refusal(), "");
+}
+
+// flashbench checks a closed flag set instead of ExitOnBadFlags.
+TEST(ArgParserTest, UnknownFlagsListsSuppliedNamesOutsideTheKnownSet) {
+  const char* argv[] = {"prog", "--seed=7", "--sede=8", "--scale=1"};
+  const ArgParser args(4, const_cast<char**>(argv));
+  EXPECT_EQ(args.UnknownFlags({"seed", "scale", "threads"}), std::vector<std::string>{"sede"});
+}
+
 }  // namespace
 }  // namespace flashtier

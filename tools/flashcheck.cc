@@ -20,11 +20,12 @@
 // tiny-object KV layer (exploration, or soak with --soak=N), and
 // --disk-faults drives the cache managers over a faulty disk tier. Every
 // mode runs on the one crash-cycle engine in src/check/engine.h and reads
-// the same device-shape flags.
+// the same device-shape flags, plus the flags of its own driver.
 //
 // Exit status is 0 iff no violation was found, so the tool can gate CI; with
-// a --break-* self-test flag it is 0 iff violations *were* found. Unknown
-// flags exit 2 with the usage text below.
+// a --break-* self-test flag it is 0 iff violations *were* found. A flag the
+// chosen mode does not read exits 2 with the usage text below, like an
+// unknown one.
 
 #include <cstdio>
 #include <string>
@@ -45,7 +46,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: flashcheck [mode] [options]\n"
     "\n"
-    "modes:\n"
+    "modes (one per run):\n"
     "  (default)              explore every durability commit point: run the\n"
     "                         scripted workload once per point with a crash\n"
     "                         injected there, recover, verify G1-G3 + the\n"
@@ -59,63 +60,69 @@ constexpr const char* kUsage =
     "                         faults active and the endurance defenses (wear\n"
     "                         leveling, patrol scrub, capacity degradation)\n"
     "                         on their normal cadence; audits invariants and\n"
-    "                         the shadow model at every 1x-capacity epoch;\n"
-    "                         composes with --faults, --shards, --admission\n"
+    "                         the shadow model at every 1x-capacity epoch\n"
     "  --kv                   check the tiny-object KV layer (DESIGN.md §5k):\n"
     "                         explore every commit point a mixed object\n"
     "                         workload crosses (or --soak=N cycles on one\n"
     "                         long-lived KvCache), verify object G1-G3 via a\n"
-    "                         shadow sweep + InvariantChecker::CheckKv;\n"
-    "                         composes with --faults, --shards, --admission\n"
+    "                         shadow sweep + InvariantChecker::CheckKv\n"
     "  --disk-faults          DiskGuard: drive cache managers over a faulty\n"
     "                         disk tier (latent sectors, transient failures,\n"
     "                         slow IO) with retry/backoff, parked writebacks,\n"
-    "                         cache-assisted repair and a host-level shadow;\n"
-    "                         composes with crashes, --shards, --admission,\n"
-    "                         --faults and --soak=N (cycle count)\n"
-    "                         (--aging, --kv and --disk-faults exclude each\n"
-    "                         other; --soak=N composes with --kv and\n"
-    "                         --disk-faults, not with --aging: exit 2)\n"
-    "  --break-recovery       self-test (any mode): recovery drops the log\n"
-    "                         tail, the checker MUST report violations\n"
-    "  --break-retry          self-test (any mode, requires --faults): bad-\n"
-    "                         block retirement is disabled, the audits MUST\n"
-    "                         report violations\n"
+    "                         cache-assisted repair and a host-level shadow,\n"
+    "                         for 8 crash cycles (--soak=N: N cycles)\n"
+    "  (--aging, --kv and --disk-faults exclude each other; --soak=N composes\n"
+    "  with --kv and --disk-faults, not with --aging: exit 2)\n"
     "\n"
-    "workload / device options (shared by all modes):\n"
-    "  --ops=600 --capacity-pages=512 --address-blocks=1536 --shards=1\n"
-    "  --policy=se-util|se-merge --mode=full|relaxed\n"
-    "  --admission=admit-all|ghost-lru|freq-sketch|write-limit\n"
+    "every mode:\n"
+    "  --capacity-pages=512 --shards=1 --policy=se-util|se-merge\n"
+    "  --mode=full|relaxed --admission=admit-all|ghost-lru|freq-sketch|write-limit\n"
     "  --group-commit-ops=16 --checkpoint-interval=250\n"
-    "  --log-region-pages=4 --segment-entries=16 --seed=42\n"
+    "  --log-region-pages=4 --segment-entries=16\n"
     "  (--aging defaults: --group-commit-ops=10000\n"
     "  --checkpoint-interval=1000000 --log-region-pages=4096\n"
     "  --segment-entries=1024)\n"
-    "  --no-invariants --verbose\n"
+    "  --seed=42 --no-invariants --verbose\n"
+    "  --faults               inject flash faults (options below)\n"
+    "  --break-retry          self-test (requires --faults): bad-block\n"
+    "                         retirement is disabled, the audits MUST\n"
+    "                         report violations\n"
     "\n"
-    "exploration options (default and --kv modes):\n"
-    "  --stride=1 --max-points=0 --no-recovery-points\n"
-    "\n"
-    "fault injection (composes with every mode):\n"
-    "  --faults --fault-seed=1 --program-fail=0.01 --erase-fail=0.05\n"
+    "fault options (with --faults):\n"
+    "  --fault-seed=1 --program-fail=0.01 --erase-fail=0.05\n"
     "  --read-corrupt=0.005 --wear-limit=0\n"
     "  --read-disturb-limit=0 --read-disturb-prob=0 (reads past the limit\n"
     "  since the block's last erase may corrupt; erase resets the exposure)\n"
     "  --retention-age-us=0 --retention-prob=0 (pages resident longer than\n"
     "  the age may corrupt when read)\n"
+    "  (--aging defaults: --wear-limit=6 --read-disturb-limit=64\n"
+    "  --read-disturb-prob=0.05 --retention-age-us=300000 --retention-prob=0.05)\n"
     "\n"
-    "aging options (--aging mode; wear/disturb/retention default ON here):\n"
-    "  --aging=N --soak-ops=512 --wl-interval=32 --wl-max-diff=8\n"
-    "  --patrol-interval=64 --patrol-blocks=4 --stats-json=FILE\n"
+    "commit-point exploration (the default mode, and --kv without --soak):\n"
+    "  --ops=600 --stride=1 --max-points=0 --no-recovery-points\n"
     "\n"
-    "soak options (--soak, --kv --soak and --disk-faults):\n"
-    "  --soak=N --soak-ops=400 --recovery-crash-period=3\n"
-    "  --recovery-budget-us=2400000 --stats-json=FILE\n"
+    "cycles and rounds (--soak, --kv --soak, --disk-faults and --aging):\n"
+    "  --soak-ops=400 (--aging: 512)\n"
+    "  --recovery-crash-period=3 --recovery-budget-us=2400000\n"
+    "  (not --aging, and not --disk-faults --no-crashes)\n"
     "\n"
-    "kv options (--kv mode):\n"
+    "every mode that recovers (not --aging, not --disk-faults --no-crashes):\n"
+    "  --break-recovery       self-test: recovery drops the log tail, the\n"
+    "                         checker MUST report violations\n"
+    "\n"
+    "block and host targets (every mode but --kv):\n"
+    "  --address-blocks=1536\n"
+    "\n"
+    "JSON report (every mode but the default):\n"
+    "  --stats-json=FILE\n"
+    "\n"
+    "aging options (--aging):\n"
+    "  --wl-interval=32 --wl-max-diff=8 --patrol-interval=64 --patrol-blocks=4\n"
+    "\n"
+    "kv options (--kv):\n"
     "  --kv-keys=512 --slab-pages=1 --no-packing\n"
     "\n"
-    "disk-fault options (--disk-faults mode):\n"
+    "disk-fault options (--disk-faults):\n"
     "  --disk-seed=1 --disk-read-fail=0.01 --disk-write-fail=0.02\n"
     "  --disk-latent=0.002 --disk-slow=0.01\n"
     "  --disk-retry-attempts=4 --disk-deadline-us=250000\n"
@@ -124,69 +131,13 @@ constexpr const char* kUsage =
 }  // namespace
 
 int main(int argc, char** argv) {
-  flashtier::ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "flashcheck: %s\n%s", args.error().c_str(), kUsage);
-    return 2;
-  }
+  const flashtier::ArgParser args(argc, argv);
   if (args.GetBool("help", false)) {
     std::printf("%s", kUsage);
     return 0;
   }
-  const auto unknown = args.UnknownFlags({
-      "help",          "ops",
-      "capacity-pages", "address-blocks",
-      "shards",        "policy",
-      "mode",          "admission",
-      "group-commit-ops", "checkpoint-interval",
-      "log-region-pages", "segment-entries",
-      "seed",          "stride",
-      "max-points",    "no-recovery-points",
-      "no-invariants", "verbose",
-      "break-recovery", "break-retry",
-      "faults",        "fault-seed",
-      "program-fail",  "erase-fail",
-      "read-corrupt",  "wear-limit",
-      "read-disturb-limit", "read-disturb-prob",
-      "retention-age-us", "retention-prob",
-      "aging",         "wl-interval",
-      "wl-max-diff",   "patrol-interval",
-      "patrol-blocks", "soak",
-      "soak-ops",
-      "recovery-crash-period", "recovery-budget-us",
-      "stats-json",    "disk-faults",
-      "disk-seed",     "disk-read-fail",
-      "disk-write-fail", "disk-latent",
-      "disk-slow",     "disk-retry-attempts",
-      "disk-deadline-us", "scrub-period",
-      "scrub-budget",  "write-through",
-      "no-crashes",    "kv",
-      "kv-keys",       "slab-pages",
-      "no-packing",
-  });
-  if (!unknown.empty()) {
-    for (const std::string& name : unknown) {
-      std::fprintf(stderr, "flashcheck: unknown flag --%s\n", name.c_str());
-    }
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
-  // Integer flags, converted to the type of their default.
-  const auto get = [&args](const char* name, auto def) {
-    return static_cast<decltype(def)>(args.GetInt(name, static_cast<int64_t>(def)));
-  };
-  const auto get_positive = [&args](const char* name, auto def) {
-    return static_cast<decltype(def)>(args.GetPositiveInt(name, static_cast<int64_t>(def)));
-  };
-  const auto bad_args = [&args]() {
-    if (!args.ok()) {
-      std::fprintf(stderr, "flashcheck: %s\n", args.error().c_str());
-    }
-    return !args.ok();
-  };
-
-  const int64_t soak_cycles = args.GetInt("soak", 0);
-  const int64_t aging_multiple = args.GetInt("aging", 0);
+  const uint32_t soak_cycles = args.Get<uint32_t>("soak", 0);
+  const uint32_t aging_multiple = args.Get<uint32_t>("aging", 0);
   const bool aging = aging_multiple > 0;
   const bool kv = args.GetBool("kv", false);
   const bool disk_faults = args.GetBool("disk-faults", false);
@@ -209,41 +160,40 @@ int main(int argc, char** argv) {
   // persistence settings and turns the endurance defenses on.
   flashtier::DeviceShape device = aging ? flashtier::AgingShape() : flashtier::DeviceShape{};
   flashtier::SscConfig& ssc = device.ssc;
-  ssc.capacity_pages = get("capacity-pages", ssc.capacity_pages);
-  device.shards = get_positive("shards", device.shards);
-  ssc.group_commit_ops = get("group-commit-ops", ssc.group_commit_ops);
-  ssc.checkpoint_interval_writes = get("checkpoint-interval", ssc.checkpoint_interval_writes);
-  ssc.log_region_pages = get("log-region-pages", ssc.log_region_pages);
-  ssc.checkpoint_segment_entries = get_positive("segment-entries", ssc.checkpoint_segment_entries);
+  ssc.capacity_pages = args.Get("capacity-pages", ssc.capacity_pages);
+  device.shards = args.GetPositive("shards", device.shards);
+  ssc.group_commit_ops = args.Get("group-commit-ops", ssc.group_commit_ops);
+  ssc.checkpoint_interval_writes = args.Get("checkpoint-interval", ssc.checkpoint_interval_writes);
+  ssc.log_region_pages = args.Get("log-region-pages", ssc.log_region_pages);
+  ssc.checkpoint_segment_entries =
+      args.GetPositive("segment-entries", ssc.checkpoint_segment_entries);
   if (aging) {
-    ssc.wear_level_interval_writes = get("wl-interval", ssc.wear_level_interval_writes);
-    ssc.wear_level_max_diff = get("wl-max-diff", ssc.wear_level_max_diff);
-    ssc.patrol_interval_writes = get("patrol-interval", ssc.patrol_interval_writes);
-    ssc.patrol_blocks_per_pass = get_positive("patrol-blocks", ssc.patrol_blocks_per_pass);
+    ssc.wear_level_interval_writes = args.Get("wl-interval", ssc.wear_level_interval_writes);
+    ssc.wear_level_max_diff = args.Get("wl-max-diff", ssc.wear_level_max_diff);
+    ssc.patrol_interval_writes = args.Get("patrol-interval", ssc.patrol_interval_writes);
+    ssc.patrol_blocks_per_pass = args.GetPositive("patrol-blocks", ssc.patrol_blocks_per_pass);
   }
 
   flashtier::FaultPlan& faults = ssc.fault_plan;
   faults.enabled = args.GetBool("faults", false);
-  faults.seed = get("fault-seed", uint64_t{1});
-  faults.program_fail_prob = args.GetDouble("program-fail", 0.01);
-  faults.erase_fail_prob = args.GetDouble("erase-fail", 0.05);
-  faults.read_corrupt_prob = args.GetDouble("read-corrupt", 0.005);
-  // Aging is about wear: under --aging, --faults also turns on wear-out
-  // retirement and the disturb/retention decay mechanisms unless each knob
-  // is explicitly overridden (=0 keeps one off). The default device is tiny
-  // (10 blocks/shard), so blocks only see a handful of erases per capacity
-  // written; a single-digit wear limit is the scaled equivalent of real
-  // NAND's thousands of P/E cycles.
-  const bool wear = aging && faults.enabled;
-  faults.wear_out_erases = get("wear-limit", uint32_t{wear ? 6u : 0u});
-  faults.read_disturb_limit = get("read-disturb-limit", uint32_t{wear ? 64u : 0u});
-  faults.read_disturb_prob = args.GetDouble("read-disturb-prob", wear ? 0.05 : 0.0);
-  faults.retention_age_us = get("retention-age-us", uint64_t{wear ? 300'000u : 0u});
-  faults.retention_fail_prob = args.GetDouble("retention-prob", wear ? 0.05 : 0.0);
-  ssc.break_retirement_for_testing = args.GetBool("break-retry", false);
-  if (bad_args()) {
-    return 2;
+  if (faults.enabled) {
+    faults.seed = args.Get("fault-seed", faults.seed);
+    faults.program_fail_prob = args.Get("program-fail", 0.01);
+    faults.erase_fail_prob = args.Get("erase-fail", 0.05);
+    faults.read_corrupt_prob = args.Get("read-corrupt", 0.005);
+    // Aging is about wear: under --aging, --faults also turns on wear-out
+    // retirement and the disturb/retention decay mechanisms unless each knob
+    // is explicitly overridden (=0 keeps one off). The default device is
+    // tiny (10 blocks/shard), so blocks only see a handful of erases per
+    // capacity written; a single-digit wear limit is the scaled equivalent
+    // of real NAND's thousands of P/E cycles.
+    faults.wear_out_erases = args.Get<uint32_t>("wear-limit", aging ? 6 : 0);
+    faults.read_disturb_limit = args.Get<uint32_t>("read-disturb-limit", aging ? 64 : 0);
+    faults.read_disturb_prob = args.Get("read-disturb-prob", aging ? 0.05 : 0.0);
+    faults.retention_age_us = args.Get<uint64_t>("retention-age-us", aging ? 300'000 : 0);
+    faults.retention_fail_prob = args.Get("retention-prob", aging ? 0.05 : 0.0);
   }
+  ssc.break_retirement_for_testing = args.GetBool("break-retry", false);
   if (ssc.break_retirement_for_testing && !faults.enabled) {
     std::fprintf(stderr, "flashcheck: --break-retry requires --faults\n");
     return 2;
@@ -277,28 +227,62 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The crash schedule, also shared: each mode reads the fields it uses.
-  // Soak, aging and DiskGuard workloads run in cycles or rounds of
-  // --soak-ops operations; the explorers run --ops per trial.
+  // The crash schedule. The explorers (the default mode, and --kv without
+  // --soak) run --ops per trial over the commit points; the soak and
+  // DiskGuard cycles and the aging rounds run --soak-ops operations each.
+  // Only cycles that crash recover, so only they read the recovery flags.
   flashtier::CrashSchedule schedule;
-  schedule.seed = get("seed", schedule.seed);
-  schedule.ops = soak_cycles > 0 || aging || disk_faults
-                     ? get_positive("soak-ops", uint32_t{aging ? 512u : 400u})
-                     : get("ops", schedule.ops);
-  schedule.max_points = get("max-points", schedule.max_points);
-  schedule.stride = get("stride", schedule.stride);
-  schedule.explore_recovery_points = !args.GetBool("no-recovery-points", false);
-  schedule.cycles = static_cast<uint32_t>(soak_cycles > 0 ? soak_cycles : disk_faults ? 8 : 0);
-  schedule.recovery_crash_period = get("recovery-crash-period", schedule.recovery_crash_period);
-  schedule.recovery_budget_us = get("recovery-budget-us", schedule.recovery_budget_us);
-  schedule.break_recovery = args.GetBool("break-recovery", false);
+  schedule.seed = args.Get("seed", schedule.seed);
   schedule.run_invariant_checker = !args.GetBool("no-invariants", false);
   schedule.verbose = args.GetBool("verbose", false);
-  const uint64_t address_blocks = get("address-blocks", uint64_t{1536});
-  const std::string stats_json = args.GetString("stats-json", "");
-  if (bad_args()) {
-    return 2;
+  const bool explores = soak_cycles == 0 && !aging && !disk_faults;
+  if (explores) {
+    schedule.ops = args.Get("ops", schedule.ops);
+    schedule.max_points = args.Get("max-points", schedule.max_points);
+    schedule.stride = args.Get("stride", schedule.stride);
+    schedule.explore_recovery_points = !args.GetBool("no-recovery-points", false);
+  } else {
+    schedule.ops = args.GetPositive<uint32_t>("soak-ops", aging ? 512 : 400);
   }
+  if (!explores && !aging) {
+    schedule.cycles = soak_cycles > 0 ? soak_cycles : 8;
+    schedule.crashes = !disk_faults || !args.GetBool("no-crashes", false);
+    if (schedule.crashes) {
+      schedule.recovery_crash_period =
+          args.Get("recovery-crash-period", schedule.recovery_crash_period);
+      schedule.recovery_budget_us = args.Get("recovery-budget-us", schedule.recovery_budget_us);
+    }
+  }
+  if (!aging && schedule.crashes) {
+    schedule.break_recovery = args.GetBool("break-recovery", false);
+  }
+  // The KV target addresses --kv-keys objects instead of blocks.
+  const uint64_t address_blocks = kv ? 0 : args.Get<uint64_t>("address-blocks", 1536);
+  const std::string stats_json = explores && !kv ? "" : args.GetString("stats-json", "");
+
+  flashtier::KvCheckOptions kv_options;
+  if (kv) {
+    kv_options.packing = !args.GetBool("no-packing", false);
+    kv_options.slab_pages = args.GetPositive("slab-pages", kv_options.slab_pages);
+    kv_options.keys = args.GetPositive("kv-keys", kv_options.keys);
+  }
+  flashtier::DiskGuardOptions disk_options;
+  if (disk_faults) {
+    disk_options.write_through = args.GetBool("write-through", false);
+    disk_options.scrub_period = args.Get("scrub-period", disk_options.scrub_period);
+    disk_options.scrub_budget = args.Get("scrub-budget", disk_options.scrub_budget);
+    flashtier::DiskFaultPlan& plan = disk_options.disk_faults;
+    plan.enabled = true;
+    plan.seed = args.Get("disk-seed", plan.seed);
+    plan.read_fail_prob = args.Get("disk-read-fail", 0.01);
+    plan.write_fail_prob = args.Get("disk-write-fail", 0.02);
+    plan.latent_prob = args.Get("disk-latent", 0.002);
+    plan.slow_io_prob = args.Get("disk-slow", 0.01);
+    flashtier::RetryPolicy& retry = disk_options.disk_retry;
+    retry.max_attempts = args.GetPositive("disk-retry-attempts", retry.max_attempts);
+    retry.op_deadline_us = args.Get("disk-deadline-us", retry.op_deadline_us);
+  }
+  args.ExitOnBadFlags(kUsage);
 
   // Every mode prints one report line (plus violation samples) and may
   // write a JSON report.
@@ -307,7 +291,7 @@ int main(int argc, char** argv) {
   bool clean = false;
   if (aging) {
     flashtier::AgingOptions o;
-    o.aging_multiple = static_cast<uint32_t>(aging_multiple);
+    o.aging_multiple = aging_multiple;
     o.device = device;
     o.schedule = schedule;
     o.address_blocks = address_blocks;
@@ -316,40 +300,17 @@ int main(int argc, char** argv) {
     json = report.ToJson();
     clean = report.ok();
   } else if (kv) {
-    flashtier::KvCheckOptions o;
-    o.device = device;
-    o.packing = !args.GetBool("no-packing", false);
-    o.slab_pages = get_positive("slab-pages", uint32_t{1});
-    o.schedule = schedule;
-    o.keys = get_positive("kv-keys", uint64_t{512});
-    if (bad_args()) {
-      return 2;
-    }
-    const flashtier::KvCheckReport report = flashtier::KvCheckHarness(o).Run();
+    kv_options.device = device;
+    kv_options.schedule = schedule;
+    const flashtier::KvCheckReport report = flashtier::KvCheckHarness(kv_options).Run();
     text = report.ToString();
     json = report.ToJson();
     clean = report.ok();
   } else if (disk_faults) {
-    flashtier::DiskGuardOptions o;
-    o.device = device;
-    o.schedule = schedule;
-    o.schedule.crashes = !args.GetBool("no-crashes", false);
-    o.address_blocks = address_blocks;
-    o.write_through = args.GetBool("write-through", false);
-    o.scrub_period = get("scrub-period", o.scrub_period);
-    o.scrub_budget = get("scrub-budget", o.scrub_budget);
-    o.disk_faults.enabled = true;
-    o.disk_faults.seed = get("disk-seed", uint64_t{1});
-    o.disk_faults.read_fail_prob = args.GetDouble("disk-read-fail", 0.01);
-    o.disk_faults.write_fail_prob = args.GetDouble("disk-write-fail", 0.02);
-    o.disk_faults.latent_prob = args.GetDouble("disk-latent", 0.002);
-    o.disk_faults.slow_io_prob = args.GetDouble("disk-slow", 0.01);
-    o.disk_retry.max_attempts = get_positive("disk-retry-attempts", uint32_t{4});
-    o.disk_retry.op_deadline_us = get("disk-deadline-us", uint64_t{250'000});
-    if (bad_args()) {
-      return 2;
-    }
-    const flashtier::DiskGuardReport report = flashtier::DiskGuardHarness(o).Run();
+    disk_options.device = device;
+    disk_options.schedule = schedule;
+    disk_options.address_blocks = address_blocks;
+    const flashtier::DiskGuardReport report = flashtier::DiskGuardHarness(disk_options).Run();
     text = report.ToString();
     json = report.ToJson();
     clean = report.ok();
@@ -360,12 +321,6 @@ int main(int argc, char** argv) {
     json = report.ToJson(schedule.recovery_budget_us);
     clean = report.ok();
   } else {
-    if (!stats_json.empty()) {
-      std::fprintf(stderr,
-                   "flashcheck: --stats-json is only produced by --soak, --disk-faults, --aging "
-                   "and --kv runs\n");
-      return 2;
-    }
     const flashtier::CrashExplorerReport report =
         flashtier::CrashExplorer({device, schedule, address_blocks}).Explore();
     text = report.ToString();

@@ -10,7 +10,8 @@
 // Block traces ("FTTR") are replayable with trace_stat, the TraceFileReader
 // API, or any bench; kv-zipf writes a KV trace ("FTKV") for the KvCache
 // layer. Both kinds go through one writer (src/trace/trace_file.h).
-// Unknown flags or invalid values exit 2 with usage.
+// A flag the chosen workload does not read (a paper workload reads only
+// --scale, kv-zipf no --scale) or an invalid value exits 2 with usage.
 
 #include <cinttypes>
 #include <cstdio>
@@ -60,84 +61,71 @@ int WriteTrace(RecordSource<Record>& source, const std::string& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    return UsageError(args.error().c_str());
-  }
-  const auto unknown = args.UnknownFlags({"out", "workload", "scale", "range-gb", "unique", "ops",
-                                          "writes", "seed", "keys", "zipf", "get-frac", "del-frac",
-                                          "min-size", "max-size", "size-zipf"});
-  if (!unknown.empty()) {
-    std::string detail = "unknown flag: --" + unknown.front();
-    return UsageError(detail.c_str());
-  }
+  const ArgParser args(argc, argv);
   const std::string out = args.GetString("out", "");
+  const std::string name = args.GetString("workload", "");
+  // kv-zipf and a custom trace (no --workload) read their own shape, a paper
+  // workload only --scale. A zero or negative size, which would make the
+  // generator spin forever or emit an empty trace, is refused.
+  KvWorkloadProfile kv;
+  WorkloadProfile profile;
+  if (name == "kv-zipf") {
+    kv.unique_keys = args.GetPositive("keys", kv.unique_keys);
+    kv.total_ops = args.GetPositive("ops", kv.total_ops);
+    kv.key_zipf_s = args.GetPositive("zipf", kv.key_zipf_s);
+    kv.get_fraction = args.Get("get-frac", kv.get_fraction);
+    kv.delete_fraction = args.Get("del-frac", kv.delete_fraction);
+    kv.min_size = args.GetPositive("min-size", kv.min_size);
+    kv.max_size = args.GetPositive("max-size", kv.max_size);
+    kv.size_zipf_s = args.GetPositive("size-zipf", kv.size_zipf_s);
+    kv.seed = args.Get("seed", kv.seed);
+  } else if (name.empty()) {
+    profile.name = "custom";
+    // Read as uint32_t, so the product cannot overflow.
+    profile.range_blocks =
+        uint64_t{args.GetPositive<uint32_t>("range-gb", 64)} * ((1ull << 30) / 4096);
+    profile.unique_blocks = args.GetPositive<uint64_t>("unique", 200'000);
+    profile.full_unique_blocks = profile.unique_blocks;
+    profile.total_ops = args.GetPositive<uint64_t>("ops", 1'000'000);
+    profile.write_fraction = args.Get("writes", 0.5);
+    profile.seed = args.Get<uint64_t>("seed", 42);
+  } else {
+    const double scale = args.GetPositive("scale", 0.1);
+    if (name == "homes") {
+      profile = HomesProfile(scale);
+    } else if (name == "mail") {
+      profile = MailProfile(scale);
+    } else if (name == "usr") {
+      profile = UsrProfile(scale);
+    } else if (name == "proj") {
+      profile = ProjProfile(scale);
+    } else {
+      const std::string detail = "unknown workload: " + name;
+      return UsageError(detail.c_str());
+    }
+  }
+  args.ExitOnBadFlags(kUsage);
   if (out.empty()) {
     return UsageError("--out is required");
   }
 
-  const std::string name = args.GetString("workload", "");
   if (name == "kv-zipf") {
-    KvWorkloadProfile profile;
-    profile.unique_keys = static_cast<uint64_t>(args.GetPositiveInt("keys", 20'000));
-    profile.total_ops = static_cast<uint64_t>(args.GetPositiveInt("ops", 200'000));
-    profile.key_zipf_s = args.GetPositiveDouble("zipf", 0.99);
-    profile.get_fraction = args.GetDouble("get-frac", 0.60);
-    profile.delete_fraction = args.GetDouble("del-frac", 0.05);
-    profile.min_size = static_cast<uint32_t>(args.GetPositiveInt("min-size", kKvMinObjectBytes));
-    profile.max_size = static_cast<uint32_t>(args.GetPositiveInt("max-size", 1024));
-    profile.size_zipf_s = args.GetPositiveDouble("size-zipf", 1.10);
-    profile.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-    if (!args.ok()) {
-      return UsageError(args.error().c_str());
-    }
-    if (profile.get_fraction < 0.0 || profile.delete_fraction < 0.0 ||
-        profile.get_fraction + profile.delete_fraction > 1.0) {
+    if (kv.get_fraction < 0.0 || kv.delete_fraction < 0.0 ||
+        kv.get_fraction + kv.delete_fraction > 1.0) {
       return UsageError("--get-frac/--del-frac must be >= 0 and sum to <= 1");
     }
-    if (profile.min_size < kKvMinObjectBytes || profile.max_size > kKvMaxObjectBytes ||
-        profile.min_size > profile.max_size) {
+    if (kv.min_size < kKvMinObjectBytes || kv.max_size > kKvMaxObjectBytes ||
+        kv.min_size > kv.max_size) {
       return UsageError("--min-size/--max-size must satisfy 64 <= min <= max <= 4096");
     }
-
-    KvZipfWorkload workload(profile);
+    KvZipfWorkload workload(kv);
     if (const int code = WriteTrace(workload, out); code != 0) {
       return code;
     }
     std::printf("wrote %" PRIu64 " kv records (%" PRIu64 " keys, zipf %.2f, %u-%u B) to %s\n",
-                profile.total_ops, profile.unique_keys, profile.key_zipf_s, profile.min_size,
-                profile.max_size, out.c_str());
+                kv.total_ops, kv.unique_keys, kv.key_zipf_s, kv.min_size, kv.max_size,
+                out.c_str());
     return 0;
-  }
-
-  WorkloadProfile profile;
-  const double scale = args.GetPositiveDouble("scale", 0.1);
-  if (name == "homes") {
-    profile = HomesProfile(scale);
-  } else if (name == "mail") {
-    profile = MailProfile(scale);
-  } else if (name == "usr") {
-    profile = UsrProfile(scale);
-  } else if (name == "proj") {
-    profile = ProjProfile(scale);
-  } else if (name.empty()) {
-    profile.name = "custom";
-    profile.range_blocks =
-        static_cast<uint64_t>(args.GetPositiveInt("range-gb", 64)) * ((1ull << 30) / 4096);
-    profile.unique_blocks = static_cast<uint64_t>(args.GetPositiveInt("unique", 200'000));
-    profile.full_unique_blocks = profile.unique_blocks;
-    profile.total_ops = static_cast<uint64_t>(args.GetPositiveInt("ops", 1'000'000));
-    profile.write_fraction = args.GetDouble("writes", 0.5);
-    profile.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  } else {
-    std::string detail = "unknown workload: " + name;
-    return UsageError(detail.c_str());
-  }
-  if (!args.ok()) {
-    // A value that is not a number, or a zero or negative size (which would
-    // make the generator spin forever or emit an empty trace), fails loudly
-    // instead (INVALID_ARGUMENT).
-    return UsageError(args.error().c_str());
   }
 
   SyntheticWorkload workload(profile);

@@ -6,7 +6,8 @@
 //   trace_stat --in=/tmp/homes.fttr [--top=0.25]
 //   trace_stat --in=/tmp/kv.ftkv
 //
-// An unknown flag, or a --top outside (0, 1], exits 2 with usage.
+// A missing --in, a flag the trace's kind does not read (a KV trace takes no
+// --top) or a --top outside (0, 1] exits 2 with usage.
 
 #include <cinttypes>
 #include <cstdio>
@@ -19,7 +20,7 @@ using namespace flashtier;
 
 namespace {
 
-constexpr char kUsage[] = "usage: trace_stat --in=FILE [--top=0.25]\n";
+constexpr char kUsage[] = "usage: trace_stat --in=FILE [--top=0.25 (block traces only)]\n";
 
 int UsageError(const char* detail) {
   std::fprintf(stderr, "error: %s\n%s", detail, kUsage);
@@ -94,31 +95,20 @@ int PrintKvTrace(const std::string& in) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "error: %s\n", args.error().c_str());
-    return 1;
-  }
-  const auto unknown = args.UnknownFlags({"in", "top"});
-  if (!unknown.empty()) {
-    const std::string detail = "unknown flag: --" + unknown.front();
-    return UsageError(detail.c_str());
-  }
+  const ArgParser args(argc, argv);
   const std::string in = args.GetString("in", "");
+  // --top picks the hot blocks of a block trace; a KV trace does not read it.
+  const bool kv = ClassifyTraceFile(in) == TraceFileKind::kKv;
+  const double top = kv ? 0.0 : args.Get("top", 0.25);
+  args.ExitOnBadFlags(kUsage);
   if (in.empty()) {
-    std::fprintf(stderr, "%s", kUsage);
-    return 1;
+    return UsageError("--in is required");
   }
-  const double top = args.GetDouble("top", 0.25);
-  if (!args.ok()) {
-    return UsageError(args.error().c_str());
+  if (kv) {
+    return PrintKvTrace(in);
   }
   if (!(top > 0.0 && top <= 1.0)) {
     return UsageError("--top must be in (0, 1]");
-  }
-
-  if (ClassifyTraceFile(in) == TraceFileKind::kKv) {
-    return PrintKvTrace(in);
   }
 
   TraceStats stats;
