@@ -32,7 +32,8 @@ Result Run(const WorkloadProfile& profile, uint32_t group_commit, uint64_t ckpt_
   config.group_commit_ops = group_commit;
   config.checkpoint_interval_writes = ckpt_interval;
   SscDevice ssc(config, &clock);
-  WriteBackManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteBackManager manager(&ssc, &disk, admit_all);
 
   SyntheticWorkload workload(profile);
   TraceRecord r;

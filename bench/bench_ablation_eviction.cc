@@ -38,7 +38,8 @@ Result Run(const WorkloadProfile& profile, EvictionPolicy policy, uint32_t top_k
   config.gc_victims_per_cycle = top_k;
   config.max_log_fraction = max_log_fraction;
   SscDevice ssc(config, &clock);
-  WriteThroughManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteThroughManager manager(&ssc, &disk, admit_all);
 
   SyntheticWorkload workload(profile);
   TraceRecord r;

@@ -84,7 +84,9 @@ Row MeasureWorkload(const WorkloadProfile& profile, double cache_fraction,
   {
     SsdFtl ssd(row.cache_pages + NativeCacheManager::kMetadataRegionPages, &clock);
     DiskModel disk(DiskParams{}, &clock);
-    NativeCacheManager native(&ssd, &disk, row.cache_pages, NativeCacheManager::Options{});
+    AdmitAllPolicy admit_all;
+    NativeCacheManager native(&ssd, &disk, row.cache_pages, admit_all,
+                              NativeCacheManager::Options{});
     row.native_host_mb = Mb(native.HostMemoryUsage());
   }
   {

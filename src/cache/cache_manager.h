@@ -2,7 +2,9 @@
 //
 // A cache manager interposes at the OS block layer: application reads and
 // writes arrive here, and the manager decides what goes to the caching device
-// (SSC or SSD) and what goes to disk. Content identity flows through as
+// (SSC or SSD) and what goes to disk. Every manager has an admission policy,
+// consulted before each cache insertion (DESIGN.md §5f); admit-all, the
+// default, admits everything. Content identity flows through as
 // 64-bit tokens so integration tests can verify that no configuration ever
 // returns stale data.
 
@@ -97,11 +99,6 @@ class CacheManager {
 
   const ManagerStats& stats() const { return stats_; }
 
-  // Installs (or, with nullptr, removes) the admission policy consulted
-  // before every cache insertion. With no policy the manager admits
-  // unconditionally and makes zero policy calls — the pre-policy behaviour.
-  void set_admission_policy(AdmissionPolicy* policy) { policy_ = policy; }
-
   // Background scrub pass (DESIGN.md §5i): repairs up to `max_sectors` of
   // the disk's latent sectors from cached copies (a cached token — clean or
   // dirty — is acknowledged data, so rewriting it heals the sector without
@@ -113,38 +110,12 @@ class CacheManager {
   }
 
  protected:
-  explicit CacheManager(AdmissionPolicy* policy = nullptr) : policy_(policy) {}
-
-  // The admission-policy calls (DESIGN.md §5f). Each is a no-op without a
-  // policy, and Admits() then admits: no policy, no policy call.
-  void PolicyAccess(Lbn lbn, bool is_write) {
-    if (policy_ != nullptr) {
-      policy_->OnAccess(lbn, is_write);
-    }
-  }
-  bool Admits(Lbn lbn, AdmissionOp op, const AdmissionContext& ctx = AdmissionContext{}) {
-    return policy_ == nullptr || policy_->ShouldAdmit(lbn, op, ctx);
-  }
-  void PolicyAdmit(Lbn lbn) {
-    if (policy_ != nullptr) {
-      policy_->OnAdmit(lbn);
-    }
-  }
-  void PolicyReject(Lbn lbn) {
-    if (policy_ != nullptr) {
-      policy_->OnReject(lbn);
-    }
-  }
-  void PolicyEvict(Lbn lbn) {
-    if (policy_ != nullptr) {
-      policy_->OnEvict(lbn);
-    }
-  }
+  explicit CacheManager(AdmissionPolicy& policy) : policy_(policy) {}
 
   ManagerStats stats_;
-
- private:
-  AdmissionPolicy* policy_;
+  // Consulted before every cache insertion and told of every access,
+  // admission, rejection and eviction.
+  AdmissionPolicy& policy_;
 };
 
 }  // namespace flashtier

@@ -96,8 +96,4 @@ bool DirtyTable::Erase(Lbn lbn) {
   return false;
 }
 
-Lbn DirtyTable::LruBlock() const {
-  return lru_tail_ == kNil ? kInvalidLbn : entries_[lru_tail_].lbn;
-}
-
 }  // namespace flashtier

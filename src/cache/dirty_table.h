@@ -33,9 +33,6 @@ class DirtyTable {
   // Removes lbn; returns false if absent.
   bool Erase(Lbn lbn);
 
-  // Least-recently-used dirty block; kInvalidLbn if empty.
-  Lbn LruBlock() const;
-
   // Least-recently-used dirty block satisfying `pred`, walking from the LRU
   // end; kInvalidLbn if none. Used to pick cleaning victims while skipping
   // blocks parked on the writeback retry queue.

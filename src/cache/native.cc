@@ -8,15 +8,14 @@
 namespace flashtier {
 
 NativeCacheManager::NativeCacheManager(SsdFtl* ssd, DiskModel* disk, uint64_t cache_pages,
-                                       const Options& options)
-    : CacheManager(options.admission),
+                                       AdmissionPolicy& admission, const Options& options)
+    : CacheManager(admission),
       ssd_(ssd),
       disk_(disk),
       options_(options),
-      cache_pages_(cache_pages) {
-  sets_ = static_cast<uint32_t>(
-      std::max<uint64_t>(1, cache_pages / options_.associativity));
-  slots_.assign(static_cast<size_t>(sets_) * options_.associativity, Slot{});
+      ways_(static_cast<uint16_t>(std::clamp<uint64_t>(cache_pages, 1, kMaxWays))),
+      sets_(static_cast<uint32_t>(std::max<uint64_t>(1, cache_pages / ways_))) {
+  slots_.assign(static_cast<size_t>(sets_) * ways_, Slot{});
   set_head_.assign(sets_, kNilWay);
   set_tail_.assign(sets_, kNilWay);
   set_dirty_.assign(sets_, 0);
@@ -28,8 +27,8 @@ uint32_t NativeCacheManager::SetOf(Lbn lbn) const {
 }
 
 uint16_t NativeCacheManager::FindWay(uint32_t set, Lbn lbn) const {
-  const uint64_t base = static_cast<uint64_t>(set) * options_.associativity;
-  for (uint16_t way = 0; way < options_.associativity; ++way) {
+  const uint64_t base = static_cast<uint64_t>(set) * ways_;
+  for (uint16_t way = 0; way < ways_; ++way) {
     const Slot& s = slots_[base + way];
     if (s.state != SlotState::kFree && s.lbn == lbn) {
       return way;
@@ -70,7 +69,7 @@ void NativeCacheManager::MetadataUpdate() {
   if (options_.mode != Mode::kWriteBack || !options_.persist_metadata) {
     return;
   }
-  if (++pending_metadata_ < options_.metadata_batch) {
+  if (++pending_metadata_ < kMetadataBatch) {
     return;
   }
   pending_metadata_ = 0;
@@ -85,6 +84,20 @@ void NativeCacheManager::MetadataUpdate() {
   ++stats_.metadata_writes;
 }
 
+void NativeCacheManager::MarkClean(uint32_t set, uint16_t way) {
+  SlotAt(set, way).state = SlotState::kClean;
+  --set_dirty_[set];
+  --dirty_total_;
+  MetadataUpdate();
+}
+
+void NativeCacheManager::DropSlot(uint32_t set, uint16_t way) {
+  AssertOk(ssd_->Trim(SsdPageOf(set, way)));
+  LruUnlink(set, way);
+  SlotAt(set, way) = Slot{};
+  --occupied_;
+}
+
 Status NativeCacheManager::WriteBackSlot(uint32_t set, uint16_t way) {
   Slot& s = SlotAt(set, way);
   assert(s.state == SlotState::kDirty);
@@ -95,10 +108,7 @@ Status NativeCacheManager::WriteBackSlot(uint32_t set, uint16_t way) {
       // reach the disk, so record the loss and let the slot be reclaimed.
       ++stats_.read_errors;
       ++stats_.lost_dirty;
-      s.state = SlotState::kClean;
-      --set_dirty_[set];
-      --dirty_total_;
-      MetadataUpdate();
+      MarkClean(set, way);
       return Status::kOk;
     }
     return rs;
@@ -109,17 +119,14 @@ Status NativeCacheManager::WriteBackSlot(uint32_t set, uint16_t way) {
     ++stats_.disk_io_errors;
     return ds;
   }
-  s.state = SlotState::kClean;
-  --set_dirty_[set];
-  --dirty_total_;
+  MarkClean(set, way);
   ++stats_.writebacks;
-  MetadataUpdate();
   return Status::kOk;
 }
 
 Status NativeCacheManager::AllocateWay(uint32_t set, uint16_t* way) {
-  const uint64_t base = static_cast<uint64_t>(set) * options_.associativity;
-  for (uint16_t w = 0; w < options_.associativity; ++w) {
+  const uint64_t base = static_cast<uint64_t>(set) * ways_;
+  for (uint16_t w = 0; w < ways_; ++w) {
     if (slots_[base + w].state == SlotState::kFree) {
       *way = w;
       return Status::kOk;
@@ -149,14 +156,10 @@ Status NativeCacheManager::AllocateWay(uint32_t set, uint16_t* way) {
       return st;
     }
   }
-  Slot& s = SlotAt(set, victim);
-  const Lbn victim_lbn = s.lbn;
-  AssertOk(ssd_->Trim(SsdPageOf(set, victim)));
-  LruUnlink(set, victim);
-  s = Slot{};
-  --occupied_;
+  const Lbn victim_lbn = SlotAt(set, victim).lbn;
+  DropSlot(set, victim);
   ++stats_.evicts;
-  PolicyEvict(victim_lbn);
+  policy_.OnEvict(victim_lbn);
   MetadataUpdate();
   *way = victim;
   return Status::kOk;
@@ -166,15 +169,15 @@ Status NativeCacheManager::InsertBlock(Lbn lbn, uint64_t token, bool dirty, Admi
   const uint32_t set = SetOf(lbn);
   uint16_t way = FindWay(set, lbn);
   const bool was_present = (way != kNilWay);
-  if (!was_present && !Admits(lbn, op)) {
+  if (!was_present && !policy_.ShouldAdmit(lbn, op, AdmissionContext{})) {
     // Rejected new insertion: nothing is cached (the table lookup missed),
     // so the block simply stays uncached; dirty data goes straight to disk.
     if (!dirty) {
-      PolicyReject(lbn);
+      policy_.OnReject(lbn);
       return Status::kOk;
     }
     if (Status ds = disk_->GuardedWrite(lbn, token); IsOk(ds)) {
-      PolicyReject(lbn);
+      policy_.OnReject(lbn);
       return Status::kOk;
     }
     // The write-around disk write failed past the retry bound. Durability
@@ -204,14 +207,9 @@ Status NativeCacheManager::InsertBlock(Lbn lbn, uint64_t token, bool dirty, Admi
       // leaves the *old* version mapped, which is now stale — and fall back
       // to the disk for dirty data.
       if (s.state == SlotState::kDirty) {
-        --set_dirty_[set];
-        --dirty_total_;
-        MetadataUpdate();
+        MarkClean(set, way);
       }
-      AssertOk(ssd_->Trim(SsdPageOf(set, way)));
-      LruUnlink(set, way);
-      s = Slot{};
-      --occupied_;
+      DropSlot(set, way);
       ++stats_.pass_through_writes;
       if (!dirty) {
         return Status::kOk;
@@ -227,7 +225,7 @@ Status NativeCacheManager::InsertBlock(Lbn lbn, uint64_t token, bool dirty, Admi
     return ws;
   }
   if (!was_present) {
-    PolicyAdmit(lbn);
+    policy_.OnAdmit(lbn);
   }
   if (dirty && s.state != SlotState::kDirty) {
     s.state = SlotState::kDirty;
@@ -236,15 +234,10 @@ Status NativeCacheManager::InsertBlock(Lbn lbn, uint64_t token, bool dirty, Admi
     MetadataUpdate();
   } else if (!dirty && s.state == SlotState::kDirty) {
     // Overwrite of a dirty block with clean contents (fill after write-back).
-    s.state = SlotState::kClean;
-    --set_dirty_[set];
-    --dirty_total_;
-    MetadataUpdate();
+    MarkClean(set, way);
   }
-  if (dirty &&
-      set_dirty_[set] >
-          static_cast<uint16_t>(static_cast<double>(options_.associativity) *
-                                options_.dirty_threshold)) {
+  const auto threshold = static_cast<uint16_t>(static_cast<double>(ways_) * kDirtyThreshold);
+  if (dirty && set_dirty_[set] > threshold) {
     return CleanSet(set);
   }
   return Status::kOk;
@@ -253,11 +246,10 @@ Status NativeCacheManager::InsertBlock(Lbn lbn, uint64_t token, bool dirty, Admi
 Status NativeCacheManager::CleanSet(uint32_t set) {
   // Write back the set's dirty blocks oldest-first, merging address-contiguous
   // victims into sequential disk writes (FlashCache behaviour).
-  const auto limit = static_cast<uint16_t>(static_cast<double>(options_.associativity) *
-                                           options_.dirty_threshold / 2.0);
+  const auto limit = static_cast<uint16_t>(static_cast<double>(ways_) * kDirtyThreshold / 2.0);
   std::vector<std::pair<Lbn, uint16_t>> dirty;  // (lbn, way)
-  const uint64_t base = static_cast<uint64_t>(set) * options_.associativity;
-  for (uint16_t w = 0; w < options_.associativity; ++w) {
+  const uint64_t base = static_cast<uint64_t>(set) * ways_;
+  for (uint16_t w = 0; w < ways_; ++w) {
     if (slots_[base + w].state == SlotState::kDirty) {
       dirty.emplace_back(slots_[base + w].lbn, w);
     }
@@ -280,13 +272,9 @@ Status NativeCacheManager::CleanSet(uint32_t set) {
         if (s == Status::kCorrupt) {
           // Unreadable dirty page: record the loss, drop it from the run,
           // and write back only the pages collected before it.
-          Slot& slot = slots_[base + dirty[k].second];
-          slot.state = SlotState::kClean;
-          --set_dirty_[set];
-          --dirty_total_;
           ++stats_.read_errors;
           ++stats_.lost_dirty;
-          MetadataUpdate();
+          MarkClean(set, dirty[k].second);
           lost = k;
           break;
         }
@@ -306,12 +294,8 @@ Status NativeCacheManager::CleanSet(uint32_t set) {
       }
     }
     for (size_t k = i; k < run_end; ++k) {
-      Slot& slot = slots_[base + dirty[k].second];
-      slot.state = SlotState::kClean;
-      --set_dirty_[set];
-      --dirty_total_;
+      MarkClean(set, dirty[k].second);
       ++stats_.writebacks;
-      MetadataUpdate();
     }
     i = (lost < j) ? lost + 1 : j;
   }
@@ -320,7 +304,7 @@ Status NativeCacheManager::CleanSet(uint32_t set) {
 
 Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
   ++stats_.reads;
-  PolicyAccess(lbn, /*is_write=*/false);
+  policy_.OnAccess(lbn, /*is_write=*/false);
   const uint32_t set = SetOf(lbn);
   const uint16_t way = FindWay(set, lbn);
   if (way != kNilWay) {
@@ -338,20 +322,14 @@ Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
     }
     // Uncorrectable flash read: drop the slot. A dirty block is lost for
     // good; a clean one degrades to a miss and is refetched from disk below.
-    Slot& s = SlotAt(set, way);
-    const bool was_dirty = (s.state == SlotState::kDirty);
+    const bool was_dirty = (SlotAt(set, way).state == SlotState::kDirty);
     ++stats_.read_errors;
     if (was_dirty) {
       ++stats_.lost_dirty;
-      --set_dirty_[set];
-      --dirty_total_;
-      MetadataUpdate();
+      MarkClean(set, way);
     }
-    AssertOk(ssd_->Trim(SsdPageOf(set, way)));
-    LruUnlink(set, way);
-    s = Slot{};
-    --occupied_;
-    PolicyEvict(lbn);
+    DropSlot(set, way);
+    policy_.OnEvict(lbn);
     if (was_dirty) {
       return Status::kIoError;
     }
@@ -374,7 +352,7 @@ Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
 
 Status NativeCacheManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  PolicyAccess(lbn, /*is_write=*/true);
+  policy_.OnAccess(lbn, /*is_write=*/true);
   if (options_.mode == Mode::kWriteThrough) {
     if (Status s = disk_->GuardedWrite(lbn, token); !IsOk(s)) {
       ++stats_.disk_io_errors;
@@ -387,8 +365,8 @@ Status NativeCacheManager::Write(Lbn lbn, uint64_t token) {
 
 Status NativeCacheManager::FlushAll() {
   for (uint32_t set = 0; set < sets_; ++set) {
-    const uint64_t base = static_cast<uint64_t>(set) * options_.associativity;
-    for (uint16_t w = 0; w < options_.associativity; ++w) {
+    const uint64_t base = static_cast<uint64_t>(set) * ways_;
+    for (uint16_t w = 0; w < ways_; ++w) {
       if (slots_[base + w].state == SlotState::kDirty) {
         if (Status s = WriteBackSlot(set, w); !IsOk(s)) {
           return s;

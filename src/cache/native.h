@@ -8,16 +8,19 @@
 // LRU indexes, block state) — and manage free space itself.
 //
 // The table is set-associative (as in FlashCache): a block hashes to a set
-// and may occupy any way of that set; the slot index doubles as the SSD page
-// number, so no flash address needs to be stored. Replacement is LRU within
-// the set; dirty victims are written back to disk first.
+// of 256 ways (one set of cache_pages ways for a smaller cache) and may
+// occupy any way of that set; the slot index doubles as the SSD page number,
+// so no flash address needs to be stored. Replacement is LRU within the set;
+// dirty victims are written back to disk first, and a set whose dirty ways
+// pass 20% is cleaned.
 //
 // In write-back mode with metadata persistence enabled (the Fig. 4 "Native-D"
 // configuration), every dirty-block state change is persisted by writing
-// metadata pages to a reserved region of the SSD, batched a few updates at a
-// time; clean-block metadata is only written at orderly shutdown, so clean
-// contents are lost in a crash. In write-through mode nothing is persisted
-// and the cache cannot be recovered at all.
+// metadata pages to a reserved region of the SSD, two updates per page (the
+// paper's manager only batches *sequential* updates, so random dirty traffic
+// flushes nearly per-update); clean-block metadata is only written at
+// orderly shutdown, so clean contents are lost in a crash. In write-through
+// mode nothing is persisted and the cache cannot be recovered at all.
 
 #ifndef FLASHTIER_CACHE_NATIVE_H_
 #define FLASHTIER_CACHE_NATIVE_H_
@@ -40,21 +43,15 @@ class NativeCacheManager final : public CacheManager {
     // Persist dirty-block metadata at runtime (Native-D). Only meaningful in
     // write-back mode.
     bool persist_metadata = true;
-    uint32_t associativity = 256;
-    double dirty_threshold = 0.20;  // per set
-    // Dirty-metadata state changes coalesced per metadata page write. The
-    // paper's manager only batches *sequential* updates, so random dirty
-    // traffic flushes nearly per-update.
-    uint32_t metadata_batch = 2;
-    // Consulted before every *new* insertion (table hits keep their slot);
-    // rejected dirty insertions go straight to disk, rejected clean ones are
-    // simply not cached. nullptr admits everything with zero policy calls.
-    AdmissionPolicy* admission = nullptr;
   };
 
   // `ssd` must expose at least cache_pages + kMetadataRegionPages logical
-  // pages; slot i of the table is stored at SSD page i.
-  NativeCacheManager(SsdFtl* ssd, DiskModel* disk, uint64_t cache_pages, const Options& options);
+  // pages; slot i of the table is stored at SSD page i. `admission` is
+  // consulted before every *new* insertion (table hits keep their slot):
+  // rejected dirty insertions go straight to disk, rejected clean ones are
+  // simply not cached.
+  NativeCacheManager(SsdFtl* ssd, DiskModel* disk, uint64_t cache_pages, AdmissionPolicy& admission,
+                     const Options& options);
 
   static constexpr uint64_t kMetadataRegionPages = 1024;
 
@@ -93,6 +90,12 @@ class NativeCacheManager final : public CacheManager {
     SlotState state = SlotState::kFree;
   };
   static constexpr uint16_t kNilWay = 0xffff;
+  // Ways per set; a cache smaller than one set is one set of its own size.
+  static constexpr uint64_t kMaxWays = 256;
+  // A set is cleaned once more than this fraction of its ways is dirty.
+  static constexpr double kDirtyThreshold = 0.20;
+  // Dirty-metadata state changes coalesced per metadata page write.
+  static constexpr uint32_t kMetadataBatch = 2;
   // Longest contiguous dirty run written back as one disk write.
   static constexpr uint32_t kMaxCleanRun = 64;
 
@@ -101,7 +104,7 @@ class NativeCacheManager final : public CacheManager {
   uint16_t FindWay(uint32_t set, Lbn lbn) const;
   Slot& SlotAt(uint32_t set, uint16_t way) { return slots_[SsdPageOf(set, way)]; }
   uint64_t SsdPageOf(uint32_t set, uint16_t way) const {
-    return static_cast<uint64_t>(set) * options_.associativity + way;
+    return static_cast<uint64_t>(set) * ways_ + way;
   }
 
   void LruUnlink(uint32_t set, uint16_t way);
@@ -112,13 +115,19 @@ class NativeCacheManager final : public CacheManager {
   Status WriteBackSlot(uint32_t set, uint16_t way);
   Status CleanSet(uint32_t set);
   // Records a dirty-metadata state change; flushes a metadata page to the
-  // SSD every `metadata_batch` changes (Native-D).
+  // SSD every kMetadataBatch changes (Native-D).
   void MetadataUpdate();
+  // A dirty slot turns clean: the dirty counts fall and the state change is
+  // recorded.
+  void MarkClean(uint32_t set, uint16_t way);
+  // Trims the slot's SSD page, unlinks it from its set's LRU list and frees
+  // it.
+  void DropSlot(uint32_t set, uint16_t way);
 
   SsdFtl* ssd_;
   DiskModel* disk_;
   Options options_;
-  uint64_t cache_pages_;
+  uint16_t ways_;
   uint32_t sets_;
   std::vector<Slot> slots_;
   std::vector<uint16_t> set_head_;     // MRU way per set

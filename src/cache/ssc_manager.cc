@@ -2,7 +2,7 @@
 
 namespace flashtier {
 
-SscCacheManager::SscCacheManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy* policy)
+SscCacheManager::SscCacheManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy& policy)
     : CacheManager(policy), ssc_(ssc), disk_(disk) {
   ssc_->set_loss_listener(this);
 }
@@ -16,7 +16,7 @@ SscCacheManager::~SscCacheManager() {
 
 Status SscCacheManager::Read(Lbn lbn, uint64_t* token) {
   ++stats_.reads;
-  PolicyAccess(lbn, /*is_write=*/false);
+  policy_.OnAccess(lbn, /*is_write=*/false);
   Status s = ssc_->Read(lbn, token);
   if (IsOk(s)) {
     ++stats_.read_hits;
@@ -45,17 +45,17 @@ Status SscCacheManager::Read(Lbn lbn, uint64_t* token) {
   // read above said not-present). A rejected fill serves from disk uncached,
   // saving the flash write; a backpressured fill is likewise skipped rather
   // than stalled (it is an optimization, not an obligation).
-  if (Admits(lbn, AdmissionOp::kReadFill)) {
+  if (policy_.ShouldAdmit(lbn, AdmissionOp::kReadFill, AdmissionContext{})) {
     const Status cs = ssc_->WriteClean(lbn, fetched);
     if (!IsOk(cs) && cs != Status::kNoSpace && cs != Status::kIoError &&
         cs != Status::kBackpressure) {
       return cs;
     }
     if (IsOk(cs)) {
-      PolicyAdmit(lbn);
+      policy_.OnAdmit(lbn);
     }
   } else {
-    PolicyReject(lbn);
+    policy_.OnReject(lbn);
   }
   if (token != nullptr) {
     *token = fetched;

@@ -37,7 +37,7 @@ class SscCacheManager : public CacheManager, private SscDevice::LossListener {
   bool degraded() const { return degraded_; }
 
  protected:
-  SscCacheManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy* policy);
+  SscCacheManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy& policy);
   ~SscCacheManager() override;
 
   // The degraded ladder. EnterDegraded trips it (once per entry);

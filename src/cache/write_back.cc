@@ -5,32 +5,32 @@
 namespace flashtier {
 
 namespace {
-uint64_t DirtyBudget(uint64_t capacity_pages, double dirty_threshold) {
+// Dirty blocks the manager holds before it cleans, as a fraction of the
+// SSC's usable capacity.
+constexpr double kDirtyThreshold = 0.20;
+
+uint64_t DirtyBudget(uint64_t capacity_pages) {
   return std::max<uint64_t>(
-      1, static_cast<uint64_t>(static_cast<double>(capacity_pages) * dirty_threshold));
+      1, static_cast<uint64_t>(static_cast<double>(capacity_pages) * kDirtyThreshold));
 }
 }  // namespace
 
-WriteBackManager::WriteBackManager(SscDevice* ssc, DiskModel* disk, const Options& options)
-    : SscCacheManager(ssc, disk, options.admission),
-      options_(options),
+WriteBackManager::WriteBackManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy& admission)
+    : SscCacheManager(ssc, disk, admission),
       // Table sized for the nominal budget; the live budget shrinks with the
       // device (ThresholdBlocks), which only ever needs less room.
-      dirty_table_(DirtyBudget(ssc->capacity_pages(), options.dirty_threshold) +
-                   DirtyBudget(ssc->capacity_pages(), options.dirty_threshold) / 4) {}
+      dirty_table_(DirtyBudget(ssc->capacity_pages()) + DirtyBudget(ssc->capacity_pages()) / 4) {}
 
 uint64_t WriteBackManager::ThresholdBlocks() const {
-  return DirtyBudget(ssc_->usable_capacity_pages(), options_.dirty_threshold);
+  return DirtyBudget(ssc_->usable_capacity_pages());
 }
 
 bool WriteBackManager::BelowCapacityFloor() const {
-  return ssc_->usable_capacity_pages() * 100 <
-         ssc_->capacity_pages() * options_.min_usable_capacity_pct;
+  return ssc_->usable_capacity_pages() * 100 < ssc_->capacity_pages() * kMinUsableCapacityPct;
 }
 
 bool WriteBackManager::ForgetDirty(Lbn lbn) {
   parked_lbns_.erase(lbn);
-  checksums_.erase(lbn);
   return dirty_table_.Erase(lbn);
 }
 
@@ -98,7 +98,7 @@ Status WriteBackManager::RedriveParked(bool force) {
 
 Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  PolicyAccess(lbn, /*is_write=*/true);
+  policy_.OnAccess(lbn, /*is_write=*/true);
   // Opportunistic redrive: one parked writeback run whose backoff expired
   // gets another chance per host write, so the queue drains (or escalates)
   // without a dedicated thread.
@@ -115,7 +115,8 @@ Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   if (BypassCache()) {
     return WriteAround(lbn, token, &ManagerStats::pass_through_writes);
   }
-  if (!Admits(lbn, AdmissionOp::kWriteDirty, AdmissionContext{dirty_table_.Contains(lbn)})) {
+  if (!policy_.ShouldAdmit(lbn, AdmissionOp::kWriteDirty,
+                           AdmissionContext{dirty_table_.Contains(lbn)})) {
     // Demoted to write-around: the newest data goes to disk, and any cached
     // version (resident or stale) must go so it can never surface. If the
     // disk refuses, durability outranks admission policy: absorb the write
@@ -127,7 +128,7 @@ Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
         return es;
       }
       ++stats_.evicts;
-      PolicyReject(lbn);
+      policy_.OnReject(lbn);
       return Status::kOk;
     }
   }
@@ -183,11 +184,8 @@ Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
     return s;
   }
   NoteCacheWriteSuccess();
-  PolicyAdmit(lbn);
+  policy_.OnAdmit(lbn);
   dirty_table_.Touch(lbn);
-  if (options_.verify_checksums) {
-    checksums_[lbn] = token;
-  }
   // In disk-degraded mode the cache *absorbs* dirty data instead of cleaning
   // (every writeback would fail and re-park); the space/backpressure paths
   // above bound how much it can absorb.
@@ -227,13 +225,6 @@ Status WriteBackManager::CleanRun(Lbn seed, uint32_t park_attempt) {
       OnDirtyLoss(lbn);
       break;
     }
-    if (options_.verify_checksums) {
-      const auto it = checksums_.find(lbn);
-      if (it != checksums_.end() && it->second != token) {
-        ++checksum_failures_;
-        return Status::kCorrupt;
-      }
-    }
     tokens.push_back(token);
   }
   if (tokens.empty()) {
@@ -250,20 +241,10 @@ Status WriteBackManager::CleanRun(Lbn seed, uint32_t park_attempt) {
   }
   NoteDiskWriteSuccess();
   for (Lbn lbn = start; lbn <= end; ++lbn) {
-    if (options_.explicit_eviction) {
-      // Section 4.2.1 variant: once the data is safely on disk, remove it
-      // from the cache immediately instead of leaving it clean-and-cached.
-      if (Status s = ssc_->Evict(lbn); !IsOk(s)) {
-        return s;
-      }
-      ++stats_.evicts;
-      PolicyEvict(lbn);
-    } else {
-      if (Status s = ssc_->Clean(lbn); !IsOk(s)) {
-        return s;
-      }
-      ++stats_.cleans;
+    if (Status s = ssc_->Clean(lbn); !IsOk(s)) {
+      return s;
     }
+    ++stats_.cleans;
     ForgetDirty(lbn);
     ++stats_.writebacks;
   }
@@ -301,7 +282,7 @@ Status WriteBackManager::WriteAround(Lbn lbn, uint64_t token, uint64_t ManagerSt
     return es;
   }
   ++(stats_.*counter);
-  PolicyEvict(lbn);
+  policy_.OnEvict(lbn);
   return Status::kOk;
 }
 

@@ -2,11 +2,11 @@
 //
 // Writes go to the SSC only, with write-dirty; the disk is updated lazily.
 // The manager tracks dirty blocks in the DirtyTable and, when the dirty
-// fraction of the cache exceeds a threshold (20% in the paper's Table 4
-// configuration), issues clean commands for LRU dirty blocks — preferring
-// runs of contiguous dirty blocks that can be merged into one sequential
-// disk write. Cleaned blocks stay cached (and readable) until the SSC's
-// silent eviction actually needs the space.
+// fraction of the cache exceeds 20% (the paper's Table 4 configuration),
+// issues clean commands for LRU dirty blocks — preferring runs of contiguous
+// dirty blocks that can be merged into one sequential disk write. Cleaned
+// blocks stay cached (and readable) until the SSC's silent eviction actually
+// needs the space.
 //
 // After a crash the manager may serve requests immediately; it repopulates
 // the dirty table with an exists scan of the disk address space, which can
@@ -28,7 +28,6 @@
 #define FLASHTIER_CACHE_WRITE_BACK_H_
 
 #include <deque>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/cache/dirty_table.h"
@@ -40,44 +39,16 @@ class InvariantChecker;
 
 class WriteBackManager final : public SscCacheManager {
  public:
-  struct Options {
-    double dirty_threshold = 0.20;  // of SSC capacity
-    // Keep the paper's optional 8-byte per-dirty-block checksum and verify
-    // cached data against it when writing back (Section 4.4's 14-22 byte
-    // entry: the 22-byte variant).
-    bool verify_checksums = false;
-    // Space policy variant from Section 4.2.1: instead of marking blocks
-    // clean-and-evictable, write them back and *explicitly evict* them
-    // ("the cache manager can leave data dirty and explicitly evict selected
-    // victim blocks" — the paper describes but does not use this policy).
-    bool explicit_eviction = false;
-    // Consulted before every cache insertion; rejected writes go disk-only
-    // (write-around) and rejected read fills serve from disk uncached.
-    // nullptr admits everything with zero policy calls.
-    AdmissionPolicy* admission = nullptr;
-    // Graceful capacity degradation floor (DESIGN.md §5l): once block
-    // retirement shrinks the SSC's usable capacity below this percentage of
-    // nominal, the manager stops caching writes and stays in pass-through —
-    // the device has aged out, and honesty beats thrashing a sliver of
-    // flash. Retirement is permanent, so this trip never clears.
-    uint32_t min_usable_capacity_pct = 10;
-  };
-
-  WriteBackManager(SscDevice* ssc, DiskModel* disk, const Options& options);
-  WriteBackManager(SscDevice* ssc, DiskModel* disk)
-      : WriteBackManager(ssc, disk, Options{}) {}
+  // `admission` is consulted before every cache insertion: rejected writes
+  // go disk-only (write-around) and rejected read fills serve from disk
+  // uncached.
+  WriteBackManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy& admission);
 
   Status Write(Lbn lbn, uint64_t token) override;
 
-  size_t HostMemoryUsage() const override {
-    return dirty_table_.MemoryUsage() +
-           checksums_.size() * (sizeof(Lbn) + sizeof(uint64_t) + 16);
-  }
+  size_t HostMemoryUsage() const override { return dirty_table_.MemoryUsage(); }
 
   uint64_t dirty_blocks() const { return dirty_table_.size(); }
-  // Checksum mismatches detected during write-back (must stay 0 on healthy
-  // hardware; used by fault-injection tests).
-  uint64_t checksum_failures() const { return checksum_failures_; }
 
   // True while the manager is in disk-degraded mode: after
   // kDiskDegradedTripLimit consecutive failed writebacks it stops cleaning
@@ -101,6 +72,12 @@ class WriteBackManager final : public SscCacheManager {
   friend class InvariantChecker;
   friend class CheckTestPeer;  // injects corruption in invariant-checker tests
 
+  // Graceful capacity degradation floor (DESIGN.md §5l): once block
+  // retirement shrinks the SSC's usable capacity below this percentage of
+  // nominal, the manager stops caching writes and stays in pass-through —
+  // the device has aged out, and honesty beats thrashing a sliver of flash.
+  // Retirement is permanent, so this trip never clears.
+  static constexpr uint32_t kMinUsableCapacityPct = 10;
   // Bounded backpressure stall: how many drain-and-retry rounds a write
   // spends before going around the cache.
   static constexpr uint32_t kBackpressureRetryLimit = 4;
@@ -129,7 +106,7 @@ class WriteBackManager final : public SscCacheManager {
   // Dirty-block budget, recomputed against the SSC's *usable* capacity so an
   // aging cache cleans proportionally earlier instead of dead-ending.
   uint64_t ThresholdBlocks() const;
-  // True once retirement has shrunk the SSC below the configured floor.
+  // True once retirement has shrunk the SSC below kMinUsableCapacityPct.
   bool BelowCapacityFloor() const;
 
   // Cleans LRU dirty blocks until the table is below the threshold.
@@ -151,16 +128,13 @@ class WriteBackManager final : public SscCacheManager {
   Status WriteDisk(Lbn lbn, uint64_t token);
   Status Uncache(Lbn lbn);
   Status WriteAround(Lbn lbn, uint64_t token, uint64_t ManagerStats::*counter);
-  // Drops `lbn` from the dirty table, the parked set and the checksums;
-  // false if the table did not hold it.
+  // Drops `lbn` from the dirty table and the parked set; false if the table
+  // did not hold it.
   bool ForgetDirty(Lbn lbn);
   // Forgets a block the SSC reported lost, counting each loss once.
   void OnDirtyLoss(Lbn lbn) override;
 
-  Options options_;
   DirtyTable dirty_table_;
-  std::unordered_map<Lbn, uint64_t> checksums_;  // only if verify_checksums
-  uint64_t checksum_failures_ = 0;
   bool disk_degraded_ = false;
   uint32_t consecutive_disk_failures_ = 0;
   Status last_disk_error_ = Status::kIoError;

@@ -4,7 +4,7 @@ namespace flashtier {
 
 Status WriteThroughManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  PolicyAccess(lbn, /*is_write=*/true);
+  policy_.OnAccess(lbn, /*is_write=*/true);
   if (Status ds = disk_->GuardedWrite(lbn, token); !IsOk(ds)) {
     // Write-through's contract is "the disk has the data before the host is
     // acked"; with the disk refusing past the retry bound there is nothing
@@ -16,20 +16,20 @@ Status WriteThroughManager::Write(Lbn lbn, uint64_t token) {
   if (BypassCache()) {
     return EvictAround(lbn, /*pass_through=*/true);
   }
-  if (!Admits(lbn, AdmissionOp::kWriteClean)) {
+  if (!policy_.ShouldAdmit(lbn, AdmissionOp::kWriteClean, AdmissionContext{})) {
     // Demoted to disk-only: same obligation as any other non-cached write —
     // the old version, if any, must go (Section 3.1).
     ++stats_.evicts;
     if (Status es = ssc_->Evict(lbn); !IsOk(es)) {
       return es;
     }
-    PolicyReject(lbn);
+    policy_.OnReject(lbn);
     return Status::kOk;
   }
   const Status cs = ssc_->WriteClean(lbn, token);
   if (IsOk(cs)) {
     NoteCacheWriteSuccess();
-    PolicyAdmit(lbn);
+    policy_.OnAdmit(lbn);
     return cs;
   }
   if (cs == Status::kNoSpace) {
@@ -58,7 +58,7 @@ Status WriteThroughManager::EvictAround(Lbn lbn, bool pass_through) {
     ++stats_.pass_through_writes;
   }
   ++stats_.evicts;
-  PolicyEvict(lbn);
+  policy_.OnEvict(lbn);
   return ssc_->Evict(lbn);
 }
 

@@ -16,7 +16,7 @@ namespace flashtier {
 
 class WriteThroughManager final : public SscCacheManager {
  public:
-  WriteThroughManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy* admission = nullptr)
+  WriteThroughManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy& admission)
       : SscCacheManager(ssc, disk, admission) {}
 
   Status Write(Lbn lbn, uint64_t token) override;

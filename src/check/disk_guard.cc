@@ -178,11 +178,9 @@ class HostTarget : public SscShardTarget {
     for (uint32_t i = 0; i < router_.shards; ++i) {
       if (options_.write_through) {
         managers_.push_back(
-            std::make_unique<WriteThroughManager>(sscs_[i].get(), &disk_, policies_[i].get()));
+            std::make_unique<WriteThroughManager>(sscs_[i].get(), &disk_, *policies_[i]));
       } else {
-        WriteBackManager::Options wopts;
-        wopts.admission = policies_[i].get();
-        auto wb = std::make_unique<WriteBackManager>(sscs_[i].get(), &disk_, wopts);
+        auto wb = std::make_unique<WriteBackManager>(sscs_[i].get(), &disk_, *policies_[i]);
         if (after_crash) {
           wb->RecoverDirtyTable();
         }

@@ -352,7 +352,7 @@ SscShardTarget::SscShardTarget(const DeviceShape& shape)
 }
 
 std::unique_ptr<AdmissionPolicy> SscShardTarget::MakePolicy(uint32_t shard) {
-  return MakeAdmissionPolicy(ShardPolicyConfig(shape_.admission, router_.shards, shard), &clock_);
+  return MakeAdmissionPolicy(shape_.admission, router_.shards, shard, &clock_);
 }
 
 std::vector<SscDevice*> SscShardTarget::Sscs() {

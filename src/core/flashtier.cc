@@ -66,21 +66,18 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
     // Each shard owns an independent policy instance driven only from its
     // own sequential operation stream (and its own virtual clock), so
     // admission decisions stay bit-identical across replay thread counts.
-    shard->policy = MakeAdmissionPolicy(
-        ShardPolicyConfig(config.admission, shard_count, i), &shard->clock);
+    shard->policy = MakeAdmissionPolicy(config.admission, shard_count, i, &shard->clock);
 
     if (SystemUsesSsc(config.type)) {
       shard->ssc = std::make_unique<SscDevice>(slice, &shard->clock);
       if (SystemIsWriteBack(config.type)) {
-        WriteBackManager::Options opts;
-        opts.admission = shard->policy.get();
         auto manager =
-            std::make_unique<WriteBackManager>(shard->ssc.get(), shard->disk.get(), opts);
+            std::make_unique<WriteBackManager>(shard->ssc.get(), shard->disk.get(), *shard->policy);
         shard->wb_manager = manager.get();
         shard->manager = std::move(manager);
       } else {
         shard->manager = std::make_unique<WriteThroughManager>(
-            shard->ssc.get(), shard->disk.get(), shard->policy.get());
+            shard->ssc.get(), shard->disk.get(), *shard->policy);
       }
     } else {
       shard->ssd = std::make_unique<SsdFtl>(
@@ -89,9 +86,8 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
       opts.mode = SystemIsWriteBack(config.type) ? NativeCacheManager::Mode::kWriteBack
                                                  : NativeCacheManager::Mode::kWriteThrough;
       opts.persist_metadata = config.native_persist_metadata;
-      opts.admission = shard->policy.get();
-      auto manager = std::make_unique<NativeCacheManager>(shard->ssd.get(), shard->disk.get(),
-                                                          slice.capacity_pages, opts);
+      auto manager = std::make_unique<NativeCacheManager>(
+          shard->ssd.get(), shard->disk.get(), slice.capacity_pages, *shard->policy, opts);
       shard->native_manager = manager.get();
       shard->manager = std::move(manager);
     }
@@ -129,9 +125,7 @@ FaultStats FlashTierSystem::AggregateFaultStats() const {
 }
 
 PolicyStats FlashTierSystem::AggregatePolicyStats() const {
-  return MergeShards<PolicyStats>(shards_, [](const Shard& s) {
-    return s.policy != nullptr ? &s.policy->stats() : nullptr;
-  });
+  return MergeShards<PolicyStats>(shards_, [](const Shard& s) { return &s.policy->stats(); });
 }
 
 PersistStats FlashTierSystem::AggregatePersistStats() const {

@@ -56,8 +56,7 @@ struct SystemConfig {
   uint32_t shards = 1;
   // Admission control (DESIGN.md §5f). Capacity-like knobs are totals and
   // are split across shards; each shard owns an independent deterministic
-  // policy instance. The default AdmitAll reproduces the pre-policy system
-  // bit for bit.
+  // policy instance. The default, admit-all, admits every insertion.
   PolicyConfig admission;
   // Fault injection on the disk tier (DESIGN.md §5i) and on the flash medium
   // (§5d/§5l), both disabled by default. Each shard's disk and device draw

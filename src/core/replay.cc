@@ -136,15 +136,12 @@ ReplayMetrics ReplayEngine::Run(TraceSource& source) {
     oracle_ = options_.resume_verification->oracle;
     lost_blocks_ = options_.resume_verification->lost_blocks;
   }
-  // The requests a run replays: the trace, cut at max_requests if that is
-  // shorter. The warmup cut is a fraction of this.
-  const uint64_t trace = source.size_hint() != 0 ? source.size_hint() : ~uint64_t{0};
-  const uint64_t total =
-      options_.max_requests != 0 ? std::min(options_.max_requests, trace) : trace;
+  // The warmup cut is a fraction of the trace.
+  const uint64_t total = source.size_hint() != 0 ? source.size_hint() : ~uint64_t{0};
   const auto warmup = static_cast<uint64_t>(static_cast<double>(total) * options_.warmup_fraction);
   BlockServer server(system_, options_.verify, &oracle_, &lost_blocks_);
   metrics_ = ReplayOnShards<ReplayMetrics>(source, server, options_.threads, options_.queue_depth,
-                                           total, warmup);
+                                           warmup);
   return metrics_;
 }
 

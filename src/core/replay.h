@@ -64,7 +64,6 @@ class ReplayEngine {
     // Seed the oracle from a previous pass over the same system (multi-pass
     // replay). Must outlive Run(). nullptr starts from an empty oracle.
     const VerificationState* resume_verification = nullptr;
-    uint64_t max_requests = 0;     // 0 = whole trace
     // Worker threads for sharded systems; clamped to the shard count. The
     // virtual-time metrics do not depend on this value.
     uint32_t threads = 1;

@@ -119,18 +119,17 @@ void ReplayShard(Server& server, const ShardQueues<Record>& queues, uint32_t i,
   }
 }
 
-// Replays the first `limit` records of `source` through `server` on
-// `threads` workers at `queue_depth` requests in flight per shard, the first
-// `warmup` of them unmeasured; returns the merged metrics and leaves the
-// source rewound.
+// Replays `source` through `server` on `threads` workers at `queue_depth`
+// requests in flight per shard, the first `warmup` of them unmeasured;
+// returns the merged metrics and leaves the source rewound.
 template <typename Metrics, typename Record, typename Server>
 Metrics ReplayOnShards(RecordSource<Record>& source, Server& server, uint32_t threads,
-                       uint32_t queue_depth, uint64_t limit = ~uint64_t{0}, uint64_t warmup = 0) {
+                       uint32_t queue_depth, uint64_t warmup = 0) {
   // flashlint: allow(wall-clock): host-side throughput measurement
   const auto wall_start = std::chrono::steady_clock::now();
   const uint32_t shards = server.shard_count();
   const auto shard_of = [&server](const Record& record) { return server.ShardOf(record); };
-  const ShardQueues<Record> queues(source, shards, threads, limit, shard_of);
+  const ShardQueues<Record> queues(source, shards, threads, shard_of);
   std::vector<Metrics> runs(shards);
   ForEachShardOnWorkers(queues.Sizes(), threads, [&](uint32_t i) {
     ReplayShard(server, queues, i, queue_depth, warmup, runs[i]);

@@ -85,27 +85,24 @@ void RunOnWorkers(uint32_t workers, const Work& work) {
 template <typename Record>
 class ShardQueues {
  public:
-  // Routes the first `limit` records of `source` to shard `shard_of(record)`
-  // on WorkerCount(shards, threads) workers. Each worker counts its chunk of
+  // Routes every record of `source` to shard `shard_of(record)` on
+  // WorkerCount(shards, threads) workers. Each worker counts its chunk of
   // the trace per shard; the counts are prefix-summed in (shard, chunk) order,
   // and each worker writes its chunk's positions where the sums say. The
   // position array is not zero-filled, so the workers touch its pages first.
   template <typename ShardOf>
-  ShardQueues(RecordSource<Record>& source, uint32_t shards, uint32_t threads, uint64_t limit,
+  ShardQueues(RecordSource<Record>& source, uint32_t shards, uint32_t threads,
               const ShardOf& shard_of)
-      : source_(&source), limit_(limit), begin_(shards + 1, 0) {
+      : source_(&source), begin_(shards + 1, 0) {
     if (shards <= 1) {
       return;
     }
     trace_ = source.InMemory();
     if (trace_.empty()) {
-      if (source.size_hint() != 0) {
-        owned_.reserve(std::min(limit, source.size_hint()));
-      }
+      owned_.reserve(source.size_hint());
       ReadSource([this](const Record& record, uint64_t) { owned_.push_back(record); });
       trace_ = owned_;
     }
-    trace_ = trace_.first(std::min<uint64_t>(limit, trace_.size()));
     const uint64_t n = trace_.size();
     if (n > std::numeric_limits<uint32_t>::max()) {
       throw std::length_error("trace of " + std::to_string(n) +
@@ -167,13 +164,12 @@ class ShardQueues {
   template <typename Fn>
   void ReadSource(const Fn& fn) const {
     Record record;
-    for (uint64_t seq = 0; seq < limit_ && source_->Next(&record); ++seq) {
+    for (uint64_t seq = 0; source_->Next(&record); ++seq) {
       fn(record, seq);
     }
   }
 
   RecordSource<Record>* source_;  // not owned
-  uint64_t limit_;
   std::vector<Record> owned_;              // a streamed trace, read once
   std::span<const Record> trace_;          // the routed records
   std::vector<uint64_t> begin_;            // shard s: positions_[begin_[s], begin_[s + 1])

@@ -37,7 +37,7 @@ struct DiskFaultPlan {
   double slow_io_prob = 0.0;      // latency spike on any operation
 
   // Extra service time a slow-IO spike charges on the virtual clock.
-  uint64_t slow_io_extra_us = 50'000;
+  static constexpr uint64_t kSlowIoExtraUs = 50'000;
 
   // Scripted triggers: 1-based ordinals counted per kind across the disk
   // (reads for read_fail_at/latent_at, writes for write_fail_at, all

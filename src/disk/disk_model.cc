@@ -1,7 +1,5 @@
 #include "src/disk/disk_model.h"
 
-#include <algorithm>
-
 namespace flashtier {
 
 uint64_t DiskModel::EstimateUs(Lbn lbn, uint32_t blocks, bool sequential_hint) const {
@@ -30,21 +28,12 @@ void DiskModel::Charge(Lbn lbn, uint32_t blocks, bool is_write) {
   next_sequential_ = lbn + blocks;
 }
 
-bool DiskModel::InjectFault(const std::vector<uint64_t>& at, uint64_t ordinal, double prob) {
-  for (uint64_t a : at) {
-    if (a == ordinal) {
-      return true;
-    }
-  }
-  return prob > 0.0 && fault_rng_.Chance(prob);
-}
-
 void DiskModel::MaybeSlowIo(uint64_t op_ordinal) {
-  if (InjectFault(faults_.slow_at, op_ordinal, faults_.slow_io_prob)) {
+  if (InjectFault(faults_.slow_at, op_ordinal, faults_.slow_io_prob, fault_rng_)) {
     // The request eventually completes, 10-100x late: an overloaded or
     // error-recovering drive. Charged as busy time like any service time.
-    clock_->Advance(faults_.slow_io_extra_us);
-    stats_.busy_us += faults_.slow_io_extra_us;
+    clock_->Advance(DiskFaultPlan::kSlowIoExtraUs);
+    stats_.busy_us += DiskFaultPlan::kSlowIoExtraUs;
     ++stats_.slow_ios;
   }
 }
@@ -69,13 +58,14 @@ Status DiskModel::Read(Lbn lbn, uint64_t* token) {
     if (!fault_injection_paused_) {
       const uint64_t ord = ++read_ordinal_;
       MaybeSlowIo(++op_ordinal_);
-      if (!IsLatent(lbn) && InjectFault(faults_.latent_at, ord, faults_.latent_prob)) {
+      if (!IsLatent(lbn) && InjectFault(faults_.latent_at, ord, faults_.latent_prob, fault_rng_)) {
         // The sector just went latently bad: this read fails, and so does
         // every later one until a write heals it.
         latent_.insert(lbn);
         ++stats_.latent_sectors;
       }
-      if (!IsLatent(lbn) && InjectFault(faults_.read_fail_at, ord, faults_.read_fail_prob)) {
+      if (!IsLatent(lbn) &&
+          InjectFault(faults_.read_fail_at, ord, faults_.read_fail_prob, fault_rng_)) {
         ++stats_.read_faults;
         return Status::kIoError;
       }
@@ -98,7 +88,7 @@ Status DiskModel::Write(Lbn lbn, uint64_t token) {
   if (faults_.enabled && !fault_injection_paused_) {
     const uint64_t ord = ++write_ordinal_;
     MaybeSlowIo(++op_ordinal_);
-    if (InjectFault(faults_.write_fail_at, ord, faults_.write_fail_prob)) {
+    if (InjectFault(faults_.write_fail_at, ord, faults_.write_fail_prob, fault_rng_)) {
       // Failure atomicity: the rejected write changes no content.
       ++stats_.write_faults;
       return Status::kIoError;
@@ -119,7 +109,7 @@ Status DiskModel::WriteRun(Lbn start, const std::vector<uint64_t>& tokens) {
     // models; a hit rejects the whole run atomically.
     const uint64_t ord = ++write_ordinal_;
     MaybeSlowIo(++op_ordinal_);
-    if (InjectFault(faults_.write_fail_at, ord, faults_.write_fail_prob)) {
+    if (InjectFault(faults_.write_fail_at, ord, faults_.write_fail_prob, fault_rng_)) {
       ++stats_.write_faults;
       return Status::kIoError;
     }

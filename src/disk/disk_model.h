@@ -154,8 +154,6 @@ class DiskModel {
 
  private:
   void Charge(Lbn lbn, uint32_t blocks, bool is_write);
-  // Scripted-ordinal or probability draw, mirroring FlashDevice::InjectFault.
-  bool InjectFault(const std::vector<uint64_t>& at, uint64_t ordinal, double prob);
   // Slow-IO draw for the operation with this all-ops ordinal; charges the
   // spike when it fires.
   void MaybeSlowIo(uint64_t op_ordinal);

@@ -19,22 +19,23 @@
 namespace flashtier {
 
 struct RetryPolicy {
+  // Backoff before the first retry; doubles per retry up to kMaxBackoffUs.
+  static constexpr uint64_t kInitialBackoffUs = 500;
+  static constexpr uint64_t kMaxBackoffUs = 64'000;
+
   // Total attempts per operation (first try included). 1 disables retry.
   uint32_t max_attempts = 4;
-  // Backoff before the first retry; doubles per retry up to max_backoff_us.
-  uint64_t initial_backoff_us = 500;
-  uint64_t max_backoff_us = 64'000;
   // Virtual-time budget for one operation including retries; an operation
   // still failing past this point returns kTimeout. 0 disables the deadline.
   uint64_t op_deadline_us = 250'000;
 
   // Backoff before retry number `attempt` (1-based), capped.
   uint64_t BackoffUs(uint32_t attempt) const {
-    uint64_t us = initial_backoff_us;
-    for (uint32_t i = 1; i < attempt && us < max_backoff_us; ++i) {
+    uint64_t us = kInitialBackoffUs;
+    for (uint32_t i = 1; i < attempt && us < kMaxBackoffUs; ++i) {
       us *= 2;
     }
-    return us < max_backoff_us ? us : max_backoff_us;
+    return us < kMaxBackoffUs ? us : kMaxBackoffUs;
   }
 };
 

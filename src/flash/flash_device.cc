@@ -20,14 +20,6 @@ FlashDevice::FlashDevice(const FlashGeometry& geometry, const FlashTimings& timi
       pages_(geometry.TotalPages()),
       blocks_(geometry.TotalBlocks()) {}
 
-bool FlashDevice::InjectFault(const std::vector<uint64_t>& script, uint64_t ordinal,
-                              double prob) {
-  if (std::find(script.begin(), script.end(), ordinal) != script.end()) {
-    return true;
-  }
-  return prob > 0.0 && fault_rng_.Chance(prob);
-}
-
 void FlashDevice::Charge(FlashPipeline::Op op, uint32_t plane) {
   stats_.busy_us += pipeline_.NominalCostUs(op);
   pipeline_.Execute(op, plane);
@@ -71,7 +63,8 @@ Status FlashDevice::ProgramPage(PhysBlock block, const OobRecord& oob, uint64_t 
     bool inject = false;
     if (!fault_injection_paused_) {
       ++program_ops_;
-      inject = InjectFault(faults_.program_fail_at, program_ops_, faults_.program_fail_prob);
+      inject = InjectFault(faults_.program_fail_at, program_ops_, faults_.program_fail_prob,
+                           fault_rng_);
     }
     if (b.bad || b.program_failed || inject) {
       // The aborted program leaves the write pointer where it was; the block
@@ -116,7 +109,7 @@ Status FlashDevice::ReadPage(Ppn ppn, uint64_t* token, OobRecord* oob_out, uint8
     if (!fault_injection_paused_) {
       ++read_ops_;
       if (!page.corrupt &&
-          InjectFault(faults_.read_corrupt_at, read_ops_, faults_.read_corrupt_prob)) {
+          InjectFault(faults_.read_corrupt_at, read_ops_, faults_.read_corrupt_prob, fault_rng_)) {
         page.corrupt = true;
       }
       MaybeWearFaultOnRead(blocks_[geometry_.BlockOf(ppn)], page);
@@ -213,7 +206,7 @@ Status FlashDevice::EraseBlock(PhysBlock block) {
     bool inject = false;
     if (!fault_injection_paused_) {
       ++erase_ops_;
-      inject = InjectFault(faults_.erase_fail_at, erase_ops_, faults_.erase_fail_prob);
+      inject = InjectFault(faults_.erase_fail_at, erase_ops_, faults_.erase_fail_prob, fault_rng_);
     }
     const bool worn_out = faults_.wear_out_erases > 0 && b.erase_count >= faults_.wear_out_erases;
     if (b.bad || worn_out || inject) {
@@ -268,7 +261,7 @@ Status FlashDevice::CopyPage(Ppn src, PhysBlock dst_block, Ppn* dst_ppn) {
     if (!fault_injection_paused_) {
       ++read_ops_;
       if (!src_page.corrupt &&
-          InjectFault(faults_.read_corrupt_at, read_ops_, faults_.read_corrupt_prob)) {
+          InjectFault(faults_.read_corrupt_at, read_ops_, faults_.read_corrupt_prob, fault_rng_)) {
         src_page.corrupt = true;
       }
       MaybeWearFaultOnRead(blocks_[geometry_.BlockOf(src)], src_page);
@@ -282,7 +275,8 @@ Status FlashDevice::CopyPage(Ppn src, PhysBlock dst_block, Ppn* dst_ppn) {
     bool inject = false;
     if (!fault_injection_paused_) {
       ++program_ops_;
-      inject = InjectFault(faults_.program_fail_at, program_ops_, faults_.program_fail_prob);
+      inject = InjectFault(faults_.program_fail_at, program_ops_, faults_.program_fail_prob,
+                           fault_rng_);
     }
     if (db.bad || db.program_failed || inject) {
       db.program_failed = true;

@@ -149,7 +149,6 @@ class FlashDevice {
   // Largest difference in erase counts between any two blocks ("wear diff",
   // Table 5).
   uint32_t MaxWearDiff() const;
-  uint64_t TotalErases() const { return stats_.erases; }
 
   // Approximate device-DRAM the medium itself consumes (not FTL maps); the
   // memory experiments only account FTL state, so this is informational.
@@ -195,10 +194,6 @@ class FlashDevice {
   // in `block` (fault plan enabled and unpaused only); may set
   // `page.corrupt`.
   void MaybeWearFaultOnRead(Block& b, Page& page);
-
-  // Returns true when the plan injects a fault for the op with this 1-based
-  // ordinal: either a scripted trigger or a probability draw.
-  bool InjectFault(const std::vector<uint64_t>& script, uint64_t ordinal, double prob);
 
   // Schedules `op`'s phases on the event engine and accounts the nominal
   // service time as device busy time.

@@ -38,7 +38,6 @@ KvCacheConfig ShardSlice(const KvCacheConfig& config, uint32_t shards, uint32_t 
   slice.ssc.capacity_pages =
       std::max<uint64_t>(kMinShardPages, config.ssc.capacity_pages / std::max<uint32_t>(1, shards));
   slice.ssc.fault_plan.seed = ShardSeed(config.ssc.fault_plan.seed, index);
-  slice.admission = ShardPolicyConfig(config.admission, std::max<uint32_t>(1, shards), index);
   return slice;
 }
 
@@ -52,7 +51,7 @@ KvShard::KvShard(const KvCacheConfig& config, uint32_t shard_index)
     : config_(ShardSlice(config, config.shards, shard_index)) {
   slab_capacity_bytes_ = config_.slab_pages * kKvPageBytes;
   ssc_ = std::make_unique<SscDevice>(config_.ssc, &clock_);
-  policy_ = MakeAdmissionPolicy(config_.admission, &clock_);
+  policy_ = MakeAdmissionPolicy(config.admission, config.shards, shard_index, &clock_);
   ssc_->set_kv_snapshot_source([this](std::vector<LogRecord>* out) { SnapshotSlots(out); });
 }
 
@@ -434,11 +433,11 @@ void KvShard::MaybeCompact() {
   if (in_compaction_ || !config_.packing) {
     return;
   }
-  if (sealed_.slabs < config_.compact_min_sealed_slabs || sealed_.used_bytes == 0) {
+  if (sealed_.slabs < kCompactMinSealedSlabs || sealed_.used_bytes == 0) {
     return;
   }
   if (static_cast<double>(sealed_.dead_bytes) <
-      config_.compact_dead_ratio * static_cast<double>(sealed_.used_bytes)) {
+      kCompactDeadRatio * static_cast<double>(sealed_.used_bytes)) {
     return;
   }
   const uint64_t victim = CompactionVictim();

@@ -73,8 +73,8 @@ struct KvCacheConfig {
   // across shards and is split evenly (with a small floor) like
   // FlashTierSystem does, so shard counts don't change the cache size.
   SscConfig ssc;
-  // Admission control, consulted per object Set; split across shards with
-  // ShardPolicyConfig so total policy memory matches the 1-shard config.
+  // Admission control, consulted per object Set; split across shards by
+  // MakeAdmissionPolicy so total policy memory matches the 1-shard config.
   PolicyConfig admission;
   // Slab packing on (the design) or off (the naive one-object-per-slab
   // baseline bench_ablation_kv compares against — every Set seals its own
@@ -83,10 +83,6 @@ struct KvCacheConfig {
   // Slab span in flash pages. Must divide the 64-page logical erase block so
   // a slab can never straddle the SSC's block-mapping / SE-GC grain.
   uint32_t slab_pages = 1;
-  // Compact when sealed slabs' dead bytes exceed this fraction of their used
-  // bytes (and at least `compact_min_sealed_slabs` slabs are sealed).
-  double compact_dead_ratio = 0.50;
-  uint32_t compact_min_sealed_slabs = 8;
 };
 
 // One object's slot inside a slab.
@@ -237,6 +233,10 @@ class KvShard {
   // A sealed slab just lost live or dirty slots: reclaim it when fully dead,
   // or hand it to silent eviction when its last dirty object went away.
   void HandleSlabQuiescence(uint64_t seq);
+  // Compacts when at least kCompactMinSealedSlabs slabs are sealed and their
+  // dead bytes reach kCompactDeadRatio of their used bytes.
+  static constexpr double kCompactDeadRatio = 0.50;
+  static constexpr uint32_t kCompactMinSealedSlabs = 8;
   void MaybeCompact();
   Status CompactSlab(uint64_t victim_seq);
 
@@ -264,7 +264,7 @@ class KvShard {
   void ApplyRecoveredInsert(uint64_t key, uint64_t seq, uint64_t meta, uint64_t token);
   void ApplyRecoveredDelete(uint64_t key);
 
-  KvCacheConfig config_;  // per-shard: ssc/admission already sliced
+  KvCacheConfig config_;  // per-shard: ssc already sliced
   SimClock clock_;
   std::unique_ptr<SscDevice> ssc_;
   std::unique_ptr<AdmissionPolicy> policy_;

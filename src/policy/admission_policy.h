@@ -72,6 +72,11 @@ struct PolicyStats {
 };
 static_assert(AllCountersListed<PolicyStats>(), "list every PolicyStats field in kFields");
 
+// Recently rejected LBNs a one-shard system's policy remembers, for the
+// regret counter and the rejected-block-absent audit (MakeAdmissionPolicy
+// splits the window across shards).
+inline constexpr uint32_t kRejectGhostEntries = 4096;
+
 class AdmissionPolicy {
  public:
   explicit AdmissionPolicy(size_t reject_ghost_entries)
@@ -129,12 +134,11 @@ class AdmissionPolicy {
   GhostTable reject_ghost_;
 };
 
-// The default: admit everything. Behaviour (and every virtual-time metric)
-// is bit-identical to running with no policy at all — the decision touches
-// no device state and charges no time.
+// The default: admit everything. The decision touches no device state and
+// charges no time.
 class AdmitAllPolicy final : public AdmissionPolicy {
  public:
-  explicit AdmitAllPolicy(size_t reject_ghost_entries)
+  explicit AdmitAllPolicy(size_t reject_ghost_entries = kRejectGhostEntries)
       : AdmissionPolicy(reject_ghost_entries) {}
 
   std::string_view name() const override { return "admit-all"; }

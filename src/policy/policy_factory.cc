@@ -43,41 +43,42 @@ const char* KnownAdmissionNames() {
   return "admit-all, ghost-lru, freq-sketch, write-limit";
 }
 
-std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config,
-                                                     const SimClock* clock) {
-  switch (config.kind) {
+std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config, uint32_t shards,
+                                                     uint32_t shard_index, const SimClock* clock) {
+  const PolicyConfig slice = ShardPolicyConfig(config, shards, shard_index);
+  const size_t rejects =
+      std::max<uint32_t>(64, kRejectGhostEntries / std::max<uint32_t>(1, shards));
+  switch (slice.kind) {
     case AdmissionKind::kAdmitAll:
-      return std::make_unique<AdmitAllPolicy>(config.reject_ghost_entries);
+      return std::make_unique<AdmitAllPolicy>(rejects);
     case AdmissionKind::kGhostLru: {
       GhostLruPolicy::Options opts;
-      opts.ghost_entries = config.ghost_entries;
-      opts.required_misses = config.ghost_required_misses;
-      return std::make_unique<GhostLruPolicy>(opts, config.reject_ghost_entries);
+      opts.ghost_entries = slice.ghost_entries;
+      opts.required_misses = slice.ghost_required_misses;
+      return std::make_unique<GhostLruPolicy>(opts, rejects);
     }
     case AdmissionKind::kFrequencySketch: {
       FrequencySketchPolicy::Options opts;
-      opts.width = config.sketch_width;
-      opts.admit_threshold = config.sketch_threshold;
-      opts.seed = config.seed;
-      return std::make_unique<FrequencySketchPolicy>(opts, config.reject_ghost_entries);
+      opts.width = slice.sketch_width;
+      opts.admit_threshold = slice.sketch_threshold;
+      opts.seed = slice.seed;
+      return std::make_unique<FrequencySketchPolicy>(opts, rejects);
     }
     case AdmissionKind::kWriteRateLimiter: {
       assert(clock != nullptr);
       WriteRateLimiterPolicy::Options opts;
-      opts.rate_pages_per_sec = config.write_rate_pages_per_sec;
-      opts.burst_pages = config.write_burst_pages;
-      return std::make_unique<WriteRateLimiterPolicy>(opts, clock,
-                                                      config.reject_ghost_entries);
+      opts.rate_pages_per_sec = slice.write_rate_pages_per_sec;
+      opts.burst_pages = slice.write_burst_pages;
+      return std::make_unique<WriteRateLimiterPolicy>(opts, clock, rejects);
     }
   }
-  return std::make_unique<AdmitAllPolicy>(config.reject_ghost_entries);
+  return std::make_unique<AdmitAllPolicy>(rejects);
 }
 
 PolicyConfig ShardPolicyConfig(const PolicyConfig& config, uint32_t shards,
                                uint32_t shard_index) {
   PolicyConfig out = config;
   const uint32_t n = std::max<uint32_t>(1, shards);
-  out.reject_ghost_entries = std::max<uint32_t>(64, config.reject_ghost_entries / n);
   out.ghost_entries = std::max<uint32_t>(64, config.ghost_entries / n);
   out.sketch_width = std::max<uint32_t>(1024, config.sketch_width / n);
   out.write_rate_pages_per_sec = config.write_rate_pages_per_sec / n;

@@ -1,7 +1,8 @@
 // Configuration and construction of admission policies. PolicyConfig is the
 // declarative knob that rides in SystemConfig; ShardPolicyConfig splits the
-// capacity-like knobs across shards so an N-shard system's total policy
-// memory and flash-write budget match the single-shard configuration.
+// capacity-like knobs across shards, and MakeAdmissionPolicy splits the
+// regret window the same way, so an N-shard system's total policy memory and
+// flash-write budget match the single-shard configuration.
 
 #ifndef FLASHTIER_POLICY_POLICY_FACTORY_H_
 #define FLASHTIER_POLICY_POLICY_FACTORY_H_
@@ -24,9 +25,6 @@ enum class AdmissionKind : uint8_t {
 struct PolicyConfig {
   AdmissionKind kind = AdmissionKind::kAdmitAll;
   uint64_t seed = 1;
-  // Window of recently rejected LBNs every policy keeps for the regret
-  // counter and the rejected-block-absent audit.
-  uint32_t reject_ghost_entries = 4096;
   // GhostLru.
   uint32_t ghost_entries = 16384;
   uint32_t ghost_required_misses = 2;
@@ -49,10 +47,12 @@ bool ParseAdmissionKind(const std::string& name, AdmissionKind* out);
 // "admit-all, ghost-lru, freq-sketch, write-limit" — for error messages.
 const char* KnownAdmissionNames();
 
-// Builds one policy instance. `clock` is the owning shard's virtual clock
+// Builds the policy of shard `shard_index` of `shards` from its
+// ShardPolicyConfig slice, with a kRejectGhostEntries / shards regret window
+// (at least 64 entries). `clock` is the owning shard's virtual clock
 // (required by the write-rate limiter; the others ignore it).
-std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config,
-                                                     const SimClock* clock);
+std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config, uint32_t shards,
+                                                     uint32_t shard_index, const SimClock* clock);
 
 // The per-shard slice of `config` for shard `shard_index` of `shards`:
 // table/sketch capacities and the write budget are divided (with small

@@ -88,9 +88,6 @@ class TraceStats : public ReuseStats {
   // `percent_of_region` percent of the region size.
   double FractionOfRegionsBelow(double top_fraction, double percent_of_region) const;
 
-  // Blocks referenced exactly once (ReuseStats::SingleAccessKeys).
-  uint64_t SingleAccessBlocks() const { return SingleAccessKeys(); }
-
  private:
   uint64_t writes_ = 0;
   Lbn max_lbn_ = 0;

@@ -102,10 +102,6 @@ WorkloadProfile ProjProfile(double scale) {
   return p;
 }
 
-std::vector<WorkloadProfile> AllProfiles(double scale) {
-  return {HomesProfile(scale), MailProfile(scale), UsrProfile(scale), ProjProfile(scale)};
-}
-
 SyntheticWorkload::SyntheticWorkload(const WorkloadProfile& profile)
     : profile_(profile), rng_(profile.seed ^ 0xf00dull) {
   BuildWorkingSet();

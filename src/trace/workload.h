@@ -83,7 +83,6 @@ WorkloadProfile HomesProfile(double scale);
 WorkloadProfile MailProfile(double scale);
 WorkloadProfile UsrProfile(double scale);
 WorkloadProfile ProjProfile(double scale);
-std::vector<WorkloadProfile> AllProfiles(double scale);
 
 // Deterministic synthetic trace stream for a profile.
 class SyntheticWorkload final : public TraceSource {

@@ -1,10 +1,5 @@
-// A compact dynamic bitmap with rank support.
-//
-// Two FlashTier structures are built on bitmaps:
-//   * the sparse hash map's per-group occupancy bitmaps (Section 4.1), whose
-//     lookups require counting the set bits below an index ("rank"), and
-//   * the per-erase-block dirty-page bitmaps kept with block-level map
-//     entries (Section 4.1, "Block State").
+// A compact dynamic bitmap: the dirty-page map `SscDevice::Exists` fills
+// for a range of blocks (Section 4.2.1).
 
 #ifndef FLASHTIER_UTIL_BITMAP_H_
 #define FLASHTIER_UTIL_BITMAP_H_
@@ -34,14 +29,6 @@ class Bitmap {
 
   void Clear(size_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
 
-  void Assign(size_t i, bool v) {
-    if (v) {
-      Set(i);
-    } else {
-      Clear(i);
-    }
-  }
-
   void Reset() {
     for (auto& w : words_) {
       w = 0;
@@ -55,39 +42,6 @@ class Bitmap {
       n += static_cast<size_t>(std::popcount(w));
     }
     return n;
-  }
-
-  // Number of set bits strictly below index `i` (rank query).
-  size_t RankBelow(size_t i) const {
-    size_t n = 0;
-    const size_t word = i >> 6;
-    for (size_t k = 0; k < word; ++k) {
-      n += static_cast<size_t>(std::popcount(words_[k]));
-    }
-    const size_t rem = i & 63;
-    if (rem != 0) {
-      n += static_cast<size_t>(std::popcount(words_[word] & ((uint64_t{1} << rem) - 1)));
-    }
-    return n;
-  }
-
-  // Index of the first set bit at or after `from`, or size() if none.
-  size_t FindFirstSet(size_t from = 0) const {
-    if (from >= bits_) {
-      return bits_;
-    }
-    size_t word = from >> 6;
-    uint64_t w = words_[word] & ~((uint64_t{1} << (from & 63)) - 1);
-    while (true) {
-      if (w != 0) {
-        const size_t i = (word << 6) + static_cast<size_t>(std::countr_zero(w));
-        return i < bits_ ? i : bits_;
-      }
-      if (++word >= words_.size()) {
-        return bits_;
-      }
-      w = words_[word];
-    }
   }
 
   // Approximate heap footprint, used by the memory-accounting experiments.

@@ -7,8 +7,10 @@
 #ifndef FLASHTIER_UTIL_RNG_H_
 #define FLASHTIER_UTIL_RNG_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace flashtier {
 
@@ -53,6 +55,18 @@ class Rng {
   uint64_t s0_;
   uint64_t s1_;
 };
+
+// A fault plan's decision for the operation with 1-based `ordinal`: a
+// scripted trigger on `script`, else a draw of probability `prob` on `rng`.
+// A zero probability draws nothing, so a plan with no probabilities leaves
+// the stream untouched. The flash and disk fault models both use it.
+inline bool InjectFault(const std::vector<uint64_t>& script, uint64_t ordinal, double prob,
+                        Rng& rng) {
+  if (std::find(script.begin(), script.end(), ordinal) != script.end()) {
+    return true;
+  }
+  return prob > 0.0 && rng.Chance(prob);
+}
 
 // The seed of shard `shard`'s own stream, derived from a configured seed by
 // a golden-ratio stride: shard 0 keeps the configured seed, and no two

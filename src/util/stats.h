@@ -6,35 +6,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace flashtier {
-
-// Streaming mean/min/max/count over a sequence of samples.
-class RunningStat {
- public:
-  void Add(double x) {
-    ++count_;
-    sum_ += x;
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-
-  void Reset() { *this = RunningStat(); }
-
- private:
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Fixed log2-bucketed histogram for latency percentiles. Values are expected
 // in microseconds; buckets cover [0, 2^63).
@@ -55,25 +29,6 @@ class LatencyHistogram {
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
   }
   uint64_t max() const { return max_; }
-
-  // Upper bound of the bucket containing the q-th quantile (q in [0,1]).
-  uint64_t Quantile(double q) const {
-    if (count_ == 0) {
-      return 0;
-    }
-    uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count_));
-    if (target >= count_) {
-      target = count_ - 1;
-    }
-    uint64_t seen = 0;
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-      seen += buckets_[i];
-      if (seen > target) {
-        return i == 0 ? 0 : (uint64_t{1} << i) - 1;
-      }
-    }
-    return max_;
-  }
 
   // The p-th percentile (p in [0,100]), interpolated linearly inside the
   // power-of-two bucket that holds the p*count/100-th sample: bucket i >= 1

@@ -16,15 +16,20 @@ namespace {
 
 // ---- DirtyTable ----
 
+// The table's least-recently-used block; kInvalidLbn if empty.
+Lbn Lru(const DirtyTable& table) {
+  return table.LruBlockWhere([](Lbn) { return true; });
+}
+
 TEST(DirtyTableTest, TouchInsertsAndRefreshesLru) {
   DirtyTable table(100);
   table.Touch(1);
   table.Touch(2);
   table.Touch(3);
   EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.LruBlock(), 1u);
+  EXPECT_EQ(Lru(table), 1u);
   table.Touch(1);  // refresh: 2 becomes LRU
-  EXPECT_EQ(table.LruBlock(), 2u);
+  EXPECT_EQ(Lru(table), 2u);
   EXPECT_EQ(table.size(), 3u);
 }
 
@@ -34,7 +39,7 @@ TEST(DirtyTableTest, EraseMaintainsLruChain) {
     table.Touch(i);
   }
   EXPECT_TRUE(table.Erase(1));  // erase the LRU itself
-  EXPECT_EQ(table.LruBlock(), 2u);
+  EXPECT_EQ(Lru(table), 2u);
   EXPECT_TRUE(table.Erase(4));  // erase from the middle
   EXPECT_EQ(table.size(), 3u);
   EXPECT_FALSE(table.Erase(4));
@@ -43,7 +48,7 @@ TEST(DirtyTableTest, EraseMaintainsLruChain) {
   table.Erase(2);
   table.Erase(3);
   table.Erase(5);
-  EXPECT_EQ(table.LruBlock(), kInvalidLbn);
+  EXPECT_EQ(Lru(table), kInvalidLbn);
 }
 
 TEST(DirtyTableTest, SlotReuseAfterErase) {
@@ -89,7 +94,7 @@ TEST(DirtyTableTest, LruOrderUnderRandomOps) {
       }
     }
     ASSERT_EQ(table.size(), order.size());
-    ASSERT_EQ(table.LruBlock(), order.empty() ? kInvalidLbn : order.front());
+    ASSERT_EQ(Lru(table), order.empty() ? kInvalidLbn : order.front());
   }
 }
 
@@ -106,13 +111,14 @@ struct SscRig {
   SimClock clock;
   DiskModel disk;
   std::unique_ptr<SscDevice> ssc;
+  AdmitAllPolicy admit_all;
 };
 
 // ---- WriteThroughManager ----
 
 TEST(WriteThroughTest, ReadMissFetchesFromDiskAndPopulates) {
   SscRig rig;
-  WriteThroughManager manager(rig.ssc.get(), &rig.disk);
+  WriteThroughManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   uint64_t token = 0;
   ASSERT_EQ(manager.Read(50, &token), Status::kOk);
   EXPECT_EQ(token, DiskModel::OriginalToken(50));
@@ -126,7 +132,7 @@ TEST(WriteThroughTest, ReadMissFetchesFromDiskAndPopulates) {
 
 TEST(WriteThroughTest, WritesGoToBothDiskAndCache) {
   SscRig rig;
-  WriteThroughManager manager(rig.ssc.get(), &rig.disk);
+  WriteThroughManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   ASSERT_EQ(manager.Write(10, 0xdead), Status::kOk);
   EXPECT_EQ(rig.disk.stats().writes, 1u);
   uint64_t token = 0;
@@ -139,7 +145,7 @@ TEST(WriteThroughTest, WritesGoToBothDiskAndCache) {
 
 TEST(WriteThroughTest, AllCachedDataIsClean) {
   SscRig rig;
-  WriteThroughManager manager(rig.ssc.get(), &rig.disk);
+  WriteThroughManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   for (Lbn i = 0; i < 100; ++i) {
     ASSERT_EQ(manager.Write(i, i), Status::kOk);
   }
@@ -149,7 +155,7 @@ TEST(WriteThroughTest, AllCachedDataIsClean) {
 
 TEST(WriteThroughTest, CacheUsableImmediatelyAfterCrash) {
   SscRig rig;
-  WriteThroughManager manager(rig.ssc.get(), &rig.disk);
+  WriteThroughManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   for (Lbn i = 0; i < 200; ++i) {
     ASSERT_EQ(manager.Write(i, i + 1), Status::kOk);
   }
@@ -167,7 +173,7 @@ TEST(WriteThroughTest, CacheUsableImmediatelyAfterCrash) {
 
 TEST(WriteBackTest, WritesGoOnlyToCacheUntilCleaning) {
   SscRig rig;
-  WriteBackManager manager(rig.ssc.get(), &rig.disk);
+  WriteBackManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   ASSERT_EQ(manager.Write(5, 0xabc), Status::kOk);
   EXPECT_EQ(rig.disk.stats().writes, 0u);
   EXPECT_EQ(manager.dirty_blocks(), 1u);
@@ -179,15 +185,14 @@ TEST(WriteBackTest, WritesGoOnlyToCacheUntilCleaning) {
 
 TEST(WriteBackTest, ExceedingDirtyThresholdTriggersCleaning) {
   SscRig rig;
-  WriteBackManager::Options opts;
-  opts.dirty_threshold = 0.05;  // 102 blocks
-  WriteBackManager manager(rig.ssc.get(), &rig.disk, opts);
-  for (Lbn i = 0; i < 200; ++i) {
+  WriteBackManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
+  // 20% of the 2048-page cache is 409 dirty blocks.
+  for (Lbn i = 0; i < 600; ++i) {
     ASSERT_EQ(manager.Write(i * 97, i), Status::kOk);
   }
   EXPECT_GT(manager.stats().cleans, 0u);
   EXPECT_GT(rig.disk.stats().writes, 0u);
-  EXPECT_LE(manager.dirty_blocks(), 103u);
+  EXPECT_LE(manager.dirty_blocks(), 410u);
   // Cleaned blocks remain readable from the cache.
   uint64_t token = 0;
   ASSERT_EQ(manager.Read(0, &token), Status::kOk);
@@ -196,9 +201,7 @@ TEST(WriteBackTest, ExceedingDirtyThresholdTriggersCleaning) {
 
 TEST(WriteBackTest, ContiguousDirtyBlocksCleanedAsOneDiskWrite) {
   SscRig rig;
-  WriteBackManager::Options opts;
-  opts.dirty_threshold = 0.05;
-  WriteBackManager manager(rig.ssc.get(), &rig.disk, opts);
+  WriteBackManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   // Dirty runs of 16 contiguous blocks.
   for (Lbn base = 0; base < 200 * 16; base += 16) {
     for (Lbn i = 0; i < 16; ++i) {
@@ -212,7 +215,7 @@ TEST(WriteBackTest, ContiguousDirtyBlocksCleanedAsOneDiskWrite) {
 
 TEST(WriteBackTest, FlushAllWritesEverythingToDisk) {
   SscRig rig;
-  WriteBackManager manager(rig.ssc.get(), &rig.disk);
+  WriteBackManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   for (Lbn i = 0; i < 50; ++i) {
     ASSERT_EQ(manager.Write(i, i + 100), Status::kOk);
   }
@@ -228,14 +231,14 @@ TEST(WriteBackTest, FlushAllWritesEverythingToDisk) {
 
 TEST(WriteBackTest, RecoverDirtyTableRebuildsFromSsc) {
   SscRig rig;
-  WriteBackManager manager(rig.ssc.get(), &rig.disk);
+  WriteBackManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   for (Lbn i = 0; i < 60; ++i) {
     ASSERT_EQ(manager.Write(i * 3, i), Status::kOk);
   }
   const uint64_t dirty_before = manager.dirty_blocks();
   rig.ssc->SimulateCrash();
   ASSERT_EQ(rig.ssc->Recover(), Status::kOk);
-  WriteBackManager fresh(rig.ssc.get(), &rig.disk);
+  WriteBackManager fresh(rig.ssc.get(), &rig.disk, rig.admit_all);
   fresh.RecoverDirtyTable();
   EXPECT_EQ(fresh.dirty_blocks(), dirty_before);
   // The recovered manager can clean everything.
@@ -245,7 +248,7 @@ TEST(WriteBackTest, RecoverDirtyTableRebuildsFromSsc) {
 
 TEST(WriteBackTest, HostMemoryTracksOnlyDirtyBlocks) {
   SscRig rig;
-  WriteBackManager manager(rig.ssc.get(), &rig.disk);
+  WriteBackManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   // Clean traffic (read misses) costs no manager memory growth beyond the
   // preallocated table.
   const size_t before = manager.HostMemoryUsage();
@@ -266,11 +269,12 @@ struct NativeRig {
     ssd_opts.geometry.planes = 4;
     ssd = std::make_unique<SsdFtl>(cache_pages + NativeCacheManager::kMetadataRegionPages,
                                    &clock, ssd_opts);
-    manager = std::make_unique<NativeCacheManager>(ssd.get(), &disk, cache_pages, opts);
+    manager = std::make_unique<NativeCacheManager>(ssd.get(), &disk, cache_pages, admit_all, opts);
   }
   SimClock clock;
   DiskModel disk;
   std::unique_ptr<SsdFtl> ssd;
+  AdmitAllPolicy admit_all;
   std::unique_ptr<NativeCacheManager> manager;
 };
 
@@ -307,9 +311,7 @@ TEST(NativeManagerTest, WriteThroughWritesDiskImmediately) {
 
 TEST(NativeManagerTest, LruEvictionWritesBackDirtyVictims) {
   // A tiny cache forced into eviction.
-  NativeCacheManager::Options opts;
-  opts.associativity = 64;
-  NativeRig rig(opts, /*cache_pages=*/256);
+  NativeRig rig({}, /*cache_pages=*/256);
   for (Lbn i = 0; i < 2000; ++i) {
     ASSERT_EQ(rig.manager->Write(i, i), Status::kOk);
   }
@@ -324,9 +326,7 @@ TEST(NativeManagerTest, LruEvictionWritesBackDirtyVictims) {
 }
 
 TEST(NativeManagerTest, MetadataWritesOnlyInPersistentWriteBack) {
-  NativeCacheManager::Options persist_opts;
-  persist_opts.metadata_batch = 1;
-  NativeRig with_persist(persist_opts);
+  NativeRig with_persist;
   for (Lbn i = 0; i < 100; ++i) {
     ASSERT_EQ(with_persist.manager->Write(i, i), Status::kOk);
   }
@@ -372,10 +372,20 @@ TEST(NativeManagerTest, RecoveryEstimateGrowsWithCacheUse) {
   EXPECT_GT(rig.manager->RecoveryEstimateUs(), empty);
 }
 
+// A cache smaller than one 256-way set is one set of its own size: it never
+// holds more blocks than it has pages.
+TEST(NativeManagerTest, CacheSmallerThanOneSetHoldsAtMostItsPages) {
+  NativeRig rig({}, /*cache_pages=*/128);
+  for (Lbn i = 0; i < 1000; ++i) {
+    ASSERT_EQ(rig.manager->Write(i * 3, i), Status::kOk);
+    ASSERT_LE(rig.manager->cached_blocks(), 128u) << "after write " << i;
+  }
+  EXPECT_GT(rig.manager->stats().evicts, 0u);
+  EXPECT_LE(rig.manager->HostMemoryUsage(), 128u * 28u);
+}
+
 TEST(NativeManagerTest, MixedWorkloadNeverReturnsStaleData) {
-  NativeCacheManager::Options opts;
-  opts.associativity = 64;
-  NativeRig rig(opts, /*cache_pages=*/512);
+  NativeRig rig({}, /*cache_pages=*/512);
   Rng rng(17);
   std::unordered_map<Lbn, uint64_t> oracle;
   for (uint64_t i = 0; i < 20'000; ++i) {

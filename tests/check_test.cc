@@ -195,7 +195,8 @@ TEST(InvariantCheckerTest, DetectsDirtyTableDisagreementBothWays) {
   SimClock clock;
   DiskModel disk(DiskParams{}, &clock);
   SscDevice ssc(SmallConfig(), &clock);
-  WriteBackManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteBackManager manager(&ssc, &disk, admit_all);
   for (Lbn lbn = 0; lbn < 10; ++lbn) {
     ASSERT_EQ(manager.Write(lbn, 4000 + lbn), Status::kOk);
   }
@@ -229,7 +230,8 @@ TEST(InvariantCheckerTest, WriteBackForgetsDirtyBlocksWhenTheSscReportsThemLost)
   SimClock clock;
   DiskModel disk(DiskParams{}, &clock);
   SscDevice ssc(config, &clock);
-  WriteBackManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteBackManager manager(&ssc, &disk, admit_all);
   uint64_t losses = 0;
   ssc.set_data_loss_hook([&losses](Lbn) { ++losses; });
   Rng rng(1);

@@ -6,7 +6,6 @@
 
 #include "src/core/flashtier.h"
 #include "src/core/replay.h"
-#include "src/trace/workload.h"
 #include "src/util/rng.h"
 
 namespace flashtier {
@@ -113,57 +112,33 @@ TEST(ReplayEngineTest, CountsAndClock) {
   EXPECT_GT(m.MeanResponseUs(), 0.0);
 }
 
-// The warmup cut is a fraction of the requests replayed: a max_requests past
-// the end of the trace replays the whole trace and cuts the same warmup.
+// The warmup cut is a fraction of the trace, at any shard count.
 TEST(ReplayEngineTest, WarmupExcludedFromMeasurement) {
-  for (const uint64_t max_requests : {uint64_t{0}, uint64_t{2'000}}) {
-    for (const uint32_t shards : {1u, 4u}) {
-      SystemConfig config;
-      config.type = SystemType::kSscWriteThrough;
-      config.cache_pages = 2048;
-      config.shards = shards;
-      FlashTierSystem system(config);
-      VectorTrace trace;
-      for (int i = 0; i < 1000; ++i) {
-        trace.Append(i, TraceOp::kWrite);
-      }
-      ReplayEngine::Options opts;
-      opts.warmup_fraction = 0.30;
-      opts.max_requests = max_requests;
-      opts.threads = shards;
-      ReplayEngine engine(&system, opts);
-      const ReplayMetrics m = engine.Run(trace);
-      EXPECT_EQ(m.warmup_requests, 300u) << max_requests << " max, " << shards << " shards";
-      EXPECT_EQ(m.requests, 700u) << max_requests << " max, " << shards << " shards";
+  for (const uint32_t shards : {1u, 4u}) {
+    SystemConfig config;
+    config.type = SystemType::kSscWriteThrough;
+    config.cache_pages = 2048;
+    config.shards = shards;
+    FlashTierSystem system(config);
+    VectorTrace trace;
+    for (int i = 0; i < 1000; ++i) {
+      trace.Append(i, TraceOp::kWrite);
     }
+    ReplayEngine::Options opts;
+    opts.warmup_fraction = 0.30;
+    opts.threads = shards;
+    ReplayEngine engine(&system, opts);
+    const ReplayMetrics m = engine.Run(trace);
+    EXPECT_EQ(m.warmup_requests, 300u) << shards << " shards";
+    EXPECT_EQ(m.requests, 700u) << shards << " shards";
   }
-}
-
-TEST(ReplayEngineTest, MaxRequestsTruncates) {
-  SystemConfig config;
-  config.type = SystemType::kSscWriteThrough;
-  config.cache_pages = 2048;
-  FlashTierSystem system(config);
-  SyntheticWorkload workload([] {
-    WorkloadProfile p;
-    p.name = "tiny";
-    p.range_blocks = 100'000;
-    p.unique_blocks = 2'000;
-    p.total_ops = 50'000;
-    p.seed = 3;
-    return p;
-  }());
-  ReplayEngine::Options opts;
-  opts.max_requests = 1'000;
-  ReplayEngine engine(&system, opts);
-  const ReplayMetrics m = engine.Run(workload);
-  EXPECT_EQ(m.requests + m.warmup_requests, 1'000u);
 }
 
 TEST(ReplayEngineTest, OracleCatchesInjectedStaleData) {
   // A deliberately broken "cache" that loses writes must be flagged.
   class LossyManager final : public CacheManager {
    public:
+    explicit LossyManager(AdmissionPolicy& policy) : CacheManager(policy) {}
     Status Read(Lbn lbn, uint64_t* token) override {
       *token = 0xbad;  // always wrong
       (void)lbn;
@@ -186,7 +161,7 @@ TEST(ReplayEngineTest, OracleCatchesInjectedStaleData) {
   EXPECT_EQ(good.Run(trace).stale_reads, 0u);
   // Then around the lossy manager: its read answers a token the write never
   // produced, and it fails no request, so only the oracle can catch it.
-  system.shard(0).manager = std::make_unique<LossyManager>();
+  system.shard(0).manager = std::make_unique<LossyManager>(*system.shard(0).policy);
   ReplayEngine bad(&system, opts);
   const ReplayMetrics m = bad.Run(trace);
   EXPECT_EQ(m.stale_reads, 1u);

@@ -56,13 +56,14 @@ struct SscRig {
   SimClock clock;
   DiskModel disk;
   std::unique_ptr<SscDevice> ssc;
+  AdmitAllPolicy admit_all;
 };
 
 // ---- Cache-as-rescue reads ----
 
 TEST(DiskGuardTest, WriteBackServesCachedBlockOverLatentSector) {
   SscRig rig;
-  WriteBackManager manager(rig.ssc.get(), &rig.disk);
+  WriteBackManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   ASSERT_EQ(manager.Write(5, 77), Status::kOk);  // dirty, cached, disk untouched
   rig.MakeLatent(5);
   uint64_t token = 0;
@@ -73,7 +74,7 @@ TEST(DiskGuardTest, WriteBackServesCachedBlockOverLatentSector) {
 
 TEST(DiskGuardTest, WriteThroughServesCachedBlockOverLatentSector) {
   SscRig rig;
-  WriteThroughManager manager(rig.ssc.get(), &rig.disk);
+  WriteThroughManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   ASSERT_EQ(manager.Write(9, 42), Status::kOk);  // lands on disk and in cache
   rig.MakeLatent(9);
   uint64_t token = 0;
@@ -84,7 +85,7 @@ TEST(DiskGuardTest, WriteThroughServesCachedBlockOverLatentSector) {
 
 TEST(DiskGuardTest, UncachedLatentSectorSurfacesHonestError) {
   SscRig rig;
-  WriteThroughManager manager(rig.ssc.get(), &rig.disk);
+  WriteThroughManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   rig.MakeLatent(33);  // never cached: no rescue source
   uint64_t token = 0;
   const Status s = manager.Read(33, &token);
@@ -97,7 +98,7 @@ TEST(DiskGuardTest, UncachedLatentSectorSurfacesHonestError) {
 
 TEST(DiskGuardTest, ScrubRepairsLatentSectorsFromCachedCopies) {
   SscRig rig;
-  WriteBackManager manager(rig.ssc.get(), &rig.disk);
+  WriteBackManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   ASSERT_EQ(manager.Write(5, 77), Status::kOk);
   rig.MakeLatent(5);
   rig.MakeLatent(800);  // uncached: the scrubber has no repair source
@@ -117,7 +118,7 @@ TEST(DiskGuardTest, ScrubRepairsLatentSectorsFromCachedCopies) {
 
 TEST(DiskGuardTest, WriteThroughScrubUsesCleanCopies) {
   SscRig rig;
-  WriteThroughManager manager(rig.ssc.get(), &rig.disk);
+  WriteThroughManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   ASSERT_EQ(manager.Write(9, 42), Status::kOk);
   rig.MakeLatent(9);
   EXPECT_EQ(manager.ScrubDisk(8), 1u);
@@ -131,7 +132,7 @@ TEST(DiskGuardTest, WriteThroughScrubUsesCleanCopies) {
 
 TEST(DiskGuardTest, WriteThroughRefusesWhenDiskRejectsTheWrite) {
   SscRig rig;
-  WriteThroughManager manager(rig.ssc.get(), &rig.disk);
+  WriteThroughManager manager(rig.ssc.get(), &rig.disk, rig.admit_all);
   ASSERT_EQ(manager.Write(3, 0xaaa), Status::kOk);
   DiskFaultPlan down;
   down.write_fail_prob = 1.0;
@@ -151,27 +152,27 @@ TEST(DiskGuardTest, WriteThroughRefusesWhenDiskRejectsTheWrite) {
 // ---- Writeback parking, redrive, disk-degraded escalation ----
 
 struct ParkedRig : SscRig {
-  ParkedRig() {
-    WriteBackManager::Options opts;
-    opts.dirty_threshold = 0.01;  // ~20 of 2048 pages: cleaning starts early
-    manager = std::make_unique<WriteBackManager>(ssc.get(), &disk, opts);
-  }
+  ParkedRig() : manager(std::make_unique<WriteBackManager>(ssc.get(), &disk, admit_all)) {}
   std::unique_ptr<WriteBackManager> manager;
 };
+
+// Past 409 dirty blocks (20% of the 2048-page cache) the manager cleans; at
+// this stride the cache holds 448 dirty blocks before it runs out of space.
+constexpr Lbn kPastThreshold = 420;
 
 TEST(DiskGuardTest, FailedWritebacksParkAndTripDiskDegraded) {
   ParkedRig rig;
   DiskFaultPlan down;
   down.write_fail_prob = 1.0;
   rig.Arm(down);
-  for (Lbn lbn = 0; lbn < 30; ++lbn) {
+  for (Lbn lbn = 0; lbn < kPastThreshold; ++lbn) {
     ASSERT_EQ(rig.manager->Write(lbn * 7, lbn), Status::kOk);  // cache absorbs
   }
   EXPECT_GT(rig.manager->stats().parked_writebacks, 0u);
   EXPECT_GT(rig.manager->parked_blocks(), 0u);
   EXPECT_TRUE(rig.manager->disk_degraded());
   EXPECT_EQ(rig.manager->stats().lost_dirty, 0u);  // nothing dropped
-  EXPECT_EQ(rig.manager->dirty_blocks(), 30u);
+  EXPECT_EQ(rig.manager->dirty_blocks(), kPastThreshold);
 
   // The parked queue must pass the structural audit: every parked block is
   // still dirty, and the degraded flag matches the failure count.
@@ -184,7 +185,7 @@ TEST(DiskGuardTest, ParkedRunsRedriveAfterBackoffWhenDiskRecovers) {
   DiskFaultPlan down;
   down.write_fail_prob = 1.0;
   rig.Arm(down);
-  for (Lbn lbn = 0; lbn < 30; ++lbn) {
+  for (Lbn lbn = 0; lbn < kPastThreshold; ++lbn) {
     ASSERT_EQ(rig.manager->Write(lbn * 7, lbn), Status::kOk);
   }
   ASSERT_GT(rig.manager->parked_blocks(), 0u);
@@ -205,19 +206,19 @@ TEST(DiskGuardTest, FlushAllKeepsRefusedBlocksAndSucceedsOnceDiskReturns) {
   DiskFaultPlan down;
   down.write_fail_prob = 1.0;
   rig.Arm(down);
-  for (Lbn lbn = 0; lbn < 30; ++lbn) {
+  for (Lbn lbn = 0; lbn < kPastThreshold; ++lbn) {
     ASSERT_EQ(rig.manager->Write(lbn * 7, lbn), Status::kOk);
   }
   const Status s = rig.manager->FlushAll();
   EXPECT_TRUE(s == Status::kIoError || s == Status::kTimeout) << StatusName(s);
-  EXPECT_EQ(rig.manager->dirty_blocks(), 30u);  // refused, never dropped
+  EXPECT_EQ(rig.manager->dirty_blocks(), kPastThreshold);  // refused, never dropped
   EXPECT_EQ(rig.manager->stats().lost_dirty, 0u);
 
   rig.Heal();
   ASSERT_EQ(rig.manager->FlushAll(), Status::kOk);
   EXPECT_EQ(rig.manager->dirty_blocks(), 0u);
   EXPECT_EQ(rig.manager->parked_blocks(), 0u);
-  for (Lbn lbn = 0; lbn < 30; ++lbn) {
+  for (Lbn lbn = 0; lbn < kPastThreshold; ++lbn) {
     uint64_t token = 0;
     ASSERT_EQ(rig.disk.Read(lbn * 7, &token), Status::kOk);
     EXPECT_EQ(token, lbn);
@@ -226,21 +227,26 @@ TEST(DiskGuardTest, FlushAllKeepsRefusedBlocksAndSucceedsOnceDiskReturns) {
 
 // ---- Native manager: clean-victim fallback ----
 
+// Four pages are one set of four ways, so eviction order is fully scripted.
+// The disk refuses every write from the start: each dirty write's set
+// cleaning defers (its writeback fails), so dirty blocks stay dirty.
 struct NativeRig {
   NativeRig() : disk(SingleDisk(), &clock) {
     ssd = std::make_unique<SsdFtl>(kPages + NativeCacheManager::kMetadataRegionPages, &clock,
                                    SsdFtl::Options{});
     NativeCacheManager::Options opts;
-    opts.mode = NativeCacheManager::Mode::kWriteBack;
     opts.persist_metadata = false;
-    opts.associativity = kPages;   // one set: eviction order is fully scripted
-    opts.dirty_threshold = 1.0;    // no background cleaning during the test
-    manager = std::make_unique<NativeCacheManager>(ssd.get(), &disk, kPages, opts);
+    manager = std::make_unique<NativeCacheManager>(ssd.get(), &disk, kPages, admit_all, opts);
+    DiskFaultPlan down;
+    down.enabled = true;
+    down.write_fail_prob = 1.0;
+    disk.set_fault_plan(down);
   }
   static constexpr uint32_t kPages = 4;
   SimClock clock;
   DiskModel disk;
   std::unique_ptr<SsdFtl> ssd;
+  AdmitAllPolicy admit_all;
   std::unique_ptr<NativeCacheManager> manager;
 };
 
@@ -250,10 +256,6 @@ TEST(DiskGuardTest, NativeRefusesHonestlyWhenEverySlotIsDirtyAndDiskIsDown) {
     ASSERT_EQ(rig.manager->Write(lbn, lbn + 100), Status::kOk);
   }
   ASSERT_EQ(rig.manager->dirty_blocks(), 4u);
-  DiskFaultPlan down;
-  down.enabled = true;
-  down.write_fail_prob = 1.0;
-  rig.disk.set_fault_plan(down);
   // A fifth dirty block needs an eviction; the victim's writeback fails and
   // there is no clean slot to fall back to, so the write is refused — the
   // four dirty blocks stay cached rather than being dropped.
@@ -266,19 +268,15 @@ TEST(DiskGuardTest, NativeRefusesHonestlyWhenEverySlotIsDirtyAndDiskIsDown) {
 
 TEST(DiskGuardTest, NativeFallsBackToCleanVictimWhenWritebackFails) {
   NativeRig rig;
-  for (Lbn lbn = 0; lbn < 4; ++lbn) {
-    ASSERT_EQ(rig.manager->Write(lbn, lbn + 100), Status::kOk);
-  }
-  // Replace one dirty block with a clean read fill (its writeback succeeds
-  // while the disk is still healthy).
+  // LRU to MRU: dirty 0, a clean read fill of 10 (disk reads still work),
+  // dirty 1 and 2.
+  ASSERT_EQ(rig.manager->Write(0, 100), Status::kOk);
   uint64_t token = 0;
   ASSERT_EQ(rig.manager->Read(10, &token), Status::kOk);
+  ASSERT_EQ(rig.manager->Write(1, 101), Status::kOk);
+  ASSERT_EQ(rig.manager->Write(2, 102), Status::kOk);
   ASSERT_EQ(rig.manager->dirty_blocks(), 3u);
 
-  DiskFaultPlan down;
-  down.enabled = true;
-  down.write_fail_prob = 1.0;
-  rig.disk.set_fault_plan(down);
   // The LRU victim is dirty and its writeback fails; the allocation walks to
   // the clean slot (block 10) and evicts that instead, so the insert succeeds
   // without dropping dirty data.

@@ -261,12 +261,11 @@ TEST_F(DiskFaultTest, WriteRunHealsEveryLatentSectorItCovers) {
 TEST_F(DiskFaultTest, SlowIoChargesExtraServiceTime) {
   DiskFaultPlan plan;
   plan.slow_at = {1};
-  plan.slow_io_extra_us = 123'456;
   Arm(plan);
   const uint64_t est = disk_.EstimateUs(9, 1, /*sequential_hint=*/false);
   const uint64_t t0 = clock_.now_us();
   ASSERT_EQ(disk_.Read(9), Status::kOk);  // slow, but it succeeds
-  EXPECT_EQ(clock_.now_us() - t0, est + plan.slow_io_extra_us);
+  EXPECT_EQ(clock_.now_us() - t0, est + DiskFaultPlan::kSlowIoExtraUs);
   EXPECT_EQ(disk_.stats().slow_ios, 1u);
 }
 
@@ -384,12 +383,10 @@ TEST_F(DiskFaultTest, GuardedWriteRunRetriesAtomically) {
 
 TEST(RetrySessionTest, BackoffDoublesUpToTheCap) {
   RetryPolicy policy;
-  policy.initial_backoff_us = 500;
-  policy.max_backoff_us = 1500;
   EXPECT_EQ(policy.BackoffUs(1), 500u);
   EXPECT_EQ(policy.BackoffUs(2), 1000u);
-  EXPECT_EQ(policy.BackoffUs(3), 1500u);  // capped, not 2000
-  EXPECT_EQ(policy.BackoffUs(9), 1500u);
+  EXPECT_EQ(policy.BackoffUs(8), 64'000u);
+  EXPECT_EQ(policy.BackoffUs(9), 64'000u);  // capped, not 128,000
 
   SimClock clock;
   RetrySession session(policy, &clock);
@@ -398,7 +395,7 @@ TEST(RetrySessionTest, BackoffDoublesUpToTheCap) {
   EXPECT_TRUE(session.BackoffBeforeRetry());
   EXPECT_EQ(clock.now_us(), 1500u);
   EXPECT_TRUE(session.BackoffBeforeRetry());
-  EXPECT_EQ(clock.now_us(), 3000u);
+  EXPECT_EQ(clock.now_us(), 3500u);
   EXPECT_FALSE(session.BackoffBeforeRetry());  // attempt bound: 4 total tries
   EXPECT_EQ(session.retries(), 3u);
   EXPECT_FALSE(session.deadline_exceeded());

@@ -1,11 +1,9 @@
 // Tests for the paper's extension features: the extended exists query
 // (Section 4.2.1), background garbage collection and wear-leveling
-// relocation (Sections 3.3/5), and the write-back manager's checksum and
-// explicit-eviction options (Sections 4.2.1/4.4).
+// relocation (Sections 3.3/5).
 
 #include <gtest/gtest.h>
 
-#include "src/cache/write_back.h"
 #include "src/ssc/ssc_device.h"
 #include "src/util/rng.h"
 
@@ -128,102 +126,6 @@ TEST(WearLevelTest, NoOpWhenBalanced) {
   SscDevice ssc(SmallConfig(), &clock);
   ASSERT_EQ(ssc.WriteClean(1, 1), Status::kOk);
   EXPECT_FALSE(ssc.WearLevelOnce(1000));
-}
-
-struct WbRig {
-  explicit WbRig(const WriteBackManager::Options& opts)
-      : disk(DiskParams{}, &clock), ssc(SmallConfig(), &clock), manager(&ssc, &disk, opts) {}
-  SimClock clock;
-  DiskModel disk;
-  SscDevice ssc;
-  WriteBackManager manager;
-};
-
-TEST(WriteBackChecksumTest, CleanVerifiesAgainstStoredChecksums) {
-  WriteBackManager::Options opts;
-  opts.verify_checksums = true;
-  WbRig rig(opts);
-  for (Lbn lbn = 0; lbn < 300; ++lbn) {
-    ASSERT_EQ(rig.manager.Write(lbn, lbn * 7), Status::kOk);
-  }
-  ASSERT_EQ(rig.manager.FlushAll(), Status::kOk);
-  EXPECT_EQ(rig.manager.checksum_failures(), 0u);
-  // Checksums consume host memory only while blocks are dirty.
-  EXPECT_EQ(rig.manager.dirty_blocks(), 0u);
-}
-
-TEST(WriteBackChecksumTest, HostMemoryGrowsWithChecksums) {
-  WriteBackManager::Options plain;
-  WbRig a(plain);
-  WriteBackManager::Options checked;
-  checked.verify_checksums = true;
-  WbRig b(checked);
-  for (Lbn lbn = 0; lbn < 200; ++lbn) {
-    ASSERT_EQ(a.manager.Write(lbn, lbn), Status::kOk);
-    ASSERT_EQ(b.manager.Write(lbn, lbn), Status::kOk);
-  }
-  EXPECT_GT(b.manager.HostMemoryUsage(), a.manager.HostMemoryUsage());
-}
-
-TEST(WriteBackChecksumTest, FlushLeavesNoChecksumBehind) {
-  // A write-around (policy reject, out of space or pass-through) drops the
-  // block's checksum with its dirty entry, so once FlushAll empties the
-  // table the checked manager holds exactly what the plain one does.
-  WriteBackManager::Options plain;
-  WbRig a(plain);
-  WriteBackManager::Options checked;
-  checked.verify_checksums = true;
-  WbRig b(checked);
-  Rng rng(5);
-  for (uint64_t i = 0; i < 20'000; ++i) {
-    const Lbn lbn = rng.Below(4096);
-    ASSERT_EQ(a.manager.Write(lbn, i), Status::kOk);
-    ASSERT_EQ(b.manager.Write(lbn, i), Status::kOk);
-  }
-  EXPECT_GT(b.manager.stats().evicts, 0u);  // the out-of-space write-around ran
-  ASSERT_EQ(a.manager.FlushAll(), Status::kOk);
-  ASSERT_EQ(b.manager.FlushAll(), Status::kOk);
-  EXPECT_EQ(b.manager.HostMemoryUsage(), a.manager.HostMemoryUsage());
-}
-
-TEST(ExplicitEvictionTest, WriteBackEvictsInsteadOfCleaning) {
-  WriteBackManager::Options opts;
-  opts.explicit_eviction = true;
-  opts.dirty_threshold = 0.05;
-  WbRig rig(opts);
-  for (Lbn lbn = 0; lbn < 400; ++lbn) {
-    ASSERT_EQ(rig.manager.Write(lbn * 3, lbn), Status::kOk);
-  }
-  EXPECT_GT(rig.manager.stats().evicts, 0u);
-  EXPECT_EQ(rig.manager.stats().cleans, 0u);
-  // Written-back blocks are gone from the cache (read-after-evict), but the
-  // data is on disk, so manager reads still return the newest value.
-  uint64_t token = 0;
-  ASSERT_EQ(rig.manager.Read(0, &token), Status::kOk);
-  EXPECT_EQ(token, 0u);
-}
-
-TEST(ExplicitEvictionTest, DataNeverLostOrStale) {
-  WriteBackManager::Options opts;
-  opts.explicit_eviction = true;
-  opts.dirty_threshold = 0.10;
-  WbRig rig(opts);
-  Rng rng(9);
-  std::unordered_map<Lbn, uint64_t> oracle;
-  for (uint64_t i = 0; i < 15'000; ++i) {
-    const Lbn lbn = rng.Below(1500);
-    if (rng.Chance(0.6)) {
-      ASSERT_EQ(rig.manager.Write(lbn, i), Status::kOk);
-      oracle[lbn] = i;
-    } else {
-      uint64_t token = 0;
-      ASSERT_EQ(rig.manager.Read(lbn, &token), Status::kOk);
-      const auto it = oracle.find(lbn);
-      const uint64_t expected =
-          it != oracle.end() ? it->second : DiskModel::OriginalToken(lbn);
-      ASSERT_EQ(token, expected) << "lbn " << lbn << " op " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -314,7 +314,8 @@ TEST(ManagerFaultTest, WriteThroughServesCorruptCleanReadsFromDisk) {
   plan.read_corrupt_at = {1};
   SscDevice ssc(FaultyConfig(plan), &clock);
   DiskModel disk(DiskParams{}, &clock);
-  WriteThroughManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteThroughManager manager(&ssc, &disk, admit_all);
   ASSERT_EQ(manager.Write(11, 110), Status::kOk);
   uint64_t token = 0;
   // The cached copy is corrupt, but write-through data is clean by
@@ -335,7 +336,8 @@ TEST(ManagerFaultTest, WriteBackReportsDirtyLossAndRecoversTheSlot) {
   plan.read_corrupt_at = {1};
   SscDevice ssc(FaultyConfig(plan), &clock);
   DiskModel disk(DiskParams{}, &clock);
-  WriteBackManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteBackManager manager(&ssc, &disk, admit_all);
   ASSERT_EQ(manager.Write(13, 130), Status::kOk);
   uint64_t token = 0;
   // The only copy was dirty: the loss is surfaced, never papered over with
@@ -355,7 +357,8 @@ TEST(ManagerFaultTest, WriteThroughTripsIntoDegradedPassThrough) {
   plan.program_fail_prob = 1.0;  // the cache rejects every write
   SscDevice ssc(FaultyConfig(plan), &clock);
   DiskModel disk(DiskParams{}, &clock);
-  WriteThroughManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteThroughManager manager(&ssc, &disk, admit_all);
   for (Lbn lbn = 0; lbn < 10; ++lbn) {
     ASSERT_EQ(manager.Write(lbn, 300 + lbn), Status::kOk);  // disk still lands
   }
@@ -374,7 +377,8 @@ TEST(ManagerFaultTest, WriteBackDegradedModeWritesLandOnDisk) {
   plan.program_fail_prob = 1.0;
   SscDevice ssc(FaultyConfig(plan), &clock);
   DiskModel disk(DiskParams{}, &clock);
-  WriteBackManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteBackManager manager(&ssc, &disk, admit_all);
   for (Lbn lbn = 0; lbn < 10; ++lbn) {
     ASSERT_EQ(manager.Write(lbn, 400 + lbn), Status::kOk);
   }
@@ -394,7 +398,8 @@ TEST(ManagerFaultTest, DegradedManagerReengagesWhenTheCacheHeals) {
   plan.program_fail_prob = 1.0;
   SscDevice ssc(FaultyConfig(plan), &clock);
   DiskModel disk(DiskParams{}, &clock);
-  WriteThroughManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteThroughManager manager(&ssc, &disk, admit_all);
   for (Lbn lbn = 0; lbn < 8; ++lbn) {
     ASSERT_EQ(manager.Write(lbn, 500 + lbn), Status::kOk);
   }
@@ -647,12 +652,11 @@ TEST(ManagerFaultTest, CapacityFloorTripsPermanentPassThrough) {
   plan.erase_fail_prob = 1.0;  // every erase retires its block
   SscDevice ssc(FaultyConfig(plan), &clock);
   DiskModel disk(DiskParams{}, &clock);
-  WriteBackManager::Options opts;
-  opts.min_usable_capacity_pct = 100;  // any retirement at all is below floor
-  WriteBackManager manager(&ssc, &disk, opts);
-  // Age the cache until the first retirement lands.
+  AdmitAllPolicy admit_all;
+  WriteBackManager manager(&ssc, &disk, admit_all);
+  // Age the cache until retirement leaves less than the 10% floor usable.
   Lbn lbn = 0;
-  while (ssc.ftl_stats().retired_blocks == 0) {
+  while (ssc.usable_capacity_pages() * 10 >= ssc.capacity_pages()) {
     ASSERT_EQ(manager.Write(lbn, 700 + lbn), Status::kOk);
     ASSERT_LT(++lbn, 100000u);
   }
@@ -687,7 +691,8 @@ TEST_P(FaultSweepTest, RandomWorkloadOnFaultyMediumNeverReadsStale) {
   plan.read_corrupt_prob = 0.01;
   SscDevice ssc(FaultyConfig(plan, ConsistencyMode::kFull), &clock);
   DiskModel disk(DiskParams{}, &clock);
-  WriteBackManager manager(&ssc, &disk);
+  AdmitAllPolicy admit_all;
+  WriteBackManager manager(&ssc, &disk, admit_all);
 
   Rng rng(GetParam() * 1000 + 7);
   std::unordered_map<Lbn, uint64_t> oracle;  // newest acked token per block

@@ -216,7 +216,7 @@ TEST_F(FlashDeviceTest, WearDiffTracksImbalance) {
   ASSERT_EQ(device_.EraseBlock(0), Status::kOk);
   ASSERT_EQ(device_.EraseBlock(1), Status::kOk);
   EXPECT_EQ(device_.MaxWearDiff(), 3u);
-  EXPECT_EQ(device_.TotalErases(), 4u);
+  EXPECT_EQ(device_.stats().erases, 4u);
 }
 
 TEST(FlashDeviceDataTest, StoresFullPagePayloadWhenEnabled) {

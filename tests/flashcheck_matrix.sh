@@ -78,6 +78,7 @@ run --admission=write-limit --faults --fault-seed=1
 run --soak=25 --stats-json=soak-plain.json
 run --soak=25 --faults --fault-seed=1 --stats-json=soak-faults.json
 run --soak=25 --shards=4 --stats-json=soak-shards.json
+run --soak=25 --break-recovery=true
 
 # DiskGuard disk-fault matrix and soak.
 run --disk-faults --stats-json=diskguard.json
@@ -104,6 +105,7 @@ run --aging=10 --faults --fault-seed=1 --shards=4 --stats-json=aging.json
 run --aging=10 --faults --fault-seed=2 --policy=se-merge --stats-json=aging.json
 run --aging=10 --faults --fault-seed=1 --admission=ghost-lru --stats-json=aging.json
 run --aging=10 --faults --fault-seed=3 --mode=relaxed --stats-json=aging.json
+run --aging=10 --faults --fault-seed=1 --break-retry=true
 run --aging=60 --faults --fault-seed=1 --shards=4 --stats-json=aging-deep.json
 
 # KV crash-point exploration and soak.

@@ -164,22 +164,20 @@ TEST(KvDeleteTest, DirtySlabCleanedWhenLastDirtyObjectDies) {
 // ---- Compaction ----
 
 TEST(KvCompactionTest, DeadSlotsAreCompactedAway) {
-  KvCacheConfig config = SmallConfig();
-  config.compact_min_sealed_slabs = 2;
-  config.compact_dead_ratio = 0.30;
-  KvCache cache(config);
-  // Fill several slabs, then kill most objects so dead bytes dominate.
-  for (uint64_t k = 0; k < 120; ++k) {
+  KvCache cache(SmallConfig());
+  // Fill more than the eight sealed slabs compaction waits for (46 objects
+  // of 64 B to a slab), then kill most objects so dead bytes dominate.
+  for (uint64_t k = 0; k < 480; ++k) {
     ASSERT_EQ(cache.Set(k, k, 64, false), Status::kOk);
   }
   ASSERT_EQ(cache.Flush(), Status::kOk);
-  for (uint64_t k = 0; k < 120; ++k) {
+  for (uint64_t k = 0; k < 480; ++k) {
     if (k % 4 != 0) {
       ASSERT_EQ(cache.Delete(k), Status::kOk);
     }
   }
   // Compaction triggers on the next seal; push more data through.
-  for (uint64_t k = 1000; k < 1120; ++k) {
+  for (uint64_t k = 1000; k < 1480; ++k) {
     ASSERT_EQ(cache.Set(k, k, 64, false), Status::kOk);
   }
   ASSERT_EQ(cache.Flush(), Status::kOk);
@@ -187,7 +185,7 @@ TEST(KvCompactionTest, DeadSlotsAreCompactedAway) {
   EXPECT_GT(s.compactions, 0u);
   EXPECT_GT(s.slots_reclaimed, 0u);
   // Every surviving object still readable after its slab moved.
-  for (uint64_t k = 0; k < 120; k += 4) {
+  for (uint64_t k = 0; k < 480; k += 4) {
     EXPECT_EQ(MustGet(cache.shard(0), k), k);
   }
 }
@@ -205,8 +203,6 @@ TEST_P(KvCompactionIndexTest, MatchesDirectoryWalkAfterEveryOp) {
   KvCacheConfig config = SmallConfig();
   config.ssc.capacity_pages = 256;
   config.slab_pages = GetParam();
-  config.compact_dead_ratio = 0.10;  // compact often
-  config.compact_min_sealed_slabs = 2;
   KvCache cache(config);
   Rng rng(GetParam());
   // 3,000 keys of ~540 slot bytes are ~1.5x the 256-page device.
@@ -217,6 +213,15 @@ TEST_P(KvCompactionIndexTest, MatchesDirectoryWalkAfterEveryOp) {
     if (i % 1'000 == 999) {
       cache.SimulateCrash();
       st = cache.Recover();
+    } else if (i == 4'000) {
+      // Two keys of every three go at once: sealed slabs pass the 50% dead
+      // bytes compaction waits for without dying whole.
+      for (uint64_t k = 1; k < 3'000; ++k) {
+        if (k % 3 != 0) {
+          const Status ds = cache.Delete(k);
+          ASSERT_TRUE(ds == Status::kOk || ds == Status::kNotPresent) << StatusName(ds);
+        }
+      }
     } else if (roll < 50) {
       // Clean-only first quarter, so whole erase blocks are clean.
       const bool dirty = rng.Chance(0.2) && i >= 2'000;

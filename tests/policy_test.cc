@@ -205,7 +205,7 @@ TEST(PolicyFactoryTest, BuildsEveryKindWithMatchingName) {
   };
   for (const auto& [kind, name] : expectations) {
     config.kind = kind;
-    std::unique_ptr<AdmissionPolicy> policy = MakeAdmissionPolicy(config, &clock);
+    std::unique_ptr<AdmissionPolicy> policy = MakeAdmissionPolicy(config, 1, 0, &clock);
     ASSERT_NE(policy, nullptr);
     EXPECT_EQ(policy->name(), name);
     EXPECT_LE(policy->MemoryUsage(), policy->MemoryBound());
@@ -214,7 +214,6 @@ TEST(PolicyFactoryTest, BuildsEveryKindWithMatchingName) {
 
 TEST(PolicyFactoryTest, ShardConfigSplitsCapacitiesAndDecorrelatesSeeds) {
   PolicyConfig config;
-  config.reject_ghost_entries = 4096;
   config.ghost_entries = 16384;
   config.sketch_width = 16384;
   config.write_rate_pages_per_sec = 2000.0;
@@ -222,18 +221,19 @@ TEST(PolicyFactoryTest, ShardConfigSplitsCapacitiesAndDecorrelatesSeeds) {
   const PolicyConfig s0 = ShardPolicyConfig(config, 8, 0);
   const PolicyConfig s1 = ShardPolicyConfig(config, 8, 1);
   EXPECT_EQ(s0.ghost_entries, config.ghost_entries / 8);
-  EXPECT_EQ(s0.reject_ghost_entries, config.reject_ghost_entries / 8);
   EXPECT_EQ(s0.sketch_width, config.sketch_width / 8);
   EXPECT_DOUBLE_EQ(s0.write_rate_pages_per_sec, config.write_rate_pages_per_sec / 8);
   EXPECT_NE(s0.seed, s1.seed);
+  // The regret window splits the same way.
+  SimClock clock;
+  EXPECT_LT(MakeAdmissionPolicy(config, 8, 0, &clock)->MemoryBound(),
+            MakeAdmissionPolicy(config, 1, 0, &clock)->MemoryBound());
   // Floors: a tiny total config still yields workable per-shard structures.
   PolicyConfig tiny;
-  tiny.reject_ghost_entries = 16;
   tiny.ghost_entries = 16;
   tiny.sketch_width = 128;
   tiny.write_rate_pages_per_sec = 2.0;
   const PolicyConfig shard = ShardPolicyConfig(tiny, 8, 3);
-  EXPECT_GE(shard.reject_ghost_entries, 64u);
   EXPECT_GE(shard.ghost_entries, 64u);
   EXPECT_GE(shard.sketch_width, 1024u);
   // The write *rate* divides exactly (no floor): the per-shard budgets must
@@ -256,7 +256,7 @@ TEST(PolicyIntegrationTest, WriteThroughRejectEvictsStaleCopy) {
   DiskModel disk(DiskParams{}, &clock);
   GhostLruPolicy policy({.ghost_entries = 128, .required_misses = 2},
                         /*reject_ghost_entries=*/128);
-  WriteThroughManager manager(&ssc, &disk, &policy);
+  WriteThroughManager manager(&ssc, &disk, policy);
 
   // Earn admission for lbn 1 (two write misses), caching version 10.
   ASSERT_EQ(manager.Write(1, 5), Status::kOk);   // first miss: rejected
@@ -295,9 +295,7 @@ TEST(PolicyIntegrationTest, WriteBackRejectWritesAroundDurably) {
   DiskModel disk(DiskParams{}, &clock);
   GhostLruPolicy policy({.ghost_entries = 128, .required_misses = 2},
                         /*reject_ghost_entries=*/128);
-  WriteBackManager::Options options;
-  options.admission = &policy;
-  WriteBackManager manager(&ssc, &disk, options);
+  WriteBackManager manager(&ssc, &disk, policy);
 
   ASSERT_EQ(manager.Write(2, 7), Status::kOk);   // first miss: write-around
   EXPECT_EQ(ssc.Read(2, nullptr), Status::kNotPresent);

@@ -69,15 +69,10 @@ struct ShardedRun {
   FaultStats faults;
 };
 
-// Fresh system + fresh workload per run: only `threads` varies. When
-// `detach_policies` is set, every shard's manager has its admission policy
-// unwired after construction — that is exactly the pre-policy code path, so
-// comparing it against a default admit-all run proves the default is
-// bit-identical to the seed system. `source` replaces the test workload's
-// generator.
+// Fresh system + fresh workload per run: only `threads` varies. `source`
+// replaces the test workload's generator.
 ShardedRun RunWith(uint32_t shards, uint32_t threads, SystemType type,
-                   const PolicyConfig& admission = PolicyConfig{},
-                   bool detach_policies = false, uint32_t queue_depth = 1,
+                   const PolicyConfig& admission = PolicyConfig{}, uint32_t queue_depth = 1,
                    TraceSource* source = nullptr) {
   SystemConfig config;
   config.type = type;
@@ -85,11 +80,6 @@ ShardedRun RunWith(uint32_t shards, uint32_t threads, SystemType type,
   config.shards = shards;
   config.admission = admission;
   FlashTierSystem system(config);
-  if (detach_policies) {
-    for (uint32_t i = 0; i < system.shard_count(); ++i) {
-      system.shard(i).manager->set_admission_policy(nullptr);
-    }
-  }
   SyntheticWorkload workload(TestProfile());
   ReplayEngine::Options opts;
   opts.warmup_fraction = 0.15;
@@ -155,7 +145,7 @@ TEST(ParallelReplayTest, InMemoryTraceReplaysLikeStreamedOne) {
   for (const uint32_t threads : {1u, 4u, 8u}) {
     const ShardedRun streamed = RunWith(8, threads, SystemType::kSscWriteBack);
     const ShardedRun in_memory =
-        RunWith(8, threads, SystemType::kSscWriteBack, PolicyConfig{}, false, 1, &trace);
+        RunWith(8, threads, SystemType::kSscWriteBack, PolicyConfig{}, 1, &trace);
     ASSERT_EQ(streamed.metrics.stale_reads, 0u);
     ASSERT_GT(streamed.metrics.warmup_requests, 0u);
     SCOPED_TRACE(std::to_string(threads) + " threads");
@@ -169,11 +159,11 @@ TEST(ParallelReplayTest, InMemoryTraceReplaysLikeStreamedOne) {
 TEST(ParallelReplayTest, OpenLoopMetricsIdenticalAcrossThreadCounts) {
   const PolicyConfig admission;
   const ShardedRun t1 =
-      RunWith(8, 1, SystemType::kSscWriteBack, admission, false, /*queue_depth=*/8);
+      RunWith(8, 1, SystemType::kSscWriteBack, admission, /*queue_depth=*/8);
   const ShardedRun t4 =
-      RunWith(8, 4, SystemType::kSscWriteBack, admission, false, /*queue_depth=*/8);
+      RunWith(8, 4, SystemType::kSscWriteBack, admission, /*queue_depth=*/8);
   const ShardedRun t8 =
-      RunWith(8, 8, SystemType::kSscWriteBack, admission, false, /*queue_depth=*/8);
+      RunWith(8, 8, SystemType::kSscWriteBack, admission, /*queue_depth=*/8);
   ASSERT_EQ(t1.metrics.stale_reads, 0u);
   ASSERT_GT(t1.metrics.requests, 0u);
   EXPECT_EQ(t1.metrics.queue_depth, 8u);
@@ -193,7 +183,7 @@ TEST(ParallelReplayTest, OpenLoopPreservesStateAndShrinksElapsed) {
   const PolicyConfig admission;
   const ShardedRun d1 = RunWith(8, 4, SystemType::kSscWriteBack);
   const ShardedRun d8 =
-      RunWith(8, 4, SystemType::kSscWriteBack, admission, false, /*queue_depth=*/8);
+      RunWith(8, 4, SystemType::kSscWriteBack, admission, /*queue_depth=*/8);
   EXPECT_EQ(d1.metrics.requests, d8.metrics.requests);
   EXPECT_EQ(d1.metrics.reads, d8.metrics.reads);
   EXPECT_EQ(d1.metrics.writes, d8.metrics.writes);
@@ -287,33 +277,6 @@ TEST(ParallelReplayTest, PoliciesDeterministicAcrossThreadCounts) {
     EXPECT_GT(t1.policy.rejects, 0u);  // the policy must actually bite
     ExpectVirtualTimeEqual(t1, t4);
     ExpectVirtualTimeEqual(t1, t8);
-  }
-}
-
-// The default admit-all system must be bit-identical to the pre-policy code
-// path (managers with no policy wired), at every shard and thread count:
-// same virtual time, same device work, same flash writes.
-TEST(ParallelReplayTest, AdmitAllMatchesDetachedPolicyExactly) {
-  for (const uint32_t shards : {1u, 8u}) {
-    SCOPED_TRACE(shards);
-    const ShardedRun with_policy =
-        RunWith(shards, shards, SystemType::kSscWriteBack, PolicyConfig{});
-    const ShardedRun detached = RunWith(shards, shards, SystemType::kSscWriteBack,
-                                        PolicyConfig{}, /*detach_policies=*/true);
-    ASSERT_EQ(with_policy.metrics.stale_reads, 0u);
-    EXPECT_EQ(with_policy.policy.rejects, 0u);
-    EXPECT_GT(with_policy.policy.admits, 0u);  // admit-all still counts admits
-    EXPECT_EQ(detached.policy.admits, 0u);     // detached managers report none
-    // Everything observable about the runs matches, bar the admit counters.
-    EXPECT_EQ(with_policy.metrics.elapsed_us, detached.metrics.elapsed_us);
-    EXPECT_TRUE(with_policy.metrics.response_us == detached.metrics.response_us);
-    EXPECT_EQ(with_policy.manager.read_hits, detached.manager.read_hits);
-    EXPECT_EQ(with_policy.manager.read_misses, detached.manager.read_misses);
-    EXPECT_EQ(with_policy.manager.writebacks, detached.manager.writebacks);
-    EXPECT_EQ(with_policy.manager.evicts, detached.manager.evicts);
-    EXPECT_EQ(with_policy.flash.page_writes, detached.flash.page_writes);
-    EXPECT_EQ(with_policy.flash.erases, detached.flash.erases);
-    EXPECT_EQ(with_policy.ftl.gc_invocations, detached.ftl.gc_invocations);
   }
 }
 
@@ -665,15 +628,14 @@ TEST(KvParallelReplayTest, KvWorkerExceptionPropagatesToCaller) {
 // workload's trace and a stand-in per-shard body.
 // ---------------------------------------------------------------------------
 
-// Every request below the limit reaches exactly one shard, the one the router
-// names, and each shard sees its requests in increasing trace order, whether
-// the trace is routed in place or read from a generator first, and at thread
-// counts that do not divide the shard count.
+// Every request reaches exactly one shard, the one the router names, and each
+// shard sees its requests in increasing trace order, whether the trace is
+// routed in place or read from a generator first, and at thread counts that
+// do not divide the shard count.
 TEST(ShardSchedulerTest, RoutesEachRequestOnceInTraceOrder) {
   SyntheticWorkload generator(TestProfile());
   VectorTrace in_memory(ReadAll<TraceRecord>(generator));
   const std::vector<TraceRecord>& trace = in_memory.records();
-  const uint64_t limit = trace.size() - 777;
   for (TraceSource* source : std::vector<TraceSource*>{&in_memory, &generator}) {
     for (const uint32_t shards : {2u, 3u, 8u}) {
       for (const uint32_t threads : {1u, 3u, 4u, 8u}) {
@@ -682,15 +644,15 @@ TEST(ShardSchedulerTest, RoutesEachRequestOnceInTraceOrder) {
         ShardRouter router;
         router.shards = shards;
         const auto shard_of = [&](const TraceRecord& record) { return router.ShardOf(record.lbn); };
-        const ShardQueues<TraceRecord> queues(*source, shards, threads, limit, shard_of);
+        const ShardQueues<TraceRecord> queues(*source, shards, threads, shard_of);
         const std::vector<uint64_t> sizes = queues.Sizes();
         ASSERT_EQ(sizes.size(), shards);
-        std::vector<uint32_t> seen(limit, 0);
+        std::vector<uint32_t> seen(trace.size(), 0);
         for (uint32_t s = 0; s < shards; ++s) {
           uint64_t count = 0;
           uint64_t next_seq = 0;  // the lowest seq shard s may yield next
           queues.ForEach(s, [&](const TraceRecord& record, uint64_t seq) {
-            ASSERT_LT(seq, limit);
+            ASSERT_LT(seq, trace.size());
             EXPECT_GE(seq, next_seq);
             EXPECT_EQ(record, trace[seq]);
             EXPECT_EQ(shard_of(record), s);
@@ -701,7 +663,8 @@ TEST(ShardSchedulerTest, RoutesEachRequestOnceInTraceOrder) {
           EXPECT_GT(count, 0u) << "shard " << s;
           EXPECT_EQ(count, sizes[s]) << "shard " << s;
         }
-        EXPECT_EQ(std::count(seen.begin(), seen.end(), 1u), static_cast<std::ptrdiff_t>(limit));
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), 1u),
+                  static_cast<std::ptrdiff_t>(trace.size()));
         source->Rewind();
       }
     }

@@ -287,7 +287,7 @@ TEST(TraceStatsTest, RerefIntervalHistogramBucketsByPowerOfTwo) {
   EXPECT_EQ(hist[1], 0u);
   EXPECT_EQ(hist[2], 1u);  // interval 6
   // Blocks 9, 2, 7, 8, 6 were touched exactly once.
-  EXPECT_EQ(stats.SingleAccessBlocks(), 5u);
+  EXPECT_EQ(stats.SingleAccessKeys(), 5u);
   // Histogram mass + first touches account for every record.
   EXPECT_EQ(stats.reref_accesses() + stats.unique_blocks(), stats.total_ops());
 }
@@ -299,7 +299,7 @@ TEST(TraceStatsTest, ColdTracesShowSingleAccessMass) {
   SyntheticWorkload w(TestProfile());
   TraceStats stats;
   stats.Consume(w);
-  EXPECT_GT(stats.SingleAccessBlocks(), 0u);
+  EXPECT_GT(stats.SingleAccessKeys(), 0u);
   EXPECT_GT(stats.reref_accesses(), 0u);
   uint64_t mass = 0;
   for (uint64_t bucket : stats.RerefIntervalHistogram()) {
@@ -342,8 +342,6 @@ TEST(WorkloadProfilesTest, PaperScaleMatchesTable3) {
   const WorkloadProfile proj = ProjProfile(1.0);
   EXPECT_NEAR(proj.write_fraction, 0.142, 1e-9);
   EXPECT_EQ(proj.RangeBytes(), 816ull << 30);
-
-  EXPECT_EQ(AllProfiles(0.1).size(), 4u);
 }
 
 TEST(WorkloadProfilesTest, ScalingIsLinear) {

@@ -5,7 +5,8 @@
 # trace_gen reports writing, and trace_stat must refuse (exit 1) a copy with
 # one record byte flipped. trace_stat must also refuse (exit 2) an unknown
 # flag, a --top outside (0, 1] and a --top that is not a number, and
-# trace_gen (exit 2, no file written) a flag its workload does not read.
+# trace_gen (exit 2, no file written) a flag its workload does not read and
+# a custom trace's --writes outside [0, 1].
 #
 # usage: tests/trace_tools.sh TRACE_GEN TRACE_STAT
 set -u
@@ -76,8 +77,10 @@ for flag in --topp=0.5 --top=2 --top=-1 --top=abc; do
   fi
 done
 
-# --writes shapes only a custom trace, --scale only a paper workload.
-for flags in "--workload=homes --writes=0.5" "--workload=kv-zipf --scale=0.5"; do
+# --writes shapes only a custom trace, as a fraction; --scale only a paper
+# workload.
+for flags in "--workload=homes --writes=0.5" "--workload=kv-zipf --scale=0.5" "--writes=1.5" \
+  "--writes=-0.1"; do
   # shellcheck disable=SC2086  # two flags, split on purpose
   "$gen" --out="$tmp/refused" $flags > /dev/null 2>&1
   code=$?

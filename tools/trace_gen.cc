@@ -128,6 +128,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (!(profile.write_fraction >= 0.0 && profile.write_fraction <= 1.0)) {
+    return UsageError("--writes must be in [0, 1]");
+  }
   SyntheticWorkload workload(profile);
   if (const int code = WriteTrace(workload, out); code != 0) {
     return code;
