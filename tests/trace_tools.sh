@@ -81,7 +81,7 @@ done
 # workload.
 for flags in "--workload=homes --writes=0.5" "--workload=kv-zipf --scale=0.5" "--writes=1.5" \
   "--writes=-0.1"; do
-  # shellcheck disable=SC2086  # two flags, split on purpose
+  # shellcheck disable=SC2086  # flag lists, split on purpose
   "$gen" --out="$tmp/refused" $flags > /dev/null 2>&1
   code=$?
   if [ "$code" -ne 2 ] || [ -e "$tmp/refused" ]; then
