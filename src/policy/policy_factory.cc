@@ -45,46 +45,34 @@ const char* KnownAdmissionNames() {
 
 std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config, uint32_t shards,
                                                      uint32_t shard_index, const SimClock* clock) {
-  const PolicyConfig slice = ShardPolicyConfig(config, shards, shard_index);
-  const size_t rejects =
-      std::max<uint32_t>(64, kRejectGhostEntries / std::max<uint32_t>(1, shards));
-  switch (slice.kind) {
+  const uint32_t n = std::max<uint32_t>(1, shards);
+  const size_t rejects = std::max<uint32_t>(64, kRejectGhostEntries / n);
+  switch (config.kind) {
     case AdmissionKind::kAdmitAll:
       return std::make_unique<AdmitAllPolicy>(rejects);
     case AdmissionKind::kGhostLru: {
       GhostLruPolicy::Options opts;
-      opts.ghost_entries = slice.ghost_entries;
-      opts.required_misses = slice.ghost_required_misses;
+      opts.ghost_entries = std::max<uint32_t>(64, config.ghost_entries / n);
+      opts.required_misses = config.ghost_required_misses;
       return std::make_unique<GhostLruPolicy>(opts, rejects);
     }
     case AdmissionKind::kFrequencySketch: {
       FrequencySketchPolicy::Options opts;
-      opts.width = slice.sketch_width;
-      opts.admit_threshold = slice.sketch_threshold;
-      opts.seed = slice.seed;
+      opts.width = std::max<uint32_t>(1024, config.sketch_width / n);
+      opts.admit_threshold = config.sketch_threshold;
+      opts.seed = ShardSeed(config.seed, shard_index);
       return std::make_unique<FrequencySketchPolicy>(opts, rejects);
     }
     case AdmissionKind::kWriteRateLimiter: {
       assert(clock != nullptr);
       WriteRateLimiterPolicy::Options opts;
-      opts.rate_pages_per_sec = slice.write_rate_pages_per_sec;
-      opts.burst_pages = slice.write_burst_pages;
+      // The rate divides exactly, so the shards' budgets sum to the total.
+      opts.rate_pages_per_sec = config.write_rate_pages_per_sec / n;
+      opts.burst_pages = std::max(1.0, config.write_burst_pages / n);
       return std::make_unique<WriteRateLimiterPolicy>(opts, clock, rejects);
     }
   }
   return std::make_unique<AdmitAllPolicy>(rejects);
-}
-
-PolicyConfig ShardPolicyConfig(const PolicyConfig& config, uint32_t shards,
-                               uint32_t shard_index) {
-  PolicyConfig out = config;
-  const uint32_t n = std::max<uint32_t>(1, shards);
-  out.ghost_entries = std::max<uint32_t>(64, config.ghost_entries / n);
-  out.sketch_width = std::max<uint32_t>(1024, config.sketch_width / n);
-  out.write_rate_pages_per_sec = config.write_rate_pages_per_sec / n;
-  out.write_burst_pages = std::max(1.0, config.write_burst_pages / n);
-  out.seed = ShardSeed(config.seed, shard_index);
-  return out;
 }
 
 }  // namespace flashtier

@@ -1,7 +1,6 @@
 // Configuration and construction of admission policies. PolicyConfig is the
-// declarative knob that rides in SystemConfig; ShardPolicyConfig splits the
-// capacity-like knobs across shards, and MakeAdmissionPolicy splits the
-// regret window the same way, so an N-shard system's total policy memory and
+// declarative knob that rides in SystemConfig; MakeAdmissionPolicy divides its
+// totals across shards, so an N-shard system's total policy memory and
 // flash-write budget match the single-shard configuration.
 
 #ifndef FLASHTIER_POLICY_POLICY_FACTORY_H_
@@ -16,7 +15,7 @@
 namespace flashtier {
 
 enum class AdmissionKind : uint8_t {
-  kAdmitAll,          // default; bit-identical to having no policy at all
+  kAdmitAll,          // default; admits everything and charges no time
   kGhostLru,          // second-hit admission over a bounded ghost table
   kFrequencySketch,   // counting-sketch threshold admission with aging
   kWriteRateLimiter,  // virtual-time token bucket on flash-write bandwidth
@@ -47,18 +46,14 @@ bool ParseAdmissionKind(const std::string& name, AdmissionKind* out);
 // "admit-all, ghost-lru, freq-sketch, write-limit" — for error messages.
 const char* KnownAdmissionNames();
 
-// Builds the policy of shard `shard_index` of `shards` from its
-// ShardPolicyConfig slice, with a kRejectGhostEntries / shards regret window
-// (at least 64 entries). `clock` is the owning shard's virtual clock
-// (required by the write-rate limiter; the others ignore it).
+// Builds the policy of shard `shard_index` of `shards`. The regret window
+// (kRejectGhostEntries), ghost table, sketch width and write budget divide
+// by `shards`, with floors of 64 entries, 1,024 counters and a one-page
+// burst; the write rate divides exactly, and the sketch seed is decorrelated
+// per shard. `clock` is the owning shard's virtual clock (required by the
+// write-rate limiter; the others ignore it).
 std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config, uint32_t shards,
                                                      uint32_t shard_index, const SimClock* clock);
-
-// The per-shard slice of `config` for shard `shard_index` of `shards`:
-// table/sketch capacities and the write budget are divided (with small
-// floors), and the seed is decorrelated per shard.
-PolicyConfig ShardPolicyConfig(const PolicyConfig& config, uint32_t shards,
-                               uint32_t shard_index);
 
 }  // namespace flashtier
 

@@ -206,16 +206,22 @@ TEST_P(KvCompactionIndexTest, MatchesDirectoryWalkAfterEveryOp) {
   KvCache cache(config);
   Rng rng(GetParam());
   // 3,000 keys of ~540 slot bytes are ~1.5x the 256-page device.
+  uint64_t compactions_at_crash = 0;
+  uint32_t crash_intervals_with_compactions = 0;
   for (uint64_t i = 0; i < 8'000; ++i) {
     const uint64_t key = rng.Below(3'000);
     const uint64_t roll = rng.Below(100);
     Status st = Status::kOk;
     if (i % 1'000 == 999) {
+      const uint64_t compactions = cache.AggregateStats().compactions;
+      crash_intervals_with_compactions += compactions > compactions_at_crash ? 1 : 0;
+      compactions_at_crash = compactions;
       cache.SimulateCrash();
       st = cache.Recover();
-    } else if (i == 4'000) {
-      // Two keys of every three go at once: sealed slabs pass the 50% dead
-      // bytes compaction waits for without dying whole.
+    } else if (i % 1'000 == 500) {
+      // Midway between crashes, two keys of every three go at once: sealed
+      // slabs pass the 50% dead bytes compaction waits for without dying
+      // whole.
       for (uint64_t k = 1; k < 3'000; ++k) {
         if (k % 3 != 0) {
           const Status ds = cache.Delete(k);
@@ -248,8 +254,10 @@ TEST_P(KvCompactionIndexTest, MatchesDirectoryWalkAfterEveryOp) {
   EXPECT_GT(s.dead_slab_reclaims, 0u);
   EXPECT_GT(s.slab_evictions, 0u);
   EXPECT_GT(s.lazy_slab_drops, 0u);
-  EXPECT_GT(s.compactions, 0u);
   EXPECT_GT(s.slots_moved, 0u);
+  // Compactions fall between most of the eight crash points, so recovery
+  // meets slabs compacted before it and compaction runs on recovered state.
+  EXPECT_GE(crash_intervals_with_compactions, 4u);
   EXPECT_GT(s.recoveries, 0u);
   EXPECT_GT(s.restaged_dirty_slots, 0u);
 }

@@ -1,6 +1,6 @@
 // Tests for the admission-policy subsystem (DESIGN.md §5f): the ghost table's
 // bounded-LRU behaviour, each policy's decision rule, the regret counter, the
-// factory / CLI-name plumbing, per-shard config splitting, the policy memory
+// factory / CLI-name plumbing, the factory's per-shard splits, the policy memory
 // audit, and the managers' reject-path semantics (a rejected write must leave
 // no stale cached copy behind).
 
@@ -212,35 +212,85 @@ TEST(PolicyFactoryTest, BuildsEveryKindWithMatchingName) {
   }
 }
 
-TEST(PolicyFactoryTest, ShardConfigSplitsCapacitiesAndDecorrelatesSeeds) {
-  PolicyConfig config;
-  config.ghost_entries = 16384;
-  config.sketch_width = 16384;
-  config.write_rate_pages_per_sec = 2000.0;
-  config.write_burst_pages = 256.0;
-  const PolicyConfig s0 = ShardPolicyConfig(config, 8, 0);
-  const PolicyConfig s1 = ShardPolicyConfig(config, 8, 1);
-  EXPECT_EQ(s0.ghost_entries, config.ghost_entries / 8);
-  EXPECT_EQ(s0.sketch_width, config.sketch_width / 8);
-  EXPECT_DOUBLE_EQ(s0.write_rate_pages_per_sec, config.write_rate_pages_per_sec / 8);
-  EXPECT_NE(s0.seed, s1.seed);
-  // The regret window splits the same way.
+// Admits in a row until the policy first rejects.
+uint32_t AdmitsInARow(AdmissionPolicy& policy) {
+  uint32_t admits = 0;
+  while (policy.ShouldAdmit(admits, AdmissionOp::kWriteClean, {})) {
+    ++admits;
+  }
+  return admits;
+}
+
+// Bytes of a sketch's counters: its bound less the regret window's.
+size_t SketchBytes(const AdmissionPolicy& policy) {
+  return policy.MemoryBound() - policy.recent_rejects().MemoryBound();
+}
+
+TEST(PolicyFactoryTest, SplitsTotalsAcrossShards) {
   SimClock clock;
-  EXPECT_LT(MakeAdmissionPolicy(config, 8, 0, &clock)->MemoryBound(),
-            MakeAdmissionPolicy(config, 1, 0, &clock)->MemoryBound());
-  // Floors: a tiny total config still yields workable per-shard structures.
+  // Totals: 16,384 ghost entries and sketch counters, 2,000 pages/s, a
+  // 256-page burst.
+  PolicyConfig config;
+  // The regret window: kRejectGhostEntries / shards, at least 64 entries.
+  EXPECT_EQ(MakeAdmissionPolicy(config, 1, 0, &clock)->recent_rejects().capacity(),
+            kRejectGhostEntries);
+  EXPECT_EQ(MakeAdmissionPolicy(config, 8, 0, &clock)->recent_rejects().capacity(),
+            kRejectGhostEntries / 8);
+  EXPECT_EQ(MakeAdmissionPolicy(config, 128, 3, &clock)->recent_rejects().capacity(), 64u);
+
+  config.kind = AdmissionKind::kGhostLru;
+  const std::unique_ptr<AdmissionPolicy> ghost = MakeAdmissionPolicy(config, 8, 0, &clock);
+  EXPECT_EQ(dynamic_cast<const GhostLruPolicy&>(*ghost).ghost().capacity(),
+            config.ghost_entries / 8);
+
+  config.kind = AdmissionKind::kFrequencySketch;
+  const uint32_t rows = FrequencySketchPolicy::Options{}.rows;
+  const std::unique_ptr<AdmissionPolicy> s0 = MakeAdmissionPolicy(config, 8, 0, &clock);
+  const std::unique_ptr<AdmissionPolicy> s1 = MakeAdmissionPolicy(config, 8, 1, &clock);
+  EXPECT_EQ(SketchBytes(*s0), rows * (config.sketch_width / 8));
+  // Each shard hashes with its own seed: after the same accesses, the two
+  // sketches' collisions, and so their estimates, differ.
+  auto& sketch0 = dynamic_cast<FrequencySketchPolicy&>(*s0);
+  auto& sketch1 = dynamic_cast<FrequencySketchPolicy&>(*s1);
+  for (Lbn lbn = 0; lbn < 2048; ++lbn) {
+    sketch0.OnAccess(lbn, false);
+    sketch1.OnAccess(lbn, false);
+  }
+  uint32_t differing = 0;
+  for (Lbn lbn = 2048; lbn < 4096; ++lbn) {
+    differing += sketch0.Estimate(lbn) != sketch1.Estimate(lbn) ? 1 : 0;
+  }
+  EXPECT_GT(differing, 0u);
+
+  config.kind = AdmissionKind::kWriteRateLimiter;
+  const std::unique_ptr<AdmissionPolicy> limiter = MakeAdmissionPolicy(config, 8, 0, &clock);
+  EXPECT_EQ(AdmitsInARow(*limiter), 256u / 8);  // the burst
+  clock.Advance(100'000);  // 0.1 s at 2,000 / 8 pages/s
+  EXPECT_EQ(AdmitsInARow(*limiter), 25u);
+
+  // Floors: a tiny total still yields workable per-shard structures.
   PolicyConfig tiny;
   tiny.ghost_entries = 16;
   tiny.sketch_width = 128;
   tiny.write_rate_pages_per_sec = 2.0;
-  const PolicyConfig shard = ShardPolicyConfig(tiny, 8, 3);
-  EXPECT_GE(shard.ghost_entries, 64u);
-  EXPECT_GE(shard.sketch_width, 1024u);
+  tiny.kind = AdmissionKind::kGhostLru;
+  const std::unique_ptr<AdmissionPolicy> tiny_ghost = MakeAdmissionPolicy(tiny, 8, 3, &clock);
+  EXPECT_EQ(dynamic_cast<const GhostLruPolicy&>(*tiny_ghost).ghost().capacity(), 64u);
+  tiny.kind = AdmissionKind::kFrequencySketch;
+  EXPECT_EQ(SketchBytes(*MakeAdmissionPolicy(tiny, 8, 3, &clock)), rows * 1024u);
   // The write *rate* divides exactly (no floor): the per-shard budgets must
-  // sum back to the configured total. Only the burst depth is floored so a
-  // shard can always admit at least one insertion.
-  EXPECT_DOUBLE_EQ(shard.write_rate_pages_per_sec, 0.25);
-  EXPECT_GE(shard.write_burst_pages, 1.0);
+  // sum to the configured total, so 6 s at 2 / 8 pages/s earn 1.5 pages.
+  tiny.kind = AdmissionKind::kWriteRateLimiter;
+  SimClock tiny_clock;
+  const std::unique_ptr<AdmissionPolicy> tiny_limiter =
+      MakeAdmissionPolicy(tiny, 8, 3, &tiny_clock);
+  EXPECT_EQ(AdmitsInARow(*tiny_limiter), 256u / 8);
+  tiny_clock.Advance(6'000'000);
+  EXPECT_EQ(AdmitsInARow(*tiny_limiter), 1u);
+  // Only the burst depth is floored, so a shard can always admit at least
+  // one insertion.
+  tiny.write_burst_pages = 2.0;
+  EXPECT_EQ(AdmitsInARow(*MakeAdmissionPolicy(tiny, 8, 3, &tiny_clock)), 1u);
 }
 
 // ---- Manager integration: the reject path must keep the G-guarantees ----
