@@ -27,7 +27,7 @@ namespace {
 int Main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const ParallelFlags parallel = GetParallelFlags(args);
-  const double write_fail = args.Get("write-fail", 0.0);
+  const double write_fail = args.GetFraction("write-fail", 0.0);
   const std::vector<WorkloadProfile> profiles = BenchProfiles(args);
   const bool verify = args.GetBool("verify", false);
   const std::string stats_json = args.GetString("stats-json", "");

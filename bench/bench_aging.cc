@@ -144,9 +144,9 @@ int Main(int argc, char** argv) {
   knobs.aging = args.GetPositive("aging", knobs.aging);
   knobs.wear_limit = args.Get("wear-limit", knobs.wear_limit);
   knobs.disturb_limit = args.Get("read-disturb-limit", knobs.disturb_limit);
-  knobs.disturb_prob = args.Get("read-disturb-prob", knobs.disturb_prob);
+  knobs.disturb_prob = args.GetFraction("read-disturb-prob", knobs.disturb_prob);
   knobs.retention_age_us = args.Get("retention-age-us", knobs.retention_age_us);
-  knobs.retention_prob = args.Get("retention-prob", knobs.retention_prob);
+  knobs.retention_prob = args.GetFraction("retention-prob", knobs.retention_prob);
   knobs.wl_interval = args.Get("wl-interval", knobs.wl_interval);
   knobs.patrol_interval = args.Get("patrol-interval", knobs.patrol_interval);
   knobs.seed = args.Get("fault-seed", knobs.seed);

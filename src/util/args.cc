@@ -77,23 +77,32 @@ const std::string* ArgParser::Find(const std::string& name) const {
 }
 
 template <typename T>
-T ArgParser::Read(const std::string& name, T def, bool positive) const {
+T ArgParser::Read(const std::string& name, T def, Range range) const {
   const std::string* text = Find(name);
+  if (text == nullptr) {
+    return def;
+  }
   T value{};
-  if (text == nullptr || (ParseWhole(*text, &value) && (!positive || value > T{}))) {
-    return text == nullptr ? def : value;
+  // Every comparison with NaN is false, so both bounded ranges refuse it.
+  if (ParseWhole(*text, &value) &&
+      (range == Range::kAny ||
+       (range == Range::kPositive ? value > T{} : value >= T{} && value <= T{1}))) {
+    return value;
   }
   if (error_.empty()) {  // the first refusal is the one reported
-    error_ = "--" + name + " must be " + Expected<T>(positive) + ", got: " + *text;
+    const std::string expected = range == Range::kFraction
+                                     ? "a number from 0 to 1"
+                                     : Expected<T>(range == Range::kPositive);
+    error_ = "--" + name + " must be " + expected + ", got: " + *text;
   }
   return def;
 }
 
-template bool ArgParser::Read(const std::string&, bool, bool) const;
-template uint32_t ArgParser::Read(const std::string&, uint32_t, bool) const;
-template uint64_t ArgParser::Read(const std::string&, uint64_t, bool) const;
-template int64_t ArgParser::Read(const std::string&, int64_t, bool) const;
-template double ArgParser::Read(const std::string&, double, bool) const;
+template bool ArgParser::Read(const std::string&, bool, Range) const;
+template uint32_t ArgParser::Read(const std::string&, uint32_t, Range) const;
+template uint64_t ArgParser::Read(const std::string&, uint64_t, Range) const;
+template int64_t ArgParser::Read(const std::string&, int64_t, Range) const;
+template double ArgParser::Read(const std::string&, double, Range) const;
 
 std::vector<std::string> ArgParser::Unread() const {
   std::vector<std::string> unread;

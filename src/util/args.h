@@ -13,7 +13,8 @@
 //   - an integer does not fit the type it is read into (`--ops=-1` for an
 //     unsigned count, `--ops=4294967297` for a uint32_t);
 //   - a boolean is not one of true/false/1/0/yes/no;
-//   - a value read through GetPositive is zero or negative.
+//   - a value read through GetPositive is zero or negative;
+//   - a value read through GetFraction lies outside [0, 1] or is NaN.
 // An absent flag returns its default unchecked.
 
 #ifndef FLASHTIER_UTIL_ARGS_H_
@@ -38,12 +39,16 @@ class ArgParser {
   // (decimal, 0x hex or 0 octal).
   template <typename T>
   T Get(const std::string& name, T def) const {
-    return Read(name, def, /*positive=*/false);
+    return Read(name, def, Range::kAny);
   }
   // Sizes, counts and rates: zero and negative values are refused too.
   template <typename T>
   T GetPositive(const std::string& name, T def) const {
-    return Read(name, def, /*positive=*/true);
+    return Read(name, def, Range::kPositive);
+  }
+  // Probabilities and fractions: a value outside [0, 1], or NaN, is refused.
+  double GetFraction(const std::string& name, double def) const {
+    return Read(name, def, Range::kFraction);
   }
 
   bool Has(const std::string& name) const { return Find(name) != nullptr; }
@@ -72,12 +77,15 @@ class ArgParser {
   std::vector<std::string> UnknownFlags(std::initializer_list<std::string_view> known) const;
 
  private:
+  // What a value must lie in besides its type's range.
+  enum class Range { kAny, kPositive, kFraction };
+
   // The value of `name`, or null when absent; either way `name` is read.
   const std::string* Find(const std::string& name) const;
   // The one parse routine behind every typed reader; a refused value
   // returns `def` and keeps "--name must be <expected>, got: <text>".
   template <typename T>
-  T Read(const std::string& name, T def, bool positive) const;
+  T Read(const std::string& name, T def, Range range) const;
   // Supplied flags never read, sorted.
   std::vector<std::string> Unread() const;
 

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Runs every flashcheck invocation of the CI matrix and prints, for each one,
-# the command, its exit code, its stdout and — when the line writes one — its
-# --stats-json file. The output is deterministic, so diffing it against
-# tests/baselines/flashcheck_matrix_baseline.txt pins the whole matrix byte
-# for byte (reports, violation samples in trial order, exit codes).
+# Runs every fixed-seed flashcheck line, the --break-* self-tests included,
+# and prints, for each one, the command, its exit code, its stdout and — when
+# the line writes one — its --stats-json file. The output is deterministic,
+# so diffing it against tests/baselines/flashcheck_matrix_baseline.txt (ctest
+# flashcheck_matrix) pins the whole matrix byte for byte (reports, violation
+# samples in trial order, exit codes).
 #
 # usage: tests/flashcheck_matrix.sh BINARY > matrix.txt
 #
-# Regenerate the baseline with the same command when a deliberate behaviour
-# change moves an entry.
+# Regenerate the baseline with the same command on the default build when a
+# deliberate behaviour change moves an entry.
 set -u
 
 if [ $# -ne 1 ] || [ ! -x "$1" ]; then
@@ -20,7 +21,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # run ARGS...: one matrix entry. A --stats-json=NAME argument is redirected
-# into the temporary directory; the entry still prints the CI spelling.
+# into the temporary directory; the header still prints the name as given.
 run() {
   local args=() json="" arg
   for arg in "$@"; do
@@ -93,6 +94,7 @@ run --disk-faults --no-crashes --disk-write-fail=0.2 --stats-json=diskguard.json
 for p in $admission; do
   run --disk-faults --admission="$p" --stats-json=diskguard.json
 done
+run --disk-faults --faults --fault-seed=1 --break-retry=true
 run --disk-faults --soak=25 --stats-json=diskguard-soak.json
 run --disk-faults --soak=25 --shards=4 --stats-json=diskguard-soak.json
 run --disk-faults --write-through --soak=25 --stats-json=diskguard-soak.json
@@ -121,6 +123,8 @@ run --kv --faults --fault-seed=1 --shards=4 --stats-json=kv-check.json
 for p in $admission; do
   run --kv --admission="$p" --stats-json=kv-check.json
 done
+run --kv --break-recovery=true --max-points=200
 run --kv --soak=25 --stats-json=kv-soak.json
 run --kv --soak=25 --faults --fault-seed=1 --stats-json=kv-soak.json
 run --kv --soak=25 --shards=4 --admission=freq-sketch --stats-json=kv-soak.json
+run --kv --soak=25 --break-recovery=true

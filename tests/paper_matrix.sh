@@ -9,25 +9,33 @@
 # quotes from these benches byte for byte. bench_sparsemap is left out: its
 # numbers are wall-clock.
 #
-# usage: tests/paper_matrix.sh BUILD_DIR > paper-matrix.txt
+# usage: tests/paper_matrix.sh BUILD_DIR [BENCH...] > paper-matrix.txt
 #
-# BUILD_DIR is a CMake build tree of this repository (Release in CI; about
-# 100 s on 4 cores). Regenerate the baseline with the same command when a
-# deliberate behaviour change moves an entry.
+# BUILD_DIR is a CMake build tree of this repository. The benches run one
+# after another, 120-145 s on 4 cores; naming benches runs only their
+# entries, which is how ctest runs the matrix, one entry per bench side by
+# side (tests/check.sh). Regenerate the baseline with the whole matrix from
+# the default (RelWithDebInfo) build when a deliberate behaviour change
+# moves an entry.
 set -u
 
-if [ $# -ne 1 ] || [ ! -d "$1/bench" ]; then
-  echo "usage: $0 BUILD_DIR" >&2
+if [ $# -lt 1 ] || [ ! -d "$1/bench" ]; then
+  echo "usage: $0 BUILD_DIR [BENCH...]" >&2
   exit 2
 fi
 bench=$1/bench
+shift
+only=" $* "
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# run NAME [--stats-json]: one matrix entry.
+# run NAME [--stats-json]: one matrix entry, unless other benches were named.
 run() {
   local name=$1 json=""
   local args=()
+  if [ "$only" != "  " ] && [[ $only != *" $name "* ]]; then
+    return
+  fi
   if [ "${2:-}" = "--stats-json" ]; then
     json=$tmp/stats.json
     rm -f "$json"

@@ -570,6 +570,27 @@ TEST(ArgParserTest, BooleansAreOneOfSixWords) {
   EXPECT_EQ(args.Refusal(), "");
 }
 
+// A probability or fraction lies in [0, 1]: a value past either end, an
+// infinity or NaN is refused, not clamped by the code that reads it.
+TEST(ArgParserTest, FractionsLieInTheUnitInterval) {
+  for (const char* bad : {"--p=2", "--p=1.0000001", "--p=-1", "--p=-0.5", "--p=inf", "--p=nan"}) {
+    const char* argv[] = {"prog", bad};
+    const ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_DOUBLE_EQ(args.GetFraction("p", 0.25), 0.25) << bad;
+    EXPECT_NE(args.Refusal().find("--p must be a number from 0 to 1, got: "), std::string::npos)
+        << bad << ": " << args.Refusal();
+  }
+  const char* argv[] = {"prog", "--a=0", "--b=1", "--c=0.5", "--d=1e-3", "--e=-0"};
+  const ArgParser args(6, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(args.GetFraction("a", 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(args.GetFraction("b", 0.5), 1.0);
+  EXPECT_DOUBLE_EQ(args.GetFraction("c", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(args.GetFraction("d", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(args.GetFraction("e", 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(args.GetFraction("absent", 0.75), 0.75);
+  EXPECT_EQ(args.Refusal(), "");
+}
+
 // flashbench checks a closed flag set instead of ExitOnBadFlags.
 TEST(ArgParserTest, UnknownFlagsListsSuppliedNamesOutsideTheKnownSet) {
   const char* argv[] = {"prog", "--seed=7", "--sede=8", "--scale=1"};

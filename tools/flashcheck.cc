@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   // persistence settings and turns the endurance defenses on.
   flashtier::DeviceShape device = aging ? flashtier::AgingShape() : flashtier::DeviceShape{};
   flashtier::SscConfig& ssc = device.ssc;
-  ssc.capacity_pages = args.Get("capacity-pages", ssc.capacity_pages);
+  ssc.capacity_pages = args.GetPositive("capacity-pages", ssc.capacity_pages);
   device.shards = args.GetPositive("shards", device.shards);
   ssc.group_commit_ops = args.Get("group-commit-ops", ssc.group_commit_ops);
   ssc.checkpoint_interval_writes = args.Get("checkpoint-interval", ssc.checkpoint_interval_writes);
@@ -178,9 +178,9 @@ int main(int argc, char** argv) {
   faults.enabled = args.GetBool("faults", false);
   if (faults.enabled) {
     faults.seed = args.Get("fault-seed", faults.seed);
-    faults.program_fail_prob = args.Get("program-fail", 0.01);
-    faults.erase_fail_prob = args.Get("erase-fail", 0.05);
-    faults.read_corrupt_prob = args.Get("read-corrupt", 0.005);
+    faults.program_fail_prob = args.GetFraction("program-fail", 0.01);
+    faults.erase_fail_prob = args.GetFraction("erase-fail", 0.05);
+    faults.read_corrupt_prob = args.GetFraction("read-corrupt", 0.005);
     // Aging is about wear: under --aging, --faults also turns on wear-out
     // retirement and the disturb/retention decay mechanisms unless each knob
     // is explicitly overridden (=0 keeps one off). The default device is
@@ -189,9 +189,9 @@ int main(int argc, char** argv) {
     // of real NAND's thousands of P/E cycles.
     faults.wear_out_erases = args.Get<uint32_t>("wear-limit", aging ? 6 : 0);
     faults.read_disturb_limit = args.Get<uint32_t>("read-disturb-limit", aging ? 64 : 0);
-    faults.read_disturb_prob = args.Get("read-disturb-prob", aging ? 0.05 : 0.0);
+    faults.read_disturb_prob = args.GetFraction("read-disturb-prob", aging ? 0.05 : 0.0);
     faults.retention_age_us = args.Get<uint64_t>("retention-age-us", aging ? 300'000 : 0);
-    faults.retention_fail_prob = args.Get("retention-prob", aging ? 0.05 : 0.0);
+    faults.retention_fail_prob = args.GetFraction("retention-prob", aging ? 0.05 : 0.0);
   }
   ssc.break_retirement_for_testing = args.GetBool("break-retry", false);
   if (ssc.break_retirement_for_testing && !faults.enabled) {
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   if (explores) {
     schedule.ops = args.Get("ops", schedule.ops);
     schedule.max_points = args.Get("max-points", schedule.max_points);
-    schedule.stride = args.Get("stride", schedule.stride);
+    schedule.stride = args.GetPositive("stride", schedule.stride);
     schedule.explore_recovery_points = !args.GetBool("no-recovery-points", false);
   } else {
     schedule.ops = args.GetPositive<uint32_t>("soak-ops", aging ? 512 : 400);
@@ -274,10 +274,10 @@ int main(int argc, char** argv) {
     flashtier::DiskFaultPlan& plan = disk_options.disk_faults;
     plan.enabled = true;
     plan.seed = args.Get("disk-seed", plan.seed);
-    plan.read_fail_prob = args.Get("disk-read-fail", 0.01);
-    plan.write_fail_prob = args.Get("disk-write-fail", 0.02);
-    plan.latent_prob = args.Get("disk-latent", 0.002);
-    plan.slow_io_prob = args.Get("disk-slow", 0.01);
+    plan.read_fail_prob = args.GetFraction("disk-read-fail", 0.01);
+    plan.write_fail_prob = args.GetFraction("disk-write-fail", 0.02);
+    plan.latent_prob = args.GetFraction("disk-latent", 0.002);
+    plan.slow_io_prob = args.GetFraction("disk-slow", 0.01);
     flashtier::RetryPolicy& retry = disk_options.disk_retry;
     retry.max_attempts = args.GetPositive("disk-retry-attempts", retry.max_attempts);
     retry.op_deadline_us = args.Get("disk-deadline-us", retry.op_deadline_us);

@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
     kv.unique_keys = args.GetPositive("keys", kv.unique_keys);
     kv.total_ops = args.GetPositive("ops", kv.total_ops);
     kv.key_zipf_s = args.GetPositive("zipf", kv.key_zipf_s);
-    kv.get_fraction = args.Get("get-frac", kv.get_fraction);
-    kv.delete_fraction = args.Get("del-frac", kv.delete_fraction);
+    kv.get_fraction = args.GetFraction("get-frac", kv.get_fraction);
+    kv.delete_fraction = args.GetFraction("del-frac", kv.delete_fraction);
     kv.min_size = args.GetPositive("min-size", kv.min_size);
     kv.max_size = args.GetPositive("max-size", kv.max_size);
     kv.size_zipf_s = args.GetPositive("size-zipf", kv.size_zipf_s);
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     profile.unique_blocks = args.GetPositive<uint64_t>("unique", 200'000);
     profile.full_unique_blocks = profile.unique_blocks;
     profile.total_ops = args.GetPositive<uint64_t>("ops", 1'000'000);
-    profile.write_fraction = args.Get("writes", 0.5);
+    profile.write_fraction = args.GetFraction("writes", 0.5);
     profile.seed = args.Get<uint64_t>("seed", 42);
   } else {
     const double scale = args.GetPositive("scale", 0.1);
@@ -110,9 +110,8 @@ int main(int argc, char** argv) {
   }
 
   if (name == "kv-zipf") {
-    if (kv.get_fraction < 0.0 || kv.delete_fraction < 0.0 ||
-        kv.get_fraction + kv.delete_fraction > 1.0) {
-      return UsageError("--get-frac/--del-frac must be >= 0 and sum to <= 1");
+    if (kv.get_fraction + kv.delete_fraction > 1.0) {
+      return UsageError("--get-frac and --del-frac must sum to at most 1");
     }
     if (kv.min_size < kKvMinObjectBytes || kv.max_size > kKvMaxObjectBytes ||
         kv.min_size > kv.max_size) {
@@ -128,9 +127,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!(profile.write_fraction >= 0.0 && profile.write_fraction <= 1.0)) {
-    return UsageError("--writes must be in [0, 1]");
-  }
   SyntheticWorkload workload(profile);
   if (const int code = WriteTrace(workload, out); code != 0) {
     return code;
