@@ -467,21 +467,13 @@ CheckReport InvariantChecker::Check(const SscDevice& ssc) {
 CheckReport InvariantChecker::Check(const WriteBackManager& manager) {
   CheckReport report;
   const SscDevice& ssc = *manager.ssc_;
-  const uint32_t ppb = ssc.device_->geometry().pages_per_block;
 
   // Every SSC-dirty page must be tracked by the manager, or it will never be
   // written back (silent data loss once the disk copy goes stale).
   std::unordered_set<Lbn> ssc_dirty;
-  ssc.page_map_.ForEach([&](Lbn lbn, uint64_t packed) {
-    if (SscDevice::PackedDirty(packed)) {
+  ssc.VisitCached([&](Lbn lbn, bool dirty) {
+    if (dirty) {
       ssc_dirty.insert(lbn);
-    }
-  });
-  ssc.block_map_.ForEach([&](uint64_t logical, const SscDevice::BlockEntry& e) {
-    for (uint32_t off = 0; off < ppb; ++off) {
-      if ((e.dirty_bits >> off) & 1u) {
-        ssc_dirty.insert(logical * ppb + off);
-      }
     }
   });
   // Walk the dirty set in LBN order so a multi-violation report reads the
@@ -570,22 +562,12 @@ CheckReport InvariantChecker::CheckSharded(const std::vector<const SscDevice*>& 
     // Partition disjointness: every LBN this shard caches must route here.
     // Because routing is a pure function of the LBN, this simultaneously
     // proves no other shard can legally hold it — the slices are disjoint.
-    const uint32_t ppb = ssc.device_->geometry().pages_per_block;
-    const auto expect_here = [&](Lbn lbn, const char* where) {
+    ssc.VisitCached([&](Lbn lbn, bool) {
       ++report.checks_run;
       const uint32_t owner = router.ShardOf(lbn);
       if (owner != i) {
-        report.Add("shard.partition",
-                   Fmt("%s lbn %llu cached in shard %zu but routes to shard %u", where,
-                       (unsigned long long)lbn, i, owner));
-      }
-    };
-    ssc.page_map_.ForEach([&](Lbn lbn, uint64_t) { expect_here(lbn, "page-map"); });
-    ssc.block_map_.ForEach([&](uint64_t logical, const SscDevice::BlockEntry& e) {
-      for (uint32_t off = 0; off < ppb; ++off) {
-        if ((e.present_bits >> off) & 1u) {
-          expect_here(logical * ppb + off, "block-map");
-        }
+        report.Add("shard.partition", Fmt("lbn %llu cached in shard %zu but routes to shard %u",
+                                          (unsigned long long)lbn, i, owner));
       }
     });
   }
@@ -612,8 +594,7 @@ CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const S
   if (ssc != nullptr) {
     policy.recent_rejects().ForEach([&](Lbn lbn, uint32_t) {
       ++report.checks_run;
-      bool dirty = false;
-      if (SscPageState(*ssc, lbn, &dirty)) {
+      if (ssc->Locate(lbn)) {
         report.Add("policy.rejected-present",
                    Fmt("rejected lbn %llu is cached in the SSC", (unsigned long long)lbn));
       }
@@ -625,19 +606,6 @@ CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const S
 // ---------------------------------------------------------------------------
 // InvariantChecker::CheckKv
 // ---------------------------------------------------------------------------
-
-bool InvariantChecker::SscPageState(const SscDevice& ssc, uint64_t lbn, bool* dirty) {
-  if (const uint64_t* packed = ssc.page_map_.Find(lbn); packed != nullptr) {
-    *dirty = SscDevice::PackedDirty(*packed);
-    return true;
-  }
-  const uint32_t ppb = ssc.device_->geometry().pages_per_block;
-  const SscDevice::BlockEntry* e = ssc.block_map_.Find(lbn / ppb);
-  const uint32_t off = static_cast<uint32_t>(lbn % ppb);
-  const bool present = e != nullptr && ((e->present_bits >> off) & 1u) != 0;
-  *dirty = present && ((e->dirty_bits >> off) & 1u) != 0;
-  return present;
-}
 
 CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible) {
   CheckReport report;
@@ -759,8 +727,9 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
     // dirty (silent eviction only drops clean data); pages of a clean slab
     // may be gone, but must never show up dirty.
     for (uint32_t page = 0; page < slab.pages_spanned; ++page) {
-      bool dirty = false;
-      const bool present = SscPageState(shard.ssc(), shard.SlabBaseLbn(seq) + page, &dirty);
+      const auto at = shard.ssc().Locate(shard.SlabBaseLbn(seq) + page);
+      const bool present = at.has_value();
+      const bool dirty = present && at->dirty;
       ++report.checks_run;
       if (page < page_holds_live_dirty.size() && page_holds_live_dirty[page]) {
         if (!present) {

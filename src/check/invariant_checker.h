@@ -147,8 +147,6 @@ class InvariantChecker {
                           const std::unordered_map<PhysBlock, uint64_t>& log_refs,
                           CheckReport* report);
   static CheckReport CheckSscOnly(const SscDevice& ssc);
-  // Whether `lbn` is present in the SSC's maps; *dirty is its dirty bit.
-  static bool SscPageState(const SscDevice& ssc, uint64_t lbn, bool* dirty);
 };
 
 }  // namespace flashtier

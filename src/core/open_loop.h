@@ -1,13 +1,14 @@
-// Open-loop queue-depth-N request bracketing over a shard's SimClock.
+// Queue-depth-N request bracketing over a shard's SimClock; every replay
+// runs through it.
 //
-// Closed-loop depth-1 replay issues each request when the previous one
-// completes, so per-request latency bounds throughput (1e6 / 77us for reads).
-// Open-loop replay keeps up to N host requests in flight: a new request's
-// submit time is the moment a queue slot frees — the earliest in-flight
-// completion once the queue is full — rather than the last completion. The
-// chain rewinds to that submit time (SimClock::BeginRequest) and the
-// FlashPipeline's per-plane/per-channel resource frontiers carry the
-// contention between overlapping requests.
+// At depth 1 each request is issued when the previous one completes, so
+// per-request latency bounds throughput (1e6 / 77us for reads). At depth N
+// up to N host requests are in flight: a new request's submit time is the
+// moment a queue slot frees — the earliest in-flight completion once the
+// queue is full — rather than the last completion. The chain rewinds to
+// that submit time (SimClock::BeginRequest) and the FlashPipeline's
+// per-plane/per-channel resource frontiers carry the contention between
+// overlapping requests.
 //
 // Determinism: submit and completion times are a pure function of the
 // per-shard request stream — the min-heap pops the smallest completion time

@@ -1,12 +1,11 @@
 // Block trace replay engine and end-to-end metrics.
 //
-// At queue depth 1 replay is closed-loop over virtual time: each request is
-// issued when the previous one completes, and its response time is the
-// virtual time the system components charged while serving it. IOPS =
-// requests / elapsed virtual seconds, the paper's performance metric
-// (Figures 3, 4, 6). At queue depth N > 1 (Options::queue_depth) up to N
-// host requests are in flight per shard, and the response histogram — so
-// p95/p99/p999 — includes queueing delay.
+// At queue depth 1 each request is issued when the previous one completes,
+// so its response time is the virtual time the system components charged
+// while serving it. IOPS = requests / elapsed virtual seconds, the paper's
+// performance metric (Figures 3, 4, 6). At queue depth N > 1
+// (Options::queue_depth) up to N host requests are in flight per shard, and
+// the response histogram — so p95/p99/p999 — includes queueing delay.
 //
 // Routing, the per-shard request bracket, the shard-order merge and the
 // host-side fields are the loop both engines share (src/core/shard_replay.h),
@@ -67,9 +66,9 @@ class ReplayEngine {
     // Worker threads for sharded systems; clamped to the shard count. The
     // virtual-time metrics do not depend on this value.
     uint32_t threads = 1;
-    // Host requests in flight per shard. 1 = the classic closed loop,
-    // bit-identical to the engine before open-loop replay existed; N > 1
-    // overlaps requests on the device's plane/channel pipeline.
+    // Host requests in flight per shard. 1 submits each request when the
+    // previous one completes; N > 1 overlaps requests on the device's
+    // plane/channel pipeline.
     uint32_t queue_depth = 1;
   };
 

@@ -3,13 +3,13 @@
 // A block replay and a KV replay differ only in their record type and in the
 // step that serves one request. Everything around that step is here, once:
 //   * routing and the shard schedule (src/core/shard_scheduler.h);
-//   * the request bracket on the shard's virtual clock. At queue depth 1 the
-//     loop is closed: a request's response time is the virtual time charged
-//     while serving it, and the measured phase lasts their sum. Deeper queues
-//     run open-loop (src/core/open_loop.h): latency is submit to completion,
-//     so percentiles include queueing delay, and the measured phase lasts from
-//     the first measured submit to the last completion. Records before the
-//     warmup cut are served but not measured;
+//   * the request bracket on the shard's virtual clock (OpenLoopQueue): a
+//     request is submitted when one of the `queue_depth` slots frees, its
+//     latency is submit to completion, so percentiles include queueing delay,
+//     and the measured phase lasts from the first measured submit to the last
+//     completion. At depth 1 each request is submitted when the previous one
+//     completes, so its latency is the virtual time charged while serving it.
+//     Records before the warmup cut are served but not measured;
 //   * the merge in shard-index order: counters and histograms sum, and the
 //     per-shard clocks merge by max-epoch (the channels ran in parallel, so
 //     the measured phase lasts as long as its slowest shard). Every
@@ -90,33 +90,25 @@ struct RequestMetrics {
 template <typename Metrics, typename Record, typename Server>
 void ReplayShard(Server& server, const ShardQueues<Record>& queues, uint32_t i,
                  uint32_t queue_depth, uint64_t warmup, Metrics& m) {
-  SimClock& clock = server.Clock(i);
-  const bool open_loop = queue_depth > 1;
-  OpenLoopQueue loop(&clock, queue_depth);
+  OpenLoopQueue loop(&server.Clock(i), queue_depth);
   OpenLoopSpan span;
   queues.ForEach(i, [&](const Record& record, uint64_t seq) {
     const bool measured = seq >= warmup;
-    const uint64_t start_us = open_loop ? loop.Begin() : clock.now_us();
+    const uint64_t start_us = loop.Begin();
     if (!server.Serve(i, record, seq, measured, m)) {
       ++m.failed_requests;
     }
-    const uint64_t latency_us = open_loop ? loop.End(start_us) : clock.now_us() - start_us;
+    const uint64_t latency_us = loop.End(start_us);
     if (!measured) {
       ++m.warmup_requests;
       return;
     }
     ++m.requests;
     m.response_us.Add(latency_us);
-    if (open_loop) {
-      span.Add(start_us, latency_us);
-    } else {
-      m.elapsed_us += latency_us;
-    }
+    span.Add(start_us, latency_us);
   });
-  if (open_loop) {
-    loop.Drain();
-    m.elapsed_us = span.ElapsedUs();
-  }
+  loop.Drain();
+  m.elapsed_us = span.ElapsedUs();
 }
 
 // Replays `source` through `server` on `threads` workers at `queue_depth`

@@ -31,7 +31,6 @@ struct FlashGeometry {
   constexpr uint64_t TotalPages() const {
     return static_cast<uint64_t>(TotalBlocks()) * pages_per_block;
   }
-  constexpr uint64_t CapacityBytes() const { return TotalPages() * page_size; }
   constexpr uint64_t EraseBlockBytes() const {
     return static_cast<uint64_t>(pages_per_block) * page_size;
   }

@@ -14,12 +14,12 @@
 // earlier than its resource frees up; chained phases of one operation start
 // no earlier than the previous phase's end. The operation's completion time
 // is its last phase's end, and the engine advances the chain there with
-// SimClock::SyncTo. Under closed-loop depth-1 replay no resource is ever
-// contended, every wait is zero, and an operation's makespan equals the
-// legacy "advance the clock by full service time" cost exactly — the new
-// engine is bit-identical at queue depth 1. Under open-loop queue-depth-N
-// replay the chain rewinds between requests (SimClock::BeginRequest) and the
-// resource frontiers carry the contention: array phases on distinct planes
+// SimClock::SyncTo. At queue depth 1 each request starts when the previous
+// one completes, so no resource is ever contended, every wait is zero, and
+// an operation's makespan equals its full service time ("advance the clock
+// by the operation's cost") exactly. At queue depth N the chain rewinds
+// between requests (SimClock::BeginRequest) and the resource frontiers carry
+// the contention: array phases on distinct planes
 // overlap, GC copies and erases overlap foreground reads, and shared
 // channel/bus phases serialize.
 //
@@ -97,9 +97,8 @@ class FlashPipeline {
   // resource, overlapping all foreground planes.
   Completion ExecuteLog(uint64_t us);
 
-  // Nominal uncontended service time of `op` — the exact duration the legacy
-  // closed-loop model charged, and what Execute's makespan equals when no
-  // resource is busy.
+  // Nominal uncontended service time of `op`: what Execute's makespan equals
+  // when no resource is busy, as at queue depth 1.
   uint64_t NominalCostUs(Op op) const;
 
   // Power failure: in-flight phases are lost with the device's RAM; every

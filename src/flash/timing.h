@@ -5,12 +5,12 @@
 // (Advance) or pipelined completion (SyncTo) moves the chain forward, and the
 // chain's value when a request finishes is that request's completion time.
 //
-// Closed-loop replay never rewinds the chain, so each operation's service
-// time simply accumulates — the classic depth-1 model. Open-loop replay
-// (queue-depth-N) rewinds the chain to each request's submit time with
-// BeginRequest(); contention between overlapping requests is then carried by
-// the per-plane/per-channel resources of the FlashPipeline event engine, not
-// by the chain itself. Submit times are nondecreasing by construction
+// Replay rewinds the chain to each request's submit time with BeginRequest().
+// At queue depth 1 a request is submitted when the previous one completes, so
+// the chain never moves back and each operation's service time simply
+// accumulates — the classic depth-1 model. At queue depth N requests overlap;
+// contention between them is then carried by the per-plane/per-channel
+// resources of the FlashPipeline event engine, not by the chain itself. Submit times are nondecreasing by construction
 // (BeginRequest clamps to the issue floor), so no component ever observes a
 // request *starting* earlier than a previous request started.
 

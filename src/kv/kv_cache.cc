@@ -4,15 +4,9 @@
 #include <cassert>
 #include <utility>
 
-#include "src/util/rng.h"
-
 namespace flashtier {
 
 namespace {
-
-// Smallest per-shard device the SSC machinery operates comfortably with
-// (a handful of erase blocks plus the log reserve).
-constexpr uint64_t kMinShardPages = 128;
 
 // The victim heap is rebuilt from the directory once stale entries grow it
 // past this multiple of the sealed-slab count (plus slack for tiny shards).
@@ -35,9 +29,7 @@ KvCacheConfig ShardSlice(const KvCacheConfig& config, uint32_t shards, uint32_t 
   KvCacheConfig slice = config;
   slice.shards = 1;
   slice.slab_pages = SanitizeSlabPages(config.slab_pages);
-  slice.ssc.capacity_pages =
-      std::max<uint64_t>(kMinShardPages, config.ssc.capacity_pages / std::max<uint32_t>(1, shards));
-  slice.ssc.fault_plan.seed = ShardSeed(config.ssc.fault_plan.seed, index);
+  slice.ssc = ShardSscConfig(config.ssc, shards, index);
   return slice;
 }
 

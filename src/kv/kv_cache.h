@@ -70,8 +70,8 @@ constexpr uint32_t KvSlotBytes(uint32_t size) {
 struct KvCacheConfig {
   uint32_t shards = 1;
   // Device template for every shard; `ssc.capacity_pages` is the *total*
-  // across shards and is split evenly (with a small floor) like
-  // FlashTierSystem does, so shard counts don't change the cache size.
+  // across shards, sliced by ShardSscConfig as FlashTierSystem slices it, so
+  // shard counts don't change the cache size.
   SscConfig ssc;
   // Admission control, consulted per object Set; split across shards by
   // MakeAdmissionPolicy so total policy memory matches the 1-shard config.

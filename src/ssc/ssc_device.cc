@@ -66,19 +66,12 @@ uint32_t SscDevice::LogBlockLimit() const {
 
 Status SscDevice::Read(Lbn lbn, uint64_t* token) {
   ++ftl_stats_.host_reads;
-  if (const uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
-    const Status s = device_->ReadPage(PackedPpn(*packed), token, nullptr, nullptr);
-    return s == Status::kCorrupt ? DropCorruptPage(lbn) : s;
-  }
-  const uint32_t ppb = device_->geometry().pages_per_block;
-  if (BlockEntry* e = block_map_.Find(lbn / ppb); e != nullptr) {
-    const uint32_t off = static_cast<uint32_t>(lbn % ppb);
-    if ((e->present_bits >> off) & 1u) {
-      ++e->access_count;
-      const Status s = device_->ReadPage(device_->geometry().FirstPpnOf(e->phys) + off, token,
-                                         nullptr, nullptr);
-      return s == Status::kCorrupt ? DropCorruptPage(lbn) : s;
+  if (const std::optional<PageLocation> at = Locate(lbn)) {
+    if (at->block != nullptr) {
+      ++at->block->access_count;
     }
+    const Status s = device_->ReadPage(at->ppn, token, nullptr, nullptr);
+    return s == Status::kCorrupt ? DropCorruptPage(lbn, at->dirty) : s;
   }
   ++ftl_stats_.host_read_misses;
   // In-memory lookup + reply: pure controller work on the block's channel.
@@ -100,14 +93,7 @@ void SscDevice::NoteLoss(Lbn lbn, bool dirty) {
   }
 }
 
-Status SscDevice::DropCorruptPage(Lbn lbn) {
-  bool dirty = false;
-  if (const uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
-    dirty = PackedDirty(*packed);
-  } else if (const BlockEntry* e = block_map_.Find(lbn / device_->geometry().pages_per_block);
-             e != nullptr) {
-    dirty = ((e->dirty_bits >> (lbn % device_->geometry().pages_per_block)) & 1u) != 0;
-  }
+Status SscDevice::DropCorruptPage(Lbn lbn, bool dirty) {
   // Dropping the mapping keeps G2: the page reads not-present from now on,
   // never stale. The removal is buffered like a silent eviction; if a crash
   // loses it, the recovered mapping points back at the sticky-corrupt page
@@ -199,34 +185,27 @@ void SscDevice::MaybeAudit() {
 }
 
 bool SscDevice::InvalidateOldVersion(Lbn lbn) {
-  if (const uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
-    const Ppn old = PackedPpn(*packed);
-    if (PackedDirty(*packed)) {
-      --dirty_pages_;
-    }
-    AssertOk(device_->MarkInvalid(old));
-    RetireLogPage(lbn);
-    --cached_pages_;
-    return true;
-  }
-  const uint32_t ppb = device_->geometry().pages_per_block;
-  const uint64_t logical = lbn / ppb;
-  const uint32_t off = static_cast<uint32_t>(lbn % ppb);
-  BlockEntry* e = block_map_.Find(logical);
-  if (e == nullptr || ((e->present_bits >> off) & 1u) == 0) {
+  const std::optional<PageLocation> at = Locate(lbn);
+  if (!at) {
     return false;
   }
-  AssertOk(device_->MarkInvalid(device_->geometry().FirstPpnOf(e->phys) + off));
-  if ((e->dirty_bits >> off) & 1u) {
+  AssertOk(device_->MarkInvalid(at->ppn));
+  if (at->dirty) {
     --dirty_pages_;
   }
-  e->present_bits &= ~(uint64_t{1} << off);
-  e->dirty_bits &= ~(uint64_t{1} << off);
   --cached_pages_;
+  if (at->block == nullptr) {
+    RetireLogPage(lbn);
+    return true;
+  }
+  BlockEntry* e = at->block;
+  const uint64_t bit = uint64_t{1} << at->off;
+  const uint64_t logical = lbn / device_->geometry().pages_per_block;
+  e->present_bits &= ~bit;
+  e->dirty_bits &= ~bit;
   // dirty_bits: the mask of bits cleared.
-  persist_->Append(
-      {.type = LogOpType::kClearBlockPages, .key = logical, .dirty_bits = uint64_t{1} << off},
-      /*sync=*/false);
+  persist_->Append({.type = LogOpType::kClearBlockPages, .key = logical, .dirty_bits = bit},
+                   /*sync=*/false);
   if (e->present_bits == 0) {
     RemoveDataBlock(logical);
   }
@@ -244,49 +223,34 @@ Status SscDevice::Evict(Lbn lbn) {
 }
 
 Status SscDevice::Clean(Lbn lbn) {
-  if (uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
-    if (PackedDirty(*packed)) {
-      *packed = Pack(PackedPpn(*packed), false);
-      --dirty_pages_;
-      persist_->Append({.type = LogOpType::kSetCleanPage, .key = lbn}, /*sync=*/false);
-    }
-    return Status::kOk;
-  }
-  const uint32_t ppb = device_->geometry().pages_per_block;
-  const uint64_t logical = lbn / ppb;
-  const uint32_t off = static_cast<uint32_t>(lbn % ppb);
-  BlockEntry* e = block_map_.Find(logical);
-  if (e == nullptr || ((e->present_bits >> off) & 1u) == 0) {
+  const std::optional<PageLocation> at = Locate(lbn);
+  if (!at) {
     return Status::kNotPresent;
   }
-  if ((e->dirty_bits >> off) & 1u) {
-    e->dirty_bits &= ~(uint64_t{1} << off);
-    --dirty_pages_;
-    // dirty_bits: the mask of bits cleared.
-    persist_->Append(
-        {.type = LogOpType::kSetCleanBlocks, .key = logical, .dirty_bits = uint64_t{1} << off},
-        /*sync=*/false);
+  if (!at->dirty) {
+    return Status::kOk;
   }
+  --dirty_pages_;
+  if (at->block == nullptr) {
+    *at->packed = Pack(at->ppn, false);
+    persist_->Append({.type = LogOpType::kSetCleanPage, .key = lbn}, /*sync=*/false);
+    return Status::kOk;
+  }
+  const uint64_t bit = uint64_t{1} << at->off;
+  const uint64_t logical = lbn / device_->geometry().pages_per_block;
+  at->block->dirty_bits &= ~bit;
+  // dirty_bits: the mask of bits cleared.
+  persist_->Append({.type = LogOpType::kSetCleanBlocks, .key = logical, .dirty_bits = bit},
+                   /*sync=*/false);
   return Status::kOk;
 }
 
 void SscDevice::Exists(Lbn start, uint64_t count, Bitmap* dirty_out) {
   dirty_out->Resize(count);
   device_->pipeline()->ExecuteControl(config_.timings.control_us, start);  // device-memory scan
-  const uint32_t ppb = device_->geometry().pages_per_block;
   for (uint64_t i = 0; i < count; ++i) {
-    const Lbn lbn = start + i;
-    if (const uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
-      if (PackedDirty(*packed)) {
-        dirty_out->Set(i);
-      }
-      continue;
-    }
-    if (const BlockEntry* e = block_map_.Find(lbn / ppb); e != nullptr) {
-      const uint32_t off = static_cast<uint32_t>(lbn % ppb);
-      if (((e->present_bits >> off) & 1u) != 0 && ((e->dirty_bits >> off) & 1u) != 0) {
-        dirty_out->Set(i);
-      }
+    if (const std::optional<PageLocation> at = Locate(start + i); at && at->dirty) {
+      dirty_out->Set(i);
     }
   }
 }
@@ -294,23 +258,12 @@ void SscDevice::Exists(Lbn start, uint64_t count, Bitmap* dirty_out) {
 void SscDevice::ExistsDetail(Lbn start, uint64_t count, std::vector<BlockInfo>* out) {
   out->assign(count, BlockInfo{});
   device_->pipeline()->ExecuteControl(config_.timings.control_us, start);  // device-memory scan
-  const uint32_t ppb = device_->geometry().pages_per_block;
   for (uint64_t i = 0; i < count; ++i) {
-    const Lbn lbn = start + i;
-    BlockInfo& info = (*out)[i];
-    if (const uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
-      info.present = true;
-      info.dirty = PackedDirty(*packed);
-      info.access_frequency = 1;  // page-mapped: written at least once recently
-      continue;
-    }
-    if (const BlockEntry* e = block_map_.Find(lbn / ppb); e != nullptr) {
-      const uint32_t off = static_cast<uint32_t>(lbn % ppb);
-      if ((e->present_bits >> off) & 1u) {
-        info.present = true;
-        info.dirty = ((e->dirty_bits >> off) & 1u) != 0;
-        info.access_frequency = e->access_count;
-      }
+    if (const std::optional<PageLocation> at = Locate(start + i)) {
+      // A page-mapped page was written at least once recently.
+      (*out)[i] = {.present = true,
+                   .dirty = at->dirty,
+                   .access_frequency = at->block != nullptr ? at->block->access_count : 1};
     }
   }
 }

@@ -162,15 +162,7 @@ class SscDevice : public HybridFtl<SscDevice> {
   template <typename Fn>
   void ForEachCached(Fn&& fn) {
     ChargeExistsScan();
-    const uint32_t ppb = device_->geometry().pages_per_block;
-    page_map_.ForEach([&](Lbn lbn, uint64_t packed) { fn(lbn, PackedDirty(packed)); });
-    block_map_.ForEach([&](uint64_t logical, const BlockEntry& e) {
-      for (uint32_t off = 0; off < ppb; ++off) {
-        if ((e.present_bits >> off) & 1u) {
-          fn(logical * ppb + off, ((e.dirty_bits >> off) & 1u) != 0);
-        }
-      }
-    });
+    VisitCached(fn);
   }
 
   // ---- Crash simulation / recovery (Section 4.2.2) ----
@@ -207,13 +199,6 @@ class SscDevice : public HybridFtl<SscDevice> {
   }
   // Blocks permanently retired (allocator ground truth, survives recovery).
   uint64_t retired_block_count() const { return allocator_->RetiredCount(); }
-  // Share of the medium permanently lost to retirement, in percent.
-  double retired_capacity_pct() const {
-    const uint64_t total = device_->geometry().TotalBlocks();
-    return total == 0 ? 0.0
-                      : 100.0 * static_cast<double>(allocator_->RetiredCount()) /
-                            static_cast<double>(total);
-  }
 
   const PersistStats& persist_stats() const { return persist_->stats(); }
   // Mutable medium access for test harnesses (e.g. pausing fault injection
@@ -312,6 +297,52 @@ class SscDevice : public HybridFtl<SscDevice> {
   static Ppn PackedPpn(uint64_t packed) { return packed >> 1; }
   static bool PackedDirty(uint64_t packed) { return (packed & 1u) != 0; }
 
+  // Where the SSC holds a page: `packed` is a page-mapped page's page-map
+  // value, `block` a block-mapped page's entry and `off` its offset there.
+  struct PageLocation {
+    Ppn ppn = kInvalidPpn;
+    bool dirty = false;
+    uint64_t* packed = nullptr;
+    BlockEntry* block = nullptr;
+    uint32_t off = 0;
+  };
+  // The one lookup of the unified map: the page map first, then the present
+  // bit of the block's entry. Empty when the page is not cached. Defined here
+  // so every host operation inlines it. The pointers are mutable for the
+  // callers that update the maps, which hold the device non-const.
+  std::optional<PageLocation> Locate(Lbn lbn) const {
+    if (const uint64_t* packed = page_map_.Find(lbn); packed != nullptr) {
+      return PageLocation{.ppn = PackedPpn(*packed),
+                          .dirty = PackedDirty(*packed),
+                          .packed = const_cast<uint64_t*>(packed)};
+    }
+    const FlashGeometry& g = device_->geometry();
+    const BlockEntry* e = block_map_.Find(lbn / g.pages_per_block);
+    const uint32_t off = static_cast<uint32_t>(lbn % g.pages_per_block);
+    if (e == nullptr || ((e->present_bits >> off) & 1u) == 0) {
+      return std::nullopt;
+    }
+    return PageLocation{.ppn = g.FirstPpnOf(e->phys) + off,
+                        .dirty = ((e->dirty_bits >> off) & 1u) != 0,
+                        .block = const_cast<BlockEntry*>(e),
+                        .off = off};
+  }
+
+  // Streams every cached page to `fn(lbn, dirty)`, the page map first, then
+  // each block entry's present pages. Charges nothing.
+  template <typename Fn>
+  void VisitCached(Fn&& fn) const {
+    const uint32_t ppb = device_->geometry().pages_per_block;
+    page_map_.ForEach([&](Lbn lbn, uint64_t packed) { fn(lbn, PackedDirty(packed)); });
+    block_map_.ForEach([&](uint64_t logical, const BlockEntry& e) {
+      for (uint32_t off = 0; off < ppb; ++off) {
+        if ((e.present_bits >> off) & 1u) {
+          fn(logical * ppb + off, ((e.dirty_bits >> off) & 1u) != 0);
+        }
+      }
+    });
+  }
+
   Status WriteInternal(Lbn lbn, uint64_t token, bool dirty);
   // Wipes all device-RAM structures (maps, log FIFO, dead queue, counters);
   // used by SimulateCrash and by Recover re-entry.
@@ -332,7 +363,7 @@ class SscDevice : public HybridFtl<SscDevice> {
   // Host read hit an uncorrectable page: drop the mapping (the cached copy is
   // gone) and translate to the host-visible outcome — kNotPresent for clean
   // pages (just a miss), kIoError for dirty ones (data loss).
-  Status DropCorruptPage(Lbn lbn);
+  Status DropCorruptPage(Lbn lbn, bool dirty);
 
   // One garbage-collection cycle on the fullest plane. Prefers silent
   // eviction of clean data blocks; falls back to copying GC. Returns true if

@@ -108,23 +108,6 @@ double TraceStats::MeanWritesPerBlock(double top_fraction) const {
   return static_cast<double>(sum) / static_cast<double>(std::min(keep, rows.size()));
 }
 
-std::vector<Lbn> TraceStats::TopBlocks(double top_fraction) const {
-  std::vector<std::pair<uint64_t, Lbn>> rows;
-  rows.reserve(counts().size());
-  for (const auto& [lbn, c] : counts()) {
-    rows.emplace_back(c.accesses, lbn);
-  }
-  std::sort(rows.begin(), rows.end(), std::greater<>());
-  const auto keep = std::max<size_t>(
-      1, static_cast<size_t>(static_cast<double>(rows.size()) * top_fraction));
-  std::vector<Lbn> out;
-  out.reserve(keep);
-  for (size_t i = 0; i < keep && i < rows.size(); ++i) {
-    out.push_back(rows[i].second);
-  }
-  return out;
-}
-
 std::vector<uint64_t> TraceStats::RegionDensities(double top_fraction) const {
   std::vector<uint64_t> acc;
   acc.reserve(counts().size());

@@ -75,10 +75,6 @@ class TraceStats : public ReuseStats {
   double MeanAccessesPerBlock(double top_fraction = 1.0) const;
   double MeanWritesPerBlock(double top_fraction = 1.0) const;
 
-  // The LBNs of the `top_fraction` most-accessed blocks — the paper's model
-  // of "blocks likely to be cached"; used to size caches at 25%.
-  std::vector<Lbn> TopBlocks(double top_fraction) const;
-
   // Figure 1: for every 100,000-block region containing at least one of the
   // top-`top_fraction` blocks, the number of those blocks that fall in it.
   // Returned sorted ascending (a CDF over regions).

@@ -16,11 +16,11 @@
 namespace flashtier {
 
 // [[nodiscard]] on the enum makes every function returning Status a
-// must-check call: an ignored return is a compiler warning (an error under
-// FLASHTIER_WERROR), because a dropped kIoError/kBackpressure is exactly the
-// kind of silent inconsistency the durability guarantees forbid. Genuinely
-// intentional discards must spell out `(void)` plus a constraint comment;
-// tools/flashlint enforces the same rule source-side.
+// must-check call: an ignored return is a compile error (every build passes
+// -Werror=unused-result), because a dropped kIoError/kBackpressure is exactly
+// the kind of silent inconsistency the durability guarantees forbid.
+// Genuinely intentional discards must spell out `(void)` plus a constraint
+// comment.
 enum class [[nodiscard]] Status : uint8_t {
   kOk = 0,
   // The requested block is not in the cache. This is an expected outcome of

@@ -47,15 +47,16 @@ TEST(FlashGeometryTest, AddressRoundTrips) {
 TEST(FlashGeometryTest, ForCapacityScalesPlaneSizeNotPlaneCount) {
   const FlashGeometry g = FlashGeometry::ForCapacity(100ull << 30);  // 100 GB
   EXPECT_EQ(g.planes, 10u);  // paper scales plane size, Section 6.1
-  EXPECT_GE(g.CapacityBytes(), 100ull << 30);
+  const uint64_t bytes = g.TotalPages() * g.page_size;
+  EXPECT_GE(bytes, 100ull << 30);
   // Rounding waste is under one block per plane.
-  EXPECT_LT(g.CapacityBytes() - (100ull << 30), uint64_t{10} * g.EraseBlockBytes());
+  EXPECT_LT(bytes - (100ull << 30), uint64_t{10} * g.EraseBlockBytes());
 }
 
 TEST(FlashGeometryTest, ForCapacityTinyRequest) {
   const FlashGeometry g = FlashGeometry::ForCapacity(1);
   EXPECT_GE(g.blocks_per_plane, 1u);
-  EXPECT_GE(g.CapacityBytes(), 1u);
+  EXPECT_GE(g.TotalPages() * g.page_size, 1u);
 }
 
 TEST(FlashTimingsTest, Table2Latencies) {

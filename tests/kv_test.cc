@@ -482,6 +482,27 @@ TEST(KvShardingTest, EveryShardDrawsItsOwnFaultStream) {
   EXPECT_EQ(seeds.size(), 4u);  // one fault stream per shard, not four copies of one
 }
 
+// The shard count never changes the cache size: shards slice the device as
+// ShardSscConfig slices it, the remainder going to the low shards.
+TEST(KvShardingTest, ShardsSplitTheCapacityLikeShardSscConfig) {
+  KvCacheConfig config = SmallConfig();
+  config.ssc.capacity_pages = 512;
+  for (uint32_t shards : {1u, 4u, 8u, 16u}) {
+    config.shards = shards;
+    const KvCache cache(config);
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < cache.shard_count(); ++i) {
+      total += cache.shard(i).ssc().capacity_pages();
+    }
+    EXPECT_EQ(total, 512u) << shards << " shards";
+  }
+  config.ssc.capacity_pages = 513;
+  config.shards = 8;
+  const KvCache cache(config);
+  EXPECT_EQ(cache.shard(0).ssc().capacity_pages(), 65u);
+  EXPECT_EQ(cache.shard(7).ssc().capacity_pages(), 64u);
+}
+
 // ---- The invariant audit and the flashcheck --kv harness ----
 
 TEST(KvCheckTest, AuditCleanAfterMixedWorkloadAndRecovery) {

@@ -24,9 +24,8 @@ namespace fs = std::filesystem;
 
 const std::map<std::string, std::string> kFixtureRules = {
     {"wall_clock", "wall-clock"},         {"random", "random"},
-    {"unordered_iter", "unordered-iter"}, {"ignored_status", "ignored-status"},
-    {"commit_point", "commit-point"},     {"retry_backoff", "wall-clock"},
-    {"retry_status", "ignored-status"},   {"clock_advance", "clock-advance"},
+    {"unordered_iter", "unordered-iter"}, {"commit_point", "commit-point"},
+    {"retry_backoff", "wall-clock"},      {"clock_advance", "clock-advance"},
 };
 
 fs::path SourceDir() { return fs::path(FLASHTIER_SOURCE_DIR); }
@@ -41,7 +40,7 @@ FileInput ReadInput(const fs::path& path) {
 }
 
 // Each fixture is linted as its own one-file tree: the bad corpus must not
-// lend Status declarations (or recovery-done fires) to the clean corpus.
+// lend recovery-done fires to the clean corpus.
 std::vector<Violation> LintOne(const fs::path& path) {
   return LintTree({ReadInput(path)});
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the virtual-time paper benches at their default scale — Figures 1 and
-# 3-6, Tables 3-5 and the eviction and consistency ablations — and prints, for
-# each one, the command, its exit code and its stdout. The benches that write
-# --stats-json (fig3, fig4, fig5, table5) also print their JSON lines with the
-# host-time fields (wall_clock_us, replay_ops_per_sec) removed. Everything
+# 3-5, Tables 3-5 (bench_table5_wear also prints Figure 6) and the eviction
+# and consistency ablations — and prints, for each one, the command, its exit
+# code and its stdout. The benches that write --stats-json (fig3, fig4, fig5,
+# table5) also print their JSON lines with the host-time fields
+# (wall_clock_us, replay_ops_per_sec) removed. Everything
 # left is virtual time, so diffing the output against
 # tests/baselines/paper_matrix_baseline.txt pins every number EXPERIMENTS.md
 # quotes from these benches byte for byte. bench_sparsemap is left out: its
@@ -12,7 +13,7 @@
 # usage: tests/paper_matrix.sh BUILD_DIR [BENCH...] > paper-matrix.txt
 #
 # BUILD_DIR is a CMake build tree of this repository. The benches run one
-# after another, 120-145 s on 4 cores; naming benches runs only their
+# after another, 110-130 s on 4 cores; naming benches runs only their
 # entries, which is how ctest runs the matrix, one entry per bench side by
 # side (tests/check.sh). Regenerate the baseline with the whole matrix from
 # the default (RelWithDebInfo) build when a deliberate behaviour change
@@ -59,7 +60,6 @@ run bench_fig1_density
 run bench_fig3_performance --stats-json
 run bench_fig4_consistency --stats-json
 run bench_fig5_recovery --stats-json
-run bench_fig6_gc
 run bench_table3_workloads
 run bench_table4_memory
 run bench_table5_wear --stats-json

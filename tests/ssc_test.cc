@@ -521,7 +521,7 @@ TEST(SscEvictionTest, RetirementExhaustionFailsWritesCleanly) {
   EXPECT_TRUE(last == Status::kNoSpace || last == Status::kIoError);
   EXPECT_GT(ssc.ftl_stats().retired_blocks, 0u);
   EXPECT_LT(ssc.usable_capacity_pages(), ssc.capacity_pages());
-  EXPECT_GT(ssc.retired_capacity_pct(), 0.0);
+  EXPECT_GT(ssc.retired_block_count(), 0u);
   // Whatever the worn-out cache still serves must be the acknowledged data;
   // clean blocks may have been silently evicted, never corrupted.
   for (Lbn lbn = 0; lbn < written; ++lbn) {

@@ -308,23 +308,6 @@ TEST(TraceStatsTest, ColdTracesShowSingleAccessMass) {
   EXPECT_EQ(mass, stats.reref_accesses());
 }
 
-TEST(TraceStatsTest, TopBlocksOrderedByAccessCount) {
-  TraceStats stats;
-  for (int i = 0; i < 10; ++i) {
-    stats.Add({1, TraceOp::kRead});
-  }
-  for (int i = 0; i < 5; ++i) {
-    stats.Add({2, TraceOp::kRead});
-  }
-  stats.Add({3, TraceOp::kRead});
-  const auto top1 = stats.TopBlocks(0.34);
-  ASSERT_EQ(top1.size(), 1u);
-  EXPECT_EQ(top1[0], 1u);
-  const auto top2 = stats.TopBlocks(0.67);
-  ASSERT_EQ(top2.size(), 2u);
-  EXPECT_EQ(top2[1], 2u);
-}
-
 TEST(WorkloadProfilesTest, PaperScaleMatchesTable3) {
   // At scale 1.0 the profiles carry the paper's replayed sizes.
   const WorkloadProfile homes = HomesProfile(1.0);

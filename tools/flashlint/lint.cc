@@ -358,166 +358,6 @@ void CheckUnorderedIter(const std::vector<SplitLine>& lines, const std::string& 
   }
 }
 
-// ---- ignored-status ----
-
-// Function names declared anywhere in the tree with return type `ret`.
-void CollectFunctionsReturning(const std::vector<std::vector<SplitLine>>& all_lines,
-                               const std::string& ret, std::set<std::string>* fns) {
-  for (const auto& lines : all_lines) {
-    for (const SplitLine& sl : lines) {
-      const std::string& code = sl.code;
-      size_t pos = FindIdent(code, ret);
-      while (pos != std::string::npos) {
-        size_t i = pos + ret.size();
-        while (i < code.size() && code[i] == ' ') {
-          ++i;
-        }
-        // Optional Class:: qualifier(s), then the function name, then '('.
-        std::string name;
-        while (i < code.size()) {
-          std::string ident;
-          while (i < code.size() && IsIdentChar(code[i])) {
-            ident.push_back(code[i++]);
-          }
-          if (ident.empty()) {
-            break;
-          }
-          if (code.compare(i, 2, "::") == 0) {
-            i += 2;
-            continue;
-          }
-          name = ident;
-          break;
-        }
-        if (!name.empty() && i < code.size() && code[i] == '(') {
-          fns->insert(name);
-        }
-        pos = FindIdent(code, ret, pos + ret.size());
-      }
-    }
-  }
-}
-
-// Names unambiguously returning Status: declared `Status Name(` somewhere
-// and never declared with another common return type. A token scanner has no
-// overload resolution, so a name like Append — Status on TraceFileWriter,
-// void on PersistenceManager — would otherwise flag the void call sites; the
-// compiler's [[nodiscard]] still covers those.
-std::set<std::string> CollectStatusFunctions(
-    const std::vector<std::vector<SplitLine>>& all_lines) {
-  std::set<std::string> status_fns;
-  CollectFunctionsReturning(all_lines, "Status", &status_fns);
-  std::set<std::string> other_fns;
-  for (const char* ret : {"void", "bool", "int", "uint8_t", "uint32_t", "uint64_t", "int64_t",
-                          "size_t", "double", "float", "char", "auto"}) {
-    CollectFunctionsReturning(all_lines, ret, &other_fns);
-  }
-  std::set<std::string> unambiguous;
-  for (const std::string& fn : status_fns) {
-    if (other_fns.count(fn) == 0) {
-      unambiguous.insert(fn);
-    }
-  }
-  return unambiguous;
-}
-
-// True when the line is the start of a statement: the previous non-blank
-// code line ended in one of ; { } ) or there is none. Continuation lines
-// (ending in , = && etc.) must not be treated as fresh statements.
-bool IsStatementStart(const std::vector<SplitLine>& lines, size_t idx) {
-  for (size_t j = idx; j-- > 0;) {
-    const std::string& code = lines[j].code;
-    const size_t last = code.find_last_not_of(" \t");
-    if (last == std::string::npos) {
-      continue;  // blank (or comment-only) line: keep looking
-    }
-    const char c = code[last];
-    return c == ';' || c == '{' || c == '}' || c == ')' || c == ':';
-  }
-  return true;
-}
-
-// Parses a leading call chain `a.b->C::fn(` at the start of `code`
-// (after indentation); returns the callee name and the index of its '(' or
-// "" when the shape doesn't match.
-std::string LeadingCallee(const std::string& code, size_t* open_paren) {
-  size_t i = code.find_first_not_of(" \t");
-  if (i == std::string::npos) {
-    return "";
-  }
-  std::string callee;
-  while (i < code.size()) {
-    std::string ident;
-    while (i < code.size() && IsIdentChar(code[i])) {
-      ident.push_back(code[i++]);
-    }
-    if (ident.empty()) {
-      return "";
-    }
-    if (code.compare(i, 2, "->") == 0) {
-      i += 2;
-      continue;
-    }
-    if (code.compare(i, 2, "::") == 0) {
-      i += 2;
-      continue;
-    }
-    if (i < code.size() && code[i] == '.') {
-      ++i;
-      continue;
-    }
-    if (i < code.size() && code[i] == '(') {
-      *open_paren = i;
-      return ident;
-    }
-    return "";
-  }
-  return "";
-}
-
-// Starting at lines[idx] position `open`, walks the balanced parens of the
-// call (across lines) and reports whether the first code character after the
-// close is ';' — i.e. the call result is discarded.
-bool CallResultDiscarded(const std::vector<SplitLine>& lines, size_t idx, size_t open) {
-  int depth = 0;
-  for (size_t li = idx; li < lines.size() && li < idx + 20; ++li) {
-    const std::string& code = lines[li].code;
-    for (size_t i = li == idx ? open : 0; i < code.size(); ++i) {
-      if (code[i] == '(') {
-        ++depth;
-      } else if (code[i] == ')') {
-        if (--depth == 0) {
-          const size_t next = code.find_first_not_of(" \t", i + 1);
-          return next != std::string::npos && code[next] == ';';
-        }
-      }
-    }
-  }
-  return false;
-}
-
-void CheckIgnoredStatus(const std::vector<SplitLine>& lines, const std::string& path,
-                        const std::set<std::string>& status_fns, const Allowances& allow,
-                        std::vector<Violation>* out) {
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (!IsStatementStart(lines, i)) {
-      continue;
-    }
-    size_t open = 0;
-    const std::string callee = LeadingCallee(lines[i].code, &open);
-    if (callee.empty() || status_fns.count(callee) == 0) {
-      continue;
-    }
-    const int line = static_cast<int>(i) + 1;
-    if (CallResultDiscarded(lines, i, open) && !allow.Allowed("ignored-status", line)) {
-      out->push_back({path, line, "ignored-status",
-                      "result of Status-returning '" + callee +
-                          "' is discarded; handle it, assert it with AssertOk, or "
-                          "spell out (void) with a reason"});
-    }
-  }
-}
-
 // ---- commit-point ----
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -662,24 +502,16 @@ std::string FormatViolation(const Violation& v) {
 }
 
 std::vector<Violation> LintTree(const std::vector<FileInput>& files) {
-  std::vector<std::vector<SplitLine>> all_lines;
-  all_lines.reserve(files.size());
-  for (const FileInput& f : files) {
-    all_lines.push_back(SplitSource(f.content));
-  }
-  const std::set<std::string> status_fns = CollectStatusFunctions(all_lines);
-
   std::vector<Violation> out;
   RecoveryPairing recovery;
-  for (size_t fi = 0; fi < files.size(); ++fi) {
-    const std::vector<SplitLine>& lines = all_lines[fi];
-    const std::string& path = files[fi].path;
+  for (const FileInput& file : files) {
+    const std::vector<SplitLine> lines = SplitSource(file.content);
+    const std::string& path = file.path;
     const Allowances allow = ParseAllowances(lines);
     for (size_t i = 0; i < lines.size(); ++i) {
       CheckNondeterminismLine(lines[i].code, static_cast<int>(i) + 1, path, allow, &out);
     }
     CheckUnorderedIter(lines, path, allow, &out);
-    CheckIgnoredStatus(lines, path, status_fns, allow, &out);
     CheckCommitPoints(lines, path, allow, &recovery, &out);
     CheckClockAdvance(lines, path, allow, &out);
   }

@@ -17,10 +17,6 @@
 //                   same file: iteration order is implementation-defined, so
 //                   any stats/persistence derived from the walk diverges
 //                   across stdlibs and hash seeds.
-//   ignored-status  a call to a Status-returning function (collected from the
-//                   linted tree's own declarations) used as a bare discarded
-//                   statement. Mirrors the [[nodiscard]] enum attribute so
-//                   the rule also binds in builds with warnings off.
 //   commit-point    durability-hook discipline: BeginAtomicBatch /
 //                   EndAtomicBatch may not be open-coded outside the
 //                   PersistenceManager (use AtomicBatchScope — it unwinds
@@ -28,6 +24,12 @@
 //                   CommitPoint::kFlushStart / kCheckpointStart must fire the
 //                   matching *Done point; RecoveryPoint::kStart fired
 //                   anywhere in a linted set requires RecoveryPoint::kDone.
+//   clock-advance   SimClock::Advance called outside the clock, the
+//                   FlashPipeline and the disk tier: flash-side time is
+//                   charged through the pipeline so planes can overlap.
+//
+// A discarded Status is no lint rule: the compiler rejects it (Status is
+// [[nodiscard]] and every build compiles with -Werror=unused-result).
 //
 // Whitelisting: a comment `flashlint: allow(<rule>): <reason>` suppresses
 // <rule> on its own line and the next line; `flashlint: allow-file(<rule>):
@@ -56,9 +58,8 @@ struct FileInput {
   std::string content;
 };
 
-// Lints the files as one tree. Cross-file state: the ignored-status rule
-// collects Status-returning declarations from every file before flagging
-// call sites, and recovery-point pairing is judged across the whole set.
+// Lints the files as one tree: recovery-point pairing is judged across the
+// whole set, every other rule file by file.
 std::vector<Violation> LintTree(const std::vector<FileInput>& files);
 
 // True for the extensions flashlint scans (.h, .cc, .cpp).
