@@ -11,6 +11,7 @@
 #   flashcheck_matrix   tests/flashcheck_matrix.sh, and the deep-wear claim on
 #                       its --aging=60 entry;
 #   paper_BENCH         one bench's section of the paper matrix;
+#   paper_fig6_gc       the Figure 6 lines of bench_table5_wear's section;
 #   aging_smoke, envelope_smoke, admission_smoke, kv_smoke
 #                       small bench runs whose --stats-json lines are compared
 #                       with their host-time fields removed on both sides;
@@ -47,6 +48,20 @@ case $2 in
   flashcheck_matrix)
     "$tests/flashcheck_matrix.sh" "$build/tools/flashcheck" > "$out"
     want=$tests/baselines/flashcheck_matrix_baseline.txt claim=deep-wear
+    ;;
+  paper_fig6_gc)
+    # Figure 6 has no bench of its own: bench_table5_wear prints it from the
+    # Table 5 replays. Its lines, from the title through the paper line.
+    fig6='/^Figure 6:/{on = 1} on; /^Paper: homes\/mail/{on = 0}'
+    "$build/bench/bench_table5_wear" > "$tmp/stdout" || status=1
+    awk "$fig6" "$tmp/stdout" > "$out"
+    awk '/^=== /{on = $2 == "bench_table5_wear"} on' \
+      "$tests/baselines/paper_matrix_baseline.txt" | awk "$fig6" > "$tmp/want"
+    if [ ! -s "$tmp/want" ]; then
+      echo "$0: the paper matrix has no Figure 6 in bench_table5_wear" >&2
+      exit 2
+    fi
+    want=$tmp/want
     ;;
   paper_*)
     "$tests/paper_matrix.sh" "$build" "bench_${2#paper_}" > "$out"
