@@ -118,7 +118,7 @@ void SyntheticWorkload::BuildWorkingSet() {
       static_cast<uint64_t>(static_cast<double>(target) * profile_.cold_fraction);
   const uint64_t hot_target = target - cold_target;
   blocks_.reserve(target);
-  allocated_.reserve(target * 2);
+  allocated_.Resize(profile_.range_blocks);
   std::vector<std::pair<size_t, size_t>> runs;  // (first index, count) in blocks_
 
   // Allocates contiguous runs into Zipf-popular regions until blocks_ holds
@@ -146,7 +146,8 @@ void SyntheticWorkload::BuildWorkingSet() {
         if (lbn >= profile_.range_blocks) {
           break;
         }
-        if (allocated_.insert(lbn).second) {
+        if (!allocated_.Test(lbn)) {
+          allocated_.Set(lbn);
           blocks_.push_back(lbn);
         }
       }
@@ -160,7 +161,8 @@ void SyntheticWorkload::BuildWorkingSet() {
     while (blocks_.size() < goal) {
       const size_t before = blocks_.size();
       for (Lbn lbn = 0; blocks_.size() < goal && lbn < profile_.range_blocks; ++lbn) {
-        if (allocated_.insert(lbn).second) {
+        if (!allocated_.Test(lbn)) {
+          allocated_.Set(lbn);
           blocks_.push_back(lbn);
           if (blocks_.size() - before >= 2 * mean_run) {
             break;
@@ -241,7 +243,7 @@ bool SyntheticWorkload::Next(TraceRecord* record) {
 
   Lbn lbn;
   bool is_write;
-  if (run_remaining_ > 0 && allocated_.count(run_next_) != 0) {
+  if (run_remaining_ > 0 && run_next_ < profile_.range_blocks && allocated_.Test(run_next_)) {
     lbn = run_next_;
     is_write = run_is_write_;
     ++run_next_;

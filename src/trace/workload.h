@@ -23,11 +23,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/trace/kv_trace.h"
 #include "src/trace/trace.h"
+#include "src/util/bitmap.h"
 #include "src/util/rng.h"
 
 namespace flashtier {
@@ -111,7 +111,7 @@ class SyntheticWorkload final : public TraceSource {
 
   std::vector<Lbn> blocks_;  // [0, hot_count_) hot, [hot_count_, N) cold
   std::vector<size_t> run_starts_;  // index into blocks_ of each run start
-  std::unordered_set<Lbn> allocated_;
+  Bitmap allocated_;  // over [0, range_blocks): set for each block in blocks_
   size_t hot_count_ = 0;
   size_t hot_runs_ = 0;
   std::unique_ptr<ZipfSampler> run_sampler_;

@@ -3,9 +3,8 @@
 #include <array>
 #include <cstring>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#ifdef __SSE4_2__
 #include <nmmintrin.h>
-#define FLASHTIER_CRC32C_SSE42 1
 #endif
 
 namespace flashtier {
@@ -28,37 +27,6 @@ constexpr std::array<uint32_t, 256> MakeTable() {
 
 constexpr std::array<uint32_t, 256> kTable = MakeTable();
 
-using Crc32cKernel = uint32_t (*)(uint32_t, const void*, size_t);
-
-#ifdef FLASHTIER_CRC32C_SSE42
-// The SSE4.2 CRC32 instruction computes exactly this polynomial with the same
-// reflection, so it folds eight bytes per step and finishes the tail bytewise.
-__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(uint32_t seed, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t crc = ~seed;
-  for (; n >= sizeof(uint64_t); n -= sizeof(uint64_t), p += sizeof(uint64_t)) {
-    uint64_t word = 0;
-    std::memcpy(&word, p, sizeof(word));
-    crc = _mm_crc32_u64(crc, word);
-  }
-  auto crc32 = static_cast<uint32_t>(crc);
-  for (; n > 0; --n, ++p) {
-    crc32 = _mm_crc32_u8(crc32, *p);
-  }
-  return ~crc32;
-}
-#endif
-
-Crc32cKernel SelectKernel() {
-#ifdef FLASHTIER_CRC32C_SSE42
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("sse4.2")) {
-    return Crc32cSse42;
-  }
-#endif
-  return Crc32cBytewise;
-}
-
 }  // namespace
 
 uint32_t Crc32cBytewise(uint32_t seed, const void* data, size_t n) {
@@ -71,10 +39,25 @@ uint32_t Crc32cBytewise(uint32_t seed, const void* data, size_t n) {
 }
 
 uint32_t Crc32c(uint32_t seed, const void* data, size_t n) {
-  // Chosen on first use rather than at namespace scope: a static initializer
-  // could run before the runtime has filled in the CPU model.
-  static const Crc32cKernel kernel = SelectKernel();
-  return kernel(seed, data, n);
+#ifdef __SSE4_2__
+  // The SSE4.2 CRC32 instruction computes exactly this polynomial with the
+  // same reflection, so it folds eight bytes per step and finishes the tail
+  // bytewise.
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint64_t crc = ~seed;
+  for (; n >= sizeof(uint64_t); n -= sizeof(uint64_t), p += sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; --n, ++p) {
+    crc32 = _mm_crc32_u8(crc32, *p);
+  }
+  return ~crc32;
+#else
+  return Crc32cBytewise(seed, data, n);
+#endif
 }
 
 }  // namespace flashtier

@@ -2,8 +2,9 @@
 # Runs every flag-reading binary of a build with --no-such-flag. Each must
 # exit 2, name the flag on stderr and print nothing on stdout, so a binary
 # added without the flag contract (src/util/args.h), or one that refuses only
-# after it has replayed, fails. Benches are found by name, so a new one is
-# covered without editing this script; bench_sparsemap takes google-
+# after it has replayed, fails. The benches are the tree's bench/bench_*.cc,
+# so a new one is covered without editing this script, and a stale binary
+# whose source is gone is not checked; bench_sparsemap takes google-
 # benchmark's flags instead.
 #
 # usage: tests/flag_contract.sh BUILD_DIR
@@ -14,12 +15,17 @@ if [ $# -ne 1 ] || [ ! -d "$1/bench" ]; then
   exit 2
 fi
 build=$1
+src=$(cd "$(dirname "$0")/.." && pwd)
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 status=0
 checked=0
 
-for bin in "$build"/bench/bench_* "$build"/tools/flashcheck "$build"/tools/trace_gen \
+benches=()
+for source in "$src"/bench/bench_*.cc; do
+  benches+=("$build/bench/$(basename "$source" .cc)")
+done
+for bin in "${benches[@]}" "$build"/tools/flashcheck "$build"/tools/trace_gen \
   "$build"/tools/trace_stat "$build"/examples/webserver_cache \
   "$build"/examples/mailserver_writeback; do
   name=$(basename "$bin")

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/cache/write_back.h"
@@ -20,6 +23,7 @@
 #include "src/policy/policy_factory.h"
 #include "src/policy/write_rate_limiter.h"
 #include "src/ssc/ssc_device.h"
+#include "src/util/rng.h"
 
 namespace flashtier {
 namespace {
@@ -61,6 +65,99 @@ TEST(GhostTableTest, ForEachVisitsInRecencyOrder) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 10u);
   EXPECT_EQ(order[1], 20u);
+}
+
+// The node-based table GhostTable's flat layout replaced, kept as the
+// reference: a std::list in recency order and an unordered_map into it.
+class ReferenceGhostTable {
+ public:
+  explicit ReferenceGhostTable(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+
+  uint32_t Touch(Lbn lbn) {
+    auto it = index_.find(lbn);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return ++it->second->count;
+    }
+    if (lru_.size() >= capacity_) {
+      index_.erase(lru_.back().lbn);
+      lru_.pop_back();
+    }
+    lru_.push_front(Node{lbn, 1});
+    index_[lbn] = lru_.begin();
+    return 1;
+  }
+
+  bool Contains(Lbn lbn) const { return index_.count(lbn) != 0; }
+
+  uint32_t Count(Lbn lbn) const {
+    const auto it = index_.find(lbn);
+    return it == index_.end() ? 0 : it->second->count;
+  }
+
+  void Erase(Lbn lbn) {
+    auto it = index_.find(lbn);
+    if (it != index_.end()) {
+      lru_.erase(it->second);
+      index_.erase(it);
+    }
+  }
+
+  size_t size() const { return lru_.size(); }
+
+  std::vector<std::pair<Lbn, uint32_t>> Entries() const {
+    std::vector<std::pair<Lbn, uint32_t>> out;
+    for (const Node& node : lru_) {
+      out.emplace_back(node.lbn, node.count);
+    }
+    return out;
+  }
+
+ private:
+  struct Node {
+    Lbn lbn;
+    uint32_t count;
+  };
+
+  size_t capacity_;
+  std::list<Node> lru_;  // front = most recently used
+  std::unordered_map<Lbn, std::list<Node>::iterator> index_;
+};
+
+// Seeded random Touch/Erase/Contains/Count calls over about three times the
+// capacity in keys: every answer and size must match the reference, and so
+// must the recency order, which fixes the eviction victim.
+TEST(GhostTableTest, MatchesTheNodeBasedReference) {
+  for (const size_t capacity : {1, 2, 3, 64}) {
+    GhostTable table(capacity);
+    ReferenceGhostTable reference(capacity);
+    Rng rng(capacity);
+    const uint64_t keys = 3 * capacity + 1;
+    for (int call = 1; call <= 100'000; ++call) {
+      const Lbn lbn = rng.Below(keys);
+      switch (rng.Below(4)) {
+        case 0:
+          ASSERT_EQ(table.Touch(lbn), reference.Touch(lbn)) << "call " << call;
+          break;
+        case 1:
+          table.Erase(lbn);
+          reference.Erase(lbn);
+          break;
+        case 2:
+          ASSERT_EQ(table.Contains(lbn), reference.Contains(lbn)) << "call " << call;
+          break;
+        default:
+          ASSERT_EQ(table.Count(lbn), reference.Count(lbn)) << "call " << call;
+          break;
+      }
+      ASSERT_EQ(table.size(), reference.size()) << "call " << call;
+      if (call % 1000 == 0) {
+        std::vector<std::pair<Lbn, uint32_t>> entries;
+        table.ForEach([&entries](Lbn l, uint32_t count) { entries.emplace_back(l, count); });
+        ASSERT_EQ(entries, reference.Entries()) << "capacity " << capacity << " call " << call;
+      }
+    }
+  }
 }
 
 TEST(PolicyTest, AdmitAllAdmitsEverything) {

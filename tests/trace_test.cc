@@ -242,6 +242,48 @@ TEST(SyntheticWorkloadTest, WriteHeavyTracesConcentrateWritesOnHotBlocks) {
   EXPECT_GT(stats.MeanWritesPerBlock(0.25), 2.5 * stats.MeanWritesPerBlock(1.0));
 }
 
+// Folds the `bytes` low-order bytes of `value` into a 64-bit FNV-1a hash.
+uint64_t Fnv1a(uint64_t h, uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    h = (h ^ ((value >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+// The hash of every record a profile generates, each as LBN then op.
+uint64_t BlockTraceHash(const WorkloadProfile& profile) {
+  SyntheticWorkload w(profile);
+  uint64_t h = kFnvBasis;
+  TraceRecord r;
+  while (w.Next(&r)) {
+    h = Fnv1a(Fnv1a(h, r.lbn, 8), static_cast<uint64_t>(r.op), 1);
+  }
+  return h;
+}
+
+// Pins every generated record, so a generator, sampler or RNG change that
+// moves a record fails here in milliseconds rather than as moved pins of the
+// paper matrix. A deliberate change to the traces updates these constants
+// together with the pins it moves.
+TEST(SyntheticWorkloadTest, PaperProfilesGenerateThePinnedRecords) {
+  EXPECT_EQ(BlockTraceHash(HomesProfile(0.005)), 0x3a1a4e2fb639dfcfull);
+  EXPECT_EQ(BlockTraceHash(MailProfile(0.005)), 0x9d65543b0779c847ull);
+  EXPECT_EQ(BlockTraceHash(UsrProfile(0.005)), 0xc217d707b81db88eull);
+  EXPECT_EQ(BlockTraceHash(ProjProfile(0.005)), 0x0da89c22905bc91cull);
+}
+
+TEST(KvZipfWorkloadTest, GeneratesThePinnedRecords) {
+  KvZipfWorkload w(KvWorkloadProfile{});  // 20 k keys, 200 k operations
+  uint64_t h = kFnvBasis;
+  KvTraceRecord r;
+  while (w.Next(&r)) {
+    h = Fnv1a(Fnv1a(Fnv1a(h, r.key, 8), static_cast<uint64_t>(r.op), 1), r.size, 4);
+  }
+  EXPECT_EQ(h, 0x8a1b8e6bf04a565full);
+}
+
 TEST(TraceStatsTest, RegionDensitiesSparse) {
   SyntheticWorkload w(TestProfile());
   TraceStats stats;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -218,6 +219,74 @@ TEST(ZipfTest, Rank0FrequencyMatchesTheory) {
   }
   const double p = static_cast<double>(hits) / samples;
   EXPECT_NEAR(p, 1.0 / 7.485, 0.015);
+}
+
+// The closed-form rejection-inversion sampler that ZipfSampler's acceptance
+// table replaced, kept verbatim as the reference: the table must accept the
+// same rank on every draw, so every generated trace stays the same.
+class ClosedFormZipf {
+ public:
+  ClosedFormZipf(uint64_t n, double s) : n_(n), s_(s) {
+    h_x1_ = H(1.5) - 1.0;
+    h_n_ = H(static_cast<double>(n_) + 0.5);
+    dist_ = h_x1_ - h_n_;
+  }
+
+  uint64_t Sample(Rng& rng) {
+    while (true) {
+      const double u = h_n_ + rng.NextDouble() * dist_;
+      const double x = Hinv(u);
+      uint64_t k = static_cast<uint64_t>(x + 0.5);
+      if (k < 1) {
+        k = 1;
+      } else if (k > n_) {
+        k = n_;
+      }
+      const double kd = static_cast<double>(k);
+      if (u >= H(kd + 0.5) - std::exp(-std::log(kd) * s_)) {
+        return k - 1;
+      }
+    }
+  }
+
+ private:
+  // H(x) = integral of x^-s.
+  double H(double x) const {
+    if (s_ == 1.0) {
+      return std::log(x);
+    }
+    return std::exp((1.0 - s_) * std::log(x)) / (1.0 - s_);
+  }
+
+  double Hinv(double x) const {
+    if (s_ == 1.0) {
+      return std::exp(x);
+    }
+    return std::exp(std::log((1.0 - s_) * x) / (1.0 - s_));
+  }
+
+  uint64_t n_;
+  double s_;
+  double h_x1_;
+  double h_n_;
+  double dist_;
+};
+
+TEST(ZipfTest, TableDrawsMatchTheClosedForm) {
+  for (const uint64_t n : {1, 2, 7, 10'000, 125'000}) {
+    for (const double s : {0.8, 0.99, 1.0, 1.05, 1.25}) {
+      ZipfSampler table(n, s);
+      ClosedFormZipf closed(n, s);
+      Rng table_rng(n * 31 + 7);
+      Rng closed_rng(n * 31 + 7);
+      for (int i = 0; i < 200'000; ++i) {
+        ASSERT_EQ(table.Sample(table_rng), closed.Sample(closed_rng))
+            << "n " << n << " s " << s << " draw " << i;
+      }
+      // Both consumed the same uniforms, rejections included.
+      ASSERT_EQ(table_rng.Next(), closed_rng.Next()) << "n " << n << " s " << s;
+    }
+  }
 }
 
 // ---- Stats ----

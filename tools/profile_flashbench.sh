@@ -15,7 +15,14 @@
 # then replays one single-threaded round (--threads=1 --min-rounds=1), so the
 # profile is one thread doing all the work. It prints the top 30 rows; the
 # run's JSON result is left in build-profile/flashbench.json, the whole flat
-# profile in build-profile/profile.txt and the raw one in build-profile/gmon.out.
+# profile in build-profile/profile.txt, the call graph (`gprof -q`, each
+# function's inclusive time and its callers) in build-profile/callgraph.txt
+# and the raw profile in build-profile/gmon.out.
+#
+# The call graph cannot name allocation sites: static glibc is built without
+# mcount, so malloc, free and the _int_* functions record no caller and show
+# as <spontaneous>. Their flat-profile samples are still counted; which
+# structure allocates must be found from its callers' inclusive time.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -37,4 +44,5 @@ cd "$build"
 rm -f gmon.out
 ./flashbench --workload="$workload" --seed="$seed" --threads=1 --min-rounds=1 > flashbench.json
 gprof -b -p ./flashbench gmon.out > profile.txt
+gprof -b -q ./flashbench gmon.out > callgraph.txt
 head -n 35 profile.txt  # 5 header lines, 30 rows
