@@ -25,7 +25,7 @@ struct Result {
 
 Result Run(const WorkloadProfile& profile, uint32_t group_commit, uint64_t ckpt_interval) {
   SimClock clock;
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   SscConfig config;
   config.capacity_pages = CachePagesFor(profile);
   config.mode = ConsistencyMode::kFull;

@@ -28,7 +28,7 @@ struct Result {
 Result Run(const WorkloadProfile& profile, EvictionPolicy policy, uint32_t top_k,
            double max_log_fraction) {
   SimClock clock;
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   SscConfig config;
   // Size the cache against the *replayed* working set (not the full-trace
   // rule) so replacement pressure — the thing being ablated — is present.

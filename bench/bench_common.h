@@ -107,15 +107,15 @@ inline uint64_t CachePagesFor(const WorkloadProfile& profile, double fraction = 
 }
 
 inline void PrintHeader(const char* title) {
-  const FlashTimings t;
+  using T = FlashTimings;
   std::printf("==============================================================\n");
   std::printf("%s\n", title);
   std::printf("FlashTier reproduction — EuroSys'12 (Saxena, Swift, Zhang)\n");
   std::printf("Emulation parameters (Table 2): page read/write %lu/%lu us, "
               "erase %lu us, bus/ctrl %lu/%lu us, 10 planes, 64 pages/block, 4 KB pages\n",
-              (unsigned long)t.page_read_us, (unsigned long)t.page_write_us,
-              (unsigned long)t.block_erase_us, (unsigned long)t.bus_control_us,
-              (unsigned long)t.control_us);
+              (unsigned long)T::kPageReadUs, (unsigned long)T::kPageWriteUs,
+              (unsigned long)T::kBlockEraseUs, (unsigned long)T::kBusControlUs,
+              (unsigned long)T::kControlUs);
   std::printf("==============================================================\n");
 }
 

@@ -83,7 +83,7 @@ Row MeasureWorkload(const WorkloadProfile& profile, double cache_fraction,
   // state only for dirty blocks (20% threshold).
   {
     SsdFtl ssd(row.cache_pages + NativeCacheManager::kMetadataRegionPages, &clock);
-    DiskModel disk(DiskParams{}, &clock);
+    DiskModel disk(&clock);
     AdmitAllPolicy admit_all;
     NativeCacheManager native(&ssd, &disk, row.cache_pages, admit_all,
                               NativeCacheManager::Options{});

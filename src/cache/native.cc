@@ -413,7 +413,7 @@ uint64_t NativeCacheManager::RecoveryEstimateUs() const {
   // 22 bytes per cached block, read as 4 KB pages.
   const uint64_t bytes = occupied_ * 22;
   const uint64_t pages = bytes / 4096 + 1;
-  return pages * ssd_->device().timings().ReadCostUs();
+  return pages * FlashTimings::ReadCostUs();
 }
 
 }  // namespace flashtier

@@ -138,7 +138,7 @@ Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   const auto write_with_drain = [this](Lbn b, uint64_t t) {
     Status ws = ssc_->WriteDirty(b, t);
     for (uint32_t attempt = 0;
-         ws == Status::kBackpressure && attempt < kBackpressureRetryLimit; ++attempt) {
+         ws == Status::kBackpressure && attempt < SscDevice::kBackpressureDrainLimit; ++attempt) {
       ssc_->DrainLog();
       ws = ssc_->WriteDirty(b, t);
     }

@@ -78,9 +78,6 @@ class WriteBackManager final : public SscCacheManager {
   // the device has aged out, and honesty beats thrashing a sliver of flash.
   // Retirement is permanent, so this trip never clears.
   static constexpr uint32_t kMinUsableCapacityPct = 10;
-  // Bounded backpressure stall: how many drain-and-retry rounds a write
-  // spends before going around the cache.
-  static constexpr uint32_t kBackpressureRetryLimit = 4;
   // Consecutive failed writebacks before entering disk-degraded mode. Lower
   // than the flash trip limit: each writeback already survived the disk's
   // own retry loop, so two in a row mean the tier is down, not glitching.

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "src/check/invariant_checker.h"
 #include "src/util/json.h"
 
 namespace flashtier {
@@ -23,18 +24,15 @@ double RetiredPct(const std::vector<std::unique_ptr<SscDevice>>& sscs) {
 }  // namespace
 
 std::string AgingReport::ToString() const {
-  char buffer[384];
-  std::snprintf(buffer, sizeof(buffer),
-                "aging: %u epochs, %llu ops, %llu pages written (%llu ok): %llu violations, "
-                "%llu undetected corruptions, erase CV %.3f, write amp %.2f, "
-                "miss %.3f -> %.3f, retired %.1f%% (serving at %.1f%%)%s",
-                epochs_run, (unsigned long long)ops_executed,
-                (unsigned long long)host_pages_written, (unsigned long long)ok_writes,
-                (unsigned long long)violation_count,
-                (unsigned long long)undetected_corruptions, erase_cv, write_amp,
-                first_epoch_miss_rate, last_epoch_miss_rate, max_retired_pct, serving_retired_pct,
-                write_exhausted ? ", write-exhausted" : "");
-  std::string out(buffer);
+  std::string out =
+      Fmt("aging: %u epochs, %llu ops, %llu pages written (%llu ok): %llu violations, "
+          "%llu undetected corruptions, erase CV %.3f, write amp %.2f, "
+          "miss %.3f -> %.3f, retired %.1f%% (serving at %.1f%%)%s",
+          epochs_run, (unsigned long long)ops_executed, (unsigned long long)host_pages_written,
+          (unsigned long long)ok_writes, (unsigned long long)violation_count,
+          (unsigned long long)undetected_corruptions, erase_cv, write_amp, first_epoch_miss_rate,
+          last_epoch_miss_rate, max_retired_pct, serving_retired_pct,
+          write_exhausted ? ", write-exhausted" : "");
   AppendSamples(&out);
   return out;
 }

@@ -1,7 +1,6 @@
 #include "src/check/disk_guard.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <unordered_set>
 
@@ -46,7 +45,7 @@ class HostTarget : public SscShardTarget {
       : SscShardTarget(options.device),
         options_(options),
         report_(report),
-        disk_(options.disk, &clock_),
+        disk_(&clock_),
         shadow_(options.address_blocks) {
     disk_.set_fault_plan(options.disk_faults);
     disk_.set_retry_policy(options.disk_retry);
@@ -261,18 +260,15 @@ class HostTarget : public SscShardTarget {
 }  // namespace
 
 std::string DiskGuardReport::ToString() const {
-  char buffer[384];
-  std::snprintf(buffer, sizeof(buffer),
-                "disk-guard: %u cycles, %llu ops, %llu crashes (%llu in recovery), "
-                "%llu write / %llu read refusals, %llu losses notified, "
-                "%llu rescued reads, %llu parked, %llu scrubbed: %llu violations",
-                cycles_run, (unsigned long long)ops_executed, (unsigned long long)crashes,
-                (unsigned long long)recovery_crashes, (unsigned long long)write_errors,
-                (unsigned long long)read_errors, (unsigned long long)loss_notifications,
-                (unsigned long long)manager.rescued_reads,
-                (unsigned long long)manager.parked_writebacks,
-                (unsigned long long)manager.scrub_repairs, (unsigned long long)violation_count);
-  std::string out(buffer);
+  std::string out =
+      Fmt("disk-guard: %u cycles, %llu ops, %llu crashes (%llu in recovery), "
+          "%llu write / %llu read refusals, %llu losses notified, "
+          "%llu rescued reads, %llu parked, %llu scrubbed: %llu violations",
+          cycles_run, (unsigned long long)ops_executed, (unsigned long long)crashes,
+          (unsigned long long)recovery_crashes, (unsigned long long)write_errors,
+          (unsigned long long)read_errors, (unsigned long long)loss_notifications,
+          (unsigned long long)manager.rescued_reads, (unsigned long long)manager.parked_writebacks,
+          (unsigned long long)manager.scrub_repairs, (unsigned long long)violation_count);
   AppendSamples(&out);
   return out;
 }

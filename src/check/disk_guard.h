@@ -60,7 +60,6 @@ struct DiskGuardOptions {
   uint32_t scrub_period = 64;
   uint32_t scrub_budget = 8;
 
-  DiskParams disk;
   DiskFaultPlan disk_faults;  // the point of the harness
   RetryPolicy disk_retry;
 };

@@ -514,9 +514,10 @@ Status BlockTarget::IssueOp(WorkloadOpKind kind, const WorkloadOp& op, uint64_t*
       };
       Status s = write();
       if (s == Status::kBackpressure) {
-        // Bounded stall, as the write-back manager would do: drain the log
-        // (forcing a checkpoint) and retry once. The drain crosses commit
-        // points of its own, so crashes inside the stall are explored too.
+        // Bounded stall of one drain, fewer than the managers'
+        // SscDevice::kBackpressureDrainLimit: drain the log (forcing a
+        // checkpoint) and retry once. The drain crosses commit points of its
+        // own, so crashes inside the stall are explored too.
         d.DrainLog();
         s = write();
       }

@@ -1,18 +1,15 @@
 #include "src/check/shadow_model.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "src/check/invariant_checker.h"
 #include "src/util/bitmap.h"
 #include "src/util/rng.h"
 
 namespace flashtier {
 
 std::string FmtShadowViolation(const char* guarantee, Lbn lbn, const char* what) {
-  char buffer[192];
-  std::snprintf(buffer, sizeof(buffer), "%s: lbn %llu %s", guarantee, (unsigned long long)lbn,
-                what);
-  return std::string(buffer);
+  return Fmt("%s: lbn %llu %s", guarantee, (unsigned long long)lbn, what);
 }
 
 std::vector<WorkloadOp> BuildWorkloadScript(uint64_t seed, uint32_t ops, uint64_t address_blocks,

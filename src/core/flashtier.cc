@@ -57,7 +57,7 @@ FlashTierSystem::FlashTierSystem(const SystemConfig& config) : config_(config) {
   for (uint32_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
     const SscConfig slice = ShardSscConfig(device, shard_count, i);
-    shard->disk = std::make_unique<DiskModel>(DiskParams{}, &shard->clock);
+    shard->disk = std::make_unique<DiskModel>(&shard->clock);
     if (config.disk_faults.enabled) {
       DiskFaultPlan plan = config.disk_faults;
       plan.seed = ShardSeed(config.disk_faults.seed, i);

@@ -2,22 +2,18 @@
 
 namespace flashtier {
 
-uint64_t DiskModel::EstimateUs(Lbn lbn, uint32_t blocks, bool sequential_hint) const {
-  uint64_t us = static_cast<uint64_t>(blocks) * params_.transfer_us_per_4k;
-  const bool sequential =
-      sequential_hint || (next_sequential_ != kInvalidLbn && lbn >= next_sequential_ &&
-                          lbn - next_sequential_ < params_.seq_window_blocks);
-  if (sequential) {
-    us += params_.track_seek_us / 4;  // head settle only
-  } else {
-    us += params_.avg_seek_us + params_.avg_rotation_us;
-  }
-  const uint32_t spindles = params_.spindles == 0 ? 1 : params_.spindles;
-  return spindles == 1 ? us : us / spindles + 1;
-}
-
 void DiskModel::Charge(Lbn lbn, uint32_t blocks, bool is_write) {
-  const uint64_t us = EstimateUs(lbn, blocks, /*sequential_hint=*/false);
+  uint64_t us = static_cast<uint64_t>(blocks) * kTransferUsPer4k;
+  const bool sequential = next_sequential_ != kInvalidLbn && lbn >= next_sequential_ &&
+                          lbn - next_sequential_ < kSeqWindowBlocks;
+  if (sequential) {
+    us += kTrackSeekUs / 4;  // head settle only
+  } else {
+    us += kAvgSeekUs + kAvgRotationUs;
+  }
+  if (kSpindles > 1) {
+    us = us / kSpindles + 1;
+  }
   clock_->Advance(us);
   stats_.busy_us += us;
   if (is_write) {

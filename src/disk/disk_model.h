@@ -2,9 +2,9 @@
 //
 // The paper's testbed backs the cache with a disk system in the ~few-hundred
 // random IOPS class (Section 2 uses "a 500 IOPS disk system" as its example).
-// We model a single drive with seek + rotational + transfer components and
-// sequential-access detection; requests are serviced in issue order
-// (closed-loop replay never queues more than one request).
+// We model one volume, a stripe of 7200 RPM-class drives, with seek +
+// rotational + transfer components and sequential-access detection;
+// requests are serviced in issue order.
 //
 // DiskGuard extends the model with a deterministic fault plan (latent sector
 // errors, transient failures, slow-IO spikes; see disk_fault_plan.h) and
@@ -30,22 +30,6 @@
 #include "src/util/status.h"
 
 namespace flashtier {
-
-struct DiskParams {
-  // 7200 RPM-class drive.
-  uint64_t avg_seek_us = 4200;          // average seek
-  uint64_t track_seek_us = 600;         // short seek for near-sequential access
-  uint64_t avg_rotation_us = 4167;      // half revolution at 7200 RPM
-  uint64_t transfer_us_per_4k = 30;     // ~130 MB/s media rate
-  // Accesses within this many blocks of the previous end are "sequential":
-  // no seek, no rotational delay beyond settle.
-  uint64_t seq_window_blocks = 64;
-  // Spindles in the striped volume. The paper's traces come from multi-disk
-  // enterprise volumes (file/mail servers, data-center filers); under load,
-  // requests spread across spindles, dividing effective service time. Set to
-  // 1 for the single-disk / "500 IOPS disk system" of Section 2.
-  uint32_t spindles = 8;
-};
 
 struct DiskStats {
   uint64_t reads = 0;
@@ -86,7 +70,22 @@ static_assert(AllCountersListed<DiskStats>(), "list every DiskStats field in kFi
 
 class DiskModel {
  public:
-  DiskModel(const DiskParams& params, SimClock* clock) : params_(params), clock_(clock) {}
+  // The volume every system runs. Public so tests can compute expected costs.
+  // Each 7200 RPM-class drive:
+  static constexpr uint64_t kAvgSeekUs = 4200;      // average seek
+  static constexpr uint64_t kTrackSeekUs = 600;     // short seek for near-sequential access
+  static constexpr uint64_t kAvgRotationUs = 4167;  // half revolution at 7200 RPM
+  static constexpr uint64_t kTransferUsPer4k = 30;  // ~130 MB/s media rate
+  // Accesses within this many blocks of the previous end are "sequential":
+  // no seek, no rotational delay beyond settle.
+  static constexpr uint64_t kSeqWindowBlocks = 64;
+  // Spindles in the striped volume. The paper's traces come from multi-disk
+  // enterprise volumes (file/mail servers, data-center filers); under load,
+  // requests spread across spindles, dividing effective service time. 1 is
+  // the single-disk "500 IOPS disk system" of Section 2.
+  static constexpr uint32_t kSpindles = 8;
+
+  explicit DiskModel(SimClock* clock) : clock_(clock) {}
 
   // Content a block holds before anything is written to it; lets correctness
   // oracles predict cold reads without populating the whole disk.
@@ -118,10 +117,6 @@ class DiskModel {
   // The disk's virtual clock (shared with the rest of its shard); lets
   // callers schedule virtual-time deadlines without holding the clock.
   uint64_t now_us() const { return clock_->now_us(); }
-
-  // Service time the model would charge for the next access, without
-  // performing it (used by recovery-time estimation).
-  uint64_t EstimateUs(Lbn lbn, uint32_t blocks, bool sequential_hint) const;
 
   // ---- DiskGuard fault plan ----
 
@@ -164,7 +159,6 @@ class DiskModel {
   template <typename Op>
   Status Guarded(Op op);
 
-  DiskParams params_;
   SimClock* clock_;  // not owned
   Lbn next_sequential_ = kInvalidLbn;
   std::unordered_map<Lbn, uint64_t> contents_;

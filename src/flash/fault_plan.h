@@ -62,7 +62,6 @@ struct FaultStats {
   uint64_t program_failures = 0;   // program ops rejected (injected or sticky)
   uint64_t erase_failures = 0;     // erase ops rejected; block is bad after
   uint64_t read_corruptions = 0;   // reads that returned kCorrupt
-  uint64_t crc_mismatches = 0;     // stored-data CRC checks that failed
   uint64_t read_disturbs = 0;      // corruption onsets caused by read disturb
   uint64_t retention_failures = 0; // corruption onsets caused by retention decay
 
@@ -71,7 +70,6 @@ struct FaultStats {
       {"program_failures", &FaultStats::program_failures},
       {"erase_failures", &FaultStats::erase_failures},
       {"read_corruptions", &FaultStats::read_corruptions},
-      {"crc_mismatches", &FaultStats::crc_mismatches},
       {"read_disturbs", &FaultStats::read_disturbs},
       {"retention_failures", &FaultStats::retention_failures},
   };

@@ -2,31 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-
-#include "src/util/crc32.h"
 
 namespace flashtier {
 
-FlashDevice::FlashDevice(const FlashGeometry& geometry, const FlashTimings& timings,
-                         SimClock* clock, bool store_data, const FaultPlan& faults)
+FlashDevice::FlashDevice(const FlashGeometry& geometry, SimClock* clock, const FaultPlan& faults)
     : geometry_(geometry),
-      timings_(timings),
       clock_(clock),
-      pipeline_(geometry, timings, clock),
-      store_data_(store_data),
+      pipeline_(geometry, clock),
       faults_(faults),
       fault_rng_(faults.seed),
       pages_(geometry.TotalPages()),
       blocks_(geometry.TotalBlocks()) {}
 
 void FlashDevice::Charge(FlashPipeline::Op op, uint32_t plane) {
-  stats_.busy_us += pipeline_.NominalCostUs(op);
+  stats_.busy_us += FlashPipeline::NominalCostUs(op);
   pipeline_.Execute(op, plane);
 }
 
 void FlashDevice::ChargeCopy(uint32_t src_plane, uint32_t dst_plane) {
-  stats_.busy_us += timings_.CopyCostUs();
+  stats_.busy_us += FlashTimings::CopyCostUs();
   pipeline_.ExecuteCopy(src_plane, dst_plane);
 }
 
@@ -50,8 +44,7 @@ void FlashDevice::MaybeWearFaultOnRead(Block& b, Page& page) {
   }
 }
 
-Status FlashDevice::ProgramPage(PhysBlock block, const OobRecord& oob, uint64_t token,
-                                const uint8_t* data, Ppn* ppn) {
+Status FlashDevice::ProgramPage(PhysBlock block, const OobRecord& oob, uint64_t token, Ppn* ppn) {
   if (block >= blocks_.size()) {
     return Status::kInvalidArgument;
   }
@@ -84,11 +77,6 @@ Status FlashDevice::ProgramPage(PhysBlock block, const OobRecord& oob, uint64_t 
   page.oob.seq = next_seq_++;
   page.token = token;
   page.programmed_at_us = clock_->now_us();
-  if (store_data_ && data != nullptr) {
-    data_[p].assign(data, data + geometry_.page_size);
-    page.crc = Crc32c(data, geometry_.page_size);
-    page.has_crc = true;
-  }
   ++stats_.page_writes;
   Charge(FlashPipeline::Op::kWrite, geometry_.PlaneOf(block));
   if (ppn != nullptr) {
@@ -97,7 +85,7 @@ Status FlashDevice::ProgramPage(PhysBlock block, const OobRecord& oob, uint64_t 
   return Status::kOk;
 }
 
-Status FlashDevice::ReadPage(Ppn ppn, uint64_t* token, OobRecord* oob_out, uint8_t* data) {
+Status FlashDevice::ReadPage(Ppn ppn, uint64_t* token) {
   if (ppn >= pages_.size()) {
     return Status::kInvalidArgument;
   }
@@ -124,24 +112,8 @@ Status FlashDevice::ReadPage(Ppn ppn, uint64_t* token, OobRecord* oob_out, uint8
   if (token != nullptr) {
     *token = page.token;
   }
-  if (oob_out != nullptr) {
-    *oob_out = page.oob;
-  }
-  if (data != nullptr) {
-    const auto it = data_.find(ppn);
-    if (it != data_.end()) {
-      std::memcpy(data, it->second.data(), geometry_.page_size);
-    } else {
-      std::memset(data, 0, geometry_.page_size);
-    }
-  }
   ++stats_.page_reads;
   Charge(FlashPipeline::Op::kRead, geometry_.PlaneOf(geometry_.BlockOf(ppn)));
-  if (data != nullptr && page.has_crc &&
-      Crc32c(data, geometry_.page_size) != page.crc) {
-    ++fault_stats_.crc_mismatches;
-    return Status::kCorrupt;
-  }
   return Status::kOk;
 }
 
@@ -224,13 +196,8 @@ Status FlashDevice::EraseBlock(PhysBlock block) {
     page.state = PageState::kFree;
     page.oob = OobRecord{};
     page.token = 0;
-    page.crc = 0;
-    page.has_crc = false;
     page.corrupt = false;
     page.programmed_at_us = 0;
-    if (store_data_) {
-      data_.erase(first + i);
-    }
   }
   b.next_page = 0;
   b.valid_pages = 0;
@@ -292,22 +259,11 @@ Status FlashDevice::CopyPage(Ppn src, PhysBlock dst_block, Ppn* dst_ppn) {
   dst_page.state = PageState::kValid;
   dst_page.oob = src_page.oob;  // the copied page is the same logical version
   dst_page.token = src_page.token;
-  dst_page.crc = src_page.crc;
-  dst_page.has_crc = src_page.has_crc;
   // The copy is a fresh program: its retention clock restarts, which is what
   // makes patrol-scrub relocation an actual repair.
   dst_page.programmed_at_us = clock_->now_us();
-  if (store_data_) {
-    const auto it = data_.find(src);
-    if (it != data_.end()) {
-      data_[dst] = it->second;
-    }
-  }
   src_page.state = PageState::kInvalid;
   --blocks_[geometry_.BlockOf(src)].valid_pages;
-  if (store_data_) {
-    data_.erase(src);
-  }
   ++stats_.gc_copies;
   ChargeCopy(geometry_.PlaneOf(geometry_.BlockOf(src)), geometry_.PlaneOf(dst_block));
   if (dst_ppn != nullptr) {
@@ -344,17 +300,6 @@ uint32_t FlashDevice::MaxWearDiff() const {
     hi = std::max(hi, b.erase_count);
   }
   return hi - lo;
-}
-
-size_t FlashDevice::MemoryUsage() const {
-  return pages_.capacity() * sizeof(Page) + blocks_.capacity() * sizeof(Block);
-}
-
-void FlashDevice::CorruptStoredDataForTesting(Ppn ppn) {
-  const auto it = data_.find(ppn);
-  if (it != data_.end() && !it->second.empty()) {
-    it->second[0] ^= 0xFF;
-  }
 }
 
 double EraseCountCv(const std::vector<const FlashDevice*>& media) {

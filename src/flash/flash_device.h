@@ -10,14 +10,12 @@
 //
 // Every cached page carries an 8-byte "content token" so correctness tests
 // can detect stale reads without storing 4 KB payloads ("David"-style
-// emulation, Section 5). Full payload storage can be enabled per-device for
-// end-to-end data-integrity tests.
+// emulation, Section 5); no page stores a payload.
 
 #ifndef FLASHTIER_FLASH_FLASH_DEVICE_H_
 #define FLASHTIER_FLASH_FLASH_DEVICE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/flash/fault_plan.h"
@@ -72,11 +70,10 @@ static_assert(AllCountersListed<FlashStats>(), "list every FlashStats field in k
 
 class FlashDevice {
  public:
-  FlashDevice(const FlashGeometry& geometry, const FlashTimings& timings, SimClock* clock,
-              bool store_data = false, const FaultPlan& faults = FaultPlan{});
+  FlashDevice(const FlashGeometry& geometry, SimClock* clock,
+              const FaultPlan& faults = FaultPlan{});
 
   const FlashGeometry& geometry() const { return geometry_; }
-  const FlashTimings& timings() const { return timings_; }
   const FlashStats& stats() const { return stats_; }
   const FaultStats& fault_stats() const { return fault_stats_; }
   const FaultPlan& fault_plan() const { return faults_; }
@@ -111,14 +108,12 @@ class FlashDevice {
 
   // Programs the next free page of `block`; returns the assigned PPN through
   // `*ppn`. Fails with kNoSpace if the block is full. The token identifies
-  // the page contents for verification; `data` (optional, page_size bytes)
-  // is retained only if store_data was requested.
-  Status ProgramPage(PhysBlock block, const OobRecord& oob, uint64_t token, const uint8_t* data,
-                     Ppn* ppn);
+  // the page contents for verification.
+  Status ProgramPage(PhysBlock block, const OobRecord& oob, uint64_t token, Ppn* ppn);
 
-  // Reads a valid or invalid (but programmed) page. `token`/`oob_out`/`data`
-  // may be null if the caller does not need them.
-  Status ReadPage(Ppn ppn, uint64_t* token, OobRecord* oob_out, uint8_t* data);
+  // Reads a valid or invalid (but programmed) page. `token` may be null if
+  // the caller does not need it.
+  Status ReadPage(Ppn ppn, uint64_t* token);
 
   // Reads only the OOB area (cheaper; used by recovery scans).
   Status ReadOob(Ppn ppn, OobRecord* oob_out);
@@ -150,15 +145,6 @@ class FlashDevice {
   // Table 5).
   uint32_t MaxWearDiff() const;
 
-  // Approximate device-DRAM the medium itself consumes (not FTL maps); the
-  // memory experiments only account FTL state, so this is informational.
-  size_t MemoryUsage() const;
-
-  // Flips a byte of the stored payload of `ppn` without updating its CRC, so
-  // integrity tests can prove the read-time CRC check catches silent
-  // corruption. Requires store_data; no-op if the page has no payload.
-  void CorruptStoredDataForTesting(Ppn ppn);
-
   // Suspends NEW fault draws (and their op-ordinal accounting) while leaving
   // sticky fault state — bad blocks, program-failed blocks, corrupt pages —
   // fully in effect. Verification harnesses pause injection while observing
@@ -174,13 +160,12 @@ class FlashDevice {
  private:
   struct Page {
     PageState state = PageState::kFree;
+    bool corrupt = false;  // injected uncorrectable read error; sticky until erase
     OobRecord oob;
     uint64_t token = 0;
-    uint32_t crc = 0;        // CRC32-C of the stored payload (store_data only)
-    bool has_crc = false;
-    bool corrupt = false;    // injected uncorrectable read error; sticky until erase
     uint64_t programmed_at_us = 0;  // virtual program time, for retention decay
   };
+  static_assert(sizeof(Page) == 48, "one Page per physical page: keep it packed");
   struct Block {
     uint32_t next_page = 0;
     uint32_t valid_pages = 0;
@@ -201,16 +186,13 @@ class FlashDevice {
   void ChargeCopy(uint32_t src_plane, uint32_t dst_plane);
 
   FlashGeometry geometry_;
-  FlashTimings timings_;
   SimClock* clock_;  // not owned
   FlashPipeline pipeline_;
-  bool store_data_;
   FaultPlan faults_;
   bool fault_injection_paused_ = false;
   Rng fault_rng_;
   std::vector<Page> pages_;
   std::vector<Block> blocks_;
-  std::unordered_map<Ppn, std::vector<uint8_t>> data_;
   FlashStats stats_;
   FaultStats fault_stats_;
   uint64_t next_seq_ = 1;

@@ -2,18 +2,18 @@
 
 namespace flashtier {
 
-uint64_t FlashPipeline::NominalCostUs(Op op) const {
+uint64_t FlashPipeline::NominalCostUs(Op op) {
   switch (op) {
     case Op::kRead:
-      return timings_.ReadCostUs();
+      return FlashTimings::ReadCostUs();
     case Op::kWrite:
-      return timings_.WriteCostUs();
+      return FlashTimings::WriteCostUs();
     case Op::kErase:
-      return timings_.EraseCostUs();
+      return FlashTimings::EraseCostUs();
     case Op::kCopy:
-      return timings_.CopyCostUs();
+      return FlashTimings::CopyCostUs();
     case Op::kOobRead:
-      return timings_.OobReadCostUs();
+      return FlashTimings::OobReadCostUs();
   }
   return 0;
 }
@@ -36,32 +36,32 @@ FlashPipeline::Completion FlashPipeline::Execute(Op op, uint32_t plane) {
       // sense) would block every later command for the whole 77 us — the
       // upfront slot is the standard simplification that lets transfers
       // interleave with other planes' sense time.
-      const uint64_t xfer = timings_.control_us + timings_.bus_control_us;
+      const uint64_t xfer = FlashTimings::kControlUs + FlashTimings::kBusControlUs;
       const uint64_t cmd_done = channel.Occupy(t, xfer);
       c.start_us = cmd_done - xfer;
-      t = array.Occupy(cmd_done, timings_.page_read_us);
+      t = array.Occupy(cmd_done, FlashTimings::kPageReadUs);
       break;
     }
     case Op::kOobRead: {
       // Command dispatch, array sense; the OOB bytes ride the command
       // response (no data transfer phase — OobReadCostUs charges none).
-      const uint64_t cmd_done = channel.Occupy(t, timings_.control_us);
-      c.start_us = cmd_done - timings_.control_us;
-      t = array.Occupy(cmd_done, timings_.page_read_us);
+      const uint64_t cmd_done = channel.Occupy(t, FlashTimings::kControlUs);
+      c.start_us = cmd_done - FlashTimings::kControlUs;
+      t = array.Occupy(cmd_done, FlashTimings::kPageReadUs);
       break;
     }
     case Op::kWrite: {
       // Command + bus transfer in, then array program.
-      const uint64_t xfer = timings_.control_us + timings_.bus_control_us;
+      const uint64_t xfer = FlashTimings::kControlUs + FlashTimings::kBusControlUs;
       const uint64_t xfer_done = channel.Occupy(t, xfer);
       c.start_us = xfer_done - xfer;
-      t = array.Occupy(xfer_done, timings_.page_write_us);
+      t = array.Occupy(xfer_done, FlashTimings::kPageWriteUs);
       break;
     }
     case Op::kErase: {
-      const uint64_t cmd_done = channel.Occupy(t, timings_.control_us);
-      c.start_us = cmd_done - timings_.control_us;
-      t = array.Occupy(cmd_done, timings_.block_erase_us);
+      const uint64_t cmd_done = channel.Occupy(t, FlashTimings::kControlUs);
+      c.start_us = cmd_done - FlashTimings::kControlUs;
+      t = array.Occupy(cmd_done, FlashTimings::kBlockEraseUs);
       break;
     }
     case Op::kCopy:
@@ -79,10 +79,10 @@ FlashPipeline::Completion FlashPipeline::ExecuteCopy(uint32_t src_plane, uint32_
   const uint64_t chain = clock_->now_us();
   Completion c;
   c.seq = ++seq_;
-  const uint64_t cmd_done = ChannelRes(dst_plane).Occupy(chain, timings_.control_us);
-  c.start_us = cmd_done - timings_.control_us;
-  const uint64_t sense_done = PlaneRes(src_plane).Occupy(cmd_done, timings_.page_read_us);
-  c.done_us = PlaneRes(dst_plane).Occupy(sense_done, timings_.page_write_us);
+  const uint64_t cmd_done = ChannelRes(dst_plane).Occupy(chain, FlashTimings::kControlUs);
+  c.start_us = cmd_done - FlashTimings::kControlUs;
+  const uint64_t sense_done = PlaneRes(src_plane).Occupy(cmd_done, FlashTimings::kPageReadUs);
+  c.done_us = PlaneRes(dst_plane).Occupy(sense_done, FlashTimings::kPageWriteUs);
   clock_->SyncTo(c.done_us);
   return c;
 }

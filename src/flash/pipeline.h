@@ -71,10 +71,8 @@ class FlashPipeline {
     uint64_t seq = 0;
   };
 
-  FlashPipeline(const FlashGeometry& geometry, const FlashTimings& timings, SimClock* clock)
-      : geometry_(geometry),
-        timings_(timings),
-        clock_(clock),
+  FlashPipeline(const FlashGeometry& geometry, SimClock* clock)
+      : clock_(clock),
         planes_(geometry.planes == 0 ? 1 : geometry.planes),
         channels_(geometry.channels == 0 ? 1 : geometry.channels) {}
 
@@ -99,7 +97,7 @@ class FlashPipeline {
 
   // Nominal uncontended service time of `op`: what Execute's makespan equals
   // when no resource is busy, as at queue depth 1.
-  uint64_t NominalCostUs(Op op) const;
+  static uint64_t NominalCostUs(Op op);
 
   // Power failure: in-flight phases are lost with the device's RAM; every
   // resource frontier returns to idle.
@@ -111,8 +109,6 @@ class FlashPipeline {
   PipelineResource& PlaneRes(uint32_t plane) { return planes_[plane % planes_.size()]; }
   PipelineResource& ChannelRes(uint32_t plane) { return channels_[plane % channels_.size()]; }
 
-  FlashGeometry geometry_;
-  FlashTimings timings_;
   SimClock* clock_;  // not owned
   std::vector<PipelineResource> planes_;
   std::vector<PipelineResource> channels_;

@@ -10,9 +10,10 @@
 // the chain never moves back and each operation's service time simply
 // accumulates — the classic depth-1 model. At queue depth N requests overlap;
 // contention between them is then carried by the per-plane/per-channel
-// resources of the FlashPipeline event engine, not by the chain itself. Submit times are nondecreasing by construction
-// (BeginRequest clamps to the issue floor), so no component ever observes a
-// request *starting* earlier than a previous request started.
+// resources of the FlashPipeline event engine, not by the chain itself.
+// Submit times are nondecreasing by construction (BeginRequest clamps to the
+// issue floor), so no component ever observes a request *starting* earlier
+// than a previous request started.
 
 #ifndef FLASHTIER_FLASH_TIMING_H_
 #define FLASHTIER_FLASH_TIMING_H_
@@ -21,30 +22,31 @@
 
 namespace flashtier {
 
+// Table 2: Intel 300-series-derived NAND latencies, microseconds. Every
+// device runs these; the emulated medium has no other timing.
 struct FlashTimings {
-  // Table 2: Intel 300-series-derived NAND latencies, microseconds.
-  uint64_t page_read_us = 65;
-  uint64_t page_write_us = 85;
-  uint64_t block_erase_us = 1000;
-  uint64_t bus_control_us = 2;   // per-transfer bus control delay
-  uint64_t control_us = 10;      // per-command controller delay
+  static constexpr uint64_t kPageReadUs = 65;
+  static constexpr uint64_t kPageWriteUs = 85;
+  static constexpr uint64_t kBlockEraseUs = 1000;
+  static constexpr uint64_t kBusControlUs = 2;  // per-transfer bus control delay
+  static constexpr uint64_t kControlUs = 10;    // per-command controller delay
   // Latency of the atomic-write primitive (Ouyang et al. [33]) used for
   // synchronous sub-page log commits. Calibrated so FlashTier's consistency
   // overhead lands in the paper's measured <26 us added response time.
-  uint64_t atomic_write_us = 25;
+  static constexpr uint64_t kAtomicWriteUs = 25;
 
   // Host-visible page read: command + media read + bus transfer out.
-  constexpr uint64_t ReadCostUs() const { return control_us + page_read_us + bus_control_us; }
+  static constexpr uint64_t ReadCostUs() { return kControlUs + kPageReadUs + kBusControlUs; }
   // Host-visible page program: command + bus transfer in + media program.
-  constexpr uint64_t WriteCostUs() const { return control_us + bus_control_us + page_write_us; }
-  constexpr uint64_t EraseCostUs() const { return control_us + block_erase_us; }
+  static constexpr uint64_t WriteCostUs() { return kControlUs + kBusControlUs + kPageWriteUs; }
+  static constexpr uint64_t EraseCostUs() { return kControlUs + kBlockEraseUs; }
   // Internal GC copy (copy-back): media read + program, one command, no host
   // bus transfer.
-  constexpr uint64_t CopyCostUs() const { return control_us + page_read_us + page_write_us; }
+  static constexpr uint64_t CopyCostUs() { return kControlUs + kPageReadUs + kPageWriteUs; }
   // Reading only a page's out-of-band area (used by the native system's
   // recovery scan): command + a short transfer; media access is still a full
   // page-register load so we charge the page read.
-  constexpr uint64_t OobReadCostUs() const { return control_us + page_read_us; }
+  static constexpr uint64_t OobReadCostUs() { return kControlUs + kPageReadUs; }
 };
 
 // Monotonic-submit virtual time in microseconds, shared by all devices in one
@@ -53,7 +55,6 @@ class SimClock {
  public:
   // Completion frontier of the dependency chain currently being extended.
   uint64_t now_us() const { return now_us_; }
-  double now_seconds() const { return static_cast<double>(now_us_) / 1e6; }
 
   // Serialized charge: the chain (and whoever depends on it) waits `us`.
   void Advance(uint64_t us) { now_us_ += us; }

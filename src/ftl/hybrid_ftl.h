@@ -66,7 +66,6 @@ class InvariantChecker;
 // The engine's settings, the same for both devices: SsdFtl::Options names
 // this struct, and SscConfig derives from it.
 struct FtlOptions {
-  FlashTimings timings;
   FlashGeometry geometry;  // plane layout template; plane size scales to fit
   // Medium fault injection (DESIGN.md §5d); disabled by default, so ordinary
   // configurations are unaffected.
@@ -252,13 +251,13 @@ Status HybridFtl<Device>::AppendToLog(uint32_t min_free, const OobRecord& oob, u
   if (Status s = EnsureActiveLogBlock(); !IsOk(s)) {
     return s;
   }
-  Status ps = device_->ProgramPage(log_blocks_.back(), oob, token, nullptr, ppn);
+  Status ps = device_->ProgramPage(log_blocks_.back(), oob, token, ppn);
   for (uint32_t retry = 0; ps == Status::kIoError && retry < kProgramRetryLimit; ++retry) {
     ++ftl_stats_.program_retries;
     if (Status s = EnsureActiveLogBlock(); !IsOk(s)) {
       return s;
     }
-    ps = device_->ProgramPage(log_blocks_.back(), oob, token, nullptr, ppn);
+    ps = device_->ProgramPage(log_blocks_.back(), oob, token, ppn);
   }
   if (IsOk(ps)) {
     log_contents_[log_blocks_.back()].push_back(oob.lbn);

@@ -49,7 +49,7 @@ KvShard::KvShard(const KvCacheConfig& config, uint32_t shard_index)
 
 Status KvShard::AdmitWithDrain() {
   PersistenceManager* pm = ssc_->persist();
-  for (int attempt = 0; attempt < 4; ++attempt) {
+  for (uint32_t attempt = 0; attempt < SscDevice::kBackpressureDrainLimit; ++attempt) {
     if (pm->AdmitHostOp()) {
       return Status::kOk;
     }
@@ -104,7 +104,7 @@ Status KvShard::SealOpenSlab() {
     const Lbn lbn = SlabBaseLbn(seq) + p;
     const uint64_t token = SlabPageToken(seq, p);
     Status st = Status::kOk;
-    int drains = 0;
+    uint32_t drains = 0;
     while (true) {
       st = dirty_any ? ssc_->WriteDirty(lbn, token) : ssc_->WriteClean(lbn, token);
       if (st == Status::kNoSpace) {
@@ -115,7 +115,7 @@ Status KvShard::SealOpenSlab() {
         }
         break;  // every remaining sealed slab still holds dirty objects
       }
-      if (st == Status::kBackpressure && drains < 4) {
+      if (st == Status::kBackpressure && drains < SscDevice::kBackpressureDrainLimit) {
         ++drains;
         ++stats_.backpressure_stalls;
         ssc_->DrainLog();

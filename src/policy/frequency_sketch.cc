@@ -22,17 +22,13 @@ FrequencySketchPolicy::FrequencySketchPolicy(const Options& options,
                                              size_t reject_ghost_entries)
     : AdmissionPolicy(reject_ghost_entries),
       width_(RoundUpPow2(std::max<uint32_t>(64, options.width))),
-      rows_(std::max<uint32_t>(1, options.rows)),
-      threshold_(std::max<uint32_t>(1, options.admit_threshold)),
-      halve_interval_(options.halve_interval != 0 ? options.halve_interval
-                                                  : 8ull * width_) {
-  row_seeds_.reserve(rows_);
-  for (uint32_t r = 0; r < rows_; ++r) {
+      threshold_(std::max<uint32_t>(1, options.admit_threshold)) {
+  for (uint32_t r = 0; r < kRows; ++r) {
     // Distinct per-row hash seeds derived from the configured seed; the
     // golden-ratio stride decorrelates rows even for adjacent seeds.
-    row_seeds_.push_back(MixHash64(options.seed + 0x9e3779b97f4a7c15ull * (r + 1)));
+    row_seeds_[r] = MixHash64(options.seed + 0x9e3779b97f4a7c15ull * (r + 1));
   }
-  counters_.assign(static_cast<size_t>(rows_) * width_, 0);
+  counters_.assign(static_cast<size_t>(kRows) * width_, 0);
 }
 
 size_t FrequencySketchPolicy::IndexOf(uint32_t row, Lbn lbn) const {
@@ -41,13 +37,13 @@ size_t FrequencySketchPolicy::IndexOf(uint32_t row, Lbn lbn) const {
 }
 
 void FrequencySketchPolicy::OnAccess(Lbn lbn, bool) {
-  for (uint32_t r = 0; r < rows_; ++r) {
+  for (uint32_t r = 0; r < kRows; ++r) {
     uint8_t& c = counters_[IndexOf(r, lbn)];
     if (c < 0xff) {
       ++c;
     }
   }
-  if (++accesses_ % halve_interval_ == 0) {
+  if (++accesses_ % (kHalvingWidths * width_) == 0) {
     for (uint8_t& c : counters_) {
       c >>= 1;
     }
@@ -57,7 +53,7 @@ void FrequencySketchPolicy::OnAccess(Lbn lbn, bool) {
 
 uint32_t FrequencySketchPolicy::Estimate(Lbn lbn) const {
   uint32_t estimate = 0xff;
-  for (uint32_t r = 0; r < rows_; ++r) {
+  for (uint32_t r = 0; r < kRows; ++r) {
     estimate = std::min<uint32_t>(estimate, counters_[IndexOf(r, lbn)]);
   }
   return estimate;

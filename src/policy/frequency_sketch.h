@@ -2,16 +2,17 @@
 // access increments a block's counters in a seeded count-min sketch; an
 // insertion is admitted only when the sketch's estimate of the block's
 // recent access count clears a threshold. All counters are halved every
-// `halve_interval` accesses so the estimate tracks *recent* frequency — old
-// popularity decays instead of accumulating forever.
+// kHalvingWidths x width accesses so the estimate tracks *recent* frequency —
+// old popularity decays instead of accumulating forever.
 //
-// The sketch is a fixed rows x width array of 8-bit saturating counters, so
+// The sketch is a fixed kRows x width array of 8-bit saturating counters, so
 // its memory is a configuration constant and its behaviour is a pure
 // function of the (seeded) access sequence.
 
 #ifndef FLASHTIER_POLICY_FREQUENCY_SKETCH_H_
 #define FLASHTIER_POLICY_FREQUENCY_SKETCH_H_
 
+#include <array>
 #include <vector>
 
 #include "src/policy/admission_policy.h"
@@ -20,13 +21,15 @@ namespace flashtier {
 
 class FrequencySketchPolicy final : public AdmissionPolicy {
  public:
+  // Count-min rows, each hashed with its own seed.
+  static constexpr uint32_t kRows = 4;
+  // Accesses between halvings, in multiples of the (rounded) width: the
+  // aging window scales with the sketch.
+  static constexpr uint64_t kHalvingWidths = 8;
+
   struct Options {
     uint32_t width = 16384;     // counters per row; rounded up to a power of two
-    uint32_t rows = 4;
     uint32_t admit_threshold = 2;  // estimated accesses needed to admit
-    // Accesses between halvings; 0 picks 8x the (rounded) width, i.e. the
-    // aging window scales with the sketch.
-    uint64_t halve_interval = 0;
     uint64_t seed = 1;
   };
 
@@ -64,11 +67,9 @@ class FrequencySketchPolicy final : public AdmissionPolicy {
   size_t IndexOf(uint32_t row, Lbn lbn) const;
 
   uint32_t width_;  // power of two
-  uint32_t rows_;
   uint32_t threshold_;
-  uint64_t halve_interval_;
-  std::vector<uint64_t> row_seeds_;
-  std::vector<uint8_t> counters_;  // rows_ x width_
+  std::array<uint64_t, kRows> row_seeds_{};
+  std::vector<uint8_t> counters_;  // kRows x width_
   uint64_t accesses_ = 0;
   uint64_t halvings_ = 0;
 };

@@ -4,9 +4,8 @@
 
 namespace flashtier {
 
-PersistenceManager::PersistenceManager(const Options& options, const FlashTimings& timings,
-                                       SimClock* clock)
-    : options_(options), timings_(timings), clock_(clock) {}
+PersistenceManager::PersistenceManager(const Options& options, SimClock* clock)
+    : options_(options), clock_(clock) {}
 
 uint32_t PersistenceManager::RecordCrc(const LogRecord& record, uint32_t seed) {
   const uint64_t fields[] = {record.lsn,
@@ -30,11 +29,11 @@ uint32_t PersistenceManager::SegmentCrc(const CheckpointSegment& seg) {
 
 void PersistenceManager::ChargeWrites(uint64_t pages) {
   stats_.log_page_writes += pages;
-  ChargeLogUs(pages * timings_.WriteCostUs());
+  ChargeLogUs(pages * FlashTimings::WriteCostUs());
 }
 
 void PersistenceManager::ChargeReads(uint64_t pages, uint64_t* recovery_us) {
-  const uint64_t us = pages * timings_.ReadCostUs();
+  const uint64_t us = pages * FlashTimings::ReadCostUs();
   ChargeLogUs(us);
   *recovery_us += us;
 }
@@ -95,7 +94,7 @@ void PersistenceManager::Flush() {
   const uint64_t bytes = buffer_.size() * kRecordBytes;
   if (bytes <= kPageBytes) {
     ++stats_.log_page_writes;
-    ChargeLogUs(timings_.atomic_write_us);
+    ChargeLogUs(FlashTimings::kAtomicWriteUs);
   } else {
     ChargeWrites(PagesFor(bytes));
   }

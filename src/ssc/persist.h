@@ -21,7 +21,7 @@
 // The log and checkpoint regions bypass address translation, so their
 // contents are modeled here directly ("durable" staging buffers) while their
 // media costs — page programs on flush, page reads on recovery — are charged
-// to the shared virtual clock using the device timings. Synchronous commits
+// to the shared virtual clock at Table 2's timings. Synchronous commits
 // use the atomic-write primitive the paper imports from Beyond Block I/O
 // [33], so a flushed batch is all-or-nothing.
 //
@@ -240,7 +240,7 @@ class PersistenceManager {
     uint64_t checkpoint_segment_entries = 1024;
   };
 
-  PersistenceManager(const Options& options, const FlashTimings& timings, SimClock* clock);
+  PersistenceManager(const Options& options, SimClock* clock);
 
   ConsistencyMode mode() const { return options_.mode; }
   const PersistStats& stats() const { return stats_; }
@@ -481,7 +481,6 @@ class PersistenceManager {
   static uint32_t SegmentCrc(const CheckpointSegment& seg);
 
   Options options_;
-  FlashTimings timings_;
   SimClock* clock_;
   FlashPipeline* pipeline_ = nullptr;  // not owned; null in stand-alone use
 

@@ -33,9 +33,8 @@ SscDevice::SscDevice(const SscConfig& config, SimClock* clock)
       (config.capacity_pages + probe.pages_per_block - 1) / probe.pages_per_block;
   FlashGeometry geometry = FlashGeometry::ForCapacity(
       (capacity_blocks + kSpareBlocks) * probe.EraseBlockBytes(), probe);
-  AttachFlash(std::make_unique<FlashDevice>(geometry, config.timings, clock,
-                                            /*store_data=*/false, config.fault_plan));
-  persist_ = std::make_unique<PersistenceManager>(config, config.timings, clock);
+  AttachFlash(std::make_unique<FlashDevice>(geometry, clock, config.fault_plan));
+  persist_ = std::make_unique<PersistenceManager>(config, clock);
   // Log commits and checkpoint I/O go through the device's event engine so
   // they overlap foreground media work on other planes.
   persist_->set_pipeline(device_->pipeline());
@@ -70,12 +69,12 @@ Status SscDevice::Read(Lbn lbn, uint64_t* token) {
     if (at->block != nullptr) {
       ++at->block->access_count;
     }
-    const Status s = device_->ReadPage(at->ppn, token, nullptr, nullptr);
+    const Status s = device_->ReadPage(at->ppn, token);
     return s == Status::kCorrupt ? DropCorruptPage(lbn, at->dirty) : s;
   }
   ++ftl_stats_.host_read_misses;
   // In-memory lookup + reply: pure controller work on the block's channel.
-  device_->pipeline()->ExecuteControl(config_.timings.control_us, lbn);
+  device_->pipeline()->ExecuteControl(FlashTimings::kControlUs, lbn);
   return Status::kNotPresent;
 }
 
@@ -247,7 +246,7 @@ Status SscDevice::Clean(Lbn lbn) {
 
 void SscDevice::Exists(Lbn start, uint64_t count, Bitmap* dirty_out) {
   dirty_out->Resize(count);
-  device_->pipeline()->ExecuteControl(config_.timings.control_us, start);  // device-memory scan
+  device_->pipeline()->ExecuteControl(FlashTimings::kControlUs, start);  // device-memory scan
   for (uint64_t i = 0; i < count; ++i) {
     if (const std::optional<PageLocation> at = Locate(start + i); at && at->dirty) {
       dirty_out->Set(i);
@@ -257,7 +256,7 @@ void SscDevice::Exists(Lbn start, uint64_t count, Bitmap* dirty_out) {
 
 void SscDevice::ExistsDetail(Lbn start, uint64_t count, std::vector<BlockInfo>* out) {
   out->assign(count, BlockInfo{});
-  device_->pipeline()->ExecuteControl(config_.timings.control_us, start);  // device-memory scan
+  device_->pipeline()->ExecuteControl(FlashTimings::kControlUs, start);  // device-memory scan
   for (uint64_t i = 0; i < count; ++i) {
     if (const std::optional<PageLocation> at = Locate(start + i)) {
       // A page-mapped page was written at least once recently.
@@ -346,7 +345,7 @@ void SscDevice::ChargeExistsScan() {
   // Model the scan as batched exists commands, one per 64 Ki blocks of the
   // cached footprint; each is a device-RAM lookup plus a command round trip.
   const uint64_t calls = cached_pages_ / 65536 + 1;
-  device_->pipeline()->ExecuteControl(calls * config_.timings.control_us, 0);
+  device_->pipeline()->ExecuteControl(calls * FlashTimings::kControlUs, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -799,7 +798,7 @@ Status SscDevice::Recover() {
     dirty_pages_ += static_cast<uint64_t>(std::popcount(e.dirty_bits));
   });
 
-  device_->pipeline()->ExecuteLog(recovered_logs.size() * config_.timings.ReadCostUs());
+  device_->pipeline()->ExecuteLog(recovered_logs.size() * FlashTimings::ReadCostUs());
   persist_->RecordRebuildTime(device_->now_us() - rebuild_start_us);
   persist_->NotifyRecoveryPoint(RecoveryPoint::kMapsRebuilt);
   persist_->NotifyRecoveryPoint(RecoveryPoint::kDone);

@@ -70,7 +70,7 @@ enum class EvictionPolicy : uint8_t {
 
 // An SSC's settings: its persistence (PersistenceManager::Options: mode,
 // group commit, checkpoint cadence, log region, segments), its hybrid-FTL
-// engine (FtlOptions: timings, geometry, faults, wear leveling) and what
+// engine (FtlOptions: geometry, faults, wear leveling) and what
 // only the SSC has.
 struct SscConfig : PersistenceManager::Options, FtlOptions {
   // A bounded log region, far above what the ratio/interval checkpoint
@@ -181,6 +181,9 @@ class SscDevice : public HybridFtl<SscDevice> {
   // stall. Cache managers call this when a write returns kBackpressure, then
   // retry (the bounded-stall path); no-op in kNone mode.
   void DrainLog();
+  // The bound on that stall: drains a writer spends on one kBackpressure
+  // before it gives up.
+  static constexpr uint32_t kBackpressureDrainLimit = 4;
 
   // ---- Introspection ----
 
@@ -214,7 +217,6 @@ class SscDevice : public HybridFtl<SscDevice> {
 
   uint64_t current_log_blocks() const { return log_blocks_.size(); }
   uint64_t free_blocks() const { return allocator_->FreeCount(); }
-  uint64_t dead_block_count() const { return dead_blocks_.size(); }
   uint64_t data_block_entries() const { return block_map_.size(); }
   uint64_t page_map_entries() const { return page_map_.size(); }
 

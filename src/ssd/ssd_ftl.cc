@@ -21,8 +21,7 @@ SsdFtl::SsdFtl(uint64_t logical_pages, SimClock* clock, const Options& options)
   const uint64_t physical_blocks = logical_blocks_ + max_log_blocks_ + kSpareBlocks;
   FlashGeometry geometry =
       FlashGeometry::ForCapacity(physical_blocks * probe.EraseBlockBytes(), probe);
-  AttachFlash(std::make_unique<FlashDevice>(geometry, options.timings, clock,
-                                            /*store_data=*/false, options.fault_plan));
+  AttachFlash(std::make_unique<FlashDevice>(geometry, clock, options.fault_plan));
   block_map_.Reset(logical_blocks_, kInvalidBlock);
 }
 
@@ -33,14 +32,14 @@ Status SsdFtl::Read(uint64_t lpn, uint64_t* token) {
   ++ftl_stats_.host_reads;
   const auto log_it = log_map_.find(lpn);
   if (log_it != log_map_.end()) {
-    return device_->ReadPage(log_it->second, token, nullptr, nullptr);
+    return device_->ReadPage(log_it->second, token);
   }
   const FlashGeometry& g = device_->geometry();
   const PhysBlock* data = block_map_.Find(lpn / g.pages_per_block);
   if (data != nullptr) {
     const Ppn ppn = g.FirstPpnOf(*data) + lpn % g.pages_per_block;
     if (device_->page_state(ppn) == PageState::kValid) {
-      return device_->ReadPage(ppn, token, nullptr, nullptr);
+      return device_->ReadPage(ppn, token);
     }
   }
   ++ftl_stats_.host_read_misses;
@@ -139,7 +138,7 @@ size_t SsdFtl::DeviceMemoryUsage() const {
 uint64_t SsdFtl::RecoveryOobScanUs() const {
   const uint64_t map_bytes = DeviceMemoryUsage();
   const uint64_t pages = (map_bytes + kOobBytesPerPage - 1) / kOobBytesPerPage;
-  return pages * device_->timings().OobReadCostUs();
+  return pages * FlashTimings::OobReadCostUs();
 }
 
 }  // namespace flashtier

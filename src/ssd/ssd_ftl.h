@@ -38,7 +38,7 @@ namespace flashtier {
 
 class SsdFtl : public HybridFtl<SsdFtl> {
  public:
-  // The engine's settings: timings, geometry, faults, wear leveling.
+  // The engine's settings: geometry, faults, wear leveling.
   using Options = FtlOptions;
 
   SsdFtl(uint64_t logical_pages, SimClock* clock, const Options& options);

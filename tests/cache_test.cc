@@ -101,7 +101,7 @@ TEST(DirtyTableTest, LruOrderUnderRandomOps) {
 // ---- Shared fixtures ----
 
 struct SscRig {
-  SscRig(EvictionPolicy policy = EvictionPolicy::kSeUtil) : disk(DiskParams{}, &clock) {
+  SscRig(EvictionPolicy policy = EvictionPolicy::kSeUtil) : disk(&clock) {
     SscConfig config;
     config.capacity_pages = 2048;
     config.policy = policy;
@@ -264,7 +264,7 @@ TEST(WriteBackTest, HostMemoryTracksOnlyDirtyBlocks) {
 
 struct NativeRig {
   explicit NativeRig(NativeCacheManager::Options opts = {}, uint64_t cache_pages = 2048)
-      : disk(DiskParams{}, &clock) {
+      : disk(&clock) {
     SsdFtl::Options ssd_opts;
     ssd_opts.geometry.planes = 4;
     ssd = std::make_unique<SsdFtl>(cache_pages + NativeCacheManager::kMetadataRegionPages,

@@ -17,7 +17,8 @@
 #                       with their host-time fields removed on both sides;
 #   thread_independence, recovery_budget
 #                       bench runs checked by their claim alone;
-#   disk_fault_sweep    flashcheck's DiskGuard storm over 40 flash fault seeds.
+#   disk_fault_sweep    flashcheck's DiskGuard storm over 40 flash fault seeds;
+#   flashbench_pin      tests/flashbench_pin.sh on the build's flashbench.
 # Regenerate a baseline from the same commands when a deliberate behaviour
 # change moves it.
 set -u
@@ -118,6 +119,11 @@ case $2 in
         fi
       done
     done
+    ;;
+  flashbench_pin)
+    # The end-to-end benchmark's virtual metrics, one round per workload.
+    "$tests/flashbench_pin.sh" "$build/tests/flashbench" > "$out" || status=1
+    want=$tests/baselines/flashbench_virtual_baseline.txt
     ;;
   *)
     echo "$0: unknown check $2" >&2

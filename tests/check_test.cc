@@ -157,7 +157,7 @@ TEST(InvariantCheckerTest, DetectsCachedPagesCounterSkew) {
 TEST(InvariantCheckerTest, DetectsLsnOrderViolation) {
   SimClock clock;
   PersistenceManager::Options opts;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   for (int i = 0; i < 4; ++i) {
     LogRecord rec;
     rec.type = LogOpType::kInsertPage;
@@ -175,7 +175,7 @@ TEST(InvariantCheckerTest, DetectsLsnOrderViolation) {
 // page-map insert fails its segment instead of loading as an SSC mapping.
 TEST(CheckpointCrcTest, RottedRecordTypeFailsItsSegment) {
   SimClock clock;
-  PersistenceManager pm(PersistenceManager::Options{}, FlashTimings{}, &clock);
+  PersistenceManager pm(PersistenceManager::Options{}, &clock);
   pm.WriteCheckpoint({{.type = LogOpType::kKvInsertSlot,
                        .key = 42,
                        .ppn = 7,
@@ -193,7 +193,7 @@ TEST(CheckpointCrcTest, RottedRecordTypeFailsItsSegment) {
 
 TEST(InvariantCheckerTest, DetectsDirtyTableDisagreementBothWays) {
   SimClock clock;
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   SscDevice ssc(SmallConfig(), &clock);
   AdmitAllPolicy admit_all;
   WriteBackManager manager(&ssc, &disk, admit_all);
@@ -228,7 +228,7 @@ TEST(InvariantCheckerTest, WriteBackForgetsDirtyBlocksWhenTheSscReportsThemLost)
   config.fault_plan.seed = 1;
   config.fault_plan.read_corrupt_prob = 0.01;
   SimClock clock;
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   SscDevice ssc(config, &clock);
   AdmitAllPolicy admit_all;
   WriteBackManager manager(&ssc, &disk, admit_all);

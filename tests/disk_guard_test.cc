@@ -14,14 +14,8 @@
 namespace flashtier {
 namespace {
 
-DiskParams SingleDisk() {
-  DiskParams p;
-  p.spindles = 1;
-  return p;
-}
-
 struct SscRig {
-  SscRig() : disk(SingleDisk(), &clock) {
+  SscRig() : disk(&clock) {
     SscConfig config;
     config.capacity_pages = 2048;
     config.geometry.planes = 4;
@@ -231,7 +225,7 @@ TEST(DiskGuardTest, FlushAllKeepsRefusedBlocksAndSucceedsOnceDiskReturns) {
 // The disk refuses every write from the start: each dirty write's set
 // cleaning defers (its writeback fails), so dirty blocks stay dirty.
 struct NativeRig {
-  NativeRig() : disk(SingleDisk(), &clock) {
+  NativeRig() : disk(&clock) {
     ssd = std::make_unique<SsdFtl>(kPages + NativeCacheManager::kMetadataRegionPages, &clock,
                                    SsdFtl::Options{});
     NativeCacheManager::Options opts;

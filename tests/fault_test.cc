@@ -54,37 +54,37 @@ TEST(FlashFaultTest, ScriptedProgramFailureIsStickyUntilErase) {
   SimClock clock;
   FaultPlan plan = EnabledPlan();
   plan.program_fail_at = {2};
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+  FlashDevice dev(TinyGeometry(), &clock, plan);
   Ppn ppn = 0;
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 1, nullptr, &ppn), Status::kOk);
-  EXPECT_EQ(dev.ProgramPage(0, OobRecord{}, 2, nullptr, &ppn), Status::kIoError);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 1, &ppn), Status::kOk);
+  EXPECT_EQ(dev.ProgramPage(0, OobRecord{}, 2, &ppn), Status::kIoError);
   EXPECT_TRUE(dev.BlockProgramFailed(0));
   EXPECT_FALSE(dev.BlockBad(0));
   // Sticky: further programs to the block fail without a new fault draw...
-  EXPECT_EQ(dev.ProgramPage(0, OobRecord{}, 3, nullptr, &ppn), Status::kIoError);
+  EXPECT_EQ(dev.ProgramPage(0, OobRecord{}, 3, &ppn), Status::kIoError);
   EXPECT_EQ(dev.fault_stats().program_failures, 2u);
   // ...its already-programmed pages stay readable...
   uint64_t token = 0;
-  ASSERT_EQ(dev.ReadPage(0, &token, nullptr, nullptr), Status::kOk);
+  ASSERT_EQ(dev.ReadPage(0, &token), Status::kOk);
   EXPECT_EQ(token, 1u);
   // ...and a successful erase clears the condition.
   ASSERT_EQ(dev.EraseBlock(0), Status::kOk);
   EXPECT_FALSE(dev.BlockProgramFailed(0));
-  EXPECT_EQ(dev.ProgramPage(0, OobRecord{}, 4, nullptr, &ppn), Status::kOk);
+  EXPECT_EQ(dev.ProgramPage(0, OobRecord{}, 4, &ppn), Status::kOk);
 }
 
 TEST(FlashFaultTest, ScriptedEraseFailureRetiresBlockForever) {
   SimClock clock;
   FaultPlan plan = EnabledPlan();
   plan.erase_fail_at = {1};
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+  FlashDevice dev(TinyGeometry(), &clock, plan);
   ASSERT_EQ(dev.EraseBlock(3), Status::kIoError);
   EXPECT_TRUE(dev.BlockBad(3));
   EXPECT_EQ(dev.fault_stats().erase_failures, 1u);
   // Bad is permanent: neither erase nor program ever succeeds again.
   EXPECT_EQ(dev.EraseBlock(3), Status::kIoError);
   Ppn ppn = 0;
-  EXPECT_EQ(dev.ProgramPage(3, OobRecord{}, 1, nullptr, &ppn), Status::kIoError);
+  EXPECT_EQ(dev.ProgramPage(3, OobRecord{}, 1, &ppn), Status::kIoError);
   // Other blocks are unaffected.
   EXPECT_EQ(dev.EraseBlock(2), Status::kOk);
 }
@@ -93,7 +93,7 @@ TEST(FlashFaultTest, WearOutFailsEraseAtTheEnduranceLimit) {
   SimClock clock;
   FaultPlan plan = EnabledPlan();
   plan.wear_out_erases = 3;
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+  FlashDevice dev(TinyGeometry(), &clock, plan);
   ASSERT_EQ(dev.EraseBlock(0), Status::kOk);
   ASSERT_EQ(dev.EraseBlock(0), Status::kOk);
   ASSERT_EQ(dev.EraseBlock(0), Status::kOk);
@@ -106,19 +106,19 @@ TEST(FlashFaultTest, ScriptedReadCorruptionIsStickyUntilErase) {
   SimClock clock;
   FaultPlan plan = EnabledPlan();
   plan.read_corrupt_at = {2};
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+  FlashDevice dev(TinyGeometry(), &clock, plan);
   Ppn ppn = 0;
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 7, nullptr, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 7, &ppn), Status::kOk);
   uint64_t token = 0;
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
-  EXPECT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kCorrupt);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
+  EXPECT_EQ(dev.ReadPage(ppn, &token), Status::kCorrupt);
   // Sticky: the page stays uncorrectable on every retry.
-  EXPECT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kCorrupt);
+  EXPECT_EQ(dev.ReadPage(ppn, &token), Status::kCorrupt);
   EXPECT_EQ(dev.fault_stats().read_corruptions, 2u);
   // Erase clears it; the reprogrammed page reads fine.
   ASSERT_EQ(dev.EraseBlock(0), Status::kOk);
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 8, nullptr, &ppn), Status::kOk);
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 8, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
   EXPECT_EQ(token, 8u);
 }
 
@@ -128,12 +128,12 @@ TEST(FlashFaultTest, ProbabilisticFaultsAreDeterministicPerSeed) {
     FaultPlan plan = EnabledPlan(seed);
     plan.program_fail_prob = 0.2;
     plan.erase_fail_prob = 0.2;
-    FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+    FlashDevice dev(TinyGeometry(), &clock, plan);
     for (int round = 0; round < 20; ++round) {
       for (PhysBlock b = 0; b < dev.geometry().TotalBlocks(); ++b) {
         Ppn ppn = 0;
         // Failures are the point: 20% injection, determinism judged on stats.
-        (void)dev.ProgramPage(b, OobRecord{}, round, nullptr, &ppn);
+        (void)dev.ProgramPage(b, OobRecord{}, round, &ppn);
         (void)dev.EraseBlock(b);
       }
     }
@@ -150,39 +150,21 @@ TEST(FlashFaultTest, PauseSuspendsNewDrawsButKeepsStickyState) {
   SimClock clock;
   FaultPlan plan = EnabledPlan();
   plan.read_corrupt_prob = 1.0;
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+  FlashDevice dev(TinyGeometry(), &clock, plan);
   Ppn ppn = 0;
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 5, nullptr, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 5, &ppn), Status::kOk);
   // Paused: the certain corruption draw never happens — an observer can read
   // the device without destroying the state it is observing.
   dev.set_fault_injection_paused(true);
   uint64_t token = 0;
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
   EXPECT_EQ(token, 5u);
   // Unpaused: the next read draws and corrupts.
   dev.set_fault_injection_paused(false);
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kCorrupt);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kCorrupt);
   // Re-pausing does not heal sticky corruption — only new draws stop.
   dev.set_fault_injection_paused(true);
-  EXPECT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kCorrupt);
-}
-
-TEST(FlashFaultTest, CrcCheckCatchesSilentPayloadCorruption) {
-  SimClock clock;
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, /*store_data=*/true);
-  std::vector<uint8_t> data(dev.geometry().page_size, 0xAB);
-  Ppn ppn = 0;
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 9, data.data(), &ppn), Status::kOk);
-  std::vector<uint8_t> out(dev.geometry().page_size);
-  ASSERT_EQ(dev.ReadPage(ppn, nullptr, nullptr, out.data()), Status::kOk);
-  EXPECT_EQ(out[0], 0xAB);
-  dev.CorruptStoredDataForTesting(ppn);
-  EXPECT_EQ(dev.ReadPage(ppn, nullptr, nullptr, out.data()), Status::kCorrupt);
-  EXPECT_EQ(dev.fault_stats().crc_mismatches, 1u);
-  // OOB/token-only reads skip the payload and therefore the CRC check.
-  uint64_t token = 0;
-  EXPECT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
-  EXPECT_EQ(token, 9u);
+  EXPECT_EQ(dev.ReadPage(ppn, &token), Status::kCorrupt);
 }
 
 // ---- The FTL: retry and bad-block management ----
@@ -313,7 +295,7 @@ TEST(ManagerFaultTest, WriteThroughServesCorruptCleanReadsFromDisk) {
   FaultPlan plan = EnabledPlan();
   plan.read_corrupt_at = {1};
   SscDevice ssc(FaultyConfig(plan), &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   AdmitAllPolicy admit_all;
   WriteThroughManager manager(&ssc, &disk, admit_all);
   ASSERT_EQ(manager.Write(11, 110), Status::kOk);
@@ -335,7 +317,7 @@ TEST(ManagerFaultTest, WriteBackReportsDirtyLossAndRecoversTheSlot) {
   FaultPlan plan = EnabledPlan();
   plan.read_corrupt_at = {1};
   SscDevice ssc(FaultyConfig(plan), &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   AdmitAllPolicy admit_all;
   WriteBackManager manager(&ssc, &disk, admit_all);
   ASSERT_EQ(manager.Write(13, 130), Status::kOk);
@@ -356,7 +338,7 @@ TEST(ManagerFaultTest, WriteThroughTripsIntoDegradedPassThrough) {
   FaultPlan plan = EnabledPlan();
   plan.program_fail_prob = 1.0;  // the cache rejects every write
   SscDevice ssc(FaultyConfig(plan), &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   AdmitAllPolicy admit_all;
   WriteThroughManager manager(&ssc, &disk, admit_all);
   for (Lbn lbn = 0; lbn < 10; ++lbn) {
@@ -376,7 +358,7 @@ TEST(ManagerFaultTest, WriteBackDegradedModeWritesLandOnDisk) {
   FaultPlan plan = EnabledPlan();
   plan.program_fail_prob = 1.0;
   SscDevice ssc(FaultyConfig(plan), &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   AdmitAllPolicy admit_all;
   WriteBackManager manager(&ssc, &disk, admit_all);
   for (Lbn lbn = 0; lbn < 10; ++lbn) {
@@ -397,7 +379,7 @@ TEST(ManagerFaultTest, DegradedManagerReengagesWhenTheCacheHeals) {
   FaultPlan plan = EnabledPlan();
   plan.program_fail_prob = 1.0;
   SscDevice ssc(FaultyConfig(plan), &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   AdmitAllPolicy admit_all;
   WriteThroughManager manager(&ssc, &disk, admit_all);
   for (Lbn lbn = 0; lbn < 8; ++lbn) {
@@ -428,23 +410,23 @@ TEST(FlashFaultTest, ReadDisturbCorruptsPastTheExposureLimit) {
   FaultPlan plan = EnabledPlan();
   plan.read_disturb_limit = 4;
   plan.read_disturb_prob = 1.0;
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+  FlashDevice dev(TinyGeometry(), &clock, plan);
   Ppn ppn = 0;
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 6, nullptr, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 6, &ppn), Status::kOk);
   uint64_t token = 0;
   // Reads inside the exposure budget are harmless.
   for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
+    ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
   }
   EXPECT_EQ(dev.ReadsSinceErase(0), 4u);
   // The read past the limit draws (certainty here) and corrupts the page.
-  EXPECT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kCorrupt);
+  EXPECT_EQ(dev.ReadPage(ppn, &token), Status::kCorrupt);
   EXPECT_EQ(dev.fault_stats().read_disturbs, 1u);
   // Erase clears the exposure counter; a reprogrammed page reads clean.
   ASSERT_EQ(dev.EraseBlock(0), Status::kOk);
   EXPECT_EQ(dev.ReadsSinceErase(0), 0u);
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 7, nullptr, &ppn), Status::kOk);
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 7, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
   EXPECT_EQ(token, 7u);
 }
 
@@ -453,20 +435,20 @@ TEST(FlashFaultTest, RetentionDecayRotsPagesLeftProgrammedTooLong) {
   FaultPlan plan = EnabledPlan();
   plan.retention_age_us = 1000;
   plan.retention_fail_prob = 1.0;
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+  FlashDevice dev(TinyGeometry(), &clock, plan);
   Ppn ppn = 0;
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 11, nullptr, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 11, &ppn), Status::kOk);
   uint64_t token = 0;
   // Fresh data reads fine...
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
   // ...but after sitting programmed past the retention age it has rotted.
   clock.Advance(2000);
-  EXPECT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kCorrupt);
+  EXPECT_EQ(dev.ReadPage(ppn, &token), Status::kCorrupt);
   EXPECT_EQ(dev.fault_stats().retention_failures, 1u);
   // An erase + reprogram refresh restarts the retention clock.
   ASSERT_EQ(dev.EraseBlock(0), Status::kOk);
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 12, nullptr, &ppn), Status::kOk);
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 12, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
   EXPECT_EQ(token, 12u);
 }
 
@@ -475,22 +457,22 @@ TEST(FlashFaultTest, PausedObserverReadsDoNotAgeTheMedium) {
   FaultPlan plan = EnabledPlan();
   plan.read_disturb_limit = 2;
   plan.read_disturb_prob = 1.0;
-  FlashDevice dev(TinyGeometry(), FlashTimings{}, &clock, false, plan);
+  FlashDevice dev(TinyGeometry(), &clock, plan);
   Ppn ppn = 0;
-  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 3, nullptr, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, OobRecord{}, 3, &ppn), Status::kOk);
   // A paused observer (the epoch audits) can sweep the device all it wants
   // without accumulating disturb exposure against the state it is checking.
   dev.set_fault_injection_paused(true);
   uint64_t token = 0;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
+    ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
   }
   EXPECT_EQ(dev.ReadsSinceErase(0), 0u);
   // Unpaused reads age it as usual: two within budget, the third corrupts.
   dev.set_fault_injection_paused(false);
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
-  ASSERT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kOk);
-  EXPECT_EQ(dev.ReadPage(ppn, &token, nullptr, nullptr), Status::kCorrupt);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
+  ASSERT_EQ(dev.ReadPage(ppn, &token), Status::kOk);
+  EXPECT_EQ(dev.ReadPage(ppn, &token), Status::kCorrupt);
 }
 
 TEST(FtlFaultTest, PatrolScrubRelocatesDisturbExposedBlocks) {
@@ -651,7 +633,7 @@ TEST(ManagerFaultTest, CapacityFloorTripsPermanentPassThrough) {
   FaultPlan plan = EnabledPlan();
   plan.erase_fail_prob = 1.0;  // every erase retires its block
   SscDevice ssc(FaultyConfig(plan), &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   AdmitAllPolicy admit_all;
   WriteBackManager manager(&ssc, &disk, admit_all);
   // Age the cache until retirement leaves less than the 10% floor usable.
@@ -690,7 +672,7 @@ TEST_P(FaultSweepTest, RandomWorkloadOnFaultyMediumNeverReadsStale) {
   plan.erase_fail_prob = 0.05;
   plan.read_corrupt_prob = 0.01;
   SscDevice ssc(FaultyConfig(plan, ConsistencyMode::kFull), &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   AdmitAllPolicy admit_all;
   WriteBackManager manager(&ssc, &disk, admit_all);
 

@@ -60,19 +60,19 @@ TEST(FlashGeometryTest, ForCapacityTinyRequest) {
 }
 
 TEST(FlashTimingsTest, Table2Latencies) {
-  const FlashTimings t;
-  EXPECT_EQ(t.page_read_us, 65u);
-  EXPECT_EQ(t.page_write_us, 85u);
-  EXPECT_EQ(t.block_erase_us, 1000u);
-  EXPECT_EQ(t.ReadCostUs(), 65u + 10u + 2u);
-  EXPECT_EQ(t.WriteCostUs(), 85u + 10u + 2u);
-  EXPECT_EQ(t.EraseCostUs(), 1010u);
-  EXPECT_EQ(t.CopyCostUs(), 65u + 85u + 10u);  // no host bus transfer
+  using T = FlashTimings;
+  EXPECT_EQ(T::kPageReadUs, 65u);
+  EXPECT_EQ(T::kPageWriteUs, 85u);
+  EXPECT_EQ(T::kBlockEraseUs, 1000u);
+  EXPECT_EQ(T::ReadCostUs(), 65u + 10u + 2u);
+  EXPECT_EQ(T::WriteCostUs(), 85u + 10u + 2u);
+  EXPECT_EQ(T::EraseCostUs(), 1010u);
+  EXPECT_EQ(T::CopyCostUs(), 65u + 85u + 10u);  // no host bus transfer
 }
 
 class FlashDeviceTest : public ::testing::Test {
  protected:
-  FlashDeviceTest() : device_(TinyGeometry(), FlashTimings{}, &clock_) {}
+  FlashDeviceTest() : device_(TinyGeometry(), &clock_) {}
 
   SimClock clock_;
   FlashDevice device_;
@@ -83,8 +83,8 @@ TEST_F(FlashDeviceTest, ProgramAssignsSequentialPages) {
   oob.lbn = 123;
   Ppn p0 = kInvalidPpn;
   Ppn p1 = kInvalidPpn;
-  ASSERT_EQ(device_.ProgramPage(0, oob, 111, nullptr, &p0), Status::kOk);
-  ASSERT_EQ(device_.ProgramPage(0, oob, 222, nullptr, &p1), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(0, oob, 111, &p0), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(0, oob, 222, &p1), Status::kOk);
   EXPECT_EQ(p0, 0u);
   EXPECT_EQ(p1, 1u);
   EXPECT_EQ(device_.write_pointer(0), 2u);
@@ -94,10 +94,10 @@ TEST_F(FlashDeviceTest, ProgramAssignsSequentialPages) {
 TEST_F(FlashDeviceTest, ProgramFailsWhenBlockFull) {
   OobRecord oob;
   for (uint32_t i = 0; i < 8; ++i) {
-    ASSERT_EQ(device_.ProgramPage(1, oob, i, nullptr, nullptr), Status::kOk);
+    ASSERT_EQ(device_.ProgramPage(1, oob, i, nullptr), Status::kOk);
   }
   EXPECT_TRUE(device_.BlockFull(1));
-  EXPECT_EQ(device_.ProgramPage(1, oob, 99, nullptr, nullptr), Status::kNoSpace);
+  EXPECT_EQ(device_.ProgramPage(1, oob, 99, nullptr), Status::kNoSpace);
 }
 
 TEST_F(FlashDeviceTest, ReadReturnsTokenAndOob) {
@@ -105,10 +105,10 @@ TEST_F(FlashDeviceTest, ReadReturnsTokenAndOob) {
   oob.lbn = 77;
   oob.flags = 1;
   Ppn ppn = kInvalidPpn;
-  ASSERT_EQ(device_.ProgramPage(2, oob, 0xabcd, nullptr, &ppn), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(2, oob, 0xabcd, &ppn), Status::kOk);
   uint64_t token = 0;
-  OobRecord out;
-  ASSERT_EQ(device_.ReadPage(ppn, &token, &out, nullptr), Status::kOk);
+  ASSERT_EQ(device_.ReadPage(ppn, &token), Status::kOk);
+  const OobRecord& out = device_.oob(ppn);
   EXPECT_EQ(token, 0xabcdu);
   EXPECT_EQ(out.lbn, 77u);
   EXPECT_EQ(out.flags, 1u);
@@ -117,22 +117,22 @@ TEST_F(FlashDeviceTest, ReadReturnsTokenAndOob) {
 
 TEST_F(FlashDeviceTest, ReadOfFreePageFails) {
   uint64_t token = 0;
-  EXPECT_EQ(device_.ReadPage(0, &token, nullptr, nullptr), Status::kIoError);
+  EXPECT_EQ(device_.ReadPage(0, &token), Status::kIoError);
 }
 
 TEST_F(FlashDeviceTest, SequenceNumbersAreMonotone) {
   OobRecord oob;
   Ppn a = kInvalidPpn;
   Ppn b = kInvalidPpn;
-  ASSERT_EQ(device_.ProgramPage(0, oob, 1, nullptr, &a), Status::kOk);
-  ASSERT_EQ(device_.ProgramPage(3, oob, 2, nullptr, &b), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(0, oob, 1, &a), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(3, oob, 2, &b), Status::kOk);
   EXPECT_LT(device_.oob(a).seq, device_.oob(b).seq);
 }
 
 TEST_F(FlashDeviceTest, MarkInvalidAndValidMaintainCounts) {
   OobRecord oob;
   Ppn ppn = kInvalidPpn;
-  ASSERT_EQ(device_.ProgramPage(0, oob, 1, nullptr, &ppn), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(0, oob, 1, &ppn), Status::kOk);
   EXPECT_EQ(device_.valid_pages(0), 1u);
   ASSERT_EQ(device_.MarkInvalid(ppn), Status::kOk);
   EXPECT_EQ(device_.valid_pages(0), 0u);
@@ -145,7 +145,7 @@ TEST_F(FlashDeviceTest, MarkInvalidAndValidMaintainCounts) {
 TEST_F(FlashDeviceTest, EraseResetsBlockAndCountsWear) {
   OobRecord oob;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(device_.ProgramPage(0, oob, i, nullptr, nullptr), Status::kOk);
+    ASSERT_EQ(device_.ProgramPage(0, oob, i, nullptr), Status::kOk);
   }
   ASSERT_EQ(device_.EraseBlock(0), Status::kOk);
   EXPECT_EQ(device_.write_pointer(0), 0u);
@@ -154,15 +154,15 @@ TEST_F(FlashDeviceTest, EraseResetsBlockAndCountsWear) {
   EXPECT_TRUE(device_.BlockErased(0));
   EXPECT_EQ(device_.page_state(0), PageState::kFree);
   // The block is programmable again.
-  EXPECT_EQ(device_.ProgramPage(0, oob, 9, nullptr, nullptr), Status::kOk);
+  EXPECT_EQ(device_.ProgramPage(0, oob, 9, nullptr), Status::kOk);
 }
 
 TEST_F(FlashDeviceTest, SkipPageLeavesHole) {
   OobRecord oob;
-  ASSERT_EQ(device_.ProgramPage(0, oob, 1, nullptr, nullptr), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(0, oob, 1, nullptr), Status::kOk);
   ASSERT_EQ(device_.SkipPage(0), Status::kOk);
   Ppn ppn = kInvalidPpn;
-  ASSERT_EQ(device_.ProgramPage(0, oob, 3, nullptr, &ppn), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(0, oob, 3, &ppn), Status::kOk);
   EXPECT_EQ(ppn, 2u);  // page 1 skipped
   EXPECT_EQ(device_.page_state(1), PageState::kFree);
   EXPECT_EQ(device_.valid_pages(0), 2u);
@@ -172,14 +172,14 @@ TEST_F(FlashDeviceTest, CopyPagePreservesContentAndInvalidatesSource) {
   OobRecord oob;
   oob.lbn = 55;
   Ppn src = kInvalidPpn;
-  ASSERT_EQ(device_.ProgramPage(0, oob, 0x5555, nullptr, &src), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(0, oob, 0x5555, &src), Status::kOk);
   const uint64_t src_seq = device_.oob(src).seq;
   Ppn dst = kInvalidPpn;
   ASSERT_EQ(device_.CopyPage(src, 1, &dst), Status::kOk);
   EXPECT_EQ(device_.page_state(src), PageState::kInvalid);
   uint64_t token = 0;
-  OobRecord out;
-  ASSERT_EQ(device_.ReadPage(dst, &token, &out, nullptr), Status::kOk);
+  ASSERT_EQ(device_.ReadPage(dst, &token), Status::kOk);
+  const OobRecord& out = device_.oob(dst);
   EXPECT_EQ(token, 0x5555u);
   EXPECT_EQ(out.lbn, 55u);
   EXPECT_EQ(out.seq, src_seq);  // logical version unchanged by GC copy
@@ -189,24 +189,24 @@ TEST_F(FlashDeviceTest, CopyPagePreservesContentAndInvalidatesSource) {
 TEST_F(FlashDeviceTest, CopyPageRejectsInvalidSource) {
   OobRecord oob;
   Ppn src = kInvalidPpn;
-  ASSERT_EQ(device_.ProgramPage(0, oob, 1, nullptr, &src), Status::kOk);
+  ASSERT_EQ(device_.ProgramPage(0, oob, 1, &src), Status::kOk);
   ASSERT_EQ(device_.MarkInvalid(src), Status::kOk);
   EXPECT_EQ(device_.CopyPage(src, 1, nullptr), Status::kInvalidArgument);
 }
 
 TEST_F(FlashDeviceTest, TimingChargesMatchTable2) {
-  const FlashTimings t;
+  using T = FlashTimings;
   OobRecord oob;
   Ppn ppn = kInvalidPpn;
   const uint64_t t0 = clock_.now_us();
-  ASSERT_EQ(device_.ProgramPage(0, oob, 1, nullptr, &ppn), Status::kOk);
-  EXPECT_EQ(clock_.now_us() - t0, t.WriteCostUs());
+  ASSERT_EQ(device_.ProgramPage(0, oob, 1, &ppn), Status::kOk);
+  EXPECT_EQ(clock_.now_us() - t0, T::WriteCostUs());
   const uint64_t t1 = clock_.now_us();
-  ASSERT_EQ(device_.ReadPage(ppn, nullptr, nullptr, nullptr), Status::kOk);
-  EXPECT_EQ(clock_.now_us() - t1, t.ReadCostUs());
+  ASSERT_EQ(device_.ReadPage(ppn, nullptr), Status::kOk);
+  EXPECT_EQ(clock_.now_us() - t1, T::ReadCostUs());
   const uint64_t t2 = clock_.now_us();
   ASSERT_EQ(device_.EraseBlock(1), Status::kOk);
-  EXPECT_EQ(clock_.now_us() - t2, t.EraseCostUs());
+  EXPECT_EQ(clock_.now_us() - t2, T::EraseCostUs());
   EXPECT_EQ(device_.stats().busy_us, clock_.now_us());
 }
 
@@ -220,50 +220,13 @@ TEST_F(FlashDeviceTest, WearDiffTracksImbalance) {
   EXPECT_EQ(device_.stats().erases, 4u);
 }
 
-TEST(FlashDeviceDataTest, StoresFullPagePayloadWhenEnabled) {
-  const FlashGeometry g = TinyGeometry();
-  SimClock clock;
-  FlashDevice device(g, FlashTimings{}, &clock, /*store_data=*/true);
-  std::vector<uint8_t> payload(g.page_size);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 31);
-  }
-  OobRecord oob;
-  Ppn ppn = kInvalidPpn;
-  ASSERT_EQ(device.ProgramPage(0, oob, 1, payload.data(), &ppn), Status::kOk);
-  std::vector<uint8_t> out(g.page_size, 0);
-  ASSERT_EQ(device.ReadPage(ppn, nullptr, nullptr, out.data()), Status::kOk);
-  EXPECT_EQ(out, payload);
-  // Copy moves payload too.
-  Ppn dst = kInvalidPpn;
-  ASSERT_EQ(device.CopyPage(ppn, 1, &dst), Status::kOk);
-  std::fill(out.begin(), out.end(), 0);
-  ASSERT_EQ(device.ReadPage(dst, nullptr, nullptr, out.data()), Status::kOk);
-  EXPECT_EQ(out, payload);
-}
-
-TEST(FlashDeviceDataTest, EraseDropsStoredPayload) {
-  const FlashGeometry g = TinyGeometry();
-  SimClock clock;
-  FlashDevice device(g, FlashTimings{}, &clock, /*store_data=*/true);
-  std::vector<uint8_t> payload(g.page_size, 0xee);
-  OobRecord oob;
-  Ppn ppn = kInvalidPpn;
-  ASSERT_EQ(device.ProgramPage(0, oob, 1, payload.data(), &ppn), Status::kOk);
-  ASSERT_EQ(device.EraseBlock(0), Status::kOk);
-  ASSERT_EQ(device.ProgramPage(0, oob, 2, nullptr, &ppn), Status::kOk);
-  std::vector<uint8_t> out(g.page_size, 0xaa);
-  ASSERT_EQ(device.ReadPage(ppn, nullptr, nullptr, out.data()), Status::kOk);
-  EXPECT_EQ(out, std::vector<uint8_t>(g.page_size, 0));  // zero-fill, not old data
-}
-
 TEST_F(FlashDeviceTest, OutOfRangeOperationsRejected) {
   const Ppn bad_ppn = TinyGeometry().TotalPages();
-  EXPECT_EQ(device_.ReadPage(bad_ppn, nullptr, nullptr, nullptr), Status::kInvalidArgument);
+  EXPECT_EQ(device_.ReadPage(bad_ppn, nullptr), Status::kInvalidArgument);
   EXPECT_EQ(device_.MarkInvalid(bad_ppn), Status::kInvalidArgument);
   EXPECT_EQ(device_.EraseBlock(TinyGeometry().TotalBlocks()), Status::kInvalidArgument);
   OobRecord oob;
-  EXPECT_EQ(device_.ProgramPage(TinyGeometry().TotalBlocks(), oob, 1, nullptr, nullptr),
+  EXPECT_EQ(device_.ProgramPage(TinyGeometry().TotalBlocks(), oob, 1, nullptr),
             Status::kInvalidArgument);
 }
 

@@ -7,10 +7,12 @@
 # tests/baselines/flashbench_virtual_baseline.txt pins the end-to-end
 # benchmark's modelled results byte for byte without touching benchmark/.
 #
-# usage: tests/flashbench_pin.sh FLASHBENCH > flashbench-virtual.txt
+# usage: tests/flashbench_pin.sh FLASHBENCH > OUT
 #
-# FLASHBENCH is the binary benchmark/CMakeLists.txt builds (about 8 s for all
-# four workloads). Exits 1 if any run fails or reports correct=false.
+# FLASHBENCH is a flashbench binary: BUILD_DIR/tests/flashbench, which ctest's
+# flashbench_pin entry runs through tests/check.sh, or the one
+# benchmark/CMakeLists.txt builds (about 8 s for all four workloads in an
+# optimized build). Exits 1 if any run fails or reports correct=false.
 # Regenerate the baseline with the same command when a deliberate behaviour
 # change moves an entry.
 set -u

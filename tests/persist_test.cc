@@ -27,7 +27,7 @@ LogRecord MakeRecord(Lbn key) {
 
 TEST(PersistTest, SyncAppendIsImmediatelyDurable) {
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   pm.Append(MakeRecord(1), /*sync=*/true);
   EXPECT_EQ(pm.durable_log_records(), 1u);
   EXPECT_EQ(pm.buffered_records(), 0u);
@@ -36,7 +36,7 @@ TEST(PersistTest, SyncAppendIsImmediatelyDurable) {
 
 TEST(PersistTest, AsyncAppendsBufferUntilGroupCommit) {
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   for (int i = 0; i < 9; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/false);
   }
@@ -50,7 +50,7 @@ TEST(PersistTest, AsyncAppendsBufferUntilGroupCommit) {
 
 TEST(PersistTest, SyncFlushCoversEarlierBufferedRecords) {
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   pm.Append(MakeRecord(1), /*sync=*/false);
   pm.Append(MakeRecord(2), /*sync=*/true);
   EXPECT_EQ(pm.durable_log_records(), 2u);
@@ -58,31 +58,29 @@ TEST(PersistTest, SyncFlushCoversEarlierBufferedRecords) {
 
 TEST(PersistTest, SmallSyncCommitUsesAtomicWriteLatency) {
   SimClock clock;
-  FlashTimings timings;
-  PersistenceManager pm(SmallOptions(), timings, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   const uint64_t t0 = clock.now_us();
   pm.Append(MakeRecord(1), /*sync=*/true);
-  EXPECT_EQ(clock.now_us() - t0, timings.atomic_write_us);
+  EXPECT_EQ(clock.now_us() - t0, FlashTimings::kAtomicWriteUs);
 }
 
 TEST(PersistTest, LargeGroupCommitPaysPageWrites) {
   SimClock clock;
-  FlashTimings timings;
   PersistenceManager::Options opts = SmallOptions();
   opts.group_commit_ops = 1000;  // 1000 * 41 B > two pages
-  PersistenceManager pm(opts, timings, &clock);
+  PersistenceManager pm(opts, &clock);
   for (int i = 0; i < 999; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/false);
   }
   const uint64_t t0 = clock.now_us();
   pm.Flush();
   const uint64_t cost = clock.now_us() - t0;
-  EXPECT_GE(cost, 2 * timings.WriteCostUs());
+  EXPECT_GE(cost, 2 * FlashTimings::WriteCostUs());
 }
 
 TEST(PersistTest, NoneModeDropsEverythingSilently) {
   SimClock clock;
-  PersistenceManager pm(SmallOptions(ConsistencyMode::kNone), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(ConsistencyMode::kNone), &clock);
   pm.Append(MakeRecord(1), /*sync=*/true);
   EXPECT_EQ(pm.durable_log_records(), 0u);
   EXPECT_EQ(pm.stats().records_logged, 0u);
@@ -91,7 +89,7 @@ TEST(PersistTest, NoneModeDropsEverythingSilently) {
 
 TEST(PersistTest, CrashDropsOnlyBufferedRecords) {
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   pm.Append(MakeRecord(1), /*sync=*/true);
   pm.Append(MakeRecord(2), /*sync=*/false);
   pm.Crash();
@@ -105,7 +103,7 @@ TEST(PersistTest, CrashDropsOnlyBufferedRecords) {
 
 TEST(PersistTest, CheckpointTruncatesLogAndSubsumesBuffer) {
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   for (int i = 0; i < 25; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/false);
   }
@@ -132,7 +130,7 @@ TEST(PersistTest, MaybeCheckpointHonorsWriteInterval) {
   SimClock clock;
   PersistenceManager::Options opts = SmallOptions();
   opts.checkpoint_interval_writes = 50;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   int snapshots_taken = 0;
   // Large snapshots keep the log-size ratio rule quiet, isolating the
   // write-interval rule.
@@ -152,7 +150,7 @@ TEST(PersistTest, MaybeCheckpointHonorsLogSizeRatio) {
   SimClock clock;
   PersistenceManager::Options opts = SmallOptions();
   opts.group_commit_ops = 4;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   // First checkpoint establishes a small checkpoint size (10 entries = 330
   // bytes); then a log > 2/3 of that (just a handful of 41-byte records)
   // must trigger the next one.
@@ -171,8 +169,7 @@ TEST(PersistTest, MaybeCheckpointHonorsLogSizeRatio) {
 
 TEST(PersistTest, RecoveryChargesMediaReads) {
   SimClock clock;
-  FlashTimings timings;
-  PersistenceManager pm(SmallOptions(), timings, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   pm.WriteCheckpoint(std::vector<LogRecord>(1000));
   for (int i = 0; i < 500; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/false);
@@ -185,7 +182,7 @@ TEST(PersistTest, RecoveryChargesMediaReads) {
   EXPECT_GT(pm.stats().last_recovery_us, 0u);
   // Bigger state must take longer to recover.
   SimClock clock2;
-  PersistenceManager pm2(SmallOptions(), timings, &clock2);
+  PersistenceManager pm2(SmallOptions(), &clock2);
   pm2.WriteCheckpoint(std::vector<LogRecord>(100'000));
   pm2.Crash();
   pm2.Recover(&ckpt, &tail);
@@ -196,7 +193,7 @@ TEST(PersistTest, RelaxedCleanCrashWithPartialGroupCommitBufferLosesOnlyBuffer) 
   // FlashTier-D buffers write-clean inserts: a crash with a partially filled
   // group-commit buffer must lose exactly those records and nothing durable.
   SimClock clock;
-  PersistenceManager pm(SmallOptions(ConsistencyMode::kRelaxedClean), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(ConsistencyMode::kRelaxedClean), &clock);
   pm.Append(MakeRecord(1), /*sync=*/true);  // an overwrite: sync
   for (int i = 0; i < 7; ++i) {  // seven buffered clean inserts (< 10)
     pm.Append(MakeRecord(100 + i), /*sync=*/false);
@@ -218,7 +215,7 @@ TEST(PersistTest, CheckpointRatioBoundaryIsStrict) {
   // ratio * ckpt bytes. The policy uses a strict comparison, so the boundary
   // itself must not trigger; the 23rd record must.
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   pm.WriteCheckpoint(std::vector<LogRecord>(45));
   int snapshots_taken = 0;
   pm.set_checkpoint_source([&snapshots_taken] {
@@ -239,7 +236,7 @@ TEST(PersistTest, RecoveryWithEmptyCheckpointRegionReplaysWholeLog) {
   // Before the first checkpoint exists, recovery must work from the log
   // alone: empty checkpoint, every durable record replayed.
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   for (int i = 0; i < 5; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/true);
   }
@@ -260,7 +257,7 @@ TEST(PersistTest, AtomicBatchDefersGroupCommit) {
   // flush there could tear a merge's remove/insert pair); the deferred
   // commit fires on the first asynchronous append after the batch closes.
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   {
     PersistenceManager::AtomicBatchScope batch(&pm);
     for (int i = 0; i < 15; ++i) {  // past the threshold of 10
@@ -278,7 +275,7 @@ TEST(PersistTest, ExplicitFlushInsideAtomicBatchStillFlushes) {
   // The pre-erase barrier must stay effective mid-batch: reclaimed flash may
   // never be referenced by a recovered mapping.
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   PersistenceManager::AtomicBatchScope batch(&pm);
   pm.Append(MakeRecord(1), /*sync=*/false);
   pm.Flush();
@@ -303,7 +300,7 @@ TEST(PersistTest, LogRegionExactlyFullBatchStillFlushes) {
   PersistenceManager::Options opts = SmallOptions();
   opts.group_commit_ops = 1000;  // flush timing controlled by the test
   opts.log_region_pages = 1;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   pm.set_checkpoint_source([] { return std::vector<LogRecord>(3); });
   for (int i = 0; i < 91; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/false);
@@ -331,7 +328,7 @@ TEST(PersistTest, AdmitHostOpThrottlesWhenFullAndReleasesAfterDrain) {
   PersistenceManager::Options opts = SmallOptions();
   opts.group_commit_ops = 1000;
   opts.log_region_pages = 1;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   pm.set_checkpoint_source([] { return std::vector<LogRecord>(3); });
   EXPECT_TRUE(pm.AdmitHostOp());
   // 88 durable records fit in the page, but not with AdmitHostOp's 4-record
@@ -355,7 +352,7 @@ TEST(PersistTest, HighWaterForcesCheckpointBeforeRegionFills) {
   SimClock clock;
   PersistenceManager::Options opts = SmallOptions();
   opts.log_region_pages = 4;  // 0.75 high water = 3 pages
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   // A huge first checkpoint keeps the size-ratio rule quiet and SmallOptions
   // disables the write-interval rule, isolating the region trigger.
   pm.WriteCheckpoint(std::vector<LogRecord>(100'000));
@@ -381,7 +378,7 @@ TEST(PersistTest, TornCheckpointSegmentFallsBackToPreviousGeneration) {
   SimClock clock;
   PersistenceManager::Options opts = SmallOptions();
   opts.checkpoint_segment_entries = 4;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   pm.WriteCheckpoint(MakeEntries(100, 12));  // gen 1: 3 segments
   for (int i = 0; i < 4; ++i) {
     pm.Append(MakeRecord(500 + i), /*sync=*/true);
@@ -416,7 +413,7 @@ TEST(PersistTest, DoublyTornSegmentDegradesToEmptySliceAndFullReplay) {
   SimClock clock;
   PersistenceManager::Options opts = SmallOptions();
   opts.checkpoint_segment_entries = 4;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   pm.WriteCheckpoint(MakeEntries(100, 12));
   for (int i = 0; i < 4; ++i) {
     pm.Append(MakeRecord(500 + i), /*sync=*/true);
@@ -442,7 +439,7 @@ TEST(PersistTest, DoublyTornSegmentDegradesToEmptySliceAndFullReplay) {
 
 TEST(PersistTest, CorruptLogTailSkipsExactlyThoseRecords) {
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   for (int i = 0; i < 6; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/true);
   }
@@ -463,7 +460,7 @@ TEST(PersistTest, RecoveryIsIdempotent) {
   SimClock clock;
   PersistenceManager::Options opts = SmallOptions();
   opts.checkpoint_segment_entries = 4;
-  PersistenceManager pm(opts, FlashTimings{}, &clock);
+  PersistenceManager pm(opts, &clock);
   pm.WriteCheckpoint(MakeEntries(100, 10));
   for (int i = 0; i < 6; ++i) {
     pm.Append(MakeRecord(300 + i), /*sync=*/true);
@@ -508,7 +505,7 @@ TEST(PersistTest, RecoveryIsIdempotent) {
 TEST(PersistTest, LsnsAreMonotone) {
   // Append numbers each record with the next LSN, starting at 1.
   SimClock clock;
-  PersistenceManager pm(SmallOptions(), FlashTimings{}, &clock);
+  PersistenceManager pm(SmallOptions(), &clock);
   for (int i = 0; i < 100; ++i) {
     pm.Append(MakeRecord(i), /*sync=*/false);
   }

@@ -22,16 +22,16 @@ using Op = FlashPipeline::Op;
 
 // Table 2 defaults: read 77, write 97, erase 1010, copy 160, oob 75; the
 // channel (command+transfer) slices are 12, 12, 10, 10, 10 of those.
-const FlashTimings kT;
+using T = FlashTimings;
 
 TEST(PipelineTest, NominalCostsMatchLegacyClosedLoopCosts) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
-  EXPECT_EQ(p.NominalCostUs(Op::kRead), kT.ReadCostUs());
-  EXPECT_EQ(p.NominalCostUs(Op::kWrite), kT.WriteCostUs());
-  EXPECT_EQ(p.NominalCostUs(Op::kErase), kT.EraseCostUs());
-  EXPECT_EQ(p.NominalCostUs(Op::kCopy), kT.CopyCostUs());
-  EXPECT_EQ(p.NominalCostUs(Op::kOobRead), kT.OobReadCostUs());
+  FlashPipeline p(FlashGeometry{}, &clock);
+  EXPECT_EQ(p.NominalCostUs(Op::kRead), T::ReadCostUs());
+  EXPECT_EQ(p.NominalCostUs(Op::kWrite), T::WriteCostUs());
+  EXPECT_EQ(p.NominalCostUs(Op::kErase), T::EraseCostUs());
+  EXPECT_EQ(p.NominalCostUs(Op::kCopy), T::CopyCostUs());
+  EXPECT_EQ(p.NominalCostUs(Op::kOobRead), T::OobReadCostUs());
 }
 
 // Depth 1 (a chain that never rewinds): every op's makespan equals its
@@ -40,7 +40,7 @@ TEST(PipelineTest, NominalCostsMatchLegacyClosedLoopCosts) {
 // time" for all existing closed-loop replay.
 TEST(PipelineTest, UncontendedMakespanEqualsNominalCost) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
+  FlashPipeline p(FlashGeometry{}, &clock);
   uint64_t expected = 0;
   const struct {
     Op op;
@@ -57,7 +57,7 @@ TEST(PipelineTest, UncontendedMakespanEqualsNominalCost) {
   }
   const uint64_t before = clock.now_us();
   const FlashPipeline::Completion c = p.ExecuteCopy(2, 5);
-  EXPECT_EQ(c.done_us, before + kT.CopyCostUs());
+  EXPECT_EQ(c.done_us, before + T::CopyCostUs());
 }
 
 // Two reads submitted at the same time on distinct planes overlap their
@@ -66,28 +66,28 @@ TEST(PipelineTest, UncontendedMakespanEqualsNominalCost) {
 // and 1 sit on different channels with the default 5-channel geometry).
 TEST(PipelineTest, DistinctPlanesOverlap) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
+  FlashPipeline p(FlashGeometry{}, &clock);
   clock.BeginRequest(0);
   const FlashPipeline::Completion c1 = p.Execute(Op::kRead, 0);
   clock.BeginRequest(0);
   const FlashPipeline::Completion c2 = p.Execute(Op::kRead, 1);
-  EXPECT_EQ(c1.done_us, kT.ReadCostUs());
-  EXPECT_EQ(c2.done_us, kT.ReadCostUs());  // fully parallel
+  EXPECT_EQ(c1.done_us, T::ReadCostUs());
+  EXPECT_EQ(c2.done_us, T::ReadCostUs());  // fully parallel
   const uint64_t makespan = std::max(c1.done_us, c2.done_us);
-  EXPECT_LT(makespan, 2 * kT.ReadCostUs());
+  EXPECT_LT(makespan, 2 * T::ReadCostUs());
 }
 
 // The same two reads on the SAME plane serialize on the array: the second
 // read's sense waits for the first, so it completes one page_read later.
 TEST(PipelineTest, SamePlaneSerializesMedia) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
+  FlashPipeline p(FlashGeometry{}, &clock);
   clock.BeginRequest(0);
   const FlashPipeline::Completion c1 = p.Execute(Op::kRead, 0);
   clock.BeginRequest(0);
   const FlashPipeline::Completion c2 = p.Execute(Op::kRead, 0);
-  EXPECT_EQ(c1.done_us, kT.ReadCostUs());
-  EXPECT_EQ(c2.done_us, kT.ReadCostUs() + kT.page_read_us);
+  EXPECT_EQ(c1.done_us, T::ReadCostUs());
+  EXPECT_EQ(c2.done_us, T::ReadCostUs() + T::kPageReadUs);
 }
 
 // Planes sharing one channel overlap their array time but serialize their
@@ -95,40 +95,40 @@ TEST(PipelineTest, SamePlaneSerializesMedia) {
 // 0, so the second read starts its sense one transfer slot late.
 TEST(PipelineTest, SharedChannelSerializesTransfersOnly) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
-  const uint64_t xfer = kT.control_us + kT.bus_control_us;
+  FlashPipeline p(FlashGeometry{}, &clock);
+  const uint64_t xfer = T::kControlUs + T::kBusControlUs;
   clock.BeginRequest(0);
   p.Execute(Op::kRead, 0);
   clock.BeginRequest(0);
   const FlashPipeline::Completion c2 = p.Execute(Op::kRead, 5);
-  EXPECT_EQ(c2.done_us, xfer + kT.ReadCostUs());
-  EXPECT_LT(c2.done_us, kT.ReadCostUs() + kT.page_read_us);
+  EXPECT_EQ(c2.done_us, xfer + T::ReadCostUs());
+  EXPECT_LT(c2.done_us, T::ReadCostUs() + T::kPageReadUs);
 }
 
 // A slow erase on one plane does not delay a foreground read on another:
 // GC-style background work and host reads overlap.
 TEST(PipelineTest, EraseOverlapsForegroundRead) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
+  FlashPipeline p(FlashGeometry{}, &clock);
   clock.BeginRequest(0);
   const FlashPipeline::Completion erase = p.Execute(Op::kErase, 0);
   clock.BeginRequest(0);
   const FlashPipeline::Completion read = p.Execute(Op::kRead, 1);
-  EXPECT_EQ(erase.done_us, kT.EraseCostUs());
-  EXPECT_EQ(read.done_us, kT.ReadCostUs());
+  EXPECT_EQ(erase.done_us, T::EraseCostUs());
+  EXPECT_EQ(read.done_us, T::ReadCostUs());
 }
 
 // A GC copy with distinct source and destination planes holds each plane
 // only for its own phase; a read on a third plane overlaps it entirely.
 TEST(PipelineTest, CopySpansItsPlanesAndOverlapsOthers) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
+  FlashPipeline p(FlashGeometry{}, &clock);
   clock.BeginRequest(0);
   const FlashPipeline::Completion copy = p.ExecuteCopy(0, 1);
-  EXPECT_EQ(copy.done_us, kT.CopyCostUs());
+  EXPECT_EQ(copy.done_us, T::CopyCostUs());
   clock.BeginRequest(0);
   const FlashPipeline::Completion read = p.Execute(Op::kRead, 2);
-  EXPECT_EQ(read.done_us, kT.ReadCostUs());
+  EXPECT_EQ(read.done_us, T::ReadCostUs());
 }
 
 // Same-time contenders acquire resources in program order, tie-broken by
@@ -136,7 +136,7 @@ TEST(PipelineTest, CopySpansItsPlanesAndOverlapsOthers) {
 // always completes A's phases first, and seq is strictly increasing.
 TEST(PipelineTest, TieBreakIsProgramOrder) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
+  FlashPipeline p(FlashGeometry{}, &clock);
   clock.BeginRequest(0);
   const FlashPipeline::Completion a = p.Execute(Op::kWrite, 4);
   clock.BeginRequest(0);
@@ -147,7 +147,7 @@ TEST(PipelineTest, TieBreakIsProgramOrder) {
   EXPECT_LT(b.seq, c.seq);
   EXPECT_LT(a.done_us, b.done_us);
   EXPECT_LT(b.done_us, c.done_us);
-  EXPECT_EQ(b.done_us, a.done_us + kT.page_write_us);
+  EXPECT_EQ(b.done_us, a.done_us + T::kPageWriteUs);
 }
 
 // Identical issue sequences produce identical completion times: the engine
@@ -155,7 +155,7 @@ TEST(PipelineTest, TieBreakIsProgramOrder) {
 TEST(PipelineTest, DeterministicAcrossRuns) {
   auto run = [] {
     SimClock clock;
-    FlashPipeline p(FlashGeometry{}, kT, &clock);
+    FlashPipeline p(FlashGeometry{}, &clock);
     uint64_t fingerprint = 0;
     for (uint32_t i = 0; i < 200; ++i) {
       clock.BeginRequest(i * 3);
@@ -173,12 +173,12 @@ TEST(PipelineTest, DeterministicAcrossRuns) {
 // resource; neither touches any plane's array time.
 TEST(PipelineTest, ControlAndLogAvoidPlanes) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
+  FlashPipeline p(FlashGeometry{}, &clock);
   clock.BeginRequest(0);
   const FlashPipeline::Completion erase = p.Execute(Op::kErase, 0);
-  EXPECT_EQ(erase.done_us, kT.EraseCostUs());
+  EXPECT_EQ(erase.done_us, T::EraseCostUs());
   clock.BeginRequest(0);
-  EXPECT_EQ(p.ExecuteControl(kT.control_us, /*channel_hint=*/1).done_us, kT.control_us);
+  EXPECT_EQ(p.ExecuteControl(T::kControlUs, /*channel_hint=*/1).done_us, T::kControlUs);
   clock.BeginRequest(0);
   EXPECT_EQ(p.ExecuteLog(25).done_us, 25u);
   // Log commits serialize among themselves.
@@ -190,30 +190,30 @@ TEST(PipelineTest, ControlAndLogAvoidPlanes) {
 // against an idle device (the crash lost whatever was in flight).
 TEST(PipelineTest, ResetClearsFrontiers) {
   SimClock clock;
-  FlashPipeline p(FlashGeometry{}, kT, &clock);
+  FlashPipeline p(FlashGeometry{}, &clock);
   p.Execute(Op::kErase, 0);
   p.Reset();
   clock.Reset();
   const FlashPipeline::Completion c = p.Execute(Op::kRead, 0);
   EXPECT_EQ(c.start_us, 0u);
-  EXPECT_EQ(c.done_us, kT.ReadCostUs());
+  EXPECT_EQ(c.done_us, T::ReadCostUs());
 }
 
 // FlashDevice charges every op through the pipeline: a serial sequence of
 // device ops still advances the clock by exactly the legacy total.
 TEST(PipelineTest, FlashDeviceClosedLoopTotalsUnchanged) {
   SimClock clock;
-  FlashDevice dev(FlashGeometry{}, kT, &clock);
+  FlashDevice dev(FlashGeometry{}, &clock);
   OobRecord oob;
   Ppn ppn = 0;
-  ASSERT_EQ(dev.ProgramPage(0, oob, 1, nullptr, &ppn), Status::kOk);
-  ASSERT_EQ(dev.ReadPage(ppn, nullptr, nullptr, nullptr), Status::kOk);
+  ASSERT_EQ(dev.ProgramPage(0, oob, 1, &ppn), Status::kOk);
+  ASSERT_EQ(dev.ReadPage(ppn, nullptr), Status::kOk);
   ASSERT_EQ(dev.ReadOob(ppn, nullptr), Status::kOk);
   Ppn dst = 0;
   ASSERT_EQ(dev.CopyPage(ppn, /*dst_block=*/1, &dst), Status::kOk);
   ASSERT_EQ(dev.EraseBlock(0), Status::kOk);
-  const uint64_t expected = kT.WriteCostUs() + kT.ReadCostUs() + kT.OobReadCostUs() +
-                            kT.CopyCostUs() + kT.EraseCostUs();
+  const uint64_t expected = T::WriteCostUs() + T::ReadCostUs() + T::OobReadCostUs() +
+                            T::CopyCostUs() + T::EraseCostUs();
   EXPECT_EQ(clock.now_us(), expected);
   EXPECT_EQ(dev.stats().busy_us, expected);
 }

@@ -205,7 +205,6 @@ TEST(PolicyTest, GhostLruRegretCountsRemissesOnRejectedBlocks) {
 TEST(PolicyTest, FrequencySketchAdmitsAtThreshold) {
   FrequencySketchPolicy::Options options;
   options.width = 1024;
-  options.rows = 4;
   options.admit_threshold = 2;
   FrequencySketchPolicy policy(options, /*reject_ghost_entries=*/64);
   EXPECT_EQ(policy.Estimate(42), 0u);
@@ -222,27 +221,28 @@ TEST(PolicyTest, FrequencySketchAdmitsAtThreshold) {
 TEST(PolicyTest, FrequencySketchHalvesCountersPeriodically) {
   FrequencySketchPolicy::Options options;
   options.width = 64;
-  options.rows = 2;
   options.admit_threshold = 2;
-  options.halve_interval = 16;
   FrequencySketchPolicy policy(options, /*reject_ghost_entries=*/64);
   for (int i = 0; i < 8; ++i) {
     policy.OnAccess(7, false);
   }
-  const uint32_t before = policy.Estimate(7);
-  EXPECT_GE(before, 8u);  // count-min may overestimate, never underestimate
-  // Touch other blocks until the halving interval elapses.
-  for (Lbn lbn = 100; lbn < 100 + 16; ++lbn) {
+  EXPECT_GE(policy.Estimate(7), 8u);  // count-min may overestimate, never underestimate
+  // Touch other blocks up to the access before the halving, which falls on
+  // access kHalvingWidths x width (8 x 64).
+  const uint64_t interval = FrequencySketchPolicy::kHalvingWidths * options.width;
+  for (Lbn lbn = 100; lbn < 100 + interval - 9; ++lbn) {
     policy.OnAccess(lbn, false);
   }
-  EXPECT_GE(policy.halvings(), 1u);
+  EXPECT_EQ(policy.halvings(), 0u);
+  const uint32_t before = policy.Estimate(7);
+  policy.OnAccess(99, false);
+  EXPECT_EQ(policy.halvings(), 1u);
   EXPECT_LE(policy.Estimate(7), before / 2 + 1);
 }
 
 TEST(PolicyTest, FrequencySketchMemoryIsAConfigurationConstant) {
   FrequencySketchPolicy::Options options;
   options.width = 1000;  // rounded up to 1024
-  options.rows = 4;
   FrequencySketchPolicy policy(options, /*reject_ghost_entries=*/64);
   const size_t usage = policy.MemoryUsage();
   for (Lbn lbn = 0; lbn < 10'000; ++lbn) {
@@ -341,7 +341,7 @@ TEST(PolicyFactoryTest, SplitsTotalsAcrossShards) {
             config.ghost_entries / 8);
 
   config.kind = AdmissionKind::kFrequencySketch;
-  const uint32_t rows = FrequencySketchPolicy::Options{}.rows;
+  const uint32_t rows = FrequencySketchPolicy::kRows;
   const std::unique_ptr<AdmissionPolicy> s0 = MakeAdmissionPolicy(config, 8, 0, &clock);
   const std::unique_ptr<AdmissionPolicy> s1 = MakeAdmissionPolicy(config, 8, 1, &clock);
   EXPECT_EQ(SketchBytes(*s0), rows * (config.sketch_width / 8));
@@ -400,7 +400,7 @@ TEST(PolicyIntegrationTest, WriteThroughRejectEvictsStaleCopy) {
   SscConfig ssc_config;
   ssc_config.capacity_pages = 1024;
   SscDevice ssc(ssc_config, &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   GhostLruPolicy policy({.ghost_entries = 128, .required_misses = 2},
                         /*reject_ghost_entries=*/128);
   WriteThroughManager manager(&ssc, &disk, policy);
@@ -439,7 +439,7 @@ TEST(PolicyIntegrationTest, WriteBackRejectWritesAroundDurably) {
   SscConfig ssc_config;
   ssc_config.capacity_pages = 1024;
   SscDevice ssc(ssc_config, &clock);
-  DiskModel disk(DiskParams{}, &clock);
+  DiskModel disk(&clock);
   GhostLruPolicy policy({.ghost_entries = 128, .required_misses = 2},
                         /*reject_ghost_entries=*/128);
   WriteBackManager manager(&ssc, &disk, policy);

@@ -27,7 +27,7 @@ TEST(BlockAllocatorTest, AllocatesWearMinimumAndBalancesPlanes) {
   g.blocks_per_plane = 4;
   g.pages_per_block = 8;
   SimClock clock;
-  FlashDevice device(g, FlashTimings{}, &clock);
+  FlashDevice device(g, &clock);
   // Pre-wear block 0 heavily.
   ASSERT_EQ(device.EraseBlock(0), Status::kOk);
   ASSERT_EQ(device.EraseBlock(0), Status::kOk);
@@ -55,7 +55,7 @@ TEST(BlockAllocatorTest, ReservedBlocksExcluded) {
   g.blocks_per_plane = 8;
   g.pages_per_block = 8;
   SimClock clock;
-  FlashDevice device(g, FlashTimings{}, &clock);
+  FlashDevice device(g, &clock);
   BlockAllocator alloc(device, /*reserved_blocks=*/3);
   EXPECT_EQ(alloc.FreeCount(), 5u);
   for (int i = 0; i < 5; ++i) {
@@ -217,7 +217,7 @@ TEST(BlockAllocatorTest, RetirementIsIdempotentAndOrderStable) {
   g.blocks_per_plane = 8;
   g.pages_per_block = 8;
   SimClock clock;
-  FlashDevice device(g, FlashTimings{}, &clock);
+  FlashDevice device(g, &clock);
   BlockAllocator alloc(device, /*reserved_blocks=*/0);
   // Pull every block out of the pool (retirement happens to blocks the FTL
   // holds — an erase just failed on them), retire two, free the rest.
