@@ -19,7 +19,7 @@
 //       [--system=ssc-wt|ssc-wb] cache manager under test (default ssc-wt)
 //       [--threads=<n>] [--shards=<n>] [--depth=<n>] [--verify]
 //       [--stats-json=FILE]
-//       [--ghost-entries=<n>] [--ghost-misses=<k>]
+//       [--ghost-entries=<n>]
 //       [--sketch-width=<n>] [--sketch-threshold=<k>] [--admission-seed=<n>]
 //       [--write-rate=<pages/s>] [--write-burst=<pages>]
 //   (each policy's knobs are read only when that policy runs)

@@ -159,7 +159,6 @@ inline PolicyConfig GetAdmissionConfig(const ArgParser& args,
   };
   if (replays(AdmissionKind::kGhostLru)) {
     config.ghost_entries = args.GetPositive("ghost-entries", config.ghost_entries);
-    config.ghost_required_misses = args.GetPositive("ghost-misses", config.ghost_required_misses);
   }
   if (replays(AdmissionKind::kFrequencySketch)) {
     config.seed = args.Get("admission-seed", config.seed);

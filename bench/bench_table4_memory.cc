@@ -18,8 +18,8 @@
 #include <memory>
 
 #include "bench/bench_common.h"
-#include "src/cache/dirty_table.h"
 #include "src/cache/native.h"
+#include "src/policy/lru_set.h"
 #include "src/ssc/ssc_device.h"
 #include "src/ssd/ssd_ftl.h"
 
@@ -90,11 +90,11 @@ Row MeasureWorkload(const WorkloadProfile& profile, double cache_fraction,
     row.native_host_mb = Mb(native.HostMemoryUsage());
   }
   {
-    DirtyTable table(row.cache_pages / 5 + row.cache_pages / 20);
+    LruSet dirty_table;
     for (uint64_t i = 0; i < row.cache_pages / 5; ++i) {
-      table.Touch(addresses[i % addresses.size()]);
+      dirty_table.Touch(addresses[i % addresses.size()]);
     }
-    row.ft_host_mb = Mb(table.MemoryUsage());
+    row.ft_host_mb = Mb(dirty_table.MemoryUsage());
   }
   return row;
 }

@@ -16,10 +16,7 @@ uint64_t DirtyBudget(uint64_t capacity_pages) {
 }  // namespace
 
 WriteBackManager::WriteBackManager(SscDevice* ssc, DiskModel* disk, AdmissionPolicy& admission)
-    : SscCacheManager(ssc, disk, admission),
-      // Table sized for the nominal budget; the live budget shrinks with the
-      // device (ThresholdBlocks), which only ever needs less room.
-      dirty_table_(DirtyBudget(ssc->capacity_pages()) + DirtyBudget(ssc->capacity_pages()) / 4) {}
+    : SscCacheManager(ssc, disk, admission) {}
 
 uint64_t WriteBackManager::ThresholdBlocks() const {
   return DirtyBudget(ssc_->usable_capacity_pages());
@@ -151,17 +148,12 @@ Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   // blocks are skipped: their disk writes just failed, so re-attempting them
   // here would stall the host write on a dead disk.
   for (int attempt = 0; s == Status::kNoSpace && attempt < 8; ++attempt) {
-    const Lbn victim = dirty_table_.LruBlockWhere(
-        [this](Lbn b) { return parked_lbns_.count(b) == 0; });
-    if (victim == kInvalidLbn) {
-      break;
-    }
-    const size_t before = dirty_table_.size();
-    if (Status cs = CleanRun(victim); !IsOk(cs)) {
+    CleanStep step{};
+    if (Status cs = CleanOldestRun(&step); !IsOk(cs)) {
       return cs;
     }
-    if (dirty_table_.size() >= before) {
-      break;  // the run parked instead of cleaning: no space was freed
+    if (step != CleanStep::kCleaned) {
+      break;  // no space was freed
     }
     s = write_with_drain(lbn, token);
   }
@@ -286,23 +278,35 @@ Status WriteBackManager::WriteAround(Lbn lbn, uint64_t token, uint64_t ManagerSt
   return Status::kOk;
 }
 
+Status WriteBackManager::CleanOldestRun(CleanStep* step) {
+  const Lbn victim =
+      dirty_table_.LruWhere([this](Lbn b) { return parked_lbns_.count(b) == 0; });
+  if (victim == kInvalidLbn) {
+    *step = CleanStep::kNoVictim;
+    return Status::kOk;
+  }
+  const size_t before = dirty_table_.size();
+  if (Status s = CleanRun(victim); !IsOk(s)) {
+    return s;
+  }
+  // A run that cleaned, or lost a block, shrinks the table; one that parked
+  // leaves it as it was.
+  *step = dirty_table_.size() < before ? CleanStep::kCleaned : CleanStep::kParked;
+  return Status::kOk;
+}
+
 Status WriteBackManager::CleanToThreshold() {
   // Hysteresis: clean down to 90% of the threshold so every write does not
   // pay a cleaning pass.
   const uint64_t threshold = ThresholdBlocks();
   const uint64_t target = threshold - threshold / 10;
   while (dirty_table_.size() > target) {
-    const Lbn victim = dirty_table_.LruBlockWhere(
-        [this](Lbn b) { return parked_lbns_.count(b) == 0; });
-    if (victim == kInvalidLbn) {
-      break;  // every remaining dirty block is parked awaiting the disk
-    }
-    const size_t before = dirty_table_.size();
-    if (Status s = CleanRun(victim); !IsOk(s)) {
+    CleanStep step{};
+    if (Status s = CleanOldestRun(&step); !IsOk(s)) {
       return s;
     }
-    if (dirty_table_.size() >= before) {
-      break;  // the run parked: stop cleaning until the disk answers again
+    if (step != CleanStep::kCleaned) {
+      break;  // stop cleaning until the disk answers again
     }
   }
   return Status::kOk;
@@ -310,19 +314,17 @@ Status WriteBackManager::CleanToThreshold() {
 
 Status WriteBackManager::FlushAll() {
   while (dirty_table_.size() > 0) {
-    const Lbn victim = dirty_table_.LruBlockWhere(
-        [this](Lbn b) { return parked_lbns_.count(b) == 0; });
-    if (victim != kInvalidLbn) {
-      const size_t before = dirty_table_.size();
-      if (Status s = CleanRun(victim); !IsOk(s)) {
-        return s;
-      }
-      if (dirty_table_.size() >= before) {
-        // The run parked: the disk is refusing writebacks. The blocks stay
-        // dirty and parked — surfacing the error beats spinning.
-        return last_disk_error_;
-      }
+    CleanStep step{};
+    if (Status s = CleanOldestRun(&step); !IsOk(s)) {
+      return s;
+    }
+    if (step == CleanStep::kCleaned) {
       continue;
+    }
+    if (step == CleanStep::kParked) {
+      // The disk is refusing writebacks. The blocks stay dirty and parked —
+      // surfacing the error beats spinning.
+      return last_disk_error_;
     }
     // Only parked blocks remain. An orderly shutdown does not wait out
     // backoff: force-redrive the queue now. A popped run whose blocks were

@@ -1,12 +1,12 @@
 // Write-back FlashTier cache manager (Sections 3.1 and 4.4).
 //
 // Writes go to the SSC only, with write-dirty; the disk is updated lazily.
-// The manager tracks dirty blocks in the DirtyTable and, when the dirty
-// fraction of the cache exceeds 20% (the paper's Table 4 configuration),
-// issues clean commands for LRU dirty blocks — preferring runs of contiguous
-// dirty blocks that can be merged into one sequential disk write. Cleaned
-// blocks stay cached (and readable) until the SSC's silent eviction actually
-// needs the space.
+// The manager tracks dirty blocks in its dirty table (an LruSet) and, when
+// the dirty fraction of the cache exceeds 20% (the paper's Table 4
+// configuration), issues clean commands for LRU dirty blocks — preferring
+// runs of contiguous dirty blocks that can be merged into one sequential disk
+// write. Cleaned blocks stay cached (and readable) until the SSC's silent
+// eviction actually needs the space.
 //
 // After a crash the manager may serve requests immediately; it repopulates
 // the dirty table with an exists scan of the disk address space, which can
@@ -30,8 +30,8 @@
 #include <deque>
 #include <unordered_set>
 
-#include "src/cache/dirty_table.h"
 #include "src/cache/ssc_manager.h"
+#include "src/policy/lru_set.h"
 
 namespace flashtier {
 
@@ -108,6 +108,12 @@ class WriteBackManager final : public SscCacheManager {
 
   // Cleans LRU dirty blocks until the table is below the threshold.
   Status CleanToThreshold();
+  // What CleanOldestRun did: the dirty table shrank, the run parked, or every
+  // dirty block is parked and there was nothing to clean.
+  enum class CleanStep : uint8_t { kCleaned, kParked, kNoVictim };
+  // Cleans the run around the least recently written dirty block that is not
+  // parked, and reports in `*step` what that did.
+  Status CleanOldestRun(CleanStep* step);
   // Cleans the contiguous dirty run containing `seed` (one disk write). A
   // disk failure parks the run (attempt `park_attempt`+1) instead of failing.
   Status CleanRun(Lbn seed, uint32_t park_attempt = 0);
@@ -131,7 +137,7 @@ class WriteBackManager final : public SscCacheManager {
   // Forgets a block the SSC reported lost, counting each loss once.
   void OnDirtyLoss(Lbn lbn) override;
 
-  DirtyTable dirty_table_;
+  LruSet dirty_table_;  // unbounded; least recently written first to clean
   bool disk_degraded_ = false;
   uint32_t consecutive_disk_failures_ = 0;
   Status last_disk_error_ = Status::kIoError;

@@ -592,7 +592,7 @@ CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const S
   // the rejects window. A rejected LBN present in the SSC therefore means
   // the bypass path leaked a mapping.
   if (ssc != nullptr) {
-    policy.recent_rejects().ForEach([&](Lbn lbn, uint32_t) {
+    policy.recent_rejects().ForEach([&](Lbn lbn) {
       ++report.checks_run;
       if (ssc->Locate(lbn)) {
         report.Add("policy.rejected-present",
@@ -824,7 +824,7 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
                    static_cast<int>(policy.name().size()), policy.name().data(),
                    policy.MemoryUsage(), policy.MemoryBound()));
   }
-  policy.recent_rejects().ForEach([&](uint64_t key, uint32_t) {
+  policy.recent_rejects().ForEach([&](uint64_t key) {
     ++report.checks_run;
     if (shard.key_map().Contains(key)) {
       report.Add("kv.policy.rejected-present",

@@ -15,9 +15,10 @@
 // WriteRateLimiter reads its shard's *virtual* clock.
 //
 // Memory contract: all policy state lives in structures with a fixed
-// configured ceiling (GhostTable capacity, sketch width). MemoryUsage() must
-// never exceed MemoryBound(); InvariantChecker::CheckPolicy audits this, and
-// also that every LBN in the recent-rejects window is absent from the SSC.
+// configured ceiling (an LruSet window's capacity, the sketch width).
+// MemoryUsage() must never exceed MemoryBound(); InvariantChecker::CheckPolicy
+// audits this, and also that every LBN in the recent-rejects window is absent
+// from the SSC.
 
 #ifndef FLASHTIER_POLICY_ADMISSION_POLICY_H_
 #define FLASHTIER_POLICY_ADMISSION_POLICY_H_
@@ -27,7 +28,7 @@
 #include <string_view>
 
 #include "src/flash/types.h"
-#include "src/policy/ghost_table.h"
+#include "src/policy/lru_set.h"
 #include "src/util/counters.h"
 
 namespace flashtier {
@@ -77,6 +78,12 @@ static_assert(AllCountersListed<PolicyStats>(), "list every PolicyStats field in
 // splits the window across shards).
 inline constexpr uint32_t kRejectGhostEntries = 4096;
 
+// Modeled bytes per window entry, charged for every LBN a policy's LruSet
+// holds. A fixed ceiling, so MemoryBound is capacity x entry whatever the
+// allocator does. It covers the set's own cost per entry, a 16-B entry plus
+// two to four 4-B index slots, with room to spare.
+inline constexpr size_t kWindowEntryBytes = 44;
+
 class AdmissionPolicy {
  public:
   explicit AdmissionPolicy(size_t reject_ghost_entries)
@@ -118,20 +125,21 @@ class AdmissionPolicy {
 
   virtual std::string_view name() const = 0;
 
-  // Actual bytes of policy state vs. the configured ceiling (audited).
-  virtual size_t MemoryUsage() const { return reject_ghost_.MemoryUsage(); }
-  virtual size_t MemoryBound() const { return reject_ghost_.MemoryBound(); }
+  // Bytes of policy state, a window's at kWindowEntryBytes an entry, vs. the
+  // configured ceiling (audited).
+  virtual size_t MemoryUsage() const { return reject_ghost_.size() * kWindowEntryBytes; }
+  virtual size_t MemoryBound() const { return reject_ghost_.capacity() * kWindowEntryBytes; }
 
   const PolicyStats& stats() const { return stats_; }
   // Recently rejected LBNs: the regret window, and the set the
   // rejected-block-absent audit checks against the SSC.
-  const GhostTable& recent_rejects() const { return reject_ghost_; }
+  const LruSet& recent_rejects() const { return reject_ghost_; }
 
  protected:
   virtual bool Decide(Lbn lbn, AdmissionOp op, const AdmissionContext& ctx) = 0;
 
   PolicyStats stats_;
-  GhostTable reject_ghost_;
+  LruSet reject_ghost_;
 };
 
 // The default: admit everything. The decision touches no device state and

@@ -1,4 +1,4 @@
-// Second-hit admission: a block enters the cache only on its K-th miss
+// Second-hit admission: a block enters the cache only on its second miss
 // within a bounded LRU window of recently-missed LBNs (the "ghost" cache —
 // metadata-only, no data). Single-touch cold tails (most prominent in the
 // usr/proj traces) never earn a flash write; anything re-referenced within
@@ -14,32 +14,29 @@ namespace flashtier {
 class GhostLruPolicy final : public AdmissionPolicy {
  public:
   struct Options {
-    size_t ghost_entries = 16384;      // window of recently missed LBNs
-    uint32_t required_misses = 2;      // admit on the K-th miss
+    size_t ghost_entries = 16384;  // window of recently missed LBNs
   };
 
   GhostLruPolicy(const Options& options, size_t reject_ghost_entries)
-      : AdmissionPolicy(reject_ghost_entries),
-        ghost_(options.ghost_entries),
-        required_misses_(options.required_misses == 0 ? 1 : options.required_misses) {}
+      : AdmissionPolicy(reject_ghost_entries), ghost_(options.ghost_entries) {}
 
   std::string_view name() const override { return "ghost-lru"; }
 
   size_t MemoryUsage() const override {
-    return ghost_.MemoryUsage() + AdmissionPolicy::MemoryUsage();
+    return ghost_.size() * kWindowEntryBytes + AdmissionPolicy::MemoryUsage();
   }
   size_t MemoryBound() const override {
-    return ghost_.MemoryBound() + AdmissionPolicy::MemoryBound();
+    return ghost_.capacity() * kWindowEntryBytes + AdmissionPolicy::MemoryBound();
   }
 
-  const GhostTable& ghost() const { return ghost_; }
+  const LruSet& ghost() const { return ghost_; }
 
  protected:
   bool Decide(Lbn lbn, AdmissionOp, const AdmissionContext& ctx) override {
     if (ctx.resident) {
       return true;  // overwrites of cached data keep their slot
     }
-    if (ghost_.Touch(lbn) >= required_misses_) {
+    if (ghost_.Touch(lbn)) {
       ++stats_.ghost_hits;
       ghost_.Erase(lbn);  // admitted: the history has served its purpose
       return true;
@@ -48,8 +45,7 @@ class GhostLruPolicy final : public AdmissionPolicy {
   }
 
  private:
-  GhostTable ghost_;
-  uint32_t required_misses_;
+  LruSet ghost_;
 };
 
 }  // namespace flashtier

@@ -1,20 +1,19 @@
-// Bounded LRU table of LBN -> small counter, the building block of the
-// admission policies: GhostLru keeps recently *missed* blocks in one to count
-// re-misses, and every policy keeps recently *rejected* blocks in one so the
-// regret counter (and the rejected-block-absent audit) has a window to look
-// at. The table is deterministic — iteration order is recency order — and its
-// memory is strictly bounded: at `capacity` entries the LRU entry is evicted
-// before a new one is inserted.
+// A set of LBNs in recency order. The write-back manager's dirty-block table
+// (Section 4.4) is one, unbounded: it cleans from the least recently written
+// end. The admission policies' windows are bounded ones: GhostLru remembers
+// recently *missed* blocks in one, and every policy remembers recently
+// *rejected* blocks in one for the regret counter and the
+// rejected-block-absent audit. Iteration order is recency order, so every
+// decision the set feeds is deterministic.
 //
-// The table is flat, since a GhostLru policy consults it on every read miss:
-// entries live in one vector, linked into the LRU list by 32-bit indices,
-// with freed entries chained through their `next` link; an open-addressing
-// index (linear probing, at most half full, backward-shift delete) maps an
-// LBN to its entry. Both vectors grow with the entries held, not with the
-// configured capacity, and once grown no Touch or Erase allocates.
+// The set is flat: entries live in one vector, linked into the recency list
+// by 32-bit indices, with freed entries chained through their `next` link; an
+// open-addressing index (linear probing, at most half full, backward-shift
+// delete) maps an LBN to its entry. Both vectors grow with the entries held,
+// not with the capacity, and once grown no Touch or Erase allocates.
 
-#ifndef FLASHTIER_POLICY_GHOST_TABLE_H_
-#define FLASHTIER_POLICY_GHOST_TABLE_H_
+#ifndef FLASHTIER_POLICY_LRU_SET_H_
+#define FLASHTIER_POLICY_LRU_SET_H_
 
 #include <algorithm>
 #include <cstddef>
@@ -26,18 +25,20 @@
 
 namespace flashtier {
 
-class GhostTable {
+class LruSet {
  public:
-  explicit GhostTable(size_t capacity) : capacity_(std::clamp<size_t>(capacity, 1, kNil)) {}
+  // Holds at most `capacity` entries (at least one); by default as many as
+  // its 32-bit links can index.
+  explicit LruSet(size_t capacity = kNil) : capacity_(std::clamp<size_t>(capacity, 1, kNil)) {}
 
-  // Bumps `lbn` to most-recently-used and increments its counter (inserting
-  // it at 1), evicting the least-recently-used entry when the table is full.
-  // Returns the counter after the increment.
-  uint32_t Touch(Lbn lbn) {
+  // Makes `lbn` the most recent entry, inserting it if absent; an insert into
+  // a full set first evicts the least recent entry. Returns whether `lbn` was
+  // present.
+  bool Touch(Lbn lbn) {
     if (const uint32_t hit = index_[FindSlot(lbn)]; hit != kNil) {
       Unlink(hit);
       PushFront(hit);
-      return ++entries_[hit].count;
+      return true;
     }
     if (size_ >= capacity_) {
       Erase(entries_[tail_].lbn);
@@ -50,7 +51,6 @@ class GhostTable {
       entries_.emplace_back();
     }
     entries_[e].lbn = lbn;
-    entries_[e].count = 1;
     PushFront(e);
     ++size_;
     if (2 * size_ > index_.size()) {
@@ -58,21 +58,17 @@ class GhostTable {
     } else {
       index_[FindSlot(lbn)] = e;
     }
-    return 1;
+    return false;
   }
 
   bool Contains(Lbn lbn) const { return index_[FindSlot(lbn)] != kNil; }
 
-  uint32_t Count(Lbn lbn) const {
-    const uint32_t e = index_[FindSlot(lbn)];
-    return e == kNil ? 0 : entries_[e].count;
-  }
-
-  void Erase(Lbn lbn) {
+  // Removes `lbn`; returns false if it was absent.
+  bool Erase(Lbn lbn) {
     size_t hole = FindSlot(lbn);
     const uint32_t e = index_[hole];
     if (e == kNil) {
-      return;
+      return false;
     }
     Unlink(e);
     entries_[e].next = free_;
@@ -89,28 +85,35 @@ class GhostTable {
       }
     }
     index_[hole] = kNil;
+    return true;
   }
 
   size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
 
-  // Visits (lbn, count) in recency order, most recent first.
+  // The least recent entry `pred` accepts; kInvalidLbn if none does.
+  template <typename Pred>
+  Lbn LruWhere(Pred&& pred) const {
+    for (uint32_t e = tail_; e != kNil; e = entries_[e].prev) {
+      if (pred(entries_[e].lbn)) {
+        return entries_[e].lbn;
+      }
+    }
+    return kInvalidLbn;
+  }
+
+  // Visits every entry, most recent first.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (uint32_t e = head_; e != kNil; e = entries_[e].next) {
-      fn(entries_[e].lbn, entries_[e].count);
+      fn(entries_[e].lbn);
     }
   }
 
-  // Modeled bytes per entry: the payload plus two list links and two hash
-  // links. A fixed constant so MemoryBound is a hard capacity * entry ceiling
-  // independent of allocator behaviour; it is above the real cost per entry
-  // of a full table of at least 8 entries: 24 B plus two to four 4-B slots.
-  static constexpr size_t kEntryBytes =
-      sizeof(Lbn) + sizeof(uint32_t) + 4 * sizeof(void*);
-
-  size_t MemoryUsage() const { return size_ * kEntryBytes; }
-  size_t MemoryBound() const { return capacity_ * kEntryBytes; }
+  // Bytes the entry vector and the index hold.
+  size_t MemoryUsage() const {
+    return entries_.capacity() * sizeof(Entry) + index_.capacity() * sizeof(uint32_t);
+  }
 
  private:
   static constexpr uint32_t kNil = 0xffffffffu;
@@ -118,10 +121,10 @@ class GhostTable {
 
   struct Entry {
     Lbn lbn = kInvalidLbn;
-    uint32_t count = 0;
-    uint32_t prev = kNil;  // toward the most recently used
-    uint32_t next = kNil;  // toward the least recently used; the free chain
+    uint32_t prev = kNil;  // toward the most recent
+    uint32_t next = kNil;  // toward the least recent; the free chain
   };
+  static_assert(sizeof(Entry) == 16);
 
   size_t Home(Lbn lbn) const { return MixHash64(lbn) & (index_.size() - 1); }
 
@@ -159,11 +162,11 @@ class GhostTable {
   size_t size_ = 0;
   std::vector<Entry> entries_;
   std::vector<uint32_t> index_ = std::vector<uint32_t>(kMinSlots, kNil);  // kNil: empty
-  uint32_t head_ = kNil;  // most recently used
-  uint32_t tail_ = kNil;  // least recently used
+  uint32_t head_ = kNil;  // most recent
+  uint32_t tail_ = kNil;  // least recent
   uint32_t free_ = kNil;  // first freed entry
 };
 
 }  // namespace flashtier
 
-#endif  // FLASHTIER_POLICY_GHOST_TABLE_H_
+#endif  // FLASHTIER_POLICY_LRU_SET_H_

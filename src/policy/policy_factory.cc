@@ -53,7 +53,6 @@ std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config,
     case AdmissionKind::kGhostLru: {
       GhostLruPolicy::Options opts;
       opts.ghost_entries = std::max<uint32_t>(64, config.ghost_entries / n);
-      opts.required_misses = config.ghost_required_misses;
       return std::make_unique<GhostLruPolicy>(opts, rejects);
     }
     case AdmissionKind::kFrequencySketch: {

@@ -16,7 +16,7 @@ namespace flashtier {
 
 enum class AdmissionKind : uint8_t {
   kAdmitAll,          // default; admits everything and charges no time
-  kGhostLru,          // second-hit admission over a bounded ghost table
+  kGhostLru,          // second-hit admission over a bounded ghost window
   kFrequencySketch,   // counting-sketch threshold admission with aging
   kWriteRateLimiter,  // virtual-time token bucket on flash-write bandwidth
 };
@@ -26,9 +26,8 @@ struct PolicyConfig {
   uint64_t seed = 1;
   // GhostLru.
   uint32_t ghost_entries = 16384;
-  uint32_t ghost_required_misses = 2;
   // FrequencySketch; its row count and halving interval are the policy's
-  // own defaults (FrequencySketchPolicy::Options).
+  // constants (FrequencySketchPolicy::kRows and kHalvingWidths).
   uint32_t sketch_width = 16384;
   uint32_t sketch_threshold = 2;
   // WriteRateLimiter.

@@ -5,24 +5,24 @@
 
 #include <unordered_map>
 
-#include "src/cache/dirty_table.h"
 #include "src/cache/native.h"
 #include "src/cache/write_back.h"
 #include "src/cache/write_through.h"
+#include "src/policy/lru_set.h"
 #include "src/util/rng.h"
 
 namespace flashtier {
 namespace {
 
-// ---- DirtyTable ----
+// ---- DirtyTable: the write-back manager's unbounded LruSet ----
 
 // The table's least-recently-used block; kInvalidLbn if empty.
-Lbn Lru(const DirtyTable& table) {
-  return table.LruBlockWhere([](Lbn) { return true; });
+Lbn Lru(const LruSet& table) {
+  return table.LruWhere([](Lbn) { return true; });
 }
 
 TEST(DirtyTableTest, TouchInsertsAndRefreshesLru) {
-  DirtyTable table(100);
+  LruSet table;
   table.Touch(1);
   table.Touch(2);
   table.Touch(3);
@@ -34,7 +34,7 @@ TEST(DirtyTableTest, TouchInsertsAndRefreshesLru) {
 }
 
 TEST(DirtyTableTest, EraseMaintainsLruChain) {
-  DirtyTable table(100);
+  LruSet table;
   for (Lbn i = 1; i <= 5; ++i) {
     table.Touch(i);
   }
@@ -52,7 +52,7 @@ TEST(DirtyTableTest, EraseMaintainsLruChain) {
 }
 
 TEST(DirtyTableTest, SlotReuseAfterErase) {
-  DirtyTable table(4);
+  LruSet table;
   for (Lbn i = 0; i < 100; ++i) {
     table.Touch(i);
     table.Erase(i);
@@ -60,42 +60,6 @@ TEST(DirtyTableTest, SlotReuseAfterErase) {
   EXPECT_EQ(table.size(), 0u);
   // Memory bounded by peak entries, not total inserts.
   EXPECT_LT(table.MemoryUsage(), 10'000u);
-}
-
-TEST(DirtyTableTest, ForEachVisitsAll) {
-  DirtyTable table(100);
-  for (Lbn i = 10; i < 20; ++i) {
-    table.Touch(i);
-  }
-  std::unordered_map<Lbn, int> seen;
-  table.ForEach([&seen](Lbn lbn) { ++seen[lbn]; });
-  EXPECT_EQ(seen.size(), 10u);
-}
-
-TEST(DirtyTableTest, LruOrderUnderRandomOps) {
-  DirtyTable table(512);
-  std::vector<Lbn> order;  // LRU -> MRU reference
-  Rng rng(3);
-  for (int i = 0; i < 5000; ++i) {
-    const Lbn lbn = rng.Below(300);
-    if (rng.Chance(0.7)) {
-      table.Touch(lbn);
-      auto it = std::find(order.begin(), order.end(), lbn);
-      if (it != order.end()) {
-        order.erase(it);
-      }
-      order.push_back(lbn);
-    } else {
-      const bool erased = table.Erase(lbn);
-      auto it = std::find(order.begin(), order.end(), lbn);
-      EXPECT_EQ(erased, it != order.end());
-      if (it != order.end()) {
-        order.erase(it);
-      }
-    }
-    ASSERT_EQ(table.size(), order.size());
-    ASSERT_EQ(Lru(table), order.empty() ? kInvalidLbn : order.front());
-  }
 }
 
 // ---- Shared fixtures ----

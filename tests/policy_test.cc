@@ -1,11 +1,12 @@
-// Tests for the admission-policy subsystem (DESIGN.md §5f): the ghost table's
-// bounded-LRU behaviour, each policy's decision rule, the regret counter, the
-// factory / CLI-name plumbing, the factory's per-shard splits, the policy memory
-// audit, and the managers' reject-path semantics (a rejected write must leave
-// no stale cached copy behind).
+// Tests for the admission-policy subsystem (DESIGN.md §5f): the LRU set under
+// its windows and the write-back dirty table, each policy's decision rule, the
+// regret counter, the factory / CLI-name plumbing, the factory's per-shard
+// splits, the policy memory audit, and the managers' reject-path semantics (a
+// rejected write must leave no stale cached copy behind).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "src/policy/admission_policy.h"
 #include "src/policy/frequency_sketch.h"
 #include "src/policy/ghost_lru.h"
+#include "src/policy/lru_set.h"
 #include "src/policy/policy_factory.h"
 #include "src/policy/write_rate_limiter.h"
 #include "src/ssc/ssc_device.h"
@@ -28,132 +30,121 @@
 namespace flashtier {
 namespace {
 
-TEST(GhostTableTest, CountsAndEvictsLru) {
-  GhostTable table(3);
-  EXPECT_EQ(table.Touch(1), 1u);
-  EXPECT_EQ(table.Touch(2), 1u);
-  EXPECT_EQ(table.Touch(1), 2u);  // bumped to MRU, counter incremented
-  EXPECT_EQ(table.Touch(3), 1u);
-  EXPECT_EQ(table.size(), 3u);
-  // Table is full; 2 is the LRU entry and must go.
-  EXPECT_EQ(table.Touch(4), 1u);
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_FALSE(table.Contains(2));
-  EXPECT_TRUE(table.Contains(1));
-  EXPECT_EQ(table.Count(1), 2u);
-  table.Erase(1);
-  EXPECT_FALSE(table.Contains(1));
-  EXPECT_EQ(table.Count(1), 0u);
+TEST(LruSetTest, TouchReportsPresenceAndEvictsLru) {
+  LruSet set(3);
+  EXPECT_FALSE(set.Touch(1));
+  EXPECT_FALSE(set.Touch(2));
+  EXPECT_TRUE(set.Touch(1));  // already present: bumped to most recent
+  EXPECT_FALSE(set.Touch(3));
+  EXPECT_EQ(set.size(), 3u);
+  // The set is full; 2 is the least recent entry and must go.
+  EXPECT_FALSE(set.Touch(4));
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_FALSE(set.Contains(2));
+  EXPECT_TRUE(set.Contains(1));
+  EXPECT_TRUE(set.Erase(1));
+  EXPECT_FALSE(set.Contains(1));
+  EXPECT_FALSE(set.Erase(1));
 }
 
-TEST(GhostTableTest, MemoryStaysWithinBound) {
-  GhostTable table(8);
-  for (Lbn lbn = 0; lbn < 1000; ++lbn) {
-    table.Touch(lbn);
-    ASSERT_LE(table.MemoryUsage(), table.MemoryBound());
-  }
-  EXPECT_EQ(table.size(), 8u);
-}
-
-TEST(GhostTableTest, ForEachVisitsInRecencyOrder) {
-  GhostTable table(4);
-  table.Touch(10);
-  table.Touch(20);
-  table.Touch(10);  // 10 becomes MRU again
+TEST(LruSetTest, ForEachVisitsNewestFirst) {
+  LruSet set(4);
+  set.Touch(10);
+  set.Touch(20);
+  set.Touch(10);  // 10 becomes the most recent again
   std::vector<Lbn> order;
-  table.ForEach([&order](Lbn lbn, uint32_t) { order.push_back(lbn); });
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 10u);
-  EXPECT_EQ(order[1], 20u);
+  set.ForEach([&order](Lbn lbn) { order.push_back(lbn); });
+  EXPECT_EQ(order, (std::vector<Lbn>{10, 20}));
 }
 
-// The node-based table GhostTable's flat layout replaced, kept as the
-// reference: a std::list in recency order and an unordered_map into it.
-class ReferenceGhostTable {
+// The node-based LRU the flat LruSet replaced, kept as the reference: a
+// std::list in recency order and an unordered_map into it.
+class ReferenceLruSet {
  public:
-  explicit ReferenceGhostTable(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+  explicit ReferenceLruSet(size_t capacity) : capacity_(capacity) {}
 
-  uint32_t Touch(Lbn lbn) {
+  bool Touch(Lbn lbn) {
     auto it = index_.find(lbn);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      return ++it->second->count;
+      return true;
     }
     if (lru_.size() >= capacity_) {
-      index_.erase(lru_.back().lbn);
+      index_.erase(lru_.back());
       lru_.pop_back();
     }
-    lru_.push_front(Node{lbn, 1});
+    lru_.push_front(lbn);
     index_[lbn] = lru_.begin();
-    return 1;
+    return false;
   }
 
   bool Contains(Lbn lbn) const { return index_.count(lbn) != 0; }
 
-  uint32_t Count(Lbn lbn) const {
-    const auto it = index_.find(lbn);
-    return it == index_.end() ? 0 : it->second->count;
+  bool Erase(Lbn lbn) {
+    auto it = index_.find(lbn);
+    if (it == index_.end()) {
+      return false;
+    }
+    lru_.erase(it->second);
+    index_.erase(it);
+    return true;
   }
 
-  void Erase(Lbn lbn) {
-    auto it = index_.find(lbn);
-    if (it != index_.end()) {
-      lru_.erase(it->second);
-      index_.erase(it);
+  template <typename Pred>
+  Lbn LruWhere(Pred pred) const {
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+      if (pred(*it)) {
+        return *it;
+      }
     }
+    return kInvalidLbn;
   }
 
   size_t size() const { return lru_.size(); }
 
-  std::vector<std::pair<Lbn, uint32_t>> Entries() const {
-    std::vector<std::pair<Lbn, uint32_t>> out;
-    for (const Node& node : lru_) {
-      out.emplace_back(node.lbn, node.count);
-    }
-    return out;
-  }
+  // Most recent first.
+  std::vector<Lbn> Entries() const { return {lru_.begin(), lru_.end()}; }
 
  private:
-  struct Node {
-    Lbn lbn;
-    uint32_t count;
-  };
-
   size_t capacity_;
-  std::list<Node> lru_;  // front = most recently used
-  std::unordered_map<Lbn, std::list<Node>::iterator> index_;
+  std::list<Lbn> lru_;  // front = most recent
+  std::unordered_map<Lbn, std::list<Lbn>::iterator> index_;
 };
 
-// Seeded random Touch/Erase/Contains/Count calls over about three times the
-// capacity in keys: every answer and size must match the reference, and so
-// must the recency order, which fixes the eviction victim.
-TEST(GhostTableTest, MatchesTheNodeBasedReference) {
-  for (const size_t capacity : {1, 2, 3, 64}) {
-    GhostTable table(capacity);
-    ReferenceGhostTable reference(capacity);
+// Seeded random Touch/Erase/Contains/LruWhere calls on bounded windows, over
+// about three times the capacity in keys, and on the write-back manager's
+// unbounded table: every answer and size must match the reference, and so
+// must the recency order, which fixes the eviction and cleaning victims.
+TEST(LruSetTest, MatchesTheNodeBasedReference) {
+  const auto any = [](Lbn) { return true; };
+  const auto odd = [](Lbn lbn) { return lbn % 2 == 1; };
+  const size_t unbounded = LruSet().capacity();
+  for (const size_t capacity : {size_t{1}, size_t{2}, size_t{3}, size_t{64}, unbounded}) {
+    LruSet set(capacity);
+    ReferenceLruSet reference(capacity);
     Rng rng(capacity);
-    const uint64_t keys = 3 * capacity + 1;
+    const uint64_t keys = std::min<uint64_t>(3 * capacity + 1, 300);
     for (int call = 1; call <= 100'000; ++call) {
       const Lbn lbn = rng.Below(keys);
       switch (rng.Below(4)) {
         case 0:
-          ASSERT_EQ(table.Touch(lbn), reference.Touch(lbn)) << "call " << call;
+          ASSERT_EQ(set.Touch(lbn), reference.Touch(lbn)) << "call " << call;
           break;
         case 1:
-          table.Erase(lbn);
-          reference.Erase(lbn);
+          ASSERT_EQ(set.Erase(lbn), reference.Erase(lbn)) << "call " << call;
           break;
         case 2:
-          ASSERT_EQ(table.Contains(lbn), reference.Contains(lbn)) << "call " << call;
+          ASSERT_EQ(set.Contains(lbn), reference.Contains(lbn)) << "call " << call;
           break;
         default:
-          ASSERT_EQ(table.Count(lbn), reference.Count(lbn)) << "call " << call;
+          ASSERT_EQ(set.LruWhere(any), reference.LruWhere(any)) << "call " << call;
+          ASSERT_EQ(set.LruWhere(odd), reference.LruWhere(odd)) << "call " << call;
           break;
       }
-      ASSERT_EQ(table.size(), reference.size()) << "call " << call;
+      ASSERT_EQ(set.size(), reference.size()) << "call " << call;
       if (call % 1000 == 0) {
-        std::vector<std::pair<Lbn, uint32_t>> entries;
-        table.ForEach([&entries](Lbn l, uint32_t count) { entries.emplace_back(l, count); });
+        std::vector<Lbn> entries;
+        set.ForEach([&entries](Lbn l) { entries.push_back(l); });
         ASSERT_EQ(entries, reference.Entries()) << "capacity " << capacity << " call " << call;
       }
     }
@@ -171,9 +162,17 @@ TEST(PolicyTest, AdmitAllAdmitsEverything) {
   EXPECT_EQ(policy.name(), "admit-all");
 }
 
+TEST(PolicyTest, RejectWindowMemoryStaysWithinBound) {
+  AdmitAllPolicy policy(/*reject_ghost_entries=*/8);
+  for (Lbn lbn = 0; lbn < 1000; ++lbn) {
+    policy.OnReject(lbn);
+    ASSERT_LE(policy.MemoryUsage(), policy.MemoryBound());
+  }
+  EXPECT_EQ(policy.recent_rejects().size(), 8u);
+}
+
 TEST(PolicyTest, GhostLruAdmitsOnSecondMiss) {
-  GhostLruPolicy policy({.ghost_entries = 128, .required_misses = 2},
-                        /*reject_ghost_entries=*/64);
+  GhostLruPolicy policy({.ghost_entries = 128}, /*reject_ghost_entries=*/64);
   // First miss: rejected, remembered in the ghost.
   EXPECT_FALSE(policy.ShouldAdmit(7, AdmissionOp::kReadFill, AdmissionContext{}));
   policy.OnReject(7);
@@ -191,8 +190,7 @@ TEST(PolicyTest, GhostLruAdmitsOnSecondMiss) {
 }
 
 TEST(PolicyTest, GhostLruRegretCountsRemissesOnRejectedBlocks) {
-  GhostLruPolicy policy({.ghost_entries = 128, .required_misses = 2},
-                        /*reject_ghost_entries=*/64);
+  GhostLruPolicy policy({.ghost_entries = 128}, /*reject_ghost_entries=*/64);
   EXPECT_FALSE(policy.ShouldAdmit(5, AdmissionOp::kReadFill, AdmissionContext{}));
   policy.OnReject(5);
   EXPECT_EQ(policy.stats().rejected_then_remissed, 0u);
@@ -320,7 +318,7 @@ uint32_t AdmitsInARow(AdmissionPolicy& policy) {
 
 // Bytes of a sketch's counters: its bound less the regret window's.
 size_t SketchBytes(const AdmissionPolicy& policy) {
-  return policy.MemoryBound() - policy.recent_rejects().MemoryBound();
+  return policy.MemoryBound() - policy.recent_rejects().capacity() * kWindowEntryBytes;
 }
 
 TEST(PolicyFactoryTest, SplitsTotalsAcrossShards) {
@@ -401,8 +399,7 @@ TEST(PolicyIntegrationTest, WriteThroughRejectEvictsStaleCopy) {
   ssc_config.capacity_pages = 1024;
   SscDevice ssc(ssc_config, &clock);
   DiskModel disk(&clock);
-  GhostLruPolicy policy({.ghost_entries = 128, .required_misses = 2},
-                        /*reject_ghost_entries=*/128);
+  GhostLruPolicy policy({.ghost_entries = 128}, /*reject_ghost_entries=*/128);
   WriteThroughManager manager(&ssc, &disk, policy);
 
   // Earn admission for lbn 1 (two write misses), caching version 10.
@@ -440,8 +437,7 @@ TEST(PolicyIntegrationTest, WriteBackRejectWritesAroundDurably) {
   ssc_config.capacity_pages = 1024;
   SscDevice ssc(ssc_config, &clock);
   DiskModel disk(&clock);
-  GhostLruPolicy policy({.ghost_entries = 128, .required_misses = 2},
-                        /*reject_ghost_entries=*/128);
+  GhostLruPolicy policy({.ghost_entries = 128}, /*reject_ghost_entries=*/128);
   WriteBackManager manager(&ssc, &disk, policy);
 
   ASSERT_EQ(manager.Write(2, 7), Status::kOk);   // first miss: write-around
