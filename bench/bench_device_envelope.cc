@@ -110,22 +110,16 @@ PatternResult RunPattern(SimClock& clock, uint32_t depth, uint64_t ops,
                          const std::function<void(uint64_t)>& issue) {
   OpenLoopQueue loop(&clock, depth);
   PatternResult result;
-  uint64_t first_submit = ~uint64_t{0};
-  uint64_t last_done = 0;
+  OpenLoopSpan span;
   for (uint64_t i = 0; i < ops; ++i) {
     const uint64_t submit = loop.Begin();
     issue(i);
     const uint64_t latency_us = loop.End(submit);
     result.latency.Add(latency_us);
-    if (submit < first_submit) {
-      first_submit = submit;
-    }
-    if (submit + latency_us > last_done) {
-      last_done = submit + latency_us;
-    }
+    span.Add(submit, latency_us);
   }
   loop.Drain();
-  result.elapsed_us = ops == 0 ? 0 : last_done - first_submit;
+  result.elapsed_us = span.ElapsedUs();
   return result;
 }
 

@@ -156,10 +156,8 @@ Status NativeCacheManager::AllocateWay(uint32_t set, uint16_t* way) {
       return st;
     }
   }
-  const Lbn victim_lbn = SlotAt(set, victim).lbn;
   DropSlot(set, victim);
   ++stats_.evicts;
-  policy_.OnEvict(victim_lbn);
   MetadataUpdate();
   *way = victim;
   return Status::kOk;
@@ -169,7 +167,7 @@ Status NativeCacheManager::InsertBlock(Lbn lbn, uint64_t token, bool dirty, Admi
   const uint32_t set = SetOf(lbn);
   uint16_t way = FindWay(set, lbn);
   const bool was_present = (way != kNilWay);
-  if (!was_present && !policy_.ShouldAdmit(lbn, op, AdmissionContext{})) {
+  if (!was_present && !policy_.ShouldAdmit(lbn, op, /*resident=*/false)) {
     // Rejected new insertion: nothing is cached (the table lookup missed),
     // so the block simply stays uncached; dirty data goes straight to disk.
     if (!dirty) {
@@ -304,7 +302,7 @@ Status NativeCacheManager::CleanSet(uint32_t set) {
 
 Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
   ++stats_.reads;
-  policy_.OnAccess(lbn, /*is_write=*/false);
+  policy_.OnAccess(lbn);
   const uint32_t set = SetOf(lbn);
   const uint16_t way = FindWay(set, lbn);
   if (way != kNilWay) {
@@ -329,7 +327,6 @@ Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
       MarkClean(set, way);
     }
     DropSlot(set, way);
-    policy_.OnEvict(lbn);
     if (was_dirty) {
       return Status::kIoError;
     }
@@ -352,15 +349,15 @@ Status NativeCacheManager::Read(Lbn lbn, uint64_t* token) {
 
 Status NativeCacheManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  policy_.OnAccess(lbn, /*is_write=*/true);
+  policy_.OnAccess(lbn);
   if (options_.mode == Mode::kWriteThrough) {
     if (Status s = disk_->GuardedWrite(lbn, token); !IsOk(s)) {
       ++stats_.disk_io_errors;
       return s;
     }
-    return InsertBlock(lbn, token, /*dirty=*/false, AdmissionOp::kWriteClean);
+    return InsertBlock(lbn, token, /*dirty=*/false, AdmissionOp::kWrite);
   }
-  return InsertBlock(lbn, token, /*dirty=*/true, AdmissionOp::kWriteDirty);
+  return InsertBlock(lbn, token, /*dirty=*/true, AdmissionOp::kWrite);
 }
 
 Status NativeCacheManager::FlushAll() {

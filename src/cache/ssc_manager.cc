@@ -16,7 +16,7 @@ SscCacheManager::~SscCacheManager() {
 
 Status SscCacheManager::Read(Lbn lbn, uint64_t* token) {
   ++stats_.reads;
-  policy_.OnAccess(lbn, /*is_write=*/false);
+  policy_.OnAccess(lbn);
   Status s = ssc_->Read(lbn, token);
   if (IsOk(s)) {
     ++stats_.read_hits;
@@ -45,7 +45,7 @@ Status SscCacheManager::Read(Lbn lbn, uint64_t* token) {
   // read above said not-present). A rejected fill serves from disk uncached,
   // saving the flash write; a backpressured fill is likewise skipped rather
   // than stalled (it is an optimization, not an obligation).
-  if (policy_.ShouldAdmit(lbn, AdmissionOp::kReadFill, AdmissionContext{})) {
+  if (policy_.ShouldAdmit(lbn, AdmissionOp::kReadFill, /*resident=*/false)) {
     const Status cs = ssc_->WriteClean(lbn, fetched);
     if (!IsOk(cs) && cs != Status::kNoSpace && cs != Status::kIoError &&
         cs != Status::kBackpressure) {

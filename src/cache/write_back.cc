@@ -95,7 +95,7 @@ Status WriteBackManager::RedriveParked(bool force) {
 
 Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  policy_.OnAccess(lbn, /*is_write=*/true);
+  policy_.OnAccess(lbn);
   // Opportunistic redrive: one parked writeback run whose backoff expired
   // gets another chance per host write, so the queue drains (or escalates)
   // without a dedicated thread.
@@ -112,8 +112,7 @@ Status WriteBackManager::Write(Lbn lbn, uint64_t token) {
   if (BypassCache()) {
     return WriteAround(lbn, token, &ManagerStats::pass_through_writes);
   }
-  if (!policy_.ShouldAdmit(lbn, AdmissionOp::kWriteDirty,
-                           AdmissionContext{dirty_table_.Contains(lbn)})) {
+  if (!policy_.ShouldAdmit(lbn, AdmissionOp::kWrite, dirty_table_.Contains(lbn))) {
     // Demoted to write-around: the newest data goes to disk, and any cached
     // version (resident or stale) must go so it can never surface. If the
     // disk refuses, durability outranks admission policy: absorb the write
@@ -274,7 +273,6 @@ Status WriteBackManager::WriteAround(Lbn lbn, uint64_t token, uint64_t ManagerSt
     return es;
   }
   ++(stats_.*counter);
-  policy_.OnEvict(lbn);
   return Status::kOk;
 }
 
@@ -345,7 +343,7 @@ Status WriteBackManager::FlushAll() {
   return Status::kOk;
 }
 
-uint64_t WriteBackManager::RecoverDirtyTable() {
+void WriteBackManager::RecoverDirtyTable() {
   std::vector<Lbn> dirty;
   ssc_->ForEachCached([&dirty](Lbn lbn, bool is_dirty) {
     if (is_dirty) {
@@ -358,7 +356,6 @@ uint64_t WriteBackManager::RecoverDirtyTable() {
   for (Lbn lbn : dirty) {
     dirty_table_.Touch(lbn);
   }
-  return 0;  // charged on the virtual clock by ForEachCached
 }
 
 }  // namespace flashtier

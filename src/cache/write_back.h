@@ -65,8 +65,8 @@ class WriteBackManager final : public SscCacheManager {
   Status FlushAll();
 
   // Rebuilds the dirty table from the SSC after a crash (the exists scan).
-  // Returns the virtual time the scan consumed.
-  uint64_t RecoverDirtyTable();
+  // The SSC charges the scan to the shard clock.
+  void RecoverDirtyTable();
 
  private:
   friend class InvariantChecker;

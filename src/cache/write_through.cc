@@ -4,7 +4,7 @@ namespace flashtier {
 
 Status WriteThroughManager::Write(Lbn lbn, uint64_t token) {
   ++stats_.writes;
-  policy_.OnAccess(lbn, /*is_write=*/true);
+  policy_.OnAccess(lbn);
   if (Status ds = disk_->GuardedWrite(lbn, token); !IsOk(ds)) {
     // Write-through's contract is "the disk has the data before the host is
     // acked"; with the disk refusing past the retry bound there is nothing
@@ -16,7 +16,7 @@ Status WriteThroughManager::Write(Lbn lbn, uint64_t token) {
   if (BypassCache()) {
     return EvictAround(lbn, /*pass_through=*/true);
   }
-  if (!policy_.ShouldAdmit(lbn, AdmissionOp::kWriteClean, AdmissionContext{})) {
+  if (!policy_.ShouldAdmit(lbn, AdmissionOp::kWrite, /*resident=*/false)) {
     // Demoted to disk-only: same obligation as any other non-cached write —
     // the old version, if any, must go (Section 3.1).
     ++stats_.evicts;
@@ -58,7 +58,6 @@ Status WriteThroughManager::EvictAround(Lbn lbn, bool pass_through) {
     ++stats_.pass_through_writes;
   }
   ++stats_.evicts;
-  policy_.OnEvict(lbn);
   return ssc_->Evict(lbn);
 }
 

@@ -397,9 +397,9 @@ void SscShardTarget::Audit(const std::string& prefix, std::vector<std::string>* 
     violations->push_back(prefix + "invariant [" + v.invariant + "] " + v.detail);
   }
   // Rejected-block-absent must hold live and survive every crash (an
-  // acknowledged reject evicted durably, G3), and policy memory stays bound.
+  // acknowledged reject evicted durably, G3).
   for (size_t i = 0; i < sscs_.size(); ++i) {
-    const CheckReport pr = InvariantChecker::CheckPolicy(*policies_[i], sscs_[i].get());
+    const CheckReport pr = InvariantChecker::CheckPolicy(*policies_[i], *sscs_[i]);
     for (const InvariantViolation& v : pr.violations) {
       violations->push_back(prefix + "policy [" + v.invariant + "] " + v.detail);
     }
@@ -435,17 +435,13 @@ bool BlockTarget::Step(const WorkloadOp& op, std::vector<std::string>* violation
   bool rejected = false;
   if (write) {
     AdmissionPolicy& p = pol(op.lbn);
-    p.OnAccess(op.lbn, /*is_write=*/true);
-    AdmissionContext ctx;
-    ctx.resident = entry.state == ShadowState::kDirty;
-    const AdmissionOp aop = op.kind == WorkloadOpKind::kWriteDirty ? AdmissionOp::kWriteDirty
-                                                                   : AdmissionOp::kWriteClean;
-    if (!p.ShouldAdmit(op.lbn, aop, ctx)) {
+    p.OnAccess(op.lbn);
+    if (!p.ShouldAdmit(op.lbn, AdmissionOp::kWrite, entry.state == ShadowState::kDirty)) {
       effective = WorkloadOpKind::kEvict;
       rejected = true;
     }
   } else if (op.kind == WorkloadOpKind::kRead) {
-    pol(op.lbn).OnAccess(op.lbn, /*is_write=*/false);
+    pol(op.lbn).OnAccess(op.lbn);
   }
 
   Status s = Status::kOk;
@@ -487,14 +483,11 @@ bool BlockTarget::Step(const WorkloadOp& op, std::vector<std::string>* violation
   }
 
   // Policy bookkeeping, mirroring the managers: exactly one of
-  // OnAdmit/OnReject once the insertion (or its bypass) completed; explicit
-  // evictions are reported through OnEvict.
+  // OnAdmit/OnReject once the insertion (or its bypass) completed.
   if (rejected) {
     pol(op.lbn).OnReject(op.lbn);
   } else if (write && IsOk(s)) {
     pol(op.lbn).OnAdmit(op.lbn);
-  } else if (op.kind == WorkloadOpKind::kEvict) {
-    pol(op.lbn).OnEvict(op.lbn);
   }
 
   // The operation completed: it is acknowledged, so the guarantees attach.

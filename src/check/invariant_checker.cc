@@ -574,32 +574,19 @@ CheckReport InvariantChecker::CheckSharded(const std::vector<const SscDevice*>& 
   return report;
 }
 
-CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const SscDevice* ssc) {
+CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const SscDevice& ssc) {
   CheckReport report;
-
-  // Bounded memory: every policy structure has a configured ceiling; actual
-  // usage above it means a table or sketch grew past its capacity.
-  ++report.checks_run;
-  if (policy.MemoryUsage() > policy.MemoryBound()) {
-    report.Add("policy.memory-bound",
-               Fmt("policy '%.*s' uses %zu bytes, bound %zu",
-                   static_cast<int>(policy.name().size()), policy.name().data(),
-                   policy.MemoryUsage(), policy.MemoryBound()));
-  }
-
   // Rejected-block-absent: a reject either found nothing cached or evicted
   // the stale copy (durably — G3), and an admission erases the block from
   // the rejects window. A rejected LBN present in the SSC therefore means
   // the bypass path leaked a mapping.
-  if (ssc != nullptr) {
-    policy.recent_rejects().ForEach([&](Lbn lbn) {
-      ++report.checks_run;
-      if (ssc->Locate(lbn)) {
-        report.Add("policy.rejected-present",
-                   Fmt("rejected lbn %llu is cached in the SSC", (unsigned long long)lbn));
-      }
-    });
-  }
+  policy.recent_rejects().ForEach([&](Lbn lbn) {
+    ++report.checks_run;
+    if (ssc.Locate(lbn)) {
+      report.Add("policy.rejected-present",
+                 Fmt("rejected lbn %llu is cached in the SSC", (unsigned long long)lbn));
+    }
+  });
   return report;
 }
 
@@ -814,17 +801,9 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
                                       (unsigned long long)live_total));
   }
 
-  // Admission policy: bounded memory, and no recently rejected key may be
-  // cached — the reject path either found nothing or evicted the stale copy.
-  const AdmissionPolicy& policy = shard.policy();
-  ++report.checks_run;
-  if (policy.MemoryUsage() > policy.MemoryBound()) {
-    report.Add("kv.policy.memory-bound",
-               Fmt("policy '%.*s' uses %zu bytes, bound %zu",
-                   static_cast<int>(policy.name().size()), policy.name().data(),
-                   policy.MemoryUsage(), policy.MemoryBound()));
-  }
-  policy.recent_rejects().ForEach([&](uint64_t key) {
+  // Admission policy: no recently rejected key may be cached — the reject
+  // path either found nothing or evicted the stale copy.
+  shard.policy().recent_rejects().ForEach([&](uint64_t key) {
     ++report.checks_run;
     if (shard.key_map().Contains(key)) {
       report.Add("kv.policy.rejected-present",

@@ -106,12 +106,11 @@ class InvariantChecker {
   static CheckReport CheckSharded(const std::vector<const SscDevice*>& shards,
                                   const ShardRouter& router);
 
-  // Audits an admission policy (DESIGN.md §5f): its state must stay within
-  // the configured memory bound, and — when the policy guards an SSC — every
-  // LBN in its recent-rejects window must be absent from the SSC's maps (a
-  // reject path either evicted the stale copy or found nothing cached, and
-  // evicts are durable, so presence would mean the bypass leaked).
-  static CheckReport CheckPolicy(const AdmissionPolicy& policy, const SscDevice* ssc);
+  // Audits an admission policy (DESIGN.md §5f): every LBN in its
+  // recent-rejects window must be absent from the SSC's maps (a reject path
+  // either evicted the stale copy or found nothing cached, and evicts are
+  // durable, so presence would mean the bypass leaked).
+  static CheckReport CheckPolicy(const AdmissionPolicy& policy, const SscDevice& ssc);
 
   // Audits one KV shard (DESIGN.md §5k): key-map <-> live-slot bijection,
   // per-slab occupancy counters and slot geometry recomputed from the slots,

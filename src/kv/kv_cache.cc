@@ -156,12 +156,12 @@ bool KvShard::EvictCleanSlab() {
   if (victim == kNoSlab) {
     return false;
   }
-  DropSlab(victim, /*policy_evict=*/true, &stats_.evicted_slots);
+  DropSlab(victim, &stats_.evicted_slots);
   ++stats_.slab_evictions;
   return true;
 }
 
-void KvShard::DropSlab(uint64_t seq, bool policy_evict, uint64_t* slot_counter) {
+void KvShard::DropSlab(uint64_t seq, uint64_t* slot_counter) {
   KvSlab& slab = slabs_.at(seq);
   {
     PersistenceManager::AtomicBatchScope batch(ssc_->persist());
@@ -176,9 +176,6 @@ void KvShard::DropSlab(uint64_t seq, bool policy_evict, uint64_t* slot_counter) 
         ++stats_.lost_objects;
       }
       key_map_.Erase(slot.key);
-      if (policy_evict) {
-        policy_->OnEvict(slot.key);
-      }
       ssc_->persist()->Append(SlotRecord(LogOpType::kKvDeleteSlot, seq, i, slot), /*sync=*/false);
       slot.live = false;
       ++*slot_counter;
@@ -257,12 +254,11 @@ Status KvShard::Set(uint64_t key, uint64_t token, uint32_t size, bool dirty) {
       KvSlotBytes(size) > slab_capacity_bytes_) {
     return Status::kInvalidArgument;
   }
-  policy_->OnAccess(key, /*is_write=*/true);
+  policy_->OnAccess(key);
   ++stats_.sets;
   const bool resident = key_map_.Contains(key);
-  const AdmissionOp op = dirty ? AdmissionOp::kWriteDirty : AdmissionOp::kWriteClean;
   const bool admit =
-      (dirty && resident) || policy_->ShouldAdmit(key, op, AdmissionContext{resident});
+      (dirty && resident) || policy_->ShouldAdmit(key, AdmissionOp::kWrite, resident);
   if (!admit) {
     if (resident) {
       // The backing store now holds newer data than the cached copy; evicting
@@ -347,7 +343,7 @@ LogRecord KvShard::SlotRecord(LogOpType type, uint64_t seq, uint32_t slot_idx,
 }
 
 Status KvShard::Get(uint64_t key, uint64_t* token_out) {
-  policy_->OnAccess(key, /*is_write=*/false);
+  policy_->OnAccess(key);
   ++stats_.gets;
   const uint64_t* packed = key_map_.Find(key);
   if (packed == nullptr) {
@@ -382,7 +378,7 @@ Status KvShard::Get(uint64_t key, uint64_t* token_out) {
     // Silent eviction took the slab's pages; retire every slot it still
     // mapped — the same legal G2 miss a block cache sees after SE-GC.
     ++stats_.lazy_slab_drops;
-    DropSlab(seq, /*policy_evict=*/true, &stats_.dropped_slots);
+    DropSlab(seq, &stats_.dropped_slots);
     ++stats_.misses;
     return Status::kNotPresent;
   }
@@ -395,7 +391,7 @@ Status KvShard::Get(uint64_t key, uint64_t* token_out) {
 }
 
 Status KvShard::Delete(uint64_t key) {
-  policy_->OnAccess(key, /*is_write=*/true);
+  policy_->OnAccess(key);
   ++stats_.deletes;
   if (!key_map_.Contains(key)) {
     ++stats_.delete_misses;

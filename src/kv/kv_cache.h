@@ -222,10 +222,10 @@ class KvShard {
   // Evicts the oldest clean sealed slab to make device room. False if every
   // sealed slab still holds dirty objects.
   bool EvictCleanSlab();
-  // Retires every live slot of slab `seq` (key map, policy OnEvict, logged
-  // deletes in one atomic batch), evicts its pages and erases the directory
-  // entry. `slot_counter` accumulates the live slots retired.
-  void DropSlab(uint64_t seq, bool policy_evict, uint64_t* slot_counter);
+  // Retires every live slot of slab `seq` (key map and logged deletes in one
+  // atomic batch), evicts its pages and erases the directory entry.
+  // `slot_counter` accumulates the live slots retired.
+  void DropSlab(uint64_t seq, uint64_t* slot_counter);
   void EvictSlabPages(uint64_t seq, uint32_t pages);
   // Marks `key`'s slot dead, unmaps it and appends the delete record.
   // Returns the slab seq the slot lived in (for quiescence handling).

@@ -14,18 +14,16 @@
 // must not consult wall-clock time or unseeded randomness; the
 // WriteRateLimiter reads its shard's *virtual* clock.
 //
-// Memory contract: all policy state lives in structures with a fixed
-// configured ceiling (an LruSet window's capacity, the sketch width).
-// MemoryUsage() must never exceed MemoryBound(); InvariantChecker::CheckPolicy
-// audits this, and also that every LBN in the recent-rejects window is absent
-// from the SSC.
+// Memory: all policy state lives in structures with a fixed configured
+// ceiling (an LruSet window's capacity, the sketch width), so MemoryUsage()
+// cannot grow past it. InvariantChecker::CheckPolicy audits that every LBN in
+// the recent-rejects window is absent from the SSC.
 
 #ifndef FLASHTIER_POLICY_ADMISSION_POLICY_H_
 #define FLASHTIER_POLICY_ADMISSION_POLICY_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "src/flash/types.h"
 #include "src/policy/lru_set.h"
@@ -33,20 +31,11 @@
 
 namespace flashtier {
 
-// The kind of cache insertion a manager is asking about.
+// The kind of cache insertion a manager is asking about. Only a read fill
+// can count as regret; the decision itself does not tell the two apart.
 enum class AdmissionOp : uint8_t {
-  kReadFill,    // populate on a read miss (clean fill of disk data)
-  kWriteClean,  // write-through insertion of host data
-  kWriteDirty,  // write-back allocation of host data
-};
-
-struct AdmissionContext {
-  // Best-effort "the manager believes this block is already cached": the
-  // write-back manager knows its dirty-resident blocks, the native manager
-  // its table hits; the write-through manager keeps no host state and always
-  // reports false. Overwrites of resident data are usually worth admitting —
-  // rejecting one forces an eviction of the cached copy.
-  bool resident = false;
+  kReadFill,  // populate on a read miss (clean fill of disk data)
+  kWrite,     // insertion of host data, clean or dirty
 };
 
 struct PolicyStats {
@@ -79,7 +68,7 @@ static_assert(AllCountersListed<PolicyStats>(), "list every PolicyStats field in
 inline constexpr uint32_t kRejectGhostEntries = 4096;
 
 // Modeled bytes per window entry, charged for every LBN a policy's LruSet
-// holds. A fixed ceiling, so MemoryBound is capacity x entry whatever the
+// holds. A fixed charge, so a window's usage is entries x 44 B whatever the
 // allocator does. It covers the set's own cost per entry, a 16-B entry plus
 // two to four 4-B index slots, with room to spare.
 inline constexpr size_t kWindowEntryBytes = 44;
@@ -92,24 +81,21 @@ class AdmissionPolicy {
 
   // The decision. Detects regret (a read miss on a recently rejected block
   // would have been a hit had the block been admitted) before delegating to
-  // the policy's Decide().
-  bool ShouldAdmit(Lbn lbn, AdmissionOp op, const AdmissionContext& ctx) {
+  // the policy's Decide(). `resident` is the caller's best-effort "this block
+  // is already cached" (the write-back manager's dirty table, the KV key map,
+  // the check target's dirty shadow; false elsewhere). Each policy decides
+  // what it means: ghost-lru and freq-sketch admit a resident write outright,
+  // write-limit spends a token on it all the same.
+  bool ShouldAdmit(Lbn lbn, AdmissionOp op, bool resident) {
     if (op == AdmissionOp::kReadFill && reject_ghost_.Contains(lbn)) {
       ++stats_.rejected_then_remissed;
     }
-    return Decide(lbn, op, ctx);
+    return Decide(lbn, resident);
   }
 
   // Managers call this at the top of every application read/write — hit or
   // miss — so frequency-tracking policies see the full reference stream.
-  virtual void OnAccess(Lbn lbn, bool is_write) {
-    (void)lbn;
-    (void)is_write;
-  }
-
-  // Managers call this when they evict a block (explicit eviction or LRU
-  // replacement). Silent evictions inside the SSC are not visible here.
-  virtual void OnEvict(Lbn lbn) { (void)lbn; }
+  virtual void OnAccess(Lbn) {}
 
   // Managers call exactly one of these after acting on a ShouldAdmit answer:
   // OnAdmit once the insertion completed, OnReject once the bypass did.
@@ -123,12 +109,8 @@ class AdmissionPolicy {
     reject_ghost_.Touch(lbn);
   }
 
-  virtual std::string_view name() const = 0;
-
-  // Bytes of policy state, a window's at kWindowEntryBytes an entry, vs. the
-  // configured ceiling (audited).
+  // Bytes of policy state, a window's at kWindowEntryBytes an entry.
   virtual size_t MemoryUsage() const { return reject_ghost_.size() * kWindowEntryBytes; }
-  virtual size_t MemoryBound() const { return reject_ghost_.capacity() * kWindowEntryBytes; }
 
   const PolicyStats& stats() const { return stats_; }
   // Recently rejected LBNs: the regret window, and the set the
@@ -136,7 +118,7 @@ class AdmissionPolicy {
   const LruSet& recent_rejects() const { return reject_ghost_; }
 
  protected:
-  virtual bool Decide(Lbn lbn, AdmissionOp op, const AdmissionContext& ctx) = 0;
+  virtual bool Decide(Lbn lbn, bool resident) = 0;
 
   PolicyStats stats_;
   LruSet reject_ghost_;
@@ -149,10 +131,8 @@ class AdmitAllPolicy final : public AdmissionPolicy {
   explicit AdmitAllPolicy(size_t reject_ghost_entries = kRejectGhostEntries)
       : AdmissionPolicy(reject_ghost_entries) {}
 
-  std::string_view name() const override { return "admit-all"; }
-
  protected:
-  bool Decide(Lbn, AdmissionOp, const AdmissionContext&) override { return true; }
+  bool Decide(Lbn, bool) override { return true; }
 };
 
 }  // namespace flashtier

@@ -18,15 +18,15 @@ uint32_t RoundUpPow2(uint32_t v) {
 
 }  // namespace
 
-FrequencySketchPolicy::FrequencySketchPolicy(const Options& options,
-                                             size_t reject_ghost_entries)
+FrequencySketchPolicy::FrequencySketchPolicy(uint32_t width, uint32_t admit_threshold,
+                                             uint64_t seed, size_t reject_ghost_entries)
     : AdmissionPolicy(reject_ghost_entries),
-      width_(RoundUpPow2(std::max<uint32_t>(64, options.width))),
-      threshold_(std::max<uint32_t>(1, options.admit_threshold)) {
+      width_(RoundUpPow2(std::max<uint32_t>(64, width))),
+      threshold_(std::max<uint32_t>(1, admit_threshold)) {
   for (uint32_t r = 0; r < kRows; ++r) {
     // Distinct per-row hash seeds derived from the configured seed; the
     // golden-ratio stride decorrelates rows even for adjacent seeds.
-    row_seeds_[r] = MixHash64(options.seed + 0x9e3779b97f4a7c15ull * (r + 1));
+    row_seeds_[r] = MixHash64(seed + 0x9e3779b97f4a7c15ull * (r + 1));
   }
   counters_.assign(static_cast<size_t>(kRows) * width_, 0);
 }
@@ -36,7 +36,7 @@ size_t FrequencySketchPolicy::IndexOf(uint32_t row, Lbn lbn) const {
   return static_cast<size_t>(row) * width_ + (h & (width_ - 1));
 }
 
-void FrequencySketchPolicy::OnAccess(Lbn lbn, bool) {
+void FrequencySketchPolicy::OnAccess(Lbn lbn) {
   for (uint32_t r = 0; r < kRows; ++r) {
     uint8_t& c = counters_[IndexOf(r, lbn)];
     if (c < 0xff) {

@@ -27,17 +27,12 @@ class FrequencySketchPolicy final : public AdmissionPolicy {
   // aging window scales with the sketch.
   static constexpr uint64_t kHalvingWidths = 8;
 
-  struct Options {
-    uint32_t width = 16384;     // counters per row; rounded up to a power of two
-    uint32_t admit_threshold = 2;  // estimated accesses needed to admit
-    uint64_t seed = 1;
-  };
+  // `width`: counters per row, rounded up to a power of two (at least 64).
+  // `admit_threshold`: estimated accesses needed to admit (at least 1).
+  FrequencySketchPolicy(uint32_t width, uint32_t admit_threshold, uint64_t seed,
+                        size_t reject_ghost_entries);
 
-  FrequencySketchPolicy(const Options& options, size_t reject_ghost_entries);
-
-  std::string_view name() const override { return "freq-sketch"; }
-
-  void OnAccess(Lbn lbn, bool is_write) override;
+  void OnAccess(Lbn lbn) override;
 
   // Min over the block's row counters (the count-min estimate).
   uint32_t Estimate(Lbn lbn) const;
@@ -45,15 +40,12 @@ class FrequencySketchPolicy final : public AdmissionPolicy {
   size_t MemoryUsage() const override {
     return counters_.size() * sizeof(uint8_t) + AdmissionPolicy::MemoryUsage();
   }
-  size_t MemoryBound() const override {
-    return counters_.size() * sizeof(uint8_t) + AdmissionPolicy::MemoryBound();
-  }
 
   uint64_t halvings() const { return halvings_; }
 
  protected:
-  bool Decide(Lbn lbn, AdmissionOp, const AdmissionContext& ctx) override {
-    if (ctx.resident) {
+  bool Decide(Lbn lbn, bool resident) override {
+    if (resident) {
       return true;
     }
     if (Estimate(lbn) >= threshold_) {

@@ -13,27 +13,19 @@ namespace flashtier {
 
 class GhostLruPolicy final : public AdmissionPolicy {
  public:
-  struct Options {
-    size_t ghost_entries = 16384;  // window of recently missed LBNs
-  };
-
-  GhostLruPolicy(const Options& options, size_t reject_ghost_entries)
-      : AdmissionPolicy(reject_ghost_entries), ghost_(options.ghost_entries) {}
-
-  std::string_view name() const override { return "ghost-lru"; }
+  // `ghost_entries`: the window of recently missed LBNs.
+  GhostLruPolicy(size_t ghost_entries, size_t reject_ghost_entries)
+      : AdmissionPolicy(reject_ghost_entries), ghost_(ghost_entries) {}
 
   size_t MemoryUsage() const override {
     return ghost_.size() * kWindowEntryBytes + AdmissionPolicy::MemoryUsage();
-  }
-  size_t MemoryBound() const override {
-    return ghost_.capacity() * kWindowEntryBytes + AdmissionPolicy::MemoryBound();
   }
 
   const LruSet& ghost() const { return ghost_; }
 
  protected:
-  bool Decide(Lbn lbn, AdmissionOp, const AdmissionContext& ctx) override {
-    if (ctx.resident) {
+  bool Decide(Lbn lbn, bool resident) override {
+    if (resident) {
       return true;  // overwrites of cached data keep their slot
     }
     if (ghost_.Touch(lbn)) {

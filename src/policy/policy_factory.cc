@@ -50,26 +50,19 @@ std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const PolicyConfig& config,
   switch (config.kind) {
     case AdmissionKind::kAdmitAll:
       return std::make_unique<AdmitAllPolicy>(rejects);
-    case AdmissionKind::kGhostLru: {
-      GhostLruPolicy::Options opts;
-      opts.ghost_entries = std::max<uint32_t>(64, config.ghost_entries / n);
-      return std::make_unique<GhostLruPolicy>(opts, rejects);
-    }
-    case AdmissionKind::kFrequencySketch: {
-      FrequencySketchPolicy::Options opts;
-      opts.width = std::max<uint32_t>(1024, config.sketch_width / n);
-      opts.admit_threshold = config.sketch_threshold;
-      opts.seed = ShardSeed(config.seed, shard_index);
-      return std::make_unique<FrequencySketchPolicy>(opts, rejects);
-    }
-    case AdmissionKind::kWriteRateLimiter: {
+    case AdmissionKind::kGhostLru:
+      return std::make_unique<GhostLruPolicy>(std::max<uint32_t>(64, config.ghost_entries / n),
+                                              rejects);
+    case AdmissionKind::kFrequencySketch:
+      return std::make_unique<FrequencySketchPolicy>(
+          std::max<uint32_t>(1024, config.sketch_width / n), config.sketch_threshold,
+          ShardSeed(config.seed, shard_index), rejects);
+    case AdmissionKind::kWriteRateLimiter:
       assert(clock != nullptr);
-      WriteRateLimiterPolicy::Options opts;
       // The rate divides exactly, so the shards' budgets sum to the total.
-      opts.rate_pages_per_sec = config.write_rate_pages_per_sec / n;
-      opts.burst_pages = std::max(1.0, config.write_burst_pages / n);
-      return std::make_unique<WriteRateLimiterPolicy>(opts, clock, rejects);
-    }
+      return std::make_unique<WriteRateLimiterPolicy>(config.write_rate_pages_per_sec / n,
+                                                      std::max(1.0, config.write_burst_pages / n),
+                                                      clock, rejects);
   }
   return std::make_unique<AdmitAllPolicy>(rejects);
 }

@@ -20,25 +20,20 @@ namespace flashtier {
 
 class WriteRateLimiterPolicy final : public AdmissionPolicy {
  public:
-  struct Options {
-    double rate_pages_per_sec = 2000.0;  // sustained flash-write budget
-    double burst_pages = 256.0;          // bucket depth
-  };
-
-  WriteRateLimiterPolicy(const Options& options, const SimClock* clock,
+  // `rate_pages_per_sec`: the sustained flash-write budget. `burst_pages`:
+  // the bucket depth (at least one page).
+  WriteRateLimiterPolicy(double rate_pages_per_sec, double burst_pages, const SimClock* clock,
                          size_t reject_ghost_entries)
       : AdmissionPolicy(reject_ghost_entries),
         clock_(clock),
-        rate_per_us_(options.rate_pages_per_sec / 1e6),
-        burst_(options.burst_pages < 1.0 ? 1.0 : options.burst_pages),
+        rate_per_us_(rate_pages_per_sec / 1e6),
+        burst_(burst_pages < 1.0 ? 1.0 : burst_pages),
         tokens_(burst_) {}
-
-  std::string_view name() const override { return "write-limit"; }
 
   double tokens() const { return tokens_; }
 
  protected:
-  bool Decide(Lbn, AdmissionOp, const AdmissionContext&) override {
+  bool Decide(Lbn, bool) override {
     Refill();
     if (tokens_ >= 1.0) {
       tokens_ -= 1.0;

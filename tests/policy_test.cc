@@ -1,8 +1,9 @@
 // Tests for the admission-policy subsystem (DESIGN.md §5f): the LRU set under
 // its windows and the write-back dirty table, each policy's decision rule, the
-// regret counter, the factory / CLI-name plumbing, the factory's per-shard
-// splits, the policy memory audit, and the managers' reject-path semantics (a
-// rejected write must leave no stale cached copy behind).
+// regret counter, which policies read `resident`, the factory / CLI-name
+// plumbing, the factory's per-shard splits, the rejected-block audit, and the
+// managers' reject-path semantics (a rejected write must leave no stale cached
+// copy behind).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/cache/write_back.h"
@@ -154,124 +154,138 @@ TEST(LruSetTest, MatchesTheNodeBasedReference) {
 TEST(PolicyTest, AdmitAllAdmitsEverything) {
   AdmitAllPolicy policy(/*reject_ghost_entries=*/64);
   for (Lbn lbn = 0; lbn < 100; ++lbn) {
-    EXPECT_TRUE(policy.ShouldAdmit(lbn, AdmissionOp::kWriteClean, AdmissionContext{}));
+    EXPECT_TRUE(policy.ShouldAdmit(lbn, AdmissionOp::kWrite, /*resident=*/false));
     policy.OnAdmit(lbn);
   }
   EXPECT_EQ(policy.stats().admits, 100u);
   EXPECT_EQ(policy.stats().rejects, 0u);
-  EXPECT_EQ(policy.name(), "admit-all");
 }
 
-TEST(PolicyTest, RejectWindowMemoryStaysWithinBound) {
+// The regret window keeps its newest `capacity` rejects, each charged
+// kWindowEntryBytes.
+TEST(PolicyTest, RejectWindowStaysAtCapacity) {
   AdmitAllPolicy policy(/*reject_ghost_entries=*/8);
   for (Lbn lbn = 0; lbn < 1000; ++lbn) {
     policy.OnReject(lbn);
-    ASSERT_LE(policy.MemoryUsage(), policy.MemoryBound());
   }
   EXPECT_EQ(policy.recent_rejects().size(), 8u);
+  EXPECT_EQ(policy.MemoryUsage(), 8 * kWindowEntryBytes);
 }
 
 TEST(PolicyTest, GhostLruAdmitsOnSecondMiss) {
-  GhostLruPolicy policy({.ghost_entries = 128}, /*reject_ghost_entries=*/64);
+  GhostLruPolicy policy(/*ghost_entries=*/128, /*reject_ghost_entries=*/64);
   // First miss: rejected, remembered in the ghost.
-  EXPECT_FALSE(policy.ShouldAdmit(7, AdmissionOp::kReadFill, AdmissionContext{}));
+  EXPECT_FALSE(policy.ShouldAdmit(7, AdmissionOp::kReadFill, /*resident=*/false));
   policy.OnReject(7);
   EXPECT_TRUE(policy.ghost().Contains(7));
   // Second miss: admitted, and the ghost entry is consumed.
-  EXPECT_TRUE(policy.ShouldAdmit(7, AdmissionOp::kReadFill, AdmissionContext{}));
+  EXPECT_TRUE(policy.ShouldAdmit(7, AdmissionOp::kReadFill, /*resident=*/false));
   policy.OnAdmit(7);
   EXPECT_FALSE(policy.ghost().Contains(7));
   EXPECT_EQ(policy.stats().ghost_hits, 1u);
-  // Resident overwrites are always admitted without touching the ghost.
-  AdmissionContext resident;
-  resident.resident = true;
-  EXPECT_TRUE(policy.ShouldAdmit(99, AdmissionOp::kWriteDirty, resident));
-  EXPECT_FALSE(policy.ghost().Contains(99));
 }
 
 TEST(PolicyTest, GhostLruRegretCountsRemissesOnRejectedBlocks) {
-  GhostLruPolicy policy({.ghost_entries = 128}, /*reject_ghost_entries=*/64);
-  EXPECT_FALSE(policy.ShouldAdmit(5, AdmissionOp::kReadFill, AdmissionContext{}));
+  GhostLruPolicy policy(/*ghost_entries=*/128, /*reject_ghost_entries=*/64);
+  EXPECT_FALSE(policy.ShouldAdmit(5, AdmissionOp::kReadFill, /*resident=*/false));
   policy.OnReject(5);
   EXPECT_EQ(policy.stats().rejected_then_remissed, 0u);
   // The block comes back as a read miss: that is a hit the policy traded away.
-  policy.ShouldAdmit(5, AdmissionOp::kReadFill, AdmissionContext{});
+  policy.ShouldAdmit(5, AdmissionOp::kReadFill, /*resident=*/false);
   EXPECT_EQ(policy.stats().rejected_then_remissed, 1u);
   EXPECT_EQ(policy.stats().flash_writes_saved, 1u);
 }
 
+// ghost-lru and freq-sketch admit a write the caller reports resident without
+// touching their history; write-limit spends a token on it like on any other.
+TEST(PolicyTest, ResidentWritesPerPolicy) {
+  GhostLruPolicy ghost(/*ghost_entries=*/128, /*reject_ghost_entries=*/64);
+  EXPECT_TRUE(ghost.ShouldAdmit(99, AdmissionOp::kWrite, /*resident=*/true));
+  EXPECT_EQ(ghost.ghost().size(), 0u);
+  EXPECT_EQ(ghost.stats().ghost_hits, 0u);
+
+  FrequencySketchPolicy sketch(/*width=*/1024, /*admit_threshold=*/2, /*seed=*/1,
+                               /*reject_ghost_entries=*/64);
+  EXPECT_TRUE(sketch.ShouldAdmit(99, AdmissionOp::kWrite, /*resident=*/true));
+  EXPECT_EQ(sketch.Estimate(99), 0u);
+  EXPECT_EQ(sketch.stats().ghost_hits, 0u);
+
+  SimClock clock;
+  WriteRateLimiterPolicy limiter(/*rate_pages_per_sec=*/1000.0, /*burst_pages=*/1.0, &clock,
+                                 /*reject_ghost_entries=*/64);
+  EXPECT_TRUE(limiter.ShouldAdmit(99, AdmissionOp::kWrite, /*resident=*/true));
+  EXPECT_FALSE(limiter.ShouldAdmit(99, AdmissionOp::kWrite, /*resident=*/true));
+}
+
 TEST(PolicyTest, FrequencySketchAdmitsAtThreshold) {
-  FrequencySketchPolicy::Options options;
-  options.width = 1024;
-  options.admit_threshold = 2;
-  FrequencySketchPolicy policy(options, /*reject_ghost_entries=*/64);
+  FrequencySketchPolicy policy(/*width=*/1024, /*admit_threshold=*/2, /*seed=*/1,
+                               /*reject_ghost_entries=*/64);
   EXPECT_EQ(policy.Estimate(42), 0u);
-  EXPECT_FALSE(policy.ShouldAdmit(42, AdmissionOp::kReadFill, AdmissionContext{}));
-  policy.OnAccess(42, false);
+  EXPECT_FALSE(policy.ShouldAdmit(42, AdmissionOp::kReadFill, /*resident=*/false));
+  policy.OnAccess(42);
   EXPECT_EQ(policy.Estimate(42), 1u);
-  EXPECT_FALSE(policy.ShouldAdmit(42, AdmissionOp::kReadFill, AdmissionContext{}));
-  policy.OnAccess(42, false);
+  EXPECT_FALSE(policy.ShouldAdmit(42, AdmissionOp::kReadFill, /*resident=*/false));
+  policy.OnAccess(42);
   EXPECT_EQ(policy.Estimate(42), 2u);
-  EXPECT_TRUE(policy.ShouldAdmit(42, AdmissionOp::kReadFill, AdmissionContext{}));
+  EXPECT_TRUE(policy.ShouldAdmit(42, AdmissionOp::kReadFill, /*resident=*/false));
   EXPECT_EQ(policy.stats().ghost_hits, 1u);
 }
 
 TEST(PolicyTest, FrequencySketchHalvesCountersPeriodically) {
-  FrequencySketchPolicy::Options options;
-  options.width = 64;
-  options.admit_threshold = 2;
-  FrequencySketchPolicy policy(options, /*reject_ghost_entries=*/64);
+  const uint32_t width = 64;
+  FrequencySketchPolicy policy(width, /*admit_threshold=*/2, /*seed=*/1,
+                               /*reject_ghost_entries=*/64);
   for (int i = 0; i < 8; ++i) {
-    policy.OnAccess(7, false);
+    policy.OnAccess(7);
   }
   EXPECT_GE(policy.Estimate(7), 8u);  // count-min may overestimate, never underestimate
   // Touch other blocks up to the access before the halving, which falls on
   // access kHalvingWidths x width (8 x 64).
-  const uint64_t interval = FrequencySketchPolicy::kHalvingWidths * options.width;
+  const uint64_t interval = FrequencySketchPolicy::kHalvingWidths * width;
   for (Lbn lbn = 100; lbn < 100 + interval - 9; ++lbn) {
-    policy.OnAccess(lbn, false);
+    policy.OnAccess(lbn);
   }
   EXPECT_EQ(policy.halvings(), 0u);
   const uint32_t before = policy.Estimate(7);
-  policy.OnAccess(99, false);
+  policy.OnAccess(99);
   EXPECT_EQ(policy.halvings(), 1u);
   EXPECT_LE(policy.Estimate(7), before / 2 + 1);
 }
 
 TEST(PolicyTest, FrequencySketchMemoryIsAConfigurationConstant) {
-  FrequencySketchPolicy::Options options;
-  options.width = 1000;  // rounded up to 1024
-  FrequencySketchPolicy policy(options, /*reject_ghost_entries=*/64);
+  // Width 1000 rounds up to 1024 counters per row.
+  FrequencySketchPolicy policy(/*width=*/1000, /*admit_threshold=*/2, /*seed=*/1,
+                               /*reject_ghost_entries=*/64);
   const size_t usage = policy.MemoryUsage();
+  EXPECT_EQ(usage, FrequencySketchPolicy::kRows * 1024u);
   for (Lbn lbn = 0; lbn < 10'000; ++lbn) {
-    policy.OnAccess(lbn, false);
+    policy.OnAccess(lbn);
   }
-  // Only the bounded reject ghost can grow; the sketch itself is flat.
-  EXPECT_LE(policy.MemoryUsage(), policy.MemoryBound());
-  EXPECT_GE(policy.MemoryUsage(), usage);
+  // Accesses never grow the sketch; only rejects fill the regret window.
+  EXPECT_EQ(policy.MemoryUsage(), usage);
 }
 
 TEST(PolicyTest, WriteRateLimiterSpendsBurstThenRefillsOnVirtualTime) {
   SimClock clock;
-  WriteRateLimiterPolicy::Options options;
-  options.rate_pages_per_sec = 1000.0;  // 1 token per 1000 us
-  options.burst_pages = 4.0;
-  WriteRateLimiterPolicy policy(options, &clock, /*reject_ghost_entries=*/64);
+  const double burst_pages = 4.0;
+  // 1,000 pages/s: one token per 1,000 us.
+  WriteRateLimiterPolicy policy(/*rate_pages_per_sec=*/1000.0, burst_pages, &clock,
+                                /*reject_ghost_entries=*/64);
   // The burst admits the first four insertions at time zero.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(policy.ShouldAdmit(i, AdmissionOp::kWriteClean, AdmissionContext{})) << i;
+    EXPECT_TRUE(policy.ShouldAdmit(i, AdmissionOp::kWrite, /*resident=*/false)) << i;
   }
-  EXPECT_FALSE(policy.ShouldAdmit(99, AdmissionOp::kWriteClean, AdmissionContext{}));
+  EXPECT_FALSE(policy.ShouldAdmit(99, AdmissionOp::kWrite, /*resident=*/false));
   // No wall-clock dependence: only advancing the virtual clock refills.
   clock.Advance(2'000);  // 2 ms -> 2 tokens
-  EXPECT_TRUE(policy.ShouldAdmit(100, AdmissionOp::kWriteClean, AdmissionContext{}));
-  EXPECT_TRUE(policy.ShouldAdmit(101, AdmissionOp::kWriteClean, AdmissionContext{}));
-  EXPECT_FALSE(policy.ShouldAdmit(102, AdmissionOp::kWriteClean, AdmissionContext{}));
+  EXPECT_TRUE(policy.ShouldAdmit(100, AdmissionOp::kWrite, /*resident=*/false));
+  EXPECT_TRUE(policy.ShouldAdmit(101, AdmissionOp::kWrite, /*resident=*/false));
+  EXPECT_FALSE(policy.ShouldAdmit(102, AdmissionOp::kWrite, /*resident=*/false));
   // Refill saturates at the burst depth.
   clock.Advance(1'000'000);
   EXPECT_NEAR(policy.tokens(), 0.0, 1e-9);  // not yet refilled (lazy)
-  policy.ShouldAdmit(103, AdmissionOp::kWriteClean, AdmissionContext{});
-  EXPECT_LE(policy.tokens(), options.burst_pages);
+  policy.ShouldAdmit(103, AdmissionOp::kWrite, /*resident=*/false);
+  EXPECT_LE(policy.tokens(), burst_pages);
 }
 
 TEST(PolicyFactoryTest, NamesRoundTrip) {
@@ -292,33 +306,30 @@ TEST(PolicyFactoryTest, NamesRoundTrip) {
 TEST(PolicyFactoryTest, BuildsEveryKindWithMatchingName) {
   SimClock clock;
   PolicyConfig config;
-  const std::pair<AdmissionKind, const char*> expectations[] = {
-      {AdmissionKind::kAdmitAll, "admit-all"},
-      {AdmissionKind::kGhostLru, "ghost-lru"},
-      {AdmissionKind::kFrequencySketch, "freq-sketch"},
-      {AdmissionKind::kWriteRateLimiter, "write-limit"},
-  };
-  for (const auto& [kind, name] : expectations) {
+  const auto build = [&](AdmissionKind kind) {
     config.kind = kind;
-    std::unique_ptr<AdmissionPolicy> policy = MakeAdmissionPolicy(config, 1, 0, &clock);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->name(), name);
-    EXPECT_LE(policy->MemoryUsage(), policy->MemoryBound());
-  }
+    return MakeAdmissionPolicy(config, 1, 0, &clock);
+  };
+  EXPECT_NE(dynamic_cast<AdmitAllPolicy*>(build(AdmissionKind::kAdmitAll).get()), nullptr);
+  EXPECT_NE(dynamic_cast<GhostLruPolicy*>(build(AdmissionKind::kGhostLru).get()), nullptr);
+  EXPECT_NE(dynamic_cast<FrequencySketchPolicy*>(build(AdmissionKind::kFrequencySketch).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<WriteRateLimiterPolicy*>(build(AdmissionKind::kWriteRateLimiter).get()),
+            nullptr);
 }
 
 // Admits in a row until the policy first rejects.
 uint32_t AdmitsInARow(AdmissionPolicy& policy) {
   uint32_t admits = 0;
-  while (policy.ShouldAdmit(admits, AdmissionOp::kWriteClean, {})) {
+  while (policy.ShouldAdmit(admits, AdmissionOp::kWrite, /*resident=*/false)) {
     ++admits;
   }
   return admits;
 }
 
-// Bytes of a sketch's counters: its bound less the regret window's.
+// Bytes of a sketch's counters: its usage less the regret window's.
 size_t SketchBytes(const AdmissionPolicy& policy) {
-  return policy.MemoryBound() - policy.recent_rejects().capacity() * kWindowEntryBytes;
+  return policy.MemoryUsage() - policy.recent_rejects().size() * kWindowEntryBytes;
 }
 
 TEST(PolicyFactoryTest, SplitsTotalsAcrossShards) {
@@ -348,8 +359,8 @@ TEST(PolicyFactoryTest, SplitsTotalsAcrossShards) {
   auto& sketch0 = dynamic_cast<FrequencySketchPolicy&>(*s0);
   auto& sketch1 = dynamic_cast<FrequencySketchPolicy&>(*s1);
   for (Lbn lbn = 0; lbn < 2048; ++lbn) {
-    sketch0.OnAccess(lbn, false);
-    sketch1.OnAccess(lbn, false);
+    sketch0.OnAccess(lbn);
+    sketch1.OnAccess(lbn);
   }
   uint32_t differing = 0;
   for (Lbn lbn = 2048; lbn < 4096; ++lbn) {
@@ -399,7 +410,7 @@ TEST(PolicyIntegrationTest, WriteThroughRejectEvictsStaleCopy) {
   ssc_config.capacity_pages = 1024;
   SscDevice ssc(ssc_config, &clock);
   DiskModel disk(&clock);
-  GhostLruPolicy policy({.ghost_entries = 128}, /*reject_ghost_entries=*/128);
+  GhostLruPolicy policy(/*ghost_entries=*/128, /*reject_ghost_entries=*/128);
   WriteThroughManager manager(&ssc, &disk, policy);
 
   // Earn admission for lbn 1 (two write misses), caching version 10.
@@ -412,7 +423,6 @@ TEST(PolicyIntegrationTest, WriteThroughRejectEvictsStaleCopy) {
   // Now force rejections by filling the ghost history with other blocks so
   // lbn 1's next write is a first miss again: the write must evict the
   // cached version 10, not leave it to serve stale reads.
-  policy.OnEvict(1);  // no-op for ghost-lru, but exercise the hook
   for (Lbn lbn = 1000; lbn < 1200; ++lbn) {
     ASSERT_EQ(manager.Write(lbn, lbn), Status::kOk);
   }
@@ -424,7 +434,7 @@ TEST(PolicyIntegrationTest, WriteThroughRejectEvictsStaleCopy) {
   EXPECT_EQ(token, 20u);  // served from disk: the acknowledged version
   EXPECT_GT(policy.stats().rejects, 0u);
 
-  const CheckReport report = InvariantChecker::CheckPolicy(policy, &ssc);
+  const CheckReport report = InvariantChecker::CheckPolicy(policy, ssc);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -437,7 +447,7 @@ TEST(PolicyIntegrationTest, WriteBackRejectWritesAroundDurably) {
   ssc_config.capacity_pages = 1024;
   SscDevice ssc(ssc_config, &clock);
   DiskModel disk(&clock);
-  GhostLruPolicy policy({.ghost_entries = 128}, /*reject_ghost_entries=*/128);
+  GhostLruPolicy policy(/*ghost_entries=*/128, /*reject_ghost_entries=*/128);
   WriteBackManager manager(&ssc, &disk, policy);
 
   ASSERT_EQ(manager.Write(2, 7), Status::kOk);   // first miss: write-around
@@ -450,8 +460,8 @@ TEST(PolicyIntegrationTest, WriteBackRejectWritesAroundDurably) {
   ASSERT_EQ(ssc.Read(2, &token), Status::kOk);
   EXPECT_EQ(token, 8u);
 
-  // A resident dirty block is always re-admitted (no forced eviction of
-  // dirty data just because the ghost window moved on).
+  // ghost-lru re-admits a resident dirty block (no forced eviction of dirty
+  // data just because the ghost window moved on).
   for (Lbn lbn = 2000; lbn < 2200; ++lbn) {
     ASSERT_EQ(manager.Write(lbn, lbn), Status::kOk);
   }
@@ -461,25 +471,8 @@ TEST(PolicyIntegrationTest, WriteBackRejectWritesAroundDurably) {
 
   const CheckReport wb_report = InvariantChecker::Check(manager);
   EXPECT_TRUE(wb_report.ok()) << wb_report.ToString();
-  const CheckReport policy_report = InvariantChecker::CheckPolicy(policy, &ssc);
+  const CheckReport policy_report = InvariantChecker::CheckPolicy(policy, ssc);
   EXPECT_TRUE(policy_report.ok()) << policy_report.ToString();
-}
-
-// The memory-bound audit must actually fire: CheckPolicy against a policy
-// whose ghost table was configured at zero... capacity floors make that
-// impossible through the factory, so check the violation path with a
-// hand-built table instead — usage over bound is reported.
-TEST(PolicyIntegrationTest, CheckPolicyReportsMemoryOverrun) {
-  // A policy cannot exceed its own bound through the public API (the tables
-  // are strictly bounded), so verify the audit arithmetic directly.
-  AdmitAllPolicy policy(/*reject_ghost_entries=*/4);
-  for (Lbn lbn = 0; lbn < 100; ++lbn) {
-    policy.OnReject(lbn);
-  }
-  EXPECT_LE(policy.MemoryUsage(), policy.MemoryBound());
-  const CheckReport report = InvariantChecker::CheckPolicy(policy, nullptr);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_GT(report.checks_run, 0u);
 }
 
 // The rejected-block-absent audit must flag a planted violation: put a
@@ -492,7 +485,7 @@ TEST(PolicyIntegrationTest, CheckPolicyFlagsRejectedBlockPresent) {
   AdmitAllPolicy policy(/*reject_ghost_entries=*/64);
   policy.OnReject(123);  // policy believes 123 was bypassed...
   ASSERT_EQ(ssc.WriteClean(123, 1), Status::kOk);  // ...but it is cached
-  const CheckReport report = InvariantChecker::CheckPolicy(policy, &ssc);
+  const CheckReport report = InvariantChecker::CheckPolicy(policy, ssc);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.violations[0].invariant, "policy.rejected-present");
 }

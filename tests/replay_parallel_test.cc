@@ -280,8 +280,8 @@ TEST(ParallelReplayTest, PoliciesDeterministicAcrossThreadCounts) {
   }
 }
 
-// Selective admission must also hold the partition audit and the new policy
-// invariants (memory bound, rejected-block-absent) after a threaded replay.
+// Selective admission must also hold the partition audit and the policy's
+// rejected-block-absent audit after a threaded replay.
 TEST(ParallelReplayTest, SelectivePolicyPassesPolicyAudit) {
   PolicyConfig admission;
   admission.kind = AdmissionKind::kGhostLru;
@@ -303,7 +303,7 @@ TEST(ParallelReplayTest, SelectivePolicyPassesPolicyAudit) {
   ASSERT_GT(system.AggregatePolicyStats().rejects, 0u);
   for (uint32_t i = 0; i < system.shard_count(); ++i) {
     const CheckReport report =
-        InvariantChecker::CheckPolicy(*system.shard(i).policy, system.shard(i).ssc.get());
+        InvariantChecker::CheckPolicy(*system.shard(i).policy, *system.shard(i).ssc);
     EXPECT_TRUE(report.ok()) << "shard " << i << ": " << report.ToString();
     EXPECT_GT(report.checks_run, 0u);
   }
