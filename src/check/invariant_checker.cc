@@ -77,7 +77,7 @@ CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
   // reorders them).
   uint64_t prev = 0;
   bool first = true;
-  for (const LogRecord& r : pm.durable_log_) {
+  pm.durable_log_.ForEach([&](const LogRecord& r) {
     ++report.checks_run;
     if (!first && r.lsn <= prev) {
       report.Add("persist.lsn-monotone",
@@ -94,7 +94,7 @@ CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
     }
     prev = r.lsn;
     first = false;
-  }
+  });
 
   // Buffered records continue the durable sequence.
   for (const LogRecord& r : pm.buffer_) {

@@ -98,7 +98,7 @@ void PersistenceManager::Flush() {
   } else {
     ChargeWrites(PagesFor(bytes));
   }
-  durable_log_.insert(durable_log_.end(), buffer_.begin(), buffer_.end());
+  durable_log_.Append(buffer_);
   buffer_.clear();
   AtCommitPoint(CommitPoint::kFlushDone);
 }
@@ -166,8 +166,8 @@ void PersistenceManager::WriteCheckpoint(std::vector<LogRecord> records) {
   // buffer) as the per-segment fallback history.
   staging.resize(seg_count);
   prev_log_ = std::move(durable_log_);
-  prev_log_.insert(prev_log_.end(), buffer_.begin(), buffer_.end());
-  durable_log_.clear();
+  prev_log_.Append(buffer_);
+  durable_log_.Clear();
   buffer_.clear();
   current_region_ = 1 - current_region_;
   checkpoint_generation_ = generation;
@@ -253,13 +253,9 @@ void PersistenceManager::Recover(std::vector<LogRecord>* checkpoint,
       log_tail->push_back(r);
     };
     if (used_fallback) {
-      for (const LogRecord& r : prev_log_) {
-        consider(r);
-      }
+      prev_log_.ForEach(consider);
     }
-    for (const LogRecord& r : durable_log_) {
-      consider(r);
-    }
+    durable_log_.ForEach(consider);
   }
   stats_.log_replay_us = replay_us;
   NotifyRecoveryPoint(RecoveryPoint::kLogScanned);

@@ -93,6 +93,49 @@ struct LogRecord {
 // MemoryUsage() charges the log buffer at this size (Table 4).
 static_assert(sizeof(LogRecord) == 56, "LogRecord is 56 bytes in host memory");
 
+// The host copy of a durable log interval: records in append order, held in
+// fixed 64 KB chunks, each reserved whole when it opens. Appending never
+// moves a record and Clear() frees every chunk, so the host memory a log
+// holds follows its length, and a steady-state log (one chunk) costs one
+// allocation per checkpoint. A vector's doubling would leave each superseded
+// buffer as free space in the replay worker's malloc arena, up to 5 MB before
+// a shard's first checkpoint; a deque's 512-byte nodes cost one allocation
+// per 9 records (EXPERIMENTS.md, "Host memory").
+class ChunkedLog {
+ public:
+  static constexpr size_t kChunkRecords = (64u << 10) / sizeof(LogRecord);  // 1,170
+
+  size_t size() const {
+    return chunks_.empty() ? 0 : (chunks_.size() - 1) * kChunkRecords + chunks_.back().size();
+  }
+
+  void Append(const std::vector<LogRecord>& records) {
+    for (const LogRecord& r : records) {
+      if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
+        chunks_.emplace_back().reserve(kChunkRecords);
+      }
+      chunks_.back().push_back(r);
+    }
+  }
+
+  LogRecord& operator[](size_t i) { return chunks_[i / kChunkRecords][i % kChunkRecords]; }
+
+  // Visits every record in append order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const std::vector<LogRecord>& chunk : chunks_) {
+      for (const LogRecord& r : chunk) {
+        fn(r);
+      }
+    }
+  }
+
+  void Clear() { chunks_.clear(); }
+
+ private:
+  std::vector<std::vector<LogRecord>> chunks_;  // all full but the last
+};
+
 // One fixed-size slice of a checkpoint, independently validatable: the
 // insert records of a run of live mappings. The generation header lets
 // recovery tell a completed checkpoint's segments from slices of an
@@ -484,8 +527,11 @@ class PersistenceManager {
   SimClock* clock_;
   FlashPipeline* pipeline_ = nullptr;  // not owned; null in stand-alone use
 
+  // A vector: its capacity is the log buffer's Table 4 charge (MemoryUsage).
   std::vector<LogRecord> buffer_;        // device RAM, lost on crash
-  std::vector<LogRecord> durable_log_;   // on flash, since last checkpoint
+  // Chunked, as prev_log_, so its host memory follows the log's length: a
+  // vector's doubling left superseded buffers in replay workers' arenas.
+  ChunkedLog durable_log_;               // on flash, since last checkpoint
   // The two alternating checkpoint regions (Section 4.2.2), each a list of
   // segments. `current_region_` indexes the live (completed) checkpoint; the
   // other region holds the previous generation until a new checkpoint is
@@ -497,7 +543,9 @@ class PersistenceManager {
   uint64_t checkpoint_generation_ = 0;
   uint64_t checkpoint_lsn_ = 0;          // highest LSN covered by checkpoint
   uint64_t checkpoint_entry_count_ = 0;
-  std::vector<LogRecord> prev_log_;      // records between prev and current ckpt
+  // Records between the previous and current checkpoint; chunked for the
+  // same reason as durable_log_.
+  ChunkedLog prev_log_;
   uint64_t writes_since_checkpoint_ = 0;
   uint64_t next_lsn_ = 1;
   uint32_t atomic_batch_depth_ = 0;

@@ -119,7 +119,6 @@ void SyntheticWorkload::BuildWorkingSet() {
   const uint64_t hot_target = target - cold_target;
   blocks_.reserve(target);
   allocated_.Resize(profile_.range_blocks);
-  std::vector<std::pair<size_t, size_t>> runs;  // (first index, count) in blocks_
 
   // Allocates contiguous runs into Zipf-popular regions until blocks_ holds
   // `goal` blocks; falls back to a linear scan if the favoured regions
@@ -152,7 +151,7 @@ void SyntheticWorkload::BuildWorkingSet() {
         }
       }
       if (blocks_.size() != before) {
-        runs.emplace_back(before, blocks_.size() - before);
+        runs_.push_back({before, blocks_.size() - before});
         stalls = 0;
       } else {
         ++stalls;
@@ -172,48 +171,46 @@ void SyntheticWorkload::BuildWorkingSet() {
       if (blocks_.size() == before) {
         break;
       }
-      runs.emplace_back(before, blocks_.size() - before);
+      runs_.push_back({before, blocks_.size() - before});
     }
   };
 
   // Hot set first, in long runs (large active files); cold tail after, in
   // short runs (scattered small files).
   allocate(hot_target, profile_.hot_run_blocks, /*align=*/true);
-  const size_t hot_run_count = runs.size();
+  hot_runs_ = runs_.size();
   hot_count_ = blocks_.size();
   allocate(target, profile_.alloc_run_blocks, /*align=*/false);
 
   // Shuffle at *run* granularity within each group: popularity (Zipf rank ~
   // position) stays spatially correlated — hot files are hot in their
   // entirety — which is what makes 256 KB block-level mapping effective.
-  for (size_t i = hot_run_count; i > 1; --i) {
-    std::swap(runs[i - 1], runs[build_rng.Below(i)]);
+  for (size_t i = hot_runs_; i > 1; --i) {
+    std::swap(runs_[i - 1], runs_[build_rng.Below(i)]);
   }
-  for (size_t i = runs.size(); i > hot_run_count + 1; --i) {
-    std::swap(runs[i - 1], runs[hot_run_count + build_rng.Below(i - hot_run_count)]);
+  for (size_t i = runs_.size(); i > hot_runs_ + 1; --i) {
+    std::swap(runs_[i - 1], runs_[hot_runs_ + build_rng.Below(i - hot_runs_)]);
   }
+  run_sampler_ = std::make_unique<ZipfSampler>(std::max<size_t>(1, hot_runs_),
+                                               profile_.hot_zipf_s);
+}
+
+std::vector<Lbn> SyntheticWorkload::working_set() const {
   std::vector<Lbn> ordered;
   ordered.reserve(blocks_.size());
-  run_starts_.clear();
-  for (const auto& [first, count] : runs) {
-    run_starts_.push_back(ordered.size());
-    for (size_t i = 0; i < count; ++i) {
-      ordered.push_back(blocks_[first + i]);
-    }
+  for (const Run& run : runs_) {
+    const auto first = blocks_.begin() + static_cast<std::ptrdiff_t>(run.first);
+    ordered.insert(ordered.end(), first, first + static_cast<std::ptrdiff_t>(run.count));
   }
-  blocks_ = std::move(ordered);
-
-  if (hot_count_ == 0) {
-    hot_count_ = 1;
-  }
-  hot_runs_ = hot_run_count == 0 ? 1 : hot_run_count;
-  run_sampler_ = std::make_unique<ZipfSampler>(hot_runs_, profile_.hot_zipf_s);
+  return ordered;
 }
 
 void SyntheticWorkload::Rewind() {
   rng_ = Rng(profile_.seed ^ 0xf00dull);
   emitted_ = 0;
   next_cold_ = 0;
+  cold_run_ = hot_runs_;
+  cold_offset_ = 0;
   run_next_ = kInvalidLbn;
   run_remaining_ = 0;
   run_is_write_ = false;
@@ -226,14 +223,24 @@ void SyntheticWorkload::Rewind() {
 }
 
 size_t SyntheticWorkload::SampleHotIndex(bool is_write) {
-  size_t span = hot_runs_;
+  size_t span = std::max<size_t>(1, hot_runs_);
   if (!is_write && profile_.read_concentration > 1) {
-    span = std::max<size_t>(1, hot_runs_ / profile_.read_concentration);
+    span = std::max<size_t>(1, span / profile_.read_concentration);
   }
-  const size_t run = run_sampler_->Sample(rng_) % span;
-  const size_t start = run_starts_[run];
-  const size_t end = run + 1 < run_starts_.size() ? run_starts_[run + 1] : blocks_.size();
-  return start + rng_.Below(end - start);
+  const Run& run = runs_[run_sampler_->Sample(rng_) % span];
+  return run.first + rng_.Below(run.count);
+}
+
+void SyntheticWorkload::AdvanceCold(size_t n) {
+  while (n > 0) {
+    const size_t step = std::min(n, runs_[cold_run_].count - cold_offset_);
+    cold_offset_ += step;
+    n -= step;
+    if (cold_offset_ == runs_[cold_run_].count) {
+      ++cold_run_;
+      cold_offset_ = 0;
+    }
+  }
 }
 
 bool SyntheticWorkload::Next(TraceRecord* record) {
@@ -254,10 +261,11 @@ bool SyntheticWorkload::Next(TraceRecord* record) {
     if (cold_left > 0 && rng_.Chance(cold_prob_)) {
       // Cold tail accesses arrive as sequential scan bursts (file reads,
       // backups), not as isolated single-block touches.
-      lbn = blocks_[hot_count_ + next_cold_];
+      lbn = blocks_[runs_[cold_run_].first + cold_offset_];
       const auto burst = static_cast<uint32_t>(
           std::min<uint64_t>(cold_left, 1 + rng_.Below(2 * profile_.access_run_blocks - 1)));
       next_cold_ += burst;
+      AdvanceCold(burst);
       is_write = rng_.Chance(profile_.write_fraction);
       if (burst > 1) {
         run_remaining_ = burst - 1;

@@ -95,22 +95,33 @@ class SyntheticWorkload final : public TraceSource {
 
   const WorkloadProfile& profile() const { return profile_; }
 
-  // The generated working set (hot blocks first, then the cold tail).
-  const std::vector<Lbn>& working_set() const { return blocks_; }
+  // The generated working set in stream order: the hot runs, then the cold
+  // tail's, each group shuffled by run. Built on each call.
+  std::vector<Lbn> working_set() const;
   size_t hot_count() const { return hot_count_; }
 
  private:
+  // One allocation run: blocks_[first, first + count).
+  struct Run {
+    size_t first;
+    size_t count;
+  };
+
   void BuildWorkingSet();
   // Picks a hot block: Zipf-popular *run*, uniform position within it.
   // Temporal popularity is spatially correlated (hot files are hot in their
   // entirety), which is what lets block-granularity mapping cache densely.
   size_t SampleHotIndex(bool is_write);
+  // Moves the cold-tail cursor `n` blocks on, across run boundaries.
+  void AdvanceCold(size_t n);
 
   WorkloadProfile profile_;
   Rng rng_;
 
-  std::vector<Lbn> blocks_;  // [0, hot_count_) hot, [hot_count_, N) cold
-  std::vector<size_t> run_starts_;  // index into blocks_ of each run start
+  // Allocation order: [0, hot_count_) hot, [hot_count_, N) cold. The stream
+  // reads it through runs_, so no reordered copy is ever held.
+  std::vector<Lbn> blocks_;
+  std::vector<Run> runs_;  // shuffled: [0, hot_runs_) hot, then the cold tail
   Bitmap allocated_;  // over [0, range_blocks): set for each block in blocks_
   size_t hot_count_ = 0;
   size_t hot_runs_ = 0;
@@ -118,7 +129,9 @@ class SyntheticWorkload final : public TraceSource {
 
   // Stream state (reset by Rewind).
   uint64_t emitted_ = 0;
-  size_t next_cold_ = 0;
+  size_t next_cold_ = 0;    // cold blocks handed out
+  size_t cold_run_ = 0;     // the next cold block: runs_[cold_run_], at
+  size_t cold_offset_ = 0;  //   cold_offset_ blocks into that run
   double cold_prob_ = 0.0;
   Lbn run_next_ = kInvalidLbn;
   uint32_t run_remaining_ = 0;

@@ -53,7 +53,7 @@ class CheckTestPeer {
     if (pm.durable_log_.size() < 2) {
       return false;
     }
-    std::swap(pm.durable_log_.front().lsn, pm.durable_log_.back().lsn);
+    std::swap(pm.durable_log_[0].lsn, pm.durable_log_[pm.durable_log_.size() - 1].lsn);
     return true;
   }
 

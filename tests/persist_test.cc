@@ -292,6 +292,37 @@ std::vector<LogRecord> MakeEntries(Lbn base, size_t n) {
   return v;
 }
 
+// Sync-appends kLongLog records keyed base, base + 1, ..., a durable log that
+// spans three chunks, then rots records 0, 1,000 and the last. The log must
+// be empty on entry. Returns the keys recovery must hand back: every other
+// record, once each, in LSN order.
+constexpr size_t kLongLog = 2'500;
+static_assert(kLongLog > 2 * ChunkedLog::kChunkRecords, "the long log spans three chunks");
+std::vector<Lbn> AppendLongLogRottingThree(PersistenceManager* pm, Lbn base) {
+  EXPECT_EQ(pm->durable_log_records(), 0u);
+  std::vector<Lbn> kept;
+  for (size_t i = 0; i < kLongLog; ++i) {
+    pm->Append(MakeRecord(base + i), /*sync=*/true);
+    if (i != 0 && i != 1'000 && i != kLongLog - 1) {
+      kept.push_back(base + i);
+    }
+  }
+  for (const size_t index : {size_t{0}, size_t{1'000}, kLongLog - 1}) {
+    pm->CorruptDurableRecordForTesting(index);
+  }
+  return kept;
+}
+
+// The keys of a recovered log tail, checking its LSNs strictly increase.
+std::vector<Lbn> KeysInLsnOrder(const std::vector<LogRecord>& tail) {
+  std::vector<Lbn> keys;
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_TRUE(i == 0 || tail[i - 1].lsn < tail[i].lsn) << "at " << i;
+    keys.push_back(tail[i].key);
+  }
+  return keys;
+}
+
 TEST(PersistTest, LogRegionExactlyFullBatchStillFlushes) {
   // One page of log region holds exactly 91 records (91 * 45 B = 4095 B).
   // The exactly-full batch is not an overflow and must land as a normal
@@ -380,11 +411,10 @@ TEST(PersistTest, TornCheckpointSegmentFallsBackToPreviousGeneration) {
   opts.checkpoint_segment_entries = 4;
   PersistenceManager pm(opts, &clock);
   pm.WriteCheckpoint(MakeEntries(100, 12));  // gen 1: 3 segments
-  for (int i = 0; i < 4; ++i) {
-    pm.Append(MakeRecord(500 + i), /*sync=*/true);
-  }
+  std::vector<Lbn> replayed = AppendLongLogRottingThree(&pm, 10'000);
   pm.WriteCheckpoint(MakeEntries(200, 12));  // gen 2; retains gen-1 log interval
   pm.Append(MakeRecord(600), /*sync=*/true);
+  replayed.push_back(600);
 
   pm.CorruptCheckpointForTesting(/*segment=*/1);
   pm.Crash();
@@ -402,11 +432,10 @@ TEST(PersistTest, TornCheckpointSegmentFallsBackToPreviousGeneration) {
   EXPECT_EQ(ckpt[8].key, 208u);
   EXPECT_EQ(pm.stats().segment_fallbacks, 1u);
   EXPECT_EQ(pm.stats().checkpoint_fallbacks, 1u);
-  // The retained log interval catches the stale slice back up, and the
-  // post-checkpoint record replays as usual.
-  ASSERT_EQ(tail.size(), 5u);
-  EXPECT_EQ(tail[0].key, 500u);
-  EXPECT_EQ(tail[4].key, 600u);
+  // The retained log interval, less its three rotted records, catches the
+  // stale slice back up, and the post-checkpoint record replays after it.
+  EXPECT_EQ(KeysInLsnOrder(tail), replayed);
+  EXPECT_EQ(pm.stats().corrupt_records_skipped, 3u);
 }
 
 TEST(PersistTest, DoublyTornSegmentDegradesToEmptySliceAndFullReplay) {
@@ -456,16 +485,13 @@ TEST(PersistTest, CorruptLogTailSkipsExactlyThoseRecords) {
 TEST(PersistTest, RecoveryIsIdempotent) {
   // A crash during recovery re-runs recovery from the top. Both passes read
   // only durable state, so they must produce bit-identical outputs — even
-  // with a corrupt record in the log exercising the CRC-skip path.
+  // with rotted records in a long log exercising the CRC-skip path.
   SimClock clock;
   PersistenceManager::Options opts = SmallOptions();
   opts.checkpoint_segment_entries = 4;
   PersistenceManager pm(opts, &clock);
   pm.WriteCheckpoint(MakeEntries(100, 10));
-  for (int i = 0; i < 6; ++i) {
-    pm.Append(MakeRecord(300 + i), /*sync=*/true);
-  }
-  pm.CorruptDurableRecordForTesting(2);
+  const std::vector<Lbn> replayed = AppendLongLogRottingThree(&pm, 300);
   pm.Crash();
 
   std::vector<LogRecord> c1;
@@ -484,6 +510,7 @@ TEST(PersistTest, RecoveryIsIdempotent) {
     EXPECT_EQ(c1[i].present_bits, c2[i].present_bits);
     EXPECT_EQ(c1[i].dirty_bits, c2[i].dirty_bits);
   }
+  EXPECT_EQ(KeysInLsnOrder(t1), replayed);
   ASSERT_EQ(t1.size(), t2.size());
   for (size_t i = 0; i < t1.size(); ++i) {
     EXPECT_EQ(t1[i].lsn, t2[i].lsn);
@@ -498,8 +525,8 @@ TEST(PersistTest, RecoveryIsIdempotent) {
   EXPECT_EQ(s1.last_recovery_us, s2.last_recovery_us);
   EXPECT_EQ(s1.last_recovery_us, s1.checkpoint_load_us + s1.log_replay_us);
   // Cumulative corruption counters advance by the same amount each pass.
-  EXPECT_EQ(s1.corrupt_records_skipped, 1u);
-  EXPECT_EQ(s2.corrupt_records_skipped, 2u);
+  EXPECT_EQ(s1.corrupt_records_skipped, 3u);
+  EXPECT_EQ(s2.corrupt_records_skipped, 6u);
 }
 
 TEST(PersistTest, LsnsAreMonotone) {
@@ -517,6 +544,27 @@ TEST(PersistTest, LsnsAreMonotone) {
   for (size_t i = 0; i < tail.size(); ++i) {
     EXPECT_EQ(tail[i].lsn, i + 1);
   }
+}
+
+TEST(ChunkedLogTest, KeepsAppendOrderAcrossChunks) {
+  // Batches that straddle chunk boundaries land in order, and indexing and
+  // the visit agree on every position.
+  constexpr size_t kChunk = ChunkedLog::kChunkRecords;
+  ChunkedLog log;
+  Lbn next = 0;
+  for (const size_t batch : {kChunk - 1, size_t{2}, kChunk, size_t{1}}) {
+    log.Append(MakeEntries(next, batch));
+    next += batch;
+  }
+  ASSERT_EQ(log.size(), 2 * kChunk + 2);
+  Lbn expected = 0;
+  log.ForEach([&](const LogRecord& r) { EXPECT_EQ(r.key, expected++); });
+  EXPECT_EQ(expected, next);
+  for (const size_t i : {size_t{0}, kChunk - 1, kChunk, 2 * kChunk + 1}) {
+    EXPECT_EQ(log[i].key, i);
+  }
+  log.Clear();
+  EXPECT_EQ(log.size(), 0u);
 }
 
 }  // namespace

@@ -200,7 +200,8 @@ TEST(SyntheticWorkloadTest, ProducesExactlyTotalOps) {
 
 TEST(SyntheticWorkloadTest, StaysInRangeAndInWorkingSet) {
   SyntheticWorkload w(TestProfile());
-  std::unordered_set<Lbn> working_set(w.working_set().begin(), w.working_set().end());
+  const std::vector<Lbn> blocks = w.working_set();
+  std::unordered_set<Lbn> working_set(blocks.begin(), blocks.end());
   EXPECT_EQ(working_set.size(), TestProfile().unique_blocks);
   TraceRecord r;
   while (w.Next(&r)) {
